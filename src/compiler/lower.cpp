@@ -552,8 +552,12 @@ class Lowerer {
       const Binding& b = binding(arg.name, arg);
       std::vector<RValuePtr> v;
       if (b.kind == Binding::Kind::kList) {
-        v.push_back(ir::rv_field(
-            ir_.lists[static_cast<std::size_t>(b.list)].count));
+        // length() is bit<32> (typecheck, eval_ref) while the fill counter
+        // is only as wide as the capacity needs; OR-ing a 32-bit zero
+        // widens the value without touching the counter's wire width.
+        v.push_back(ir::rv_binary(
+            BinOp::kBitOr, ir::rv_const(BitVec(32, 0)),
+            ir::rv_field(ir_.lists[static_cast<std::size_t>(b.list)].count)));
       } else if (b.kind == Binding::Kind::kConfig) {
         v.push_back(ir::rv_const(BitVec(
             32, static_cast<std::uint64_t>(b.config_values))));

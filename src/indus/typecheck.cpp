@@ -1,5 +1,9 @@
 #include "indus/typecheck.hpp"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "indus/parser.hpp"
 
 namespace hydra::indus {
@@ -246,7 +250,16 @@ class Checker {
       }
       loop_vars_[name] = type;
     }
+    // The reference evaluator fixes the iteration count at loop entry;
+    // compiled code re-reads the fill counter at every unrolled iteration.
+    // Pushing to an iterated array would make the two disagree.
+    std::vector<std::string> iterated;
+    for (const auto& it : s.iterables) {
+      if (it->kind == ExprKind::kVar) iterated.push_back(it->name);
+    }
+    iterated_.insert(iterated_.end(), iterated.begin(), iterated.end());
     check_stmt(*s.body[0], role);
+    iterated_.resize(iterated_.size() - iterated.size());
     for (const auto& [name, type] : bindings) loop_vars_.erase(name);
     for (auto& [name, type] : saved) loop_vars_[name] = type;
   }
@@ -262,6 +275,12 @@ class Checker {
                                 root->name + "' is " +
                                 var_kind_name(info->kind));
       }
+    }
+    if (root != nullptr &&
+        std::find(iterated_.begin(), iterated_.end(), root->name) !=
+            iterated_.end()) {
+      diags_.error(s.loc, "cannot push to '" + root->name +
+                              "' inside a for loop over it");
     }
     if (list_t && !list_t->is_array()) {
       diags_.error(s.push_list->loc,
@@ -467,6 +486,7 @@ class Checker {
   Diagnostics& diags_;
   SymbolTable symtab_;
   std::map<std::string, TypePtr> loop_vars_;
+  std::vector<std::string> iterated_;  // arrays of the enclosing for loops
 };
 
 }  // namespace

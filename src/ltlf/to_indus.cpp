@@ -156,26 +156,40 @@ bool run_translation(const compiler::CompiledChecker& compiled,
   }
   p4rt::Interp interp(compiled.ir);
   p4rt::CheckerState state = p4rt::make_checker_state(compiled.ir);
-  auto vals = interp.fresh_store();
   p4rt::ExecOutcome out;
 
-  const std::vector<bool>* event = nullptr;
-  auto resolver = [&event](const std::string& ann, int /*width*/) {
-    if (ann.rfind("atom", 0) == 0) {
-      const auto i = static_cast<std::size_t>(std::stoi(ann.substr(4)));
-      const bool v = event != nullptr && i < event->size() && (*event)[i];
-      return BitVec::from_bool(v);
-    }
-    throw std::invalid_argument("unexpected annotation: " + ann);
-  };
+  // Header `atom<i>` reads proposition i of the current event; any other
+  // header (the unused std.* intrinsics) throws if a block ever reads it.
+  struct Atoms final : p4rt::HeaderSource {
+    std::vector<std::string> annotations;
+    std::vector<int> atom;  // by header index; -1 = not an atom
+    const std::vector<bool>* event = nullptr;
 
-  interp.run(compiled.ir.init_block, vals, state, resolver, out);
-  for (const auto& e : trace) {
-    event = &e;
-    interp.run(compiled.ir.tele_block, vals, state, resolver, out);
+    std::uint64_t read(int header) const override {
+      const int i = atom[static_cast<std::size_t>(header)];
+      if (i < 0) {
+        throw std::invalid_argument(
+            "unexpected annotation: " +
+            annotations[static_cast<std::size_t>(header)]);
+      }
+      const auto u = static_cast<std::size_t>(i);
+      return event != nullptr && u < event->size() && (*event)[u] ? 1 : 0;
+    }
+  } atoms;
+  for (ir::FieldId f : p4rt::header_fields(compiled.ir)) {
+    const std::string& ann = compiled.ir.field(f).annotation;
+    atoms.annotations.push_back(ann);
+    atoms.atom.push_back(ann.rfind("atom", 0) == 0 ? std::stoi(ann.substr(4))
+                                                   : -1);
   }
-  event = &trace.back();
-  interp.run(compiled.ir.check_block, vals, state, resolver, out);
+
+  interp.run(p4rt::Block::kInit, state, atoms, out);
+  for (const auto& e : trace) {
+    atoms.event = &e;
+    interp.run(p4rt::Block::kTele, state, atoms, out);
+  }
+  atoms.event = &trace.back();
+  interp.run(p4rt::Block::kCheck, state, atoms, out);
   return !out.reject;
 }
 

@@ -121,6 +121,16 @@ int Network::stage_deployment(
     std::shared_ptr<const compiler::CompiledChecker> checker,
     std::uint8_t phase) {
   if (!checker) throw std::invalid_argument("deploy: null checker");
+  // Bind the header annotations before any slot, generation or counter
+  // changes: a checker reading a header no switch supplies is refused here
+  // and leaves the network as it was.
+  std::vector<BoundHeader> headers;
+  try {
+    headers = bind_headers(checker->ir);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument("deploy: checker '" + checker->name +
+                                "': " + e.what());
+  }
   // Prefer reusing a retired slot; the deployment-id space is bounded by
   // the 64-bit rejected_deps mask, and reuse is what keeps a long-running
   // daemon deploying forever.
@@ -143,6 +153,7 @@ int Network::stage_deployment(
   Deployment& d = deployments_[static_cast<std::size_t>(slot)];
   const bool reused = d.checker != nullptr;
   d.checker = checker;
+  d.headers = std::move(headers);
   d.tele_wire_bytes = checker->layout.wire_bytes;
   d.generation = static_cast<std::uint32_t>(generations_.size());
   d.live = true;
@@ -784,10 +795,6 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     hop->wire_bytes = hctx.wire_bytes;
   }
 
-  auto resolver = [&pkt, &hctx](const std::string& ann, int width) {
-    return resolve_header(pkt, hctx, ann, width);
-  };
-
   auto collect_reports = [&](std::size_t di, const Deployment& d,
                              p4rt::ExecOutcome& out) {
     for (auto& r : out.reports) {
@@ -821,19 +828,17 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       ExecContext::PerDeployment& pd = ctx.deps[di];
       pd.init_runs.inc();
       if (forensic) pd.prov.clear();
-      pd.interp->reset_store(pd.vals);
-      std::vector<BitVec>& vals = pd.vals;
       p4rt::ExecOutcome& out = pd.out;
       out.reject = false;
       out.reports.clear();
-      pd.interp->run(d.checker->ir.init_block, vals,
-                     d.per_switch[static_cast<std::size_t>(sw)], resolver,
-                     out);
+      pd.interp->run(p4rt::Block::kInit,
+                     d.per_switch[static_cast<std::size_t>(sw)],
+                     HopHeaders(d.headers, pkt, hctx), out);
       // Re-arm a retired tele slot in place (deployment order matches the
       // old push_back order; all slots retire together at the last hop).
       p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di));
       frame.generation = d.generation;
-      pd.interp->store_frame(vals, frame);
+      pd.interp->store(frame);
       if (cold_sw) frame.cold = true;
       if (hop != nullptr) {
         hop->checkers.push_back(
@@ -944,20 +949,19 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     // At the first hop the provenance buffer still holds the init run's
     // captures; this hop's record covers init+tele+check together.
     if (forensic && !hctx.first_hop) pd.prov.clear();
-    pd.interp->reset_store(pd.vals);
-    std::vector<BitVec>& vals = pd.vals;
-    pd.interp->load_frame(*frame, vals);
+    pd.interp->load(*frame);
     p4rt::ExecOutcome& out = pd.out;
     out.reject = false;
     out.reports.clear();
     auto& state = d.per_switch[static_cast<std::size_t>(sw)];
-    pd.interp->run(d.checker->ir.tele_block, vals, state, resolver, out);
+    const HopHeaders hdr(d.headers, pkt, hctx);
+    pd.interp->run(p4rt::Block::kTele, state, hdr, out);
     const bool run_check =
         hctx.last_hop ||
         d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
     if (run_check) {
       pd.check_runs.inc();
-      pd.interp->run(d.checker->ir.check_block, vals, state, resolver, out);
+      pd.interp->run(p4rt::Block::kCheck, state, hdr, out);
     }
     // Cold suppression: a verdict derived from freshly-wiped sensor state
     // is noise, not a violation — drop it, count it, annotate it.
@@ -969,7 +973,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       pd.cold_suppr.inc();
       fault_note = "cold_suppressed";
     }
-    pd.interp->store_frame(vals, *frame);
+    pd.interp->store(*frame);
     if (hop != nullptr) {
       hop->checkers.push_back(
           trace_checker_record(d, frame, &trace_before, out,
@@ -1152,7 +1156,6 @@ void Network::reset_context_scratch(std::size_t slot) {
   for (auto& ctx : contexts_) {
     ExecContext::PerDeployment& pd = ctx.deps[slot];
     pd.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
-    pd.vals.clear();
     pd.out.reject = false;
     pd.out.reports.clear();
     pd.prov.clear();
@@ -1914,9 +1917,11 @@ void Network::obs_restore(const std::string& text) {
         auto sp = std::make_shared<const compiler::CompiledChecker>(
             compiler::compile_checker(unescape_source(esc), pending.name,
                                       pending.options));
+        std::vector<BoundHeader> headers = bind_headers(sp->ir);
         deployments_.emplace_back();
         Deployment& d = deployments_.back();
         d.checker = sp;
+        d.headers = std::move(headers);
         d.tele_wire_bytes = sp->layout.wire_bytes;
         d.generation = pending.gen;
         d.live = pending.live;

@@ -30,13 +30,14 @@
 //     exactly as under serial execution.
 //
 // OWNERSHIP RULE (per-worker execution contexts): all per-packet scratch —
-// the interpreter instance (whose table-key buffer is reused across
-// lookups), the value-store scratch, the ExecOutcome scratch, the hot-path
-// observability handles, and the RNG stream — lives in an ExecContext, one
-// per engine worker, NEVER in the shared Deployment. A deployment-level
-// scratch buffer (as PR 1 had) is a latent shared-state hazard the moment
-// two switches process packets concurrently. A switch is statically
-// sharded to one context (shard_of), so per-switch state needs no locks.
+// the checker VM instance with its slot file (one uint64_t per IR field,
+// expression temporary and constant) and table-key buffer, both reused
+// across packets; the ExecOutcome scratch; the hot-path observability
+// handles; and the RNG stream — lives in an ExecContext, one per engine
+// worker, NEVER in the shared Deployment. A deployment-level scratch
+// buffer (as PR 1 had) is a latent shared-state hazard the moment two
+// switches process packets concurrently. A switch is statically sharded to
+// one context (shard_of), so per-switch state needs no locks.
 #pragma once
 
 #include <functional>
@@ -127,10 +128,8 @@ struct HopResult {
 // id statically mapped to a context by Network::shard_of.
 struct ExecContext {
   struct PerDeployment {
+    // The checker lowered to slot-addressed ops; owns the slot file.
     std::unique_ptr<p4rt::Interp> interp;
-    // Per-packet value-store scratch reused across hops so the hot path
-    // does not allocate.
-    std::vector<BitVec> vals;
     p4rt::ExecOutcome out;
     // Hot-path counters, attached to `sink` while observability is on.
     obs::Counter init_runs;
@@ -145,7 +144,7 @@ struct ExecContext {
     obs::Counter cold_suppr;
     // Provenance scratch for the forensics flight recorder: armed on the
     // interp only while forensics is on; buffers reuse capacity across
-    // packets, same discipline as `vals`.
+    // packets, same discipline as the slot file.
     p4rt::ExecProvenance prov;
   };
   std::vector<PerDeployment> deps;  // indexed by deployment id
@@ -604,6 +603,8 @@ class Network {
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
+    // The checker's header annotations, bound at deploy; by header index.
+    std::vector<BoundHeader> headers;
     int tele_wire_bytes = 0;
     // Generation tag stamped into this occupant's telemetry frames; bumps
     // on every (re)deploy so slot reuse never mixes properties.

@@ -1,4 +1,4 @@
-// Per-hop context, the header-variable resolver (the "foreign function
+// Per-hop context, header-variable binding (the "foreign function
 // interface" between Indus checkers and the data plane), and the
 // forwarding-program interface implemented by src/forwarding.
 #pragma once
@@ -7,10 +7,12 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "ir/ir.hpp"
 #include "obs/metrics.hpp"
+#include "p4rt/interp.hpp"
 #include "p4rt/packet.hpp"
-#include "util/bitvec.hpp"
 
 namespace hydra::net {
 
@@ -26,15 +28,61 @@ struct HopContext {
   int wire_bytes = 0;        // packet length on the wire at this hop
 };
 
-// Resolves a header variable annotation to its value. Annotations cover
+// The header variables a checker may read (the "foreign function
+// interface" between Indus checkers and the data plane). Annotations cover
 // the paper's examples: switch ports (`in_port`, `eg_port`), IPv4/L4
 // fields with `ipv4_*`/`outer_*`/`inner_*` prefixes and `*_is_valid`
 // flags, GTP-U (`gtpu_teid`), VLAN (`vlan_id`), `to_be_dropped`,
-// `switch_id`, and the std.* intrinsics (first/last hop, packet length).
-// Unknown annotations throw std::invalid_argument so checker/forwarding
-// mismatches surface loudly instead of reading zeros.
-BitVec resolve_header(const p4rt::Packet& pkt, const HopContext& ctx,
-                      const std::string& annotation, int width);
+// `switch_id`, source-route ports (`sr_port_<i>`), and the std.*
+// intrinsics (first/last hop, packet length).
+enum class HeaderKind : std::uint8_t {
+  kLastHop, kFirstHop, kPacketLength,
+  kInPort, kEgPort, kSwitchId, kToBeDropped,
+  kEthSrc, kEthDst, kEthType, kVlanValid, kVlanId,
+  kIpv4Valid, kIpv4Src, kIpv4Dst, kIpv4Proto, kIpv4Ttl, kIpv4Dscp,
+  kTcpValid, kUdpValid, kTcpSport, kTcpDport, kUdpSport, kUdpDport,
+  kL4Sport, kL4Dport,
+  kGtpuValid, kGtpuTeid,
+  kInnerIpv4Valid, kInnerIpv4Src, kInnerIpv4Dst, kInnerIpv4Proto,
+  kInnerTcpValid, kInnerUdpValid, kInnerTcpSport, kInnerTcpDport,
+  kInnerUdpSport, kInnerUdpDport,
+  kSrValid, kSrDepth, kSrPort,
+};
+
+// An annotation bound once, at deploy time, so a hop reads it with a
+// switch instead of string compares.
+struct BoundHeader {
+  HeaderKind kind = HeaderKind::kLastHop;
+  std::uint32_t index = 0;  // kSrPort: position in travel order
+};
+
+// Unknown annotations throw std::invalid_argument, so checker/forwarding
+// mismatches surface at deploy instead of reading zeros.
+BoundHeader bind_header(const std::string& annotation);
+
+// One binding per kHeader field of `ir`, in header-index order
+// (p4rt::header_fields). Throws like bind_header, naming the field.
+std::vector<BoundHeader> bind_headers(const ir::CheckerIR& ir);
+
+std::uint64_t read_header(BoundHeader h, const p4rt::Packet& pkt,
+                          const HopContext& ctx);
+
+// A deployment's bound headers read at one hop.
+class HopHeaders final : public p4rt::HeaderSource {
+ public:
+  HopHeaders(const std::vector<BoundHeader>& bound, const p4rt::Packet& pkt,
+             const HopContext& ctx)
+      : bound_(bound), pkt_(pkt), ctx_(ctx) {}
+
+  std::uint64_t read(int header) const override {
+    return read_header(bound_[static_cast<std::size_t>(header)], pkt_, ctx_);
+  }
+
+ private:
+  const std::vector<BoundHeader>& bound_;
+  const p4rt::Packet& pkt_;
+  const HopContext& ctx_;
+};
 
 // A switch's forwarding pipeline. Implementations may rewrite the packet
 // (encap/decap, source-route pop) — this is the code Hydra checkers must

@@ -1,11 +1,24 @@
-// IR interpreter — executes a compiled checker's blocks on a simulated
-// switch. This plays the role of the Tofino pipeline running the generated
-// P4: the same CheckerIR that the P4 emitter renders is executed here
-// against per-switch table/register state.
+// Checker VM — executes a compiled checker's blocks on a simulated switch.
+// This plays the role of the Tofino pipeline running the generated P4: the
+// same CheckerIR that the P4 emitter renders is executed here against
+// per-switch table/register state.
+//
+// The constructor lowers the init, tele and check blocks once into a flat
+// array of ops over a uint64_t slot file:
+//   * slot i is IR field i; after the fields come one slot per expression
+//     temporary and one per distinct constant;
+//   * every slot holds its value truncated to a width fixed at lowering
+//     time, so an op carries only its result's width mask. Widths follow
+//     BitVec's rules: arithmetic, bitwise ops and abs-diff take the wider
+//     operand; shifts, `~` and unary `-` keep the left operand's width;
+//     comparisons, `!`, `&&` and `||` give 1 bit;
+//   * `if`, `&&` and `||` become forward jumps (the IR is loop-free);
+//   * a header field read is an op that asks a HeaderSource for the
+//     field's header index, which the caller binds once per deployment.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -24,10 +37,19 @@ struct CheckerState {
 
 CheckerState make_checker_state(const ir::CheckerIR& ir);
 
-// Resolves a header variable's annotation (e.g. "hdr.ipv4.src_addr" or
-// "std.last_hop") to its current value; provided by the switch model.
-using HeaderResolver =
-    std::function<BitVec(const std::string& annotation, int width)>;
+// Supplies header-variable values to a running checker. Header index i is
+// the i-th kHeader field of the checker's IR in FieldId order (see
+// header_fields); the VM truncates the value to the field's width.
+class HeaderSource {
+ public:
+  virtual std::uint64_t read(int header) const = 0;
+
+ protected:
+  ~HeaderSource() = default;
+};
+
+// The kHeader fields of `ir`, in header-index order.
+std::vector<ir::FieldId> header_fields(const ir::CheckerIR& ir);
 
 struct ExecOutcome {
   bool reject = false;
@@ -38,8 +60,8 @@ struct ExecOutcome {
 // entries matched and which registers were touched, by IR index. The
 // buffers are caller-owned scratch (cleared by the caller, capacity reused
 // across packets — the same allocation-free-in-steady-state discipline as
-// the value-store scratch), filled only while a provenance sink is armed
-// via Interp::set_provenance. Consumed by the forensics flight recorder.
+// the slot file), filled only while a provenance sink is armed via
+// Interp::set_provenance. Consumed by the forensics flight recorder.
 struct ExecProvenance {
   struct TableHit {
     std::int32_t table = -1;  // CheckerIR table index
@@ -69,31 +91,36 @@ struct InterpMetrics {
   obs::Counter reg_writes;
 };
 
+enum class Block { kInit, kTele, kCheck };
+
 class Interp {
  public:
-  explicit Interp(const ir::CheckerIR& ir) : ir_(ir) {}
+  explicit Interp(const ir::CheckerIR& ir);
 
   const ir::CheckerIR& ir() const { return ir_; }
 
-  // A value store holds one BitVec per IR field.
-  std::vector<BitVec> fresh_store() const;
-  // Re-initializes `vals` to the zeroed per-field layout without giving up
-  // its capacity — the allocation-free equivalent of `vals = fresh_store()`
-  // for per-packet reuse on the hot path.
-  void reset_store(std::vector<BitVec>& vals) const;
-  void load_frame(const TeleFrame& frame, std::vector<BitVec>& vals) const;
-  void store_frame(const std::vector<BitVec>& vals, TeleFrame& frame) const;
+  // Runs one block over the slot file; reject and reports accumulate into
+  // `out`. kInit starts a fresh telemetry header: every tele slot is zeroed
+  // before the block runs. Other slots keep their values between runs.
+  void run(Block block, CheckerState& state, const HeaderSource& hdr,
+           ExecOutcome& out);
 
-  void run(const std::vector<ir::InstrPtr>& block, std::vector<BitVec>& vals,
-           CheckerState& state, const HeaderResolver& hdr,
-           ExecOutcome& out) const;
+  // Telemetry frames stay FieldId-indexed (the codec, traces and forensics
+  // read them that way), but only the tele slots move: load copies them in,
+  // store copies them out. A frame with no values yet is first sized to
+  // the IR with zeroed non-tele entries.
+  void load(const TeleFrame& frame);
+  void store(TeleFrame& frame) const;
+
+  // Current value of field `f` at the field's width.
+  BitVec value(ir::FieldId f) const;
 
   void attach_metrics(const InterpMetrics& metrics) { metrics_ = metrics; }
 
   // Arms (non-null) or disarms (null) provenance capture. While armed,
   // every table lookup and register access appends to `prov`; the caller
   // owns the buffers and their clearing. Disarmed cost: one branch per
-  // lookup/register instruction.
+  // lookup/register op.
   void set_provenance(ExecProvenance* prov) { prov_ = prov; }
 
   // Shared-table mode: route lookups through Table::lookup_shared with
@@ -105,20 +132,84 @@ class Interp {
   void set_shared_tables(bool on) { shared_tables_ = on; }
 
  private:
-  BitVec eval(const ir::RValue& rv, std::vector<BitVec>& vals,
-              const HeaderResolver& hdr) const;
-  void exec(const ir::Instr& instr, std::vector<BitVec>& vals,
-            CheckerState& state, const HeaderResolver& hdr,
-            ExecOutcome& out) const;
+  class Lowerer;
+
+  enum class Code : std::uint8_t {
+    kMov,     // dst = a
+    kHdr,     // dst = header a
+    kAdd, kSub, kMul, kDiv, kMod,
+    kBitAnd, kBitOr, kBitXor, kShl, kShr, kAbsDiff,
+    kEq, kNe, kLt, kLe, kGt, kGe,
+    kNot,     // dst = (a == 0)
+    kBool,    // dst = (a != 0)
+    kBitNot, kNeg,
+    kJmp,     // goto dst
+    kJz,      // if (a == 0) goto dst
+    kJnz,     // if (a != 0) goto dst
+    kTable,   // tables_[a]
+    kRegRead,   // dst = registers[a]
+    kRegWrite,  // registers[b] = a
+    kPush,      // pushes_[b].push(a)
+    kReject,
+    kReport,  // report(report_args_[a .. a+b))
+    kNop,
+    kHalt,
+  };
+
+  // Operands are slot indices; `mask` is the result's width mask.
+  struct Op {
+    Code code = Code::kNop;
+    // IR instructions that start at this op (0 or 1); summed per block
+    // run into InterpMetrics::instructions.
+    std::uint8_t instrs = 0;
+    std::uint32_t dst = 0;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::uint64_t mask = 0;
+  };
+
+  struct TableOp {
+    int table = -1;
+    bool config = false;  // keyless: the default action supplies the data
+    std::vector<std::uint32_t> keys;
+    std::vector<int> key_widths;
+    std::vector<std::uint32_t> dsts;
+    std::vector<std::uint64_t> dst_masks;
+    std::int64_t hit = -1;  // slot of the hit flag, or -1
+  };
+
+  struct PushOp {
+    std::uint32_t count = 0;  // fill-counter slot
+    std::uint64_t count_mask = 0;
+    std::uint64_t elem_mask = 0;
+    std::vector<std::uint32_t> elems;  // element slots, capacity many
+  };
+
+  // A slot read out as a BitVec of `width` bits (report payloads, tele
+  // fields into frames).
+  struct SlotRef {
+    std::uint32_t slot = 0;
+    int width = 1;
+  };
+
+  void table_op(const TableOp& t, CheckerState& state);
+  void reg_write_op(const Op& op, CheckerState& state);
+  void report_op(const Op& op, ExecOutcome& out) const;
 
   const ir::CheckerIR& ir_;
+  std::vector<Op> code_;
+  std::array<std::uint32_t, 3> entry_{};  // first op of each Block
+  std::vector<TableOp> tables_;
+  std::vector<PushOp> pushes_;
+  std::vector<SlotRef> report_args_;
+  std::vector<SlotRef> tele_;
+  std::vector<std::uint64_t> slots_;
   // Scratch key buffer reused across table lookups so the per-packet hot
-  // path does not allocate. Table-lookup instructions never nest (keys are
-  // pure rvalues), so a single buffer is safe. One Interp instance belongs
-  // to exactly one engine worker (net::ExecContext owns it — see the
-  // ownership rule in net/network.hpp); it is never shared across threads.
-  mutable std::vector<BitVec> key_scratch_;
-  mutable TableScratch table_scratch_;  // for shared-table-mode lookups
+  // path does not allocate. One Interp instance belongs to exactly one
+  // engine worker (net::ExecContext owns it — see the ownership rule in
+  // net/network.hpp); it is never shared across threads.
+  std::vector<BitVec> key_scratch_;
+  TableScratch table_scratch_;  // for shared-table-mode lookups
   InterpMetrics metrics_;  // detached unless observability is wired
   ExecProvenance* prov_ = nullptr;  // armed only while forensics is on
   bool shared_tables_ = false;  // see set_shared_tables()

@@ -18,7 +18,10 @@ class BitVec {
   static constexpr int kMaxWidth = 64;
 
   BitVec() : width_(1), value_(0) {}
-  BitVec(int width, std::uint64_t value);
+  BitVec(int width, std::uint64_t value) : width_(width) {
+    if (width < 1 || width > kMaxWidth) throw_bad_width(width);
+    value_ = value & mask(width);
+  }
 
   static BitVec from_bool(bool b) { return BitVec(1, b ? 1 : 0); }
 
@@ -27,7 +30,9 @@ class BitVec {
   bool as_bool() const { return value_ != 0; }
 
   // Mask for `width` bits; width==64 yields all-ones.
-  static std::uint64_t mask(int width);
+  static std::uint64_t mask(int width) {
+    return width >= 64 ? ~0ULL : (1ULL << width) - 1;
+  }
 
   // Arithmetic (wrapping, result has the max of the operand widths).
   BitVec add(const BitVec& rhs) const;
@@ -60,6 +65,8 @@ class BitVec {
   std::string to_hex() const;     // e.g. "0x2a"
 
  private:
+  [[noreturn]] static void throw_bad_width(int width);
+
   int width_;
   std::uint64_t value_;
 };

@@ -56,7 +56,7 @@ class ProgramGen {
   }
 
  private:
-  int pick_width() { return static_cast<int>(rng_.range(4, 32)); }
+  int pick_width() { return static_cast<int>(rng_.range(1, 64)); }
 
   // Index expressions are reduced modulo the container size so they are
   // dynamic (never a bare literal, which would be a static bounds error)
@@ -79,7 +79,7 @@ class ProgramGen {
         default: return loop_var_;
       }
     }
-    switch (rng_.below(8)) {
+    switch (rng_.below(9)) {
       case 0: return "dict1[" + bit_expr(depth - 1) + "]";
       case 1: return "arr[" + idx_expr(depth - 1, 4) + "]";
       case 2: return "carr[" + idx_expr(depth - 1, 3) + "]";
@@ -88,11 +88,13 @@ class ProgramGen {
         return "abs(" + bit_expr(depth - 1) + " - " + bit_expr(depth - 1) +
                ")";
       case 5: {
-        static const char* ops[] = {"+", "-", "&", "|", "^"};
-        return "(" + bit_expr(depth - 1) + " " + ops[rng_.below(5)] + " " +
+        static const char* ops[] = {"+", "-", "&", "|", "^",
+                                    "/", "%", "<<", ">>"};
+        return "(" + bit_expr(depth - 1) + " " + ops[rng_.below(9)] + " " +
                bit_expr(depth - 1) + ")";
       }
       case 6: return "cfg";
+      case 7: return (rng_.chance(0.5) ? "~" : "-") + bit_expr(depth - 1);
       default: return "(" + bit_expr(depth - 1) + " * 3)";
     }
   }
@@ -136,7 +138,10 @@ class ProgramGen {
       case 1: return pad + "t1 += " + bit_expr(depth) + ";\n";
       case 2: return pad + "tb = " + bool_expr(depth) + ";\n";
       case 3: return pad + "sens += " + bit_expr(depth) + ";\n";
-      case 4: return pad + "arr.push(" + bit_expr(depth) + ");\n";
+      case 4:
+        // Pushing to the list a loop iterates is a type error.
+        if (!loop_var_.empty()) return pad + "flags.push(hb);\n";
+        return pad + "arr.push(" + bit_expr(depth) + ");\n";
       case 5: {
         std::string out = pad + "if (" + bool_expr(depth) + ") {\n";
         out += stmt(checker, depth - 1, indent + 1);

@@ -1,5 +1,5 @@
 // Unit tests for the p4rt substrate: match-action tables, registers, the
-// packet model, and direct interpretation of compiled checkers.
+// packet model, and the checker VM running compiled checkers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -180,41 +180,37 @@ TEST(Packet, TeleFrameLookup) {
 // Interpreter on compiled checkers
 // ---------------------------------------------------------------------------
 
-struct Harness {
+// Runs a compiled checker with header values looked up by annotation.
+struct Harness : HeaderSource {
   compiler::CompiledChecker checker;
   Interp interp;
   CheckerState state;
-  std::vector<BitVec> vals;
   ExecOutcome out;
   std::map<std::string, BitVec> headers;
+  std::vector<std::string> annotations;  // by header index
 
   explicit Harness(const std::string& src)
       : checker(compiler::compile_checker(src, "test")),
         interp(checker.ir),
-        state(make_checker_state(checker.ir)),
-        vals(interp.fresh_store()) {}
-
-  HeaderResolver resolver() {
-    return [this](const std::string& ann, int width) {
-      const auto it = headers.find(ann);
-      if (it == headers.end()) return BitVec(width, 0);
-      return it->second;
-    };
+        state(make_checker_state(checker.ir)) {
+    for (ir::FieldId f : header_fields(checker.ir)) {
+      annotations.push_back(checker.ir.field(f).annotation);
+    }
   }
 
-  void run_init() {
-    interp.run(checker.ir.init_block, vals, state, resolver(), out);
+  std::uint64_t read(int header) const override {
+    const auto it =
+        headers.find(annotations[static_cast<std::size_t>(header)]);
+    return it == headers.end() ? 0 : it->second.value();
   }
-  void run_tele() {
-    interp.run(checker.ir.tele_block, vals, state, resolver(), out);
-  }
-  void run_check() {
-    interp.run(checker.ir.check_block, vals, state, resolver(), out);
-  }
+
+  void run_init() { interp.run(Block::kInit, state, *this, out); }
+  void run_tele() { interp.run(Block::kTele, state, *this, out); }
+  void run_check() { interp.run(Block::kCheck, state, *this, out); }
   BitVec field(const std::string& name) const {
     const auto f = checker.ir.find_field(name);
     EXPECT_TRUE(f.valid()) << name;
-    return vals[static_cast<std::size_t>(f.id)];
+    return interp.value(f);
   }
 };
 
@@ -373,6 +369,44 @@ TEST(Interp, DynamicArrayIndexSelectsSlot) {
   EXPECT_EQ(h.field("tele.v").value(), 20u);
 }
 
+TEST(Interp, InstructionCounterCountsIrInstructionsRun) {
+  // hydra_interp_instructions_total counts IR instructions executed, the
+  // taken if-body included, whatever ops the VM lowered them to.
+  Harness h(R"(
+    tele bit<8> x;
+    header bit<8> p;
+    { } {
+      if (p > 3 && p != 9) { x = 1; x = x + 1; } else { x = 7; }
+      if (true) { pass; }
+    } { }
+  )");
+  obs::Registry reg;
+  InterpMetrics m;
+  m.instructions = reg.counter("instructions");
+  h.interp.attach_metrics(m);
+  h.headers["p"] = BitVec(8, 5);
+  h.run_tele();  // if, two assignments, if (true)
+  EXPECT_EQ(reg.counter_value("instructions"), 4u);
+  EXPECT_EQ(h.field("tele.x").value(), 2u);
+  h.headers["p"] = BitVec(8, 9);
+  h.run_tele();  // if, the else assignment, if (true)
+  EXPECT_EQ(reg.counter_value("instructions"), 7u);
+  EXPECT_EQ(h.field("tele.x").value(), 7u);
+}
+
+TEST(Interp, LengthIsThirtyTwoBitsWide) {
+  // length() is bit<32>: negating it wraps at 32 bits, not at the width
+  // of the list's 3-bit fill counter.
+  Harness h(R"(
+    tele bit<8>[4] xs;
+    tele bit<32> n;
+    { xs.push(1); xs.push(2); n = -(length(xs)); } { } { }
+  )");
+  h.run_init();
+  EXPECT_EQ(h.field("tele.xs.cnt").value(), 2u);
+  EXPECT_EQ(h.field("tele.n").value(), 0xfffffffeu);
+}
+
 TEST(Interp, StoreFrameZeroesLocals) {
   Harness h(R"(
     control dict<bit<8>,bit<8>> m;
@@ -385,7 +419,7 @@ TEST(Interp, StoreFrameZeroesLocals) {
   h.run_init();
   TeleFrame frame;
   frame.checker = 0;
-  h.interp.store_frame(h.vals, frame);
+  h.interp.store(frame);
   // The tele field survives; the table-lookup temporary is zeroed.
   const auto tele_v = h.checker.ir.find_field("tele.v");
   EXPECT_EQ(frame.values[static_cast<std::size_t>(tele_v.id)].value(), 99u);

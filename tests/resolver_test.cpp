@@ -1,4 +1,4 @@
-// Unit tests for the header-variable resolver — the "foreign function
+// Unit tests for header-variable binding — the "foreign function
 // interface" between Indus checkers and the data plane (§3.3) — and for
 // the P4 emitter's dialect support.
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@ struct Ctx {
   HopContext hop;
 
   BitVec get(const std::string& ann, int width = 32) const {
-    return resolve_header(pkt, hop, ann, width);
+    return BitVec(width, read_header(bind_header(ann), pkt, hop));
   }
 };
 
@@ -126,6 +126,10 @@ TEST(Resolver, EthernetFields) {
 TEST(Resolver, UnknownAnnotationThrows) {
   Ctx c;
   EXPECT_THROW(c.get("no_such_field"), std::invalid_argument);
+  // sr_port_<i> binds only a plain decimal index.
+  EXPECT_THROW(c.get("sr_port_"), std::invalid_argument);
+  EXPECT_THROW(c.get("sr_port_x"), std::invalid_argument);
+  EXPECT_THROW(c.get("sr_port_-1"), std::invalid_argument);
 }
 
 TEST(Resolver, ValueTruncatedToRequestedWidth) {

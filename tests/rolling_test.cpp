@@ -113,6 +113,46 @@ TEST(RollingDeploy, RetiredAndOutOfRangeIdsFailWithClearErrors) {
 
 // ---- fail-closed stale frames through a live-traffic swap ------------------
 
+TEST(RollingDeploy, UnknownHeaderAnnotationFailsAtDeployNotAtRunTime) {
+  auto fabric = net::make_leaf_spine(2, 2, 2);
+  net::Network net(fabric.topo);
+  fwd::install_leaf_spine_routing(net, fabric);
+  // Parses and compiles, but no switch model supplies this annotation.
+  const auto bad = std::make_shared<const compiler::CompiledChecker>(
+      compiler::compile_checker(R"(
+        header bit<16> dport @"hdr.udp.dst_port";
+        tele bit<16> seen;
+        { seen = dport; } { } { }
+      )", "udp_port"));
+  for (const bool rolling : {false, true}) {
+    try {
+      if (rolling) {
+        net.deploy_rolling(bad);
+      } else {
+        net.deploy(bad);
+      }
+      FAIL() << "deploy accepted an unknown header annotation";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'udp_port'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'hdr.udp.dst_port'"), std::string::npos) << msg;
+    }
+    // Refused before any slot, generation, counter or swap changed.
+    EXPECT_EQ(net.deployment_count(), 0);
+    EXPECT_TRUE(net.events().empty());
+  }
+  const int dep = net.deploy(compile_library_checker("loops"));
+  EXPECT_EQ(dep, 0);
+  EXPECT_EQ(net.deployment_generation(dep), 0u);
+  const std::uint32_t sip = net.topo().node(fabric.hosts[0][0]).ip;
+  const std::uint32_t dip = net.topo().node(fabric.hosts[1][1]).ip;
+  net.send_from_host(fabric.hosts[0][0],
+                     p4rt::make_udp(sip, dip, 4000, 53, 64));
+  net.events().run();
+  EXPECT_EQ(net.counters().delivered, 1u);
+  EXPECT_EQ(net.counters().rejected, 0u);
+}
+
 TEST(RollingDeploy, UndeployUnderTrafficCountsStaleFramesFailClosed) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);

@@ -144,6 +144,20 @@ TEST(Typecheck, LoopVariableIsReadOnly) {
   )", "read-only");
 }
 
+TEST(Typecheck, PushInsideLoopOverSameArrayIsRejected) {
+  expect_error(R"(
+    tele bit<8>[4] a;
+    tele bit<8>[4] b;
+    { } { for (x, y in b, a) { if (x > 0) { a.push(y); } } } { }
+  )", "cannot push to 'a' inside a for loop over it");
+  // Pushing to an array the loop does not iterate stays legal.
+  expect_ok(R"(
+    tele bit<8>[4] a;
+    tele bit<8>[4] b;
+    { } { for (x in a) { b.push(x); } a.push(1); } { }
+  )");
+}
+
 TEST(Typecheck, LoopVariableShadowingIsAllowedWithWarning) {
   const Diagnostics d = check(R"(
     sensor bit<32> load = 0;
