@@ -3,7 +3,10 @@
 // workload) through leaf1.
 //
 //   $ ./throughput [--json BENCH_throughput.json] [--obs]
-//                  [--engine=serial|parallel[:N]] [--workers=N]
+//                  [--engine=serial|parallel[:N]] [--workers=N] [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage (`--engine` takes its value after `=`).
 //
 // --obs enables the observability layer (metrics registry wired through
 // every table/interpreter/switch) for all runs; the output schema is
@@ -19,6 +22,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,6 +96,7 @@ Result iperf_run(bool with_checkers, double duration) {
   Result r;
   r.sent = f1.packets_sent() + f2.packets_sent();
   r.delivered = net.counters().delivered;
+  r.pps = static_cast<double>(r.sent) / duration;
   r.offered_gbps = static_cast<double>(r.sent) * 8000 * 8 / duration / 1e9;
   r.delivered_gbps =
       static_cast<double>(r.delivered) * 8000 * 8 / duration / 1e9;
@@ -247,24 +252,42 @@ void write_json(const std::string& path, const Result& iperf_base,
   std::printf("\nwrote %s\n", path.c_str());
 }
 
+int usage(const char* prog, std::FILE* to, int code) {
+  std::fprintf(to,
+               "usage: %s [--json PATH] [--obs] "
+               "[--engine=serial|parallel[:N]] [--workers=N] [--help]\n",
+               prog);
+  return code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_throughput.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return usage(argv[0], stdout, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       g_obs = true;
     } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      try {
+        g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return usage(argv[0], stderr, 2);
+      }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       long w = 0;
       if (!tools::parse_long_arg(argv[0], "--workers", argv[i] + 10, 1, 1024,
                                  &w)) {
-        return 2;
+        return usage(argv[0], stderr, 2);
       }
       g_workers = static_cast<int>(w);
+    } else {
+      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
+      return usage(argv[0], stderr, 2);
     }
   }
   const int eff_workers =

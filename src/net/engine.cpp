@@ -52,10 +52,10 @@ std::uint64_t flow_shard_hash(const SwitchWork& work,
 // ExecutionEngine
 // ---------------------------------------------------------------------------
 
-void ExecutionEngine::exec_inline(EventQueue::Item& item) {
+void ExecutionEngine::exec_inline(EventQueue& q, EventQueue::Item& item) {
   switch (item.kind) {
     case EventKind::kClosure:
-      item.fn();
+      q.run_closure(item);
       break;
     case EventKind::kTick:
       item.tick->tick(item.t);
@@ -78,7 +78,7 @@ void ExecutionEngine::drain_spawned_before(EventQueue& q, SimTime t) {
   while (!q.empty() && q.next_time() < t) {
     EventQueue::Item item = q.pop_next();
     q.advance_now(item.t);
-    exec_inline(item);
+    exec_inline(q, item);
   }
 }
 
@@ -111,7 +111,7 @@ void SerialEngine::drain(EventQueue& q, SimTime limit) {
         net_->process_hop_serial(item.t, std::move(item.work));
       }
     } else {
-      exec_inline(item);
+      exec_inline(q, item);
     }
   }
 }
@@ -269,7 +269,7 @@ void ParallelEngine::run_window_serial(EventQueue& q) {
     if (item.is_switch_work()) {
       net_->process_hop_serial(item.t, std::move(item.work));
     } else {
-      exec_inline(item);
+      exec_inline(q, item);
     }
     const std::size_t p = q.pending();
     if (p != pend) {  // events only get added here; a change moves the head
@@ -298,7 +298,7 @@ void ParallelEngine::commit_window(EventQueue& q) {
     if (item.is_switch_work()) {
       net_->commit_hop(item.t, std::move(item.work), std::move(results_[i]));
     } else {
-      exec_inline(item);
+      exec_inline(q, item);
     }
     const std::size_t p = q.pending();
     if (p != pend) {

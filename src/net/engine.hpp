@@ -104,9 +104,10 @@ class ExecutionEngine : public EventExecutor {
   // as the serial engine would.
   void drain_spawned_before(EventQueue& q, SimTime t);
 
-  // Executes a non-switch-work item inline: closures run, tick targets
-  // tick, packet arrivals resolve through the network's pools.
-  void exec_inline(EventQueue::Item& item);
+  // Executes a non-switch-work item inline: closures run from `q`, the
+  // queue that popped them; tick targets tick; packet arrivals resolve
+  // through the network's pools.
+  void exec_inline(EventQueue& q, EventQueue::Item& item);
 
   Network* net_;
 };

@@ -21,8 +21,20 @@ void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
   item.t = t;
   item.seq = next_seq_++;
   item.kind = EventKind::kClosure;
-  item.fn = std::move(fn);
-  cl_heap_.push(std::move(item));
+  if (free_closures_.empty()) {
+    free_closures_.push_back(static_cast<std::uint32_t>(closures_.size()));
+    closures_.emplace_back();
+  }
+  item.closure = free_closures_.back();
+  free_closures_.pop_back();
+  closures_[item.closure] = std::move(fn);
+  cl_heap_.push(item);
+}
+
+void EventQueue::run_closure(const Item& item) {
+  std::function<void()> fn = std::move(closures_[item.closure]);
+  fn();
+  free_closures_.push_back(item.closure);
 }
 
 void EventQueue::schedule_tick_at(SimTime t, TickTarget* target) {
@@ -32,7 +44,7 @@ void EventQueue::schedule_tick_at(SimTime t, TickTarget* target) {
   item.seq = next_seq_++;
   item.kind = EventKind::kTick;
   item.tick = target;
-  cl_heap_.push(std::move(item));
+  cl_heap_.push(item);
 }
 
 void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
@@ -45,7 +57,7 @@ void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
   item.work.sw = dest;
   item.work.in_port = dest_port;
   item.work.pkt = pkt;
-  cl_heap_.push(std::move(item));
+  cl_heap_.push(item);
 }
 
 void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
@@ -58,7 +70,7 @@ void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
   item.work.sw = sw;
   item.work.in_port = in_port;
   item.work.pkt = pkt;
-  sw_heap_.push(std::move(item));
+  sw_heap_.push(item);
 }
 
 void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
@@ -69,7 +81,7 @@ void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
   item.kind = EventKind::kSwitchWork;
   item.work.sw = sw;
   item.work.ctl = op;
-  sw_heap_.push(std::move(item));
+  sw_heap_.push(item);
 }
 
 SimTime EventQueue::next_time() const {
@@ -92,15 +104,11 @@ bool EventQueue::switch_heap_first() const {
   return s.t < c.t || (s.t == c.t && s.seq < c.seq);
 }
 
-EventQueue::Item EventQueue::pop_heap_top(Heap& heap) {
-  // Move out before pop so handlers may schedule more events.
-  Item item = std::move(const_cast<Item&>(heap.top()));
+EventQueue::Item EventQueue::pop_next() {
+  Heap& heap = switch_heap_first() ? sw_heap_ : cl_heap_;
+  const Item item = heap.top();
   heap.pop();
   return item;
-}
-
-EventQueue::Item EventQueue::pop_next() {
-  return pop_heap_top(switch_heap_first() ? sw_heap_ : cl_heap_);
 }
 
 void EventQueue::pop_window(SimTime limit, SimTime window_end,
@@ -120,7 +128,7 @@ void EventQueue::run_self(SimTime t) {
     now_ = item.t;
     switch (item.kind) {
       case EventKind::kClosure:
-        item.fn();
+        run_closure(item);
         break;
       case EventKind::kTick:
         item.tick->tick(now_);

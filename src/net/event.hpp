@@ -15,7 +15,7 @@
 //   * kTick        — a periodic generator callback (TickTarget), replacing
 //                    the self-rescheduling closures traffic sources used;
 //   * kClosure     — the general-purpose escape hatch (tests, control
-//                    logic, fault arming); still a std::function.
+//                    logic, fault arming); a slot in the closure slab.
 //
 // The queue itself never dereferences packet/control handles — only the
 // Network (which owns the arenas) and its engines do. kClosure, kTick and
@@ -34,6 +34,7 @@
 #include <functional>
 #include <queue>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -120,13 +121,14 @@ class EventExecutor {
 
 class EventQueue {
  public:
-  // One scheduled event. `fn` is engaged only for kClosure; `tick` only
-  // for kTick; `work` for the packet/switch kinds.
+  // One scheduled event, plain bytes. `closure` is a slot in this queue's
+  // closure slab (kClosure only); `tick` only for kTick; `work` for the
+  // packet/switch kinds.
   struct Item {
     SimTime t = 0.0;
     std::uint64_t seq = 0;
     EventKind kind = EventKind::kClosure;
-    std::function<void()> fn;
+    std::uint32_t closure = 0;
     TickTarget* tick = nullptr;
     SwitchWork work;
 
@@ -191,6 +193,10 @@ class EventQueue {
   SimTime next_switch_time() const;
   // Pops the earliest item without advancing now().
   Item pop_next();
+  // Runs a kClosure item popped from THIS queue: moves the closure out of
+  // its slot (it may schedule more and grow the slab), runs it, frees the
+  // slot.
+  void run_closure(const Item& item);
   // Pops every item with t <= limit that falls in [t0, window_end), where
   // t0 is the earliest pending timestamp; the t == t0 group is always
   // included even if window_end <= t0. Appends to `out` in (t, seq) order.
@@ -200,8 +206,7 @@ class EventQueue {
  private:
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+      return a.t > b.t || (a.t == b.t && a.seq > b.seq);
     }
   };
   using Heap = std::priority_queue<Item, std::vector<Item>, Later>;
@@ -209,7 +214,6 @@ class EventQueue {
   void run_self(SimTime t);  // executor-free drain (standalone queues)
   // True when the next merged (t, seq) pop comes from the switch heap.
   bool switch_heap_first() const;
-  static Item pop_heap_top(Heap& heap);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -218,7 +222,14 @@ class EventQueue {
   // kClosure + kTick + kPacketSend; switch heap: kSwitchWork.
   Heap cl_heap_;
   Heap sw_heap_;
+  // kClosure bodies, indexed by Item::closure, with a free list of slots.
+  // Destroying the queue releases every closure still pending.
+  std::vector<std::function<void()>> closures_;
+  std::vector<std::uint32_t> free_closures_;
   EventExecutor* executor_ = nullptr;
 };
+
+static_assert(std::is_trivially_copyable_v<EventQueue::Item>);
+static_assert(sizeof(EventQueue::Item) <= 48);
 
 }  // namespace hydra::net

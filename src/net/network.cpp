@@ -749,7 +749,6 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   res.stale_generations.clear();
   res.traced = false;
   res.reports.clear();
-  res.hop = obs::TraceHop{};
   res.control = false;
   res.restarted = false;
   res.rule_pushed = false;
@@ -786,6 +785,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       obs_->traces.active(pkt.id) != nullptr) {
     res.traced = true;
     hop = &res.hop;
+    *hop = obs::TraceHop{};  // reset here: only traced hops read it
     hop->hop = pkt.hops;
     hop->switch_id = sw;
     hop->switch_name = topo_.node(sw).name;

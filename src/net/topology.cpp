@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hydra::net {
@@ -16,46 +17,64 @@ int Topology::add_switch(const std::string& name) {
   n.kind = NodeKind::kSwitch;
   n.name = name;
   nodes_.push_back(std::move(n));
+  port_link_.resize(nodes_.size() * port_stride_, -1);
   return node_count() - 1;
 }
 
 int Topology::add_host(const std::string& name, std::uint32_t ip) {
-  NodeSpec n;
+  const int id = add_switch(name);
+  NodeSpec& n = nodes_.back();
   n.kind = NodeKind::kHost;
-  n.name = name;
   n.ip = ip;
-  n.mac = 0x020000000000ULL + static_cast<std::uint64_t>(nodes_.size());
-  nodes_.push_back(std::move(n));
-  return node_count() - 1;
+  n.mac = 0x020000000000ULL + static_cast<std::uint64_t>(id);
+  return id;
 }
 
 int Topology::add_link(PortRef a, PortRef b, double latency_s, double gbps,
                        double buffer_bytes) {
   node_checked(a.node);
   node_checked(b.node);
+  if (std::min(a.port, b.port) < 0 || std::max(a.port, b.port) > kMaxPort) {
+    throw std::invalid_argument("port outside [0, Topology::kMaxPort]");
+  }
   if (link_index(a) != -1 || link_index(b) != -1) {
     throw std::invalid_argument("port already connected");
   }
   if (buffer_bytes <= 0.0) {
     throw std::invalid_argument("link buffer_bytes must be positive");
   }
+  widen_ports(std::max(a.port, b.port));
+  const int li = static_cast<int>(links_.size());
   links_.push_back({a, b, latency_s, gbps, buffer_bytes});
-  return static_cast<int>(links_.size()) - 1;
+  port_link_[port_slot(a)] = li;
+  port_link_[port_slot(b)] = li;
+  return li;
+}
+
+void Topology::widen_ports(int port) {
+  const auto need = static_cast<std::size_t>(port) + 1;
+  if (need <= port_stride_) return;
+  port_stride_ = std::min(std::max(need, 2 * port_stride_), std::size_t{kMaxPort} + 1);
+  port_link_.assign(nodes_.size() * port_stride_, -1);
+  for (std::size_t li = 0; li < links_.size(); ++li) {
+    port_link_[port_slot(links_[li].a)] = static_cast<int>(li);
+    port_link_[port_slot(links_[li].b)] = static_cast<int>(li);
+  }
 }
 
 std::optional<PortRef> Topology::peer(PortRef p) const {
-  for (const auto& l : links_) {
-    if (l.a == p) return l.b;
-    if (l.b == p) return l.a;
-  }
-  return std::nullopt;
+  const int li = link_index(p);
+  if (li < 0) return std::nullopt;
+  const LinkSpec& l = links_[static_cast<std::size_t>(li)];
+  return l.a == p ? l.b : l.a;
 }
 
 int Topology::link_index(PortRef p) const {
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    if (links_[i].a == p || links_[i].b == p) return static_cast<int>(i);
+  if (p.node < 0 || p.node >= node_count() || p.port < 0 ||
+      static_cast<std::size_t>(p.port) >= port_stride_) {
+    return -1;
   }
-  return -1;
+  return port_link_[port_slot(p)];
 }
 
 bool Topology::host_facing(PortRef p) const {
@@ -68,15 +87,6 @@ int Topology::find_node(const std::string& name) const {
     if (nodes_[static_cast<std::size_t>(i)].name == name) return i;
   }
   return -1;
-}
-
-int Topology::max_port(int node) const {
-  int mx = -1;
-  for (const auto& l : links_) {
-    if (l.a.node == node) mx = std::max(mx, l.a.port);
-    if (l.b.node == node) mx = std::max(mx, l.b.port);
-  }
-  return mx;
 }
 
 int FatTree::tier(int node) const {

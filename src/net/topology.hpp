@@ -39,6 +39,9 @@ struct LinkSpec {
 
 class Topology {
  public:
+  // Ports are numbered 0..kMaxPort on every node.
+  static constexpr int kMaxPort = 4095;
+
   int add_switch(const std::string& name);
   int add_host(const std::string& name, std::uint32_t ip);
   int add_link(PortRef a, PortRef b, double latency_s = 2e-6,
@@ -50,6 +53,8 @@ class Topology {
   const NodeSpec& node(int id) const { return nodes_[static_cast<std::size_t>(id)]; }
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
+  // Port lookups are reads of the port table below; any PortRef, even
+  // one naming an unknown node or port, reads as unconnected.
   std::optional<PortRef> peer(PortRef p) const;
   int link_index(PortRef p) const;  // -1 if unconnected
   bool is_host(int node_id) const {
@@ -59,15 +64,21 @@ class Topology {
   bool host_facing(PortRef p) const;
   int find_node(const std::string& name) const;  // -1 if absent
 
-  // Highest port number in use on `node` (ports are dense from 0 upward by
-  // convention but gaps are allowed).
-  int max_port(int node) const;
-
  private:
   int node_checked(int id) const;
+  void widen_ports(int port);  // makes the port table cover `port`
+  std::size_t port_slot(PortRef p) const {
+    return static_cast<std::size_t>(p.node) * port_stride_ +
+           static_cast<std::size_t>(p.port);
+  }
 
   std::vector<NodeSpec> nodes_;
   std::vector<LinkSpec> links_;
+  // Link index of every (node, port), -1 where unconnected, in one flat
+  // allocation at port_slot(). Ports may have gaps; add_link doubles the
+  // stride (up to kMaxPort + 1) when a port falls past it.
+  std::vector<int> port_link_;
+  std::size_t port_stride_ = 0;
 };
 
 // A built leaf-spine fabric with its id maps. Port conventions:

@@ -3,6 +3,10 @@
 // the Hydra per-hop pipeline mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
 #include "net/event.hpp"
@@ -115,6 +119,109 @@ TEST(Topology, DoubleConnectRejected) {
   const int c = t.add_switch("c");
   t.add_link({a, 1}, {b, 1});
   EXPECT_THROW(t.add_link({a, 1}, {c, 1}), std::invalid_argument);
+}
+
+// Linear scans over the link list: the reference the port table must
+// match.
+int scan_link_index(const Topology& t, PortRef p) {
+  for (std::size_t i = 0; i < t.links().size(); ++i) {
+    if (t.links()[i].a == p || t.links()[i].b == p) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+std::optional<PortRef> scan_peer(const Topology& t, PortRef p) {
+  for (const auto& l : t.links()) {
+    if (l.a == p) return l.b;
+    if (l.b == p) return l.a;
+  }
+  return std::nullopt;
+}
+
+bool scan_host_facing(const Topology& t, PortRef p) {
+  const auto other = scan_peer(t, p);
+  return other && t.is_host(other->node);
+}
+
+void expect_ports_match_scan(const Topology& t, PortRef p) {
+  SCOPED_TRACE("node " + std::to_string(p.node) + " port " +
+               std::to_string(p.port));
+  EXPECT_EQ(t.link_index(p), scan_link_index(t, p));
+  EXPECT_EQ(t.peer(p), scan_peer(t, p));
+  EXPECT_EQ(t.host_facing(p), scan_host_facing(t, p));
+}
+
+// Every node, every port in [-1, highest port + 1].
+void expect_table_matches_scan(const Topology& t) {
+  for (int n = 0; n < t.node_count(); ++n) {
+    int highest = -1;
+    for (const auto& l : t.links()) {
+      if (l.a.node == n) highest = std::max(highest, l.a.port);
+      if (l.b.node == n) highest = std::max(highest, l.b.port);
+    }
+    for (int port = -1; port <= highest + 1; ++port) {
+      expect_ports_match_scan(t, {n, port});
+    }
+  }
+}
+
+// Port numbers with gaps, a port far past the others (the table widens
+// while links are added), and a cable looped back into the same switch.
+Topology gappy_topology() {
+  Topology t;
+  const int s0 = t.add_switch("s0");
+  const int s1 = t.add_switch("s1");
+  const int h0 = t.add_host("h0", 0x0a000001u);
+  t.add_link({h0, 0}, {s0, 5});
+  t.add_link({s0, 2}, {s1, 9});
+  const int s2 = t.add_switch("s2");  // added after the table has rows
+  const int h1 = t.add_host("h1", 0x0a000002u);
+  t.add_link({s1, 0}, {s2, 3});
+  t.add_link({h1, 0}, {s2, 40});
+  t.add_link({s2, 7}, {s2, 11});
+  return t;
+}
+
+TEST(Topology, PortTableMatchesLinearScan) {
+  expect_table_matches_scan(make_leaf_spine(8, 8, 2).topo);
+  expect_table_matches_scan(make_fat_tree(4).topo);
+  expect_table_matches_scan(gappy_topology());
+}
+
+TEST(Topology, OutOfRangePortRefsReadUnconnected) {
+  const Topology t = gappy_topology();
+  const int n = t.node_count();
+  constexpr int kMin = std::numeric_limits<int>::min();
+  constexpr int kMax = std::numeric_limits<int>::max();
+  for (const PortRef p : std::vector<PortRef>{{-1, 0}, {-7, 5}, {kMin, kMin},
+                                              {n, 0}, {n + 100, 1},
+                                              {kMax, kMax}, {0, -1},
+                                              {0, 1000}, {0, kMax},
+                                              {2, Topology::kMaxPort + 1}}) {
+    EXPECT_EQ(t.link_index(p), -1);
+    EXPECT_FALSE(t.peer(p).has_value());
+    EXPECT_FALSE(t.host_facing(p));
+  }
+}
+
+TEST(Topology, AddLinkRejectsBadPortsWithoutChangingTheTable) {
+  Topology t = gappy_topology();
+  const std::size_t links = t.links().size();
+  EXPECT_THROW(t.add_link({0, -1}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(t.add_link({0, 1}, {1, -3}), std::invalid_argument);
+  EXPECT_THROW(t.add_link({0, Topology::kMaxPort + 1}, {1, 1}),
+               std::invalid_argument);
+  // Already connected, on either end; the free end past the table must
+  // not widen it either.
+  EXPECT_THROW(t.add_link({0, 5}, {1, 100}), std::invalid_argument);
+  EXPECT_THROW(t.add_link({1, 100}, {0, 2}), std::invalid_argument);
+  EXPECT_EQ(t.links().size(), links);
+  expect_table_matches_scan(t);
+  expect_ports_match_scan(t, {1, 100});
+  // The ports the rejected calls named are still free.
+  t.add_link({0, 1}, {1, 1});
+  EXPECT_EQ(t.link_index({0, 1}), static_cast<int>(links));
+  expect_table_matches_scan(t);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,6 +356,52 @@ TEST(Network, CountersTrackDrops) {
   f.net.events().run();
   EXPECT_EQ(f.net.counters().fwd_dropped, 1u);
   EXPECT_EQ(f.net.counters().delivered, 0u);
+}
+
+// Sends every packet out of one fixed egress port, never dropping.
+class FixedPortProgram : public ForwardingProgram {
+ public:
+  explicit FixedPortProgram(int port) : port_(port) {}
+  Decision process(p4rt::Packet&, int, int) override {
+    Decision d;
+    d.eg_port = port_;
+    return d;
+  }
+  std::string name() const override { return "fixed_port"; }
+
+ private:
+  int port_;
+};
+
+Network::Counters run_fixed_port(int port) {
+  Fixture f;
+  auto prog = std::make_shared<FixedPortProgram>(port);
+  for (int leaf : f.fabric.leaves) f.net.set_program(leaf, prog);
+  for (int i = 0; i < 5; ++i) {
+    f.net.send_from_host(
+        f.h(0, 0), p4rt::make_udp(f.ip(f.h(0, 0)), f.ip(f.h(1, 0)), 1, 2, 10));
+  }
+  f.net.events().run();
+  EXPECT_EQ(f.net.packets_in_flight(), 0u);
+  return f.net.counters();
+}
+
+// An egress port past the port table, or -1 without a drop, loses the
+// packet exactly as a port with no link does.
+TEST(Network, UnconnectedEgressPortsLoseThePacket) {
+  const Network::Counters unconnected = run_fixed_port(7);
+  EXPECT_EQ(unconnected.injected, 5u);
+  EXPECT_EQ(unconnected.delivered, 0u);
+  for (int port : {999, Topology::kMaxPort + 1, -1}) {
+    SCOPED_TRACE("eg_port " + std::to_string(port));
+    const Network::Counters c = run_fixed_port(port);
+    EXPECT_EQ(c.injected, unconnected.injected);
+    EXPECT_EQ(c.delivered, unconnected.delivered);
+    EXPECT_EQ(c.rejected, unconnected.rejected);
+    EXPECT_EQ(c.fwd_dropped, unconnected.fwd_dropped);
+    EXPECT_EQ(c.queue_dropped, unconnected.queue_dropped);
+    EXPECT_EQ(c.fault_dropped, unconnected.fault_dropped);
+  }
 }
 
 TEST(Network, SwitchLatencyGrowsWithStages) {
