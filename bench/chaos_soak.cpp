@@ -11,11 +11,12 @@
 //      or still carried by a duplicate), so fault handling never leaks or
 //      double-counts packets.
 //
-//   $ ./chaos_soak [--json BENCH_chaos.json] [--seed N]
-//                  [--engine=serial|parallel[:N]]
+//   $ ./chaos_soak [--json BENCH_chaos.json] [--seed N] [--help]
 //
-// The JSON carries simulation-domain numbers only (no wall clock), so a
-// fixed seed gives byte-identical output across engines and machines.
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage. The JSON carries simulation-domain
+// numbers only (no wall clock), so a fixed seed gives byte-identical
+// output across machines.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,7 +28,6 @@
 #include "cli_parse.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 
 using namespace hydra;
@@ -49,9 +49,6 @@ struct SoakResult {
   std::string error;
 };
 
-net::EngineKind g_kind = net::EngineKind::kSerial;
-int g_workers = 0;
-
 SoakResult soak_once(double loss, double flap_rate_hz, std::uint64_t seed) {
   SoakResult r;
   r.loss = loss;
@@ -59,7 +56,6 @@ SoakResult soak_once(double loss, double flap_rate_hz, std::uint64_t seed) {
   try {
     auto fabric = net::make_leaf_spine(2, 2, 2);
     net::Network net(fabric.topo);
-    net.set_engine(g_kind, g_workers);
     net.set_forensics(true, 512);
     fwd::install_leaf_spine_routing(net, fabric);
     const int dep = net.deploy(compile_library_checker("stateful_firewall"));
@@ -126,15 +122,18 @@ SoakResult soak_once(double loss, double flap_rate_hz, std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_chaos.json";
   std::uint64_t seed = 42;
+  constexpr const char* kArgs = "[--json PATH] [--seed N] [--help]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       if (!tools::parse_u64_arg(argv[0], "--seed", argv[++i], &seed)) {
-        return 2;
+        return tools::usage(argv[0], kArgs, 2);
       }
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
+    } else {
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
 
@@ -143,9 +142,8 @@ int main(int argc, char** argv) {
   std::vector<SoakResult> results;
   bool any_threw = false;
 
-  std::printf("Chaos soak (seed %llu, engine %s): loss x flap sweep\n\n",
-              static_cast<unsigned long long>(seed),
-              net::engine_kind_name(g_kind));
+  std::printf("Chaos soak (seed %llu): loss x flap sweep\n\n",
+              static_cast<unsigned long long>(seed));
   std::printf("  %-6s %-9s %9s %9s %9s %9s %7s\n", "loss", "flap_hz",
               "injected", "delivered", "rejected", "faultdrop", "threw");
   for (double loss : losses) {

@@ -8,13 +8,17 @@
 // to 1 s of simulated time with a 2 ms ping interval (500 samples) under
 // the same kind of bidirectional UDP background load over ECMP.
 //
-//   $ ./fig12_latency [--json BENCH_fig12.json]
+//   $ ./fig12_latency [--json BENCH_fig12.json] [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
@@ -193,9 +197,14 @@ void write_json(const std::string& path, const stats::Summary& sb,
 
 int main(int argc, char** argv) {
   std::string json_path;
+  constexpr const char* kArgs = "[--json PATH] [--help]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
   std::printf("Figure 12: performance overhead of Hydra (simulated "

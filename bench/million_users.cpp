@@ -6,8 +6,8 @@
 // application_filtering checker deployed. Sweeps sessions x churn rate and
 // emits BENCH_million_users.json with, per configuration:
 //
-//   * sim-domain packet accounting (identical across engines/machines for
-//     a fixed seed);
+//   * sim-domain packet accounting (identical across machines for a fixed
+//     seed);
 //   * wall-clock uplink throughput and attach (rule-push) latency
 //     percentiles — prefill and under-churn measured separately;
 //   * steady-state RSS (VmRSS) and the shared-Applications-table entry
@@ -17,12 +17,11 @@
 //
 //   $ ./million_users [--sessions N] [--churn-per-s X] [--packets-per-s X]
 //                     [--duration-s X] [--warmup-s X] [--seed N]
-//                     [--engine=serial|parallel[:N]] [--json PATH]
-//                     [--metrics PATH] [--sweep]
+//                     [--json PATH] [--metrics PATH] [--sweep]
 //
 // --metrics writes ONLY deterministic sim-domain numbers (no wall clock,
-// no RSS), so serial and parallel runs of the same seed must produce
-// byte-identical files — CI compares them with cmp.
+// no RSS), so runs of the same seed produce byte-identical files — the
+// golden test compares one with cmp.
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -39,7 +38,6 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "util/arena.hpp"
 
@@ -83,9 +81,6 @@ struct RunResult {
   std::uint64_t arena_slabs_measured = 0; // slab allocations during measure
 };
 
-net::EngineKind g_kind = net::EngineKind::kSerial;
-int g_workers = 0;
-
 long read_rss_mb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return -1;
@@ -113,7 +108,6 @@ RunResult run_once(const RunConfig& cfg) {
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  net.set_engine(g_kind, g_workers);
   auto routing = fwd::install_leaf_spine_routing(net, fabric);
   auto upf = std::make_shared<fwd::UpfProgram>(routing);
   net.set_program(fabric.leaves[0], upf);
@@ -234,8 +228,7 @@ int usage(const char* prog) {
       stderr,
       "usage: %s [--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
       "          [--duration-s X] [--warmup-s X] [--seed N]\n"
-      "          [--engine=serial|parallel[:N]] [--json PATH]\n"
-      "          [--metrics PATH] [--sweep]\n",
+      "          [--json PATH] [--metrics PATH] [--sweep]\n",
       prog);
   return 2;
 }
@@ -293,8 +286,6 @@ int main(int argc, char** argv) {
       if (!tools::parse_u64_arg(prog, "--seed", argv[++i], &base.seed)) {
         return usage(prog);
       }
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
@@ -322,8 +313,7 @@ int main(int argc, char** argv) {
     configs.push_back(base);
   }
 
-  std::printf("million_users (engine %s): %zu configuration(s)\n\n",
-              net::engine_kind_name(g_kind), configs.size());
+  std::printf("million_users: %zu configuration(s)\n\n", configs.size());
   std::printf("  %-9s %-9s %10s %10s %9s %8s %7s %6s\n", "sessions",
               "churn/s", "delivered", "pkts/s", "attach_us", "rss_mb",
               "slabs", "apps");
@@ -333,9 +323,8 @@ int main(int argc, char** argv) {
   {
     char buf[160];
     std::snprintf(buf, sizeof buf,
-                  "  \"engine\": \"%s\",\n  \"seed\": %" PRIu64
-                  ",\n  \"configs\": [\n",
-                  net::engine_kind_name(g_kind), base.seed);
+                  "  \"seed\": %" PRIu64 ",\n  \"configs\": [\n",
+                  base.seed);
     json += buf;
   }
   bool hot_path_clean = true;

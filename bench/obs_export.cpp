@@ -4,20 +4,20 @@
 // live scrape plane (publisher + HTTP server + a client thread scraping
 // /metrics). The export config must stay within a few percent of plain
 // observability — the scheduler only fires at virtual-time boundaries
-// and the engines hold a single branch per event when it is disarmed.
+// and the event loop holds a single branch per event when it is disarmed.
 // The scrape config pays per-tick snapshot publication (full exposition,
-// series JSON, and restart snapshot rendered on the commit path) plus the
-// HTTP traffic itself; the bench scrapes every 10 ms of wall time against
+// series JSON, and restart snapshot rendered at each tick) plus the HTTP
+// traffic itself; the bench scrapes every 10 ms of wall time against
 // sub-millisecond tick cadence, a deliberate upper bound far above the
 // 1 Hz production scrape rate.
 //
-//   $ ./obs_export [--json BENCH_obs_export.json] [--reps N]
-//                  [--engine=serial|parallel[:N]] [--workers=N]
+//   $ ./obs_export [--json BENCH_obs_export.json] [--reps N] [--help]
 //
-// The configs run interleaved `--reps` times (default 5) and each reports
-// its minimum wall-clock, damping scheduler noise; packet counts and
-// captured-window counts are deterministic and identical across reps and
-// engines.
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage. The configs run interleaved `--reps`
+// times (default 5) and each reports its minimum wall-clock, damping
+// scheduler noise; packet counts and captured-window counts are
+// deterministic and identical across reps.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -33,7 +33,6 @@
 #include "cli_parse.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
 #include "obs/httpd.hpp"
@@ -41,15 +40,6 @@
 using namespace hydra;
 
 namespace {
-
-net::EngineKind g_kind = net::EngineKind::kSerial;
-int g_workers = 0;
-
-bool degraded_hw(int eff_workers) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return g_kind == net::EngineKind::kParallel && hw != 0 &&
-         hw < static_cast<unsigned>(eff_workers < 1 ? 1 : eff_workers);
-}
 
 struct RunResult {
   std::uint64_t sent = 0;
@@ -70,7 +60,6 @@ RunResult run_once(bool obs, double interval_s, double duration,
                    bool scrape = false) {
   auto fabric = net::make_leaf_spine(8, 8, 2);  // 16 switches, 16 hosts
   net::Network net(fabric.topo);
-  net.set_engine(g_kind, g_workers);
   fwd::install_leaf_spine_routing(net, fabric);
   const int vf = net.deploy(compile_library_checker("valley_free"));
   configure_valley_free(net, vf, fabric);
@@ -182,34 +171,28 @@ void write_run(std::FILE* f, const char* name, const RunResult& r,
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_obs_export.json";
   int reps = 5;
+  constexpr const char* kArgs = "[--json PATH] [--reps N] [--help]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       long r = 0;
       if (!tools::parse_long_arg(argv[0], "--reps", argv[++i], 1, 1000000,
                                  &r)) {
-        return 2;
+        return tools::usage(argv[0], kArgs, 2);
       }
       reps = static_cast<int>(r);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      long w = 0;
-      if (!tools::parse_long_arg(argv[0], "--workers", argv[i] + 10, 1, 1024,
-                                 &w)) {
-        return 2;
-      }
-      g_workers = static_cast<int>(w);
+    } else {
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
-  const int eff_workers = g_kind == net::EngineKind::kSerial ? 1 : g_workers;
 
   const double duration = 0.02;
   const double interval = 2e-4;  // 100 windows over the run
-  std::printf("Streaming-export overhead, 16-switch fabric "
-              "[engine=%s workers=%d reps=%d]\n\n",
-              net::engine_kind_name(g_kind), eff_workers, reps);
+  std::printf("Streaming-export overhead, 16-switch fabric [reps=%d]\n\n",
+              reps);
 
   const std::vector<RunResult> runs = run_configs(
       {{false, 0, false},
@@ -256,14 +239,10 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"obs_export\",\n"
-               "  \"engine\": \"%s\",\n  \"workers\": %d,\n"
-               "  \"hw_threads\": %u,\n  \"degraded_hw\": %s,\n"
+               "  \"hw_threads\": %u,\n"
                "  \"duration_s\": %g,\n  \"interval_s\": %g,\n"
                "  \"reps\": %d,\n",
-               net::engine_kind_name(g_kind), eff_workers,
-               std::thread::hardware_concurrency(),
-               degraded_hw(eff_workers) ? "true" : "false", duration, interval,
-               reps);
+               std::thread::hardware_concurrency(), duration, interval, reps);
   write_run(f, "obs_off", off, ",");
   write_run(f, "obs_on", on, ",");
   write_run(f, "obs_export", exp, ",");

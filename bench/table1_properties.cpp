@@ -2,21 +2,30 @@
 // LoC, and the Tofino-model resource estimate (pipeline stages and PHV%)
 // when linked against the Aether fabric-upf baseline.
 //
-//   $ ./table1_properties [--json BENCH_table1.json]
+//   $ ./table1_properties [--json BENCH_table1.json] [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "checkers/library.hpp"
+#include "cli_parse.hpp"
 #include "compiler/compile.hpp"
 
 int main(int argc, char** argv) {
   using namespace hydra;
   std::string json_path;
+  constexpr const char* kArgs = "[--json PATH] [--help]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
   const auto baseline = compiler::fabric_upf_profile();

@@ -3,13 +3,17 @@
 // the data plane leans on (exact-match session tables, LPM route tables).
 // Emits machine-readable results for cross-PR perf tracking.
 //
-//   $ ./table_scale [--json BENCH_table_scale.json]
+//   $ ./table_scale [--json BENCH_table_scale.json] [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "p4rt/table.hpp"
 #include "util/rng.hpp"
 
@@ -146,9 +150,14 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_table_scale.json";
+  constexpr const char* kArgs = "[--json PATH] [--help]";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
 

@@ -2,27 +2,23 @@
 // and without Hydra, plus the campus-trace replay at 350 Kpps (Figure 13's
 // workload) through leaf1.
 //
-//   $ ./throughput [--json BENCH_throughput.json] [--obs]
-//                  [--engine=serial|parallel[:N]] [--workers=N] [--help]
+//   $ ./throughput [--json BENCH_throughput.json] [--obs] [--help]
 //
 // --help prints this usage and exits 0 without running; any other
-// argument exits 2 with the usage (`--engine` takes its value after `=`).
+// argument exits 2 with the usage.
 //
 // --obs enables the observability layer (metrics registry wired through
 // every table/interpreter/switch) for all runs; the output schema is
 // unchanged, so comparing a --obs run against a plain run measures the
 // instrumentation overhead.
 //
-// --engine selects the execution engine for every simulation (results are
-// identical by contract; wall-clock differs). The fabric section always
-// runs the serial engine once as a wall-clock reference and reports the
-// selected engine's speedup over it.
+// The fabric section reports the simulator's own wall-clock throughput
+// (pipeline hops per wall-second) on a 16-switch fabric.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,7 +27,6 @@
 #include "forwarding/anonymizer.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
 
@@ -59,25 +54,10 @@ void deploy_everything(net::Network& net, const net::LeafSpine& fabric) {
 }
 
 bool g_obs = false;  // --obs: run with the observability layer enabled
-net::EngineKind g_kind = net::EngineKind::kSerial;
-int g_workers = 0;
-
-// True when the machine has fewer hardware threads than the requested
-// worker count: parallel numbers are then oversubscription artifacts, not
-// speedups. Recorded honestly in the JSON so downstream comparisons (CI
-// perf gates, plots) can discard the run.
-bool degraded_hw(int eff_workers) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return g_kind == net::EngineKind::kParallel && hw != 0 &&
-         hw < static_cast<unsigned>(eff_workers < 1 ? 1 : eff_workers);
-}
-
-void apply_engine(net::Network& net) { net.set_engine(g_kind, g_workers); }
 
 Result iperf_run(bool with_checkers, double duration) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  apply_engine(net);
   fwd::install_leaf_spine_routing(net, fabric);
   net.set_baseline_profile(compiler::fabric_upf_profile());
   if (with_checkers) deploy_everything(net, fabric);
@@ -106,7 +86,6 @@ Result iperf_run(bool with_checkers, double duration) {
 Result campus_run(bool with_checkers, double duration) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  apply_engine(net);
   auto routing = fwd::install_leaf_spine_routing(net, fabric);
   if (with_checkers) deploy_everything(net, fabric);
   if (g_obs) net.set_observability(true);
@@ -145,8 +124,8 @@ Result campus_run(bool with_checkers, double duration) {
   return r;
 }
 
-// Wall-clock view of one engine processing a 16-switch fabric under load:
-// how fast the simulator itself chews through packet-hops.
+// Wall-clock view of the simulator processing a 16-switch fabric under
+// load: how fast it chews through packet-hops.
 struct FabricResult {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
@@ -154,10 +133,9 @@ struct FabricResult {
   double hops_per_wall_s = 0;
 };
 
-FabricResult fabric_run(net::EngineKind kind, int workers, double duration) {
+FabricResult fabric_run(double duration) {
   auto fabric = net::make_leaf_spine(8, 8, 2);  // 16 switches, 16 hosts
   net::Network net(fabric.topo);
-  net.set_engine(kind, workers);
   fwd::install_leaf_spine_routing(net, fabric);
   if (g_obs) net.set_observability(true);
   const int vf = net.deploy(compile_library_checker("valley_free"));
@@ -165,7 +143,7 @@ FabricResult fabric_run(net::EngineKind kind, int workers, double duration) {
   net.deploy(compile_library_checker("loops"));
 
   // One cross-leaf flow per host, shifted pairings so every leaf and spine
-  // carries traffic concurrently — the shape parallel shards feed on.
+  // carries traffic concurrently.
   std::vector<std::unique_ptr<net::UdpFlood>> flows;
   const int leaves = static_cast<int>(fabric.leaves.size());
   for (int i = 0; i < leaves; ++i) {
@@ -207,21 +185,10 @@ void write_result(std::FILE* f, const char* name, const Result& r,
                static_cast<unsigned long long>(r.delivered), r.pps, trailer);
 }
 
-void write_fabric(std::FILE* f, const char* name, const FabricResult& r,
-                  const char* trailer) {
-  std::fprintf(f,
-               "    \"%s\": {\"sent\": %llu, \"delivered\": %llu, "
-               "\"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}%s\n",
-               name, static_cast<unsigned long long>(r.sent),
-               static_cast<unsigned long long>(r.delivered), r.wall_s,
-               r.hops_per_wall_s, trailer);
-}
-
 void write_json(const std::string& path, const Result& iperf_base,
                 const Result& iperf_hydra, const Result& campus_base,
                 const Result& campus_hydra, double delta_pct,
-                const FabricResult& fabric_serial,
-                const FabricResult& fabric_engine, int workers) {
+                const FabricResult& fabric) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -229,82 +196,44 @@ void write_json(const std::string& path, const Result& iperf_base,
   }
   std::fprintf(f,
                "{\n  \"bench\": \"throughput\",\n"
-               "  \"engine\": \"%s\",\n  \"workers\": %d,\n"
-               "  \"hw_threads\": %u,\n  \"degraded_hw\": %s,\n"
+               "  \"hw_threads\": %u,\n"
                "  \"iperf\": {\n",
-               net::engine_kind_name(g_kind), workers,
-               std::thread::hardware_concurrency(),
-               degraded_hw(workers) ? "true" : "false");
+               std::thread::hardware_concurrency());
   write_result(f, "baseline", iperf_base, ",");
   write_result(f, "all_checkers", iperf_hydra, ",");
   std::fprintf(f, "    \"delta_pct\": %.4f\n  },\n  \"campus\": {\n",
                delta_pct);
   write_result(f, "baseline", campus_base, ",");
   write_result(f, "all_checkers", campus_hydra, "");
-  const double speedup = fabric_engine.wall_s > 0
-                             ? fabric_serial.wall_s / fabric_engine.wall_s
-                             : 0;
-  std::fprintf(f, "  },\n  \"fabric_16sw\": {\n");
-  write_fabric(f, "serial_reference", fabric_serial, ",");
-  write_fabric(f, "selected_engine", fabric_engine, ",");
-  std::fprintf(f, "    \"speedup\": %.3f\n  }\n}\n", speedup);
+  std::fprintf(f,
+               "  },\n  \"fabric_16sw\": {\"sent\": %llu, \"delivered\": "
+               "%llu, \"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}\n}\n",
+               static_cast<unsigned long long>(fabric.sent),
+               static_cast<unsigned long long>(fabric.delivered),
+               fabric.wall_s, fabric.hops_per_wall_s);
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
-}
-
-int usage(const char* prog, std::FILE* to, int code) {
-  std::fprintf(to,
-               "usage: %s [--json PATH] [--obs] "
-               "[--engine=serial|parallel[:N]] [--workers=N] [--help]\n",
-               prog);
-  return code;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_throughput.json";
+  constexpr const char* kArgs = "[--json PATH] [--obs] [--help]";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {
-      return usage(argv[0], stdout, 0);
+      return tools::usage(argv[0], kArgs, 0);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       g_obs = true;
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      try {
-        g_kind = net::parse_engine_kind(argv[i] + 9, &g_workers);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return usage(argv[0], stderr, 2);
-      }
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      long w = 0;
-      if (!tools::parse_long_arg(argv[0], "--workers", argv[i] + 10, 1, 1024,
-                                 &w)) {
-        return usage(argv[0], stderr, 2);
-      }
-      g_workers = static_cast<int>(w);
     } else {
-      std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], argv[i]);
-      return usage(argv[0], stderr, 2);
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
-  const int eff_workers =
-      g_kind == net::EngineKind::kSerial ? 1 : g_workers;
-  if (degraded_hw(eff_workers)) {
-    std::fprintf(stderr,
-                 "WARNING: %d workers requested but only %u hardware "
-                 "thread(s) available — parallel wall-clock numbers below "
-                 "measure oversubscription, NOT speedup. The JSON output is "
-                 "tagged \"degraded_hw\": true; do not compare it against "
-                 "multi-core runs.\n",
-                 eff_workers, std::thread::hardware_concurrency());
-  }
   std::printf("Throughput comparison (paper §6.2: 'almost identical with "
-              "around 20 Gb/s')%s [engine=%s workers=%d]\n\n",
-              g_obs ? " [observability ON]" : "",
-              net::engine_kind_name(g_kind), eff_workers);
+              "around 20 Gb/s')%s\n\n",
+              g_obs ? " [observability ON]" : "");
 
   const double dur = 0.05;
   const Result b = iperf_run(false, dur);
@@ -338,24 +267,13 @@ int main(int argc, char** argv) {
               ch.offered_gbps, ch.delivered_gbps);
 
   // 16-switch fabric under all-pairs-style load: simulator wall-clock
-  // throughput, serial reference vs the selected engine.
-  const double fabric_dur = 0.02;
-  const FabricResult fs =
-      fabric_run(net::EngineKind::kSerial, 0, fabric_dur);
-  const FabricResult fe = g_kind == net::EngineKind::kSerial
-                              ? fs
-                              : fabric_run(g_kind, g_workers, fabric_dur);
+  // throughput.
+  const FabricResult fs = fabric_run(0.02);
   std::printf("\n16-switch fabric wall-clock (%u hw threads):\n",
               std::thread::hardware_concurrency());
-  std::printf("  %-18s %12s %14s\n", "engine", "wall_s", "hops/wall-s");
-  std::printf("  %-18s %12.3f %14.0f\n", "serial", fs.wall_s,
-              fs.hops_per_wall_s);
-  if (g_kind != net::EngineKind::kSerial) {
-    std::printf("  %-18s %12.3f %14.0f  (speedup %.2fx)\n", "selected",
-                fe.wall_s, fe.hops_per_wall_s,
-                fe.wall_s > 0 ? fs.wall_s / fe.wall_s : 0.0);
-  }
+  std::printf("  %12s %14s\n", "wall_s", "hops/wall-s");
+  std::printf("  %12.3f %14.0f\n", fs.wall_s, fs.hops_per_wall_s);
 
-  write_json(json_path, b, h, cb, ch, delta, fs, fe, eff_workers);
+  write_json(json_path, b, h, cb, ch, delta, fs);
   return 0;
 }

@@ -27,13 +27,6 @@ SessionChurnGenerator::SessionChurnGenerator(net::Network& net,
   for (std::uint32_t slot = cfg_.sessions; slot > 0; --slot) {
     free_slots_.push_back(slot - 1);
   }
-  // tick() mutates UPF/checker tables synchronously; see the header for
-  // why this forces serial per-event windows in the parallel engine.
-  net_.set_control_loop_active(true);
-}
-
-SessionChurnGenerator::~SessionChurnGenerator() {
-  net_.set_control_loop_active(false);
 }
 
 void SessionChurnGenerator::attach_next_free() {

@@ -15,11 +15,8 @@
 // The generator is one TickTarget driving a superposed Poisson process:
 // each tick is a churn event (attach or detach of a random subscriber)
 // with probability churn_rate / (churn_rate + packet_rate), else an uplink
-// packet from a random active session. Because attach/detach mutate UPF
-// and checker tables synchronously from tick(), the generator registers
-// itself as a control loop with the network: the parallel engine degrades
-// to serial per-event windows, keeping serial-vs-parallel runs
-// byte-identical (the same rule closed-loop report callbacks use).
+// packet from a random active session. Attach/detach mutate UPF and
+// checker tables synchronously from tick(), between hops.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +47,6 @@ class SessionChurnGenerator : public net::TickTarget {
 
   SessionChurnGenerator(net::Network& net, AetherController& ctl,
                         Config cfg);
-  ~SessionChurnGenerator() override;
 
   // Attaches the whole subscriber population up front (control-plane only;
   // schedules no simulation events). Each attach is wall-clock timed into

@@ -62,7 +62,7 @@ AnonymizerProgram::Decision AnonymizerProgram::process(p4rt::Packet& pkt,
   }
   // Payloads are discarded before traffic reaches researchers (the wire
   // size keeps a placeholder so rate experiments stay meaningful).
-  count_.fetch_add(1, std::memory_order_relaxed);
+  ++count_;
   return inner_->process(pkt, in_port, switch_id);
 }
 

@@ -8,7 +8,6 @@
 // routing behaviour) survives anonymization while identities do not.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -31,14 +30,12 @@ class AnonymizerProgram : public net::ForwardingProgram {
   Decision process(p4rt::Packet& pkt, int in_port, int switch_id) override;
   std::string name() const override { return "anonymizer"; }
 
-  std::uint64_t packets_anonymized() const {
-    return count_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_anonymized() const { return count_; }
 
  private:
   std::shared_ptr<net::ForwardingProgram> inner_;
   std::uint64_t salt_;
-  std::atomic<std::uint64_t> count_{0};
+  std::uint64_t count_ = 0;
 };
 
 }  // namespace hydra::fwd

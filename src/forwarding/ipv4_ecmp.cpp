@@ -10,7 +10,7 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
     throw std::invalid_argument("ECMP group must have at least one port");
   }
   PerSwitch& sw = switches_[switch_id];
-  if (sw.groups.empty()) wire_switch(switch_id, sw);
+  if (sw.groups.empty()) wire_switch(sw);
   const auto group_id = static_cast<std::uint64_t>(sw.groups.size());
   sw.groups.push_back(std::move(ports));
   p4rt::TableEntry e;
@@ -22,24 +22,16 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
 }
 
 void Ipv4EcmpProgram::attach_metrics(obs::Registry* registry) {
-  attach_metrics_sharded(registry == nullptr
-                             ? MetricsResolver{}
-                             : [registry](int) { return registry; });
+  registry_ = registry;
+  for (auto& [id, sw] : switches_) wire_switch(sw);
 }
 
-void Ipv4EcmpProgram::attach_metrics_sharded(MetricsResolver resolve) {
-  resolver_ = std::move(resolve);
-  for (auto& [id, sw] : switches_) wire_switch(id, sw);
-}
-
-void Ipv4EcmpProgram::wire_switch(int switch_id, PerSwitch& sw) {
+void Ipv4EcmpProgram::wire_switch(PerSwitch& sw) {
   p4rt::TableMetrics tm;
-  if (resolver_) {
-    if (obs::Registry* reg = resolver_(switch_id)) {
-      tm.hits = reg->counter("fwd.ipv4_ecmp.routes.hits");
-      tm.misses = reg->counter("fwd.ipv4_ecmp.routes.misses");
-      tm.cache_hits = reg->counter("fwd.ipv4_ecmp.routes.cache_hits");
-    }
+  if (registry_ != nullptr) {
+    tm.hits = registry_->counter("fwd.ipv4_ecmp.routes.hits");
+    tm.misses = registry_->counter("fwd.ipv4_ecmp.routes.misses");
+    tm.cache_hits = registry_->counter("fwd.ipv4_ecmp.routes.cache_hits");
   }
   sw.routes.attach_metrics(tm);
 }
@@ -75,29 +67,22 @@ Ipv4EcmpProgram::Decision Ipv4EcmpProgram::process(p4rt::Packet& pkt,
     return d;
   }
   if (pkt.ipv4->ttl == 0) {
-    ttl_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++ttl_drops_;
     d.drop = true;
     d.reason = "ttl_expired";
     return d;
   }
   const auto it = switches_.find(switch_id);
   if (it == switches_.end()) {
-    miss_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++miss_drops_;
     d.drop = true;
     d.reason = "unknown_switch";
     return d;
   }
-  // Thread-local: in flow-affinity windows several workers call process()
-  // for the same switch concurrently, so the lookup key and flatten
-  // scratch must not live in the (shared) table or program.
-  thread_local std::vector<BitVec> key;
-  thread_local p4rt::TableScratch scratch;
-  key.assign(1, BitVec(32, pkt.ipv4->dst));
-  const p4rt::TableEntry* entry = concurrent_
-                                      ? it->second.routes.lookup_shared(key, scratch)
-                                      : it->second.routes.lookup(key);
+  key_.assign(1, BitVec(32, pkt.ipv4->dst));
+  const p4rt::TableEntry* entry = it->second.routes.lookup(key_);
   if (entry == nullptr) {
-    miss_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++miss_drops_;
     d.drop = true;
     d.reason = "no_route";
     return d;

@@ -7,7 +7,6 @@
 // spread across the fabric.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,18 +28,8 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
   Decision process(p4rt::Packet& pkt, int in_port, int switch_id) override;
   std::string name() const override { return "ipv4-ecmp"; }
   // Route-table lookups are reported under fwd.ipv4_ecmp.routes.* — one
-  // aggregate name however many switches this program serves. Each
-  // switch's table holds its own handles targeting resolve(switch_id), so
-  // the hot path never shares a counter slot across shards (see the
-  // state-confinement rule in net/switch_node.hpp).
+  // aggregate name however many switches this program serves.
   void attach_metrics(obs::Registry* registry) override;
-  void attach_metrics_sharded(MetricsResolver resolve) override;
-
-  // Flow-affinity safe: process() mutates only the packet (ttl) and the
-  // relaxed-atomic drop totals; route tables are read-only at runtime and
-  // probed via lookup_shared (thread-local scratch) while concurrent.
-  bool concurrent_safe() const override { return true; }
-  void set_concurrent(bool on) override { concurrent_ = on; }
 
   void invalidate_caches() override {
     for (auto& [id, sw] : switches_) sw.routes.invalidate_cache();
@@ -49,12 +38,8 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
   // 5-tuple hash used for ECMP member selection (exposed for tests).
   static std::uint64_t flow_hash(const p4rt::Packet& pkt);
 
-  std::uint64_t ttl_drops() const {
-    return ttl_drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t miss_drops() const {
-    return miss_drops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t ttl_drops() const { return ttl_drops_; }
+  std::uint64_t miss_drops() const { return miss_drops_; }
 
  private:
   struct PerSwitch {
@@ -62,15 +47,13 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
                        {{p4rt::MatchKind::kLpm, 32}}};
     std::vector<std::vector<int>> groups;
   };
-  void wire_switch(int switch_id, PerSwitch& sw);
+  void wire_switch(PerSwitch& sw);
 
   std::map<int, PerSwitch> switches_;
-  MetricsResolver resolver_;  // empty while observability is off
-  bool concurrent_ = false;   // flow-affinity windows active (see above)
-  // Program-wide totals bumped from any shard; relaxed atomics keep them
-  // deterministic (each switch contributes a schedule-independent count).
-  std::atomic<std::uint64_t> ttl_drops_{0};
-  std::atomic<std::uint64_t> miss_drops_{0};
+  obs::Registry* registry_ = nullptr;  // null while observability is off
+  std::vector<BitVec> key_;  // lookup key scratch, reused across packets
+  std::uint64_t ttl_drops_ = 0;
+  std::uint64_t miss_drops_ = 0;
 };
 
 // Builds and installs leaf-spine routing: each leaf owns 10.0.<leaf+1>.0/24

@@ -10,7 +10,7 @@ SourceRouteProgram::Decision SourceRouteProgram::process(p4rt::Packet& pkt,
                                                          int /*switch_id*/) {
   Decision d;
   if (!pkt.has_sr || pkt.sr_stack.empty()) {
-    underflow_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++underflow_drops_;
     d.drop = true;
     d.reason = "sr_underflow";
     return d;

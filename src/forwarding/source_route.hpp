@@ -5,7 +5,6 @@
 // Hydra checker.
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "net/network.hpp"
@@ -18,14 +17,11 @@ class SourceRouteProgram : public net::ForwardingProgram {
   Decision process(p4rt::Packet& pkt, int in_port, int switch_id) override;
   std::string name() const override { return "source-route"; }
 
-  std::uint64_t underflow_drops() const {
-    return underflow_drops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t underflow_drops() const { return underflow_drops_; }
 
  private:
-  // Stateless apart from this total; relaxed atomic so one instance may
-  // serve switches on different engine shards.
-  std::atomic<std::uint64_t> underflow_drops_{0};
+  // Stateless apart from this total.
+  std::uint64_t underflow_drops_ = 0;
 };
 
 // Pushes a hop list onto a packet. `ports` is in travel order: ports[0] is

@@ -14,8 +14,7 @@ void UpfProgram::save_state(std::ostream& out) const {
     out << ' ';
     p4rt::serialize_table(*t, out);
   }
-  out << ' ' << termination_drops_.load(std::memory_order_relaxed) << ' '
-      << session_miss_drops_.load(std::memory_order_relaxed);
+  out << ' ' << termination_drops_ << ' ' << session_miss_drops_;
 }
 
 void UpfProgram::load_state(std::istream& in) {
@@ -25,8 +24,8 @@ void UpfProgram::load_state(std::istream& in) {
   std::uint64_t term = 0, miss = 0;
   if (!(in >> term >> miss))
     throw std::runtime_error("upf snapshot: bad drop totals");
-  termination_drops_.store(term, std::memory_order_relaxed);
-  session_miss_drops_.store(miss, std::memory_order_relaxed);
+  termination_drops_ = term;
+  session_miss_drops_ = miss;
 }
 
 UpfProgram::UpfProgram(std::shared_ptr<Ipv4EcmpProgram> router)
@@ -149,7 +148,7 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
     const p4rt::TableEntry* s =
         sessions_ul_.lookup({BitVec(32, pkt.gtpu->teid)});
     if (s == nullptr) {
-      session_miss_drops_.fetch_add(1, std::memory_order_relaxed);
+      ++session_miss_drops_;
       d.drop = true;
       d.reason = "session_miss";
       return d;
@@ -195,7 +194,7 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
     const p4rt::TableEntry* term =
         terminations_.lookup({BitVec(32, client_id), BitVec(32, app_id)});
     if (term == nullptr || !term->action_data[0].as_bool()) {
-      termination_drops_.fetch_add(1, std::memory_order_relaxed);
+      ++termination_drops_;
       d.drop = true;
       d.reason = "no_termination";
       return d;

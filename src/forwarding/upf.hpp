@@ -18,7 +18,6 @@
 // After UPF processing the packet is routed by the fabric's IPv4 ECMP.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -84,19 +83,15 @@ class UpfProgram : public net::ForwardingProgram {
     if (router_ != nullptr) router_->invalidate_caches();
   }
 
-  std::uint64_t termination_drops() const {
-    return termination_drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t session_miss_drops() const {
-    return session_miss_drops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t termination_drops() const { return termination_drops_; }
+  std::uint64_t session_miss_drops() const { return session_miss_drops_; }
   std::size_t application_entries() const { return applications_.size(); }
 
  private:
-  // NOTE (parallel engine): the four tables below are instance-wide, so
-  // one UpfProgram instance must serve exactly one switch (the paper's
-  // deployment shape — the UPF runs on one fabric switch). Install a
-  // separate instance per switch to serve several.
+  // NOTE: the four tables below are instance-wide, so one UpfProgram
+  // instance models one UPF switch (the paper's deployment shape — the UPF
+  // runs on one fabric switch). Install a separate instance per switch to
+  // model several.
   std::shared_ptr<Ipv4EcmpProgram> router_;
 
   p4rt::Table sessions_ul_{"sessions_uplink",
@@ -112,8 +107,8 @@ class UpfProgram : public net::ForwardingProgram {
                             {{p4rt::MatchKind::kExact, 32},    // client
                              {p4rt::MatchKind::kExact, 32}}};  // app
 
-  std::atomic<std::uint64_t> termination_drops_{0};
-  std::atomic<std::uint64_t> session_miss_drops_{0};
+  std::uint64_t termination_drops_ = 0;
+  std::uint64_t session_miss_drops_ = 0;
 };
 
 }  // namespace hydra::fwd

@@ -29,7 +29,7 @@ VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
   // Ingress VLAN membership check.
   const auto mem = sw.members.find(in_port);
   if (mem == sw.members.end() || mem->second.count(vid) == 0U) {
-    membership_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++membership_drops_;
     d.drop = true;
     d.reason = "ingress_membership";
     return d;
@@ -37,7 +37,7 @@ VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
   const p4rt::TableEntry* e =
       sw.l2.lookup({BitVec(16, vid), BitVec(48, pkt.eth.dst)});
   if (e == nullptr) {
-    l2_miss_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++l2_miss_drops_;
     d.drop = true;
     d.reason = "l2_miss";
     return d;
@@ -45,7 +45,7 @@ VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
   const int out = static_cast<int>(e->action_data[0].value());
   const auto out_mem = sw.members.find(out);
   if (out_mem == sw.members.end() || out_mem->second.count(vid) == 0U) {
-    membership_drops_.fetch_add(1, std::memory_order_relaxed);
+    ++membership_drops_;
     d.drop = true;
     d.reason = "egress_membership";
     return d;

@@ -4,7 +4,6 @@
 // verifies the isolation property independently of this implementation.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -29,16 +28,11 @@ class VlanBridgeProgram : public net::ForwardingProgram {
     for (auto& [id, sw] : switches_) sw.l2.invalidate_cache();
   }
 
-  std::uint64_t membership_drops() const {
-    return membership_drops_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t l2_miss_drops() const {
-    return l2_miss_drops_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t membership_drops() const { return membership_drops_; }
+  std::uint64_t l2_miss_drops() const { return l2_miss_drops_; }
 
  private:
-  // Mutable lookup state is per switch (confined to one engine shard);
-  // the totals are relaxed atomics.
+  // Mutable lookup state is per switch.
   struct PerSwitch {
     std::map<int, std::set<std::uint16_t>> members;  // port -> vids
     p4rt::Table l2{"l2",
@@ -46,8 +40,8 @@ class VlanBridgeProgram : public net::ForwardingProgram {
                     {p4rt::MatchKind::kExact, 48}}};
   };
   std::map<int, PerSwitch> switches_;
-  std::atomic<std::uint64_t> membership_drops_{0};
-  std::atomic<std::uint64_t> l2_miss_drops_{0};
+  std::uint64_t membership_drops_ = 0;
+  std::uint64_t l2_miss_drops_ = 0;
 };
 
 }  // namespace hydra::fwd

@@ -28,7 +28,7 @@ void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
   item.closure = free_closures_.back();
   free_closures_.pop_back();
   closures_[item.closure] = std::move(fn);
-  cl_heap_.push(item);
+  heap_.push(item);
 }
 
 void EventQueue::run_closure(const Item& item) {
@@ -44,7 +44,7 @@ void EventQueue::schedule_tick_at(SimTime t, TickTarget* target) {
   item.seq = next_seq_++;
   item.kind = EventKind::kTick;
   item.tick = target;
-  cl_heap_.push(item);
+  heap_.push(item);
 }
 
 void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
@@ -57,7 +57,7 @@ void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
   item.work.sw = dest;
   item.work.in_port = dest_port;
   item.work.pkt = pkt;
-  cl_heap_.push(item);
+  heap_.push(item);
 }
 
 void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
@@ -70,7 +70,7 @@ void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
   item.work.sw = sw;
   item.work.in_port = in_port;
   item.work.pkt = pkt;
-  sw_heap_.push(item);
+  heap_.push(item);
 }
 
 void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
@@ -81,45 +81,13 @@ void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
   item.kind = EventKind::kSwitchWork;
   item.work.sw = sw;
   item.work.ctl = op;
-  sw_heap_.push(item);
-}
-
-SimTime EventQueue::next_time() const {
-  return switch_heap_first() ? sw_heap_.top().t : cl_heap_.top().t;
-}
-
-SimTime EventQueue::next_closure_time() const {
-  return cl_heap_.empty() ? kInf : cl_heap_.top().t;
-}
-
-SimTime EventQueue::next_switch_time() const {
-  return sw_heap_.empty() ? kInf : sw_heap_.top().t;
-}
-
-bool EventQueue::switch_heap_first() const {
-  if (sw_heap_.empty()) return false;
-  if (cl_heap_.empty()) return true;
-  const Item& s = sw_heap_.top();
-  const Item& c = cl_heap_.top();
-  return s.t < c.t || (s.t == c.t && s.seq < c.seq);
+  heap_.push(item);
 }
 
 EventQueue::Item EventQueue::pop_next() {
-  Heap& heap = switch_heap_first() ? sw_heap_ : cl_heap_;
-  const Item item = heap.top();
-  heap.pop();
+  const Item item = heap_.top();
+  heap_.pop();
   return item;
-}
-
-void EventQueue::pop_window(SimTime limit, SimTime window_end,
-                            std::vector<Item>& out) {
-  if (empty()) return;
-  const SimTime t0 = next_time();
-  while (!empty()) {
-    const SimTime t = next_time();
-    if (t > limit || (t != t0 && t >= window_end)) break;
-    out.push_back(pop_next());
-  }
 }
 
 void EventQueue::run_self(SimTime t) {

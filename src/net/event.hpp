@@ -10,24 +10,20 @@
 //
 //   * kPacketSend  — a packet arriving at a node after a link traversal;
 //   * kSwitchWork  — a packet due for pipeline processing at a switch (or,
-//                    rarely, a control op for that switch), carried as data
-//                    so an execution engine can shard it across workers;
+//                    rarely, a control op for that switch);
 //   * kTick        — a periodic generator callback (TickTarget), replacing
 //                    the self-rescheduling closures traffic sources used;
 //   * kClosure     — the general-purpose escape hatch (tests, control
 //                    logic, fault arming); a slot in the closure slab.
 //
 // The queue itself never dereferences packet/control handles — only the
-// Network (which owns the arenas) and its engines do. kClosure, kTick and
-// kPacketSend live in the closure heap; kSwitchWork in the switch heap;
-// both heaps share one seq stream so merging the tops by (time, seq)
-// reproduces the exact one-heap pop order (the PR-6 invariant the
-// parallel engine's commit order is built on).
+// Network (which owns the arenas) does. Every kind shares one heap ordered
+// by (time, seq).
 //
-// Draining is delegated to an EventExecutor (see net/engine.hpp) when one
-// is installed; net::Network installs a SerialEngine by default. A bare
-// EventQueue with no executor drains itself one event at a time and can
-// run closures and ticks; packet/switch kinds need the owning Network.
+// Draining is delegated to an EventExecutor when one is installed;
+// net::Network installs itself. A bare EventQueue with no executor drains
+// itself one event at a time and can run closures and ticks; packet/switch
+// kinds need the owning Network.
 #pragma once
 
 #include <cstdint>
@@ -50,24 +46,17 @@ using PacketHandle = std::uint32_t;
 using ControlHandle = std::uint32_t;
 inline constexpr std::uint32_t kNullHandle = 0xffffffffu;
 
-// A control-plane operation targeting ONE switch's checker state. Routed
-// through the switch-work channel (not a generic closure) on purpose: a
-// closure mutating switch state mid-window would race with the parallel
-// engine's compute workers AND diverge from serial execution order.
-// Carried as switch work, the operation is sharded to the worker that owns
-// the switch and applied in (time, seq) order within that shard — so
-// register wipes and delayed rule installs land between that switch's hops
-// exactly as they would under the serial engine. Used by the
-// fault-injection subsystem (switch restarts, delayed rule pushes).
+// A control-plane operation targeting ONE switch's checker state, carried
+// on the switch-work channel and applied in (time, seq) order, so register
+// wipes and delayed rule installs land between that switch's hops. Used by
+// the fault-injection subsystem (switch restarts, delayed rule pushes).
 // Instances are pooled in the Network's control arena and referenced by
 // ControlHandle.
 //
 // kSwap flips one deployment slot's init stamping on one switch — the
-// per-switch leg of a rolling deploy/undeploy. Because it rides the same
-// sharded, (time, seq)-ordered channel as restarts, the flip lands between
-// that switch's hops identically under every engine, and packets already
-// carrying frames keep executing against the generation they were stamped
-// with.
+// per-switch leg of a rolling deploy/undeploy. The flip lands between that
+// switch's hops, and packets already carrying frames keep executing against
+// the generation they were stamped with.
 struct ControlOp {
   enum class Kind { kRestart, kDictInsert, kSwap };
   Kind kind = Kind::kRestart;
@@ -111,8 +100,8 @@ struct SwitchWork {
 
 class EventQueue;
 
-// Drains the queue up to a time limit. Implemented by the execution
-// engines; installed via EventQueue::set_executor.
+// Drains the queue up to a time limit. Implemented by net::Network;
+// installed via EventQueue::set_executor.
 class EventExecutor {
  public:
   virtual ~EventExecutor() = default;
@@ -131,8 +120,6 @@ class EventQueue {
     std::uint32_t closure = 0;
     TickTarget* tick = nullptr;
     SwitchWork work;
-
-    bool is_switch_work() const { return kind == EventKind::kSwitchWork; }
   };
 
   SimTime now() const { return now_; }
@@ -161,11 +148,11 @@ class EventQueue {
                           PacketHandle pkt) {
     schedule_switch_at(now_ + delay, sw, in_port, pkt);
   }
-  // Schedules a control operation on switch `sw`'s shard (see ControlOp).
+  // Schedules a control operation on switch `sw` (see ControlOp).
   void schedule_control_at(SimTime t, int sw, ControlHandle op);
 
-  bool empty() const { return cl_heap_.empty() && sw_heap_.empty(); }
-  std::size_t pending() const { return cl_heap_.size() + sw_heap_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   // Runs events until the queue is empty or `t` is passed; `now()` advances
   // to at most t. Delegates to the installed executor, if any.
@@ -174,33 +161,18 @@ class EventQueue {
 
   // ---- executor-facing primitives ---------------------------------------
   // The executor owns the clock while draining: it must advance_now() to
-  // each item's timestamp before executing/committing it, in (t, seq)
-  // order, so handler-visible time matches serial execution exactly.
+  // each item's timestamp before executing it, in (t, seq) order.
   void set_executor(EventExecutor* executor) { executor_ = executor; }
   bool has_ready(SimTime limit) const {
     return !empty() && next_time() <= limit;
   }
-  SimTime next_time() const;  // earliest pending timestamp (queue non-empty)
-  // Earliest pending closure-heap / switch-work timestamp, or +infinity
-  // when that kind has nothing pending. The parallel engine's adaptive
-  // lookahead derives its sound window-extension bound from these: a
-  // closure-heap event at time c (closure, tick, or packet arrival) can
-  // spawn switch work no earlier than c + lookahead, and a switch commit
-  // at time s no earlier than s + min-link-delay + lookahead (see
-  // net/engine.hpp). The queue keeps the two kinds in separate heaps so
-  // both reads are O(1).
-  SimTime next_closure_time() const;
-  SimTime next_switch_time() const;
+  SimTime next_time() const { return heap_.top().t; }  // queue non-empty
   // Pops the earliest item without advancing now().
   Item pop_next();
   // Runs a kClosure item popped from THIS queue: moves the closure out of
   // its slot (it may schedule more and grow the slab), runs it, frees the
   // slot.
   void run_closure(const Item& item);
-  // Pops every item with t <= limit that falls in [t0, window_end), where
-  // t0 is the earliest pending timestamp; the t == t0 group is always
-  // included even if window_end <= t0. Appends to `out` in (t, seq) order.
-  void pop_window(SimTime limit, SimTime window_end, std::vector<Item>& out);
   void advance_now(SimTime t) { now_ = t; }
 
  private:
@@ -212,16 +184,11 @@ class EventQueue {
   using Heap = std::priority_queue<Item, std::vector<Item>, Later>;
 
   void run_self(SimTime t);  // executor-free drain (standalone queues)
-  // True when the next merged (t, seq) pop comes from the switch heap.
-  bool switch_heap_first() const;
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  // Split by kind; seq is a single shared stream, so merging the two tops
-  // by (t, seq) reproduces the exact one-heap pop order. Closure heap:
-  // kClosure + kTick + kPacketSend; switch heap: kSwitchWork.
-  Heap cl_heap_;
-  Heap sw_heap_;
+  // One heap for every kind; seq breaks timestamp ties in scheduling order.
+  Heap heap_;
   // kClosure bodies, indexed by Item::closure, with a free list of slots.
   // Destroying the queue releases every closure still pending.
   std::vector<std::function<void()>> closures_;

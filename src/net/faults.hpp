@@ -10,11 +10,10 @@
 // stream (one xoshiro256** per (link, direction), one for the flap
 // schedule of each link, one for control-plane delays), each seeded by
 // SplitMix64 from (seed, site). The injector is only ever consulted from
-// Network::transmit and the control-plane helpers, which run on the main
-// thread in canonical (time, seq) commit order under BOTH the serial and
-// the parallel engine — so a fixed seed yields bit-identical fault
-// outcomes at any worker count. Flap schedules are precomputed at arm
-// time for the same reason: no draw ever depends on engine interleaving.
+// Network::transmit and the control-plane helpers, which run in (time,
+// seq) event order — so a fixed seed yields bit-identical fault outcomes.
+// Flap schedules are precomputed at arm time, so no draw depends on how
+// much traffic the run carries.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,7 @@ struct FaultPlan {
 
 // Everything the harness counts. Mirrored as fault.* gauges in the obs
 // registry while a plan is armed; to_json() is deterministic (fixed key
-// order, integers only) so chaos runs can be byte-compared across engines.
+// order, integers only) so chaos runs can be byte-compared.
 struct FaultStats {
   std::uint64_t loss_drops = 0;       // packets dropped by random loss
   std::uint64_t link_down_drops = 0;  // packets dropped on a downed link

@@ -1,12 +1,9 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
-#include "net/engine.hpp"
 #include "p4rt/table_io.hpp"
 #include "p4rt/tele_codec.hpp"
 
@@ -38,32 +35,10 @@ Network::Network(Topology topo) : topo_(std::move(topo)) {
       hosts_[static_cast<std::size_t>(i)] = Host(i, n.name, n.ip, n.mac);
     }
   }
-  engine_ = std::make_unique<SerialEngine>(*this);
-  events_.set_executor(engine_.get());
-  rebuild_contexts();
+  events_.set_executor(this);
 }
 
 Network::~Network() = default;
-
-void Network::set_engine(EngineKind kind, int workers) {
-  if (kind == EngineKind::kSerial) {
-    engine_kind_ = EngineKind::kSerial;
-    engine_workers_ = 1;
-    engine_.reset();  // join any previous pool before replacing
-    engine_ = std::make_unique<SerialEngine>(*this);
-  } else {
-    if (workers <= 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      workers = hw > 1 ? static_cast<int>(hw) : 2;
-    }
-    engine_kind_ = EngineKind::kParallel;
-    engine_workers_ = workers;
-    engine_.reset();
-    engine_ = std::make_unique<ParallelEngine>(*this, workers);
-  }
-  events_.set_executor(engine_.get());
-  rebuild_contexts();
-}
 
 Host& Network::host(int node_id) {
   if (topo_.node(node_id).kind != NodeKind::kHost) {
@@ -151,7 +126,6 @@ int Network::stage_deployment(
     slot = static_cast<int>(deployments_.size()) - 1;
   }
   Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-  const bool reused = d.checker != nullptr;
   d.checker = checker;
   d.headers = std::move(headers);
   d.tele_wire_bytes = checker->layout.wire_bytes;
@@ -172,18 +146,8 @@ int Network::stage_deployment(
   generations_.push_back({checker, checker->name, false});
   stale_counters_.emplace_back();
   note_property(checker->name);
-  if (reused) {
-    reset_context_scratch(static_cast<std::size_t>(slot));
-  } else {
-    for (auto& ctx : contexts_) add_context_scratch(ctx, d);
-  }
-  if (obs_ != nullptr) {
-    // Rewiring recreates shard shadow registries; fold any unabsorbed
-    // shard counts into the main registry first so a rolling deploy that
-    // lands between engine slices loses nothing.
-    absorb_shard_metrics();
-    rewire_observability();
-  }
+  reset_dep_scratch(static_cast<std::size_t>(slot));
+  if (obs_ != nullptr) rewire_observability();
   if (obs_ != nullptr && obs_->live != nullptr && obs_->live->topk) {
     // A reused slot must not inherit the old property's attribution.
     obs_->live->topk->redefine_property(slot, checker->name);
@@ -350,9 +314,8 @@ void Network::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
                                             static_cast<int>(links_.size()));
   std::fill(cold_until_.begin(), cold_until_.end(), 0.0);
   const double t0 = events_.now();
-  // Outages (scheduled failures + precomputed flaps). Generic closures are
-  // safe here: link up/down state is only consulted by transmit, which
-  // runs on the main thread under both engines.
+  // Outages (scheduled failures + precomputed flaps), as closures: link
+  // up/down state is only consulted by transmit.
   for (const LinkFailure& o : faults_->outages()) {
     if (o.link < 0 || o.link >= static_cast<int>(links_.size())) continue;
     if (o.up_at < o.down_at) continue;
@@ -363,8 +326,8 @@ void Network::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
       if (faults_ != nullptr) faults_->link_up_event(l);
     });
   }
-  // Restarts ride the ControlOp channel so each register wipe is sharded
-  // to the switch's owning worker and ordered against its packet hops.
+  // Restarts ride the ControlOp channel, ordered against the switch's
+  // packet hops.
   for (const SwitchRestart& r : plan.restarts) {
     if (r.sw < 0 || r.sw >= topo_.node_count() ||
         topo_.node(r.sw).kind != NodeKind::kSwitch) {
@@ -409,8 +372,8 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
     dict_insert_all(deployment, var, key, value);
     return;
   }
-  // Validate the variable up front — apply_control runs on a worker
-  // thread and must not throw.
+  // Validate the variable up front — apply_control runs inside the event
+  // loop and must not throw.
   const Deployment& d =
       live_deployment(deployment, "dict_insert_all_delayed");
   if (d.checker->ir.find_table(var) < 0) {
@@ -431,9 +394,7 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
   }
 }
 
-void Network::apply_control(SimTime t, int sw, const ControlOp& op,
-                            HopResult& res) {
-  res.control = true;
+void Network::apply_control(SimTime t, int sw, const ControlOp& op) {
   if (op.kind == ControlOp::Kind::kRestart) {
     // The restart lost every deployment's sensor contents on this switch;
     // wipe them and mark the switch cold so checkers do not raise false
@@ -446,32 +407,31 @@ void Network::apply_control(SimTime t, int sw, const ControlOp& op,
     const double warmup =
         faults_ != nullptr ? faults_->plan().restart_warmup_s : 0.0;
     cold_until_[static_cast<std::size_t>(sw)] = t + warmup;
-    res.restarted = true;
+    if (faults_ != nullptr) ++faults_->stats().restarts;
     return;
   }
-  if (op.kind == ControlOp::Kind::kSwap) {
-    // One leg of a rolling sweep: flip this switch's phase for the slot.
-    // Shard-confined (the phase vector cell for `sw` is only touched on
-    // sw's owning shard), so the flip is ordered against this switch's
-    // packet hops exactly as under serial execution. Slot bookkeeping
-    // (pending_swaps, retirement) happens at commit.
-    const auto dep = static_cast<std::size_t>(op.deployment);
-    if (dep >= deployments_.size()) return;
-    deployments_[dep].phase[static_cast<std::size_t>(sw)] =
-        op.enable ? kPhaseEnabled : kPhaseRetired;
-    return;
-  }
-  // kDictInsert: a delayed controller rule push landing on this switch.
   const auto dep = static_cast<std::size_t>(op.deployment);
   if (dep >= deployments_.size()) return;
   Deployment& d = deployments_[dep];
+  if (op.kind == ControlOp::Kind::kSwap) {
+    // One leg of a rolling sweep: flip this switch's phase for the slot.
+    // The flip is ordered against this switch's packet hops; the sweep's
+    // last flip completes a retirement.
+    d.phase[static_cast<std::size_t>(sw)] =
+        op.enable ? kPhaseEnabled : kPhaseRetired;
+    if (d.pending_swaps > 0 && --d.pending_swaps == 0 && d.retiring) {
+      finalize_retirement(dep);
+    }
+    return;
+  }
+  // kDictInsert: a delayed controller rule push landing on this switch.
   if (!d.live || d.per_switch.empty()) return;  // undeployed mid-push
   const int ti = d.checker->ir.find_table(op.var);
   if (ti < 0) return;  // validated at schedule time; stay defensive
   d.per_switch[static_cast<std::size_t>(sw)]
       .tables[static_cast<std::size_t>(ti)]
       .insert_exact(op.key, op.value);
-  res.rule_pushed = true;
+  if (faults_ != nullptr) ++faults_->stats().delayed_pushes;
 }
 
 void Network::corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy) {
@@ -567,34 +527,6 @@ double Network::switch_latency() const {
   return base_proc_s_ + per_stage_s_ * pipeline_stages();
 }
 
-SimTime Network::min_spawn_delay() const {
-  SimTime d = std::numeric_limits<SimTime>::infinity();
-  for (const auto& l : topo_.links()) d = std::min(d, l.latency_s);
-  return d;
-}
-
-bool Network::flow_sharding_allowed() const {
-  if (obs_ != nullptr || faults_ != nullptr) return false;
-  for (const auto& d : deployments_) {
-    if (d.live && !d.checker->ir.registers.empty()) return false;
-  }
-  for (const auto& p : programs_) {
-    if (p != nullptr && !p->concurrent_safe()) return false;
-  }
-  return true;
-}
-
-void Network::set_concurrent_tables(bool on) {
-  for (auto& ctx : contexts_) {
-    for (auto& pd : ctx.deps) {
-      if (pd.interp) pd.interp->set_shared_tables(on);
-    }
-  }
-  for (const auto& p : programs_) {
-    if (p != nullptr) p->set_concurrent(on);
-  }
-}
-
 int Network::packet_wire_bytes(const p4rt::Packet& pkt) const {
   int bytes = pkt.base_wire_bytes();
   for (const auto& f : pkt.tele) {
@@ -648,9 +580,8 @@ void Network::transmit(PortRef from, PacketHandle ph) {
   p4rt::Packet& pkt = packet(ph);
 
   // Fault injection rolls its dice here and nowhere else on the packet
-  // path: transmit runs on the commit path (main thread, canonical order)
-  // under both engines, so the per-(link, dir) streams advance identically
-  // regardless of engine kind or worker count.
+  // path, in event order, so the per-(link, dir) streams advance
+  // identically on every run.
   double extra_delay = 0.0;
   if (faults_ != nullptr) {
     const LinkFaultAction action =
@@ -700,10 +631,6 @@ void Network::transmit(PortRef from, PacketHandle ph) {
                              ph);
 }
 
-void Network::deliver_packet(const SwitchWork& work) {
-  node_receive(work.sw, work.in_port, work.pkt);
-}
-
 void Network::node_receive(int node, int port, PacketHandle ph) {
   const NodeSpec& spec = topo_.node(node);
   if (spec.kind == NodeKind::kHost) {
@@ -729,44 +656,70 @@ void Network::node_receive(int node, int port, PacketHandle ph) {
     if (reply) send_from_host(node, std::move(*reply));
     return;
   }
-  // Switch: model pipeline traversal latency, then process. The delay is
-  // the engines' lookahead — switch work never lands inside the epoch
-  // window that created it (see net/engine.hpp).
+  // Switch: model pipeline traversal latency, then process.
   events_.schedule_switch_in(switch_latency(), node, port, ph);
 }
 
-// ---- per-hop pipeline (engine-driven) -------------------------------------
+// ---- event loop + per-hop pipeline ----------------------------------------
 
-void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
-                          HopResult& res) {
+void Network::drain(EventQueue& q, SimTime limit) {
+  // Null unless profiling / streaming export is armed; one branch per
+  // event otherwise.
+  obs::EngineProfiler* prof = obs_ != nullptr ? obs_->profiler.get() : nullptr;
+  obs::ExportScheduler* sched = export_scheduler_ptr();
+  while (q.has_ready(limit)) {
+    const EventQueue::Item item = q.pop_next();
+    // Export ticks fire on the event timeline: every tick T <= item.t is
+    // captured after all events with t < T ran and before this event runs.
+    if (sched != nullptr && item.t >= sched->next_tick()) {
+      export_tick_until(item.t);
+    }
+    q.advance_now(item.t);
+    switch (item.kind) {
+      case EventKind::kClosure:
+        q.run_closure(item);
+        break;
+      case EventKind::kTick:
+        item.tick->tick(item.t);
+        break;
+      case EventKind::kPacketSend:
+        node_receive(item.work.sw, item.work.in_port, item.work.pkt);
+        break;
+      case EventKind::kSwitchWork:
+        if (prof != nullptr) {
+          const double t0 = prof->now_us();
+          process_hop(item.t, item.work);
+          prof->hop(t0, prof->now_us());
+        } else {
+          process_hop(item.t, item.work);
+        }
+        break;
+    }
+  }
+}
+
+void Network::process_hop(SimTime t, const SwitchWork& work) {
+  // Control-plane work rides the same channel, ordered against this
+  // switch's packet hops (see ControlOp).
+  if (work.ctl != kNullHandle) {
+    apply_control(t, work.sw, control_op(work.ctl));
+    control_pool_.free(work.ctl);
+    return;
+  }
+  compute_hop(t, work, hop_scratch_);
+  commit_hop(t, work, hop_scratch_);
+}
+
+void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   const int sw = work.sw;
 
   res.decision = {};
-  res.last_hop = false;
-  res.fwd_drop = false;
   res.rejected = false;
   res.rejected_deps = 0;
-  res.stale_generations.clear();
+  res.reject_reason = nullptr;
   res.traced = false;
   res.reports.clear();
-  res.control = false;
-  res.restarted = false;
-  res.rule_pushed = false;
-  res.reject_reason = nullptr;
-  res.decode_rejects = 0;
-  res.decode_recovered = 0;
-  res.cold_suppressed = 0;
 
-  // Control-plane work rides the same channel so it is sharded to this
-  // switch's owner and ordered against its packet hops (see ControlOp).
-  if (work.ctl != kNullHandle) {
-    apply_control(t, sw, control_op(work.ctl), res);
-    return;
-  }
-
-  // Workers only READ pool slabs during compute; alloc/free happen on the
-  // commit path, and slab addresses are stable across growth, so this
-  // reference stays valid for the whole hop.
   p4rt::Packet& pkt = packet(work.pkt);
   ++pkt.hops;
   HopContext hctx;
@@ -778,8 +731,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
 
   // Hop trace, recorded only for sampled packets (the untraced cost is one
   // null check plus, while any trace is live, one hash probe on the packet
-  // id). The record is filled locally and appended to the trace at commit
-  // time — compute must not mutate the shared sink.
+  // id). The record is appended to the trace by commit_hop.
   obs::TraceHop* hop = nullptr;
   if (obs_ != nullptr && obs_->traces.tracing() &&
       obs_->traces.active(pkt.id) != nullptr) {
@@ -812,9 +764,8 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   const bool forensic = obs_ != nullptr && obs_->recorder != nullptr;
 
   // Cold sensors: a fault-injected restart wiped this switch's registers
-  // recently, so checker verdicts computed here cannot be trusted.
-  // cold_until_ is written by apply_control and read here, both on the
-  // shard that owns this switch. One branch when faults are disarmed.
+  // recently, so checker verdicts computed here cannot be trusted. One
+  // branch when faults are disarmed.
   const bool cold_sw =
       faults_ != nullptr && t < cold_until_[static_cast<std::size_t>(sw)];
 
@@ -825,7 +776,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     for (std::size_t di = 0; di < deployments_.size(); ++di) {
       Deployment& d = deployments_[di];
       if (d.phase[static_cast<std::size_t>(sw)] != kPhaseEnabled) continue;
-      ExecContext::PerDeployment& pd = ctx.deps[di];
+      DepScratch& pd = dep_scratch_[di];
       pd.init_runs.inc();
       if (forensic) pd.prov.clear();
       p4rt::ExecOutcome& out = pd.out;
@@ -873,7 +824,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   bool rejected = false;
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
     Deployment& d = deployments_[di];
-    ExecContext::PerDeployment& pd = ctx.deps[di];
+    DepScratch& pd = dep_scratch_[di];
     p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
     if (frame == nullptr) continue;  // entered before deployment; skip
 
@@ -891,7 +842,9 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       // Folding this into `rejected` would drop user traffic (and count a
       // checker verdict) for what is purely control-plane churn.
       res.reject_reason = "tele_stale_generation";
-      res.stale_generations.push_back(frame->generation);
+      if (frame->generation < stale_counters_.size()) {
+        stale_counters_[frame->generation].inc();
+      }
       if (forensic && frame->generation == d.generation) {
         // Retired-but-not-reused: the IR still matches the frame, so a
         // forensics note is meaningful. After reuse the layouts differ —
@@ -918,7 +871,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
           reparsed);
       if (err != p4rt::FrameError::kOk) {
         const char* reason = p4rt::frame_error_reason(err);
-        ++res.decode_rejects;
+        if (faults_ != nullptr) ++faults_->stats().tele_rejects;
         res.reject_reason = reason;
         pd.decode_rejects.inc();
         rejected = true;
@@ -938,7 +891,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
       frame->values = std::move(reparsed.values);
       frame->wire.clear();
       frame->damaged = false;
-      ++res.decode_recovered;
+      if (faults_ != nullptr) ++faults_->stats().tele_recovered;
       pd.decode_recovered.inc();
     }
     if (cold_sw) frame->cold = true;
@@ -969,7 +922,7 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
     if (frame->cold && (out.reject || !out.reports.empty())) {
       out.reject = false;
       out.reports.clear();
-      ++res.cold_suppressed;
+      if (faults_ != nullptr) ++faults_->stats().cold_suppressed;
       pd.cold_suppr.inc();
       fault_note = "cold_suppressed";
     }
@@ -1022,56 +975,13 @@ void Network::compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
   }
 
   res.decision = decision;
-  res.last_hop = hctx.last_hop;
-  res.fwd_drop = decision.drop;
   res.rejected = rejected;
 }
 
-void Network::commit_hop(SimTime t, SwitchWork&& work, HopResult&& res) {
+void Network::commit_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   const int sw = work.sw;
-  // Control-plane work carried no packet; only fault/swap bookkeeping
-  // commits, then the pooled op returns to its arena.
-  if (res.control) {
-    if (work.ctl != kNullHandle) {
-      const ControlOp& op = control_op(work.ctl);
-      if (op.kind == ControlOp::Kind::kSwap) {
-        const auto dep = static_cast<std::size_t>(op.deployment);
-        if (dep < deployments_.size()) {
-          Deployment& d = deployments_[dep];
-          if (d.pending_swaps > 0 && --d.pending_swaps == 0) {
-            // Sweep complete. Committed on the canonical path with
-            // (parallel) workers parked, so retirement lands at the same
-            // (t, seq) point under every engine.
-            if (d.retiring) finalize_retirement(dep);
-          }
-        }
-      }
-    }
-    if (faults_ != nullptr) {
-      if (res.restarted) ++faults_->stats().restarts;
-      if (res.rule_pushed) ++faults_->stats().delayed_pushes;
-    }
-    if (work.ctl != kNullHandle) control_pool_.free(work.ctl);
-    return;
-  }
-  // Fail-closed stale-frame rejects, attributed per GENERATION (the
-  // retired property's counter — never the slot's current occupant).
-  for (const std::uint32_t gen : res.stale_generations) {
-    if (gen < stale_counters_.size()) stale_counters_[gen].inc();
-  }
   const p4rt::Packet& pkt = packet(work.pkt);
-  // Fault effects produced in compute fold into the injector's stats here,
-  // on the canonical commit path, so totals match across engines.
-  if (faults_ != nullptr &&
-      (res.decode_rejects | res.decode_recovered | res.cold_suppressed)) {
-    FaultStats& fs = faults_->stats();
-    fs.tele_rejects += res.decode_rejects;
-    fs.tele_recovered += res.decode_recovered;
-    fs.cold_suppressed += res.cold_suppressed;
-  }
-  // Forensics reconstruction runs before the reports are moved out, and on
-  // the commit path only — canonical (t, seq) order, so the stored
-  // ViolationReports are identical across engines.
+  // Forensics reconstruction runs before the reports are moved out.
   if (obs_ != nullptr && obs_->recorder != nullptr &&
       (res.rejected || !res.reports.empty())) {
     build_violation(work, res, t);
@@ -1088,7 +998,7 @@ void Network::commit_hop(SimTime t, SwitchWork&& work, HopResult&& res) {
     }
   }
 
-  if (res.fwd_drop) {
+  if (res.decision.drop) {
     ++counters_.fwd_dropped;
     if (obs_ != nullptr) {
       obs_->switches[static_cast<std::size_t>(sw)].fwd_dropped.inc();
@@ -1122,44 +1032,13 @@ void Network::commit_hop(SimTime t, SwitchWork&& work, HopResult&& res) {
   transmit({sw, res.decision.eg_port}, work.pkt);
 }
 
-void Network::process_hop_serial(SimTime t, SwitchWork&& work) {
-  ExecContext& ctx = context_for_switch(work.sw);
-  compute_hop(ctx, t, work, ctx.scratch);
-  commit_hop(t, std::move(work), std::move(ctx.scratch));
-}
-
-// ---- execution contexts ---------------------------------------------------
-
-void Network::rebuild_contexts() {
-  contexts_.clear();
-  contexts_.resize(static_cast<std::size_t>(engine_workers_));
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    // Distinct deterministic stream per worker (SplitMix64-style spread).
-    contexts_[i].rng =
-        Rng(0x9e3779b97f4a7c15ULL ^
-            (0xd1342543de82ef95ULL * static_cast<std::uint64_t>(i + 1)));
-    for (const auto& d : deployments_) {
-      add_context_scratch(contexts_[i], d);
-    }
-  }
-  rewire_observability();
-}
-
-void Network::add_context_scratch(ExecContext& ctx, const Deployment& d) {
-  ExecContext::PerDeployment pd;
-  pd.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
-  ctx.deps.push_back(std::move(pd));
-}
-
-void Network::reset_context_scratch(std::size_t slot) {
-  const Deployment& d = deployments_[slot];
-  for (auto& ctx : contexts_) {
-    ExecContext::PerDeployment& pd = ctx.deps[slot];
-    pd.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
-    pd.out.reject = false;
-    pd.out.reports.clear();
-    pd.prov.clear();
-  }
+void Network::reset_dep_scratch(std::size_t slot) {
+  if (slot == dep_scratch_.size()) dep_scratch_.emplace_back();
+  DepScratch& pd = dep_scratch_[slot];
+  pd.interp = std::make_unique<p4rt::Interp>(deployments_[slot].checker->ir);
+  pd.out.reject = false;
+  pd.out.reports.clear();
+  pd.prov.clear();
 }
 
 // ---- observability --------------------------------------------------------
@@ -1198,8 +1077,7 @@ obs::CheckerHopRecord Network::trace_checker_record(
 
 // ---- forensics ------------------------------------------------------------
 
-void Network::record_hop_forensics(ExecContext::PerDeployment& pd,
-                                   std::size_t di, const p4rt::Packet& pkt,
+void Network::record_hop_forensics(DepScratch& pd, std::size_t di, const p4rt::Packet& pkt,
                                    const HopContext& hctx, SimTime t,
                                    const ForwardingProgram::Decision* dec,
                                    const p4rt::ExecOutcome& out,
@@ -1376,7 +1254,7 @@ void Network::clear_violation_reports() {
   obs_->violations_seen = 0;
 }
 
-// ---- engine phase profiling -----------------------------------------------
+// ---- hop profiling ----------------------------------------------------------
 
 void Network::set_engine_profiling(bool enabled) {
   if (!enabled) {
@@ -1436,7 +1314,6 @@ void Network::set_export_interval(double interval_s,
   obs_->delivered_latency = obs_->registry.histogram(
       "net.delivered.latency_s", "hydra_delivered_latency_seconds", {},
       delivered_latency_bounds());
-  absorb_shard_metrics();
   obs_->exporter = std::make_unique<obs::ExportScheduler>(
       interval_s, events_.now() + interval_s, delivered_latency_bounds(),
       ring_capacity);
@@ -1454,7 +1331,7 @@ void Network::set_export_callback(obs::ExportScheduler::TickCallback cb) {
 }
 
 std::string Network::export_prometheus() {
-  collect_metrics();  // throws while observability is off; absorbs shards
+  collect_metrics();  // throws while observability is off
   std::vector<obs::PromFamily> extra;
   if (obs_->live != nullptr) obs_->live->topk->prom_families(extra);
   return obs::to_prometheus(obs_->registry, extra);
@@ -1524,8 +1401,7 @@ void Network::update_live_after_tick() {
   live.health = obs::evaluate_health(sched.windows(), sched.latency_bounds(),
                                      live.opts.health);
   // Gauges registered here (not at arm time) keep export-only runs
-  // byte-identical to pre-live releases; values are tick-committed state,
-  // so they are identical across engines.
+  // byte-identical to pre-live releases.
   obs::Registry& reg = obs_->registry;
   reg.gauge("health.status", "hydra_health_status", {})
       .set(static_cast<double>(static_cast<int>(live.health.status)));
@@ -1735,7 +1611,6 @@ std::string Network::full_snapshot() {
 
 void Network::append_obs_body(std::string& out) {
   using obs::detail::format_double;
-  absorb_shard_metrics();
   out += "sim injected " + std::to_string(counters_.injected) + "\n";
   out += "sim delivered " + std::to_string(counters_.delivered) + "\n";
   out += "sim rejected " + std::to_string(counters_.rejected) + "\n";
@@ -1938,7 +1813,7 @@ void Network::obs_restore(const std::string& text) {
           }
         }
         generations_[d.generation].checker = sp;
-        for (auto& ctx : contexts_) add_context_scratch(ctx, d);
+        reset_dep_scratch(deployments_.size() - 1);
         pending.valid = false;
       } else if (kw == "tab" || kw == "reg") {
         int slot = -1;
@@ -2155,36 +2030,25 @@ void Network::export_tick_until(SimTime t) {
   obs::ExportScheduler* sched = export_scheduler_ptr();
   if (sched == nullptr) return;
   while (sched->next_tick() <= t) {
-    // Engines call this between committed events with workers quiesced, so
-    // after the merge the registry totals equal the serial ones.
-    absorb_shard_metrics();
     sched->tick(export_cumulative());
     if (obs_->live != nullptr) update_live_after_tick();
   }
 }
 
-obs::Registry* Network::registry_for_switch(int sw) {
-  return contexts_[static_cast<std::size_t>(shard_of(sw))].sink;
-}
-
 void Network::rewire_observability() {
   if (obs_ == nullptr) {
     // Detach every handle; none may outlive the registry it points into.
-    for (auto& ctx : contexts_) {
-      for (auto& pd : ctx.deps) {
-        pd.init_runs = {};
-        pd.tele_runs = {};
-        pd.check_runs = {};
-        pd.rejects = {};
-        pd.reports = {};
-        pd.decode_rejects = {};
-        pd.decode_recovered = {};
-        pd.cold_suppr = {};
-        pd.interp->attach_metrics({});
-        pd.interp->set_provenance(nullptr);
-      }
-      ctx.sink = nullptr;
-      ctx.shadow.reset();
+    for (auto& pd : dep_scratch_) {
+      pd.init_runs = {};
+      pd.tele_runs = {};
+      pd.check_runs = {};
+      pd.rejects = {};
+      pd.reports = {};
+      pd.decode_rejects = {};
+      pd.decode_recovered = {};
+      pd.cold_suppr = {};
+      pd.interp->attach_metrics({});
+      pd.interp->set_provenance(nullptr);
     }
     for (auto& d : deployments_) {
       for (auto& state : d.per_switch) {
@@ -2193,77 +2057,60 @@ void Network::rewire_observability() {
     }
     for (int i = 0; i < topo_.node_count(); ++i) {
       ForwardingProgram* prog = programs_[static_cast<std::size_t>(i)].get();
-      if (prog != nullptr) prog->attach_metrics_sharded(nullptr);
+      if (prog != nullptr) prog->attach_metrics(nullptr);
     }
     return;
   }
 
-  // Shard sinks: shard 0 (and the serial engine's only context) writes the
-  // main registry directly; other shards write shadow registries merged at
-  // drain barriers. Names are identical, so merging preserves the
-  // process-wide aggregate semantics.
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    if (i == 0) {
-      contexts_[i].shadow.reset();
-      contexts_[i].sink = &obs_->registry;
-    } else {
-      contexts_[i].shadow = std::make_unique<obs::Registry>();
-      contexts_[i].sink = contexts_[i].shadow.get();
-    }
-  }
-
+  obs::Registry& reg = obs_->registry;
   // Per-property counters are registered under their legacy flat names
   // (the JSON/CSV snapshot key, unchanged byte-for-byte) with a structured
   // Prometheus identity layered on top: one family per counter kind,
   // attributed by a property="<checker>" label.
-  for (auto& ctx : contexts_) {
-    obs::Registry& reg = *ctx.sink;
-    for (std::size_t di = 0; di < deployments_.size(); ++di) {
-      const std::string& cn = deployments_[di].checker->name;
-      const std::vector<obs::Label> by_prop{{"property", cn}};
-      ExecContext::PerDeployment& pd = ctx.deps[di];
-      pd.init_runs = reg.counter("checker." + cn + ".init_runs",
-                                 "hydra_checker_init_runs_total", by_prop);
-      pd.tele_runs = reg.counter("checker." + cn + ".tele_runs",
-                                 "hydra_checker_tele_runs_total", by_prop);
-      pd.check_runs = reg.counter("checker." + cn + ".check_runs",
-                                  "hydra_checker_check_runs_total", by_prop);
-      pd.rejects = reg.counter("checker." + cn + ".rejects",
-                               "hydra_checker_rejects_total", by_prop);
-      pd.reports = reg.counter("checker." + cn + ".reports",
-                               "hydra_checker_reports_total", by_prop);
-      pd.decode_rejects =
-          reg.counter("checker." + cn + ".tele_decode_rejects",
-                      "hydra_checker_tele_decode_rejects_total", by_prop);
-      pd.decode_recovered =
-          reg.counter("checker." + cn + ".tele_decode_recovered",
-                      "hydra_checker_tele_decode_recovered_total", by_prop);
-      pd.cold_suppr = reg.counter("checker." + cn + ".cold_suppressed",
-                                  "hydra_checker_cold_suppressed_total",
-                                  by_prop);
+  for (std::size_t di = 0; di < deployments_.size(); ++di) {
+    const std::string& cn = deployments_[di].checker->name;
+    const std::vector<obs::Label> by_prop{{"property", cn}};
+    DepScratch& pd = dep_scratch_[di];
+    pd.init_runs = reg.counter("checker." + cn + ".init_runs",
+                               "hydra_checker_init_runs_total", by_prop);
+    pd.tele_runs = reg.counter("checker." + cn + ".tele_runs",
+                               "hydra_checker_tele_runs_total", by_prop);
+    pd.check_runs = reg.counter("checker." + cn + ".check_runs",
+                                "hydra_checker_check_runs_total", by_prop);
+    pd.rejects = reg.counter("checker." + cn + ".rejects",
+                             "hydra_checker_rejects_total", by_prop);
+    pd.reports = reg.counter("checker." + cn + ".reports",
+                             "hydra_checker_reports_total", by_prop);
+    pd.decode_rejects =
+        reg.counter("checker." + cn + ".tele_decode_rejects",
+                    "hydra_checker_tele_decode_rejects_total", by_prop);
+    pd.decode_recovered =
+        reg.counter("checker." + cn + ".tele_decode_recovered",
+                    "hydra_checker_tele_decode_recovered_total", by_prop);
+    pd.cold_suppr = reg.counter("checker." + cn + ".cold_suppressed",
+                                "hydra_checker_cold_suppressed_total",
+                                by_prop);
 
-      p4rt::InterpMetrics im;
-      im.instructions = reg.counter("p4rt.interp." + cn + ".instructions",
-                                    "hydra_interp_instructions_total",
-                                    by_prop);
-      im.table_lookups = reg.counter("p4rt.interp." + cn + ".table_lookups",
-                                     "hydra_interp_table_lookups_total",
-                                     by_prop);
-      im.reg_reads = reg.counter("p4rt.interp." + cn + ".reg_reads",
-                                 "hydra_interp_reg_reads_total", by_prop);
-      im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
-                                  "hydra_interp_reg_writes_total", by_prop);
-      pd.interp->attach_metrics(im);
-      // Provenance capture feeds the flight recorder; disarmed (one branch
-      // per lookup/register op) unless forensics is on.
-      pd.interp->set_provenance(obs_->recorder != nullptr ? &pd.prov
-                                                          : nullptr);
-    }
+    p4rt::InterpMetrics im;
+    im.instructions = reg.counter("p4rt.interp." + cn + ".instructions",
+                                  "hydra_interp_instructions_total", by_prop);
+    im.table_lookups = reg.counter("p4rt.interp." + cn + ".table_lookups",
+                                   "hydra_interp_table_lookups_total",
+                                   by_prop);
+    im.reg_reads = reg.counter("p4rt.interp." + cn + ".reg_reads",
+                               "hydra_interp_reg_reads_total", by_prop);
+    im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
+                                "hydra_interp_reg_writes_total", by_prop);
+    pd.interp->attach_metrics(im);
+    // Provenance capture feeds the flight recorder; disarmed (one branch
+    // per lookup/register op) unless forensics is on.
+    pd.interp->set_provenance(obs_->recorder != nullptr ? &pd.prov
+                                                        : nullptr);
   }
 
-  // Checker tables: one aggregate counter set per (checker, table) name;
-  // each switch's instance targets the registry of the shard executing it.
-  // Retired slots have no per-switch state left to wire.
+  // Checker tables: one aggregate counter set per (checker, table) name,
+  // shared by every switch's instance. Retired slots have no per-switch
+  // state left to wire.
   for (auto& d : deployments_) {
     if (d.per_switch.empty()) continue;
     for (std::size_t t = 0; t < d.checker->ir.tables.size(); ++t) {
@@ -2274,7 +2121,6 @@ void Network::rewire_observability() {
       for (int sw = 0; sw < topo_.node_count(); ++sw) {
         auto& state = d.per_switch[static_cast<std::size_t>(sw)];
         if (t >= state.tables.size()) continue;
-        obs::Registry& reg = *registry_for_switch(sw);
         p4rt::TableMetrics tm;
         tm.hits = reg.counter(base + ".hits", "hydra_table_hits_total",
                               by_table);
@@ -2287,9 +2133,8 @@ void Network::rewire_observability() {
     }
   }
 
-  // Forwarding programs (each attached once, however many switches share
-  // it): hot-path counters must land in the registry of the shard that
-  // executes each switch — see the contract in net/switch_node.hpp.
+  // Forwarding programs, each attached once however many switches share
+  // it.
   std::vector<ForwardingProgram*> done;
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     ForwardingProgram* prog = programs_[static_cast<std::size_t>(sw)].get();
@@ -2298,15 +2143,10 @@ void Network::rewire_observability() {
     for (ForwardingProgram* p : done) seen = seen || p == prog;
     if (seen) continue;
     done.push_back(prog);
-    prog->attach_metrics_sharded(
-        [this](int switch_id) -> obs::Registry* {
-          if (switch_id < 0) return &obs_->registry;
-          return registry_for_switch(switch_id);
-        });
+    prog->attach_metrics(&reg);
   }
 
-  // Retired generations' stale-reject counters live in the main registry;
-  // re-register so a rebuilt registry (set_observability toggle, restore)
+  // Retired generations' stale-reject counters: re-register so a rebuilt registry (set_observability toggle, restore)
   // keeps the retired-property families present and monotone.
   for (std::uint32_t g = 0; g < generations_.size(); ++g) {
     if (generations_[g].retired) register_stale_counter(g);
@@ -2317,27 +2157,7 @@ void Network::rewire_observability() {
     if (d.retiring) register_stale_counter(d.generation);
   }
 
-  // Engine phase profiler: main-loop histograms into the main registry,
-  // each shard's compute histogram into that shard's sink (same name, so
-  // barrier merges aggregate them).
-  if (obs_->profiler != nullptr) {
-    obs::EngineProfiler& prof = *obs_->profiler;
-    if (prof.workers() != engine_workers_) prof.configure(engine_workers_);
-    prof.detach();
-    prof.attach_main(obs_->registry);
-    for (std::size_t i = 0; i < contexts_.size(); ++i) {
-      prof.attach_worker(static_cast<int>(i), *contexts_[i].sink);
-    }
-  }
-}
-
-void Network::absorb_shard_metrics() {
-  if (obs_ == nullptr) return;
-  for (auto& ctx : contexts_) {
-    if (ctx.shadow != nullptr) {
-      obs_->registry.absorb_counters(*ctx.shadow);
-    }
-  }
+  if (obs_->profiler != nullptr) obs_->profiler->attach(reg);
 }
 
 void Network::set_observability(bool enabled) {
@@ -2372,7 +2192,6 @@ obs::Registry& Network::metrics() {
     throw std::logic_error(
         "observability is off; call set_observability(true) first");
   }
-  absorb_shard_metrics();
   return obs_->registry;
 }
 
@@ -2479,7 +2298,6 @@ std::string Network::metrics_json() {
 
 void Network::reset_observability() {
   if (obs_ == nullptr) return;
-  absorb_shard_metrics();  // zero the shadows too
   obs_->registry.reset();
   obs_->traces.clear();
   if (obs_->recorder != nullptr) obs_->recorder->clear();

@@ -11,33 +11,14 @@
 //      packet's journey): run the checker block, honour reject, emit
 //      reports, and strip telemetry before the packet reaches the host.
 //
-// ---- Execution engines ----------------------------------------------------
-// Pipeline execution is pulled out of the event loop and split into a
-// side-effect-confined COMPUTE step and a globally-ordered COMMIT step so
-// an execution engine (net/engine.hpp) can run the compute step for
-// different switches on different worker threads:
-//
-//   * compute_hop() runs init/forwarding/telemetry/check for one packet at
-//     one switch. It may touch ONLY (a) the packet, (b) that switch's
-//     per-switch checker state (tables/registers) and the forwarding
-//     program's switch-confined state, and (c) the ExecContext it is
-//     handed. Everything else it produces — reports, counter bumps, the
-//     forwarding decision, trace records — is returned in a HopResult.
-//   * commit_hop() applies a HopResult's global effects (report emission +
-//     callbacks, simulation counters, trace appends, transmission onto
-//     links, new event scheduling). Engines call it single-threaded in
-//     canonical (time, seq) order, so every global data structure evolves
-//     exactly as under serial execution.
-//
-// OWNERSHIP RULE (per-worker execution contexts): all per-packet scratch —
-// the checker VM instance with its slot file (one uint64_t per IR field,
-// expression temporary and constant) and table-key buffer, both reused
-// across packets; the ExecOutcome scratch; the hot-path observability
-// handles; and the RNG stream — lives in an ExecContext, one per engine
-// worker, NEVER in the shared Deployment. A deployment-level scratch
-// buffer (as PR 1 had) is a latent shared-state hazard the moment two
-// switches process packets concurrently. A switch is statically sharded to
-// one context (shard_of), so per-switch state needs no locks.
+// ---- Event loop -------------------------------------------------------------
+// The network installs itself as its event queue's executor: run_until()
+// pops events one at a time in (time, seq) order and runs each to
+// completion, so every run is deterministic for a fixed seed. A hop is
+// computed (init/forwarding/telemetry/check for one packet at one switch)
+// into a HopResult, then committed (reports, counters, traces, transmit).
+// The split orders a hop's effects: report callbacks fire only after every
+// checker on the hop has run.
 #pragma once
 
 #include <functional>
@@ -62,13 +43,8 @@
 #include "obs/trace.hpp"
 #include "p4rt/interp.hpp"
 #include "util/arena.hpp"
-#include "util/rng.hpp"
 
 namespace hydra::net {
-
-class ExecutionEngine;
-
-enum class EngineKind { kSerial, kParallel };
 
 struct ReportRecord {
   int deployment = -1;
@@ -83,107 +59,16 @@ struct ReportRecord {
   int hop_count = 0;
 };
 
-// Everything one hop's compute step produced that must be applied to
-// shared state; engines hand it back to Network::commit_hop in canonical
-// order.
-struct HopResult {
-  ForwardingProgram::Decision decision;
-  bool last_hop = false;
-  bool fwd_drop = false;
-  bool rejected = false;
-  // Bit d set for each deployment whose checker (or fail-closed telemetry
-  // decode) rejected this hop; feeds per-property top-K attribution on the
-  // commit path. deploy() caps slots at kMaxDeployments (64), so every
-  // deployment id fits.
-  std::uint64_t rejected_deps = 0;
-  // Generations whose telemetry frames were rejected fail-closed this hop
-  // because their deployment slot was retired or relinked (reason
-  // "tele_stale_generation"). Attributed per GENERATION on the commit
-  // path — never to the slot's current occupant, which may be a different
-  // property after reuse. Capacity reused across hops (cleared, not
-  // reallocated).
-  std::vector<std::uint32_t> stale_generations;
-  bool traced = false;
-  std::vector<ReportRecord> reports;
-  obs::TraceHop hop;  // filled only when traced
-
-  // Control-plane work (ControlOp): the hop carried no packet; commit only
-  // bumps fault stats.
-  bool control = false;
-  bool restarted = false;
-  bool rule_pushed = false;
-
-  // Fault-handling effects produced in compute and folded into the
-  // injector's stats at commit (compute must not touch shared counters).
-  // `reject_reason` is a static string ("tele_bad_tag", ...) set when a
-  // damaged telemetry frame was rejected fail-closed this hop.
-  const char* reject_reason = nullptr;
-  std::uint8_t decode_rejects = 0;
-  std::uint8_t decode_recovered = 0;
-  std::uint8_t cold_suppressed = 0;
-};
-
-// Per-worker execution context (see OWNERSHIP RULE above). The serial
-// engine has exactly one; the parallel engine one per worker, with switch
-// id statically mapped to a context by Network::shard_of.
-struct ExecContext {
-  struct PerDeployment {
-    // The checker lowered to slot-addressed ops; owns the slot file.
-    std::unique_ptr<p4rt::Interp> interp;
-    p4rt::ExecOutcome out;
-    // Hot-path counters, attached to `sink` while observability is on.
-    obs::Counter init_runs;
-    obs::Counter tele_runs;
-    obs::Counter check_runs;
-    obs::Counter rejects;
-    obs::Counter reports;
-    // Fault-path counters: fail-closed telemetry decode verdicts and
-    // cold-restart verdict suppression.
-    obs::Counter decode_rejects;
-    obs::Counter decode_recovered;
-    obs::Counter cold_suppr;
-    // Provenance scratch for the forensics flight recorder: armed on the
-    // interp only while forensics is on; buffers reuse capacity across
-    // packets, same discipline as the slot file.
-    p4rt::ExecProvenance prov;
-  };
-  std::vector<PerDeployment> deps;  // indexed by deployment id
-  // Where this context's hot-path counters land: the main registry for the
-  // serial engine (and parallel shard 0), a shard-local shadow registry for
-  // parallel workers — merged into the main registry at drain barriers so
-  // snapshots are identical across engines and worker counts. Null while
-  // observability is off.
-  obs::Registry* sink = nullptr;
-  std::unique_ptr<obs::Registry> shadow;
-  // Per-worker deterministic RNG stream. Hot-path randomness must be keyed
-  // on packet/switch data (not drawn from a global stream) to keep results
-  // independent of the engine's interleaving.
-  Rng rng{0};
-  HopResult scratch;  // reused by serial (compute-then-commit) execution
-};
-
-class Network {
+class Network final : public EventExecutor {
  public:
   explicit Network(Topology topo);
-  ~Network();
+  ~Network() override;
 
   EventQueue& events() { return events_; }
   const Topology& topo() const { return topo_; }
   Host& host(int node_id);
   Link& link(int index) { return links_[static_cast<std::size_t>(index)]; }
   std::size_t link_count() const { return links_.size(); }
-
-  // ---- execution engine -------------------------------------------------
-  // Selects how the event queue is drained. kSerial (the default) executes
-  // every event inline on the calling thread, bit-identical to the
-  // pre-engine simulator. kParallel runs a fixed pool of `workers` threads
-  // that execute same-epoch switch work concurrently, sharded by switch
-  // id; reports, metrics snapshots, and final switch state are identical
-  // to the serial engine for any worker count. `workers` <= 0 picks a
-  // default. Must be called while the event queue is idle.
-  void set_engine(EngineKind kind, int workers = 0);
-  EngineKind engine_kind() const { return engine_kind_; }
-  int engine_workers() const { return engine_workers_; }
 
   // ---- forwarding -------------------------------------------------------
   void set_program(int switch_id, std::shared_ptr<ForwardingProgram> prog);
@@ -203,11 +88,10 @@ class Network {
   // ---- rolling deploy / undeploy ----------------------------------------
   // The staged-swap path: the checker is compiled and linked off to the
   // side (slot staged with a fresh generation, init stamping OFF), then
-  // one kSwap ControlOp per switch — sharded and (time, seq)-ordered like
-  // switch restarts — flips that switch to stamping the new frames. The
-  // swap is atomic per switch and deterministic across engines. Call on
-  // the main thread between drains (the event queue may hold traffic, but
-  // the engine must not be mid-drain).
+  // one kSwap ControlOp per switch — (time, seq)-ordered like switch
+  // restarts — flips that switch to stamping the new frames. The swap is
+  // atomic per switch. Call between drains (the event queue may hold
+  // traffic, but must not be mid-drain).
   int deploy_rolling(std::shared_ptr<const compiler::CompiledChecker> checker);
   // Sweeps per-switch disable swaps through the control channel. Frames
   // already in flight keep executing on switches that have not swapped
@@ -244,12 +128,12 @@ class Network {
 
   // ---- fault injection (chaos harness) ----------------------------------
   // Arms the deterministic fault injector: the plan's schedule times are
-  // RELATIVE to the arm time, its per-transmit dice are rolled on the
-  // commit path only, and a fixed (plan, seed) pair yields bit-identical
-  // outcomes under both engines at any worker count. Must be called while
-  // the event queue is idle (outages and restarts are scheduled here).
-  // With faults armed, damaged telemetry NEVER throws: a frame that fails
-  // to re-parse becomes a counted, forensics-annotated checker reject.
+  // RELATIVE to the arm time, its per-transmit dice are rolled in transmit
+  // only, and a fixed (plan, seed) pair yields bit-identical outcomes.
+  // Must be called while the event queue is idle (outages and restarts
+  // are scheduled here). With faults armed, damaged telemetry NEVER
+  // throws: a frame that fails to re-parse becomes a counted,
+  // forensics-annotated checker reject.
   void arm_faults(const FaultPlan& plan, std::uint64_t seed);
   // Drops the injector (pending flap/restart events become no-ops). Must
   // be called while the event queue is idle.
@@ -280,24 +164,11 @@ class Network {
   void clear_report_subscribers() { report_callbacks_.clear(); }
 
   // Push-based report delivery: callbacks fire at the simulation time the
-  // report is raised (the switch-to-controller digest channel). Callbacks
-  // may install table entries — that's the closed control loop the paper's
-  // stateful firewall uses. Because such a callback may mutate state that
-  // same-epoch switch work reads, the parallel engine degrades to serial
-  // per-event execution while any callback is subscribed (determinism
-  // over speed; the serial engine is unaffected).
+  // report is raised (the switch-to-controller digest channel), after
+  // every checker on that hop has run. Callbacks may install table entries
+  // — that's the closed control loop the paper's stateful firewall uses.
   using ReportCallback = std::function<void(const ReportRecord&)>;
   void subscribe_reports(ReportCallback callback);
-  bool has_report_callbacks() const { return !report_callbacks_.empty(); }
-
-  // Tick-driven control loops (e.g. the Aether session-churn generator)
-  // mutate table state synchronously from TickTarget::tick — the same
-  // hazard as a report callback: same-epoch switch work may have computed
-  // against pre-mutation tables. Registering here makes the parallel
-  // engine degrade to serial per-event execution, preserving the
-  // byte-identical differential at any worker count.
-  void set_control_loop_active(bool on) { control_loop_active_ = on; }
-  bool has_control_loop() const { return control_loop_active_; }
 
   // ---- traffic ----------------------------------------------------------
   // Sends from a host onto its access link at the current time. The
@@ -312,10 +183,7 @@ class Network {
   // events carry 32-bit handles, and slot buffers (tele frames, header
   // optionals) survive recycling so the steady-state hot path never
   // allocates (audited by util::arena_allocations()). OWNERSHIP: whoever
-  // holds the handle frees it — alloc/free happen only on the main thread
-  // (inject, commit, serial execution); parallel workers only READ slots
-  // through these stable references during compute, which never overlaps a
-  // main-thread alloc (see DESIGN.md "Arena storage").
+  // holds the handle frees it (see DESIGN.md "Arena storage").
   PacketHandle alloc_packet() {
     const PacketHandle h = packet_pool_.alloc();
     packet_pool_.get(h).reuse();
@@ -362,13 +230,11 @@ class Network {
   // ---- observability ----------------------------------------------------
   // Off by default, and off means free: instrumented components hold
   // detached obs handles, so the only per-packet cost is a handful of
-  // predictable null-check branches — on both engines. Enabling wires
-  // counters through every layer — per-table lookup hits/misses,
-  // interpreter instruction counts, per-switch forwarded/dropped/rejected,
-  // per-checker block-run and verdict counts — and arms the packet trace
-  // sampler. Under the parallel engine, hot-path counters land in
-  // shard-local registries and are merged at drain barriers. Disabling
-  // detaches every handle again before the registry is destroyed.
+  // predictable null-check branches. Enabling wires counters through every
+  // layer — per-table lookup hits/misses, interpreter instruction counts,
+  // per-switch forwarded/dropped/rejected, per-checker block-run and
+  // verdict counts — and arms the packet trace sampler. Disabling detaches
+  // every handle again before the registry is destroyed.
   void set_observability(bool enabled);
   bool observability_enabled() const { return obs_ != nullptr; }
 
@@ -396,13 +262,10 @@ class Network {
   // Arms the always-on flight recorder: every per-hop checker execution
   // writes one fixed-size record into that switch's ring (`ring_capacity`
   // slots, allocated up front; recording never allocates). When a checker
-  // rejects or reports, commit_hop assembles the packet's retained hops
-  // into a ViolationReport. Implies observability. Disabling drops the
-  // rings and the stored reports. Off means free: the per-hop cost is one
-  // null check. Ring contents — and therefore the assembled reports and
-  // their JSON — are byte-identical across engines and worker counts as
-  // long as `ring_capacity` exceeds the records a single switch receives
-  // within one epoch window (see DESIGN.md).
+  // rejects or reports, the hop assembles the packet's retained hops into
+  // a ViolationReport. Implies observability. Disabling drops the rings
+  // and the stored reports. Off means free: the per-hop cost is one null
+  // check.
   void set_forensics(bool enabled, std::size_t ring_capacity = 512);
   bool forensics_enabled() const {
     return obs_ != nullptr && obs_->recorder != nullptr;
@@ -414,33 +277,28 @@ class Network {
   // Reports kept per run; later violations still record, but only count.
   static constexpr std::size_t kMaxViolationReports = 1024;
 
-  // ---- engine phase profiling -------------------------------------------
-  // Arms the engine phase profiler (obs/profiler.hpp): engines record
-  // pop_window/compute/commit/barrier spans and per-epoch gauges, exported
-  // as Chrome trace-event JSON via engine_profiler().to_chrome_trace_json()
-  // and as "engine.*" histograms/counters in metrics(). Implies
-  // observability. Off means free: engines hold a null pointer.
+  // ---- hop profiling ----------------------------------------------------
+  // Arms the hop profiler (obs/profiler.hpp): the event loop records one
+  // wall-clock span per switch hop, exported as Chrome trace-event JSON via
+  // engine_profiler().to_chrome_trace_json() and as the
+  // "engine.phase.compute_us" histogram in metrics(). Implies
+  // observability. Off means free: one null check per hop.
   void set_engine_profiling(bool enabled);
   bool engine_profiling_enabled() const {
     return obs_ != nullptr && obs_->profiler != nullptr;
   }
   obs::EngineProfiler& engine_profiler();  // throws std::logic_error if off
-  // Engine-facing: null while profiling is off (the disabled-path branch).
-  obs::EngineProfiler* engine_profiler_ptr() {
-    return obs_ != nullptr ? obs_->profiler.get() : nullptr;
-  }
 
   // ---- streaming export (Prometheus + windowed series) ------------------
   // Arms the export scheduler: every `interval_s` of VIRTUAL time the
-  // engines capture a window sample (interval deltas, rates, delivered-
-  // latency percentiles) into a bounded ring of `ring_capacity` windows.
-  // Ticks fire between events in commit order — after everything with
-  // t < tick has committed, before anything with t >= tick runs — so the
-  // series (and any Prometheus scrape taken at a tick) is byte-identical
-  // across engines and worker counts. Implies observability and registers
-  // the delivered-latency histogram. `interval_s` <= 0 disarms. Must be
-  // called while the event queue is idle. Off means free: engines hold a
-  // null scheduler pointer.
+  // event loop captures a window sample (interval deltas, rates,
+  // delivered-latency percentiles) into a bounded ring of `ring_capacity`
+  // windows. Ticks fire between events — after everything with t < tick
+  // has run, before anything with t >= tick runs — so the series (and any
+  // Prometheus scrape taken at a tick) is a function of the event
+  // timeline. Implies observability and registers the delivered-latency
+  // histogram. `interval_s` <= 0 disarms. Must be called while the event
+  // queue is idle. Off means free: one null check per event.
   void set_export_interval(double interval_s, std::size_t ring_capacity = 128);
   bool export_armed() const {
     return obs_ != nullptr && obs_->exporter != nullptr;
@@ -459,15 +317,13 @@ class Network {
   // ---- live observability plane -----------------------------------------
   // Arms top-K attribution + health evaluation on top of the streaming
   // exporter (which must already be armed): delivered packets, checker
-  // rejects, and reports feed deterministic Space-Saving sketches on the
-  // commit path, and every export tick re-evaluates the SLO verdict and
-  // sets the `health.*` gauges. With a publisher attached
-  // (set_live_publisher), every tick additionally renders an immutable
-  // LiveSnapshot — Prometheus text, series/health/violations/topk JSON,
-  // and the obs state snapshot — and swaps it into the publisher for the
-  // HTTP plane; bodies for a given tick index are byte-identical across
-  // engines and worker counts. Must be called while the event queue is
-  // idle. Off means free: the commit path holds one null check.
+  // rejects, and reports feed deterministic Space-Saving sketches, and
+  // every export tick re-evaluates the SLO verdict and sets the `health.*`
+  // gauges. With a publisher attached (set_live_publisher), every tick
+  // additionally renders an immutable LiveSnapshot — Prometheus text,
+  // series/health/violations/topk JSON, and the obs state snapshot — and
+  // swaps it into the publisher for the HTTP plane. Must be called while
+  // the event queue is idle. Off means free: one null check per hop.
   struct LiveObsOptions {
     std::size_t topk_k = 8;
     // Subscriber (UE) block identifying PFCP sessions; mask 0 disables
@@ -521,79 +377,18 @@ class Network {
   // is idle.
   void obs_restore(const std::string& text);
 
-  // ---- engine-facing API (internal to net/engine.cpp and tests) --------
-  // Side-effect-confined per-hop pipeline execution; see the execution
-  // engine contract at the top of this header. `t` is the event's
-  // timestamp (== now() by the time the result is committed).
-  void compute_hop(ExecContext& ctx, SimTime t, SwitchWork& work,
-                   HopResult& result);
-  void commit_hop(SimTime t, SwitchWork&& work, HopResult&& result);
-  // compute + commit through the owning shard's context — the serial
-  // execution path.
-  void process_hop_serial(SimTime t, SwitchWork&& work);
-  // Executes a kPacketSend item (link arrival at work.sw / work.in_port);
-  // engines call it inline in commit order.
-  void deliver_packet(const SwitchWork& work);
-  int shard_of(int sw) const {
-    return engine_workers_ > 1 ? sw % engine_workers_ : 0;
-  }
-  ExecContext& context(int index) {
-    return contexts_[static_cast<std::size_t>(index)];
-  }
-  ExecContext& context_for_switch(int sw) { return context(shard_of(sw)); }
-  // Conservative lookahead: every switch-work event is scheduled at least
-  // this far after the event that creates it, so an engine may treat all
-  // events inside one lookahead window as a parallel epoch.
-  SimTime lookahead() const { return switch_latency(); }
-  // Smallest link propagation delay: a sound lower bound on how far after
-  // a switch-hop commit the NEXT switch's work for that packet can land
-  // (commit -> transmit -> node_receive adds at least this much plus the
-  // lookahead). Feeds the parallel engine's adaptive window-extension
-  // bound. +infinity for a linkless topology.
-  SimTime min_spawn_delay() const;
-  // True when the parallel engine may shard the current configuration by
-  // FLOW instead of by switch — i.e. hops of the same switch may execute
-  // on different workers within a window. Requires:
-  //   * observability off — Table's last-hit cache must be bypassed
-  //     (lookup_shared), so `*.cache_hits` counters would diverge from
-  //     serial; with obs off nobody observes them (this also rules out
-  //     forensics/tracing/profiling, which imply observability);
-  //   * faults disarmed — cold_until_ stays read-only and telemetry is
-  //     never damaged mid-window;
-  //   * every deployed checker register-free — register state is
-  //     switch-confined but order-sensitive across hops of one switch;
-  //   * every installed forwarding program concurrent_safe().
-  // Report callbacks and in-window ControlOps are excluded per-window by
-  // the engine, not here. The answer only changes at configuration points
-  // (deploy / set_program / set_observability / arm_faults), all of which
-  // require an idle event queue.
-  bool flow_sharding_allowed() const;
-  // Flips every interpreter context and concurrent_safe() program between
-  // the cached single-threaded table-lookup path and the shared
-  // (cache-bypassing) path. The engine brackets flow-sharded drains with
-  // this; serial and switch-sharded execution keep the cached path.
-  void set_concurrent_tables(bool on);
-  // Adds shard-local counter accumulators into the main registry (no-op
-  // for the serial engine / while observability is off).
-  void absorb_shard_metrics();
-  // Engine-facing: null while export is disarmed (the disabled-path
-  // branch — one pointer check per event/window).
+  // Null while streaming export is disarmed.
   obs::ExportScheduler* export_scheduler_ptr() {
     return obs_ != nullptr ? obs_->exporter.get() : nullptr;
   }
-  // Fires every export tick with next_tick() <= t. Engines call this
-  // before running any event at time t, with all earlier events committed
-  // and (parallel) workers quiesced, so the captured totals are exactly
-  // the serial ones.
-  void export_tick_until(SimTime t);
+
+  // EventExecutor: runs every event with t <= limit in (t, seq) order.
+  void drain(EventQueue& queue, SimTime limit) override;
 
  private:
-  // Per-switch swap phase of one deployment slot. Written ONLY by
-  // apply_control (compute, on the switch's owning shard) and by staging/
-  // retirement while the engine is not draining; read only by compute on
-  // the owning shard — the same confinement discipline as cold_until_, so
-  // a rolling sweep lands between a switch's hops identically under every
-  // engine.
+  // Per-switch swap phase of one deployment slot. Written by
+  // apply_control (a kSwap op, ordered against that switch's hops) and by
+  // staging/retirement between drains; read by every hop.
   enum : std::uint8_t {
     kPhaseRetired = 0,  // frames for this slot reject fail-closed here
     kPhaseStaged = 1,   // tele/check run for matching generations; no init
@@ -629,6 +424,50 @@ class Network {
     bool retired = false;
   };
 
+  // Per-deployment scratch of the hop pipeline, indexed by slot: the
+  // checker VM instance with its slot file (one uint64_t per IR field,
+  // expression temporary and constant) and table-key buffer, the
+  // ExecOutcome, the provenance buffers and the slot's hot-path counters.
+  // All of it is reused across packets.
+  struct DepScratch {
+    // The checker lowered to slot-addressed ops; owns the slot file.
+    std::unique_ptr<p4rt::Interp> interp;
+    p4rt::ExecOutcome out;
+    // Hot-path counters, attached while observability is on.
+    obs::Counter init_runs;
+    obs::Counter tele_runs;
+    obs::Counter check_runs;
+    obs::Counter rejects;
+    obs::Counter reports;
+    // Fault-path counters: fail-closed telemetry decode verdicts and
+    // cold-restart verdict suppression.
+    obs::Counter decode_rejects;
+    obs::Counter decode_recovered;
+    obs::Counter cold_suppr;
+    // Provenance scratch for the forensics flight recorder: armed on the
+    // interp only while forensics is on.
+    p4rt::ExecProvenance prov;
+  };
+
+  // What a hop's compute half hands its commit half: the verdict, the
+  // reports and the trace record. Holding the reports here is what makes
+  // report callbacks fire only after every checker on the hop has run.
+  struct HopResult {
+    ForwardingProgram::Decision decision;
+    bool rejected = false;
+    // Bit d set for each deployment whose checker (or fail-closed
+    // telemetry decode) rejected this hop; feeds per-property top-K
+    // attribution. deploy() caps slots at kMaxDeployments (64), so every
+    // deployment id fits.
+    std::uint64_t rejected_deps = 0;
+    // Static string ("tele_bad_tag", ...) naming why a damaged or stale
+    // telemetry frame was rejected fail-closed this hop.
+    const char* reject_reason = nullptr;
+    bool traced = false;
+    std::vector<ReportRecord> reports;
+    obs::TraceHop hop;  // filled only when traced
+  };
+
   struct SwitchObsCounters {
     obs::Counter forwarded;
     obs::Counter fwd_dropped;
@@ -645,7 +484,7 @@ class Network {
     std::unique_ptr<obs::FlightRecorder> recorder;
     std::vector<obs::ViolationReport> violations;
     std::uint64_t violations_seen = 0;  // includes ones past the report cap
-    // Engine phase profiler (null unless set_engine_profiling(true)).
+    // Hop profiler (null unless set_engine_profiling(true)).
     std::unique_ptr<obs::EngineProfiler> profiler;
     // Streaming export (null unless set_export_interval armed). The
     // delivered-latency histogram is registered only alongside it, so
@@ -664,14 +503,9 @@ class Network {
     std::unique_ptr<LiveObs> live;
   };
 
-  // Rebuilds per-worker execution contexts for the current engine and
-  // deployments, then rewires observability.
-  void rebuild_contexts();
-  void add_context_scratch(ExecContext& ctx, const Deployment& d);
-  // Rebinds every context's slot `slot` scratch (interpreter, value
-  // store) to the slot's current checker — the reuse path of a retired
-  // slot.
-  void reset_context_scratch(std::size_t slot);
+  // Rebinds slot `slot`'s scratch (interpreter, value store) to the slot's
+  // current checker; appends it for a fresh slot.
+  void reset_dep_scratch(std::size_t slot);
   // Stages `checker` into a reused-or-fresh slot with every switch at
   // `phase`; throws std::runtime_error at the kMaxDeployments cap.
   int stage_deployment(std::shared_ptr<const compiler::CompiledChecker> c,
@@ -698,11 +532,9 @@ class Network {
   // Shared v1 snapshot body (sim counters, registry, window ring, top-K);
   // obs_snapshot wraps it in a v1 envelope, full_snapshot in v2.
   void append_obs_body(std::string& out);
-  // (Re)wires every hot-path obs handle to the registry of the shard that
-  // executes it (detaches everything when observability is off).
+  // (Re)wires every hot-path obs handle to the registry (detaches
+  // everything when observability is off).
   void rewire_observability();
-  // Registry that switch `sw`'s hot-path counters must target.
-  obs::Registry* registry_for_switch(int sw);
   // Builds one checker's trace record for the current hop. `before` holds
   // the telemetry values entering the hop (nullptr for the init run, whose
   // "before" is the zeroed fresh frame).
@@ -712,36 +544,46 @@ class Network {
       bool init, bool tele, bool check) const;
   // Writes one flight-recorder record for checker `di`'s execution at the
   // current hop (forensics on only).
-  void record_hop_forensics(ExecContext::PerDeployment& pd, std::size_t di,
+  void record_hop_forensics(DepScratch& pd, std::size_t di,
                             const p4rt::Packet& pkt, const HopContext& hctx,
                             SimTime t, const ForwardingProgram::Decision* dec,
                             const p4rt::ExecOutcome& out, bool ran_init,
                             bool ran_tele, bool ran_check,
                             const char* fault_note = nullptr);
-  // Applies a ControlOp in compute (on the owning shard): a restart wipes
-  // the switch's checker registers and marks it cold; a dict insert lands
-  // a delayed rule push. Mutates only switch-confined state + cold_until_,
-  // which is written/read exclusively by the owning shard's thread.
-  void apply_control(SimTime t, int sw, const ControlOp& op, HopResult& res);
-  // Damages one telemetry frame's wire bytes (commit path): serializes the
+  // One kSwitchWork event: a ControlOp, or one packet's pass through
+  // switch work.sw — compute_hop, then commit_hop, sharing hop_scratch_.
+  void process_hop(SimTime t, const SwitchWork& work);
+  // Runs init/forwarding/telemetry/check for the packet, applying counter
+  // and fault-stat effects as they happen; collects the verdict, reports
+  // and trace record into `res`.
+  void compute_hop(SimTime t, const SwitchWork& work, HopResult& res);
+  // Applies `res`: forensics, reports and callbacks, trace, simulation
+  // counters, then the drop or the transmit onto the egress link.
+  void commit_hop(SimTime t, const SwitchWork& work, HopResult& res);
+  // Applies a ControlOp at switch `sw`: a restart wipes the switch's
+  // checker registers and marks it cold; a dict insert lands a delayed rule
+  // push; a swap flips the slot's phase and, on the sweep's last switch,
+  // completes a retirement.
+  void apply_control(SimTime t, int sw, const ControlOp& op);
+  // Fires every export tick with next_tick() <= t. The event loop calls
+  // this before running any event at time t.
+  void export_tick_until(SimTime t);
+  // Damages one telemetry frame's wire bytes (in transmit): serializes the
   // frame through the real codec, then applies the plan's corruption mode
   // driven by `entropy`; the next hop must re-parse before trusting it.
   void corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy);
   // Joins the rings on the packet id and assembles a ViolationReport
-  // (commit path; called when a hop rejected or reported).
+  // (called when a hop rejected or reported).
   void build_violation(const SwitchWork& work, const HopResult& res,
                        SimTime t);
 
   // Assembles the cumulative export totals (sim counters + per-property
-  // registry reads + delivered-latency histogram). Callers must have
-  // absorbed shard metrics first.
+  // registry reads + delivered-latency histogram).
   obs::ExportCumulative export_cumulative() const;
 
   // Per-export-tick live plane maintenance (live obs armed only):
   // re-evaluates health, refreshes the health.* gauges, and — with a
   // publisher attached — renders and publishes the tick's LiveSnapshot.
-  // Runs on the commit path with workers quiesced and shard metrics
-  // absorbed.
   void update_live_after_tick();
 
   void node_receive(int node, int port, PacketHandle pkt);
@@ -760,8 +602,8 @@ class Network {
   std::vector<std::shared_ptr<ForwardingProgram>> programs_;  // by node id
   std::vector<Deployment> deployments_;
   std::vector<GenerationInfo> generations_;  // by generation id, append-only
-  // Stale-frame reject counters by generation id (commit path only;
-  // detached while observability is off).
+  // Stale-frame reject counters by generation id (detached while
+  // observability is off).
   std::vector<obs::Counter> stale_counters_;
   // Every property name ever deployed (sorted, unique). export_cumulative
   // iterates this instead of the live slots so a retired property's
@@ -769,7 +611,6 @@ class Network {
   std::vector<std::string> known_properties_;
   std::vector<ReportRecord> reports_;
   std::vector<ReportCallback> report_callbacks_;
-  bool control_loop_active_ = false;
   Counters counters_;
   compiler::BaselineProfile baseline_ = compiler::simple_router_profile();
   double base_proc_s_ = 8e-7;
@@ -777,20 +618,15 @@ class Network {
   std::uint64_t next_packet_id_ = 1;
   bool wire_validation_ = false;
   // Fault injection (null while disarmed). cold_until_[sw] is the sim time
-  // until which switch sw's sensors are "cold" after a restart; it is
-  // touched only from compute on sw's owning shard, so it needs no lock.
+  // until which switch sw's sensors are "cold" after a restart.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<double> cold_until_;
   // In-flight packet / control-op pools (see "pooled in-flight storage").
   util::Arena<p4rt::Packet> packet_pool_{1024};
   util::Arena<ControlOp> control_pool_{64};
   std::unique_ptr<ObsState> obs_;  // null while observability is off
-  std::vector<ExecContext> contexts_;  // one per engine worker
-  EngineKind engine_kind_ = EngineKind::kSerial;
-  int engine_workers_ = 1;
-  // Declared last: the engine's worker threads may reference everything
-  // above, so they must be joined (engine destroyed) first.
-  std::unique_ptr<ExecutionEngine> engine_;
+  std::vector<DepScratch> dep_scratch_;  // by deployment slot
+  HopResult hop_scratch_;  // reused by every hop
 };
 
 }  // namespace hydra::net

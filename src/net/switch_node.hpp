@@ -3,7 +3,6 @@
 // forwarding-program interface implemented by src/forwarding.
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -87,15 +86,6 @@ class HopHeaders final : public p4rt::HeaderSource {
 // A switch's forwarding pipeline. Implementations may rewrite the packet
 // (encap/decap, source-route pop) — this is the code Hydra checkers must
 // remain independent from.
-//
-// STATE-CONFINEMENT RULE (parallel engine): the network's parallel engine
-// calls process() for *different switches* concurrently (one thread per
-// shard; a given switch always runs on the same thread). An implementation
-// must therefore keep its mutable state either (a) per switch — a
-// per-switch table map is the usual shape — or (b) thread-safe:
-// process-wide totals (drop counters, packet counts) must be std::atomic
-// with relaxed ordering, which keeps the totals deterministic because
-// every switch contributes a schedule-independent amount.
 class ForwardingProgram {
  public:
   virtual ~ForwardingProgram() = default;
@@ -120,37 +110,6 @@ class ForwardingProgram {
   // for programs installed afterwards — implementations must be
   // idempotent. Default: the program exposes no metrics.
   virtual void attach_metrics(obs::Registry* registry) { (void)registry; }
-
-  // Maps a switch id to the metrics registry whose counters that switch's
-  // hot path may bump (shard-local under the parallel engine; the main
-  // registry otherwise). resolve(-1) yields the main registry, for
-  // counters not attributable to one switch. Null detaches.
-  using MetricsResolver = std::function<obs::Registry*(int switch_id)>;
-
-  // Shard-aware variant of attach_metrics, called by the network instead
-  // of attach_metrics. A program whose hot path bumps obs counters from
-  // per-switch state must override this and attach each switch's handles
-  // to resolve(switch_id) — under the parallel engine a shared handle
-  // would race. The default keeps single-registry programs working
-  // unchanged by forwarding to attach_metrics(resolve(-1)).
-  virtual void attach_metrics_sharded(MetricsResolver resolve) {
-    attach_metrics(resolve ? resolve(-1) : nullptr);
-  }
-
-  // Flow-affinity opt-in. The parallel engine's flow-sharded windows run
-  // process() for the SAME switch on different threads concurrently (hops
-  // of different flows). A program may return true ONLY if process() is
-  // safe under that regime: per-switch lookup structures treated as
-  // read-only (route via p4rt::Table::lookup_shared, not lookup()),
-  // mutations confined to the packet itself or to relaxed atomics.
-  // Default false — the engine then falls back to switch-affinity
-  // sharding, which preserves the one-switch-one-thread rule above.
-  virtual bool concurrent_safe() const { return false; }
-
-  // Toggled by the network when entering/leaving flow-affinity mode, so a
-  // concurrent_safe() program can switch its table probes between the
-  // cached single-threaded path and the shared path. No-op by default.
-  virtual void set_concurrent(bool on) { (void)on; }
 
   // Drops any last-hit lookup caches the program keeps. Called by
   // full_snapshot() so the snapshot point is a cache-cold boundary in the

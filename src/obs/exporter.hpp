@@ -8,20 +8,16 @@
 //    grouped into labeled samples; legacy flat names get a family derived
 //    mechanically from the name. Families are emitted in sorted order and
 //    samples within a family in sorted label order, so the output is a
-//    pure function of the registry contents — byte-identical across
-//    engines whenever the snapshots agree.
+//    pure function of the registry contents.
 //
 //  * Windowed series (`ExportScheduler`): a bounded ring of per-interval
 //    deltas over the cumulative totals the Network hands in at each
-//    virtual-time tick. Ticks are driven from the engines' commit phases
-//    (see engine.cpp): a tick at T fires after every event with t < T has
-//    committed and before any event with t >= T runs. That boundary is a
-//    property of the event timeline, not of the schedule, so the sample
-//    sequence is identical across SerialEngine and ParallelEngine at any
-//    worker count. The scheduler itself is passive — it never reads the
-//    registry; the Network assembles an ExportCumulative at each tick
-//    (after shard metrics are absorbed) and the scheduler only diffs it
-//    against the previous tick's snapshot.
+//    virtual-time tick. Ticks are driven from the Network's event loop: a
+//    tick at T fires after every event with t < T has run and before any
+//    event with t >= T runs, so the sample sequence is a function of the
+//    event timeline. The scheduler itself is passive — it never reads the
+//    registry; the Network assembles an ExportCumulative at each tick and
+//    the scheduler only diffs it against the previous tick's snapshot.
 #pragma once
 
 #include <cstdint>

@@ -22,13 +22,9 @@
 // packets, IR, or the simulator. Numeric ids (table/register/field indices)
 // are resolved to names by the layer that owns the checker IR.
 //
-// THREADING (parallel engine): a ring belongs to one switch, a switch is
-// statically sharded to one worker, and per-switch window items retain
-// their (time, seq) order inside a shard — so each ring is single-writer
-// and its contents are bit-identical across engines and worker counts.
-// Reports are assembled at commit time (canonical order), so the exported
-// forensics JSON is byte-identical too, provided a ring's capacity exceeds
-// the records appended to it within one epoch window (see DESIGN.md §10).
+// A ring belongs to one switch and is written in event order, so its
+// contents — and the reports assembled from it — are deterministic for a
+// fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +120,7 @@ class FlightRecorder {
   FlightRecorder(int switches, std::size_t capacity);
 
   std::size_t capacity() const { return capacity_; }
-  // Total records ever appended across all rings (sums per-ring totals; call
-  // only from the committing thread, i.e. not mid-epoch).
+  // Total records ever appended across all rings (sums per-ring totals).
   std::uint64_t recorded() const;
 
   // Next slot of switch `sw`'s ring (overwriting the oldest when full),
@@ -218,7 +213,7 @@ struct ViolationReport {
 };
 
 // Deterministic JSON: one object per report, stable key order, sim times
-// only (no wall clock), so exports are byte-identical across engines.
+// only (no wall clock).
 std::string violation_json(const ViolationReport& report);
 std::string violations_json(const std::vector<ViolationReport>& reports);
 

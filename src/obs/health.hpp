@@ -11,9 +11,8 @@
 //
 // The verdict is `ok | degraded | failing` plus machine-readable reasons,
 // and is a pure function of (windows, bounds, thresholds): windows are
-// captured at virtual-time boundaries on the commit path, so the verdict
-// — like everything else on the live plane — is byte-identical across
-// engines and worker counts. A threshold <= 0 disables that grade for its
+// captured at virtual-time boundaries, so the verdict — like everything
+// else on the live plane — is deterministic for a fixed seed. A threshold <= 0 disables that grade for its
 // signal, and an empty window set grades `ok` (nothing measured yet).
 #pragma once
 

@@ -2,13 +2,12 @@
 // server.
 //
 // Determinism contract: the HTTP thread NEVER touches live simulator
-// state. At each committed export tick (engines quiesced, shard metrics
-// absorbed) the Network renders every servable body into an immutable
-// LiveSnapshot and swaps it into the SnapshotPublisher; scrapes serve
-// whichever snapshot was current when the request arrived, byte for byte.
-// Two runs that publish the same tick therefore serve identical bodies
-// regardless of engine kind, worker count, or scrape timing — the engine
-// differential test asserts this per tick index.
+// state. At each export tick the Network renders every servable body into
+// an immutable LiveSnapshot and swaps it into the SnapshotPublisher;
+// scrapes serve whichever snapshot was current when the request arrived,
+// byte for byte. Two runs that publish the same tick therefore serve
+// identical bodies regardless of scrape timing — the determinism test
+// asserts this per tick index.
 //
 // The publisher is a mutex-guarded shared_ptr swap plus a monotone atomic
 // epoch (the published tick count). Readers take a shared_ptr copy under

@@ -51,7 +51,7 @@ const Registry::Meta& Registry::require(const std::string& name, Kind kind,
   switch (kind) {
     case Kind::kCounter:
       m.slot = counters_.size();
-      counters_.emplace_back(0);  // atomics are not copyable; construct in place
+      counters_.push_back(0);
       break;
     case Kind::kGauge:
       m.slot = gauges_.size();
@@ -112,7 +112,7 @@ Histogram Registry::histogram(const std::string& name,
 std::uint64_t Registry::counter_value(const std::string& name) const {
   const auto it = by_name_.find(name);
   if (it == by_name_.end() || it->second.kind != Kind::kCounter) return 0;
-  return counters_[it->second.slot].load(std::memory_order_relaxed);
+  return counters_[it->second.slot];
 }
 
 double Registry::gauge_value(const std::string& name) const {
@@ -121,68 +121,12 @@ double Registry::gauge_value(const std::string& name) const {
   return gauges_[it->second.slot];
 }
 
-void Registry::absorb_counters(Registry& src) {
-  for (const auto& [name, m] : src.by_name_) {
-    // Fresh registrations inherit the source's Prometheus identity, so a
-    // metric first seen in a shard registry exports identically to one
-    // first registered in the main registry.
-    switch (m.kind) {
-      case Kind::kCounter: {
-        auto& v = src.counters_[m.slot];
-        // Register even when zero so exports list the same names regardless
-        // of which shard's switches happened to see traffic. Callers merge
-        // at barriers (writers quiesced), so the exchange cannot lose bumps.
-        counters_[require(name, Kind::kCounter, &m.family, &m.labels).slot]
-            .fetch_add(v.exchange(0, std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-        break;
-      }
-      case Kind::kGauge: {
-        // Max-wins: a shard gauge is a local high-water mark (e.g. items
-        // per worker); summing levels across shards would be meaningless.
-        double& v = src.gauges_[m.slot];
-        double& dst =
-            gauges_[require(name, Kind::kGauge, &m.family, &m.labels).slot];
-        if (v > dst) dst = v;
-        v = 0.0;
-        break;
-      }
-      case Kind::kHistogram: {
-        HistogramData& h = src.histograms_[m.slot];
-        HistogramData& dst = histograms_[require(name, Kind::kHistogram,
-                                                 &m.family, &m.labels)
-                                             .slot];
-        if (dst.bounds.empty() && !h.bounds.empty()) {
-          dst.bounds = h.bounds;
-          dst.buckets.assign(dst.bounds.size() + 1, 0);
-        }
-        if (dst.bounds != h.bounds) {
-          throw std::invalid_argument(
-              "absorb_counters: histogram '" + name +
-              "' has mismatched bounds across registries");
-        }
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-          dst.buckets[i] += h.buckets[i];
-          h.buckets[i] = 0;
-        }
-        dst.count += h.count;
-        dst.sum += h.sum;
-        h.count = 0;
-        h.sum = 0.0;
-        break;
-      }
-    }
-  }
-}
-
 std::string Registry::snapshot_text() const {
   std::string out;
   for (const auto& [name, m] : by_name_) {
     switch (m.kind) {
       case Kind::kCounter:
-        out += "counter " + name + " " +
-               std::to_string(
-                   counters_[m.slot].load(std::memory_order_relaxed)) +
+        out += "counter " + name + " " + std::to_string(counters_[m.slot]) +
                "\n";
         break;
       case Kind::kGauge:
@@ -201,8 +145,7 @@ std::string Registry::snapshot_text() const {
 }
 
 void Registry::restore_counter(const std::string& name, std::uint64_t v) {
-  counters_[require(name, Kind::kCounter).slot].fetch_add(
-      v, std::memory_order_relaxed);
+  counters_[require(name, Kind::kCounter).slot] += v;
 }
 
 void Registry::restore_histogram(const std::string& name, std::uint64_t count,
@@ -221,7 +164,7 @@ void Registry::restore_histogram(const std::string& name, std::uint64_t count,
 }
 
 void Registry::reset() {
-  for (auto& c : counters_) c.store(0, std::memory_order_relaxed);
+  for (auto& c : counters_) c = 0;
   for (auto& g : gauges_) g = 0.0;
   for (auto& h : histograms_) {
     h.buckets.assign(h.bounds.size() + 1, 0);
@@ -237,8 +180,7 @@ std::string Registry::to_json() const {
     if (m.kind != Kind::kCounter) continue;
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + name + "\": " +
-           std::to_string(counters_[m.slot].load(std::memory_order_relaxed));
+    out += "    \"" + name + "\": " + std::to_string(counters_[m.slot]);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
@@ -279,7 +221,7 @@ void Registry::visit(const std::function<void(const MetricView&)>& fn) const {
     MetricView v{name, m.family, m.labels, m.kind};
     switch (m.kind) {
       case Kind::kCounter:
-        v.counter_value = counters_[m.slot].load(std::memory_order_relaxed);
+        v.counter_value = counters_[m.slot];
         break;
       case Kind::kGauge:
         v.gauge_value = gauges_[m.slot];
@@ -298,9 +240,7 @@ std::string Registry::to_csv() const {
     switch (m.kind) {
       case Kind::kCounter:
         out += "counter," + name + ",value," +
-               std::to_string(
-                   counters_[m.slot].load(std::memory_order_relaxed)) +
-               "\n";
+               std::to_string(counters_[m.slot]) + "\n";
         break;
       case Kind::kGauge:
         out += "gauge," + name + ",value," + format_double(gauges_[m.slot]) +

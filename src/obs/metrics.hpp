@@ -7,19 +7,8 @@
 // (nullptr) and every operation on it is one predictable branch — that is
 // the entire disabled-path cost. When a Registry hands out a handle, the
 // increment is a direct pointer write with no lock, no lookup, and no
-// allocation.
-//
-// Counter slots are relaxed atomics: the parallel engine's dynamic
-// sharding may hand two switches that share one aggregate counter (same
-// (checker, table) name) to two workers in the same epoch, so the bump
-// must be a race-free fetch_add. Relaxed ordering is enough — each event
-// contributes a schedule-independent amount, so the TOTAL a snapshot
-// reads (taken at a barrier, after workers quiesce) is identical under
-// any interleaving, which keeps exports byte-identical across engines.
-// On the serial path an uncontended fetch_add costs the same as the old
-// plain add on mainstream hardware. Gauges and histograms keep plain
-// slots: they are only ever written single-threaded (snapshot pulls on
-// the main thread; per-shard histograms have exactly one writer).
+// allocation. The registry is single-threaded: every slot is a plain
+// value, written only by the simulation thread.
 //
 // Slots live in deques so handles stay valid as more metrics register.
 // Registration is idempotent: asking for the same name (and kind) again
@@ -28,7 +17,6 @@
 // exports are deterministic regardless of registration order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -61,17 +49,15 @@ class Counter {
  public:
   Counter() = default;
   void inc(std::uint64_t n = 1) const {
-    if (slot_ != nullptr) slot_->fetch_add(n, std::memory_order_relaxed);
+    if (slot_ != nullptr) *slot_ += n;
   }
-  std::uint64_t value() const {
-    return slot_ != nullptr ? slot_->load(std::memory_order_relaxed) : 0;
-  }
+  std::uint64_t value() const { return slot_ != nullptr ? *slot_ : 0; }
   bool attached() const { return slot_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Counter(std::atomic<std::uint64_t>* slot) : slot_(slot) {}
-  std::atomic<std::uint64_t>* slot_ = nullptr;
+  explicit Counter(std::uint64_t* slot) : slot_(slot) {}
+  std::uint64_t* slot_ = nullptr;
 };
 
 // Point-in-time level (entry counts, utilization). Set, not accumulated.
@@ -164,15 +150,6 @@ class Registry {
   void restore_histogram(const std::string& name, std::uint64_t count,
                          double sum, const std::vector<std::uint64_t>& buckets);
 
-  // Folds every metric held by `src` into the same-named metric here
-  // (registering it if absent), then zeroes `src`. The merge primitive for
-  // shard-local accumulator registries: workers record into a private
-  // registry and the owner folds it into the main one at an epoch barrier.
-  // Merge semantics per kind: counters add; histograms add bucket-wise
-  // (bounds must match, else std::invalid_argument); gauges take the max —
-  // a shard gauge is a local high-water mark, not a summable level.
-  void absorb_counters(Registry& src);
-
   // Deterministic exports: names sorted, stable float formatting.
   // JSON: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   std::string to_json() const;
@@ -208,8 +185,8 @@ class Registry {
                       const std::vector<Label>* labels = nullptr);
 
   std::map<std::string, Meta> by_name_;  // ordered => deterministic export
-  // deque: slots never relocate, so handles (and atomicity) survive growth.
-  std::deque<std::atomic<std::uint64_t>> counters_;
+  // deque: slots never relocate, so handles survive growth.
+  std::deque<std::uint64_t> counters_;
   std::deque<double> gauges_;
   std::deque<HistogramData> histograms_;
 };

@@ -1,27 +1,15 @@
-// Engine phase profiler — where do epochs spend their time?
+// Hop profiler — where does the event loop spend its wall-clock time?
 //
-// The execution engines (net/engine.hpp) are instrumented with phase spans:
+// net::Network's event loop records one "hop" span per switch-work event
+// (the pipeline pass of one packet at one switch). Spans export as Chrome
+// trace-event JSON ("X" complete events, microsecond timestamps), loadable
+// directly in Perfetto / chrome://tracing, and their durations feed the
+// fixed-bucket "engine.phase.compute_us" histogram in the metrics registry.
 //
-//   track 0        the engine main loop — pop_window, commit, barrier, and
-//                  one "epoch" span per window carrying its gauges (item
-//                  counts, degradation mode);
-//   track 1 + s    shard s's compute phase (shard 0 runs on the main
-//                  thread; shards 1.. on pool workers).
-//
-// Spans land in per-track buffers — each track has exactly one writer
-// thread, so recording takes no locks — and export as Chrome trace-event
-// JSON ("X" complete events, microsecond timestamps), loadable directly in
-// Perfetto / chrome://tracing. Phase latencies additionally feed fixed-
-// bucket histograms in the metrics registry ("engine.phase.*_us",
-// "engine.epoch.*"); worker-shard histograms are attached to the shard's
-// shadow registry and folded into the main one by Registry::absorb_counters
-// at epoch barriers, exactly like hot-path counters.
-//
-// Disabled discipline: engines hold a raw EngineProfiler pointer that is
-// null unless profiling is armed — the entire disabled cost is one branch
-// per phase. Span timestamps are wall-clock (this is a profiler), so trace
-// exports are NOT run-deterministic; nothing here feeds the engine-
-// equivalence contract.
+// Disabled discipline: the event loop holds a raw EngineProfiler pointer
+// that is null unless profiling is armed — the entire disabled cost is one
+// branch per hop. Span timestamps are wall-clock (this is a profiler), so
+// trace exports are NOT run-deterministic.
 #pragma once
 
 #include <chrono>
@@ -37,86 +25,37 @@ class EngineProfiler {
  public:
   EngineProfiler();
 
-  // Sizes the track buffers for `workers` compute shards (tracks 1..N) plus
-  // the main loop (track 0), dropping recorded spans. Called by the network
-  // whenever the engine or worker count changes.
-  void configure(int workers);
-  int workers() const { return workers_; }
-
   // Microseconds since this profiler was constructed (wall clock).
   double now_us() const;
 
-  // ---- metric wiring (net::Network::rewire_observability) ----------------
-  // Main-loop phase histograms + epoch gauges into `reg` (the main
-  // registry); per-shard compute histograms into that shard's sink (shadow
-  // registry for parallel workers). Same histogram name on every shard, so
-  // the barrier merge aggregates them.
-  void attach_main(Registry& reg);
-  void attach_worker(int shard, Registry& reg);
-  void detach();
+  // Registers the hop histogram in `reg` (net::Network::
+  // rewire_observability).
+  void attach(Registry& reg);
 
-  // ---- engine-facing recording hooks -------------------------------------
-  void pop_window(double t0_us, double t1_us, std::size_t popped);
-  // One parallel epoch: item counts, execution mode ("parallel" for
-  // switch-group sharding, "flow" for flow-affinity sharding, or the
-  // serial-degradation reason: "callbacks", "small_window", "one_worker")
-  // and the adaptive lookahead multiplier the window ran at (1 = base
-  // lookahead). Each mode gets its own "engine.epochs.<mode>" counter and
-  // the multiplier feeds the "engine.epoch.lookahead_mult" histogram.
-  void epoch(double t0_us, double t1_us, std::size_t items,
-             std::size_t switch_items, const char* mode,
-             std::size_t lookahead_mult = 1);
-  void compute(int shard, double t0_us, double t1_us, std::size_t items);
-  void commit(double t0_us, double t1_us);
-  void barrier(double t0_us, double t1_us);
-  // SerialEngine: one span per switch-work event.
-  void serial_hop(double t0_us, double t1_us);
+  // One switch hop, [t0_us, t1_us].
+  void hop(double t0_us, double t1_us);
 
-  // ---- export -------------------------------------------------------------
   // {"displayTimeUnit": ..., "traceEvents": [...]} — Chrome trace-event
-  // format. Includes thread_name metadata per track.
+  // format, with a thread_name metadata event for the loop's track.
   std::string to_chrome_trace_json() const;
-  void clear();  // drops spans, keeps wiring and track layout
-  std::size_t span_count() const;
-  std::uint64_t dropped_spans() const;
+  void clear();  // drops spans, keeps wiring
+  std::size_t span_count() const { return spans_.size(); }
+  std::uint64_t dropped_spans() const { return dropped_; }
 
  private:
-  // A bounded ring would reorder the timeline; instead each track stops
-  // recording at a cap and counts what it dropped.
-  static constexpr std::size_t kMaxSpansPerTrack = 1u << 18;
+  // A bounded ring would reorder the timeline; instead recording stops at
+  // a cap and counts what it dropped.
+  static constexpr std::size_t kMaxSpans = 1u << 18;
 
   struct Span {
-    const char* name = nullptr;
     double ts_us = 0.0;
     double dur_us = 0.0;
-    int n_args = 0;
-    const char* keys[3] = {nullptr, nullptr, nullptr};
-    double vals[3] = {0.0, 0.0, 0.0};
-    const char* note = nullptr;  // rendered as args.mode
   };
 
-  void push(int track, const Span& span);
-
-  int workers_ = 0;
-  std::vector<std::vector<Span>> tracks_;  // [0] main, [1+s] shard s
-  std::vector<std::uint64_t> dropped_;     // parallel to tracks_
+  std::vector<Span> spans_;
+  std::uint64_t dropped_ = 0;
   std::chrono::steady_clock::time_point epoch_;
-
-  Histogram pop_us_;
-  Histogram commit_us_;
-  Histogram barrier_us_;
-  Histogram epoch_items_;
-  Histogram epoch_switch_items_;
-  Histogram lookahead_mult_;
-  Counter epochs_;
-  Counter serial_windows_;
-  // Per-mode epoch counters ("engine.epochs.<mode>"); see epoch().
-  Counter epochs_parallel_;
-  Counter epochs_flow_;
-  Counter epochs_callbacks_;
-  Counter epochs_one_worker_;
-  Counter epochs_small_window_;
-  std::vector<Histogram> compute_us_;  // per shard, shadow-registry backed
+  Histogram hop_us_;
 };
 
 }  // namespace hydra::obs

@@ -5,10 +5,8 @@
 // stream in O(K) memory with a per-key overcount bound (`error`): a miss
 // on a full sketch evicts the current minimum and charges the newcomer
 // min+w, remembering min as its maximum possible overcount. Every update
-// runs on the engines' COMMIT path (main thread, canonical event order),
-// so sketch contents — and everything rendered from them — are
-// byte-identical across SerialEngine and ParallelEngine at any worker
-// count.
+// runs in event order on the simulation thread, so sketch contents — and
+// everything rendered from them — are deterministic for a fixed seed.
 //
 // Allocation discipline: a sketch allocates exactly twice, at
 // construction (slot vector + open-addressed index); add() never
@@ -127,7 +125,7 @@ class TopKAttribution {
   // and reports arriving for later deployments render as "dep<N>".
   TopKAttribution(TopKConfig cfg, std::vector<std::string> properties);
 
-  // ---- feeders (commit path, main thread only) --------------------------
+  // ---- feeders (simulation thread only) ---------------------------------
   void on_delivered(const TopKFlow& flow);
   // `dep_mask` has bit d set for every deployment whose checker rejected
   // the packet this hop (deployments >= 64 aggregate into the flow and

@@ -433,9 +433,7 @@ void Interp::table_op(const TableOp& t, CheckerState& state) {
     for (std::size_t k = 0; k < t.keys.size(); ++k) {
       key_scratch_.emplace_back(t.key_widths[k], slots_[t.keys[k]]);
     }
-    const TableEntry* entry =
-        shared_tables_ ? table.lookup_shared(key_scratch_, table_scratch_)
-                       : table.lookup(key_scratch_);
+    const TableEntry* entry = table.lookup(key_scratch_);
     if (entry != nullptr) {
       data = &entry->action_data;
       hit = true;

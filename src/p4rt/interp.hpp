@@ -123,14 +123,6 @@ class Interp {
   // lookup/register op.
   void set_provenance(ExecProvenance* prov) { prov_ = prov; }
 
-  // Shared-table mode: route lookups through Table::lookup_shared with
-  // this interpreter's private scratch instead of Table::lookup. The
-  // parallel engine's flow-affinity windows flip this on while several
-  // workers may execute hops of the SAME switch (hence the same Table
-  // instances) concurrently; Table's last-hit cache is the only per-lookup
-  // mutable table state and lookup_shared never touches it.
-  void set_shared_tables(bool on) { shared_tables_ = on; }
-
  private:
   class Lowerer;
 
@@ -205,14 +197,10 @@ class Interp {
   std::vector<SlotRef> tele_;
   std::vector<std::uint64_t> slots_;
   // Scratch key buffer reused across table lookups so the per-packet hot
-  // path does not allocate. One Interp instance belongs to exactly one
-  // engine worker (net::ExecContext owns it — see the ownership rule in
-  // net/network.hpp); it is never shared across threads.
+  // path does not allocate.
   std::vector<BitVec> key_scratch_;
-  TableScratch table_scratch_;  // for shared-table-mode lookups
   InterpMetrics metrics_;  // detached unless observability is wired
   ExecProvenance* prov_ = nullptr;  // armed only while forensics is on
-  bool shared_tables_ = false;  // see set_shared_tables()
 };
 
 }  // namespace hydra::p4rt

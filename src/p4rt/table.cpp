@@ -495,23 +495,6 @@ const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
   return &entries_[static_cast<std::size_t>(best)];
 }
 
-const TableEntry* Table::lookup_shared(const std::vector<BitVec>& key,
-                                       TableScratch& scratch) const {
-  if (key.size() != key_spec_.size()) {
-    throw std::invalid_argument("table '" + name_ + "': lookup key arity " +
-                                std::to_string(key.size()) + ", expected " +
-                                std::to_string(key_spec_.size()));
-  }
-  flatten_into(key, scratch.raw, scratch.flat);
-  const std::int64_t best = probe_index(key, scratch.raw, scratch.flat);
-  if (best < 0) {
-    metrics_.misses.inc();
-    return nullptr;
-  }
-  metrics_.hits.inc();
-  return &entries_[static_cast<std::size_t>(best)];
-}
-
 const TableEntry* Table::lookup_linear_reference(
     const std::vector<BitVec>& key) const {
   if (key.size() != key_spec_.size()) {

@@ -74,15 +74,6 @@ struct TableEntry {
   std::vector<BitVec> action_data;
 };
 
-// Caller-owned flattening scratch for Table::lookup_shared. One per
-// lookup-issuing thread context (an engine worker's interpreter, or a
-// thread_local in a forwarding program); capacity is reused across
-// lookups so the hot path never allocates in steady state.
-struct TableScratch {
-  std::vector<std::uint64_t> raw;
-  std::vector<std::uint64_t> flat;
-};
-
 class Table {
  public:
   Table() = default;
@@ -129,19 +120,6 @@ class Table {
   // insertion order (earlier wins), like most switch runtimes. Served by
   // the index; bit-identical to lookup_linear_reference().
   const TableEntry* lookup(const std::vector<BitVec>& key) const;
-
-  // Concurrency-safe lookup for the parallel engine's flow-affinity mode,
-  // where several workers may probe the SAME table instance at once. Same
-  // winner as lookup(), but all per-lookup mutable state lives in the
-  // caller's scratch: no last-hit cache read or write (the cache cells are
-  // the only mutable state lookup() touches), and no shared flatten
-  // buffers. The index structures are read-only here; concurrent callers
-  // must not insert/remove. `hits`/`misses` metrics still count (atomic
-  // slots); `cache_hits` never ticks on this path — which is why flow mode
-  // requires observability off (a live cache_hits counter would diverge
-  // from serial execution).
-  const TableEntry* lookup_shared(const std::vector<BitVec>& key,
-                                  TableScratch& scratch) const;
 
   // The original O(entries) scan, kept as the semantic reference for
   // differential testing and as the baseline in bench/table_scale.
@@ -203,11 +181,9 @@ class Table {
   void flatten_into(const std::vector<BitVec>& key,
                     std::vector<std::uint64_t>& raw,
                     std::vector<std::uint64_t>& flat) const;
-  // Index-probe core shared by lookup() and lookup_shared(): exact map,
-  // per-prefix LPM maps (mutates flat[lpm_field_] in place), then the
-  // sorted residue scan. Returns the winning entry index or -1. Touches no
-  // Table mutable state, so concurrent callers with distinct scratch
-  // vectors are safe.
+  // Index-probe core of lookup(): exact map, per-prefix LPM maps (mutates
+  // flat[lpm_field_] in place), then the sorted residue scan. Returns the
+  // winning entry index or -1.
   std::int64_t probe_index(const std::vector<BitVec>& key,
                            const std::vector<std::uint64_t>& raw,
                            std::vector<std::uint64_t>& flat) const;
@@ -238,7 +214,7 @@ class Table {
   // the reference scan + rebuild.
   std::uint64_t dup_pinned_ = 0;
 
-  // ---- per-lookup scratch + last-hit cache (single-threaded sim) --------
+  // ---- per-lookup scratch + last-hit cache --------------------------------
   enum class CacheState { kInvalid, kValid };
   mutable std::vector<std::uint64_t> raw_scratch_;
   mutable std::vector<std::uint64_t> flat_scratch_;

@@ -4,8 +4,8 @@
 //
 // The format is a flat whitespace-separated token stream, embeddable in a
 // single snapshot line and parseable with an istream — deliberately dumb
-// so both engines, and a hydrad restarted on a different machine, read
-// back byte-identical state. Entries serialize in STORAGE order: after
+// so a hydrad restarted on a different machine reads back byte-identical
+// state. Entries serialize in STORAGE order: after
 // churn removals the storage order encodes equal-priority tie-breaks
 // (see Table::remove_if_key_equals), so replaying inserts in that order
 // reproduces lookup winners exactly.

@@ -22,11 +22,8 @@
 //     (util::arena_allocations()); benches snapshot it after warmup and
 //     assert the delta stays zero to PROVE the hot path never grows.
 //
-// Thread-safety: none. Arenas are owned and mutated by the simulation
-// main thread only. Parallel-engine workers may READ objects through
-// stable pointers during the compute phase because the phase structure
-// guarantees the main thread is not calling alloc()/free() concurrently
-// (see DESIGN.md "Arena storage").
+// Thread-safety: none. Arenas are owned and used by the simulation thread
+// only (see DESIGN.md "Arena storage").
 #pragma once
 
 #include <cstdint>

@@ -1,21 +1,15 @@
-// EventQueue edge cases the parallel engine's epoch pipeline leans on:
-// pop_window boundary semantics (exclusive end, t0 group inclusion, limit),
-// the split closure/switch-work heaps merging back into one (t, seq) pop
-// order, the O(1) per-kind next-time probes (infinity when empty), and the
-// strict-< invariant of ExecutionEngine::drain_spawned_before that lets
-// commits merge mid-window spawns deterministically. Then a differential
-// test of random schedules against a stable-sort reference, and the
-// lifetime of closures held in the queue's slab.
+// EventQueue pop order and closure lifetime: a differential test of random
+// schedules, drained on a bare queue and through a Network, against a
+// stable-sort reference of (t, seq) order; and the lifetime of closures
+// held in the queue's slab.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <random>
 #include <vector>
 
-#include "net/engine.hpp"
 #include "net/event.hpp"
 #include "net/faults.hpp"
 #include "net/network.hpp"
@@ -26,171 +20,8 @@
 namespace hydra {
 namespace {
 
-// The queue never dereferences packet handles, so any value works here.
-net::PacketHandle pkt() { return net::PacketHandle{42}; }
-
-TEST(EventQueue, PopWindowOnEmptyQueue) {
-  net::EventQueue q;
-  std::vector<net::EventQueue::Item> out;
-  q.pop_window(10.0, 20.0, out);
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-// window_end is EXCLUSIVE: an event scheduled exactly at t0 + lookahead
-// belongs to the NEXT window (its spawns could land at t0 + 2L, inside an
-// extended window, so it must not be computed with this one).
-TEST(EventQueue, PopWindowEndIsExclusive) {
-  net::EventQueue q;
-  q.schedule_at(1.0, [] {});
-  q.schedule_at(1.5, [] {});
-  q.schedule_at(2.0, [] {});  // exactly window_end: stays queued
-  std::vector<net::EventQueue::Item> out;
-  q.pop_window(10.0, 2.0, out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0].t, 1.0);
-  EXPECT_DOUBLE_EQ(out[1].t, 1.5);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-}
-
-// The t == t0 group is always taken, even when window_end <= t0 (a
-// degenerate window); same-timestamp events are never split across windows.
-TEST(EventQueue, PopWindowAlwaysIncludesT0Group) {
-  net::EventQueue q;
-  q.schedule_at(5.0, [] {});
-  q.schedule_switch_at(5.0, 0, 1, pkt());
-  q.schedule_at(5.0, [] {});
-  q.schedule_at(5.0 + 1e-9, [] {});
-  std::vector<net::EventQueue::Item> out;
-  q.pop_window(10.0, 5.0, out);  // window_end == t0
-  ASSERT_EQ(out.size(), 3u);
-  for (const auto& item : out) EXPECT_DOUBLE_EQ(item.t, 5.0);
-  // Stable (t, seq): scheduling order within the group.
-  EXPECT_FALSE(out[0].is_switch_work());
-  EXPECT_TRUE(out[1].is_switch_work());
-  EXPECT_FALSE(out[2].is_switch_work());
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-// The drain limit caps the window independently of window_end.
-TEST(EventQueue, PopWindowRespectsLimit) {
-  net::EventQueue q;
-  q.schedule_at(1.0, [] {});
-  q.schedule_at(3.0, [] {});
-  std::vector<net::EventQueue::Item> out;
-  q.pop_window(2.0, 100.0, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].t, 1.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-// Closures and switch work live in separate heaps sharing one seq stream;
-// a window pop must interleave them back into exact scheduling order.
-TEST(EventQueue, SplitHeapsMergeInScheduleOrder) {
-  net::EventQueue q;
-  q.schedule_at(1.0, [] {});            // seq 0
-  q.schedule_switch_at(1.0, 3, 0, pkt());  // seq 1
-  q.schedule_at(1.0, [] {});            // seq 2
-  q.schedule_switch_at(1.0, 7, 0, pkt());  // seq 3
-  std::vector<net::EventQueue::Item> out;
-  q.pop_window(10.0, 2.0, out);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_FALSE(out[0].is_switch_work());
-  EXPECT_TRUE(out[1].is_switch_work());
-  EXPECT_EQ(out[1].work.sw, 3);
-  EXPECT_FALSE(out[2].is_switch_work());
-  EXPECT_TRUE(out[3].is_switch_work());
-  EXPECT_EQ(out[3].work.sw, 7);
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_LT(out[i - 1].seq, out[i].seq);
-  }
-}
-
-// Per-kind next-time probes: +infinity when that kind has nothing pending.
-// The adaptive lookahead bound takes min() over these, so an empty kind
-// must never constrain the window.
-TEST(EventQueue, NextKindTimesReportInfinityWhenEmpty) {
-  net::EventQueue q;
-  EXPECT_TRUE(std::isinf(q.next_closure_time()));
-  EXPECT_TRUE(std::isinf(q.next_switch_time()));
-
-  q.schedule_at(2.5, [] {});
-  EXPECT_DOUBLE_EQ(q.next_closure_time(), 2.5);
-  EXPECT_TRUE(std::isinf(q.next_switch_time()));
-
-  q.schedule_switch_at(1.25, 0, 0, pkt());
-  EXPECT_DOUBLE_EQ(q.next_switch_time(), 1.25);
-  EXPECT_DOUBLE_EQ(q.next_closure_time(), 2.5);
-  EXPECT_DOUBLE_EQ(q.next_time(), 1.25);
-
-  (void)q.pop_next();  // the switch item
-  EXPECT_TRUE(std::isinf(q.next_switch_time()));
-  EXPECT_DOUBLE_EQ(q.next_closure_time(), 2.5);
-}
-
-// Exposes the protected commit-merge primitive for direct testing.
-class ProbeEngine : public net::ExecutionEngine {
- public:
-  explicit ProbeEngine(net::Network& net) : ExecutionEngine(net) {}
-  const char* name() const override { return "probe"; }
-  int workers() const override { return 1; }
-  void drain(net::EventQueue&, net::SimTime) override {}
-  void run_spawned_before(net::EventQueue& q, net::SimTime t) {
-    drain_spawned_before(q, t);
-  }
-};
-
-// drain_spawned_before runs everything strictly BEFORE t — an event at
-// exactly t is the commit about to be applied (or a peer in its same-t
-// group) and must stay queued, or it would run twice.
-TEST(EventQueue, DrainSpawnedBeforeIsStrict) {
-  auto fabric = net::make_leaf_spine(2, 2, 2);
-  net::Network net(fabric.topo);
-  ProbeEngine probe(net);
-  net::EventQueue q;
-
-  std::vector<int> ran;
-  q.schedule_at(1.0, [&] { ran.push_back(1); });
-  q.schedule_at(2.0, [&] { ran.push_back(2); });
-  q.schedule_at(2.0, [&] { ran.push_back(3); });
-  q.schedule_at(3.0, [&] { ran.push_back(4); });
-
-  probe.run_spawned_before(q, 2.0);
-  EXPECT_EQ(ran, (std::vector<int>{1}));
-  EXPECT_EQ(q.pending(), 3u);
-  EXPECT_DOUBLE_EQ(q.now(), 1.0);  // clock advanced to what it executed
-
-  // Nudging the key past 2.0 releases the whole t == 2.0 group, in order.
-  probe.run_spawned_before(q, 2.0 + 1e-9);
-  EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.pending(), 1u);
-}
-
-// A spawn DURING the merge that lands before the key is itself merged
-// (commits can cascade closures inside the window); one landing at/after
-// the key stays for the next commit or window.
-TEST(EventQueue, DrainSpawnedBeforeMergesCascadedSpawns) {
-  auto fabric = net::make_leaf_spine(2, 2, 2);
-  net::Network net(fabric.topo);
-  ProbeEngine probe(net);
-  net::EventQueue q;
-
-  std::vector<int> ran;
-  q.schedule_at(1.0, [&] {
-    ran.push_back(1);
-    q.schedule_at(1.5, [&] { ran.push_back(2); });  // in-window: runs now
-    q.schedule_at(2.5, [&] { ran.push_back(3); });  // out: stays queued
-  });
-  probe.run_spawned_before(q, 2.0);
-  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.5);
-}
-
 // ---------------------------------------------------------------------------
-// Differential test: random schedules drained three ways against a
+// Differential test: random schedules drained two ways against a
 // stable-sort reference.
 // ---------------------------------------------------------------------------
 
@@ -333,7 +164,7 @@ std::vector<Popped> reference(const Schedule& s) {
 }
 
 // Runs a schedule's closures and ticks on one queue and logs them. When
-// `self_log` is set (the Network path, where the engine pops), each
+// `self_log` is set (the Network path, where the Network pops), each
 // handler appends its own entry; otherwise the drain logs every popped
 // item first and the handler fills in the payload only it knows.
 class Runner {
@@ -355,7 +186,7 @@ class Runner {
     q_.schedule_tick_at(t, tickers_[static_cast<std::size_t>(id)].get());
   }
 
-  // A drain popped `item`: log it, then run it the way an engine would.
+  // A drain popped `item`: log it, then run it the way the Network would.
   void run_item(const net::EventQueue::Item& item) {
     q_.advance_now(item.t);
     Popped p;
@@ -455,7 +286,7 @@ void schedule_raw(const Schedule& s, net::EventQueue& q, Runner& d) {
   }
 }
 
-// Pops every ready item into the runner, as an engine would.
+// Pops every ready item into the runner, as the Network would.
 class RunnerExecutor : public net::EventExecutor {
  public:
   explicit RunnerExecutor(Runner& d) : d_(d) {}
@@ -480,28 +311,6 @@ std::vector<Popped> drain_run_until(const Schedule& s, std::mt19937_64& rng) {
   return d.log;
 }
 
-// pop_window over random windows; items spawned while a window runs that
-// land before the next window item run first, as in the parallel engine's
-// commit merge (drain_spawned_before).
-std::vector<Popped> drain_pop_window(const Schedule& s, std::mt19937_64& rng) {
-  net::EventQueue q;
-  Runner d(s, q, /*self_log=*/false, {});
-  schedule_raw(s, q, d);
-  std::vector<net::EventQueue::Item> window;
-  while (!q.empty()) {
-    const double t0 = q.next_time();
-    window.clear();
-    q.pop_window(t0 + 0.5 * static_cast<double>(rng() % 8),
-                 t0 + 0.5 * static_cast<double>(rng() % 6), window);
-    EXPECT_FALSE(window.empty());
-    for (const auto& item : window) {
-      while (!q.empty() && q.next_time() < item.t) d.run_item(q.pop_next());
-      d.run_item(item);
-    }
-  }
-  return d.log;
-}
-
 // Logs each switch hop it sees, then drops the packet.
 class RecordingProgram : public net::ForwardingProgram {
  public:
@@ -518,7 +327,7 @@ class RecordingProgram : public net::ForwardingProgram {
   Runner& d_;
 };
 
-// The Network's own engine pops; control ops are switch restarts armed
+// The Network's own event loop pops; control ops are switch restarts armed
 // through the fault plan, observed through the restart counter.
 std::vector<Popped> drain_network(const Schedule& s, std::mt19937_64& rng) {
   const auto fabric = net::make_leaf_spine(2, 2, 2);
@@ -582,7 +391,6 @@ TEST(EventQueue, RandomSchedulesPopInReferenceOrder) {
     const std::vector<Popped> want = reference(s);
     std::mt19937_64 rng(seed * 7919);
     EXPECT_EQ(drain_run_until(s, rng), want);
-    EXPECT_EQ(drain_pop_window(s, rng), want);
 
     // Inside a Network only the handlers observe events: no seq, and a
     // control op shows only in the next event's controls_before.

@@ -450,6 +450,31 @@ TEST(HydraPipeline, MultipleCheckersCoexist) {
   EXPECT_EQ(f.net.counters().rejected, 0u);
 }
 
+// A hop's reports reach subscribers only after every checker on that hop
+// has run: the first deployment reports at the last hop, and its callback
+// already sees the second deployment's check block counted for that hop.
+TEST(HydraPipeline, ReportCallbacksFireAfterEveryCheckerOnTheHop) {
+  Fixture f;
+  f.net.set_observability(true);
+  const int reporter = f.net.deploy(compile_shared(
+      "tele bit<8> hops = 0;\n{ } { hops += 1; } { report((hops)); }",
+      "reporter"));
+  f.net.deploy(compile_shared("{ } { } { }", "bystander"));
+  std::vector<std::uint64_t> bystander_checks;
+  f.net.subscribe_reports([&](const ReportRecord& r) {
+    EXPECT_EQ(r.deployment, reporter);
+    bystander_checks.push_back(
+        f.net.metrics().counter_value("checker.bystander.check_runs"));
+  });
+  for (int i = 0; i < 2; ++i) {
+    f.net.send_from_host(f.h(0, 0),
+                         p4rt::make_udp(f.ip(f.h(0, 0)), f.ip(f.h(1, 0)),
+                                        1000, 2000, 100));
+    f.net.events().run();
+  }
+  EXPECT_EQ(bystander_checks, (std::vector<std::uint64_t>{1, 2}));
+}
+
 TEST(HydraPipeline, TelemetryBytesExtendWireSize) {
   Fixture f;
   const auto no_dep_bytes =

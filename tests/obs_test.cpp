@@ -114,51 +114,6 @@ TEST(Registry, SnapshotIsDeterministicAcrossRegistrationOrder) {
   EXPECT_NE(a.to_csv().find("counter,zeta,value,3"), std::string::npos);
 }
 
-TEST(Registry, AbsorbMergesAllKinds) {
-  obs::Registry main;
-  obs::Registry shard;
-  obs::Counter mc = main.counter("hops");
-  mc.inc(5);
-  shard.counter("hops").inc(7);
-  shard.counter("shard_only").inc(3);
-  obs::Gauge mg = main.gauge("watermark");
-  mg.set(2.0);
-  shard.gauge("watermark").set(9.0);
-  obs::Histogram mh = main.histogram("lat", {1.0, 10.0});
-  mh.observe(0.5);
-  obs::Histogram sh = shard.histogram("lat", {1.0, 10.0});
-  sh.observe(5.0);
-  sh.observe(50.0);
-  shard.histogram("fresh", {2.0}).observe(1.0);
-
-  main.absorb_counters(shard);
-
-  // Counters add; names absent from main are registered on the fly.
-  EXPECT_EQ(main.counter_value("hops"), 12u);
-  EXPECT_EQ(main.counter_value("shard_only"), 3u);
-  // Gauges take the max — a shard gauge is a high-water mark.
-  EXPECT_DOUBLE_EQ(main.gauge_value("watermark"), 9.0);
-  // Histograms merge bucket-wise; fresh ones are copied bounds and all.
-  EXPECT_EQ(mh.data()->buckets, (std::vector<std::uint64_t>{1, 1, 1}));
-  EXPECT_EQ(mh.count(), 3u);
-  EXPECT_DOUBLE_EQ(mh.sum(), 55.5);
-  EXPECT_NE(main.to_json().find("\"fresh\""), std::string::npos);
-
-  // The source is zeroed so the next epoch starts fresh...
-  EXPECT_EQ(shard.counter_value("hops"), 0u);
-  EXPECT_DOUBLE_EQ(shard.gauge_value("watermark"), 0.0);
-  EXPECT_EQ(sh.count(), 0u);
-  // ...and a second absorb neither double-counts nor loses the gauge max.
-  main.absorb_counters(shard);
-  EXPECT_EQ(main.counter_value("hops"), 12u);
-  EXPECT_DOUBLE_EQ(main.gauge_value("watermark"), 9.0);
-
-  // Mismatched histogram bounds are a wiring bug, not silently merged.
-  obs::Registry other;
-  other.histogram("lat", {1.0, 20.0}).observe(1.0);
-  EXPECT_THROW(main.absorb_counters(other), std::invalid_argument);
-}
-
 // ---- table instrumentation ------------------------------------------------
 
 TEST(TableMetrics, CountsHitsMissesAndCacheHits) {

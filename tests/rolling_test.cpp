@@ -3,7 +3,7 @@
 // reuse), fail-closed stale-frame accounting through a live-traffic swap,
 // the atomic snapshot writer, and the v2 full-state snapshot's restart
 // equivalence — a restored network must behave byte-identically to the one
-// that wrote the snapshot, across engines and worker counts.
+// that wrote the snapshot.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
 
@@ -293,7 +292,7 @@ TEST(SnapshotFile, TruncatedSnapshotIsRejectedNotPartiallyApplied) {
   EXPECT_THROW(occupied.obs_restore(snap), std::logic_error);
 }
 
-// ---- full-state restart equivalence across engines -------------------------
+// ---- full-state restart equivalence ---------------------------------------
 
 namespace {
 
@@ -305,8 +304,7 @@ struct FullBed {
   net::Network net{fabric.topo};
   std::shared_ptr<fwd::UpfProgram> upf;
 
-  explicit FullBed(net::EngineKind kind, int workers) {
-    net.set_engine(kind, workers);
+  FullBed() {
     auto routing = fwd::install_leaf_spine_routing(net, fabric);
     upf = std::make_shared<fwd::UpfProgram>(routing);
     net.set_program(fabric.leaves[0], upf);
@@ -340,76 +338,55 @@ struct FullBed {
 
 }  // namespace
 
-TEST(FullSnapshot, ThirdGenerationRestoreIsByteIdenticalAcrossEngines) {
-  std::string serial_snap;
-  for (const auto& [kind, workers] :
-       std::vector<std::pair<net::EngineKind, int>>{
-           {net::EngineKind::kSerial, 0},
-           {net::EngineKind::kParallel, 1},
-           {net::EngineKind::kParallel, 2},
-           {net::EngineKind::kParallel, 8}}) {
-    const std::string label =
-        std::string(net::engine_kind_name(kind)) + ":" +
-        std::to_string(workers);
+TEST(FullSnapshot, ThirdGenerationRestoreIsByteIdentical) {
+  // Generation history: gen0 loops (stays), gen1 stateful_firewall
+  // rolling-deployed mid-traffic then rolling-retired, gen2 reuses the
+  // slot. Stale frames from the swap land in the per-generation family.
+  FullBed a;
+  const int base = a.net.deploy(compile_library_checker("loops"));
+  a.drive(0.0, 40);
+  const int fw =
+      a.net.deploy_rolling(compile_library_checker("stateful_firewall"));
+  EXPECT_NE(fw, base);
+  a.drive(a.net.events().now(), 40);
+  a.net.undeploy_rolling(fw);
+  a.drive(a.net.events().now(), 20);
+  EXPECT_FALSE(a.net.swap_in_progress());
+  const int fw2 =
+      a.net.deploy_rolling(compile_library_checker("stateful_firewall"));
+  EXPECT_EQ(fw2, fw);
+  a.drive(a.net.events().now(), 20);
+  EXPECT_EQ(a.net.deployment_generation(fw2), 2u);
 
-    // Generation history: gen0 loops (stays), gen1 stateful_firewall
-    // rolling-deployed mid-traffic then rolling-retired, gen2 reuses the
-    // slot. Stale frames from the swap land in the per-generation family.
-    FullBed a(kind, workers);
-    const int base = a.net.deploy(compile_library_checker("loops"));
-    a.drive(0.0, 40);
-    const int fw =
-        a.net.deploy_rolling(compile_library_checker("stateful_firewall"));
-    EXPECT_NE(fw, base);
-    a.drive(a.net.events().now(), 40);
-    a.net.undeploy_rolling(fw);
-    a.drive(a.net.events().now(), 20);
-    EXPECT_FALSE(a.net.swap_in_progress());
-    const int fw2 =
-        a.net.deploy_rolling(compile_library_checker("stateful_firewall"));
-    EXPECT_EQ(fw2, fw);
-    a.drive(a.net.events().now(), 20);
-    EXPECT_EQ(a.net.deployment_generation(fw2), 2u);
+  const std::string snap1 = a.net.full_snapshot();
+  EXPECT_NE(snap1.find("hydra-obs-snapshot v2"), std::string::npos);
+  EXPECT_NE(snap1.find("gen 1 1 stateful_firewall"), std::string::npos);
 
-    const std::string snap1 = a.net.full_snapshot();
-    EXPECT_NE(snap1.find("hydra-obs-snapshot v2"), std::string::npos);
-    EXPECT_NE(snap1.find("gen 1 1 stateful_firewall"), std::string::npos)
-        << label;
+  // Restart equivalence, round 1: a fresh process restores the snapshot
+  // and must re-emit it byte for byte.
+  FullBed b;
+  b.net.obs_restore(snap1);
+  EXPECT_EQ(b.net.full_snapshot(), snap1);
+  EXPECT_EQ(b.net.events().now(), a.net.events().now());
+  EXPECT_EQ(b.net.deployment_count(), a.net.deployment_count());
+  EXPECT_TRUE(b.net.deployment_live(base));
+  EXPECT_EQ(b.net.deployment_generation(fw2), 2u);
 
-    // Restart equivalence, round 1: a fresh process restores the snapshot
-    // and must re-emit it byte for byte.
-    FullBed b(kind, workers);
-    b.net.obs_restore(snap1);
-    EXPECT_EQ(b.net.full_snapshot(), snap1) << label;
-    EXPECT_EQ(b.net.events().now(), a.net.events().now()) << label;
-    EXPECT_EQ(b.net.deployment_count(), a.net.deployment_count());
-    EXPECT_TRUE(b.net.deployment_live(base));
-    EXPECT_EQ(b.net.deployment_generation(fw2), 2u);
+  // Identical further traffic on the original and the restored network
+  // must produce identical verdict behaviour — counters, exposition,
+  // forensics, and the next snapshot all byte-equal.
+  const double t0 = a.net.events().now();
+  a.drive(t0, 30);
+  b.drive(t0, 30);
+  EXPECT_EQ(b.net.export_prometheus(), a.net.export_prometheus());
+  const std::string snap2 = a.net.full_snapshot();
+  EXPECT_EQ(b.net.full_snapshot(), snap2);
 
-    // Identical further traffic on the original and the restored network
-    // must produce identical verdict behaviour — counters, exposition,
-    // forensics, and the next snapshot all byte-equal.
-    const double t0 = a.net.events().now();
-    a.drive(t0, 30);
-    b.drive(t0, 30);
-    EXPECT_EQ(b.net.export_prometheus(), a.net.export_prometheus()) << label;
-    const std::string snap2 = a.net.full_snapshot();
-    EXPECT_EQ(b.net.full_snapshot(), snap2) << label;
-
-    // Round 2 (the third generation of the file itself): restore the
-    // resumed run's snapshot and round-trip it again.
-    FullBed c(kind, workers);
-    c.net.obs_restore(snap2);
-    EXPECT_EQ(c.net.full_snapshot(), snap2) << label;
-
-    // And the whole history is engine-invariant: every engine writes the
-    // exact bytes the serial engine wrote.
-    if (serial_snap.empty()) {
-      serial_snap = snap1;
-    } else {
-      EXPECT_EQ(snap1, serial_snap) << label;
-    }
-  }
+  // Round 2 (the third generation of the file itself): restore the
+  // resumed run's snapshot and round-trip it again.
+  FullBed c;
+  c.net.obs_restore(snap2);
+  EXPECT_EQ(c.net.full_snapshot(), snap2);
 }
 
 TEST(FullSnapshot, RefusesWhileSweepInFlightAndWithoutObs) {

@@ -1,11 +1,14 @@
-// Strict numeric argv parsing shared by the CLI tools.
+// Strict argv parsing shared by the CLI tools and benches.
 //
 // atoi/atol silently turn garbage into 0 and saturate nothing; a typo like
-// `--workers 8x` or `--ring 1e9` must instead fail loudly with the flag
-// name and the accepted range — the same strictness parse_engine_kind
-// applies to `--engine parallel:N`. Each helper prints a one-line
-// diagnostic to stderr and returns false on bad input; callers follow up
-// with their usage text and exit 2.
+// `--ring 8x` or `--ring 1e9` must instead fail loudly with the flag name
+// and the accepted range. Each value helper prints a one-line diagnostic
+// to stderr and returns false on bad input; callers follow up with their
+// usage text and exit 2.
+//
+// Benches that parse their flags here share one contract: `--help` prints
+// the usage line to stdout and exits 0 without running or writing
+// anything; any unknown argument prints it to stderr and exits 2.
 #pragma once
 
 #include <unistd.h>
@@ -17,6 +20,20 @@
 #include <string>
 
 namespace hydra::tools {
+
+// Prints "usage: PROG ARGS" — to stdout for code 0 (`--help`), to stderr
+// otherwise — and returns `code` for main to exit with.
+inline int usage(const char* prog, const char* args, int code) {
+  std::fprintf(code == 0 ? stdout : stderr, "usage: %s %s\n", prog, args);
+  return code;
+}
+
+// The unknown-argument exit: names `arg`, prints the usage, returns 2.
+inline int unknown_argument(const char* prog, const char* arg,
+                            const char* args) {
+  std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, arg);
+  return usage(prog, args, 2);
+}
 
 // Base-10 integer in [lo, hi]; rejects empty input, trailing characters,
 // and out-of-range values.

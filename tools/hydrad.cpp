@@ -18,7 +18,7 @@
 //   $ hydrad [--listen PORT] [--interval S] [--snapshot PATH]
 //            [--sessions N] [--churn-per-s X] [--packets-per-s X]
 //            [--duration-s X] [--pace X] [--topk K] [--ring N] [--seed N]
-//            [--engine=serial|parallel[:N]] [--workers=N] [--forensics]
+//            [--forensics]
 //
 // `--pace` is simulated seconds advanced per wall-clock second (default
 // 1). `--duration-s 0` (default) runs until SIGTERM/SIGINT, which
@@ -64,7 +64,6 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 #include "obs/httpd.hpp"
 
@@ -87,8 +86,7 @@ int usage(const char* prog) {
                "          [--sessions N] [--churn-per-s X] "
                "[--packets-per-s X]\n"
                "          [--duration-s X] [--pace X] [--topk K] [--ring N]\n"
-               "          [--seed N] [--engine=serial|parallel[:N]] "
-               "[--workers=N] [--forensics]\n",
+               "          [--seed N] [--forensics]\n",
                prog);
   return 2;
 }
@@ -108,8 +106,6 @@ int main(int argc, char** argv) {
   long ring = 128;
   std::uint64_t seed = 42;
   bool forensics = false;
-  net::EngineKind kind = net::EngineKind::kSerial;
-  int workers = 0;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -185,14 +181,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(a, "--forensics") == 0) {
       forensics = true;
-    } else if (std::strncmp(a, "--engine=", 9) == 0) {
-      kind = net::parse_engine_kind(a + 9, &workers);
-    } else if (std::strncmp(a, "--workers=", 10) == 0) {
-      long w = 0;
-      if (!tools::parse_long_arg(argv[0], "--workers", a + 10, 1, 1024, &w)) {
-        return usage(argv[0]);
-      }
-      workers = static_cast<int>(w);
     } else {
       std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], a);
       return usage(argv[0]);
@@ -205,7 +193,6 @@ int main(int argc, char** argv) {
   std::shared_ptr<fwd::UpfProgram> upf;
   const auto build_scenario = [&]() {
     netp = std::make_unique<net::Network>(fabric.topo);
-    netp->set_engine(kind, workers);
     auto routing = fwd::install_leaf_spine_routing(*netp, fabric);
     upf = std::make_shared<fwd::UpfProgram>(routing);
     netp->set_program(fabric.leaves[0], upf);
@@ -306,10 +293,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(server->port()),
               static_cast<int>(::getpid()));
   std::printf(
-      "hydrad: sessions=%ld churn=%g/s packets=%g/s interval=%gs pace=%g "
-      "engine=%s\n",
-      sessions, churn_per_s, packets_per_s, interval_s, pace,
-      net::engine_kind_name(kind));
+      "hydrad: sessions=%ld churn=%g/s packets=%g/s interval=%gs pace=%g\n",
+      sessions, churn_per_s, packets_per_s, interval_s, pace);
   std::fflush(stdout);
 
   // ---- serve loop --------------------------------------------------------
@@ -329,7 +314,7 @@ int main(int argc, char** argv) {
   const auto wall_start = clock::now();
   while (!g_stop) {
     // Control-plane commands accepted by the HTTP thread since the last
-    // slice: applied here, on the main loop, with the engine idle — the
+    // slice: applied here, on the main loop, between drains — the
     // HTTP thread never touches simulator state.
     for (const obs::HttpServer::Command& cmd : server->drain_commands()) {
       try {

@@ -1,4 +1,4 @@
-// hydrascope — violation forensics and engine-profile dump tool.
+// hydrascope — violation forensics and hop-profile dump tool.
 //
 // Replays a canonical scenario with the forensics flight recorder armed
 // and, for every checker reject/report, prints a §5.2-style narrative of
@@ -8,10 +8,9 @@
 //
 //   $ ./hydrascope --forensics                     # aether, narrative+JSON
 //   $ ./hydrascope --forensics --out forensics.json
-//   $ ./hydrascope --forensics --engine parallel --workers 8
-//       # byte-identical forensics JSON (engine contract; cmp-able in CI)
-//   $ ./hydrascope --forensics --trace engine_trace.json
-//       # also dump the engine phase profile as Chrome trace-event JSON —
+//       # deterministic forensics JSON (cmp-able; see tests/golden)
+//   $ ./hydrascope --forensics --trace hop_trace.json
+//       # also dump the per-hop profile as Chrome trace-event JSON —
 //       # load in https://ui.perfetto.dev or chrome://tracing
 //   $ ./hydrascope --forensics --min-violations 1  # exit 1 if fewer
 //
@@ -34,7 +33,6 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 
 using namespace hydra;
@@ -81,8 +79,8 @@ void aether_scenario(net::Network& net, const net::LeafSpine& fabric) {
 // full fault plan armed — loss, corruption, duplication, reordering, link
 // flaps, a mid-run switch restart, and delayed controller rule pushes —
 // all driven by one seed. The run must never throw (damaged telemetry is
-// rejected fail-closed), and the emitted JSON carries no engine name,
-// worker count, or wall clock, so CI byte-compares serial vs parallel.
+// rejected fail-closed), and the emitted JSON carries no wall clock, so
+// the golden test byte-compares it.
 void chaos_scenario(net::Network& net, const net::LeafSpine& fabric,
                     std::uint64_t seed) {
   fwd::install_leaf_spine_routing(net, fabric);
@@ -158,7 +156,6 @@ int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--scenario aether|leafspine] [--forensics]\n"
                "          [--chaos SEED]\n"
-               "          [--engine serial|parallel[:N]] [--workers N]\n"
                "          [--ring N] [--out FILE] [--trace FILE]\n"
                "          [--min-violations N]\n"
                "          [--prom FILE] [--series FILE] [--interval SEC]\n"
@@ -175,8 +172,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string prom_path;
   std::string series_path;
-  net::EngineKind engine = net::EngineKind::kSerial;
-  int workers = 0;
   long ring = 512;
   long min_violations = 0;
   double interval_s = 0.0;  // 0 = derive a default when export is requested
@@ -207,15 +202,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--watch") == 0) {
       watch = true;
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = net::parse_engine_kind(argv[++i], &workers);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      long w = 0;
-      if (!tools::parse_long_arg(argv[0], "--workers", argv[++i], 0, 1024,
-                                 &w)) {
-        return usage(argv[0]);
-      }
-      workers = static_cast<int>(w);
     } else if (std::strcmp(argv[i], "--ring") == 0 && i + 1 < argc) {
       if (!tools::parse_long_arg(argv[0], "--ring", argv[++i], 1, 1 << 20,
                                  &ring)) {
@@ -239,20 +225,17 @@ int main(int argc, char** argv) {
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  // Engine choice never changes what the forensics observe: ring contents
-  // and assembled reports are byte-identical by the engine contract.
-  net.set_engine(engine, workers);
   // Chaos mode always records forensics — the annotated reports are the
   // point of the exercise.
   if (forensics || chaos) {
     net.set_forensics(true, static_cast<std::size_t>(ring));
   }
-  // The engine-phase profile is wall-clock (not deterministic), so it is
-  // only armed when the caller asks for the trace file.
+  // The hop profile is wall-clock (not deterministic), so it is only armed
+  // when the caller asks for the trace file.
   if (!trace_path.empty()) net.set_engine_profiling(true);
   // Streaming export: armed before any traffic so the window series spans
-  // the whole run. Ticks fire on the virtual-time axis in commit order, so
-  // both the exposition and the series are byte-identical across engines.
+  // the whole run. Ticks fire on the virtual-time axis, so both the
+  // exposition and the series are deterministic.
   const bool exporting =
       !prom_path.empty() || !series_path.empty() || interval_s > 0.0;
   if (exporting) {
@@ -294,10 +277,9 @@ int main(int argc, char** argv) {
   }
 
   // The JSON document holds only the scenario name and the assembled
-  // reports — no engine name, worker count, or wall clock — so CI can
-  // byte-compare serial and parallel runs. Chaos mode adds the seed, the
-  // fault stats, the simulation counters, and the full (deterministic)
-  // metrics snapshot, all of which the engine contract covers too.
+  // reports — no wall clock — so runs can be byte-compared. Chaos mode adds
+  // the seed, the fault stats, the simulation counters, and the full
+  // (deterministic) metrics snapshot.
   std::string doc = "{\n\"scenario\": \"" + scenario + "\"";
   if (chaos) {
     const auto& c = net.counters();

@@ -8,8 +8,6 @@
 //   $ ./hydrastat                          # aether scenario, JSON to stdout
 //   $ ./hydrastat --scenario leafspine
 //   $ ./hydrastat --out hydrastat.json     # narrative to stdout, JSON to file
-//   $ ./hydrastat --engine parallel --workers 4   # replay on the parallel
-//                                                 # engine; output identical
 //
 // Scenarios:
 //   aether    — the §5.2 application-filtering bug: a client attaches, the
@@ -33,7 +31,6 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
-#include "net/engine.hpp"
 #include "net/network.hpp"
 
 using namespace hydra;
@@ -110,7 +107,7 @@ void leafspine_scenario(net::Network& net, const net::LeafSpine& fabric) {
 // reordering, link flaps, a mid-run restart, delayed rule pushes), driven
 // by one seed, with the observability layer on so the snapshot captures
 // the fault-path counters. Deterministic: the same (plan, seed) replays
-// bit-identically on either engine.
+// bit-identically.
 void chaos_scenario(net::Network& net, const net::LeafSpine& fabric,
                     std::uint64_t seed) {
   fwd::install_leaf_spine_routing(net, fabric);
@@ -159,8 +156,7 @@ void chaos_scenario(net::Network& net, const net::LeafSpine& fabric,
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--scenario aether|leafspine] [--chaos SEED]\n"
-               "          [--out FILE] [--prom FILE]\n"
-               "          [--engine serial|parallel[:N]] [--workers N]\n",
+               "          [--out FILE] [--prom FILE]\n",
                prog);
   return 2;
 }
@@ -171,8 +167,6 @@ int main(int argc, char** argv) {
   std::string scenario = "aether";
   std::string out_path;
   std::string prom_path;
-  net::EngineKind engine = net::EngineKind::kSerial;
-  int workers = 0;
   bool chaos = false;
   std::uint64_t chaos_seed = 0;
   for (int i = 1; i < argc; ++i) {
@@ -187,15 +181,6 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
       prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      engine = net::parse_engine_kind(argv[++i], &workers);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      long w = 0;
-      if (!tools::parse_long_arg(argv[0], "--workers", argv[++i], 0, 1024,
-                                 &w)) {
-        return usage(argv[0]);
-      }
-      workers = static_cast<int>(w);
     } else {
       return usage(argv[0]);
     }
@@ -203,9 +188,6 @@ int main(int argc, char** argv) {
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  // Engine choice never changes what a scenario observes — traces, reports
-  // and metrics below are identical by the engine contract.
-  net.set_engine(engine, workers);
   if (chaos) {
     scenario = "chaos";
     chaos_scenario(net, fabric, chaos_seed);
