@@ -2,9 +2,13 @@
 // checking. Per-hop rejects errant packets at the violating switch, saving
 // downstream link capacity at the cost of running the checker everywhere.
 //
-//   $ ./ablation_check_placement
+//   $ ./ablation_check_placement [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 
+#include "cli_parse.hpp"
 #include "forwarding/source_route.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
@@ -59,7 +63,8 @@ Outcome run(compiler::CheckPlacement placement, int errant_packets) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
   std::printf("Ablation (§4.3): last-hop vs per-hop check placement, 100 "
               "errant valley packets\n\n");
   const Outcome last = run(compiler::CheckPlacement::kLastHop, 100);

@@ -2,13 +2,18 @@
 // Packed minimizes wire bytes; byte-aligned trades wire bytes for cheaper
 // PHV slicing on hardware. Prints the per-checker comparison.
 //
-//   $ ./ablation_header_layout
+//   $ ./ablation_header_layout [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 
+#include "cli_parse.hpp"
 #include "checkers/library.hpp"
 #include "compiler/compile.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
   using namespace hydra;
   std::printf("Ablation: telemetry header layout (wire bytes per packet)\n\n");
   std::printf("%-32s %14s %14s %10s\n", "checker", "packed (B)",

@@ -3,10 +3,14 @@
 // AND the wire/PHV footprint. This sweep quantifies the trade-off for a
 // loop-detection checker with a `visited[N]` list.
 //
-//   $ ./ablation_list_capacity
+//   $ ./ablation_list_capacity [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 #include <string>
 
+#include "cli_parse.hpp"
 #include "compiler/compile.hpp"
 
 namespace {
@@ -34,7 +38,8 @@ tele bool looped = false;
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
   using namespace hydra;
   std::printf("Ablation: telemetry list capacity (loops checker, "
               "visited[N])\n\n");

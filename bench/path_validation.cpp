@@ -3,10 +3,14 @@
 // paths) and report Hydra's verdict counts — all legal delivered, all
 // errant dropped.
 //
-//   $ ./path_validation
+//   $ ./path_validation [--help]
+//
+// --help prints this usage and exits 0 without running; any other
+// argument exits 2 with the usage.
 #include <cstdio>
 #include <vector>
 
+#include "cli_parse.hpp"
 #include "forwarding/source_route.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
@@ -81,7 +85,8 @@ Verdicts sweep(int leaves, int spines, int hosts_per_leaf) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
   std::printf("Path validation sweep (§5.1, Figures 7/8): every valley-free "
               "path delivered, every errant path dropped\n\n");
   sweep(2, 2, 2);   // the paper's topology

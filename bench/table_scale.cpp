@@ -1,7 +1,10 @@
 // Table lookup scaling microbench: ns/op for the reference linear scan vs.
-// the indexed lookup engine at 10 .. 100k entries, for the two table shapes
+// Table::lookup on key words at 4 .. 100k entries, for the two table shapes
 // the data plane leans on (exact-match session tables, LPM route tables).
-// Emits machine-readable results for cross-PR perf tracking.
+// Up to Table::kPackedMax entries lookup() scans packed rows, above it the
+// index serves it; each row names the path. The small rows bracket the
+// crossover kPackedMax was picked from. Emits machine-readable results for
+// cross-PR perf tracking.
 //
 //   $ ./table_scale [--json BENCH_table_scale.json] [--help]
 //
@@ -29,18 +32,21 @@ struct Row {
   std::string shape;
   std::size_t entries = 0;
   double linear_ns = 0;
-  double indexed_ns = 0;
+  double lookup_ns = 0;
+  const char* path() const {
+    return entries <= Table::kPackedMax ? "packed" : "index";
+  }
   double speedup() const {
-    return indexed_ns > 0 ? linear_ns / indexed_ns : 0;
+    return lookup_ns > 0 ? linear_ns / lookup_ns : 0;
   }
 };
 
 // Measures average ns per lookup over a pre-generated random key sequence.
-// The key order is shuffled so the last-hit cache does not flatter the
-// indexed path; this measures the steady-state hash/scan cost.
-template <typename LookupFn>
-double measure_ns(const std::vector<std::vector<BitVec>>& keys,
-                  std::uint64_t iters, LookupFn&& fn) {
+// The key order is shuffled so the last-hit cache does not flatter
+// lookup(); this measures the steady-state hash/scan cost.
+template <typename Key, typename LookupFn>
+double measure_ns(const std::vector<Key>& keys, std::uint64_t iters,
+                  LookupFn&& fn) {
   std::uint64_t sink = 0;
   const auto start = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
@@ -55,6 +61,25 @@ double measure_ns(const std::vector<std::vector<BitVec>>& keys,
                               stop - start)
                               .count());
   return total_ns / static_cast<double>(iters);
+}
+
+// lookup() and the reference on the same keys: words for one, BitVecs for
+// the other.
+Row measure(const Table& t, const std::vector<std::vector<BitVec>>& keys,
+            std::uint64_t fast_iters, std::size_t n) {
+  std::vector<std::uint64_t> words;
+  for (const auto& k : keys) words.push_back(k[0].value());
+  Row r;
+  r.entries = t.size();
+  const std::uint64_t slow_iters =
+      std::max<std::uint64_t>(2000, 40'000'000 / std::max<std::size_t>(n, 1));
+  r.lookup_ns = measure_ns(words, fast_iters, [&](const std::uint64_t& w) {
+    return t.lookup(std::span<const std::uint64_t>(&w, 1));
+  });
+  r.linear_ns = measure_ns(keys, slow_iters, [&](const auto& k) {
+    return t.lookup_linear_reference(k);
+  });
+  return r;
 }
 
 Row bench_exact(std::size_t n, Rng& rng) {
@@ -76,17 +101,8 @@ Row bench_exact(std::size_t n, Rng& rng) {
       keys.push_back({BitVec(32, rng.next())});
     }
   }
-  Row r;
+  Row r = measure(t, keys, 2'000'000, n);
   r.shape = "exact";
-  r.entries = t.size();
-  const std::uint64_t fast_iters = 2'000'000;
-  const std::uint64_t slow_iters =
-      std::max<std::uint64_t>(2000, 40'000'000 / std::max<std::size_t>(n, 1));
-  r.indexed_ns = measure_ns(keys, fast_iters,
-                            [&](const auto& k) { return t.lookup(k); });
-  r.linear_ns = measure_ns(keys, slow_iters, [&](const auto& k) {
-    return t.lookup_linear_reference(k);
-  });
   return r;
 }
 
@@ -110,17 +126,8 @@ Row bench_lpm(std::size_t n, Rng& rng) {
     const std::uint32_t jitter = static_cast<std::uint32_t>(rng.below(256));
     keys.push_back({BitVec(32, (rng.pick(bases) & 0xffffff00u) | jitter)});
   }
-  Row r;
+  Row r = measure(t, keys, 1'000'000, n);
   r.shape = "lpm";
-  r.entries = t.size();
-  const std::uint64_t fast_iters = 1'000'000;
-  const std::uint64_t slow_iters =
-      std::max<std::uint64_t>(2000, 40'000'000 / std::max<std::size_t>(n, 1));
-  r.indexed_ns = measure_ns(keys, fast_iters,
-                            [&](const auto& k) { return t.lookup(k); });
-  r.linear_ns = measure_ns(keys, slow_iters, [&](const auto& k) {
-    return t.lookup_linear_reference(k);
-  });
   return r;
 }
 
@@ -130,16 +137,18 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"table_scale\",\n  \"unit\": \"ns/op\",\n"
-                  "  \"rows\": [\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"table_scale\",\n  \"unit\": \"ns/op\",\n"
+               "  \"packed_max\": %zu,\n  \"rows\": [\n",
+               Table::kPackedMax);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"shape\": \"%s\", \"entries\": %zu, "
-                 "\"linear_ns\": %.2f, \"indexed_ns\": %.2f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.shape.c_str(), r.entries, r.linear_ns, r.indexed_ns,
-                 r.speedup(), i + 1 < rows.size() ? "," : "");
+                 "\"path\": \"%s\", \"linear_ns\": %.2f, "
+                 "\"lookup_ns\": %.2f, \"speedup\": %.2f}%s\n",
+                 r.shape.c_str(), r.entries, r.path(), r.linear_ns,
+                 r.lookup_ns, r.speedup(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -162,32 +171,35 @@ int main(int argc, char** argv) {
   }
 
   Rng rng(2023);
-  const std::vector<std::size_t> sizes = {10, 100, 1000, 10000, 100000};
+  const std::vector<std::size_t> sizes = {4,   8,    10,    16,    32,
+                                         64,  100,  1000,  10000, 100000};
   std::vector<Row> rows;
 
   std::printf("table lookup scaling (ns/op, random keys, cache-adverse)\n");
-  std::printf("%-8s %10s %12s %12s %10s\n", "shape", "entries", "linear",
-              "indexed", "speedup");
+  std::printf("%-8s %10s %8s %10s %12s %10s\n", "shape", "entries", "path",
+              "linear", "lookup", "speedup");
+  auto print = [](const Row& r) {
+    std::printf("%-8s %10zu %8s %10.1f %12.1f %9.1fx\n", r.shape.c_str(),
+                r.entries, r.path(), r.linear_ns, r.lookup_ns, r.speedup());
+  };
   for (const std::size_t n : sizes) {
-    Row r = bench_exact(n, rng);
-    std::printf("%-8s %10zu %10.1f %12.1f %9.1fx\n", r.shape.c_str(),
-                r.entries, r.linear_ns, r.indexed_ns, r.speedup());
-    rows.push_back(r);
+    rows.push_back(bench_exact(n, rng));
+    print(rows.back());
   }
   for (const std::size_t n : sizes) {
-    Row r = bench_lpm(n, rng);
-    std::printf("%-8s %10zu %10.1f %12.1f %9.1fx\n", r.shape.c_str(),
-                r.entries, r.linear_ns, r.indexed_ns, r.speedup());
-    rows.push_back(r);
+    rows.push_back(bench_lpm(n, rng));
+    print(rows.back());
   }
 
   write_json(json_path, rows);
 
-  // The acceptance bar for this PR: >= 10x at 10k exact entries.
+  // The index must serve large tables: >= 10x over the scan at 10k
+  // entries, exact and LPM alike (a kPackedMax set too high fails here).
+  // Small rows are not gated; there the paths run within noise.
   for (const Row& r : rows) {
-    if (r.shape == "exact" && r.entries >= 10000 && r.speedup() < 10.0) {
-      std::printf("FAIL: exact @%zu speedup %.1fx < 10x\n", r.entries,
-                  r.speedup());
+    if (r.entries >= 10000 && r.speedup() < 10.0) {
+      std::printf("FAIL: %s @%zu speedup %.1fx < 10x\n", r.shape.c_str(),
+                  r.entries, r.speedup());
       return 1;
     }
   }

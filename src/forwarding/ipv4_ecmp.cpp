@@ -9,7 +9,12 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
   if (ports.empty()) {
     throw std::invalid_argument("ECMP group must have at least one port");
   }
-  PerSwitch& sw = switches_[switch_id];
+  if (switch_id < 0) {
+    throw std::invalid_argument("ECMP route on negative switch id");
+  }
+  const auto id = static_cast<std::size_t>(switch_id);
+  if (id >= switches_.size()) switches_.resize(id + 1);
+  PerSwitch& sw = switches_[id];
   if (sw.groups.empty()) wire_switch(sw);
   const auto group_id = static_cast<std::uint64_t>(sw.groups.size());
   sw.groups.push_back(std::move(ports));
@@ -23,7 +28,9 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
 
 void Ipv4EcmpProgram::attach_metrics(obs::Registry* registry) {
   registry_ = registry;
-  for (auto& [id, sw] : switches_) wire_switch(sw);
+  for (auto& sw : switches_) {
+    if (!sw.groups.empty()) wire_switch(sw);
+  }
 }
 
 void Ipv4EcmpProgram::wire_switch(PerSwitch& sw) {
@@ -72,15 +79,18 @@ Ipv4EcmpProgram::Decision Ipv4EcmpProgram::process(p4rt::Packet& pkt,
     d.reason = "ttl_expired";
     return d;
   }
-  const auto it = switches_.find(switch_id);
-  if (it == switches_.end()) {
+  const auto id = static_cast<std::size_t>(switch_id);
+  if (switch_id < 0 || id >= switches_.size() ||
+      switches_[id].groups.empty()) {
     ++miss_drops_;
     d.drop = true;
     d.reason = "unknown_switch";
     return d;
   }
-  key_.assign(1, BitVec(32, pkt.ipv4->dst));
-  const p4rt::TableEntry* entry = it->second.routes.lookup(key_);
+  const PerSwitch& sw = switches_[id];
+  const std::uint64_t dst = pkt.ipv4->dst;
+  const p4rt::TableEntry* entry =
+      sw.routes.lookup(std::span<const std::uint64_t>(&dst, 1));
   if (entry == nullptr) {
     ++miss_drops_;
     d.drop = true;
@@ -88,7 +98,7 @@ Ipv4EcmpProgram::Decision Ipv4EcmpProgram::process(p4rt::Packet& pkt,
     return d;
   }
   const auto& group =
-      it->second.groups[static_cast<std::size_t>(entry->action_data[0].value())];
+      sw.groups[static_cast<std::size_t>(entry->action_data[0].value())];
   d.eg_port = group[flow_hash(pkt) % group.size()];
   pkt.ipv4->ttl -= 1;
   return d;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,7 +31,7 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
   void attach_metrics(obs::Registry* registry) override;
 
   void invalidate_caches() override {
-    for (auto& [id, sw] : switches_) sw.routes.invalidate_cache();
+    for (auto& sw : switches_) sw.routes.invalidate_cache();
   }
 
   // 5-tuple hash used for ECMP member selection (exposed for tests).
@@ -45,13 +44,12 @@ class Ipv4EcmpProgram : public net::ForwardingProgram {
   struct PerSwitch {
     p4rt::Table routes{"routes",
                        {{p4rt::MatchKind::kLpm, 32}}};
-    std::vector<std::vector<int>> groups;
+    std::vector<std::vector<int>> groups;  // empty: no route on this switch
   };
   void wire_switch(PerSwitch& sw);
 
-  std::map<int, PerSwitch> switches_;
+  std::vector<PerSwitch> switches_;  // indexed by switch id
   obs::Registry* registry_ = nullptr;  // null while observability is off
-  std::vector<BitVec> key_;  // lookup key scratch, reused across packets
   std::uint64_t ttl_drops_ = 0;
   std::uint64_t miss_drops_ = 0;
 };

@@ -145,8 +145,9 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
 
   if (pkt.gtpu && pkt.ipv4 && pkt.l4 && pkt.l4->dport == p4rt::kGtpuPort) {
     // Uplink: match the tunnel, then decapsulate.
+    const std::uint64_t teid = pkt.gtpu->teid;
     const p4rt::TableEntry* s =
-        sessions_ul_.lookup({BitVec(32, pkt.gtpu->teid)});
+        sessions_ul_.lookup(std::span<const std::uint64_t>(&teid, 1));
     if (s == nullptr) {
       ++session_miss_drops_;
       d.drop = true;
@@ -164,8 +165,9 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
     if (pkt.l4) app_port = pkt.l4->dport;
     is_upf_traffic = true;
   } else if (pkt.ipv4) {
+    const std::uint64_t ue_ip = pkt.ipv4->dst;
     const p4rt::TableEntry* s =
-        sessions_dl_.lookup({BitVec(32, pkt.ipv4->dst)});
+        sessions_dl_.lookup(std::span<const std::uint64_t>(&ue_ip, 1));
     if (s != nullptr) {
       // Downlink: the application is the remote (source) side.
       client_id = static_cast<std::uint32_t>(s->action_data[0].value());
@@ -182,17 +184,16 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
   }
 
   if (is_upf_traffic) {
-    const p4rt::TableEntry* app = applications_.lookup(
-        {BitVec(32, slice_id), BitVec(32, app_ip), BitVec(16, app_port),
-         BitVec(8, app_proto)});
+    const std::uint64_t app_key[] = {slice_id, app_ip, app_port, app_proto};
+    const p4rt::TableEntry* app = applications_.lookup(app_key);
     // Figure 11: a miss in Applications leaves app_id 0, which never has a
     // termination — default drop.
     const std::uint32_t app_id =
         app != nullptr
             ? static_cast<std::uint32_t>(app->action_data[0].value())
             : 0;
-    const p4rt::TableEntry* term =
-        terminations_.lookup({BitVec(32, client_id), BitVec(32, app_id)});
+    const std::uint64_t term_key[] = {client_id, app_id};
+    const p4rt::TableEntry* term = terminations_.lookup(term_key);
     if (term == nullptr || !term->action_data[0].as_bool()) {
       ++termination_drops_;
       d.drop = true;

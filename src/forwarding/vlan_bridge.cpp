@@ -34,8 +34,8 @@ VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
     d.reason = "ingress_membership";
     return d;
   }
-  const p4rt::TableEntry* e =
-      sw.l2.lookup({BitVec(16, vid), BitVec(48, pkt.eth.dst)});
+  const std::uint64_t l2_key[] = {vid, pkt.eth.dst & BitVec::mask(48)};
+  const p4rt::TableEntry* e = sw.l2.lookup(l2_key);
   if (e == nullptr) {
     ++l2_miss_drops_;
     d.drop = true;

@@ -15,20 +15,22 @@ void check_not_past(SimTime t, SimTime now) {
 }
 }  // namespace
 
-void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
+void EventQueue::push(Item item) {
+  check_not_past(item.t, now_);
   item.seq = next_seq_++;
-  item.kind = EventKind::kClosure;
+  heap_.push(item);
+}
+
+void EventQueue::schedule_at(SimTime t, std::function<void()> fn) {
+  check_not_past(t, now_);  // before a slot is taken
   if (free_closures_.empty()) {
     free_closures_.push_back(static_cast<std::uint32_t>(closures_.size()));
     closures_.emplace_back();
   }
-  item.closure = free_closures_.back();
+  const std::uint32_t slot = free_closures_.back();
   free_closures_.pop_back();
-  closures_[item.closure] = std::move(fn);
-  heap_.push(item);
+  closures_[slot] = std::move(fn);
+  push({t, 0, EventKind::kClosure, slot, nullptr, {}});
 }
 
 void EventQueue::run_closure(const Item& item) {
@@ -38,50 +40,17 @@ void EventQueue::run_closure(const Item& item) {
 }
 
 void EventQueue::schedule_tick_at(SimTime t, TickTarget* target) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kTick;
-  item.tick = target;
-  heap_.push(item);
+  push({t, 0, EventKind::kTick, 0, target, {}});
 }
 
 void EventQueue::schedule_packet_at(SimTime t, int dest, int dest_port,
                                     PacketHandle pkt) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kPacketSend;
-  item.work.sw = dest;
-  item.work.in_port = dest_port;
-  item.work.pkt = pkt;
-  heap_.push(item);
+  push({t, 0, EventKind::kPacketSend, 0, nullptr, {dest, dest_port, pkt}});
 }
 
 void EventQueue::schedule_switch_at(SimTime t, int sw, int in_port,
                                     PacketHandle pkt) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kSwitchWork;
-  item.work.sw = sw;
-  item.work.in_port = in_port;
-  item.work.pkt = pkt;
-  heap_.push(item);
-}
-
-void EventQueue::schedule_control_at(SimTime t, int sw, ControlHandle op) {
-  check_not_past(t, now_);
-  Item item;
-  item.t = t;
-  item.seq = next_seq_++;
-  item.kind = EventKind::kSwitchWork;
-  item.work.sw = sw;
-  item.work.ctl = op;
-  heap_.push(item);
+  push({t, 0, EventKind::kSwitchWork, 0, nullptr, {sw, in_port, pkt}});
 }
 
 EventQueue::Item EventQueue::pop_next() {

@@ -8,17 +8,20 @@
 // and a 32-bit arena handle to the pooled packet — see util/arena.hpp and
 // Network's packet pool):
 //
-//   * kPacketSend  — a packet arriving at a node after a link traversal;
-//   * kSwitchWork  — a packet due for pipeline processing at a switch (or,
-//                    rarely, a control op for that switch);
+//   * kSwitchWork  — a packet due for pipeline processing at a switch. A
+//                    switch hop is ONE event: the Network schedules it when
+//                    it puts the packet on the link, at link arrival plus
+//                    the switch's pipeline latency;
+//   * kPacketSend  — a packet arriving at a host after a link traversal;
 //   * kTick        — a periodic generator callback (TickTarget), replacing
 //                    the self-rescheduling closures traffic sources used;
 //   * kClosure     — the general-purpose escape hatch (tests, control
-//                    logic, fault arming); a slot in the closure slab.
+//                    logic, fault arming, control-plane ops on a switch);
+//                    a slot in the closure slab.
 //
-// The queue itself never dereferences packet/control handles — only the
-// Network (which owns the arenas) does. Every kind shares one heap ordered
-// by (time, seq).
+// The queue itself never dereferences packet handles — only the Network
+// (which owns the packet arena) does. Every kind shares one heap ordered by
+// (time, seq), and seq is assigned when an event is scheduled.
 //
 // Draining is delegated to an EventExecutor when one is installed;
 // net::Network installs itself. A bare EventQueue with no executor drains
@@ -29,45 +32,18 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/bitvec.hpp"
 
 namespace hydra::net {
 
 using SimTime = double;
 
-// Arena handles into the Network-owned pools (util::Arena<T>::Handle).
+// Arena handle into the Network-owned packet pool (util::Arena<T>::Handle).
 // 32 bits, stable across slab growth; kNullHandle means "none".
 using PacketHandle = std::uint32_t;
-using ControlHandle = std::uint32_t;
 inline constexpr std::uint32_t kNullHandle = 0xffffffffu;
-
-// A control-plane operation targeting ONE switch's checker state, carried
-// on the switch-work channel and applied in (time, seq) order, so register
-// wipes and delayed rule installs land between that switch's hops. Used by
-// the fault-injection subsystem (switch restarts, delayed rule pushes).
-// Instances are pooled in the Network's control arena and referenced by
-// ControlHandle.
-//
-// kSwap flips one deployment slot's init stamping on one switch — the
-// per-switch leg of a rolling deploy/undeploy. The flip lands between that
-// switch's hops, and packets already carrying frames keep executing against
-// the generation they were stamped with.
-struct ControlOp {
-  enum class Kind { kRestart, kDictInsert, kSwap };
-  Kind kind = Kind::kRestart;
-  // kDictInsert payload: an exact-match entry for one checker table.
-  // kSwap payload: `deployment` is the slot, `enable` the new state.
-  int deployment = -1;
-  bool enable = false;
-  std::string var;
-  std::vector<BitVec> key;
-  std::vector<BitVec> value;
-};
 
 enum class EventKind : std::uint8_t {
   kClosure = 0,
@@ -87,15 +63,13 @@ class TickTarget {
 };
 
 // The hot-path payload: one packet at one node. For kSwitchWork, `sw` is
-// the switch and `in_port` its ingress port (ctl != kNullHandle marks a
-// control op instead; pkt unused). For kPacketSend, `sw`/`in_port` name
-// the DESTINATION node and port of the link traversal. Trivially copyable
-// — 16 bytes, no heap.
+// the switch and `in_port` its ingress port. For kPacketSend, `sw`/`in_port`
+// name the destination host and port of the link traversal. Trivially
+// copyable — 12 bytes, no heap.
 struct SwitchWork {
   int sw = -1;
   int in_port = -1;
   PacketHandle pkt = kNullHandle;
-  ControlHandle ctl = kNullHandle;
 };
 
 class EventQueue;
@@ -134,22 +108,12 @@ class EventQueue {
   void schedule_tick_in(SimTime delay, TickTarget* target) {
     schedule_tick_at(now_ + delay, target);
   }
-  // Schedules delivery of pooled packet `pkt` at node `dest`'s port
-  // `dest_port` (a link arrival; the Network resolves host vs switch).
+  // Schedules delivery of pooled packet `pkt` at host `dest`'s port
+  // `dest_port` (a link arrival).
   void schedule_packet_at(SimTime t, int dest, int dest_port,
                           PacketHandle pkt);
-  void schedule_packet_in(SimTime delay, int dest, int dest_port,
-                          PacketHandle pkt) {
-    schedule_packet_at(now_ + delay, dest, dest_port, pkt);
-  }
   // Schedules pipeline processing of pooled packet `pkt` at switch `sw`.
   void schedule_switch_at(SimTime t, int sw, int in_port, PacketHandle pkt);
-  void schedule_switch_in(SimTime delay, int sw, int in_port,
-                          PacketHandle pkt) {
-    schedule_switch_at(now_ + delay, sw, in_port, pkt);
-  }
-  // Schedules a control operation on switch `sw` (see ControlOp).
-  void schedule_control_at(SimTime t, int sw, ControlHandle op);
 
   bool empty() const { return heap_.empty(); }
   std::size_t pending() const { return heap_.size(); }
@@ -184,6 +148,9 @@ class EventQueue {
   using Heap = std::priority_queue<Item, std::vector<Item>, Later>;
 
   void run_self(SimTime t);  // executor-free drain (standalone queues)
+  // Stamps `item` with the next seq and pushes it; throws
+  // std::invalid_argument for a time before now().
+  void push(Item item);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -65,7 +65,7 @@ struct FaultPlan {
   double restart_warmup_s = 200e-6;
 
   // Controller rule pushes land after delay + uniform(0, jitter) instead
-  // of instantly (per switch, via the ControlOp channel).
+  // of instantly (per switch, as control-op closure events).
   double rule_push_delay_s = 0.0;
   double rule_push_jitter_s = 0.0;
 };

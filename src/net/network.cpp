@@ -171,12 +171,11 @@ void Network::schedule_swaps(int slot, std::uint8_t phase) {
   Deployment& d = deployments_[static_cast<std::size_t>(slot)];
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-    const ControlHandle h = alloc_control();
-    ControlOp& op = control_op(h);
+    ControlOp op;
     op.kind = ControlOp::Kind::kSwap;
     op.deployment = slot;
     op.enable = phase == kPhaseEnabled;
-    events_.schedule_control_at(events_.now(), sw, h);
+    schedule_control(events_.now(), sw, std::move(op));
     ++d.pending_swaps;
   }
 }
@@ -326,29 +325,14 @@ void Network::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
       if (faults_ != nullptr) faults_->link_up_event(l);
     });
   }
-  // Restarts ride the ControlOp channel, ordered against the switch's
-  // packet hops.
+  // Restarts are control ops, ordered against the switch's packet hops.
   for (const SwitchRestart& r : plan.restarts) {
     if (r.sw < 0 || r.sw >= topo_.node_count() ||
         topo_.node(r.sw).kind != NodeKind::kSwitch) {
       continue;
     }
-    const ControlHandle op = alloc_control();
-    control_op(op).kind = ControlOp::Kind::kRestart;
-    events_.schedule_control_at(t0 + r.at, r.sw, op);
+    schedule_control(t0 + r.at, r.sw, ControlOp{});
   }
-}
-
-ControlHandle Network::alloc_control() {
-  const ControlHandle h = control_pool_.alloc();
-  ControlOp& op = control_pool_.get(h);
-  op.kind = ControlOp::Kind::kRestart;
-  op.deployment = -1;
-  op.enable = false;
-  op.var.clear();
-  op.key.clear();
-  op.value.clear();
-  return h;
 }
 
 void Network::disarm_faults() {
@@ -382,16 +366,21 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
   }
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-    const ControlHandle h = alloc_control();
-    ControlOp& op = control_op(h);
+    ControlOp op;
     op.kind = ControlOp::Kind::kDictInsert;
     op.deployment = deployment;
     op.var = var;
     op.key = key;
     op.value = value;
-    events_.schedule_control_at(events_.now() + faults_->next_push_delay(),
-                                sw, h);
+    schedule_control(events_.now() + faults_->next_push_delay(), sw,
+                     std::move(op));
   }
+}
+
+void Network::schedule_control(SimTime t, int sw, ControlOp op) {
+  events_.schedule_at(t, [this, sw, op = std::move(op)] {
+    apply_control(events_.now(), sw, op);
+  });
 }
 
 void Network::apply_control(SimTime t, int sw, const ControlOp& op) {
@@ -607,7 +596,7 @@ void Network::transmit(PortRef from, PacketHandle ph) {
       const auto dup_arrival =
           link.transmit(dir, events_.now(), packet_wire_bytes(dup));
       if (dup_arrival) {
-        events_.schedule_packet_at(*dup_arrival, dest.node, dest.port, dh);
+        schedule_arrival(dest, *dup_arrival, dh);
       } else {
         ++counters_.queue_dropped;
         free_packet(dh);
@@ -627,37 +616,41 @@ void Network::transmit(PortRef from, PacketHandle ph) {
     free_packet(ph);
     return;
   }
-  events_.schedule_packet_at(*arrival + extra_delay, dest.node, dest.port,
-                             ph);
+  schedule_arrival(dest, *arrival + extra_delay, ph);
 }
 
-void Network::node_receive(int node, int port, PacketHandle ph) {
-  const NodeSpec& spec = topo_.node(node);
-  if (spec.kind == NodeKind::kHost) {
-    p4rt::Packet& pkt = packet(ph);
-    ++counters_.delivered;
-    if (obs_ != nullptr) {
-      if (obs_->live != nullptr) {
-        obs_->live->topk->on_delivered(to_topk_flow(p4rt::flow_of(pkt)));
-      }
-      obs_->delivered_hops.observe(pkt.hops);
-      // Detached (one branch) unless streaming export armed the handle.
-      obs_->delivered_latency.observe(events_.now() - pkt.created_at);
-      if (obs_->traces.tracing()) {
-        obs_->traces.finish(pkt.id, obs::PacketFate::kDelivered,
-                            events_.now());
-      }
-    }
-    Host& h = hosts_[static_cast<std::size_t>(node)];
-    auto reply = h.deliver(pkt, events_.now());
-    // Recycle the slot before injecting the reply so short request/reply
-    // exchanges circulate through a single pooled packet.
-    free_packet(ph);
-    if (reply) send_from_host(node, std::move(*reply));
-    return;
+void Network::schedule_arrival(PortRef dest, SimTime at, PacketHandle ph) {
+  if (topo_.node(dest.node).kind == NodeKind::kSwitch) {
+    // The pipeline traversal latency is fixed here, at transmit: the hop
+    // is one event at the moment the switch has processed the packet.
+    events_.schedule_switch_at(at + switch_latency(), dest.node, dest.port,
+                               ph);
+  } else {
+    events_.schedule_packet_at(at, dest.node, dest.port, ph);
   }
-  // Switch: model pipeline traversal latency, then process.
-  events_.schedule_switch_in(switch_latency(), node, port, ph);
+}
+
+void Network::host_receive(int node, PacketHandle ph) {
+  p4rt::Packet& pkt = packet(ph);
+  ++counters_.delivered;
+  if (obs_ != nullptr) {
+    if (obs_->live != nullptr) {
+      obs_->live->topk->on_delivered(to_topk_flow(p4rt::flow_of(pkt)));
+    }
+    obs_->delivered_hops.observe(pkt.hops);
+    // Detached (one branch) unless streaming export armed the handle.
+    obs_->delivered_latency.observe(events_.now() - pkt.created_at);
+    if (obs_->traces.tracing()) {
+      obs_->traces.finish(pkt.id, obs::PacketFate::kDelivered,
+                          events_.now());
+    }
+  }
+  Host& h = hosts_[static_cast<std::size_t>(node)];
+  auto reply = h.deliver(pkt, events_.now());
+  // Recycle the slot before injecting the reply so short request/reply
+  // exchanges circulate through a single pooled packet.
+  free_packet(ph);
+  if (reply) send_from_host(node, std::move(*reply));
 }
 
 // ---- event loop + per-hop pipeline ----------------------------------------
@@ -683,7 +676,7 @@ void Network::drain(EventQueue& q, SimTime limit) {
         item.tick->tick(item.t);
         break;
       case EventKind::kPacketSend:
-        node_receive(item.work.sw, item.work.in_port, item.work.pkt);
+        host_receive(item.work.sw, item.work.pkt);
         break;
       case EventKind::kSwitchWork:
         if (prof != nullptr) {
@@ -699,13 +692,6 @@ void Network::drain(EventQueue& q, SimTime limit) {
 }
 
 void Network::process_hop(SimTime t, const SwitchWork& work) {
-  // Control-plane work rides the same channel, ordered against this
-  // switch's packet hops (see ControlOp).
-  if (work.ctl != kNullHandle) {
-    apply_control(t, work.sw, control_op(work.ctl));
-    control_pool_.free(work.ctl);
-    return;
-  }
   compute_hop(t, work, hop_scratch_);
   commit_hop(t, work, hop_scratch_);
 }
@@ -1658,6 +1644,22 @@ namespace {
                               "'");
 }
 
+// Reads `n` counts off `ls`, growing `out` only as counts actually arrive:
+// a mutated count cannot size an allocation beyond the line itself. A
+// delivered-latency list (`latency`: blat/wlat) must also have exactly
+// the histogram's bucket count.
+void read_counts(std::istringstream& ls, std::size_t n,
+                 std::vector<std::uint64_t>& out, const std::string& line,
+                 bool latency = false) {
+  if (latency && n != delivered_latency_bounds().size() + 1) {
+    bad_snapshot(line);
+  }
+  out.clear();
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n && ls >> v; ++i) out.push_back(v);
+  if (ls.fail()) bad_snapshot(line);
+}
+
 }  // namespace
 
 void Network::obs_restore(const std::string& text) {
@@ -1724,230 +1726,241 @@ void Network::obs_restore(const std::string& text) {
       }
     }
   };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
-    if (kw == "end") {
-      finish_structural();
-      saw_end = true;
-      break;
-    }
-    const bool structural = kw == "clock" || kw == "gen" || kw == "dep" ||
-                            kw == "src" || kw == "tab" || kw == "reg" ||
-                            kw == "fwd" || kw == "link" || kw == "base" ||
-                            kw == "blat" || kw == "bprop";
-    if (structural) {
-      if (!v2 || structural_done) bad_snapshot(line);
-      if (kw == "clock") {
-        ls >> now >> next_tick >> npid >> tick_count >> first_tick;
-        if (ls.fail()) bad_snapshot(line);
-        have_clock = true;
-      } else if (kw == "gen") {
-        std::size_t g = 0;
-        int retired = 0;
-        std::string prop;
-        ls >> g >> retired >> prop;
-        if (ls.fail() || g != generations_.size() || prop.empty()) {
-          bad_snapshot(line);
-        }
-        generations_.push_back({nullptr, std::move(prop), retired != 0});
-      } else if (kw == "dep") {
-        int slot = -1;
-        int live = 0;
-        int placement = 0;
-        int aligned = 0;
-        int dialect = 0;
-        ls >> slot >> pending.gen >> live >> placement >> aligned >> dialect >>
-            pending.options.baseline.stages >>
-            pending.options.baseline.phv_percent >>
-            pending.options.baseline.name >> pending.name;
-        if (ls.fail() || pending.valid ||
-            slot != static_cast<int>(deployments_.size()) ||
-            pending.gen >= generations_.size() ||
-            generations_[pending.gen].property != pending.name ||
-            placement < 0 ||
-            placement > static_cast<int>(compiler::CheckPlacement::kAuto) ||
-            dialect < 0 ||
-            dialect > static_cast<int>(compiler::P4Dialect::kV1Model)) {
-          bad_snapshot(line);
-        }
-        pending.valid = true;
-        pending.slot = slot;
-        pending.live = live != 0;
-        pending.options.placement =
-            static_cast<compiler::CheckPlacement>(placement);
-        pending.options.byte_aligned_layout = aligned != 0;
-        pending.options.dialect = static_cast<compiler::P4Dialect>(dialect);
-      } else if (kw == "src") {
-        int slot = -1;
-        ls >> slot;
-        if (ls.fail() || !pending.valid || slot != pending.slot) {
-          bad_snapshot(line);
-        }
-        std::string esc;
-        std::getline(ls, esc);
-        if (!esc.empty() && esc.front() == ' ') esc.erase(0, 1);
-        auto sp = std::make_shared<const compiler::CompiledChecker>(
-            compiler::compile_checker(unescape_source(esc), pending.name,
-                                      pending.options));
-        std::vector<BoundHeader> headers = bind_headers(sp->ir);
-        deployments_.emplace_back();
-        Deployment& d = deployments_.back();
-        d.checker = sp;
-        d.headers = std::move(headers);
-        d.tele_wire_bytes = sp->layout.wire_bytes;
-        d.generation = pending.gen;
-        d.live = pending.live;
-        d.phase.assign(static_cast<std::size_t>(topo_.node_count()),
-                       kPhaseRetired);
-        if (d.live) {
-          d.per_switch.assign(static_cast<std::size_t>(topo_.node_count()),
-                              {});
-          for (int i = 0; i < topo_.node_count(); ++i) {
-            if (topo_.node(i).kind != NodeKind::kSwitch) continue;
-            d.per_switch[static_cast<std::size_t>(i)] =
-                p4rt::make_checker_state(sp->ir);
-            d.phase[static_cast<std::size_t>(i)] = kPhaseEnabled;
+  // Decoder and compiler failures inside a record (table and register
+  // codecs, an embedded checker source) surface as std::invalid_argument
+  // naming the snapshot line, like every other malformed line.
+  std::size_t line_no = 1;  // the header
+  const auto at_line = [&line_no](const std::exception& e) {
+    return std::invalid_argument("obs_restore: snapshot line " +
+                                 std::to_string(line_no) + ": " + e.what());
+  };
+  try {
+    while (std::getline(in, line)) {
+      ++line_no;
+      if (line.empty()) continue;
+      std::istringstream ls(line);
+      std::string kw;
+      ls >> kw;
+      if (kw == "end") {
+        finish_structural();
+        saw_end = true;
+        break;
+      }
+      const bool structural = kw == "clock" || kw == "gen" || kw == "dep" ||
+                              kw == "src" || kw == "tab" || kw == "reg" ||
+                              kw == "fwd" || kw == "link" || kw == "base" ||
+                              kw == "blat" || kw == "bprop";
+      if (structural) {
+        if (!v2 || structural_done) bad_snapshot(line);
+        if (kw == "clock") {
+          ls >> now >> next_tick >> npid >> tick_count >> first_tick;
+          if (ls.fail()) bad_snapshot(line);
+          have_clock = true;
+        } else if (kw == "gen") {
+          std::size_t g = 0;
+          int retired = 0;
+          std::string prop;
+          ls >> g >> retired >> prop;
+          if (ls.fail() || g != generations_.size() || prop.empty()) {
+            bad_snapshot(line);
           }
+          generations_.push_back({nullptr, std::move(prop), retired != 0});
+        } else if (kw == "dep") {
+          int slot = -1;
+          int live = 0;
+          int placement = 0;
+          int aligned = 0;
+          int dialect = 0;
+          ls >> slot >> pending.gen >> live >> placement >> aligned >>
+              dialect >> pending.options.baseline.stages >>
+              pending.options.baseline.phv_percent >>
+              pending.options.baseline.name >> pending.name;
+          if (ls.fail() || pending.valid ||
+              slot != static_cast<int>(deployments_.size()) ||
+              pending.gen >= generations_.size() ||
+              generations_[pending.gen].property != pending.name ||
+              placement < 0 ||
+              placement > static_cast<int>(compiler::CheckPlacement::kAuto) ||
+              dialect < 0 ||
+              dialect > static_cast<int>(compiler::P4Dialect::kV1Model)) {
+            bad_snapshot(line);
+          }
+          pending.valid = true;
+          pending.slot = slot;
+          pending.live = live != 0;
+          pending.options.placement =
+              static_cast<compiler::CheckPlacement>(placement);
+          pending.options.byte_aligned_layout = aligned != 0;
+          pending.options.dialect = static_cast<compiler::P4Dialect>(dialect);
+        } else if (kw == "src") {
+          int slot = -1;
+          ls >> slot;
+          if (ls.fail() || !pending.valid || slot != pending.slot) {
+            bad_snapshot(line);
+          }
+          std::string esc;
+          std::getline(ls, esc);
+          if (!esc.empty() && esc.front() == ' ') esc.erase(0, 1);
+          auto sp = std::make_shared<const compiler::CompiledChecker>(
+              compiler::compile_checker(unescape_source(esc), pending.name,
+                                        pending.options));
+          std::vector<BoundHeader> headers = bind_headers(sp->ir);
+          deployments_.emplace_back();
+          Deployment& d = deployments_.back();
+          d.checker = sp;
+          d.headers = std::move(headers);
+          d.tele_wire_bytes = sp->layout.wire_bytes;
+          d.generation = pending.gen;
+          d.live = pending.live;
+          d.phase.assign(static_cast<std::size_t>(topo_.node_count()),
+                         kPhaseRetired);
+          if (d.live) {
+            d.per_switch.assign(static_cast<std::size_t>(topo_.node_count()),
+                                {});
+            for (int i = 0; i < topo_.node_count(); ++i) {
+              if (topo_.node(i).kind != NodeKind::kSwitch) continue;
+              d.per_switch[static_cast<std::size_t>(i)] =
+                  p4rt::make_checker_state(sp->ir);
+              d.phase[static_cast<std::size_t>(i)] = kPhaseEnabled;
+            }
+          }
+          generations_[d.generation].checker = sp;
+          reset_dep_scratch(deployments_.size() - 1);
+          pending.valid = false;
+        } else if (kw == "tab" || kw == "reg") {
+          int slot = -1;
+          int sw = -1;
+          std::size_t idx = 0;
+          ls >> slot >> sw >> idx;
+          if (ls.fail() || slot < 0 ||
+              slot >= static_cast<int>(deployments_.size()) || sw < 0 ||
+              sw >= topo_.node_count() ||
+              topo_.node(sw).kind != NodeKind::kSwitch) {
+            bad_snapshot(line);
+          }
+          Deployment& d = deployments_[static_cast<std::size_t>(slot)];
+          if (!d.live || d.per_switch.empty()) bad_snapshot(line);
+          p4rt::CheckerState& state =
+              d.per_switch[static_cast<std::size_t>(sw)];
+          if (kw == "tab") {
+            if (idx >= state.tables.size()) bad_snapshot(line);
+            p4rt::deserialize_table(state.tables[idx], ls);
+          } else {
+            if (idx >= state.registers.size()) bad_snapshot(line);
+            p4rt::deserialize_registers(state.registers[idx], ls);
+          }
+        } else if (kw == "fwd") {
+          int sw = -1;
+          ls >> sw;
+          if (ls.fail() || sw < 0 || sw >= topo_.node_count()) {
+            bad_snapshot(line);
+          }
+          ForwardingProgram* prog =
+              programs_[static_cast<std::size_t>(sw)].get();
+          if (prog == nullptr || !prog->has_state()) {
+            throw std::invalid_argument(
+                "obs_restore: fwd state for switch " + std::to_string(sw) +
+                ", whose program keeps none (scenario mismatch)");
+          }
+          prog->load_state(ls);
+        } else if (kw == "link") {
+          std::size_t li = 0;
+          int dir = -1;
+          Link::DirStats s;
+          ls >> li >> dir >> s.packets >> s.bytes >> s.drops >> s.busy_until >>
+              s.busy_time;
+          if (ls.fail() || li >= links_.size() || dir < 0 || dir > 1) {
+            bad_snapshot(line);
+          }
+          links_[li].restore_stats(dir, s);
+        } else if (kw == "base") {
+          ls >> base_cum.injected >> base_cum.delivered >> base_cum.rejected >>
+              base_cum.fwd_dropped >> base_cum.queue_dropped >>
+              base_cum.fault_dropped >> base_cum.reports >>
+              base_cum.decode_rejects >> base_cum.cold_suppressed;
+          if (ls.fail()) bad_snapshot(line);
+          have_base = true;
+        } else if (kw == "blat") {
+          std::size_t n = 0;
+          ls >> base_cum.latency_count >> base_cum.latency_sum >> n;
+          if (ls.fail()) bad_snapshot(line);
+          read_counts(ls, n, base_cum.latency_buckets, line, true);
+        } else {  // bprop
+          obs::ExportCumulative::Property p;
+          ls >> p.name >> p.rejects >> p.reports >> p.check_runs >> p.tele_runs;
+          if (ls.fail()) bad_snapshot(line);
+          base_cum.properties.push_back(std::move(p));
         }
-        generations_[d.generation].checker = sp;
-        reset_dep_scratch(deployments_.size() - 1);
-        pending.valid = false;
-      } else if (kw == "tab" || kw == "reg") {
-        int slot = -1;
-        int sw = -1;
-        std::size_t idx = 0;
-        ls >> slot >> sw >> idx;
-        if (ls.fail() || slot < 0 ||
-            slot >= static_cast<int>(deployments_.size()) || sw < 0 ||
-            sw >= topo_.node_count() ||
-            topo_.node(sw).kind != NodeKind::kSwitch) {
-          bad_snapshot(line);
-        }
-        Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-        if (!d.live || d.per_switch.empty()) bad_snapshot(line);
-        p4rt::CheckerState& state =
-            d.per_switch[static_cast<std::size_t>(sw)];
-        if (kw == "tab") {
-          if (idx >= state.tables.size()) bad_snapshot(line);
-          p4rt::deserialize_table(state.tables[idx], ls);
-        } else {
-          if (idx >= state.registers.size()) bad_snapshot(line);
-          p4rt::deserialize_registers(state.registers[idx], ls);
-        }
-      } else if (kw == "fwd") {
-        int sw = -1;
-        ls >> sw;
-        if (ls.fail() || sw < 0 || sw >= topo_.node_count()) {
-          bad_snapshot(line);
-        }
-        ForwardingProgram* prog = programs_[static_cast<std::size_t>(sw)].get();
-        if (prog == nullptr || !prog->has_state()) {
-          throw std::invalid_argument(
-              "obs_restore: fwd state for switch " + std::to_string(sw) +
-              ", whose program keeps none (scenario mismatch)");
-        }
-        prog->load_state(ls);
-      } else if (kw == "link") {
-        std::size_t li = 0;
-        int dir = -1;
-        Link::DirStats s;
-        ls >> li >> dir >> s.packets >> s.bytes >> s.drops >> s.busy_until >>
-            s.busy_time;
-        if (ls.fail() || li >= links_.size() || dir < 0 || dir > 1) {
-          bad_snapshot(line);
-        }
-        links_[li].restore_stats(dir, s);
-      } else if (kw == "base") {
-        ls >> base_cum.injected >> base_cum.delivered >> base_cum.rejected >>
-            base_cum.fwd_dropped >> base_cum.queue_dropped >>
-            base_cum.fault_dropped >> base_cum.reports >>
-            base_cum.decode_rejects >> base_cum.cold_suppressed;
+        continue;
+      }
+      finish_structural();
+      if (kw == "sim") {
+        std::string which;
+        std::uint64_t v = 0;
+        ls >> which >> v;
         if (ls.fail()) bad_snapshot(line);
-        have_base = true;
-      } else if (kw == "blat") {
+        if (which == "injected") counters_.injected += v;
+        else if (which == "delivered") counters_.delivered += v;
+        else if (which == "rejected") counters_.rejected += v;
+        else if (which == "fwd_dropped") counters_.fwd_dropped += v;
+        else if (which == "queue_dropped") counters_.queue_dropped += v;
+        else if (which == "fault_dropped") counters_.fault_dropped += v;
+        else bad_snapshot(line);
+      } else if (kw == "counter") {
+        std::string name;
+        std::uint64_t v = 0;
+        ls >> name >> v;
+        if (ls.fail()) bad_snapshot(line);
+        obs_->registry.restore_counter(name, v);
+      } else if (kw == "hist") {
+        std::string name;
+        std::uint64_t count = 0;
+        double sum = 0.0;
         std::size_t n = 0;
-        ls >> base_cum.latency_count >> base_cum.latency_sum >> n;
+        ls >> name >> count >> sum >> n;
         if (ls.fail()) bad_snapshot(line);
-        base_cum.latency_buckets.assign(n, 0);
-        for (std::size_t i = 0; i < n; ++i) ls >> base_cum.latency_buckets[i];
+        std::vector<std::uint64_t> buckets;
+        read_counts(ls, n, buckets, line);
+        obs_->registry.restore_histogram(name, count, sum, buckets);
+      } else if (kw == "series") {
+        ls >> captured;
         if (ls.fail()) bad_snapshot(line);
-      } else {  // bprop
+        have_series = true;
+      } else if (kw == "window") {
+        obs::WindowSample w;
+        obs::ExportCumulative& d = w.delta;
+        ls >> w.index >> w.t0 >> w.t1 >> d.injected >> d.delivered >>
+            d.rejected >> d.fwd_dropped >> d.queue_dropped >> d.fault_dropped >>
+            d.reports >> d.decode_rejects >> d.cold_suppressed >> w.pps >>
+            w.rejects_per_s;
+        if (ls.fail()) bad_snapshot(line);
+        windows.push_back(std::move(w));
+      } else if (kw == "wlat") {
+        if (windows.empty()) bad_snapshot(line);
+        obs::WindowSample& w = windows.back();
+        std::size_t n = 0;
+        ls >> w.delta.latency_count >> w.delta.latency_sum >> w.latency_p50 >>
+            w.latency_p90 >> w.latency_p99 >> n;
+        if (ls.fail()) bad_snapshot(line);
+        read_counts(ls, n, w.delta.latency_buckets, line, true);
+      } else if (kw == "wprop") {
+        if (windows.empty()) bad_snapshot(line);
         obs::ExportCumulative::Property p;
         ls >> p.name >> p.rejects >> p.reports >> p.check_runs >> p.tele_runs;
         if (ls.fail()) bad_snapshot(line);
-        base_cum.properties.push_back(std::move(p));
+        windows.back().delta.properties.push_back(std::move(p));
+      } else if (kw == "topk" || kw == "tke") {
+        // Sketch state is only meaningful with live obs re-armed; otherwise
+        // the lines are structural no-ops.
+        if (obs_->live != nullptr) obs_->live->topk->restore_line(line);
+      } else {
+        bad_snapshot(line);
       }
-      continue;
     }
-    finish_structural();
-    if (kw == "sim") {
-      std::string which;
-      std::uint64_t v = 0;
-      ls >> which >> v;
-      if (ls.fail()) bad_snapshot(line);
-      if (which == "injected") counters_.injected += v;
-      else if (which == "delivered") counters_.delivered += v;
-      else if (which == "rejected") counters_.rejected += v;
-      else if (which == "fwd_dropped") counters_.fwd_dropped += v;
-      else if (which == "queue_dropped") counters_.queue_dropped += v;
-      else if (which == "fault_dropped") counters_.fault_dropped += v;
-      else bad_snapshot(line);
-    } else if (kw == "counter") {
-      std::string name;
-      std::uint64_t v = 0;
-      ls >> name >> v;
-      if (ls.fail()) bad_snapshot(line);
-      obs_->registry.restore_counter(name, v);
-    } else if (kw == "hist") {
-      std::string name;
-      std::uint64_t count = 0;
-      double sum = 0.0;
-      std::size_t n = 0;
-      ls >> name >> count >> sum >> n;
-      if (ls.fail()) bad_snapshot(line);
-      std::vector<std::uint64_t> buckets(n, 0);
-      for (std::size_t i = 0; i < n; ++i) ls >> buckets[i];
-      if (ls.fail()) bad_snapshot(line);
-      obs_->registry.restore_histogram(name, count, sum, buckets);
-    } else if (kw == "series") {
-      ls >> captured;
-      if (ls.fail()) bad_snapshot(line);
-      have_series = true;
-    } else if (kw == "window") {
-      obs::WindowSample w;
-      obs::ExportCumulative& d = w.delta;
-      ls >> w.index >> w.t0 >> w.t1 >> d.injected >> d.delivered >>
-          d.rejected >> d.fwd_dropped >> d.queue_dropped >> d.fault_dropped >>
-          d.reports >> d.decode_rejects >> d.cold_suppressed >> w.pps >>
-          w.rejects_per_s;
-      if (ls.fail()) bad_snapshot(line);
-      windows.push_back(std::move(w));
-    } else if (kw == "wlat") {
-      if (windows.empty()) bad_snapshot(line);
-      obs::WindowSample& w = windows.back();
-      std::size_t n = 0;
-      ls >> w.delta.latency_count >> w.delta.latency_sum >> w.latency_p50 >>
-          w.latency_p90 >> w.latency_p99 >> n;
-      if (ls.fail()) bad_snapshot(line);
-      w.delta.latency_buckets.assign(n, 0);
-      for (std::size_t i = 0; i < n; ++i) ls >> w.delta.latency_buckets[i];
-      if (ls.fail()) bad_snapshot(line);
-    } else if (kw == "wprop") {
-      if (windows.empty()) bad_snapshot(line);
-      obs::ExportCumulative::Property p;
-      ls >> p.name >> p.rejects >> p.reports >> p.check_runs >> p.tele_runs;
-      if (ls.fail()) bad_snapshot(line);
-      windows.back().delta.properties.push_back(std::move(p));
-    } else if (kw == "topk" || kw == "tke") {
-      // Sketch state is only meaningful with live obs re-armed; otherwise
-      // the lines are structural no-ops.
-      if (obs_->live != nullptr) obs_->live->topk->restore_line(line);
-    } else {
-      bad_snapshot(line);
-    }
+  } catch (const std::runtime_error& e) {  // includes indus::CompileError
+    throw at_line(e);
+  } catch (const std::length_error& e) {
+    throw at_line(e);
   }
   if (!saw_end) {
     throw std::invalid_argument("obs_restore: truncated snapshot");

@@ -14,7 +14,9 @@
 // ---- Event loop -------------------------------------------------------------
 // The network installs itself as its event queue's executor: run_until()
 // pops events one at a time in (time, seq) order and runs each to
-// completion, so every run is deterministic for a fixed seed. A hop is
+// completion, so every run is deterministic for a fixed seed. A switch hop
+// is one event, scheduled when the packet goes onto the link at arrival +
+// switch_latency(); the latency is therefore fixed at transmit. A hop is
 // computed (init/forwarding/telemetry/check for one packet at one switch)
 // into a HopResult, then committed (reports, counters, traces, transmit).
 // The split orders a hop's effects: report callbacks fire only after every
@@ -179,8 +181,8 @@ class Network final : public EventExecutor {
   void send_pooled(int host_id, PacketHandle h);
 
   // ---- pooled in-flight storage -----------------------------------------
-  // Packets and control ops live in slab arenas owned by the network;
-  // events carry 32-bit handles, and slot buffers (tele frames, header
+  // Packets live in a slab arena owned by the network; events carry 32-bit
+  // handles, and slot buffers (tele frames, header
   // optionals) survive recycling so the steady-state hot path never
   // allocates (audited by util::arena_allocations()). OWNERSHIP: whoever
   // holds the handle frees it (see DESIGN.md "Arena storage").
@@ -194,7 +196,6 @@ class Network final : public EventExecutor {
     return packet_pool_.get(h);
   }
   void free_packet(PacketHandle h) { packet_pool_.free(h); }
-  ControlOp& control_op(ControlHandle h) { return control_pool_.get(h); }
   std::size_t packets_in_flight() const { return packet_pool_.live(); }
 
   struct Counters {
@@ -386,6 +387,28 @@ class Network final : public EventExecutor {
   void drain(EventQueue& queue, SimTime limit) override;
 
  private:
+  // A control-plane operation targeting ONE switch's checker state,
+  // scheduled as a closure event (schedule_control) and applied in
+  // (time, seq) order, so register wipes and delayed rule installs land
+  // between that switch's hops. Used by the fault-injection subsystem
+  // (switch restarts, delayed rule pushes) and by rolling sweeps.
+  //
+  // kSwap flips one deployment slot's init stamping on one switch — the
+  // per-switch leg of a rolling deploy/undeploy. The flip lands between that
+  // switch's hops, and packets already carrying frames keep executing against
+  // the generation they were stamped with.
+  struct ControlOp {
+    enum class Kind { kRestart, kDictInsert, kSwap };
+    Kind kind = Kind::kRestart;
+    // kDictInsert payload: an exact-match entry for one checker table.
+    // kSwap payload: `deployment` is the slot, `enable` the new state.
+    int deployment = -1;
+    bool enable = false;
+    std::string var;
+    std::vector<BitVec> key;
+    std::vector<BitVec> value;
+  };
+
   // Per-switch swap phase of one deployment slot. Written by
   // apply_control (a kSwap op, ordered against that switch's hops) and by
   // staging/retirement between drains; read by every hop.
@@ -550,8 +573,8 @@ class Network final : public EventExecutor {
                             const p4rt::ExecOutcome& out, bool ran_init,
                             bool ran_tele, bool ran_check,
                             const char* fault_note = nullptr);
-  // One kSwitchWork event: a ControlOp, or one packet's pass through
-  // switch work.sw — compute_hop, then commit_hop, sharing hop_scratch_.
+  // One kSwitchWork event: one packet's pass through switch work.sw —
+  // compute_hop, then commit_hop, sharing hop_scratch_.
   void process_hop(SimTime t, const SwitchWork& work);
   // Runs init/forwarding/telemetry/check for the packet, applying counter
   // and fault-stat effects as they happen; collects the verdict, reports
@@ -560,6 +583,10 @@ class Network final : public EventExecutor {
   // Applies `res`: forensics, reports and callbacks, trace, simulation
   // counters, then the drop or the transmit onto the egress link.
   void commit_hop(SimTime t, const SwitchWork& work, HopResult& res);
+  // Schedules `op` on switch `sw` at time `t` as a closure event that calls
+  // apply_control, so it lands between that switch's hops in (t, seq)
+  // order.
+  void schedule_control(SimTime t, int sw, ControlOp op);
   // Applies a ControlOp at switch `sw`: a restart wipes the switch's
   // checker registers and marks it cold; a dict insert lands a delayed rule
   // push; a swap flips the slot's phase and, on the sweep's last switch,
@@ -586,10 +613,13 @@ class Network final : public EventExecutor {
   // publisher attached — renders and publishes the tick's LiveSnapshot.
   void update_live_after_tick();
 
-  void node_receive(int node, int port, PacketHandle pkt);
+  // Delivers a packet that arrived at host `node` (a kPacketSend event).
+  void host_receive(int node, PacketHandle pkt);
   void emit_report(ReportRecord record);
   void transmit(PortRef from, PacketHandle pkt);
-  ControlHandle alloc_control();
+  // Schedules the event for a packet that reaches `dest` at time `at`: the
+  // switch's hop at at + switch_latency(), or the host's delivery at at.
+  void schedule_arrival(PortRef dest, SimTime at, PacketHandle pkt);
   int packet_wire_bytes(const p4rt::Packet& pkt) const;
   std::uint32_t switch_tag(int sw) const {
     return static_cast<std::uint32_t>(sw + 1);
@@ -621,9 +651,8 @@ class Network final : public EventExecutor {
   // until which switch sw's sensors are "cold" after a restart.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<double> cold_until_;
-  // In-flight packet / control-op pools (see "pooled in-flight storage").
+  // In-flight packet pool (see "pooled in-flight storage").
   util::Arena<p4rt::Packet> packet_pool_{1024};
-  util::Arena<ControlOp> control_pool_{64};
   std::unique_ptr<ObsState> obs_;  // null while observability is off
   std::vector<DepScratch> dep_scratch_;  // by deployment slot
   HopResult hop_scratch_;  // reused by every hop

@@ -294,7 +294,7 @@ class Interp::Lowerer {
         if (!t.config) {
           for (std::size_t k = 0; k < in.keys.size(); ++k) {
             t.keys.push_back(value(*in.keys[k]).slot);
-            t.key_widths.push_back(spec.key_widths[k]);
+            t.key_masks.push_back(mask(spec.key_widths[k]));
           }
         }
         for (ir::FieldId d : in.dsts) {
@@ -429,11 +429,12 @@ void Interp::table_op(const TableOp& t, CheckerState& state) {
     data = &table.default_data();
     hit = true;
   } else {
-    key_scratch_.clear();
+    key_words_.clear();
     for (std::size_t k = 0; k < t.keys.size(); ++k) {
-      key_scratch_.emplace_back(t.key_widths[k], slots_[t.keys[k]]);
+      key_words_.push_back(slots_[t.keys[k]] & t.key_masks[k]);
     }
-    const TableEntry* entry = table.lookup(key_scratch_);
+    const TableEntry* entry =
+        table.lookup(std::span<const std::uint64_t>(key_words_));
     if (entry != nullptr) {
       data = &entry->action_data;
       hit = true;

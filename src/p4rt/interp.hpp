@@ -164,7 +164,7 @@ class Interp {
     int table = -1;
     bool config = false;  // keyless: the default action supplies the data
     std::vector<std::uint32_t> keys;
-    std::vector<int> key_widths;
+    std::vector<std::uint64_t> key_masks;  // each key's table width mask
     std::vector<std::uint32_t> dsts;
     std::vector<std::uint64_t> dst_masks;
     std::int64_t hit = -1;  // slot of the hit flag, or -1
@@ -196,9 +196,9 @@ class Interp {
   std::vector<SlotRef> report_args_;
   std::vector<SlotRef> tele_;
   std::vector<std::uint64_t> slots_;
-  // Scratch key buffer reused across table lookups so the per-packet hot
-  // path does not allocate.
-  std::vector<BitVec> key_scratch_;
+  // Key words of the current table lookup, reused across lookups so the
+  // per-packet hot path does not allocate.
+  std::vector<std::uint64_t> key_words_;
   InterpMetrics metrics_;  // detached unless observability is wired
   ExecProvenance* prov_ = nullptr;  // armed only while forensics is on
 };

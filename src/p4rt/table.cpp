@@ -66,6 +66,11 @@ void Table::insert(TableEntry entry) {
   }
   entries_.push_back(std::move(entry));
   index_entry(static_cast<std::uint32_t>(entries_.size() - 1));
+  if (entries_.size() <= kPackedMax) {
+    pack_entry(entries_.back());
+  } else {
+    packed_.clear();
+  }
   invalidate_cache();
 }
 
@@ -103,18 +108,12 @@ bool Table::pattern_equal(MatchKind kind, const KeyPattern& a,
 int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
   if (patterns.size() != key_spec_.size()) return 0;
   if (dup_pinned_ == 0 && !key_spec_.empty()) {
-    bool all_pinned = true;
-    std::vector<std::uint64_t> flat(patterns.size(), 0);
-    for (std::size_t i = 0; all_pinned && i < patterns.size(); ++i) {
-      const FieldClass c = classify_field(patterns[i], key_spec_[i]);
-      all_pinned = c.pins_single_key;
-      flat[i] = c.bits;
-    }
     // Fully-pinned query: it can only pattern_equal a fully-pinned entry
     // (an unpinned entry field has a different mask / real range / partial
     // prefix), and with no duplicate pinned keys that entry — if any — is
     // exactly the one exact_ maps the flattened bits to. O(1).
-    if (all_pinned) {
+    std::vector<std::uint64_t> flat;
+    if (place(patterns, flat) == kInExact) {
       const auto it = exact_.find(flat);
       if (it == exact_.end()) return 0;
       remove_entry(it->second);
@@ -132,37 +131,22 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
         const auto bit = residue_buckets_.find(c0.bits);
         if (bit == residue_buckets_.end()) break;
         for (const std::uint32_t idx : bit->second) {
-          bool same = true;
-          const TableEntry& e = entries_[idx];
-          for (std::size_t i = 0; same && i < patterns.size(); ++i) {
-            same = pattern_equal(key_spec_[i].kind, e.patterns[i],
-                                 patterns[i]);
-          }
-          if (same) {
-            remove_entry(idx);
-            ++removed;
-            again = true;
-            break;
-          }
+          if (!same_key(entries_[idx], patterns)) continue;
+          remove_entry(idx);
+          ++removed;
+          again = true;
+          break;
         }
       }
       return removed;
     }
   }
-  // Reference path: scan, erase, rebuild.
-  int removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool same = true;
-    for (std::size_t i = 0; same && i < patterns.size(); ++i) {
-      same = pattern_equal(key_spec_[i].kind, it->patterns[i], patterns[i]);
-    }
-    if (same) {
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
+  // Reference path: scan, erase (keeping storage order), rebuild.
+  const auto kept = std::remove_if(
+      entries_.begin(), entries_.end(),
+      [&](const TableEntry& e) { return same_key(e, patterns); });
+  const auto removed = static_cast<int>(entries_.end() - kept);
+  entries_.erase(kept, entries_.end());
   if (removed > 0) {
     rebuild_index();
     invalidate_cache();
@@ -172,6 +156,7 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
 
 void Table::clear() {
   entries_.clear();
+  packed_.clear();
   exact_.clear();
   lpm_.clear();
   residue_buckets_.clear();
@@ -180,16 +165,15 @@ void Table::clear() {
   invalidate_cache();
 }
 
-bool Table::matches(const KeyPattern& p, MatchKind kind, const BitVec& v) {
+bool Table::matches(const KeyPattern& p, MatchKind kind, std::uint64_t v) {
   switch (kind) {
     case MatchKind::kExact:
-      return v.value() == p.value.value();
+      return v == p.value.value();
     case MatchKind::kTernary:
     case MatchKind::kLpm:
-      return (v.value() & p.mask.value()) ==
-             (p.value.value() & p.mask.value());
+      return (v & p.mask.value()) == (p.value.value() & p.mask.value());
     case MatchKind::kRange:
-      return p.lo.value() <= v.value() && v.value() <= p.hi.value();
+      return p.lo.value() <= v && v <= p.hi.value();
   }
   return false;
 }
@@ -265,40 +249,42 @@ bool Table::better(std::uint32_t a, std::uint32_t b) const {
   return pa > pb || (pa == pb && a < b);
 }
 
-bool Table::could_beat(std::uint32_t a, std::uint32_t b) const {
-  // Identical to better(); kept separate for readability at call sites
-  // where `a` has not been matched yet.
-  return better(a, b);
+bool Table::same_key(const TableEntry& e,
+                     const std::vector<KeyPattern>& patterns) const {
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    if (!pattern_equal(key_spec_[i].kind, e.patterns[i], patterns[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+int Table::place(const std::vector<KeyPattern>& patterns,
+                 std::vector<std::uint64_t>& flat) const {
+  int where = kInExact;
+  flat.assign(patterns.size(), 0);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const FieldClass c = classify_field(patterns[i], key_spec_[i]);
+    flat[i] = c.bits;
+    if (c.pins_single_key) continue;
+    // One general prefix on the table's LPM field selects that prefix
+    // length's map; any second unpinned field sends the entry to the
+    // residue.
+    where = c.lpm_general && static_cast<int>(i) == lpm_field_ &&
+                    where == kInExact
+                ? c.prefix
+                : kInResidue;
+  }
+  return where;
 }
 
 void Table::index_entry(std::uint32_t idx) {
   const TableEntry& e = entries_[idx];
-  bool all_pinned = true;
-  int lpm_prefix = -1;  // >= 0 when the LPM field has a general prefix
-  std::vector<std::uint64_t> flat(e.patterns.size(), 0);
-  for (std::size_t i = 0; i < e.patterns.size(); ++i) {
-    const FieldClass c = classify_field(e.patterns[i], key_spec_[i]);
-    flat[i] = c.bits;
-    if (c.pins_single_key) continue;
-    all_pinned = false;
-    if (c.lpm_general && static_cast<int>(i) == lpm_field_ &&
-        lpm_prefix == -1) {
-      lpm_prefix = c.prefix;
-    } else {
-      lpm_prefix = -2;  // a second unpinned field disqualifies the LPM path
-    }
-  }
-
-  if (all_pinned) {
-    auto [it, fresh] = exact_.emplace(std::move(flat), idx);
-    if (!fresh) {
-      ++dup_pinned_;
-      if (better(idx, it->second)) it->second = idx;
-    }
-    return;
-  }
-  if (lpm_prefix >= 0) {
-    auto [it, fresh] = lpm_[lpm_prefix].emplace(std::move(flat), idx);
+  std::vector<std::uint64_t> flat;
+  const int where = place(e.patterns, flat);
+  if (where != kInResidue) {
+    FlatMap& map = where == kInExact ? exact_ : lpm_[where];
+    auto [it, fresh] = map.emplace(std::move(flat), idx);
     if (!fresh) {
       ++dup_pinned_;
       if (better(idx, it->second)) it->second = idx;
@@ -318,27 +304,14 @@ void Table::index_entry(std::uint32_t idx) {
 
 void Table::unindex_entry(std::uint32_t idx) {
   const TableEntry& e = entries_[idx];
-  bool all_pinned = true;
-  int lpm_prefix = -1;
-  std::vector<std::uint64_t> flat(e.patterns.size(), 0);
-  for (std::size_t i = 0; i < e.patterns.size(); ++i) {
-    const FieldClass c = classify_field(e.patterns[i], key_spec_[i]);
-    flat[i] = c.bits;
-    if (c.pins_single_key) continue;
-    all_pinned = false;
-    if (c.lpm_general && static_cast<int>(i) == lpm_field_ &&
-        lpm_prefix == -1) {
-      lpm_prefix = c.prefix;
-    } else {
-      lpm_prefix = -2;
-    }
-  }
-  if (all_pinned) {
+  std::vector<std::uint64_t> flat;
+  const int where = place(e.patterns, flat);
+  if (where == kInExact) {
     exact_.erase(flat);
     return;
   }
-  if (lpm_prefix >= 0) {
-    const auto it = lpm_.find(lpm_prefix);
+  if (where >= 0) {
+    const auto it = lpm_.find(where);
     if (it != lpm_.end()) {
       it->second.erase(flat);
       if (it->second.empty()) lpm_.erase(it);
@@ -370,6 +343,7 @@ void Table::remove_entry(std::uint32_t idx) {
   } else {
     entries_.pop_back();
   }
+  rebuild_packed();
   invalidate_cache();
 }
 
@@ -380,32 +354,70 @@ void Table::rebuild_index() {
   residue_any_.clear();
   dup_pinned_ = 0;
   for (std::uint32_t i = 0; i < entries_.size(); ++i) index_entry(i);
+  rebuild_packed();
 }
 
-void Table::flatten_into(const std::vector<BitVec>& key,
-                         std::vector<std::uint64_t>& raw_out,
-                         std::vector<std::uint64_t>& flat_out) const {
-  raw_out.clear();
-  flat_out.clear();
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    const std::uint64_t raw = key[i].value();
-    raw_out.push_back(raw);
+void Table::pack_entry(const TableEntry& e) {
+  for (std::size_t i = 0; i < e.patterns.size(); ++i) {
+    const KeyPattern& p = e.patterns[i];
+    PackedField f;
     switch (key_spec_[i].kind) {
       case MatchKind::kExact:
-      case MatchKind::kRange:
-        flat_out.push_back(raw);
+        f.mask = ~0ULL;
+        f.value = p.value.value();
         break;
       case MatchKind::kTernary:
       case MatchKind::kLpm:
-        flat_out.push_back(raw & BitVec::mask(key_spec_[i].width));
+        f.mask = p.mask.value();
+        f.value = p.value.value() & f.mask;
+        break;
+      case MatchKind::kRange:
+        f.lo = p.lo.value();
+        f.hi = p.hi.value();
         break;
     }
+    packed_.push_back(f);
   }
 }
 
-std::int64_t Table::probe_index(const std::vector<BitVec>& key,
-                                const std::vector<std::uint64_t>& raw,
-                                std::vector<std::uint64_t>& flat) const {
+void Table::rebuild_packed() {
+  packed_.clear();
+  if (entries_.size() > kPackedMax) return;
+  for (const TableEntry& e : entries_) pack_entry(e);
+}
+
+std::int64_t Table::scan_packed(std::span<const std::uint64_t> key) const {
+  // The reference scan over packed rows: the first entry of the highest
+  // matching priority wins.
+  std::int64_t best = -1;
+  const std::size_t nf = key.size();
+  const PackedField* row = packed_.data();
+  for (std::size_t i = 0; i < entries_.size(); ++i, row += nf) {
+    std::size_t f = 0;
+    while (f < nf && (key[f] & row[f].mask) == row[f].value &&
+           row[f].lo <= key[f] && key[f] <= row[f].hi) {
+      ++f;
+    }
+    if (f == nf &&
+        (best < 0 || entries_[i].priority >
+                         entries_[static_cast<std::size_t>(best)].priority)) {
+      best = static_cast<std::int64_t>(i);
+    }
+  }
+  return best;
+}
+
+std::int64_t Table::probe_index(std::span<const std::uint64_t> key) const {
+  // Hash keys: raw words, masked to the field width on ternary/LPM fields.
+  std::vector<std::uint64_t>& flat = flat_scratch_;
+  flat.clear();
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    const MatchFieldSpec& spec = key_spec_[i];
+    flat.push_back(spec.kind == MatchKind::kTernary ||
+                           spec.kind == MatchKind::kLpm
+                       ? key[i] & BitVec::mask(spec.width)
+                       : key[i]);
+  }
   std::int64_t best = -1;
   // Bucket key for the field-0 residue split, captured before the LPM
   // probe loop below mutates flat[lpm_field_] (which may be field 0).
@@ -415,7 +427,7 @@ std::int64_t Table::probe_index(const std::vector<BitVec>& key,
     if (it != exact_.end()) best = it->second;
   }
   if (!lpm_.empty()) {
-    const std::uint64_t r = raw[static_cast<std::size_t>(lpm_field_)];
+    const std::uint64_t r = key[static_cast<std::size_t>(lpm_field_)];
     const int w = key_spec_[static_cast<std::size_t>(lpm_field_)].width;
     for (const auto& [len, map] : lpm_) {
       flat[static_cast<std::size_t>(lpm_field_)] = r & prefix_mask(w, len);
@@ -444,7 +456,7 @@ std::int64_t Table::probe_index(const std::vector<BitVec>& key,
         bi < bn && (ai >= residue_any_.size() ||
                     better((*bucket)[bi], residue_any_[ai]));
     const std::uint32_t idx = take_bucket ? (*bucket)[bi] : residue_any_[ai];
-    if (best >= 0 && !could_beat(idx, static_cast<std::uint32_t>(best))) {
+    if (best >= 0 && !better(idx, static_cast<std::uint32_t>(best))) {
       break;  // sorted vectors: nothing later can win either
     }
     const TableEntry& e = entries_[idx];
@@ -465,14 +477,14 @@ std::int64_t Table::probe_index(const std::vector<BitVec>& key,
   return best;
 }
 
-const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
+const TableEntry* Table::lookup(std::span<const std::uint64_t> key) const {
   if (key.size() != key_spec_.size()) {
     throw std::invalid_argument("table '" + name_ + "': lookup key arity " +
                                 std::to_string(key.size()) + ", expected " +
                                 std::to_string(key_spec_.size()));
   }
-  flatten_into(key, raw_scratch_, flat_scratch_);
-  if (cache_state_ == CacheState::kValid && raw_scratch_ == cache_key_) {
+  if (cache_state_ == CacheState::kValid &&
+      std::equal(key.begin(), key.end(), cache_key_.begin())) {
     metrics_.cache_hits.inc();
     if (cache_idx_ < 0) {
       metrics_.misses.inc();
@@ -482,9 +494,11 @@ const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
     return &entries_[static_cast<std::size_t>(cache_idx_)];
   }
 
-  const std::int64_t best = probe_index(key, raw_scratch_, flat_scratch_);
+  const std::int64_t best = entries_.size() <= kPackedMax
+                                ? scan_packed(key)
+                                : probe_index(key);
 
-  cache_key_ = raw_scratch_;
+  cache_key_.assign(key.begin(), key.end());
   cache_idx_ = best;
   cache_state_ = CacheState::kValid;
   if (best < 0) {
@@ -493,6 +507,12 @@ const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
   }
   metrics_.hits.inc();
   return &entries_[static_cast<std::size_t>(best)];
+}
+
+const TableEntry* Table::lookup(const std::vector<BitVec>& key) const {
+  word_scratch_.clear();
+  for (const BitVec& k : key) word_scratch_.push_back(k.value());
+  return lookup(std::span<const std::uint64_t>(word_scratch_));
 }
 
 const TableEntry* Table::lookup_linear_reference(
@@ -506,7 +526,7 @@ const TableEntry* Table::lookup_linear_reference(
   for (const auto& e : entries_) {
     bool hit = true;
     for (std::size_t i = 0; hit && i < key.size(); ++i) {
-      hit = matches(e.patterns[i], key_spec_[i].kind, key[i]);
+      hit = matches(e.patterns[i], key_spec_[i].kind, key[i].value());
     }
     if (hit && (best == nullptr || e.priority > best->priority)) {
       best = &e;

@@ -6,8 +6,12 @@
 // (value/mask), LPM, and range — with ternary/range disambiguated by entry
 // priority (higher wins), matching Tofino TCAM semantics.
 //
-// Lookup is served by a kind-aware index, mirroring how hardware splits a
-// table across SRAM hash units and TCAM:
+// Lookup runs on raw 64-bit key words (every field fits BitVec::kMaxWidth);
+// the std::vector<BitVec> overload is an adapter for control-plane callers.
+// A table with at most kPackedMax entries is served by a scan over packed
+// per-entry rows (mask/value plus range bounds per field, so all four match
+// kinds share one test). Above that, a kind-aware index serves it, mirroring
+// how hardware splits a table across SRAM hash units and TCAM:
 //   * entries whose every field pins a single key value (exact fields,
 //     full-mask ternary, full-length LPM, single-point ranges) live in a
 //     hash map over the concatenated key bits — O(1) per packet;
@@ -25,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,9 +121,15 @@ class Table {
     return static_cast<std::int32_t>(d);
   }
 
+  // Tables at or below this many entries are served by the packed scan;
+  // larger ones by the index. The crossover measured by bench/table_scale.
+  static constexpr std::size_t kPackedMax = 16;
+
   // Highest-priority matching entry, or nullptr on miss. Ties broken by
-  // insertion order (earlier wins), like most switch runtimes. Served by
-  // the index; bit-identical to lookup_linear_reference().
+  // insertion order (earlier wins), like most switch runtimes. `key` holds
+  // one raw word per field; bit-identical to lookup_linear_reference().
+  const TableEntry* lookup(std::span<const std::uint64_t> key) const;
+  // Adapter for control-plane callers and tests: looks up the values.
   const TableEntry* lookup(const std::vector<BitVec>& key) const;
 
   // The original O(entries) scan, kept as the semantic reference for
@@ -142,7 +153,7 @@ class Table {
   void invalidate_cache() const { cache_state_ = CacheState::kInvalid; }
 
  private:
-  static bool matches(const KeyPattern& p, MatchKind kind, const BitVec& v);
+  static bool matches(const KeyPattern& p, MatchKind kind, std::uint64_t v);
   static bool pattern_equal(MatchKind kind, const KeyPattern& a,
                             const KeyPattern& b);
   // Top-`len` bits of a `width`-bit field.
@@ -167,7 +178,16 @@ class Table {
   // True when entry `a` beats entry `b` under the reference semantics
   // (higher priority, ties to the earlier-inserted = lower index).
   bool better(std::uint32_t a, std::uint32_t b) const;
-  bool could_beat(std::uint32_t a, std::uint32_t b) const;
+  // True when every field of `e` pattern_equals `patterns`.
+  bool same_key(const TableEntry& e,
+                const std::vector<KeyPattern>& patterns) const;
+  // Where an entry with `patterns` lives in the index: the exact map
+  // (kInExact), the LPM map of one prefix length (>= 0), or the residue
+  // (kInResidue). Fills `flat` with its hash-map key.
+  static constexpr int kInExact = -1;
+  static constexpr int kInResidue = -2;
+  int place(const std::vector<KeyPattern>& patterns,
+            std::vector<std::uint64_t>& flat) const;
   void index_entry(std::uint32_t idx);
   // Removes entry `idx` from whichever index structure holds it. Only
   // valid while dup_pinned_ == 0 (each pinned key maps to one entry).
@@ -176,17 +196,15 @@ class Table {
   // slot, and reindexes the moved entry under its new index.
   void remove_entry(std::uint32_t idx);
   void rebuild_index();
-  // Flattens `key` into `raw` (raw values, for the cache) and `flat`
-  // (per-spec-masked values, for the hash probes).
-  void flatten_into(const std::vector<BitVec>& key,
-                    std::vector<std::uint64_t>& raw,
-                    std::vector<std::uint64_t>& flat) const;
-  // Index-probe core of lookup(): exact map, per-prefix LPM maps (mutates
-  // flat[lpm_field_] in place), then the sorted residue scan. Returns the
-  // winning entry index or -1.
-  std::int64_t probe_index(const std::vector<BitVec>& key,
-                           const std::vector<std::uint64_t>& raw,
-                           std::vector<std::uint64_t>& flat) const;
+  // Appends entry `e`'s packed row.
+  void pack_entry(const TableEntry& e);
+  // Repacks every row while the table is at or below kPackedMax; drops
+  // the rows above it.
+  void rebuild_packed();
+  // The two lookup paths: each returns the winning entry index or -1.
+  std::int64_t scan_packed(std::span<const std::uint64_t> key) const;
+  // Exact map, per-prefix LPM maps, then the sorted residue scan.
+  std::int64_t probe_index(std::span<const std::uint64_t> key) const;
 
   std::string name_;
   std::vector<MatchFieldSpec> key_spec_;
@@ -194,7 +212,20 @@ class Table {
   std::vector<BitVec> default_data_;
   TableMetrics metrics_;  // detached unless observability is wired
 
-  // ---- index (maintained by insert and removal) -------------------------
+  // ---- packed rows (tables at or below kPackedMax only) ------------------
+  // One field of one entry: key word k matches iff (k & mask) == value and
+  // lo <= k <= hi. Exact: mask all-ones; ternary/LPM: the pattern mask and
+  // masked value; range: mask 0 and the bounds. Row-major, key_spec_.size()
+  // fields per entry, in entries_ order.
+  struct PackedField {
+    std::uint64_t mask = 0;
+    std::uint64_t value = 0;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = ~0ULL;
+  };
+  std::vector<PackedField> packed_;
+
+  // ---- index (maintained by insert and removal at every size) ----------
   int lpm_field_ = -1;  // position of the table's single LPM field, or -1
   FlatMap exact_;
   // prefix length -> hash map over (pinned fields ++ masked LPM field).
@@ -216,8 +247,8 @@ class Table {
 
   // ---- per-lookup scratch + last-hit cache --------------------------------
   enum class CacheState { kInvalid, kValid };
-  mutable std::vector<std::uint64_t> raw_scratch_;
-  mutable std::vector<std::uint64_t> flat_scratch_;
+  mutable std::vector<std::uint64_t> word_scratch_;  // BitVec adapter
+  mutable std::vector<std::uint64_t> flat_scratch_;  // index probe key
   mutable std::vector<std::uint64_t> cache_key_;
   mutable std::int64_t cache_idx_ = -1;  // entry index, or -1 for miss
   mutable CacheState cache_state_ = CacheState::kInvalid;

@@ -53,7 +53,6 @@ void deserialize_table(Table& table, std::istream& in) {
     throw std::runtime_error("table snapshot: bad header");
   table.clear();
   std::vector<BitVec> def;
-  def.reserve(ndefault);
   for (std::size_t i = 0; i < ndefault; ++i) def.push_back(get_bitvec(in));
   table.set_default(std::move(def));
   for (std::size_t i = 0; i < nentries; ++i) {
@@ -62,7 +61,6 @@ void deserialize_table(Table& table, std::istream& in) {
     if (!(in >> e.priority >> e.action >> npat))
       throw std::runtime_error("table snapshot: bad entry");
     if (e.action == "-") e.action.clear();
-    e.patterns.reserve(npat);
     for (std::size_t p = 0; p < npat; ++p) {
       KeyPattern pat;
       pat.value = get_bitvec(in);
@@ -75,7 +73,6 @@ void deserialize_table(Table& table, std::istream& in) {
     }
     std::size_t nad = 0;
     if (!(in >> nad)) throw std::runtime_error("table snapshot: bad entry");
-    e.action_data.reserve(nad);
     for (std::size_t a = 0; a < nad; ++a)
       e.action_data.push_back(get_bitvec(in));
     table.insert(std::move(e));

@@ -27,9 +27,9 @@ namespace {
 
 // One event as a drain observes it. The payload depends on the kind:
 // closure id (a); tick target and tick number (a, b); destination node,
-// port and packet tag (a, b, tag); switch, in-port and packet tag, or
-// switch and control tag for a control op. `controls_before` counts the
-// control ops popped before this event.
+// port and packet tag (a, b, tag); switch, in-port and packet tag; or, for
+// a control op (a closure event), switch and control tag. `controls_before`
+// counts the control ops popped before this event.
 struct Popped {
   double t = 0.0;
   std::uint64_t seq = 0;
@@ -90,9 +90,8 @@ Schedule make_schedule(std::uint64_t seed, const std::vector<int>& switches,
   for (int i = 0; i < controls; ++i) {
     Popped p;
     p.t = grid(20);
-    p.kind = net::EventKind::kSwitchWork;
+    p.kind = net::EventKind::kClosure;
     p.a = any(switches);
-    p.b = -1;
     p.tag = next_tag++;
     p.control = true;
     s.initial.push_back(p);
@@ -142,7 +141,7 @@ std::vector<Popped> reference(const Schedule& s) {
     e.controls_before = controls;
     if (e.control) ++controls;
     out.push_back(e);
-    if (e.kind == net::EventKind::kClosure) {
+    if (e.kind == net::EventKind::kClosure && !e.control) {
       for (const auto& [delay, child] :
            s.children[static_cast<std::size_t>(e.a)]) {
         Popped c;
@@ -185,6 +184,16 @@ class Runner {
   void schedule_tick(double t, int id) {
     q_.schedule_tick_at(t, tickers_[static_cast<std::size_t>(id)].get());
   }
+  // A control op on switch `sw`, as the Network schedules one: a closure.
+  void schedule_control(double t, int sw, std::uint64_t tag) {
+    q_.schedule_at(t, [this, sw, tag] {
+      ASSERT_FALSE(log.empty());
+      log.back().a = sw;
+      log.back().tag = tag;
+      log.back().control = true;
+      ++popped_controls_;
+    });
+  }
 
   // A drain popped `item`: log it, then run it the way the Network would.
   void run_item(const net::EventQueue::Item& item) {
@@ -198,9 +207,7 @@ class Runner {
         item.kind == net::EventKind::kSwitchWork) {
       p.a = item.work.sw;
       p.b = item.work.in_port;
-      p.control = item.work.ctl != net::kNullHandle;
-      p.tag = p.control ? item.work.ctl : item.work.pkt;
-      if (p.control) ++popped_controls_;
+      p.tag = item.work.pkt;
     }
     log.push_back(p);
     if (item.kind == net::EventKind::kClosure) {
@@ -264,23 +271,25 @@ class Runner {
   std::vector<std::unique_ptr<Ticker>> tickers_;
 };
 
-// Schedules every initial event on a bare queue; packet and control
-// payloads go in as raw handle values (the queue never dereferences them).
+// Schedules every initial event on a bare queue; packet payloads go in as
+// raw handle values (the queue never dereferences them).
 void schedule_raw(const Schedule& s, net::EventQueue& q, Runner& d) {
   for (const Popped& p : s.initial) {
     const auto tag = static_cast<std::uint32_t>(p.tag);
     switch (p.kind) {
-      case net::EventKind::kClosure: d.schedule_closure(p.t, p.a); break;
+      case net::EventKind::kClosure:
+        if (p.control) {
+          d.schedule_control(p.t, p.a, p.tag);
+        } else {
+          d.schedule_closure(p.t, p.a);
+        }
+        break;
       case net::EventKind::kTick: d.schedule_tick(p.t, p.a); break;
       case net::EventKind::kPacketSend:
         q.schedule_packet_at(p.t, p.a, 0, tag);
         break;
       case net::EventKind::kSwitchWork:
-        if (p.control) {
-          q.schedule_control_at(p.t, p.a, tag);
-        } else {
-          q.schedule_switch_at(p.t, p.a, p.b, tag);
-        }
+        q.schedule_switch_at(p.t, p.a, p.b, tag);
         break;
     }
   }

@@ -18,36 +18,49 @@ namespace {
 // Table
 // ---------------------------------------------------------------------------
 
-TEST(Table, ExactMatchHitAndMiss) {
+// Every case runs through both Table::lookup overloads: BitVec keys (the
+// control-plane adapter) and raw key words (the data-plane core).
+class TableLookup : public ::testing::TestWithParam<bool> {
+ protected:
+  static const TableEntry* lookup(const Table& t,
+                                  const std::vector<BitVec>& key) {
+    if (!GetParam()) return t.lookup(key);
+    std::vector<std::uint64_t> words;
+    for (const BitVec& k : key) words.push_back(k.value());
+    return t.lookup(std::span<const std::uint64_t>(words));
+  }
+};
+
+TEST_P(TableLookup, ExactMatchHitAndMiss) {
   Table t("t", {{MatchKind::kExact, 8}});
   t.insert_exact({BitVec(8, 5)}, {BitVec(8, 50)});
-  const TableEntry* hit = t.lookup({BitVec(8, 5)});
+  const TableEntry* hit = lookup(t, {BitVec(8, 5)});
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action_data[0].value(), 50u);
-  EXPECT_EQ(t.lookup({BitVec(8, 6)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(8, 6)}), nullptr);
 }
 
-TEST(Table, TernaryMaskedMatch) {
+TEST_P(TableLookup, TernaryMaskedMatch) {
   Table t("t", {{MatchKind::kTernary, 8}});
   TableEntry e;
   e.patterns.push_back(KeyPattern::ternary(BitVec(8, 0xa0), BitVec(8, 0xf0)));
   e.action_data.push_back(BitVec(8, 1));
   t.insert(std::move(e));
-  EXPECT_NE(t.lookup({BitVec(8, 0xa5)}), nullptr);
-  EXPECT_EQ(t.lookup({BitVec(8, 0xb5)}), nullptr);
+  EXPECT_NE(lookup(t, {BitVec(8, 0xa5)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(8, 0xb5)}), nullptr);
 }
 
-TEST(Table, WildcardMatchesEverything) {
+TEST_P(TableLookup, WildcardMatchesEverything) {
   Table t("t", {{MatchKind::kTernary, 16}});
   TableEntry e;
   e.patterns.push_back(KeyPattern::wildcard(16));
   e.action_data.push_back(BitVec(8, 9));
   t.insert(std::move(e));
-  EXPECT_NE(t.lookup({BitVec(16, 0)}), nullptr);
-  EXPECT_NE(t.lookup({BitVec(16, 65535)}), nullptr);
+  EXPECT_NE(lookup(t, {BitVec(16, 0)}), nullptr);
+  EXPECT_NE(lookup(t, {BitVec(16, 65535)}), nullptr);
 }
 
-TEST(Table, PriorityBreaksOverlaps) {
+TEST_P(TableLookup, PriorityBreaksOverlaps) {
   Table t("t", {{MatchKind::kTernary, 8}});
   TableEntry low;
   low.priority = 10;
@@ -59,11 +72,11 @@ TEST(Table, PriorityBreaksOverlaps) {
   high.action_data.push_back(BitVec(8, 2));
   t.insert(std::move(low));
   t.insert(std::move(high));
-  EXPECT_EQ(t.lookup({BitVec(8, 7)})->action_data[0].value(), 2u);
-  EXPECT_EQ(t.lookup({BitVec(8, 8)})->action_data[0].value(), 1u);
+  EXPECT_EQ(lookup(t, {BitVec(8, 7)})->action_data[0].value(), 2u);
+  EXPECT_EQ(lookup(t, {BitVec(8, 8)})->action_data[0].value(), 1u);
 }
 
-TEST(Table, LpmPrefixes) {
+TEST_P(TableLookup, LpmPrefixes) {
   Table t("t", {{MatchKind::kLpm, 32}});
   TableEntry wide;
   wide.priority = 8;
@@ -75,38 +88,43 @@ TEST(Table, LpmPrefixes) {
   narrow.action_data.push_back(BitVec(8, 2));
   t.insert(std::move(wide));
   t.insert(std::move(narrow));
-  EXPECT_EQ(t.lookup({BitVec(32, 0x0a000105)})->action_data[0].value(), 2u);
-  EXPECT_EQ(t.lookup({BitVec(32, 0x0a020305)})->action_data[0].value(), 1u);
-  EXPECT_EQ(t.lookup({BitVec(32, 0x0b000000)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(32, 0x0a000105)})->action_data[0].value(), 2u);
+  EXPECT_EQ(lookup(t, {BitVec(32, 0x0a020305)})->action_data[0].value(), 1u);
+  EXPECT_EQ(lookup(t, {BitVec(32, 0x0b000000)}), nullptr);
 }
 
-TEST(Table, RangeMatch) {
+TEST_P(TableLookup, RangeMatch) {
   Table t("t", {{MatchKind::kRange, 16}});
   TableEntry e;
   e.patterns.push_back(KeyPattern::range(BitVec(16, 81), BitVec(16, 82)));
   e.action_data.push_back(BitVec(8, 3));
   t.insert(std::move(e));
-  EXPECT_NE(t.lookup({BitVec(16, 81)}), nullptr);
-  EXPECT_NE(t.lookup({BitVec(16, 82)}), nullptr);
-  EXPECT_EQ(t.lookup({BitVec(16, 80)}), nullptr);
-  EXPECT_EQ(t.lookup({BitVec(16, 83)}), nullptr);
+  EXPECT_NE(lookup(t, {BitVec(16, 81)}), nullptr);
+  EXPECT_NE(lookup(t, {BitVec(16, 82)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(16, 80)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(16, 83)}), nullptr);
 }
 
-TEST(Table, ArityChecked) {
+TEST_P(TableLookup, ArityChecked) {
   Table t("t", {{MatchKind::kExact, 8}, {MatchKind::kExact, 8}});
   EXPECT_THROW(t.insert_exact({BitVec(8, 1)}, {}), std::invalid_argument);
-  EXPECT_THROW(t.lookup({BitVec(8, 1)}), std::invalid_argument);
+  EXPECT_THROW(lookup(t, {BitVec(8, 1)}), std::invalid_argument);
 }
 
-TEST(Table, RemoveByKey) {
+TEST_P(TableLookup, RemoveByKey) {
   Table t("t", {{MatchKind::kExact, 8}});
   t.insert_exact({BitVec(8, 1)}, {BitVec(8, 10)});
   t.insert_exact({BitVec(8, 2)}, {BitVec(8, 20)});
   std::vector<KeyPattern> key = {KeyPattern::exact(BitVec(8, 1))};
   EXPECT_EQ(t.remove_if_key_equals(key), 1);
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.lookup({BitVec(8, 1)}), nullptr);
+  EXPECT_EQ(lookup(t, {BitVec(8, 1)}), nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(Overloads, TableLookup, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Words" : "BitVecs";
+                         });
 
 // ---------------------------------------------------------------------------
 // RegisterArray

@@ -10,6 +10,7 @@
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
 #include "net/event.hpp"
+#include "net/link.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/traffic.hpp"
@@ -412,6 +413,70 @@ TEST(Network, SwitchLatencyGrowsWithStages) {
   auto checker = compile_library_checker("valley_free");
   f.net.deploy(checker);
   EXPECT_GE(f.net.switch_latency(), base);
+}
+
+// Records each hop's event time, then forwards through the fabric routing.
+class HopClock : public ForwardingProgram {
+ public:
+  HopClock(Network& net, std::shared_ptr<ForwardingProgram> inner)
+      : net_(net), inner_(std::move(inner)) {}
+  Decision process(p4rt::Packet& pkt, int in_port, int switch_id) override {
+    hop_times.push_back(net_.events().now());
+    return inner_->process(pkt, in_port, switch_id);
+  }
+  std::string name() const override { return "hop-clock"; }
+  std::vector<double> hop_times;
+
+ private:
+  Network& net_;
+  std::shared_ptr<ForwardingProgram> inner_;
+};
+
+// A hop's switch latency is fixed when the packet goes onto the link. A
+// deploy that raises pipeline_stages() while the packet is on the
+// leaf->spine link leaves the spine hop at the old latency; the hops after
+// it run at the new one.
+TEST(Network, SwitchLatencyIsFixedAtTransmit) {
+  // One host per leaf and 100G everywhere, so every link has one spec.
+  const LeafSpine fabric = make_leaf_spine(2, 2, 1, 100.0, 100.0, 2e-6);
+  Network net(fabric.topo);
+  auto clock = std::make_shared<HopClock>(
+      net, fwd::install_leaf_spine_routing(net, fabric));
+  for (int sw : fabric.leaves) net.set_program(sw, clock);
+  for (int sw : fabric.spines) net.set_program(sw, clock);
+  net.set_latency_model(1e-6, 50e-9);
+  net.set_baseline_profile({"one_stage", 1, 0.0});
+  const double old_latency = net.switch_latency();
+
+  const int src = fabric.hosts[0][0];
+  const int dst = fabric.hosts[1][0];
+  p4rt::Packet pkt = p4rt::make_udp(net.topo().node(src).ip,
+                                    net.topo().node(dst).ip, 1, 2, 100);
+  const int bytes = pkt.base_wire_bytes();
+  // The link model on an idle link: when a packet leaving at `t` arrives.
+  const LinkSpec spec = net.topo().links()[0];
+  auto across = [&](double t) { return *Link(spec).transmit(0, t, bytes); };
+
+  const double leaf1_hop = across(0.0) + old_latency;
+  const double spine_arrival = across(leaf1_hop);
+  double new_latency = 0.0;
+  net.events().schedule_at(0.5 * (leaf1_hop + spine_arrival), [&] {
+    net.deploy(compile_library_checker("valley_free"));
+    new_latency = net.switch_latency();
+  });
+  std::optional<double> delivered_at;
+  net.host(dst).add_sink(
+      [&](const p4rt::Packet&, double t) { delivered_at = t; });
+  net.send_from_host(src, std::move(pkt));
+  net.events().run();
+
+  ASSERT_GT(new_latency, old_latency);
+  const double spine_hop = spine_arrival + old_latency;
+  const double leaf2_hop = across(spine_hop) + new_latency;
+  EXPECT_EQ(clock->hop_times,
+            (std::vector<double>{leaf1_hop, spine_hop, leaf2_hop}));
+  ASSERT_TRUE(delivered_at.has_value());
+  EXPECT_EQ(*delivered_at, across(leaf2_hop));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -387,6 +388,85 @@ TEST(FullSnapshot, ThirdGenerationRestoreIsByteIdentical) {
   FullBed c;
   c.net.obs_restore(snap2);
   EXPECT_EQ(c.net.full_snapshot(), snap2);
+}
+
+// `snap` with its first `kw` line rewritten: from token `tok` on (token 0
+// is the keyword) the line reads `tail` instead.
+std::string mutate_line(const std::string& snap, const std::string& kw,
+                        std::size_t tok, const std::string& tail) {
+  std::istringstream in(snap);
+  std::string out;
+  std::string line;
+  bool done = false;
+  while (std::getline(in, line)) {
+    if (!done && line.rfind(kw + " ", 0) == 0) {
+      std::istringstream ls(line);
+      std::string word;
+      line.clear();
+      for (std::size_t i = 0; i < tok && ls >> word; ++i) line += word + " ";
+      line += tail;
+      done = true;
+    }
+    out += line + "\n";
+  }
+  EXPECT_TRUE(done) << "no '" << kw << "' line";
+  return out;
+}
+
+// One mutated line per failure kind a restore has met: counts that sized
+// allocations (~206 TB from a `wlat` line), a table record's bad header
+// (std::runtime_error) or impossible count (std::length_error), a
+// register cell past the array, and an embedded checker source that no
+// longer compiles (indus::CompileError). Each must fail as
+// std::invalid_argument, the one exception obs_restore documents.
+TEST(FullSnapshot, MutatedRecordsFailAsInvalidArgument) {
+  // A checker with a table and one with sensors: the snapshot carries
+  // `tab` and `reg` records.
+  FullBed a;
+  a.net.deploy(compile_library_checker("stateful_firewall"));
+  a.net.deploy(compile_library_checker("dc_uplink_load_balance"));
+  a.drive(0.0, 40);
+  const std::string snap = a.net.full_snapshot();
+  {
+    FullBed ok;
+    ok.net.obs_restore(snap);
+    EXPECT_EQ(ok.net.full_snapshot(), snap);
+  }
+  const std::string huge = "206158430208";
+  const std::string max = "18446744073709551615";
+  struct Case {
+    const char* what;
+    std::string snap;
+    const char* names;  // expected in the message
+  };
+  const std::vector<Case> cases = {
+      {"wlat bucket count", mutate_line(snap, "wlat", 6, huge + " 1 2"),
+       "malformed snapshot line"},
+      {"blat bucket count", mutate_line(snap, "blat", 3, huge + " 1 2"),
+       "malformed snapshot line"},
+      {"hist bucket count", mutate_line(snap, "hist", 4, huge + " 1 2"),
+       "malformed snapshot line"},
+      {"table header", mutate_line(snap, "tab", 4, "x"), "snapshot line"},
+      {"table default count", mutate_line(snap, "tab", 5, max),
+       "snapshot line"},
+      {"register cell", mutate_line(snap, "reg", 4, "1 999999 1"),
+       "snapshot line"},
+      {"checker source", mutate_line(snap, "src", 2, "control dict<"),
+       "snapshot line"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    FullBed b;
+    try {
+      b.net.obs_restore(c.snap);
+      ADD_FAILURE() << "restore accepted the mutated snapshot";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "wrong exception type: " << e.what();
+    }
+  }
 }
 
 TEST(FullSnapshot, RefusesWhileSweepInFlightAndWithoutObs) {

@@ -1,10 +1,16 @@
-// Differential + unit tests for the indexed match-action lookup engine:
-// for random table shapes, random entry mixes (exact / full-mask ternary /
-// partial ternary / wildcard / LPM / range / point-range), and inserts
-// interleaved with removals and clears, the indexed Table::lookup must
-// return exactly the same entry as the reference linear scan on every key.
+// Differential + unit tests for the match-action lookup engine: for random
+// table shapes, random entry mixes (exact / full-mask ternary / partial
+// ternary / wildcard / LPM / range / point-range), and inserts interleaved
+// with removals and clears, Table::lookup — on key words and on BitVecs,
+// through the packed scan and through the index — must return exactly the
+// same entry as the reference linear scan on every key, and count hits,
+// misses and cache hits as the last-hit cache model says.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
+#include "obs/metrics.hpp"
 #include "p4rt/table.hpp"
 #include "util/rng.hpp"
 
@@ -23,16 +29,40 @@ struct TableFuzzer {
   std::uint64_t ops = 0;
   std::uint64_t lookups = 0;
 
-  explicit TableFuzzer(std::uint64_t seed) : rng(seed) {
+  // The table's counters, and the model they must equal: a lookup() that
+  // repeats the previous lookup()'s key words with no mutation in between
+  // is a cache hit; every lookup() is a hit or a miss.
+  obs::Registry registry;
+  TableMetrics metrics;
+  std::uint64_t want_hits = 0;
+  std::uint64_t want_misses = 0;
+  std::uint64_t want_cache_hits = 0;
+  std::vector<std::uint64_t> last_key;
+  bool cache_valid = false;
+
+  // `all_kinds`: one field of each match kind, in random order, instead of
+  // one to three fields of random kinds.
+  explicit TableFuzzer(std::uint64_t seed, bool all_kinds = false)
+      : rng(seed) {
     const std::vector<int> widths = {8, 16, 32, 48};
-    const std::vector<MatchKind> kinds = {MatchKind::kExact,
-                                          MatchKind::kTernary,
-                                          MatchKind::kLpm, MatchKind::kRange};
-    const std::size_t arity = 1 + rng.below(3);
-    for (std::size_t i = 0; i < arity; ++i) {
-      spec.push_back({rng.pick(kinds), rng.pick(widths)});
+    std::vector<MatchKind> kinds = {MatchKind::kExact, MatchKind::kTernary,
+                                    MatchKind::kLpm, MatchKind::kRange};
+    if (all_kinds) {
+      for (std::size_t i = kinds.size(); i > 1; --i) {
+        std::swap(kinds[i - 1], kinds[rng.below(i)]);
+      }
+      for (MatchKind k : kinds) spec.push_back({k, rng.pick(widths)});
+    } else {
+      const std::size_t arity = 1 + rng.below(3);
+      for (std::size_t i = 0; i < arity; ++i) {
+        spec.push_back({rng.pick(kinds), rng.pick(widths)});
+      }
     }
     table = Table("fuzz", spec);
+    metrics.hits = registry.counter("fuzz.hits");
+    metrics.misses = registry.counter("fuzz.misses");
+    metrics.cache_hits = registry.counter("fuzz.cache_hits");
+    table.attach_metrics(metrics);
   }
 
   // Small value domain so keys collide with patterns often.
@@ -74,15 +104,64 @@ struct TableFuzzer {
     return key;
   }
 
+  void insert_random() {
+    TableEntry e;
+    e.priority = static_cast<int>(rng.below(4));  // few levels → many ties
+    for (const auto& f : spec) e.patterns.push_back(random_pattern(f));
+    e.action_data.push_back(BitVec(32, rng.next()));
+    inserted_keys.push_back(e.patterns);
+    table.insert(std::move(e));
+    cache_valid = false;
+  }
+
+  // By value: a victim copied from table.entries() must outlive the
+  // removal of that entry.
+  void remove(std::vector<KeyPattern> victim) {
+    if (table.remove_if_key_equals(victim) > 0) cache_valid = false;
+  }
+
+  void clear() {
+    table.clear();
+    inserted_keys.clear();
+    cache_valid = false;
+  }
+
+  // One lookup() through the word or the BitVec overload, checked against
+  // the reference and the counter model.
+  const TableEntry* lookup(const std::vector<BitVec>& key, bool words) {
+    std::vector<std::uint64_t> raw;
+    for (const BitVec& k : key) raw.push_back(k.value());
+    const TableEntry* got =
+        words ? table.lookup(std::span<const std::uint64_t>(raw))
+              : table.lookup(key);
+    if (cache_valid && raw == last_key) ++want_cache_hits;
+    ++(got != nullptr ? want_hits : want_misses);
+    last_key = raw;
+    cache_valid = true;
+    EXPECT_EQ(metrics.hits.value(), want_hits);
+    EXPECT_EQ(metrics.misses.value(), want_misses);
+    EXPECT_EQ(metrics.cache_hits.value(), want_cache_hits);
+    ++lookups;
+    return got;
+  }
+
+  void check_keys() {
+    for (int i = 0; i < 4; ++i) {
+      const auto key = random_key();
+      const TableEntry* reference = table.lookup_linear_reference(key);
+      ASSERT_EQ(lookup(key, rng.chance(0.5)), reference)
+          << "divergence after " << ops << " ops (table size "
+          << table.size() << ")";
+      // Exercise the last-hit cache: a repeated lookup must be stable,
+      // through either overload.
+      ASSERT_EQ(lookup(key, rng.chance(0.5)), reference);
+    }
+  }
+
   void step() {
     const double roll = rng.uniform();
     if (roll < 0.70 || table.size() == 0) {
-      TableEntry e;
-      e.priority = static_cast<int>(rng.below(4));  // few levels → many ties
-      for (const auto& f : spec) e.patterns.push_back(random_pattern(f));
-      e.action_data.push_back(BitVec(32, rng.next()));
-      inserted_keys.push_back(e.patterns);
-      table.insert(std::move(e));
+      insert_random();
     } else if (roll < 0.90) {
       // Remove: usually a previously inserted key (real churn), sometimes a
       // fresh random pattern (usually a no-op).
@@ -92,22 +171,36 @@ struct TableFuzzer {
       } else {
         for (const auto& f : spec) victim.push_back(random_pattern(f));
       }
-      table.remove_if_key_equals(victim);
+      remove(victim);
     } else if (roll < 0.93) {
-      table.clear();
-      inserted_keys.clear();
+      clear();
     }
     ++ops;
-    for (int i = 0; i < 4; ++i) {
-      const auto key = random_key();
-      const TableEntry* indexed = table.lookup(key);
-      const TableEntry* reference = table.lookup_linear_reference(key);
-      ASSERT_EQ(indexed, reference)
-          << "divergence after " << ops << " ops (table size "
-          << table.size() << ")";
-      // Exercise the last-hit cache: a repeated lookup must be stable.
-      ASSERT_EQ(table.lookup(key), reference);
-      ++lookups;
+    check_keys();
+  }
+
+  // Grows the table past `above`, then shrinks it below `below` by
+  // removing live entries — no clear() — checking keys after every op.
+  void cross(std::size_t above, std::size_t below) {
+    while (table.size() <= above) {
+      if (rng.chance(0.85) || table.size() == 0) {
+        insert_random();
+      } else {
+        remove(table.entries()[rng.below(table.size())].patterns);
+      }
+      ++ops;
+      check_keys();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (table.size() >= below) {
+      if (rng.chance(0.15)) {
+        insert_random();
+      } else {
+        remove(table.entries()[rng.below(table.size())].patterns);
+      }
+      ++ops;
+      check_keys();
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 };
@@ -124,6 +217,21 @@ TEST_P(TableIndexDifferential, IndexedMatchesLinearReference) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GE(fuzz.ops + fuzz.lookups, 2500u);
+}
+
+// The packed scan serves the table up to kPackedMax entries, the index
+// above it: every seed crosses the threshold upwards and back down by
+// removals, twice, so both paths and the repacking on removal are checked
+// against the reference at every size in between.
+TEST_P(TableIndexDifferential, PackedAndIndexAgreeAcrossThreshold) {
+  // Every fifth seed has one field of each match kind; the rest random.
+  TableFuzzer fuzz(GetParam(), GetParam() % 5 == 0);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    fuzz.cross(Table::kPackedMax + 8, Table::kPackedMax / 2);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_LT(fuzz.table.size(), Table::kPackedMax / 2);
+  }
+  EXPECT_GT(fuzz.want_cache_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableIndexDifferential,

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 namespace hydra::tools {
@@ -33,6 +34,16 @@ inline int unknown_argument(const char* prog, const char* arg,
                             const char* args) {
   std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, arg);
   return usage(prog, args, 2);
+}
+
+// The whole argv contract of a bench that takes no options: returns the
+// exit code when there is an argument (`--help`: usage, 0; anything else:
+// 2), or -1 when there is none and the bench should run.
+inline int no_options(int argc, char** argv) {
+  if (argc < 2) return -1;
+  constexpr const char* kArgs = "[--help]";
+  if (std::strcmp(argv[1], "--help") == 0) return usage(argv[0], kArgs, 0);
+  return unknown_argument(argv[0], argv[1], kArgs);
 }
 
 // Base-10 integer in [lo, hi]; rejects empty input, trailing characters,

@@ -14,13 +14,8 @@
 //       # load in https://ui.perfetto.dev or chrome://tracing
 //   $ ./hydrascope --forensics --min-violations 1  # exit 1 if fewer
 //
-// Scenarios (same fabrics as hydrastat):
-//   aether    — the §5.2 application-filtering bug: after the buggy shared
-//               Applications-table update, the pre-update client's retry is
-//               silently dropped by the UPF; the checker reports it, and
-//               the forensics show no_termination at the UPF leaf.
-//   leafspine — stateful_firewall on a 2x2 leaf-spine: an unsolicited flow
-//               is rejected at its last hop.
+// Scenarios (tools/scenarios.hpp, shared with hydrastat): aether,
+// leafspine, and --chaos SEED.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,129 +23,12 @@
 #include <string>
 
 #include "cli_parse.hpp"
-
-#include "aether/controller.hpp"
-#include "forwarding/ipv4_ecmp.hpp"
-#include "forwarding/upf.hpp"
-#include "hydra/hydra.hpp"
 #include "net/network.hpp"
+#include "scenarios.hpp"
 
 using namespace hydra;
 
 namespace {
-
-void aether_scenario(net::Network& net, const net::LeafSpine& fabric) {
-  auto routing = fwd::install_leaf_spine_routing(net, fabric);
-  auto upf = std::make_shared<fwd::UpfProgram>(routing);
-  net.set_program(fabric.leaves[0], upf);
-  const int dep = net.deploy(compile_library_checker("application_filtering"));
-
-  aether::AetherController ctl(net, upf, dep);
-  ctl.define_slice(aether::example_camera_slice(1));
-
-  const std::uint32_t enb = net.topo().node(fabric.hosts[0][0]).ip;
-  const std::uint32_t n3 = 0x0a0001fe;
-  const std::uint32_t app = net.topo().node(fabric.hosts[1][0]).ip;
-  const std::uint32_t ue = 0x0a640001;
-  const std::uint32_t teid = 1001;
-
-  auto uplink = [&]() {
-    p4rt::Packet inner = p4rt::make_udp(ue, app, 40000, 81, 64);
-    net.send_from_host(fabric.hosts[0][0],
-                       p4rt::gtpu_encap(inner, enb, n3, teid));
-    net.events().run();
-  };
-
-  // Attach, verify the flow works, then apply the buggy rule update (see
-  // tools/hydrastat.cpp). The old client's retry after the update hits the
-  // fresh shared Applications entry it has no termination for — the UPF
-  // drops silently, and the checker's report triggers forensics assembly.
-  ctl.attach_client(1, {123450001ULL, ue, teid}, enb, n3);
-  uplink();
-  aether::Slice updated = aether::example_camera_slice(1);
-  updated.rules[1].port_hi = 82;
-  updated.rules[1].priority = 30;
-  ctl.update_slice_rules(1, updated.rules);
-  ctl.attach_client(1, {123459999ULL, 0x0a6400f0, 2001}, enb, n3);
-  uplink();
-}
-
-// Chaos mode: the same leaf-spine + stateful_firewall setup, but with the
-// full fault plan armed — loss, corruption, duplication, reordering, link
-// flaps, a mid-run switch restart, and delayed controller rule pushes —
-// all driven by one seed. The run must never throw (damaged telemetry is
-// rejected fail-closed), and the emitted JSON carries no wall clock, so
-// the golden test byte-compares it.
-void chaos_scenario(net::Network& net, const net::LeafSpine& fabric,
-                    std::uint64_t seed) {
-  fwd::install_leaf_spine_routing(net, fabric);
-  const int dep = net.deploy(compile_library_checker("stateful_firewall"));
-
-  net::FaultPlan plan;
-  plan.loss = 0.02;
-  plan.corrupt = 0.08;
-  plan.duplicate = 0.03;
-  plan.reorder = 0.05;
-  plan.reorder_max_s = 40e-6;
-  plan.flap_rate_hz = 1500.0;
-  plan.flap_down_s = 150e-6;
-  plan.horizon_s = 4e-3;
-  plan.restarts.push_back({fabric.leaves[1], 1.2e-3});
-  plan.restart_warmup_s = 400e-6;
-  plan.rule_push_delay_s = 80e-6;
-  plan.rule_push_jitter_s = 80e-6;
-  net.arm_faults(plan, seed);
-
-  const std::uint32_t client = net.topo().node(fabric.hosts[0][0]).ip;
-  const std::uint32_t server = net.topo().node(fabric.hosts[1][0]).ip;
-  const std::uint32_t intruder = net.topo().node(fabric.hosts[0][1]).ip;
-  // The allow entries land late (push delay + jitter): the client's first
-  // packets are rejected until the rules arrive — a transient violation
-  // window the forensics annotate.
-  net.dict_insert_all_delayed(dep, "allowed",
-                              {BitVec(32, client), BitVec(32, server)},
-                              {BitVec::from_bool(true)});
-  net.dict_insert_all_delayed(dep, "allowed",
-                              {BitVec(32, server), BitVec(32, client)},
-                              {BitVec::from_bool(true)});
-
-  // Deterministic traffic spread over the fault horizon: mostly the
-  // allowed client flow, every fourth packet the unsolicited intruder.
-  for (int i = 0; i < 240; ++i) {
-    const double t = 8e-6 * (i + 1);
-    const bool bad = i % 4 == 3;
-    const int src_host = bad ? fabric.hosts[0][1] : fabric.hosts[0][0];
-    const std::uint32_t src_ip = bad ? intruder : client;
-    const auto sport = static_cast<std::uint16_t>(40000 + i % 16);
-    net.events().schedule_at(t, [&net, src_host, src_ip, server, sport]() {
-      net.send_from_host(src_host,
-                         p4rt::make_udp(src_ip, server, sport, 80, 64));
-    });
-  }
-  net.events().run();
-}
-
-void leafspine_scenario(net::Network& net, const net::LeafSpine& fabric) {
-  fwd::install_leaf_spine_routing(net, fabric);
-  const int dep = net.deploy(compile_library_checker("stateful_firewall"));
-
-  const std::uint32_t client = net.topo().node(fabric.hosts[0][0]).ip;
-  const std::uint32_t server = net.topo().node(fabric.hosts[1][0]).ip;
-  net.dict_insert_all(dep, "allowed", {BitVec(32, client), BitVec(32, server)},
-                      {BitVec::from_bool(true)});
-  net.dict_insert_all(dep, "allowed", {BitVec(32, server), BitVec(32, client)},
-                      {BitVec::from_bool(true)});
-
-  // Allowed flow: delivered end to end (no violation).
-  net.send_from_host(fabric.hosts[0][0],
-                     p4rt::make_udp(client, server, 40000, 80, 64));
-  net.events().run();
-  // Unsolicited flow from a host with no allow entry: rejected at last hop.
-  const std::uint32_t intruder = net.topo().node(fabric.hosts[0][1]).ip;
-  net.send_from_host(fabric.hosts[0][1],
-                     p4rt::make_udp(intruder, server, 40001, 80, 64));
-  net.events().run();
-}
 
 int usage(const char* prog) {
   std::fprintf(stderr,
@@ -252,11 +130,11 @@ int main(int argc, char** argv) {
 
   if (chaos) {
     scenario = "chaos";
-    chaos_scenario(net, fabric, chaos_seed);
+    tools::chaos_scenario(net, fabric, chaos_seed, /*stat=*/false);
   } else if (scenario == "aether") {
-    aether_scenario(net, fabric);
+    tools::aether_scenario(net, fabric, /*stat=*/false);
   } else if (scenario == "leafspine") {
-    leafspine_scenario(net, fabric);
+    tools::leafspine_scenario(net, fabric, /*stat=*/false);
   } else {
     std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
     return 2;
