@@ -38,6 +38,19 @@ stat="$build/tools/hydrastat"
   > /dev/null
 rm -f million_users.wall.json
 
+# hydrad's full-state snapshot: a fresh run's shutdown file, then a restart
+# that restores a copy of it, runs 0.02 s more and rewrites it. Stale files
+# are removed first, or the first run would restore one.
+rm -f hydrad_full.snap hydrad_restart.snap
+hydrad() {
+  "$build/tools/hydrad" --listen 0 --interval 0.001 --pace 1000 \
+    --sessions 20 --churn-per-s 200 --packets-per-s 5000 --duration-s 0.02 \
+    --ring 4 --snapshot "$1" > /dev/null
+}
+hydrad hydrad_full.snap
+cp hydrad_full.snap hydrad_restart.snap
+hydrad hydrad_restart.snap
+
 for ex in quickstart stateful_firewall source_routing_validation \
           aether_app_filtering ltlf_properties; do
   "$build/examples/$ex" > "example_$ex.stdout"
