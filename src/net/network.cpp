@@ -1,10 +1,8 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
-#include "p4rt/table_io.hpp"
 #include "p4rt/tele_codec.hpp"
 
 namespace hydra::net {
@@ -96,7 +94,26 @@ int Network::stage_deployment(
     std::shared_ptr<const compiler::CompiledChecker> checker,
     std::uint8_t phase) {
   if (!checker) throw std::invalid_argument("deploy: null checker");
-  // Bind the header annotations before any slot, generation or counter
+  // Prefer reusing a retired slot; the deployment-id space is bounded by
+  // the 64-bit rejected_deps mask, and reuse is what keeps a long-running
+  // daemon deploying forever.
+  std::size_t slot = 0;
+  while (slot < deployments_.size() &&
+         (deployments_[slot].live || deployments_[slot].pending_swaps > 0)) {
+    ++slot;
+  }
+  fill_slot(slot, checker, static_cast<std::uint32_t>(generations_.size()),
+            phase);
+  generations_.push_back({checker, checker->name, false, {}});
+  note_property(checker->name);
+  if (obs_ != nullptr) rewire_observability();
+  return static_cast<int>(slot);
+}
+
+void Network::fill_slot(
+    std::size_t slot, std::shared_ptr<const compiler::CompiledChecker> checker,
+    std::uint32_t generation, std::uint8_t phase) {
+  // Bind the header annotations and check the cap before anything
   // changes: a checker reading a header no switch supplies is refused here
   // and leaves the network as it was.
   std::vector<BoundHeader> headers;
@@ -106,53 +123,35 @@ int Network::stage_deployment(
     throw std::invalid_argument("deploy: checker '" + checker->name +
                                 "': " + e.what());
   }
-  // Prefer reusing a retired slot; the deployment-id space is bounded by
-  // the 64-bit rejected_deps mask, and reuse is what keeps a long-running
-  // daemon deploying forever.
-  int slot = -1;
-  for (std::size_t i = 0; i < deployments_.size(); ++i) {
-    if (!deployments_[i].live && deployments_[i].pending_swaps == 0) {
-      slot = static_cast<int>(i);
-      break;
-    }
-  }
-  if (slot < 0) {
-    if (deployments_.size() >= static_cast<std::size_t>(kMaxDeployments)) {
+  if (slot == deployments_.size()) {
+    if (slot >= static_cast<std::size_t>(kMaxDeployments)) {
       throw std::runtime_error(
           "deploy: all " + std::to_string(kMaxDeployments) +
           " deployment slots are live; undeploy one first");
     }
     deployments_.emplace_back();
-    slot = static_cast<int>(deployments_.size()) - 1;
   }
-  Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-  d.checker = checker;
+  Deployment& d = deployments_[slot];
+  d.checker = std::move(checker);
   d.headers = std::move(headers);
-  d.tele_wire_bytes = checker->layout.wire_bytes;
-  d.generation = static_cast<std::uint32_t>(generations_.size());
-  d.live = true;
+  d.generation = generation;
+  d.live = phase != kPhaseRetired;
   d.retiring = false;
   d.pending_swaps = 0;
-  d.per_switch.assign(static_cast<std::size_t>(topo_.node_count()), {});
-  d.phase.assign(static_cast<std::size_t>(topo_.node_count()),
-                 kPhaseRetired);
-  for (int i = 0; i < topo_.node_count(); ++i) {
-    if (topo_.node(i).kind == NodeKind::kSwitch) {
-      d.per_switch[static_cast<std::size_t>(i)] =
-          p4rt::make_checker_state(checker->ir);
-      d.phase[static_cast<std::size_t>(i)] = phase;
-    }
+  const auto nodes = static_cast<std::size_t>(topo_.node_count());
+  d.per_switch.assign(d.live ? nodes : 0, {});
+  d.phase.assign(nodes, kPhaseRetired);
+  for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
+    if (topo_.node(static_cast<int>(i)).kind != NodeKind::kSwitch) continue;
+    d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
+    d.phase[i] = phase;
   }
-  generations_.push_back({checker, checker->name, false});
-  stale_counters_.emplace_back();
-  note_property(checker->name);
-  reset_dep_scratch(static_cast<std::size_t>(slot));
-  if (obs_ != nullptr) rewire_observability();
-  if (obs_ != nullptr && obs_->live != nullptr && obs_->live->topk) {
+  d.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
+  if (obs_ != nullptr && obs_->live != nullptr) {
     // A reused slot must not inherit the old property's attribution.
-    obs_->live->topk->redefine_property(slot, checker->name);
+    obs_->live->topk->redefine_property(static_cast<int>(slot),
+                                        d.checker->name);
   }
-  return slot;
 }
 
 int Network::deploy(
@@ -222,12 +221,13 @@ void Network::finalize_retirement(std::size_t slot) {
 }
 
 void Network::register_stale_counter(std::uint32_t gen) {
+  GenerationInfo& g = generations_[gen];
   if (obs_ == nullptr) {
-    stale_counters_[gen] = {};
+    g.stale = {};
     return;
   }
-  const std::string& prop = generations_[gen].property;
-  stale_counters_[gen] = obs_->registry.counter(
+  const std::string& prop = g.property;
+  g.stale = obs_->registry.counter(
       "checker." + prop + ".stale_generation",
       "hydra_checker_stale_generation_rejects_total",
       {{"property", prop}});
@@ -525,9 +525,6 @@ int Network::packet_wire_bytes(const p4rt::Packet& pkt) const {
     if (f.generation < generations_.size() &&
         generations_[f.generation].checker != nullptr) {
       bytes += generations_[f.generation].checker->layout.wire_bytes;
-    } else if (f.checker < static_cast<int>(deployments_.size())) {
-      bytes += deployments_[static_cast<std::size_t>(f.checker)]
-                   .tele_wire_bytes;
     }
   }
   return bytes;
@@ -762,20 +759,19 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     for (std::size_t di = 0; di < deployments_.size(); ++di) {
       Deployment& d = deployments_[di];
       if (d.phase[static_cast<std::size_t>(sw)] != kPhaseEnabled) continue;
-      DepScratch& pd = dep_scratch_[di];
-      pd.init_runs.inc();
-      if (forensic) pd.prov.clear();
-      p4rt::ExecOutcome& out = pd.out;
+      d.init_runs.inc();
+      if (forensic) d.prov.clear();
+      p4rt::ExecOutcome& out = d.out;
       out.reject = false;
       out.reports.clear();
-      pd.interp->run(p4rt::Block::kInit,
-                     d.per_switch[static_cast<std::size_t>(sw)],
-                     HopHeaders(d.headers, pkt, hctx), out);
+      d.interp->run(p4rt::Block::kInit,
+                    d.per_switch[static_cast<std::size_t>(sw)],
+                    HopHeaders(d.headers, pkt, hctx), out);
       // Re-arm a retired tele slot in place (deployment order matches the
       // old push_back order; all slots retire together at the last hop).
       p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di));
       frame.generation = d.generation;
-      pd.interp->store(frame);
+      d.interp->store(frame);
       if (cold_sw) frame.cold = true;
       if (hop != nullptr) {
         hop->checkers.push_back(
@@ -783,7 +779,7 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
                                  /*init=*/true, /*tele=*/false,
                                  /*check=*/false));
       }
-      pd.reports.inc(out.reports.size());
+      d.reports.inc(out.reports.size());
       collect_reports(di, d, out);
     }
   }
@@ -810,7 +806,6 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   bool rejected = false;
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
     Deployment& d = deployments_[di];
-    DepScratch& pd = dep_scratch_[di];
     p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
     if (frame == nullptr) continue;  // entered before deployment; skip
 
@@ -821,24 +816,24 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     // dropping it would lose the frame; attributing it to the slot's
     // CURRENT occupant would mix two properties. So: counted reject,
     // attributed per generation, never a crash. The slot's own counters
-    // (pd.*) and rejected_deps deliberately do NOT move.
+    // (d.rejects, ...) and rejected_deps deliberately do NOT move.
     if (d.phase[static_cast<std::size_t>(sw)] == kPhaseRetired ||
         frame->generation != d.generation) {
       // Only the FRAME is rejected — the packet itself keeps forwarding.
       // Folding this into `rejected` would drop user traffic (and count a
       // checker verdict) for what is purely control-plane churn.
       res.reject_reason = "tele_stale_generation";
-      if (frame->generation < stale_counters_.size()) {
-        stale_counters_[frame->generation].inc();
+      if (frame->generation < generations_.size()) {
+        generations_[frame->generation].stale.inc();
       }
       if (forensic && frame->generation == d.generation) {
         // Retired-but-not-reused: the IR still matches the frame, so a
         // forensics note is meaningful. After reuse the layouts differ —
         // recording would mix old and new properties, so skip.
-        pd.prov.clear();
-        pd.out.reject = true;
-        pd.out.reports.clear();
-        record_hop_forensics(pd, di, pkt, hctx, t, &decision, pd.out,
+        d.prov.clear();
+        d.out.reject = true;
+        d.out.reports.clear();
+        record_hop_forensics(d, di, pkt, hctx, t, &decision, d.out,
                              /*ran_init=*/false, /*ran_tele=*/false,
                              /*ran_check=*/false, "tele_stale_generation");
       }
@@ -859,16 +854,16 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
         const char* reason = p4rt::frame_error_reason(err);
         if (faults_ != nullptr) ++faults_->stats().tele_rejects;
         res.reject_reason = reason;
-        pd.decode_rejects.inc();
+        d.decode_rejects.inc();
         rejected = true;
-        // di < 64 always: deploy() enforces kMaxDeployments, so reject
-        // attribution is never silently dropped.
+        // di < 64 always: fill_slot enforces kMaxDeployments on deploy and
+        // restore alike, so reject attribution is never silently dropped.
         res.rejected_deps |= 1ULL << di;
         if (forensic) {
-          pd.prov.clear();
-          pd.out.reject = true;
-          pd.out.reports.clear();
-          record_hop_forensics(pd, di, pkt, hctx, t, &decision, pd.out,
+          d.prov.clear();
+          d.out.reject = true;
+          d.out.reports.clear();
+          record_hop_forensics(d, di, pkt, hctx, t, &decision, d.out,
                                /*ran_init=*/false, /*ran_tele=*/false,
                                /*ran_check=*/false, reason);
         }
@@ -878,29 +873,29 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
       frame->wire.clear();
       frame->damaged = false;
       if (faults_ != nullptr) ++faults_->stats().tele_recovered;
-      pd.decode_recovered.inc();
+      d.decode_recovered.inc();
     }
     if (cold_sw) frame->cold = true;
 
-    pd.tele_runs.inc();
+    d.tele_runs.inc();
     std::vector<BitVec> trace_before;  // traced packets only
     if (hop != nullptr) trace_before = frame->values;
     // At the first hop the provenance buffer still holds the init run's
     // captures; this hop's record covers init+tele+check together.
-    if (forensic && !hctx.first_hop) pd.prov.clear();
-    pd.interp->load(*frame);
-    p4rt::ExecOutcome& out = pd.out;
+    if (forensic && !hctx.first_hop) d.prov.clear();
+    d.interp->load(*frame);
+    p4rt::ExecOutcome& out = d.out;
     out.reject = false;
     out.reports.clear();
     auto& state = d.per_switch[static_cast<std::size_t>(sw)];
     const HopHeaders hdr(d.headers, pkt, hctx);
-    pd.interp->run(p4rt::Block::kTele, state, hdr, out);
+    d.interp->run(p4rt::Block::kTele, state, hdr, out);
     const bool run_check =
         hctx.last_hop ||
         d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
     if (run_check) {
-      pd.check_runs.inc();
-      pd.interp->run(p4rt::Block::kCheck, state, hdr, out);
+      d.check_runs.inc();
+      d.interp->run(p4rt::Block::kCheck, state, hdr, out);
     }
     // Cold suppression: a verdict derived from freshly-wiped sensor state
     // is noise, not a violation — drop it, count it, annotate it.
@@ -909,10 +904,10 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
       out.reject = false;
       out.reports.clear();
       if (faults_ != nullptr) ++faults_->stats().cold_suppressed;
-      pd.cold_suppr.inc();
+      d.cold_suppr.inc();
       fault_note = "cold_suppressed";
     }
-    pd.interp->store(*frame);
+    d.interp->store(*frame);
     if (hop != nullptr) {
       hop->checkers.push_back(
           trace_checker_record(d, frame, &trace_before, out,
@@ -934,13 +929,13 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
       }
     }
     if (out.reject) {
-      pd.rejects.inc();
+      d.rejects.inc();
       // di < 64 always (kMaxDeployments); attribution never dropped.
       res.rejected_deps |= 1ULL << di;
     }
-    pd.reports.inc(out.reports.size());
+    d.reports.inc(out.reports.size());
     if (forensic) {
-      record_hop_forensics(pd, di, pkt, hctx, t, &decision, out,
+      record_hop_forensics(d, di, pkt, hctx, t, &decision, out,
                            /*ran_init=*/hctx.first_hop, /*ran_tele=*/true,
                            run_check, fault_note);
     }
@@ -1018,15 +1013,6 @@ void Network::commit_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   transmit({sw, res.decision.eg_port}, work.pkt);
 }
 
-void Network::reset_dep_scratch(std::size_t slot) {
-  if (slot == dep_scratch_.size()) dep_scratch_.emplace_back();
-  DepScratch& pd = dep_scratch_[slot];
-  pd.interp = std::make_unique<p4rt::Interp>(deployments_[slot].checker->ir);
-  pd.out.reject = false;
-  pd.out.reports.clear();
-  pd.prov.clear();
-}
-
 // ---- observability --------------------------------------------------------
 
 obs::CheckerHopRecord Network::trace_checker_record(
@@ -1063,7 +1049,8 @@ obs::CheckerHopRecord Network::trace_checker_record(
 
 // ---- forensics ------------------------------------------------------------
 
-void Network::record_hop_forensics(DepScratch& pd, std::size_t di, const p4rt::Packet& pkt,
+void Network::record_hop_forensics(const Deployment& d, std::size_t di,
+                                   const p4rt::Packet& pkt,
                                    const HopContext& hctx, SimTime t,
                                    const ForwardingProgram::Decision* dec,
                                    const p4rt::ExecOutcome& out,
@@ -1088,14 +1075,14 @@ void Network::record_hop_forensics(DepScratch& pd, std::size_t di, const p4rt::P
       out.reports.size() < 255 ? out.reports.size() : 255);
   rec.fwd_reason = dec != nullptr ? dec->reason : nullptr;
   rec.fault_note = fault_note;
-  for (const auto& th : pd.prov.table_hits) {
+  for (const auto& th : d.prov.table_hits) {
     rec.add_table_hit(static_cast<std::int16_t>(th.table), th.entry, th.hit);
   }
-  for (const auto& rt : pd.prov.reg_touches) {
+  for (const auto& rt : d.prov.reg_touches) {
     rec.add_reg_touch(static_cast<std::int16_t>(rt.reg), rt.wrote, rt.before,
                       rt.after);
   }
-  const ir::CheckerIR& ir = deployments_[di].checker->ir;
+  const ir::CheckerIR& ir = d.checker->ir;
   const p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
   if (frame != nullptr) {
     for (std::size_t i = 0; i < ir.fields.size(); ++i) {
@@ -1264,19 +1251,15 @@ obs::EngineProfiler& Network::engine_profiler() {
 
 // ---- streaming export -----------------------------------------------------
 
-namespace {
-
 // Delivered-latency bucket grid: switch traversal is ~1us plus link
 // propagation per hop, so the bounds span a single hop through long
 // multi-hop / queueing tails.
-const std::vector<double>& delivered_latency_bounds() {
+const std::vector<double>& Network::delivered_latency_bounds() {
   static const std::vector<double> kBounds{1e-6, 2e-6, 5e-6, 1e-5, 2e-5,
                                            5e-5, 1e-4, 2e-4, 5e-4, 1e-3,
                                            1e-2};
   return kBounds;
 }
-
-}  // namespace
 
 void Network::set_export_interval(double interval_s,
                                   std::size_t ring_capacity) {
@@ -1413,589 +1396,7 @@ void Network::update_live_after_tick() {
   snap.health_json = live.health.to_json();
   snap.violations_json = violation_reports_json();
   snap.topk_json = live.topk->to_json();
-  snap.snapshot_text = obs_snapshot();
   live.publisher->publish(std::move(snap));
-}
-
-// ---- obs snapshot/restore -------------------------------------------------
-
-std::string Network::obs_snapshot() {
-  if (obs_ == nullptr) {
-    throw std::logic_error("obs_snapshot: observability is off");
-  }
-  std::string out = "hydra-obs-snapshot v1\n";
-  append_obs_body(out);
-  out += "end\n";
-  return out;
-}
-
-namespace {
-
-// Checker source embedded in a one-line snapshot record: newline and
-// backslash are the only characters the line format cannot carry.
-std::string escape_source(const std::string& src) {
-  std::string out;
-  out.reserve(src.size());
-  for (const char c : src) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-std::string unescape_source(const std::string& esc) {
-  std::string out;
-  out.reserve(esc.size());
-  for (std::size_t i = 0; i < esc.size(); ++i) {
-    if (esc[i] == '\\' && i + 1 < esc.size()) {
-      ++i;
-      out += esc[i] == 'n' ? '\n' : esc[i];
-    } else {
-      out += esc[i];
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Network::full_snapshot() {
-  if (obs_ == nullptr) {
-    throw std::logic_error("full_snapshot: observability is off");
-  }
-  if (swap_in_progress()) {
-    throw std::logic_error(
-        "full_snapshot: rolling swap sweep in flight; run the queue until "
-        "the sweep commits, then snapshot the quiesced state");
-  }
-  // Flush transparent lookup caches (checker tables and forwarding
-  // programs) so the snapshot point is a cache-cold boundary on BOTH sides
-  // of a restart: the restored process starts cold by construction, and a
-  // warm cache here would put cache-hit counters on diverging trajectories.
-  // Caches never change lookup results, only which counter ticks.
-  for (Deployment& d : deployments_) {
-    for (p4rt::CheckerState& state : d.per_switch) {
-      for (p4rt::Table& tab : state.tables) tab.invalidate_cache();
-    }
-  }
-  {
-    std::vector<const ForwardingProgram*> flushed;
-    for (const auto& prog : programs_) {
-      if (prog == nullptr) continue;
-      bool seen = false;
-      for (const ForwardingProgram* p : flushed) seen = seen || p == prog.get();
-      if (seen) continue;
-      flushed.push_back(prog.get());
-      prog->invalidate_caches();
-    }
-  }
-  using obs::detail::format_double;
-  std::string out = "hydra-obs-snapshot v2\n";
-  out += "clock " + format_double(events_.now()) + " " +
-         (obs_->exporter != nullptr
-              ? format_double(obs_->exporter->next_tick())
-              : std::string("0")) +
-         " " + std::to_string(next_packet_id_) + " " +
-         (obs_->exporter != nullptr
-              ? std::to_string(obs_->exporter->ticks()) + " " +
-                    format_double(obs_->exporter->first_tick())
-              : std::string("0 0")) +
-         "\n";
-  for (std::size_t g = 0; g < generations_.size(); ++g) {
-    out += "gen " + std::to_string(g) + " " +
-           (generations_[g].retired ? "1" : "0") + " " +
-           generations_[g].property + "\n";
-  }
-  for (std::size_t si = 0; si < deployments_.size(); ++si) {
-    const Deployment& d = deployments_[si];
-    const compiler::CompileOptions& o = d.checker->options;
-    out += "dep " + std::to_string(si) + " " + std::to_string(d.generation) +
-           " " + (d.live ? "1" : "0") + " " +
-           std::to_string(static_cast<int>(o.placement)) + " " +
-           (o.byte_aligned_layout ? "1" : "0") + " " +
-           std::to_string(static_cast<int>(o.dialect)) + " " +
-           std::to_string(o.baseline.stages) + " " +
-           format_double(o.baseline.phv_percent) + " " + o.baseline.name +
-           " " + d.checker->name + "\n";
-    out += "src " + std::to_string(si) + " " +
-           escape_source(d.checker->source) + "\n";
-    if (!d.live) continue;
-    for (int sw = 0; sw < topo_.node_count(); ++sw) {
-      if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-      const p4rt::CheckerState& state =
-          d.per_switch[static_cast<std::size_t>(sw)];
-      for (std::size_t ti = 0; ti < state.tables.size(); ++ti) {
-        std::ostringstream ts;
-        p4rt::serialize_table(state.tables[ti], ts);
-        out += "tab " + std::to_string(si) + " " + std::to_string(sw) + " " +
-               std::to_string(ti) + " " + ts.str() + "\n";
-      }
-      for (std::size_t ri = 0; ri < state.registers.size(); ++ri) {
-        std::ostringstream rs;
-        p4rt::serialize_registers(state.registers[ri], rs);
-        out += "reg " + std::to_string(si) + " " + std::to_string(sw) + " " +
-               std::to_string(ri) + " " + rs.str() + "\n";
-      }
-    }
-  }
-  // Mutable forwarding state, deduped by shared program instance (keyed by
-  // the lowest switch id running it).
-  std::vector<const ForwardingProgram*> done;
-  for (int sw = 0; sw < topo_.node_count(); ++sw) {
-    const ForwardingProgram* prog =
-        programs_[static_cast<std::size_t>(sw)].get();
-    if (prog == nullptr || !prog->has_state()) continue;
-    bool seen = false;
-    for (const ForwardingProgram* p : done) seen = seen || p == prog;
-    if (seen) continue;
-    done.push_back(prog);
-    std::ostringstream fs;
-    prog->save_state(fs);
-    out += "fwd " + std::to_string(sw) + " " + fs.str() + "\n";
-  }
-  // Per-link cumulative counters and the serialization clock: restoring
-  // them keeps the per-link gauges and future queueing byte-identical.
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    for (int dir = 0; dir < 2; ++dir) {
-      const Link::DirStats& s = links_[li].stats(dir);
-      out += "link " + std::to_string(li) + " " + std::to_string(dir) + " " +
-             std::to_string(s.packets) + " " + std::to_string(s.bytes) + " " +
-             std::to_string(s.drops) + " " + format_double(s.busy_until) +
-             " " + format_double(s.busy_time) + "\n";
-    }
-  }
-  // The export scheduler's delta baseline (totals as of the last fired
-  // tick). Events between that tick and this snapshot are in no window
-  // yet; without this record a restored process would re-anchor the
-  // baseline at the snapshot totals and silently drop them from its first
-  // post-restore window.
-  if (obs_->exporter != nullptr) {
-    const obs::ExportCumulative& b = obs_->exporter->baseline();
-    out += "base " + std::to_string(b.injected) + " " +
-           std::to_string(b.delivered) + " " + std::to_string(b.rejected) +
-           " " + std::to_string(b.fwd_dropped) + " " +
-           std::to_string(b.queue_dropped) + " " +
-           std::to_string(b.fault_dropped) + " " + std::to_string(b.reports) +
-           " " + std::to_string(b.decode_rejects) + " " +
-           std::to_string(b.cold_suppressed) + "\n";
-    out += "blat " + std::to_string(b.latency_count) + " " +
-           format_double(b.latency_sum) + " " +
-           std::to_string(b.latency_buckets.size());
-    for (std::uint64_t v : b.latency_buckets) out += " " + std::to_string(v);
-    out += "\n";
-    for (const auto& p : b.properties) {
-      out += "bprop " + p.name + " " + std::to_string(p.rejects) + " " +
-             std::to_string(p.reports) + " " + std::to_string(p.check_runs) +
-             " " + std::to_string(p.tele_runs) + "\n";
-    }
-  }
-  append_obs_body(out);
-  out += "end\n";
-  return out;
-}
-
-void Network::append_obs_body(std::string& out) {
-  using obs::detail::format_double;
-  out += "sim injected " + std::to_string(counters_.injected) + "\n";
-  out += "sim delivered " + std::to_string(counters_.delivered) + "\n";
-  out += "sim rejected " + std::to_string(counters_.rejected) + "\n";
-  out += "sim fwd_dropped " + std::to_string(counters_.fwd_dropped) + "\n";
-  out += "sim queue_dropped " + std::to_string(counters_.queue_dropped) + "\n";
-  out += "sim fault_dropped " + std::to_string(counters_.fault_dropped) + "\n";
-  out += obs_->registry.snapshot_text();
-  if (obs_->exporter != nullptr) {
-    const obs::ExportScheduler& sched = *obs_->exporter;
-    out += "series " + std::to_string(sched.captured()) + "\n";
-    for (const obs::WindowSample& w : sched.windows()) {
-      const obs::ExportCumulative& d = w.delta;
-      out += "window " + std::to_string(w.index) + " " +
-             format_double(w.t0) + " " + format_double(w.t1) + " " +
-             std::to_string(d.injected) + " " + std::to_string(d.delivered) +
-             " " + std::to_string(d.rejected) + " " +
-             std::to_string(d.fwd_dropped) + " " +
-             std::to_string(d.queue_dropped) + " " +
-             std::to_string(d.fault_dropped) + " " +
-             std::to_string(d.reports) + " " +
-             std::to_string(d.decode_rejects) + " " +
-             std::to_string(d.cold_suppressed) + " " + format_double(w.pps) +
-             " " + format_double(w.rejects_per_s) + "\n";
-      out += "wlat " + std::to_string(d.latency_count) + " " +
-             format_double(d.latency_sum) + " " + format_double(w.latency_p50) +
-             " " + format_double(w.latency_p90) + " " +
-             format_double(w.latency_p99) + " " +
-             std::to_string(d.latency_buckets.size());
-      for (std::uint64_t b : d.latency_buckets) out += " " + std::to_string(b);
-      out += "\n";
-      for (const auto& p : d.properties) {
-        out += "wprop " + p.name + " " + std::to_string(p.rejects) + " " +
-               std::to_string(p.reports) + " " + std::to_string(p.check_runs) +
-               " " + std::to_string(p.tele_runs) + "\n";
-      }
-    }
-  }
-  if (obs_->live != nullptr) out += obs_->live->topk->snapshot_text();
-}
-
-namespace {
-
-[[noreturn]] void bad_snapshot(const std::string& line) {
-  throw std::invalid_argument("obs_restore: malformed snapshot line '" + line +
-                              "'");
-}
-
-// Reads `n` counts off `ls`, growing `out` only as counts actually arrive:
-// a mutated count cannot size an allocation beyond the line itself. A
-// delivered-latency list (`latency`: blat/wlat) must also have exactly
-// the histogram's bucket count.
-void read_counts(std::istringstream& ls, std::size_t n,
-                 std::vector<std::uint64_t>& out, const std::string& line,
-                 bool latency = false) {
-  if (latency && n != delivered_latency_bounds().size() + 1) {
-    bad_snapshot(line);
-  }
-  out.clear();
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n && ls >> v; ++i) out.push_back(v);
-  if (ls.fail()) bad_snapshot(line);
-}
-
-}  // namespace
-
-void Network::obs_restore(const std::string& text) {
-  if (!events_.empty()) {
-    throw std::logic_error("obs_restore: event queue must be idle");
-  }
-  if (obs_ == nullptr) {
-    throw std::logic_error(
-        "obs_restore: arm observability (and export/live obs, if wanted) "
-        "before restoring");
-  }
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) ||
-      (line != "hydra-obs-snapshot v1" && line != "hydra-obs-snapshot v2")) {
-    throw std::invalid_argument("obs_restore: unrecognized snapshot header");
-  }
-  const bool v2 = line == "hydra-obs-snapshot v2";
-  if (v2 && !deployments_.empty()) {
-    throw std::logic_error(
-        "obs_restore: a full-state (v2) snapshot rebuilds the deployment "
-        "set; restore into a scenario that has not deployed any checker");
-  }
-  std::deque<obs::WindowSample> windows;
-  std::uint64_t captured = 0;
-  bool have_series = false;
-  bool saw_end = false;
-  // v2 structural state (clock / generation table / pending dep record).
-  double now = 0.0;
-  double next_tick = 0.0;
-  std::uint64_t npid = 1;
-  std::uint64_t tick_count = 0;
-  double first_tick = 0.0;
-  bool have_clock = false;
-  obs::ExportCumulative base_cum;
-  bool have_base = false;
-  struct PendingDep {
-    bool valid = false;
-    int slot = -1;
-    std::uint32_t gen = 0;
-    bool live = false;
-    compiler::CompileOptions options;
-    std::string name;
-  } pending;
-  // Fires at the first v1-body keyword: the deployment set is complete, so
-  // properties, stale counters, obs wiring, and top-K labels can be
-  // rebuilt before any counter/sketch values land.
-  bool structural_done = !v2;
-  const auto finish_structural = [&]() {
-    if (structural_done) return;
-    structural_done = true;
-    if (pending.valid) {
-      throw std::invalid_argument(
-          "obs_restore: dep record without matching src line");
-    }
-    known_properties_.clear();
-    for (const GenerationInfo& g : generations_) note_property(g.property);
-    stale_counters_.assign(generations_.size(), obs::Counter{});
-    rewire_observability();  // re-registers retired-generation counters
-    if (obs_->live != nullptr && obs_->live->topk != nullptr) {
-      for (std::size_t si = 0; si < deployments_.size(); ++si) {
-        obs_->live->topk->redefine_property(static_cast<int>(si),
-                                            deployments_[si].checker->name);
-      }
-    }
-  };
-  // Decoder and compiler failures inside a record (table and register
-  // codecs, an embedded checker source) surface as std::invalid_argument
-  // naming the snapshot line, like every other malformed line.
-  std::size_t line_no = 1;  // the header
-  const auto at_line = [&line_no](const std::exception& e) {
-    return std::invalid_argument("obs_restore: snapshot line " +
-                                 std::to_string(line_no) + ": " + e.what());
-  };
-  try {
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string kw;
-      ls >> kw;
-      if (kw == "end") {
-        finish_structural();
-        saw_end = true;
-        break;
-      }
-      const bool structural = kw == "clock" || kw == "gen" || kw == "dep" ||
-                              kw == "src" || kw == "tab" || kw == "reg" ||
-                              kw == "fwd" || kw == "link" || kw == "base" ||
-                              kw == "blat" || kw == "bprop";
-      if (structural) {
-        if (!v2 || structural_done) bad_snapshot(line);
-        if (kw == "clock") {
-          ls >> now >> next_tick >> npid >> tick_count >> first_tick;
-          if (ls.fail()) bad_snapshot(line);
-          have_clock = true;
-        } else if (kw == "gen") {
-          std::size_t g = 0;
-          int retired = 0;
-          std::string prop;
-          ls >> g >> retired >> prop;
-          if (ls.fail() || g != generations_.size() || prop.empty()) {
-            bad_snapshot(line);
-          }
-          generations_.push_back({nullptr, std::move(prop), retired != 0});
-        } else if (kw == "dep") {
-          int slot = -1;
-          int live = 0;
-          int placement = 0;
-          int aligned = 0;
-          int dialect = 0;
-          ls >> slot >> pending.gen >> live >> placement >> aligned >>
-              dialect >> pending.options.baseline.stages >>
-              pending.options.baseline.phv_percent >>
-              pending.options.baseline.name >> pending.name;
-          if (ls.fail() || pending.valid ||
-              slot != static_cast<int>(deployments_.size()) ||
-              pending.gen >= generations_.size() ||
-              generations_[pending.gen].property != pending.name ||
-              placement < 0 ||
-              placement > static_cast<int>(compiler::CheckPlacement::kAuto) ||
-              dialect < 0 ||
-              dialect > static_cast<int>(compiler::P4Dialect::kV1Model)) {
-            bad_snapshot(line);
-          }
-          pending.valid = true;
-          pending.slot = slot;
-          pending.live = live != 0;
-          pending.options.placement =
-              static_cast<compiler::CheckPlacement>(placement);
-          pending.options.byte_aligned_layout = aligned != 0;
-          pending.options.dialect = static_cast<compiler::P4Dialect>(dialect);
-        } else if (kw == "src") {
-          int slot = -1;
-          ls >> slot;
-          if (ls.fail() || !pending.valid || slot != pending.slot) {
-            bad_snapshot(line);
-          }
-          std::string esc;
-          std::getline(ls, esc);
-          if (!esc.empty() && esc.front() == ' ') esc.erase(0, 1);
-          auto sp = std::make_shared<const compiler::CompiledChecker>(
-              compiler::compile_checker(unescape_source(esc), pending.name,
-                                        pending.options));
-          std::vector<BoundHeader> headers = bind_headers(sp->ir);
-          deployments_.emplace_back();
-          Deployment& d = deployments_.back();
-          d.checker = sp;
-          d.headers = std::move(headers);
-          d.tele_wire_bytes = sp->layout.wire_bytes;
-          d.generation = pending.gen;
-          d.live = pending.live;
-          d.phase.assign(static_cast<std::size_t>(topo_.node_count()),
-                         kPhaseRetired);
-          if (d.live) {
-            d.per_switch.assign(static_cast<std::size_t>(topo_.node_count()),
-                                {});
-            for (int i = 0; i < topo_.node_count(); ++i) {
-              if (topo_.node(i).kind != NodeKind::kSwitch) continue;
-              d.per_switch[static_cast<std::size_t>(i)] =
-                  p4rt::make_checker_state(sp->ir);
-              d.phase[static_cast<std::size_t>(i)] = kPhaseEnabled;
-            }
-          }
-          generations_[d.generation].checker = sp;
-          reset_dep_scratch(deployments_.size() - 1);
-          pending.valid = false;
-        } else if (kw == "tab" || kw == "reg") {
-          int slot = -1;
-          int sw = -1;
-          std::size_t idx = 0;
-          ls >> slot >> sw >> idx;
-          if (ls.fail() || slot < 0 ||
-              slot >= static_cast<int>(deployments_.size()) || sw < 0 ||
-              sw >= topo_.node_count() ||
-              topo_.node(sw).kind != NodeKind::kSwitch) {
-            bad_snapshot(line);
-          }
-          Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-          if (!d.live || d.per_switch.empty()) bad_snapshot(line);
-          p4rt::CheckerState& state =
-              d.per_switch[static_cast<std::size_t>(sw)];
-          if (kw == "tab") {
-            if (idx >= state.tables.size()) bad_snapshot(line);
-            p4rt::deserialize_table(state.tables[idx], ls);
-          } else {
-            if (idx >= state.registers.size()) bad_snapshot(line);
-            p4rt::deserialize_registers(state.registers[idx], ls);
-          }
-        } else if (kw == "fwd") {
-          int sw = -1;
-          ls >> sw;
-          if (ls.fail() || sw < 0 || sw >= topo_.node_count()) {
-            bad_snapshot(line);
-          }
-          ForwardingProgram* prog =
-              programs_[static_cast<std::size_t>(sw)].get();
-          if (prog == nullptr || !prog->has_state()) {
-            throw std::invalid_argument(
-                "obs_restore: fwd state for switch " + std::to_string(sw) +
-                ", whose program keeps none (scenario mismatch)");
-          }
-          prog->load_state(ls);
-        } else if (kw == "link") {
-          std::size_t li = 0;
-          int dir = -1;
-          Link::DirStats s;
-          ls >> li >> dir >> s.packets >> s.bytes >> s.drops >> s.busy_until >>
-              s.busy_time;
-          if (ls.fail() || li >= links_.size() || dir < 0 || dir > 1) {
-            bad_snapshot(line);
-          }
-          links_[li].restore_stats(dir, s);
-        } else if (kw == "base") {
-          ls >> base_cum.injected >> base_cum.delivered >> base_cum.rejected >>
-              base_cum.fwd_dropped >> base_cum.queue_dropped >>
-              base_cum.fault_dropped >> base_cum.reports >>
-              base_cum.decode_rejects >> base_cum.cold_suppressed;
-          if (ls.fail()) bad_snapshot(line);
-          have_base = true;
-        } else if (kw == "blat") {
-          std::size_t n = 0;
-          ls >> base_cum.latency_count >> base_cum.latency_sum >> n;
-          if (ls.fail()) bad_snapshot(line);
-          read_counts(ls, n, base_cum.latency_buckets, line, true);
-        } else {  // bprop
-          obs::ExportCumulative::Property p;
-          ls >> p.name >> p.rejects >> p.reports >> p.check_runs >> p.tele_runs;
-          if (ls.fail()) bad_snapshot(line);
-          base_cum.properties.push_back(std::move(p));
-        }
-        continue;
-      }
-      finish_structural();
-      if (kw == "sim") {
-        std::string which;
-        std::uint64_t v = 0;
-        ls >> which >> v;
-        if (ls.fail()) bad_snapshot(line);
-        if (which == "injected") counters_.injected += v;
-        else if (which == "delivered") counters_.delivered += v;
-        else if (which == "rejected") counters_.rejected += v;
-        else if (which == "fwd_dropped") counters_.fwd_dropped += v;
-        else if (which == "queue_dropped") counters_.queue_dropped += v;
-        else if (which == "fault_dropped") counters_.fault_dropped += v;
-        else bad_snapshot(line);
-      } else if (kw == "counter") {
-        std::string name;
-        std::uint64_t v = 0;
-        ls >> name >> v;
-        if (ls.fail()) bad_snapshot(line);
-        obs_->registry.restore_counter(name, v);
-      } else if (kw == "hist") {
-        std::string name;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        std::size_t n = 0;
-        ls >> name >> count >> sum >> n;
-        if (ls.fail()) bad_snapshot(line);
-        std::vector<std::uint64_t> buckets;
-        read_counts(ls, n, buckets, line);
-        obs_->registry.restore_histogram(name, count, sum, buckets);
-      } else if (kw == "series") {
-        ls >> captured;
-        if (ls.fail()) bad_snapshot(line);
-        have_series = true;
-      } else if (kw == "window") {
-        obs::WindowSample w;
-        obs::ExportCumulative& d = w.delta;
-        ls >> w.index >> w.t0 >> w.t1 >> d.injected >> d.delivered >>
-            d.rejected >> d.fwd_dropped >> d.queue_dropped >> d.fault_dropped >>
-            d.reports >> d.decode_rejects >> d.cold_suppressed >> w.pps >>
-            w.rejects_per_s;
-        if (ls.fail()) bad_snapshot(line);
-        windows.push_back(std::move(w));
-      } else if (kw == "wlat") {
-        if (windows.empty()) bad_snapshot(line);
-        obs::WindowSample& w = windows.back();
-        std::size_t n = 0;
-        ls >> w.delta.latency_count >> w.delta.latency_sum >> w.latency_p50 >>
-            w.latency_p90 >> w.latency_p99 >> n;
-        if (ls.fail()) bad_snapshot(line);
-        read_counts(ls, n, w.delta.latency_buckets, line, true);
-      } else if (kw == "wprop") {
-        if (windows.empty()) bad_snapshot(line);
-        obs::ExportCumulative::Property p;
-        ls >> p.name >> p.rejects >> p.reports >> p.check_runs >> p.tele_runs;
-        if (ls.fail()) bad_snapshot(line);
-        windows.back().delta.properties.push_back(std::move(p));
-      } else if (kw == "topk" || kw == "tke") {
-        // Sketch state is only meaningful with live obs re-armed; otherwise
-        // the lines are structural no-ops.
-        if (obs_->live != nullptr) obs_->live->topk->restore_line(line);
-      } else {
-        bad_snapshot(line);
-      }
-    }
-  } catch (const std::runtime_error& e) {  // includes indus::CompileError
-    throw at_line(e);
-  } catch (const std::length_error& e) {
-    throw at_line(e);
-  }
-  if (!saw_end) {
-    throw std::invalid_argument("obs_restore: truncated snapshot");
-  }
-  if (v2 && have_clock) {
-    // Resume the snapshot's time domain: the clock, packet-id stream, and
-    // (below) export-tick boundaries continue exactly where the
-    // snapshotted run left off.
-    events_.advance_now(now);
-    next_packet_id_ = npid;
-  }
-  if (obs_->exporter != nullptr) {
-    // Re-anchor deltas at the restored totals (the arm-time baseline was
-    // taken before the restore folded the old counts in), then reinstate
-    // the captured ring. v1 keeps the tick clock in this process's fresh
-    // virtual-time domain; v2 re-anchors it into the snapshot's.
-    obs_->exporter->rebaseline(export_cumulative());
-    if (have_series) {
-      obs_->exporter->restore_series(captured, std::move(windows));
-    }
-    if (v2 && have_clock && next_tick > 0.0) {
-      obs_->exporter->resume_clock(first_tick, tick_count);
-    }
-    if (v2 && have_base) {
-      // The snapshotted run's delta baseline (totals at its last fired
-      // tick) — NOT the snapshot-time totals: events between the two are
-      // in no window yet and must land in the first post-restore window.
-      obs_->exporter->restore_baseline(std::move(base_cum));
-    }
-    if (obs_->live != nullptr) {
-      obs_->live->health = obs::evaluate_health(
-          obs_->exporter->windows(), obs_->exporter->latency_bounds(),
-          obs_->live->opts.health);
-    }
-  }
 }
 
 obs::ExportCumulative Network::export_cumulative() const {
@@ -2051,23 +1452,22 @@ void Network::export_tick_until(SimTime t) {
 void Network::rewire_observability() {
   if (obs_ == nullptr) {
     // Detach every handle; none may outlive the registry it points into.
-    for (auto& pd : dep_scratch_) {
-      pd.init_runs = {};
-      pd.tele_runs = {};
-      pd.check_runs = {};
-      pd.rejects = {};
-      pd.reports = {};
-      pd.decode_rejects = {};
-      pd.decode_recovered = {};
-      pd.cold_suppr = {};
-      pd.interp->attach_metrics({});
-      pd.interp->set_provenance(nullptr);
-    }
     for (auto& d : deployments_) {
+      d.init_runs = {};
+      d.tele_runs = {};
+      d.check_runs = {};
+      d.rejects = {};
+      d.reports = {};
+      d.decode_rejects = {};
+      d.decode_recovered = {};
+      d.cold_suppr = {};
+      d.interp->attach_metrics({});
+      d.interp->set_provenance(nullptr);
       for (auto& state : d.per_switch) {
         for (auto& table : state.tables) table.attach_metrics({});
       }
     }
+    for (GenerationInfo& g : generations_) g.stale = {};
     for (int i = 0; i < topo_.node_count(); ++i) {
       ForwardingProgram* prog = programs_[static_cast<std::size_t>(i)].get();
       if (prog != nullptr) prog->attach_metrics(nullptr);
@@ -2080,29 +1480,28 @@ void Network::rewire_observability() {
   // (the JSON/CSV snapshot key, unchanged byte-for-byte) with a structured
   // Prometheus identity layered on top: one family per counter kind,
   // attributed by a property="<checker>" label.
-  for (std::size_t di = 0; di < deployments_.size(); ++di) {
-    const std::string& cn = deployments_[di].checker->name;
+  for (Deployment& d : deployments_) {
+    const std::string& cn = d.checker->name;
     const std::vector<obs::Label> by_prop{{"property", cn}};
-    DepScratch& pd = dep_scratch_[di];
-    pd.init_runs = reg.counter("checker." + cn + ".init_runs",
-                               "hydra_checker_init_runs_total", by_prop);
-    pd.tele_runs = reg.counter("checker." + cn + ".tele_runs",
-                               "hydra_checker_tele_runs_total", by_prop);
-    pd.check_runs = reg.counter("checker." + cn + ".check_runs",
-                                "hydra_checker_check_runs_total", by_prop);
-    pd.rejects = reg.counter("checker." + cn + ".rejects",
-                             "hydra_checker_rejects_total", by_prop);
-    pd.reports = reg.counter("checker." + cn + ".reports",
-                             "hydra_checker_reports_total", by_prop);
-    pd.decode_rejects =
+    d.init_runs = reg.counter("checker." + cn + ".init_runs",
+                              "hydra_checker_init_runs_total", by_prop);
+    d.tele_runs = reg.counter("checker." + cn + ".tele_runs",
+                              "hydra_checker_tele_runs_total", by_prop);
+    d.check_runs = reg.counter("checker." + cn + ".check_runs",
+                               "hydra_checker_check_runs_total", by_prop);
+    d.rejects = reg.counter("checker." + cn + ".rejects",
+                            "hydra_checker_rejects_total", by_prop);
+    d.reports = reg.counter("checker." + cn + ".reports",
+                            "hydra_checker_reports_total", by_prop);
+    d.decode_rejects =
         reg.counter("checker." + cn + ".tele_decode_rejects",
                     "hydra_checker_tele_decode_rejects_total", by_prop);
-    pd.decode_recovered =
+    d.decode_recovered =
         reg.counter("checker." + cn + ".tele_decode_recovered",
                     "hydra_checker_tele_decode_recovered_total", by_prop);
-    pd.cold_suppr = reg.counter("checker." + cn + ".cold_suppressed",
-                                "hydra_checker_cold_suppressed_total",
-                                by_prop);
+    d.cold_suppr = reg.counter("checker." + cn + ".cold_suppressed",
+                               "hydra_checker_cold_suppressed_total",
+                               by_prop);
 
     p4rt::InterpMetrics im;
     im.instructions = reg.counter("p4rt.interp." + cn + ".instructions",
@@ -2114,11 +1513,10 @@ void Network::rewire_observability() {
                                "hydra_interp_reg_reads_total", by_prop);
     im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
                                 "hydra_interp_reg_writes_total", by_prop);
-    pd.interp->attach_metrics(im);
+    d.interp->attach_metrics(im);
     // Provenance capture feeds the flight recorder; disarmed (one branch
     // per lookup/register op) unless forensics is on.
-    pd.interp->set_provenance(obs_->recorder != nullptr ? &pd.prov
-                                                        : nullptr);
+    d.interp->set_provenance(obs_->recorder != nullptr ? &d.prov : nullptr);
   }
 
   // Checker tables: one aggregate counter set per (checker, table) name,

@@ -321,10 +321,10 @@ class Network final : public EventExecutor {
   // rejects, and reports feed deterministic Space-Saving sketches, and
   // every export tick re-evaluates the SLO verdict and sets the `health.*`
   // gauges. With a publisher attached (set_live_publisher), every tick
-  // additionally renders an immutable LiveSnapshot — Prometheus text,
-  // series/health/violations/topk JSON, and the obs state snapshot — and
-  // swaps it into the publisher for the HTTP plane. Must be called while
-  // the event queue is idle. Off means free: one null check per hop.
+  // additionally renders an immutable LiveSnapshot — Prometheus text and
+  // series/health/violations/topk JSON — and swaps it into the publisher
+  // for the HTTP plane. Must be called while the event queue is idle. Off
+  // means free: one null check per hop.
   struct LiveObsOptions {
     std::size_t topk_k = 8;
     // Subscriber (UE) block identifying PFCP sessions; mask 0 disables
@@ -351,31 +351,27 @@ class Network final : public EventExecutor {
   std::string health_json() const { return last_health().to_json(); }
   std::string topk_json() const;
 
-  // ---- obs snapshot/restore ---------------------------------------------
-  // Deterministic line-oriented serialization of the observability state:
-  // simulation counters, registry counters + histograms, the captured
-  // window ring, and (when live obs is armed) the top-K sketches. A
-  // restarted process that rebuilds the same scenario, arms the same
-  // obs/export/live configuration, and calls obs_restore BEFORE running
-  // traffic resumes every exported counter monotonically. Throws
-  // std::logic_error while observability is off.
-  std::string obs_snapshot();
-  // Full-state snapshot (format v2, DESIGN.md §15): the v1 observability
-  // body plus the simulation clock, the generation table, the deployment
-  // set (with embedded checker source for slots the restoring scenario
-  // does not rebuild), every live slot's per-switch sensor registers and
-  // checker tables (sparse), and mutable forwarding state
-  // (ForwardingProgram::save_state). A hydrad restarted from it resumes
-  // with identical verdict behavior. Throws std::logic_error while
-  // observability is off or while a rolling swap sweep is still in
-  // flight (snapshot the quiesced state, not a half-swapped one).
+  // ---- full-state snapshot/restore (net/snapshot.cpp) -------------------
+  // Deterministic line-oriented snapshot (format v2, DESIGN.md §15): the
+  // clock, the generation table, the deployment set (each slot's compile
+  // options and checker source), every live slot's per-switch registers
+  // and tables, mutable forwarding state, per-link counters, and the obs
+  // state (sim counters, registry counters and histograms, the export
+  // baseline and window ring, and the top-K sketches while live obs is
+  // armed). A hydrad restarted from it resumes with identical verdict
+  // behavior. Throws std::logic_error while observability is off or while
+  // a rolling swap sweep is still in flight (snapshot the quiesced state,
+  // not a half-swapped one).
   std::string full_snapshot();
-  // Additive restore (values fold into current state); accepts v1 and v2
-  // snapshots (v2 additionally overwrites registers, tables, the
-  // deployment set, and the clock). Throws std::invalid_argument on a
-  // malformed snapshot or when a v2 deployment slot disagrees with the
-  // checker already deployed there. Must be called while the event queue
-  // is idle.
+  // Restores a full_snapshot into a network that rebuilt the same scenario
+  // and armed the same obs/export/live configuration, but deployed nothing
+  // (std::logic_error otherwise, and while observability is off or the
+  // event queue is busy). The deployment set, registers, tables,
+  // forwarding state and clock are overwritten; counters fold into the
+  // current values. A malformed snapshot throws std::invalid_argument
+  // naming `snapshot line N`. Records apply as they are read, so a failed
+  // restore leaves the network partly restored: discard it and rebuild,
+  // as hydrad does.
   void obs_restore(const std::string& text);
 
   // Null while streaming export is disarmed.
@@ -418,12 +414,16 @@ class Network final : public EventExecutor {
     kPhaseEnabled = 2,  // fully live: init stamps new frames
   };
 
+  // One deployment slot: its occupant's checker and per-switch state, and
+  // the hop pipeline's scratch for it, all reused across packets — the
+  // checker VM with its slot file (one uint64_t per IR field, expression
+  // temporary and constant) and table-key buffer, the ExecOutcome, the
+  // provenance buffers and the slot's hot-path counters.
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
     // The checker's header annotations, bound at deploy; by header index.
     std::vector<BoundHeader> headers;
-    int tele_wire_bytes = 0;
     // Generation tag stamped into this occupant's telemetry frames; bumps
     // on every (re)deploy so slot reuse never mixes properties.
     std::uint32_t generation = 0;
@@ -431,28 +431,6 @@ class Network final : public EventExecutor {
     bool retiring = false;  // disable sweep in flight
     int pending_swaps = 0;  // per-switch flips not yet committed
     std::vector<std::uint8_t> phase;  // by node id; see enum above
-  };
-
-  // One entry per generation ever deployed (never erased): the compiled
-  // checker (name, IR, wire layout) survives the slot's reuse, so
-  // stale-frame accounting, fault-path reserialization, and wire sizing
-  // stay correct for frames stamped by a retired occupant.
-  struct GenerationInfo {
-    // Null only after a v2 restore for generations whose slot was reused
-    // before the snapshot (no source survives); `property` always holds
-    // the name, which is all stale-frame accounting needs then — no
-    // in-flight frames survive a restore, so the layout is never read.
-    std::shared_ptr<const compiler::CompiledChecker> checker;
-    std::string property;
-    bool retired = false;
-  };
-
-  // Per-deployment scratch of the hop pipeline, indexed by slot: the
-  // checker VM instance with its slot file (one uint64_t per IR field,
-  // expression temporary and constant) and table-key buffer, the
-  // ExecOutcome, the provenance buffers and the slot's hot-path counters.
-  // All of it is reused across packets.
-  struct DepScratch {
     // The checker lowered to slot-addressed ops; owns the slot file.
     std::unique_ptr<p4rt::Interp> interp;
     p4rt::ExecOutcome out;
@@ -472,6 +450,23 @@ class Network final : public EventExecutor {
     p4rt::ExecProvenance prov;
   };
 
+  // One entry per generation ever deployed (never erased): the compiled
+  // checker (name, IR, wire layout) survives the slot's reuse, so
+  // stale-frame accounting, fault-path reserialization, and wire sizing
+  // stay correct for frames stamped by a retired occupant.
+  struct GenerationInfo {
+    // Null only after a restore for generations whose slot was reused
+    // before the snapshot (no source survives); `property` always holds
+    // the name, which is all stale-frame accounting needs then — no
+    // in-flight frames survive a restore, so the layout is never read.
+    std::shared_ptr<const compiler::CompiledChecker> checker;
+    std::string property;
+    bool retired = false;
+    // Stale-frame reject counter, attached from retirement on while
+    // observability is on (register_stale_counter).
+    obs::Counter stale;
+  };
+
   // What a hop's compute half hands its commit half: the verdict, the
   // reports and the trace record. Holding the reports here is what makes
   // report callbacks fire only after every checker on the hop has run.
@@ -480,8 +475,8 @@ class Network final : public EventExecutor {
     bool rejected = false;
     // Bit d set for each deployment whose checker (or fail-closed
     // telemetry decode) rejected this hop; feeds per-property top-K
-    // attribution. deploy() caps slots at kMaxDeployments (64), so every
-    // deployment id fits.
+    // attribution. fill_slot caps slots at kMaxDeployments (64) on deploy
+    // and restore alike, so every deployment id fits.
     std::uint64_t rejected_deps = 0;
     // Static string ("tele_bad_tag", ...) naming why a damaged or stale
     // telemetry frame was rejected fail-closed this hop.
@@ -526,13 +521,20 @@ class Network final : public EventExecutor {
     std::unique_ptr<LiveObs> live;
   };
 
-  // Rebinds slot `slot`'s scratch (interpreter, value store) to the slot's
-  // current checker; appends it for a fresh slot.
-  void reset_dep_scratch(std::size_t slot);
   // Stages `checker` into a reused-or-fresh slot with every switch at
   // `phase`; throws std::runtime_error at the kMaxDeployments cap.
   int stage_deployment(std::shared_ptr<const compiler::CompiledChecker> c,
                        std::uint8_t phase);
+  // Points slot `slot` at `checker` under `generation`, appending it when
+  // `slot` is one past the last: fresh per-switch state with every switch
+  // at `phase` (none for a retired slot, kPhaseRetired), a VM bound to the
+  // checker, and the slot's top-K property label. Binds the checker's
+  // header annotations first and throws std::invalid_argument if they do
+  // not bind, or std::runtime_error for a slot past kMaxDeployments,
+  // before anything changes. deploy and restore both fill slots here.
+  void fill_slot(std::size_t slot,
+                 std::shared_ptr<const compiler::CompiledChecker> c,
+                 std::uint32_t generation, std::uint8_t phase);
   // Schedules one kSwap ControlOp per switch at now() flipping `slot` to
   // `phase`; sets pending_swaps.
   void schedule_swaps(int slot, std::uint8_t phase);
@@ -552,9 +554,9 @@ class Network final : public EventExecutor {
   // present and monotone in every scrape — forever.
   void register_stale_counter(std::uint32_t gen);
   void note_property(const std::string& name);
-  // Shared v1 snapshot body (sim counters, registry, window ring, top-K);
-  // obs_snapshot wraps it in a v1 envelope, full_snapshot in v2.
-  void append_obs_body(std::string& out);
+  // Delivered-latency bucket bounds: the export histogram's grid, which a
+  // snapshot's latency bucket lists must match.
+  static const std::vector<double>& delivered_latency_bounds();
   // (Re)wires every hot-path obs handle to the registry (detaches
   // everything when observability is off).
   void rewire_observability();
@@ -567,7 +569,7 @@ class Network final : public EventExecutor {
       bool init, bool tele, bool check) const;
   // Writes one flight-recorder record for checker `di`'s execution at the
   // current hop (forensics on only).
-  void record_hop_forensics(DepScratch& pd, std::size_t di,
+  void record_hop_forensics(const Deployment& d, std::size_t di,
                             const p4rt::Packet& pkt, const HopContext& hctx,
                             SimTime t, const ForwardingProgram::Decision* dec,
                             const p4rt::ExecOutcome& out, bool ran_init,
@@ -632,9 +634,6 @@ class Network final : public EventExecutor {
   std::vector<std::shared_ptr<ForwardingProgram>> programs_;  // by node id
   std::vector<Deployment> deployments_;
   std::vector<GenerationInfo> generations_;  // by generation id, append-only
-  // Stale-frame reject counters by generation id (detached while
-  // observability is off).
-  std::vector<obs::Counter> stale_counters_;
   // Every property name ever deployed (sorted, unique). export_cumulative
   // iterates this instead of the live slots so a retired property's
   // per-window attribution rows stay present across the swap.
@@ -654,7 +653,6 @@ class Network final : public EventExecutor {
   // In-flight packet pool (see "pooled in-flight storage").
   util::Arena<p4rt::Packet> packet_pool_{1024};
   std::unique_ptr<ObsState> obs_;  // null while observability is off
-  std::vector<DepScratch> dep_scratch_;  // by deployment slot
   HopResult hop_scratch_;  // reused by every hop
 };
 

@@ -300,11 +300,16 @@ void ExportScheduler::rebaseline(const ExportCumulative& cum) {
   captured_ = 0;
 }
 
-void ExportScheduler::restore_series(std::uint64_t captured,
-                                     std::deque<WindowSample> windows) {
+void ExportScheduler::restore(ExportCumulative baseline,
+                              std::uint64_t captured,
+                              std::deque<WindowSample> windows,
+                              double first_tick, std::uint64_t ticks) {
   while (windows.size() > ring_capacity_) windows.pop_front();
+  prev_ = std::move(baseline);
   ring_ = std::move(windows);
   captured_ = captured;
+  first_tick_ = first_tick;
+  ticks_ = ticks;
 }
 
 std::string ExportScheduler::series_json() const {

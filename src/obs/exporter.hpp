@@ -160,30 +160,24 @@ class ExportScheduler {
   // used when the underlying metrics are reset mid-run.
   void rebaseline(const ExportCumulative& cum);
 
-  // Reinstates a snapshotted ring: sets the capture count and retained
-  // windows, leaving the tick clock (`ticks_`, `first_tick_`) alone so a
-  // restarted process schedules boundaries in its own fresh time domain
-  // while window indices continue monotonically from the snapshot.
-  void restore_series(std::uint64_t captured, std::deque<WindowSample> windows);
-
-  // Full-state restore (snapshot v2): the restarted process resumes the
-  // SNAPSHOT's time domain. Both anchor and tick count are reinstated
-  // verbatim — boundaries are computed as first_tick_ + k * interval_, so
-  // restoring the exact (anchor, count) pair reproduces the original run's
-  // window edges bit-for-bit (a re-derived anchor with a different count
-  // splits the same product differently and drifts in the last ulp).
-  void resume_clock(double first_tick, std::uint64_t ticks) {
-    first_tick_ = first_tick;
-    ticks_ = ticks;
-  }
-
   // The delta baseline: cumulative totals as of the last fired tick. The
   // events between that tick and a mid-window snapshot are NOT yet in any
   // window — a restore that re-anchors the baseline at the snapshot's
   // totals would silently drop them from the next window, so full-state
   // snapshots serialize this and reinstate it verbatim.
   const ExportCumulative& baseline() const { return prev_; }
-  void restore_baseline(ExportCumulative cum) { prev_ = std::move(cum); }
+
+  // Full-state restore: the restarted process resumes the SNAPSHOT's
+  // export state — its delta baseline, capture count and retained windows
+  // (the oldest dropped past ring capacity), and its tick clock. Both
+  // anchor and tick count are reinstated verbatim: boundaries are computed
+  // as first_tick_ + k * interval_, so restoring the exact (anchor, count)
+  // pair reproduces the original run's window edges bit-for-bit (a
+  // re-derived anchor with a different count splits the same product
+  // differently and drifts in the last ulp).
+  void restore(ExportCumulative baseline, std::uint64_t captured,
+               std::deque<WindowSample> windows, double first_tick,
+               std::uint64_t ticks);
 
   // Deterministic JSON: interval, capture count, and the retained windows
   // (oldest first) with per-property attribution.

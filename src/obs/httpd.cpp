@@ -251,9 +251,6 @@ void HttpServer::handle_connection(int fd) {
     body = &snap->violations_json;
   } else if (path == "/topk") {
     body = &snap->topk_json;
-  } else if (path == "/snapshot") {
-    body = &snap->snapshot_text;
-    content_type = "text/plain; charset=utf-8";
   }
   if (body == nullptr) {
     send_all(fd, make_response(404, "Not Found", "text/plain",

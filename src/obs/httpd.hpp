@@ -24,7 +24,6 @@
 //   GET /series      application/json            windowed series
 //   GET /violations  application/json            forensics reports
 //   GET /topk        application/json            top-K attribution
-//   GET /snapshot    text/plain                  obs state snapshot
 //
 // plus two control routes that never touch simulator state on the HTTP
 // thread either — they enqueue a Command that the daemon's main loop
@@ -61,7 +60,6 @@ struct LiveSnapshot {
   std::string health_json;
   std::string violations_json;
   std::string topk_json;
-  std::string snapshot_text;     // Network::obs_snapshot() body
 };
 
 class SnapshotPublisher {

@@ -444,14 +444,16 @@ bool TopKAttribution::restore_line(const std::string& line) {
   if (kw == "topk") {
     std::uint64_t total = 0;
     in >> total;
-    if (!in.fail()) sk->restore_total(total);
+    if (in.fail()) return false;
+    sk->restore_total(total);
     return true;
   }
   TopKKey key;
   std::uint64_t count = 0;
   std::uint64_t error = 0;
   in >> key.hi >> key.lo >> count >> error;
-  if (!in.fail()) sk->restore_entry(key, count, error);
+  if (in.fail()) return false;
+  sk->restore_entry(key, count, error);
   return true;
 }
 

@@ -154,7 +154,8 @@ class TopKAttribution {
   // ---- snapshot/restore -------------------------------------------------
   // Lines "topk <tag> <total>" + "tke <tag> <hi> <lo> <count> <error>"
   // (entries in stamp order). restore_line consumes both kinds; returns
-  // false for lines that are not topk state.
+  // false for lines that are not topk state or whose numbers do not parse
+  // (a line naming an unknown sketch is skipped).
   std::string snapshot_text() const;
   bool restore_line(const std::string& line);
 

@@ -373,13 +373,12 @@ TEST(HttpServer, ServesPublishedSnapshotOnAllRoutes) {
   s.health_json = "{\"status\": \"ok\"}";
   s.violations_json = "[]";
   s.topk_json = "{\"k\": 8}";
-  s.snapshot_text = "hydra-obs-snapshot v1\nend\n";
   pub.publish(s);
 
   const std::vector<std::pair<std::string, std::string>> routes{
       {"/metrics", s.metrics_text},   {"/healthz", s.health_json},
       {"/series", s.series_json},     {"/violations", s.violations_json},
-      {"/topk", s.topk_json},         {"/snapshot", s.snapshot_text},
+      {"/topk", s.topk_json},
   };
   for (const auto& [path, want] : routes) {
     ASSERT_TRUE(obs::http_get(server.port(), path, &body, &status)) << path;
@@ -390,8 +389,11 @@ TEST(HttpServer, ServesPublishedSnapshotOnAllRoutes) {
   ASSERT_TRUE(obs::http_get(server.port(), "/metrics?x=1", &body, &status));
   EXPECT_EQ(status, 200);
 
-  ASSERT_TRUE(obs::http_get(server.port(), "/nope", &body, &status));
-  EXPECT_EQ(status, 404);
+  // The snapshot is a shutdown file (Network::full_snapshot), not a route.
+  for (const char* path : {"/nope", "/snapshot"}) {
+    ASSERT_TRUE(obs::http_get(server.port(), path, &body, &status)) << path;
+    EXPECT_EQ(status, 404) << path;
+  }
   EXPECT_GE(server.requests_served(), 8u);
   server.stop();
   server.stop();  // idempotent
@@ -423,23 +425,27 @@ std::string cumulative_families(const std::string& prom) {
 
 // Leaf-spine scenario with export + live obs armed and enough scheduled
 // traffic to cross several export ticks; mirrors obs_test's ExportBed but
-// with checker rejects so attribution sketches fill.
+// with checker rejects so attribution sketches fill. A bed built with
+// `deploy` false is a restart target: a full-state snapshot restores into
+// a scenario that has deployed nothing, and brings its own deployments.
 struct LiveBed {
   net::LeafSpine fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net{fabric.topo};
   std::shared_ptr<fwd::Ipv4EcmpProgram> routing =
       fwd::install_leaf_spine_routing(net, fabric);
-  int dep = net.deploy(compile_library_checker("stateful_firewall"));
 
   std::uint32_t ip(int host) const { return net.topo().node(host).ip; }
 
-  LiveBed() {
-    const int h0 = fabric.hosts[0][0];
-    const int h2 = fabric.hosts[1][0];
-    for (const auto& [s, d] : {std::pair{h0, h2}, std::pair{h2, h0}}) {
-      net.dict_insert_all(dep, "allowed",
-                          {BitVec(32, ip(s)), BitVec(32, ip(d))},
-                          {BitVec::from_bool(true)});
+  explicit LiveBed(bool deploy = true) {
+    if (deploy) {
+      const int dep = net.deploy(compile_library_checker("stateful_firewall"));
+      const int h0 = fabric.hosts[0][0];
+      const int h2 = fabric.hosts[1][0];
+      for (const auto& [s, d] : {std::pair{h0, h2}, std::pair{h2, h0}}) {
+        net.dict_insert_all(dep, "allowed",
+                            {BitVec(32, ip(s)), BitVec(32, ip(d))},
+                            {BitVec::from_bool(true)});
+      }
     }
     net.set_observability(true);
     net.set_export_interval(5e-6);
@@ -513,14 +519,14 @@ TEST(NetworkLiveObs, GaugesAndTopKAbsentWhenLiveOff) {
 TEST(NetworkLiveObs, SnapshotRestoreResumesCountersMonotonically) {
   LiveBed first;
   first.run_traffic(30);
-  const std::string saved = first.net.obs_snapshot();
+  const std::string saved = first.net.full_snapshot();
   const std::string prom_before = first.net.export_prometheus();
   const std::uint64_t rejected_before = first.net.counters().rejected;
   ASSERT_GT(first.net.counters().injected, 0u);
   ASSERT_GT(rejected_before, 0u);
 
   // "Restart": a fresh network restores the snapshot before new traffic.
-  LiveBed second;
+  LiveBed second(/*deploy=*/false);
   second.net.obs_restore(saved);
   // Counters resume at the saved totals, exposition included (gauges are
   // recomputed from the fresh network, so compare cumulative families).
@@ -535,21 +541,28 @@ TEST(NetworkLiveObs, SnapshotRestoreResumesCountersMonotonically) {
   EXPECT_GT(second.net.counters().injected, first.net.counters().injected);
   EXPECT_GE(second.net.counters().rejected, rejected_before);
   // A second snapshot of the resumed network restores cleanly too.
-  const std::string again = second.net.obs_snapshot();
-  LiveBed third;
+  const std::string again = second.net.full_snapshot();
+  LiveBed third(/*deploy=*/false);
   third.net.obs_restore(again);
   EXPECT_EQ(cumulative_families(third.net.export_prometheus()),
             cumulative_families(second.net.export_prometheus()));
 }
 
 TEST(NetworkLiveObs, RestoreRejectsMalformedSnapshots) {
-  LiveBed bed;
-  EXPECT_THROW(bed.net.obs_restore("not a snapshot\n"),
-               std::invalid_argument);
-  EXPECT_THROW(bed.net.obs_restore("hydra-obs-snapshot v1\n"),
+  // A failed restore may leave its network partly restored, so each case
+  // gets a fresh one, as hydrad rebuilds its scenario.
+  const auto restore = [](const std::string& text) {
+    LiveBed bed(/*deploy=*/false);
+    bed.net.obs_restore(text);
+  };
+  EXPECT_THROW(restore("not a snapshot\n"), std::invalid_argument);
+  EXPECT_THROW(restore("hydra-obs-snapshot v2\n"),
                std::invalid_argument);  // missing end marker
-  EXPECT_THROW(bed.net.obs_restore("hydra-obs-snapshot v1\nbogus 1\nend\n"),
+  EXPECT_THROW(restore("hydra-obs-snapshot v2\nbogus 1\nend\n"),
+               std::invalid_argument);
+  // The retired counters-only v1 format is no longer read.
+  EXPECT_THROW(restore("hydra-obs-snapshot v1\nsim injected 7\nend\n"),
                std::invalid_argument);
   // A valid empty snapshot is fine.
-  bed.net.obs_restore("hydra-obs-snapshot v1\nend\n");
+  EXPECT_NO_THROW(restore("hydra-obs-snapshot v2\nend\n"));
 }

@@ -215,6 +215,42 @@ TEST(RollingDeploy, UndeployUnderTrafficCountsStaleFramesFailClosed) {
   EXPECT_GE(stale_after, stale);
 }
 
+TEST(RollingDeploy, ObservabilityOffDetachesRetiredStaleCounters) {
+  auto fabric = net::make_leaf_spine(2, 2, 2);
+  net::Network net(fabric.topo);
+  fwd::install_leaf_spine_routing(net, fabric);
+  net.set_observability(true);
+  const int dep = net.deploy(compile_library_checker("loops"));
+  // Sent at 0.995 ms, the burst is stamped at the ingress leaf before the
+  // sweep at 1 ms and crosses the spine and the egress leaf after it: 16
+  // stale frames, which observability on would count.
+  const std::uint32_t sip = net.topo().node(fabric.hosts[0][1]).ip;
+  const std::uint32_t dip = net.topo().node(fabric.hosts[1][0]).ip;
+  net.events().schedule_at(0.995e-3, [&] {
+    for (int i = 0; i < 8; ++i) {
+      net.send_from_host(fabric.hosts[0][1],
+                         p4rt::make_udp(sip, dip,
+                                        static_cast<std::uint16_t>(9000 + i),
+                                        80, 128));
+    }
+  });
+  net.events().run_until(1e-3);
+  net.undeploy_rolling(dep);
+  net.events().run_until(1e-3);  // the sweep commits; the burst flies on
+  ASSERT_FALSE(net.swap_in_progress());
+  ASSERT_FALSE(net.deployment_live(dep));
+
+  // Turning observability off destroys the registry. The retired
+  // generation's stale-frame counter must detach with every other handle:
+  // the burst's stale frames then count nowhere, instead of writing into
+  // the freed registry (ASan reports that as heap-use-after-free).
+  net.set_observability(false);
+  net.events().run();
+  EXPECT_EQ(net.counters().delivered, 8u);
+  net.set_observability(true);
+  EXPECT_EQ(net.metrics().counter_value("checker.loops.stale_generation"), 0u);
+}
+
 TEST(RollingDeploy, UndeployRollingDuringDeploySweepFailsLoudly) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
@@ -248,7 +284,7 @@ TEST(SnapshotFile, AtomicWriterLeavesNoPartialFiles) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotFile, TruncatedSnapshotIsRejectedNotPartiallyApplied) {
+TEST(SnapshotFile, TruncatedSnapshotIsRejected) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
   fwd::install_leaf_spine_routing(net, fabric);
@@ -390,6 +426,17 @@ TEST(FullSnapshot, ThirdGenerationRestoreIsByteIdentical) {
   EXPECT_EQ(c.net.full_snapshot(), snap2);
 }
 
+// 1-based number of the first line of `snap` that starts with `prefix`.
+std::size_t line_of(const std::string& snap, const std::string& prefix) {
+  std::istringstream in(snap);
+  std::string line;
+  for (std::size_t n = 1; std::getline(in, line); ++n) {
+    if (line.rfind(prefix, 0) == 0) return n;
+  }
+  ADD_FAILURE() << "no line starting with '" << prefix << "'";
+  return 0;
+}
+
 // `snap` with its first `kw` line rewritten: from token `tok` on (token 0
 // is the keyword) the line reads `tail` instead.
 std::string mutate_line(const std::string& snap, const std::string& kw,
@@ -413,12 +460,14 @@ std::string mutate_line(const std::string& snap, const std::string& kw,
   return out;
 }
 
-// One mutated line per failure kind a restore has met: counts that sized
+// One mutated snapshot per failure a restore can meet: counts that sized
 // allocations (~206 TB from a `wlat` line), a table record's bad header
 // (std::runtime_error) or impossible count (std::length_error), a
-// register cell past the array, and an embedded checker source that no
-// longer compiles (indus::CompileError). Each must fail as
-// std::invalid_argument, the one exception obs_restore documents.
+// register cell past the array, an embedded checker source that no longer
+// compiles (indus::CompileError) or binds, registry and top-K records
+// that do not parse or fit, and files that are not v2 snapshots or end
+// early. Each must fail as std::invalid_argument naming the line it was
+// found on — the one exception obs_restore documents for bad input.
 TEST(FullSnapshot, MutatedRecordsFailAsInvalidArgument) {
   // A checker with a table and one with sensors: the snapshot carries
   // `tab` and `reg` records.
@@ -434,25 +483,61 @@ TEST(FullSnapshot, MutatedRecordsFailAsInvalidArgument) {
   }
   const std::string huge = "206158430208";
   const std::string max = "18446744073709551615";
+  const std::string body = snap.substr(snap.find('\n') + 1);
+  const std::size_t src = line_of(snap, "src ");
+  std::string no_src = snap;
+  {
+    const std::size_t at = no_src.find("\nsrc ") + 1;
+    no_src.erase(at, no_src.find('\n', at) + 1 - at);
+  }
+  std::string fwd_spine = snap;
+  {
+    const std::string leaf = "\nfwd " + std::to_string(a.fabric.leaves[0]);
+    fwd_spine.replace(fwd_spine.find(leaf + " "), leaf.size(),
+                      "\nfwd " + std::to_string(a.fabric.spines[0]));
+  }
   struct Case {
     const char* what;
     std::string snap;
+    std::size_t line;   // the line the message must name
     const char* names;  // expected in the message
   };
   const std::vector<Case> cases = {
       {"wlat bucket count", mutate_line(snap, "wlat", 6, huge + " 1 2"),
-       "malformed snapshot line"},
+       line_of(snap, "wlat "), "malformed snapshot line"},
       {"blat bucket count", mutate_line(snap, "blat", 3, huge + " 1 2"),
-       "malformed snapshot line"},
+       line_of(snap, "blat "), "malformed snapshot line"},
       {"hist bucket count", mutate_line(snap, "hist", 4, huge + " 1 2"),
-       "malformed snapshot line"},
-      {"table header", mutate_line(snap, "tab", 4, "x"), "snapshot line"},
+       line_of(snap, "hist "), "malformed snapshot line"},
+      {"table header", mutate_line(snap, "tab", 4, "x"),
+       line_of(snap, "tab "), "table snapshot"},
       {"table default count", mutate_line(snap, "tab", 5, max),
-       "snapshot line"},
+       line_of(snap, "tab "), "snapshot line"},
       {"register cell", mutate_line(snap, "reg", 4, "1 999999 1"),
-       "snapshot line"},
-      {"checker source", mutate_line(snap, "src", 2, "control dict<"),
-       "snapshot line"},
+       line_of(snap, "reg "), "snapshot line"},
+      {"checker source", mutate_line(snap, "src", 2, "control dict<"), src,
+       "error"},
+      {"checker header binding",
+       mutate_line(snap, "src", 2,
+                   "header bit<16> dport @\"hdr.udp.dst_port\"; "
+                   "tele bit<16> seen; { seen = dport; } { } { }"),
+       src, "'hdr.udp.dst_port'"},
+      {"v1 header", "hydra-obs-snapshot v1\n" + body, 1,
+       "unrecognized snapshot header"},
+      {"missing end", snap.substr(0, snap.size() - 4), line_of(snap, "end"),
+       "truncated snapshot"},
+      {"dep without src", no_src, src, "dep record without matching src line"},
+      {"fwd on a stateless switch", fwd_spine, line_of(snap, "fwd "),
+       "whose program keeps none"},
+      {"counter of another kind",
+       mutate_line(snap, "counter", 1, "net.delivered.hops 5"),
+       line_of(snap, "counter "), "already registered with another kind"},
+      {"hist bucket layout", mutate_line(snap, "hist", 4, "2 1 1"),
+       line_of(snap, "hist "), "bucket layout changed"},
+      {"topk total", mutate_line(snap, "topk", 2, "x"),
+       line_of(snap, "topk "), "malformed snapshot line"},
+      {"tke entry", mutate_line(snap, "tke", 3, "x 1 1 1"),
+       line_of(snap, "tke "), "malformed snapshot line"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -461,11 +546,61 @@ TEST(FullSnapshot, MutatedRecordsFailAsInvalidArgument) {
       b.net.obs_restore(c.snap);
       ADD_FAILURE() << "restore accepted the mutated snapshot";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(c.names), std::string::npos)
-          << e.what();
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.names), std::string::npos) << msg;
+      EXPECT_NE(msg.find("snapshot line " + std::to_string(c.line) + ": "),
+                std::string::npos)
+          << msg;
     } catch (const std::exception& e) {
       ADD_FAILURE() << "wrong exception type: " << e.what();
     }
+  }
+}
+
+// A snapshot of 65 slots, one past kMaxDeployments: restore fills slots
+// through the same helper as deploy, which refuses the 65th. (Accepting
+// it made the first reject in slot 64 shift past the 64-bit
+// rejected_deps mask.)
+TEST(FullSnapshot, RestoreRefusesSlotsPastTheCap) {
+  // Slot i's records, copied from a real one-slot snapshot.
+  FullBed a;
+  a.net.deploy(compile_library_checker("loops"));
+  const std::string one = a.net.full_snapshot();
+  const auto rest_of = [&one](const std::string& lead) {
+    const std::size_t at = one.find("\n" + lead) + 1 + lead.size();
+    return one.substr(at, one.find('\n', at) - at);
+  };
+  const std::string dep_rest = rest_of("dep 0 0 ");
+  const std::string src_rest = rest_of("src 0 ");
+  const auto snapshot_of = [&](int slots) {
+    std::string snap = "hydra-obs-snapshot v2\n";
+    for (int i = 0; i < slots; ++i) {
+      const std::string n = std::to_string(i);
+      snap += "gen " + n + " 0 loops\n";
+      snap += "dep " + n + " " + n + " " + dep_rest + "\n";
+      snap += "src " + n + " " + src_rest + "\n";
+    }
+    return snap + "end\n";
+  };
+  const int cap = net::Network::kMaxDeployments;
+  {
+    FullBed ok;
+    ok.net.obs_restore(snapshot_of(cap));
+    EXPECT_EQ(ok.net.deployment_count(), cap);
+  }
+  FullBed b;
+  try {
+    b.net.obs_restore(snapshot_of(cap + 1));
+    FAIL() << "restore accepted " << cap + 1 << " slots";
+  } catch (const std::invalid_argument& e) {
+    // Lines 2-4 hold slot 0's gen/dep/src, so slot 64's src line is
+    // 3 * 64 + 4: the slot is filled, and the cap enforced, when its
+    // source arrives.
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("snapshot line " + std::to_string(3 * cap + 4) + ": "),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("all 64 deployment slots"), std::string::npos) << msg;
   }
 }
 

@@ -11,7 +11,6 @@
 //   GET /series      windowed series JSON
 //   GET /violations  forensic violation reports JSON
 //   GET /topk        top-K flow/session/property attribution JSON
-//   GET /snapshot    obs state snapshot (the restart file format)
 //   GET /deploy?checker=<name>   rolling-deploy a library checker (202)
 //   GET /undeploy?dep=<id>       rolling-retire a deployment slot (202)
 //
@@ -26,10 +25,10 @@
 // clock, deployment set, checker sensors/tables, UPF forwarding state,
 // and the whole obs plane) is flushed to `--snapshot PATH` and the
 // process exits 0. If PATH already exists at startup it is restored
-// first: a v2 snapshot resumes the simulation clock, deployment set, and
-// every exported counter exactly; a legacy v1 snapshot folds counters in
-// additively. A corrupt/truncated file is renamed to PATH.bad and the
-// daemon starts fresh rather than dying.
+// first, resuming the simulation clock, deployment set, and every exported
+// counter exactly. A corrupt or truncated file, or one in the retired v1
+// format, is renamed to PATH.bad and the daemon starts fresh rather than
+// dying.
 //
 // The deploy/undeploy control routes are applied between event slices on
 // the main loop via Network::deploy_rolling / undeploy_rolling — traffic
@@ -39,7 +38,7 @@
 // the floor.
 //
 // The PFCP control plane (controller bindings, churn bookkeeping) is
-// deliberately NOT serialized: after a v2 restore the daemon re-seeds the
+// deliberately NOT serialized: after a restore the daemon re-seeds the
 // slice and re-attaches the population. Re-installed config entries
 // duplicate restored ones with identical match+action — lookups are
 // unaffected and duplicates drain as churn detaches sessions.
@@ -207,11 +206,10 @@ int main(int argc, char** argv) {
   };
   build_scenario();
 
-  // Restore BEFORE any deploy or traffic: a v2 snapshot rebuilds the
+  // Restore BEFORE any deploy or traffic: the snapshot rebuilds the
   // deployment set itself (and the clock, registers, tables, and UPF
-  // state); a v1 snapshot folds counters in additively under whatever the
-  // scenario deploys. A bad file is set aside and the daemon starts
-  // fresh — a crashed snapshot write must not wedge the restart loop.
+  // state). A bad file is set aside and the daemon starts fresh — a
+  // crashed snapshot write must not wedge the restart loop.
   std::string snapshot_text;
   if (!snapshot_path.empty()) {
     std::ifstream in(snapshot_path, std::ios::binary);
@@ -221,17 +219,11 @@ int main(int argc, char** argv) {
       snapshot_text = buf.str();
     }
   }
-  const bool snapshot_v2 =
-      snapshot_text.compare(0, 22, "hydra-obs-snapshot v2\n") == 0;
-  int dep = -1;
-  if (!snapshot_text.empty() && !snapshot_v2) {
-    dep = netp->deploy(compile_library_checker("application_filtering"));
-  }
   if (!snapshot_text.empty()) {
     try {
       netp->obs_restore(snapshot_text);
-      std::printf("hydrad: restored %s state from %s\n",
-                  snapshot_v2 ? "full network" : "obs", snapshot_path.c_str());
+      std::printf("hydrad: restored full network state from %s\n",
+                  snapshot_path.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hydrad: cannot restore %s: %s\n",
                    snapshot_path.c_str(), e.what());
@@ -241,22 +233,19 @@ int main(int argc, char** argv) {
                      bad.c_str());
       }
       build_scenario();  // drop any partially-restored state
-      dep = -1;
+    }
+  }
+  // A restore carries the deployment set: adopt the restored
+  // application_filtering slot if one is live, else deploy fresh.
+  int dep = -1;
+  for (int i = 0; i < netp->deployment_count() && dep < 0; ++i) {
+    if (netp->deployment_live(i) &&
+        netp->checker(i).name == "application_filtering") {
+      dep = i;
     }
   }
   if (dep < 0) {
-    // v2 restore carries the deployment set: adopt the restored
-    // application_filtering slot if one is live, else deploy fresh.
-    for (int i = 0; i < netp->deployment_count(); ++i) {
-      if (netp->deployment_live(i) &&
-          netp->checker(i).name == "application_filtering") {
-        dep = i;
-        break;
-      }
-    }
-    if (dep < 0) {
-      dep = netp->deploy(compile_library_checker("application_filtering"));
-    }
+    dep = netp->deploy(compile_library_checker("application_filtering"));
   }
   net::Network& net = *netp;
 
@@ -305,7 +294,7 @@ int main(int argc, char** argv) {
   const double slice = interval_s;
   const double chunk =
       duration_s > 0.0 ? duration_s : std::max(0.5, 50.0 * interval_s);
-  // A v2 restore resumed the simulation clock; pace, schedule, and stop
+  // A restore resumed the simulation clock; pace, schedule, and stop
   // relative to where the snapshot left off.
   const double sim_start = net.events().now();
   const double sim_stop = duration_s > 0.0 ? sim_start + duration_s : 0.0;
