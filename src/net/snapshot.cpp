@@ -116,12 +116,12 @@ std::string Network::full_snapshot() {
         "full_snapshot: rolling swap sweep in flight; run the queue until "
         "the sweep commits, then snapshot the quiesced state");
   }
-  // Writing a record flushes the transparent lookup caches it covers
-  // (checker tables and forwarding programs), so the snapshot point is a
-  // cache-cold boundary on BOTH sides of a restart: the restored process
-  // starts cold by construction, and a warm cache here would put cache-hit
-  // counters on diverging trajectories. Caches never change lookup
-  // results, only which counter ticks.
+  // The walk below also flushes every transparent lookup cache (checker
+  // tables and forwarding programs), so the snapshot point is a cache-cold
+  // boundary on BOTH sides of a restart: the restored process starts cold
+  // by construction, and a warm cache here would put cache-hit counters on
+  // diverging trajectories. Caches never change lookup results, only
+  // which counter ticks.
   using obs::detail::format_double;
   const obs::ExportScheduler* ex = obs_->exporter.get();
   std::string out = "hydra-obs-snapshot v2\n";
