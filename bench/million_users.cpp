@@ -17,7 +17,10 @@
 //
 //   $ ./million_users [--sessions N] [--churn-per-s X] [--packets-per-s X]
 //                     [--duration-s X] [--warmup-s X] [--seed N]
-//                     [--json PATH] [--metrics PATH] [--sweep]
+//                     [--json PATH] [--metrics PATH] [--sweep] [--help]
+//
+// The scenario (UPF leaf, camera-slice controller, churn addressing) is
+// tools/scenarios.hpp's, shared with hydrad.
 //
 // --metrics writes ONLY deterministic sim-domain numbers (no wall clock,
 // no RSS), so runs of the same seed produce byte-identical files — the
@@ -31,14 +34,9 @@
 #include <string>
 #include <vector>
 
-#include "aether/churn.hpp"
-#include "aether/controller.hpp"
-#include "aether/slice.hpp"
 #include "cli_parse.hpp"
-#include "forwarding/ipv4_ecmp.hpp"
-#include "forwarding/upf.hpp"
-#include "hydra/hydra.hpp"
 #include "net/network.hpp"
+#include "scenarios.hpp"
 #include "util/arena.hpp"
 
 using namespace hydra;
@@ -108,27 +106,16 @@ RunResult run_once(const RunConfig& cfg) {
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
-  auto routing = fwd::install_leaf_spine_routing(net, fabric);
-  auto upf = std::make_shared<fwd::UpfProgram>(routing);
-  net.set_program(fabric.leaves[0], upf);
+  auto upf = tools::install_upf_leaf(net, fabric);
   const int dep =
       net.deploy(compile_library_checker("application_filtering"));
   net.set_observability(true);
 
-  aether::AetherController ctl(net, upf, dep);
-  ctl.define_slice(aether::example_camera_slice(1));
-
-  aether::SessionChurnGenerator::Config gc;
-  gc.sessions = cfg.sessions;
-  gc.churn_per_s = cfg.churn_per_s;
-  gc.packets_per_s = cfg.packets_per_s;
-  gc.slice_id = 1;
-  gc.enb_host = fabric.hosts[0][0];
-  gc.enb_ip = net.topo().node(fabric.hosts[0][0]).ip;
-  gc.n3_ip = 0x0a0001fe;
-  gc.app_ip = net.topo().node(fabric.hosts[1][0]).ip;
-  gc.seed = cfg.seed;
-  aether::SessionChurnGenerator gen(net, ctl, gc);
+  aether::AetherController ctl = tools::camera_slice_controller(net, upf, dep);
+  aether::SessionChurnGenerator gen(
+      net, ctl,
+      tools::camera_churn(net, fabric, cfg.sessions, cfg.churn_per_s,
+                          cfg.packets_per_s, cfg.seed));
 
   const auto p0 = clock::now();
   gen.prefill();
@@ -223,15 +210,12 @@ void append_json(std::string& out, const RunResult& r, bool last) {
   out += buf;
 }
 
-int usage(const char* prog) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
-      "          [--duration-s X] [--warmup-s X] [--seed N]\n"
-      "          [--json PATH] [--metrics PATH] [--sweep]\n",
-      prog);
-  return 2;
-}
+constexpr const char* kArgs =
+    "[--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
+    "          [--duration-s X] [--warmup-s X] [--seed N]\n"
+    "          [--json PATH] [--metrics PATH] [--sweep] [--help]";
+
+int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
 
 }  // namespace
 
@@ -292,9 +276,10 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       sweep = true;
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(prog, kArgs, 0);
     } else {
-      std::fprintf(stderr, "%s: unknown argument '%s'\n", prog, argv[i]);
-      return usage(prog);
+      return tools::unknown_argument(prog, argv[i], kArgs);
     }
   }
 

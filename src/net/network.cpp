@@ -170,11 +170,14 @@ void Network::schedule_swaps(int slot, std::uint8_t phase) {
   Deployment& d = deployments_[static_cast<std::size_t>(slot)];
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-    ControlOp op;
-    op.kind = ControlOp::Kind::kSwap;
-    op.deployment = slot;
-    op.enable = phase == kPhaseEnabled;
-    schedule_control(events_.now(), sw, std::move(op));
+    events_.schedule_at(events_.now(), [this, slot, sw, phase] {
+      Deployment& dep = deployments_[static_cast<std::size_t>(slot)];
+      dep.phase[static_cast<std::size_t>(sw)] = phase;
+      if (dep.pending_swaps > 0 && --dep.pending_swaps == 0 &&
+          dep.retiring) {
+        finalize_retirement(static_cast<std::size_t>(slot));
+      }
+    });
     ++d.pending_swaps;
   }
 }
@@ -325,13 +328,26 @@ void Network::arm_faults(const FaultPlan& plan, std::uint64_t seed) {
       if (faults_ != nullptr) faults_->link_up_event(l);
     });
   }
-  // Restarts are control ops, ordered against the switch's packet hops.
+  // Restarts are closures ordered against the switch's packet hops. A
+  // restart loses every deployment's sensor contents on the switch: wipe
+  // them and mark the switch cold, so checkers do not raise false
+  // violations off zeroed registers. Retired slots have no state left.
   for (const SwitchRestart& r : plan.restarts) {
     if (r.sw < 0 || r.sw >= topo_.node_count() ||
         topo_.node(r.sw).kind != NodeKind::kSwitch) {
       continue;
     }
-    schedule_control(t0 + r.at, r.sw, ControlOp{});
+    const auto sw = static_cast<std::size_t>(r.sw);
+    events_.schedule_at(t0 + r.at, [this, sw] {
+      for (auto& d : deployments_) {
+        if (d.per_switch.empty()) continue;
+        for (auto& reg : d.per_switch[sw].registers) reg.reset();
+      }
+      const double warmup =
+          faults_ != nullptr ? faults_->plan().restart_warmup_s : 0.0;
+      cold_until_[sw] = events_.now() + warmup;
+      if (faults_ != nullptr) ++faults_->stats().restarts;
+    });
   }
 }
 
@@ -356,71 +372,32 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
     dict_insert_all(deployment, var, key, value);
     return;
   }
-  // Validate the variable up front — apply_control runs inside the event
-  // loop and must not throw.
+  // Validate the variable up front — the pushes run inside the event loop
+  // and must not throw.
   const Deployment& d =
       live_deployment(deployment, "dict_insert_all_delayed");
   if (d.checker->ir.find_table(var) < 0) {
     throw std::invalid_argument("checker '" + d.checker->name +
                                 "' has no control table '" + var + "'");
   }
+  // Each switch's push lands on whatever occupies the slot by then: it is
+  // skipped once the slot is retired, and the table is looked up by name
+  // as it lands, never by an index taken from an earlier occupant.
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-    ControlOp op;
-    op.kind = ControlOp::Kind::kDictInsert;
-    op.deployment = deployment;
-    op.var = var;
-    op.key = key;
-    op.value = value;
-    schedule_control(events_.now() + faults_->next_push_delay(), sw,
-                     std::move(op));
+    events_.schedule_at(
+        events_.now() + faults_->next_push_delay(),
+        [this, deployment, sw, var, key, value] {
+          Deployment& d = deployments_[static_cast<std::size_t>(deployment)];
+          if (!d.live || d.per_switch.empty()) return;  // undeployed mid-push
+          const int ti = d.checker->ir.find_table(var);
+          if (ti < 0) return;
+          d.per_switch[static_cast<std::size_t>(sw)]
+              .tables[static_cast<std::size_t>(ti)]
+              .insert_exact(key, value);
+          if (faults_ != nullptr) ++faults_->stats().delayed_pushes;
+        });
   }
-}
-
-void Network::schedule_control(SimTime t, int sw, ControlOp op) {
-  events_.schedule_at(t, [this, sw, op = std::move(op)] {
-    apply_control(events_.now(), sw, op);
-  });
-}
-
-void Network::apply_control(SimTime t, int sw, const ControlOp& op) {
-  if (op.kind == ControlOp::Kind::kRestart) {
-    // The restart lost every deployment's sensor contents on this switch;
-    // wipe them and mark the switch cold so checkers do not raise false
-    // violations off zeroed registers. Retired slots have no state left.
-    for (auto& d : deployments_) {
-      if (d.per_switch.empty()) continue;
-      auto& state = d.per_switch[static_cast<std::size_t>(sw)];
-      for (auto& reg : state.registers) reg.reset();
-    }
-    const double warmup =
-        faults_ != nullptr ? faults_->plan().restart_warmup_s : 0.0;
-    cold_until_[static_cast<std::size_t>(sw)] = t + warmup;
-    if (faults_ != nullptr) ++faults_->stats().restarts;
-    return;
-  }
-  const auto dep = static_cast<std::size_t>(op.deployment);
-  if (dep >= deployments_.size()) return;
-  Deployment& d = deployments_[dep];
-  if (op.kind == ControlOp::Kind::kSwap) {
-    // One leg of a rolling sweep: flip this switch's phase for the slot.
-    // The flip is ordered against this switch's packet hops; the sweep's
-    // last flip completes a retirement.
-    d.phase[static_cast<std::size_t>(sw)] =
-        op.enable ? kPhaseEnabled : kPhaseRetired;
-    if (d.pending_swaps > 0 && --d.pending_swaps == 0 && d.retiring) {
-      finalize_retirement(dep);
-    }
-    return;
-  }
-  // kDictInsert: a delayed controller rule push landing on this switch.
-  if (!d.live || d.per_switch.empty()) return;  // undeployed mid-push
-  const int ti = d.checker->ir.find_table(op.var);
-  if (ti < 0) return;  // validated at schedule time; stay defensive
-  d.per_switch[static_cast<std::size_t>(sw)]
-      .tables[static_cast<std::size_t>(ti)]
-      .insert_exact(op.key, op.value);
-  if (faults_ != nullptr) ++faults_->stats().delayed_pushes;
 }
 
 void Network::corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy) {
@@ -438,11 +415,8 @@ void Network::corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy) {
       generations_[frame.generation].checker == nullptr) {
     return;
   }
-  const compiler::CompiledChecker& gc =
-      *generations_[frame.generation].checker;
-  if (frame.values.size() != gc.ir.fields.size()) return;
-  std::vector<std::uint8_t> bytes =
-      p4rt::serialize_frame(gc.layout, gc.ir, frame);
+  std::vector<std::uint8_t> bytes = p4rt::serialize_frame(
+      generations_[frame.generation].checker->layout, frame);
   CorruptMode mode = faults_->plan().corrupt_mode;
   if (mode == CorruptMode::kRandom) {
     switch ((entropy >> 8) % 3) {
@@ -545,8 +519,9 @@ void Network::send_pooled(int host_id, PacketHandle h) {
   pkt.created_at = events_.now();
   if (pkt.eth.src == 0) pkt.eth.src = host_obj.mac();
   ++counters_.injected;
-  if (obs_ != nullptr && obs_->sampler && obs_->traces.has_capacity() &&
-      obs_->sampler(pkt)) {
+  if (obs_ != nullptr && obs_->trace_left > 0 &&
+      obs_->traces.has_capacity()) {
+    --obs_->trace_left;
     obs_->traces.begin(pkt.id, events_.now(),
                        p4rt::flow_of(pkt).to_string());
   }
@@ -689,19 +664,8 @@ void Network::drain(EventQueue& q, SimTime limit) {
 }
 
 void Network::process_hop(SimTime t, const SwitchWork& work) {
-  compute_hop(t, work, hop_scratch_);
-  commit_hop(t, work, hop_scratch_);
-}
-
-void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   const int sw = work.sw;
-
-  res.decision = {};
-  res.rejected = false;
-  res.rejected_deps = 0;
-  res.reject_reason = nullptr;
-  res.traced = false;
-  res.reports.clear();
+  hop_reports_.clear();
 
   p4rt::Packet& pkt = packet(work.pkt);
   ++pkt.hops;
@@ -714,30 +678,27 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
 
   // Hop trace, recorded only for sampled packets (the untraced cost is one
   // null check plus, while any trace is live, one hash probe on the packet
-  // id). The record is appended to the trace by commit_hop.
+  // id). The record is appended to the packet's trace here and filled in
+  // place; the sink's deque keeps it put while the hop runs.
   obs::TraceHop* hop = nullptr;
-  if (obs_ != nullptr && obs_->traces.tracing() &&
-      obs_->traces.active(pkt.id) != nullptr) {
-    res.traced = true;
-    hop = &res.hop;
-    *hop = obs::TraceHop{};  // reset here: only traced hops read it
-    hop->hop = pkt.hops;
-    hop->switch_id = sw;
-    hop->switch_name = topo_.node(sw).name;
-    hop->time = t;
-    hop->in_port = work.in_port;
-    hop->first_hop = hctx.first_hop;
-    hop->wire_bytes = hctx.wire_bytes;
+  if (obs_ != nullptr && obs_->traces.tracing()) {
+    if (obs::PacketTrace* tr = obs_->traces.active(pkt.id)) {
+      hop = &tr->hops.emplace_back();
+      hop->hop = pkt.hops;
+      hop->switch_id = sw;
+      hop->switch_name = topo_.node(sw).name;
+      hop->time = t;
+      hop->in_port = work.in_port;
+      hop->first_hop = hctx.first_hop;
+      hop->wire_bytes = hctx.wire_bytes;
+    }
   }
 
   auto collect_reports = [&](std::size_t di, const Deployment& d,
                              p4rt::ExecOutcome& out) {
     for (auto& r : out.reports) {
-      ReportRecord rec{static_cast<int>(di), d.checker->name, sw, t,
-                       std::move(r)};
-      rec.flow = p4rt::flow_of(pkt);
-      rec.hop_count = pkt.hops;
-      res.reports.push_back(std::move(rec));
+      hop_reports_.push_back({static_cast<int>(di), d.checker->name, sw, t,
+                              std::move(r), p4rt::flow_of(pkt), pkt.hops});
     }
   };
 
@@ -775,7 +736,7 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
       if (cold_sw) frame.cold = true;
       if (hop != nullptr) {
         hop->checkers.push_back(
-            trace_checker_record(d, &frame, /*before=*/nullptr, out,
+            trace_checker_record(d, frame, /*before=*/nullptr, out,
                                  /*init=*/true, /*tele=*/false,
                                  /*check=*/false));
       }
@@ -804,6 +765,14 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   // 3./4. Telemetry at every hop; checker at the last hop (or every hop,
   // for checkers compiled with per-hop placement).
   bool rejected = false;
+  // Bit d set for each deployment whose checker (or fail-closed telemetry
+  // decode) rejected this hop; feeds per-property top-K attribution.
+  // fill_slot caps slots at kMaxDeployments (64) on deploy and restore
+  // alike, so every deployment id fits and no attribution is dropped.
+  std::uint64_t rejected_deps = 0;
+  // Static string ("tele_bad_tag", ...) naming why a damaged or stale
+  // telemetry frame was rejected fail-closed this hop.
+  const char* reject_reason = nullptr;
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
     Deployment& d = deployments_[di];
     p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
@@ -822,18 +791,18 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
       // Only the FRAME is rejected — the packet itself keeps forwarding.
       // Folding this into `rejected` would drop user traffic (and count a
       // checker verdict) for what is purely control-plane churn.
-      res.reject_reason = "tele_stale_generation";
+      reject_reason = "tele_stale_generation";
       if (frame->generation < generations_.size()) {
         generations_[frame->generation].stale.inc();
       }
       if (forensic && frame->generation == d.generation) {
-        // Retired-but-not-reused: the IR still matches the frame, so a
-        // forensics note is meaningful. After reuse the layouts differ —
+        // Retired-but-not-reused: the layout still matches the frame, so
+        // a forensics note is meaningful. After reuse the layouts differ —
         // recording would mix old and new properties, so skip.
         d.prov.clear();
         d.out.reject = true;
         d.out.reports.clear();
-        record_hop_forensics(d, di, pkt, hctx, t, &decision, d.out,
+        record_hop_forensics(d, di, pkt, *frame, hctx, t, &decision, d.out,
                              /*ran_init=*/false, /*ran_tele=*/false,
                              /*ran_check=*/false, "tele_stale_generation");
       }
@@ -841,35 +810,30 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     }
 
     // Damaged wire bytes (injected corruption on the inbound link): the
-    // frame must re-parse through the checked codec before its values can
+    // frame must re-parse through the checked codec before its words can
     // be trusted. A parse failure is the headline fail-closed path — a
-    // counted, forensics-annotated reject, NEVER a throw (the pre-fix
-    // codec threw std::invalid_argument out of the event loop here).
+    // counted, forensics-annotated reject, NEVER a throw. A success
+    // overwrites the words in place.
     if (frame->damaged) {
-      p4rt::TeleFrame reparsed;
       const p4rt::FrameError err = p4rt::parse_frame_checked(
-          d.checker->layout, d.checker->ir, frame->checker, frame->wire,
-          reparsed);
+          d.checker->layout, frame->checker, frame->wire, *frame);
       if (err != p4rt::FrameError::kOk) {
         const char* reason = p4rt::frame_error_reason(err);
         if (faults_ != nullptr) ++faults_->stats().tele_rejects;
-        res.reject_reason = reason;
+        reject_reason = reason;
         d.decode_rejects.inc();
         rejected = true;
-        // di < 64 always: fill_slot enforces kMaxDeployments on deploy and
-        // restore alike, so reject attribution is never silently dropped.
-        res.rejected_deps |= 1ULL << di;
+        rejected_deps |= 1ULL << di;
         if (forensic) {
           d.prov.clear();
           d.out.reject = true;
           d.out.reports.clear();
-          record_hop_forensics(d, di, pkt, hctx, t, &decision, d.out,
+          record_hop_forensics(d, di, pkt, *frame, hctx, t, &decision, d.out,
                                /*ran_init=*/false, /*ran_tele=*/false,
                                /*ran_check=*/false, reason);
         }
         continue;
       }
-      frame->values = std::move(reparsed.values);
       frame->wire.clear();
       frame->damaged = false;
       if (faults_ != nullptr) ++faults_->stats().tele_recovered;
@@ -878,8 +842,8 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     if (cold_sw) frame->cold = true;
 
     d.tele_runs.inc();
-    std::vector<BitVec> trace_before;  // traced packets only
-    if (hop != nullptr) trace_before = frame->values;
+    std::vector<std::uint64_t> trace_before;  // traced packets only
+    if (hop != nullptr) trace_before = frame->words;
     // At the first hop the provenance buffer still holds the init run's
     // captures; this hop's record covers init+tele+check together.
     if (forensic && !hctx.first_hop) d.prov.clear();
@@ -910,32 +874,29 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     d.interp->store(*frame);
     if (hop != nullptr) {
       hop->checkers.push_back(
-          trace_checker_record(d, frame, &trace_before, out,
+          trace_checker_record(d, *frame, &trace_before, out,
                                /*init=*/false, /*tele=*/true, run_check));
     }
     if (wire_validation_) {
-      const auto bytes = p4rt::serialize_frame(d.checker->layout,
-                                               d.checker->ir, *frame);
-      const auto back = p4rt::parse_frame(d.checker->layout, d.checker->ir,
-                                          frame->checker, bytes);
-      for (std::size_t i = 0; i < frame->values.size(); ++i) {
-        if (d.checker->ir.fields[i].space == ir::Space::kTele &&
-            !(back.values[i] == frame->values[i])) {
+      const compiler::TelemetryLayout& layout = d.checker->layout;
+      const p4rt::TeleFrame back = p4rt::parse_frame(
+          layout, frame->checker, p4rt::serialize_frame(layout, *frame));
+      for (std::size_t i = 0; i < frame->words.size(); ++i) {
+        if (back.words[i] != frame->words[i]) {
           throw std::logic_error(
               "telemetry wire round-trip mismatch in checker '" +
-              d.checker->name + "' field '" + d.checker->ir.fields[i].name +
-              "'");
+              d.checker->name + "' field '" +
+              d.checker->ir.field(layout.entries[i].field).name + "'");
         }
       }
     }
     if (out.reject) {
       d.rejects.inc();
-      // di < 64 always (kMaxDeployments); attribution never dropped.
-      res.rejected_deps |= 1ULL << di;
+      rejected_deps |= 1ULL << di;
     }
     d.reports.inc(out.reports.size());
     if (forensic) {
-      record_hop_forensics(d, di, pkt, hctx, t, &decision, out,
+      record_hop_forensics(d, di, pkt, *frame, hctx, t, &decision, out,
                            /*ran_init=*/hctx.first_hop, /*ran_tele=*/true,
                            run_check, fault_note);
     }
@@ -955,31 +916,19 @@ void Network::compute_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     hop->forwarding = prog != nullptr ? prog->name() : "none";
   }
 
-  res.decision = decision;
-  res.rejected = rejected;
-}
-
-void Network::commit_hop(SimTime t, const SwitchWork& work, HopResult& res) {
-  const int sw = work.sw;
-  const p4rt::Packet& pkt = packet(work.pkt);
-  // Forensics reconstruction runs before the reports are moved out.
-  if (obs_ != nullptr && obs_->recorder != nullptr &&
-      (res.rejected || !res.reports.empty())) {
-    build_violation(work, res, t);
+  // Every checker on the hop has run: forensics reconstruction first
+  // (it reads the pending reports), then the reports and their callbacks.
+  if (forensic && (rejected || !hop_reports_.empty())) {
+    build_violation(pkt, sw, t, rejected, reject_reason);
   }
-  for (auto& rec : res.reports) {
+  for (auto& rec : hop_reports_) {
     if (obs_ != nullptr && obs_->live != nullptr) {
       obs_->live->topk->on_report(to_topk_flow(rec.flow), rec.deployment);
     }
     emit_report(std::move(rec));
   }
-  if (res.traced) {
-    if (obs::PacketTrace* tr = obs_->traces.active(pkt.id)) {
-      tr->hops.push_back(std::move(res.hop));
-    }
-  }
 
-  if (res.decision.drop) {
+  if (decision.drop) {
     ++counters_.fwd_dropped;
     if (obs_ != nullptr) {
       obs_->switches[static_cast<std::size_t>(sw)].fwd_dropped.inc();
@@ -991,12 +940,12 @@ void Network::commit_hop(SimTime t, const SwitchWork& work, HopResult& res) {
     free_packet(work.pkt);
     return;
   }
-  if (res.rejected) {
+  if (rejected) {
     ++counters_.rejected;
     if (obs_ != nullptr) {
       if (obs_->live != nullptr) {
         obs_->live->topk->on_rejected(to_topk_flow(p4rt::flow_of(pkt)),
-                                      res.rejected_deps);
+                                      rejected_deps);
       }
       obs_->switches[static_cast<std::size_t>(sw)].rejected.inc();
       if (obs_->traces.tracing()) {
@@ -1010,14 +959,14 @@ void Network::commit_hop(SimTime t, const SwitchWork& work, HopResult& res) {
   if (obs_ != nullptr) {
     obs_->switches[static_cast<std::size_t>(sw)].forwarded.inc();
   }
-  transmit({sw, res.decision.eg_port}, work.pkt);
+  transmit({sw, decision.eg_port}, work.pkt);
 }
 
 // ---- observability --------------------------------------------------------
 
 obs::CheckerHopRecord Network::trace_checker_record(
-    const Deployment& d, const p4rt::TeleFrame* after,
-    const std::vector<BitVec>* before, const p4rt::ExecOutcome& out,
+    const Deployment& d, const p4rt::TeleFrame& after,
+    const std::vector<std::uint64_t>* before, const p4rt::ExecOutcome& out,
     bool init, bool tele, bool check) const {
   obs::CheckerHopRecord rec;
   rec.checker = d.checker->name;
@@ -1031,17 +980,12 @@ obs::CheckerHopRecord Network::trace_checker_record(
     for (const auto& v : r) payload.push_back(v.value());
     rec.reports.push_back(std::move(payload));
   }
-  const ir::CheckerIR& ir = d.checker->ir;
-  for (std::size_t i = 0; i < ir.fields.size(); ++i) {
-    if (ir.fields[i].space != ir::Space::kTele) continue;
+  const auto& entries = d.checker->layout.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     obs::TraceFieldValue fv;
-    fv.name = ir.fields[i].name;
-    fv.before = before != nullptr && i < before->size()
-                    ? (*before)[i].value()
-                    : 0;
-    fv.after = after != nullptr && i < after->values.size()
-                   ? after->values[i].value()
-                   : 0;
+    fv.name = d.checker->ir.field(entries[i].field).name;
+    fv.before = before != nullptr ? (*before)[i] : 0;
+    fv.after = after.words[i];
     rec.tele.push_back(std::move(fv));
   }
   return rec;
@@ -1051,6 +995,7 @@ obs::CheckerHopRecord Network::trace_checker_record(
 
 void Network::record_hop_forensics(const Deployment& d, std::size_t di,
                                    const p4rt::Packet& pkt,
+                                   const p4rt::TeleFrame& frame,
                                    const HopContext& hctx, SimTime t,
                                    const ForwardingProgram::Decision* dec,
                                    const p4rt::ExecOutcome& out,
@@ -1082,23 +1027,18 @@ void Network::record_hop_forensics(const Deployment& d, std::size_t di,
     rec.add_reg_touch(static_cast<std::int16_t>(rt.reg), rt.wrote, rt.before,
                       rt.after);
   }
-  const ir::CheckerIR& ir = d.checker->ir;
-  const p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
-  if (frame != nullptr) {
-    for (std::size_t i = 0; i < ir.fields.size(); ++i) {
-      if (ir.fields[i].space != ir::Space::kTele) continue;
-      rec.add_tele(static_cast<std::int16_t>(i),
-                   i < frame->values.size() ? frame->values[i].value() : 0);
-    }
+  const auto& entries = d.checker->layout.entries;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    rec.add_tele(static_cast<std::int16_t>(entries[i].field.id),
+                 frame.words[i]);
   }
 }
 
-void Network::build_violation(const SwitchWork& work, const HopResult& res,
-                              SimTime t) {
+void Network::build_violation(const p4rt::Packet& pkt, int sw, SimTime t,
+                              bool rejected, const char* reject_reason) {
   ++obs_->violations_seen;
   if (obs_->violations.size() >= kMaxViolationReports) return;
 
-  const p4rt::Packet& pkt = packet(work.pkt);
   std::vector<const obs::HopRecord*> recs;
   obs_->recorder->collect(pkt.id, recs);
   std::sort(recs.begin(), recs.end(),
@@ -1110,15 +1050,15 @@ void Network::build_violation(const SwitchWork& work, const HopResult& res,
   obs::ViolationReport vr;
   vr.packet_id = pkt.id;
   vr.flow = p4rt::flow_of(pkt).to_string();
-  vr.kind = res.rejected ? "reject" : "report";
-  vr.reason = res.reject_reason != nullptr
-                  ? res.reject_reason
-                  : (res.rejected ? "checker_reject" : "checker_report");
-  vr.switch_id = work.sw;
-  vr.switch_name = topo_.node(work.sw).name;
+  vr.kind = rejected ? "reject" : "report";
+  vr.reason = reject_reason != nullptr
+                  ? reject_reason
+                  : (rejected ? "checker_reject" : "checker_report");
+  vr.switch_id = sw;
+  vr.switch_name = topo_.node(sw).name;
   vr.time = t;
   vr.hop_count = pkt.hops;
-  for (const auto& rep : res.reports) {
+  for (const auto& rep : hop_reports_) {
     std::vector<std::uint64_t> payload;
     payload.reserve(rep.values.size());
     for (const auto& v : rep.values) payload.push_back(v.value());
@@ -1326,7 +1266,6 @@ void Network::arm_live_obs(const LiveObsOptions& opts) {
         "(set_export_interval)");
   }
   auto live = std::make_unique<ObsState::LiveObs>();
-  live->opts = opts;
   obs::TopKConfig cfg;
   cfg.k = opts.topk_k;
   cfg.session_net = opts.session_net;
@@ -1368,7 +1307,7 @@ void Network::update_live_after_tick() {
   ObsState::LiveObs& live = *obs_->live;
   const obs::ExportScheduler& sched = *obs_->exporter;
   live.health = obs::evaluate_health(sched.windows(), sched.latency_bounds(),
-                                     live.opts.health);
+                                     obs::HealthThresholds{});
   // Gauges registered here (not at arm time) keep export-only runs
   // byte-identical to pre-live releases.
   obs::Registry& reg = obs_->registry;
@@ -1614,17 +1553,9 @@ obs::TraceSink& Network::trace_sink() {
   return obs_->traces;
 }
 
-void Network::set_trace_sampler(TraceSampler sampler) {
-  set_observability(true);
-  obs_->sampler = std::move(sampler);
-}
-
 void Network::trace_next(std::size_t n) {
-  set_trace_sampler([left = n](const p4rt::Packet&) mutable {
-    if (left == 0) return false;
-    --left;
-    return true;
-  });
+  set_observability(true);
+  obs_->trace_left = n;
 }
 
 void Network::collect_metrics() {

@@ -16,11 +16,14 @@
 // pops events one at a time in (time, seq) order and runs each to
 // completion, so every run is deterministic for a fixed seed. A switch hop
 // is one event, scheduled when the packet goes onto the link at arrival +
-// switch_latency(); the latency is therefore fixed at transmit. A hop is
-// computed (init/forwarding/telemetry/check for one packet at one switch)
-// into a HopResult, then committed (reports, counters, traces, transmit).
-// The split orders a hop's effects: report callbacks fire only after every
-// checker on the hop has run.
+// switch_latency(); the latency is therefore fixed at transmit. A hop runs
+// in one pass (process_hop): init, forwarding, telemetry and check for one
+// packet at one switch, then its effects (forensics, reports, counters,
+// the drop or the transmit). The hop's reports wait in a reused buffer
+// until every checker on it has run, so report callbacks fire only then.
+// Control-plane work aimed at one switch (restarts, delayed rule pushes,
+// rolling-swap legs) is a closure event that does its own work, landing
+// between that switch's hops in (time, seq) order.
 #pragma once
 
 #include <functional>
@@ -90,7 +93,7 @@ class Network final : public EventExecutor {
   // ---- rolling deploy / undeploy ----------------------------------------
   // The staged-swap path: the checker is compiled and linked off to the
   // side (slot staged with a fresh generation, init stamping OFF), then
-  // one kSwap ControlOp per switch — (time, seq)-ordered like switch
+  // one swap closure per switch — (time, seq)-ordered like switch
   // restarts — flips that switch to stamping the new frames. The swap is
   // atomic per switch. Call between drains (the event queue may hold
   // traffic, but must not be mid-drain).
@@ -159,8 +162,8 @@ class Network final : public EventExecutor {
   //   * reset_observability()      — zeroes every metric value, drops
   //     recorded packet traces, empties the forensics rings and stored
   //     ViolationReports, and drops profiler spans; registrations, the
-  //     sampler, and switch state survive. No-op while observability is
-  //     off.
+  //     trace_next countdown, and switch state survive. No-op while
+  //     observability is off.
   const std::vector<ReportRecord>& reports() const { return reports_; }
   void clear_reports() { reports_.clear(); }
   void clear_report_subscribers() { report_callbacks_.clear(); }
@@ -234,8 +237,8 @@ class Network final : public EventExecutor {
   // predictable null-check branches. Enabling wires counters through every
   // layer — per-table lookup hits/misses, interpreter instruction counts,
   // per-switch forwarded/dropped/rejected, per-checker block-run and
-  // verdict counts — and arms the packet trace sampler. Disabling detaches
-  // every handle again before the registry is destroyed.
+  // verdict counts — and the packet trace sink (trace_next). Disabling
+  // detaches every handle again before the registry is destroyed.
   void set_observability(bool enabled);
   bool observability_enabled() const { return obs_ != nullptr; }
 
@@ -249,12 +252,9 @@ class Network final : public EventExecutor {
   void collect_metrics();
   std::string metrics_json();  // collect_metrics() + registry export
 
-  // Packets for which `sampler` returns true at injection are traced hop
-  // by hop until the trace sink's capacity is reached. Implicitly enables
-  // observability.
-  using TraceSampler = std::function<bool(const p4rt::Packet&)>;
-  void set_trace_sampler(TraceSampler sampler);
-  // Convenience sampler: trace the next `n` injected packets.
+  // Traces the next `n` injected packets hop by hop (a countdown that only
+  // moves while the trace sink has capacity), replacing any countdown in
+  // progress. Implicitly enables observability.
   void trace_next(std::size_t n);
 
   void reset_observability();
@@ -319,19 +319,19 @@ class Network final : public EventExecutor {
   // Arms top-K attribution + health evaluation on top of the streaming
   // exporter (which must already be armed): delivered packets, checker
   // rejects, and reports feed deterministic Space-Saving sketches, and
-  // every export tick re-evaluates the SLO verdict and sets the `health.*`
-  // gauges. With a publisher attached (set_live_publisher), every tick
-  // additionally renders an immutable LiveSnapshot — Prometheus text and
-  // series/health/violations/topk JSON — and swaps it into the publisher
-  // for the HTTP plane. Must be called while the event queue is idle. Off
-  // means free: one null check per hop.
+  // every export tick re-evaluates the SLO verdict (against the default
+  // obs::HealthThresholds) and sets the `health.*` gauges. With a publisher
+  // attached (set_live_publisher), every tick additionally renders an
+  // immutable LiveSnapshot — Prometheus text and series/health/violations/
+  // topk JSON — and swaps it into the publisher for the HTTP plane. Must
+  // be called while the event queue is idle. Off means free: one null
+  // check per hop.
   struct LiveObsOptions {
     std::size_t topk_k = 8;
     // Subscriber (UE) block identifying PFCP sessions; mask 0 disables
     // session attribution.
     std::uint32_t session_net = 0;
     std::uint32_t session_mask = 0;
-    obs::HealthThresholds health;
   };
   void arm_live_obs(const LiveObsOptions& opts);
   void disarm_live_obs();
@@ -340,11 +340,6 @@ class Network final : public EventExecutor {
   }
   // Borrowed, not owned; nullptr detaches. Throws while live obs is off.
   void set_live_publisher(obs::SnapshotPublisher* publisher);
-  // Null while live obs is off.
-  obs::TopKAttribution* topk_ptr() {
-    return obs_ != nullptr && obs_->live != nullptr ? obs_->live->topk.get()
-                                                    : nullptr;
-  }
   // Verdict from the most recent export tick; throws while live obs is
   // off.
   const obs::HealthVerdict& last_health() const;
@@ -383,31 +378,9 @@ class Network final : public EventExecutor {
   void drain(EventQueue& queue, SimTime limit) override;
 
  private:
-  // A control-plane operation targeting ONE switch's checker state,
-  // scheduled as a closure event (schedule_control) and applied in
-  // (time, seq) order, so register wipes and delayed rule installs land
-  // between that switch's hops. Used by the fault-injection subsystem
-  // (switch restarts, delayed rule pushes) and by rolling sweeps.
-  //
-  // kSwap flips one deployment slot's init stamping on one switch — the
-  // per-switch leg of a rolling deploy/undeploy. The flip lands between that
-  // switch's hops, and packets already carrying frames keep executing against
-  // the generation they were stamped with.
-  struct ControlOp {
-    enum class Kind { kRestart, kDictInsert, kSwap };
-    Kind kind = Kind::kRestart;
-    // kDictInsert payload: an exact-match entry for one checker table.
-    // kSwap payload: `deployment` is the slot, `enable` the new state.
-    int deployment = -1;
-    bool enable = false;
-    std::string var;
-    std::vector<BitVec> key;
-    std::vector<BitVec> value;
-  };
-
-  // Per-switch swap phase of one deployment slot. Written by
-  // apply_control (a kSwap op, ordered against that switch's hops) and by
-  // staging/retirement between drains; read by every hop.
+  // Per-switch swap phase of one deployment slot. Written by a swap
+  // closure (ordered against that switch's hops) and by staging/retirement
+  // between drains; read by every hop.
   enum : std::uint8_t {
     kPhaseRetired = 0,  // frames for this slot reject fail-closed here
     kPhaseStaged = 1,   // tele/check run for matching generations; no init
@@ -467,25 +440,6 @@ class Network final : public EventExecutor {
     obs::Counter stale;
   };
 
-  // What a hop's compute half hands its commit half: the verdict, the
-  // reports and the trace record. Holding the reports here is what makes
-  // report callbacks fire only after every checker on the hop has run.
-  struct HopResult {
-    ForwardingProgram::Decision decision;
-    bool rejected = false;
-    // Bit d set for each deployment whose checker (or fail-closed
-    // telemetry decode) rejected this hop; feeds per-property top-K
-    // attribution. fill_slot caps slots at kMaxDeployments (64) on deploy
-    // and restore alike, so every deployment id fits.
-    std::uint64_t rejected_deps = 0;
-    // Static string ("tele_bad_tag", ...) naming why a damaged or stale
-    // telemetry frame was rejected fail-closed this hop.
-    const char* reject_reason = nullptr;
-    bool traced = false;
-    std::vector<ReportRecord> reports;
-    obs::TraceHop hop;  // filled only when traced
-  };
-
   struct SwitchObsCounters {
     obs::Counter forwarded;
     obs::Counter fwd_dropped;
@@ -495,7 +449,7 @@ class Network final : public EventExecutor {
   struct ObsState {
     obs::Registry registry;
     obs::TraceSink traces;
-    TraceSampler sampler;
+    std::size_t trace_left = 0;  // trace_next countdown
     std::vector<SwitchObsCounters> switches;  // indexed by node id
     obs::Histogram delivered_hops;
     // Forensics (null unless set_forensics(true)).
@@ -513,7 +467,6 @@ class Network final : public EventExecutor {
     // Live observability plane (null unless arm_live_obs). The publisher
     // is borrowed from the daemon/test that owns the HTTP server.
     struct LiveObs {
-      LiveObsOptions opts;
       std::unique_ptr<obs::TopKAttribution> topk;
       obs::HealthVerdict health;
       obs::SnapshotPublisher* publisher = nullptr;  // not owned
@@ -535,11 +488,13 @@ class Network final : public EventExecutor {
   void fill_slot(std::size_t slot,
                  std::shared_ptr<const compiler::CompiledChecker> c,
                  std::uint32_t generation, std::uint8_t phase);
-  // Schedules one kSwap ControlOp per switch at now() flipping `slot` to
-  // `phase`; sets pending_swaps.
+  // Schedules one swap closure per switch at now() flipping `slot` to
+  // `phase` there (the sweep's last flip completes a retirement); sets
+  // pending_swaps.
   void schedule_swaps(int slot, std::uint8_t phase);
-  // Commit-path completion of an undeploy sweep: frees per-switch state,
-  // marks the generation retired, and registers its stale-frame counter.
+  // Completion of an undeploy (its sweep's last swap, or undeploy itself):
+  // frees per-switch state, marks the generation retired, and registers its
+  // stale-frame counter.
   void finalize_retirement(std::size_t slot);
   // Bounds- and liveness-checks a deployment id from the control-plane
   // API; throws std::invalid_argument naming `what` for a stale or
@@ -561,39 +516,27 @@ class Network final : public EventExecutor {
   // everything when observability is off).
   void rewire_observability();
   // Builds one checker's trace record for the current hop. `before` holds
-  // the telemetry values entering the hop (nullptr for the init run, whose
+  // the telemetry words entering the hop (nullptr for the init run, whose
   // "before" is the zeroed fresh frame).
   obs::CheckerHopRecord trace_checker_record(
-      const Deployment& d, const p4rt::TeleFrame* after,
-      const std::vector<BitVec>* before, const p4rt::ExecOutcome& out,
+      const Deployment& d, const p4rt::TeleFrame& after,
+      const std::vector<std::uint64_t>* before, const p4rt::ExecOutcome& out,
       bool init, bool tele, bool check) const;
   // Writes one flight-recorder record for checker `di`'s execution at the
-  // current hop (forensics on only).
+  // current hop, with `frame`'s tele words (forensics on only).
   void record_hop_forensics(const Deployment& d, std::size_t di,
-                            const p4rt::Packet& pkt, const HopContext& hctx,
-                            SimTime t, const ForwardingProgram::Decision* dec,
+                            const p4rt::Packet& pkt,
+                            const p4rt::TeleFrame& frame,
+                            const HopContext& hctx, SimTime t,
+                            const ForwardingProgram::Decision* dec,
                             const p4rt::ExecOutcome& out, bool ran_init,
                             bool ran_tele, bool ran_check,
                             const char* fault_note = nullptr);
-  // One kSwitchWork event: one packet's pass through switch work.sw —
-  // compute_hop, then commit_hop, sharing hop_scratch_.
+  // One kSwitchWork event: one packet's pass through switch work.sw, in
+  // one pass — init/forwarding/telemetry/check, then forensics, reports
+  // and callbacks (once every checker on the hop has run), simulation
+  // counters, and the drop or the transmit onto the egress link.
   void process_hop(SimTime t, const SwitchWork& work);
-  // Runs init/forwarding/telemetry/check for the packet, applying counter
-  // and fault-stat effects as they happen; collects the verdict, reports
-  // and trace record into `res`.
-  void compute_hop(SimTime t, const SwitchWork& work, HopResult& res);
-  // Applies `res`: forensics, reports and callbacks, trace, simulation
-  // counters, then the drop or the transmit onto the egress link.
-  void commit_hop(SimTime t, const SwitchWork& work, HopResult& res);
-  // Schedules `op` on switch `sw` at time `t` as a closure event that calls
-  // apply_control, so it lands between that switch's hops in (t, seq)
-  // order.
-  void schedule_control(SimTime t, int sw, ControlOp op);
-  // Applies a ControlOp at switch `sw`: a restart wipes the switch's
-  // checker registers and marks it cold; a dict insert lands a delayed rule
-  // push; a swap flips the slot's phase and, on the sweep's last switch,
-  // completes a retirement.
-  void apply_control(SimTime t, int sw, const ControlOp& op);
   // Fires every export tick with next_tick() <= t. The event loop calls
   // this before running any event at time t.
   void export_tick_until(SimTime t);
@@ -602,9 +545,10 @@ class Network final : public EventExecutor {
   // driven by `entropy`; the next hop must re-parse before trusting it.
   void corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy);
   // Joins the rings on the packet id and assembles a ViolationReport
-  // (called when a hop rejected or reported).
-  void build_violation(const SwitchWork& work, const HopResult& res,
-                       SimTime t);
+  // (called when a hop rejected or reported; the payloads are the hop's
+  // pending reports in hop_reports_).
+  void build_violation(const p4rt::Packet& pkt, int sw, SimTime t,
+                       bool rejected, const char* reject_reason);
 
   // Assembles the cumulative export totals (sim counters + per-property
   // registry reads + delivered-latency histogram).
@@ -653,7 +597,9 @@ class Network final : public EventExecutor {
   // In-flight packet pool (see "pooled in-flight storage").
   util::Arena<p4rt::Packet> packet_pool_{1024};
   std::unique_ptr<ObsState> obs_;  // null while observability is off
-  HopResult hop_scratch_;  // reused by every hop
+  // The current hop's reports, held until every checker on it has run;
+  // reused by every hop.
+  std::vector<ReportRecord> hop_reports_;
 };
 
 }  // namespace hydra::net

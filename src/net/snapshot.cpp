@@ -514,7 +514,7 @@ void Network::obs_restore(const std::string& text) {
     if (obs_->live != nullptr) {
       obs_->live->health = obs::evaluate_health(
           obs_->exporter->windows(), obs_->exporter->latency_bounds(),
-          obs_->live->opts.health);
+          obs::HealthThresholds{});
     }
   }
 }

@@ -389,25 +389,19 @@ Interp::Interp(const ir::CheckerIR& ir) : ir_(ir) {
 // ---------------------------------------------------------------------------
 
 void Interp::load(const TeleFrame& frame) {
-  if (frame.values.size() != ir_.fields.size()) {
+  if (frame.words.size() != tele_.size()) {
     throw std::invalid_argument("telemetry frame size mismatch for '" +
                                 ir_.name + "'");
   }
-  for (const SlotRef& t : tele_) {
-    slots_[t.slot] = frame.values[t.slot].value() & BitVec::mask(t.width);
+  for (std::size_t i = 0; i < tele_.size(); ++i) {
+    slots_[tele_[i].slot] = frame.words[i] & BitVec::mask(tele_[i].width);
   }
 }
 
 void Interp::store(TeleFrame& frame) const {
-  if (frame.values.size() != ir_.fields.size()) {
-    // Only tele fields are meaningful on the wire; the rest stay zero so
-    // the frame never leaks switch-local state between hops.
-    frame.values.clear();
-    frame.values.reserve(ir_.fields.size());
-    for (const auto& f : ir_.fields) frame.values.emplace_back(f.width, 0);
-  }
-  for (const SlotRef& t : tele_) {
-    frame.values[t.slot] = BitVec(t.width, slots_[t.slot]);
+  frame.words.resize(tele_.size());
+  for (std::size_t i = 0; i < tele_.size(); ++i) {
+    frame.words[i] = slots_[tele_[i].slot];
   }
 }
 

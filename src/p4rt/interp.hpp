@@ -105,10 +105,10 @@ class Interp {
   void run(Block block, CheckerState& state, const HeaderSource& hdr,
            ExecOutcome& out);
 
-  // Telemetry frames stay FieldId-indexed (the codec, traces and forensics
-  // read them that way), but only the tele slots move: load copies them in,
-  // store copies them out. A frame with no values yet is first sized to
-  // the IR with zeroed non-tele entries.
+  // A frame holds one word per tele field, in FieldId order (the layout's
+  // entry order): load copies the words into the tele slots and throws
+  // std::invalid_argument on a word count other than this checker's;
+  // store copies the tele slots out, sizing the frame to that count.
   void load(const TeleFrame& frame);
   void store(TeleFrame& frame) const;
 
@@ -177,8 +177,7 @@ class Interp {
     std::vector<std::uint32_t> elems;  // element slots, capacity many
   };
 
-  // A slot read out as a BitVec of `width` bits (report payloads, tele
-  // fields into frames).
+  // A slot read out at `width` bits (report payloads, tele words).
   struct SlotRef {
     std::uint32_t slot = 0;
     int width = 1;

@@ -118,52 +118,31 @@ int Packet::base_wire_bytes() const {
   return bytes + payload_bytes;
 }
 
-int Packet::wire_bytes(const std::vector<int>& tele_bytes_per_checker) const {
-  int bytes = base_wire_bytes();
-  for (const auto& f : tele) {
-    if (f.checker >= 0 &&
-        f.checker < static_cast<int>(tele_bytes_per_checker.size())) {
-      bytes += tele_bytes_per_checker[static_cast<std::size_t>(f.checker)];
-    }
-  }
-  return bytes;
-}
-
 Packet make_udp(std::uint32_t src_ip, std::uint32_t dst_ip,
                 std::uint16_t sport, std::uint16_t dport, int payload_bytes) {
   Packet p;
-  p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoUdp, 64, 0};
-  p.l4 = L4H{sport, dport};
-  p.payload_bytes = payload_bytes;
+  make_udp_into(p, src_ip, dst_ip, sport, dport, payload_bytes);
   return p;
 }
 
 Packet make_tcp(std::uint32_t src_ip, std::uint32_t dst_ip,
                 std::uint16_t sport, std::uint16_t dport, int payload_bytes) {
   Packet p;
-  p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoTcp, 64, 0};
-  p.l4 = L4H{sport, dport};
-  p.payload_bytes = payload_bytes;
+  make_tcp_into(p, src_ip, dst_ip, sport, dport, payload_bytes);
   return p;
 }
 
 Packet make_icmp_echo(std::uint32_t src_ip, std::uint32_t dst_ip,
                       std::uint16_t ident, std::uint16_t seq) {
   Packet p;
-  p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoIcmp, 64, 0};
-  p.icmp = IcmpH{8, ident, seq};
-  p.payload_bytes = 56;  // standard ping payload
+  make_icmp_echo_into(p, src_ip, dst_ip, ident, seq);
   return p;
 }
 
 Packet gtpu_encap(const Packet& inner, std::uint32_t outer_src,
                   std::uint32_t outer_dst, std::uint32_t teid) {
   Packet p = inner;
-  p.inner_ipv4 = inner.ipv4;
-  p.inner_l4 = inner.l4;
-  p.ipv4 = Ipv4H{outer_src, outer_dst, kProtoUdp, 64, 0};
-  p.l4 = L4H{kGtpuPort, kGtpuPort};
-  p.gtpu = GtpuH{teid};
+  gtpu_encap_inplace(p, outer_src, outer_dst, teid);
   return p;
 }
 

@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "util/bitvec.hpp"
-
 namespace hydra::p4rt {
 
 struct EthernetH {
@@ -64,16 +62,18 @@ inline constexpr std::uint8_t kProtoTcp = 6;
 inline constexpr std::uint8_t kProtoUdp = 17;
 inline constexpr std::uint16_t kGtpuPort = 2152;
 
-// Telemetry carried for one deployed checker: values indexed by the
-// checker IR's FieldId (only kTele slots are meaningful on the wire).
+// Telemetry carried for one deployed checker: one word per tele field, in
+// the order of its TelemetryLayout::entries (tele fields in FieldId order),
+// each holding the field's value at the entry's width. A live frame always
+// has exactly as many words as the layout of the generation that stamped it.
 struct TeleFrame {
   int checker = -1;  // deployment id assigned by the network
-  std::vector<BitVec> values;
+  std::vector<std::uint64_t> words;
 
   // Fault-injection wire damage (net/faults.hpp). When a corruption fault
   // hits this frame, the injector serializes it through the real codec,
   // damages the bytes, and stores them here with `damaged` set; the next
-  // switch must re-parse `wire` before trusting `values` (stale from the
+  // switch must re-parse `wire` before trusting `words` (stale from the
   // hop before the damage). A parse failure is a fail-closed checker
   // reject, never a throw. `wire` may legitimately be empty (truncated to
   // nothing), hence the explicit flag.
@@ -94,14 +94,14 @@ struct TeleFrame {
   std::uint32_t generation = 0;
 
   // A frame with checker < 0 is RETIRED: its slot (and the capacity of
-  // `values`/`wire`) stays in the packet for reuse, but it is not live on
+  // `words`/`wire`) stays in the packet for reuse, but it is not live on
   // the wire — frame lookups, wire sizing, and corruption all skip it.
   // Pooled packets retire frames instead of erasing them so the per-hop
   // telemetry path stays allocation-free (see Packet::retire_frames).
   bool live() const { return checker >= 0; }
   void retire() {
     checker = -1;
-    values.clear();  // keeps capacity
+    words.clear();  // keeps capacity
     wire.clear();
     damaged = false;
     cold = false;
@@ -172,16 +172,15 @@ struct Packet {
   // retired slots linger in `tele`.
   bool has_live_tele() const;
 
-  // Total wire size, telemetry included.
-  int wire_bytes(const std::vector<int>& tele_bytes_per_checker = {}) const;
-  // Wire size given explicit per-frame telemetry byte counts is used by
-  // the network; this overload sums header structs + payload only.
+  // Wire size of the header structs + payload, telemetry excluded (the
+  // network adds each live frame's layout bytes).
   int base_wire_bytes() const;
 };
 
 FlowId flow_of(const Packet& pkt);
 
-// Builders used by traffic generators and tests.
+// By-value builders for traffic generators and tests: each wraps its
+// in-place builder below on a fresh (or copied) Packet.
 Packet make_udp(std::uint32_t src_ip, std::uint32_t dst_ip,
                 std::uint16_t sport, std::uint16_t dport, int payload_bytes);
 Packet make_tcp(std::uint32_t src_ip, std::uint32_t dst_ip,
@@ -192,15 +191,14 @@ Packet make_icmp_echo(std::uint32_t src_ip, std::uint32_t dst_ip,
 Packet gtpu_encap(const Packet& inner, std::uint32_t outer_src,
                   std::uint32_t outer_dst, std::uint32_t teid);
 Packet gtpu_decap(const Packet& outer);
-// In-place encap/decap: same header transforms as the by-value pair but
-// mutating `p` directly — no Packet copy (and thus no vector allocations
-// for its telemetry frames) on the UPF hot path.
+// In-place encap/decap: mutates `p` directly — no Packet copy (and thus no
+// vector allocations for its telemetry frames) on the UPF hot path.
 void gtpu_encap_inplace(Packet& p, std::uint32_t outer_src,
                         std::uint32_t outer_dst, std::uint32_t teid);
 void gtpu_decap_inplace(Packet& p);
 
-// In-place builders for pooled slots: Packet::reuse() + the same header
-// setup as the by-value builders, no temporary Packet.
+// In-place builders for pooled slots: Packet::reuse() + the header setup,
+// no temporary Packet.
 void make_udp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
                    std::uint16_t sport, std::uint16_t dport,
                    int payload_bytes);

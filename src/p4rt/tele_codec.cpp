@@ -40,10 +40,9 @@ std::uint64_t get_bits(const std::vector<std::uint8_t>& buf, int off,
 }  // namespace
 
 std::vector<std::uint8_t> serialize_frame(
-    const compiler::TelemetryLayout& layout, const ir::CheckerIR& ir,
-    const TeleFrame& frame) {
-  if (frame.values.size() != ir.fields.size()) {
-    throw std::invalid_argument("frame does not match checker IR");
+    const compiler::TelemetryLayout& layout, const TeleFrame& frame) {
+  if (frame.words.size() != layout.entries.size()) {
+    throw std::invalid_argument("frame does not match telemetry layout");
   }
   std::vector<std::uint8_t> buf(
       static_cast<std::size_t>(layout.wire_bytes), 0);
@@ -51,9 +50,9 @@ std::vector<std::uint8_t> serialize_frame(
       compiler::TelemetryLayout::kHydraEtherType >> 8);
   buf[1] = static_cast<std::uint8_t>(
       compiler::TelemetryLayout::kHydraEtherType & 0xff);
-  for (const auto& e : layout.entries) {
-    const BitVec& v = frame.values[static_cast<std::size_t>(e.field.id)];
-    put_bits(buf, e.offset_bits, e.width, v.value());
+  for (std::size_t i = 0; i < layout.entries.size(); ++i) {
+    const compiler::LayoutEntry& e = layout.entries[i];
+    put_bits(buf, e.offset_bits, e.width, frame.words[i]);
   }
   return buf;
 }
@@ -68,7 +67,7 @@ const char* frame_error_reason(FrameError err) {
 }
 
 FrameError parse_frame_checked(const compiler::TelemetryLayout& layout,
-                               const ir::CheckerIR& ir, int checker_id,
+                               int checker_id,
                                const std::vector<std::uint8_t>& bytes,
                                TeleFrame& out) {
   if (bytes.size() != static_cast<std::size_t>(layout.wire_bytes)) {
@@ -84,24 +83,18 @@ FrameError parse_frame_checked(const compiler::TelemetryLayout& layout,
     return FrameError::kBadTag;
   }
   out.checker = checker_id;
-  out.values.clear();
-  out.values.reserve(ir.fields.size());
-  for (const auto& f : ir.fields) {
-    out.values.emplace_back(f.width, 0);
-  }
-  for (const auto& e : layout.entries) {
-    out.values[static_cast<std::size_t>(e.field.id)] =
-        BitVec(e.width, get_bits(bytes, e.offset_bits, e.width));
+  out.words.resize(layout.entries.size());
+  for (std::size_t i = 0; i < layout.entries.size(); ++i) {
+    const compiler::LayoutEntry& e = layout.entries[i];
+    out.words[i] = get_bits(bytes, e.offset_bits, e.width);
   }
   return FrameError::kOk;
 }
 
-TeleFrame parse_frame(const compiler::TelemetryLayout& layout,
-                      const ir::CheckerIR& ir, int checker_id,
+TeleFrame parse_frame(const compiler::TelemetryLayout& layout, int checker_id,
                       const std::vector<std::uint8_t>& bytes) {
   TeleFrame frame;
-  const FrameError err =
-      parse_frame_checked(layout, ir, checker_id, bytes, frame);
+  const FrameError err = parse_frame_checked(layout, checker_id, bytes, frame);
   if (err == FrameError::kSizeMismatch) {
     throw std::invalid_argument("telemetry frame size mismatch: got " +
                                 std::to_string(bytes.size()) + ", want " +

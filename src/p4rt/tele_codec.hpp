@@ -1,8 +1,8 @@
-// Byte-exact telemetry serialization. The simulator normally carries
-// telemetry frames as typed values; this codec implements the actual
-// parser/deparser the compiler generates — packing every tele field at its
-// layout offset into wire bytes (plus the 2-byte Hydra EtherType tag) and
-// parsing it back. Used by the wire-validation tests, by
+// Byte-exact telemetry serialization. The simulator normally carries a
+// telemetry frame as one word per tele field; this codec implements the
+// actual parser/deparser the compiler generates — packing every tele field
+// at its layout offset into wire bytes (plus the 2-byte Hydra EtherType
+// tag) and parsing it back. Used by the wire-validation tests, by
 // Network::set_wire_validation (which round-trips every frame through the
 // codec at every hop to prove the layout is lossless), and by the
 // fault-injection subsystem, which damages real wire bytes and re-parses
@@ -24,10 +24,10 @@
 
 namespace hydra::p4rt {
 
-// Serializes the tele fields of `frame` per `layout`. The result's size is
-// exactly layout.wire_bytes (preamble + padded payload).
+// Serializes the words of `frame` per `layout` (word i at entry i). The
+// result's size is exactly layout.wire_bytes (preamble + padded payload).
+// Throws std::invalid_argument when the word count is not the layout's.
 std::vector<std::uint8_t> serialize_frame(const compiler::TelemetryLayout& layout,
-                                          const ir::CheckerIR& ir,
                                           const TeleFrame& frame);
 
 // Why a frame failed to parse. Kept coarse on purpose: the reasons become
@@ -43,20 +43,20 @@ enum class FrameError {
 // "tele_bad_tag", "ok"). Never allocates; safe to store in HopRecords.
 const char* frame_error_reason(FrameError err);
 
-// Non-throwing parser: on kOk, `out` holds the parsed frame (non-tele
-// fields zeroed, checker set to `checker_id`); on failure `out` is left
-// untouched. This is the fail-closed decode path the network uses for
-// frames that crossed a faulty link.
+// Non-throwing parser: on kOk, `out` holds one word per layout entry and
+// its checker is set to `checker_id`; on failure `out` is left untouched.
+// Only those two members are written, so `bytes` may be `out.wire`. This
+// is the fail-closed decode path the network uses for frames that crossed
+// a faulty link.
 FrameError parse_frame_checked(const compiler::TelemetryLayout& layout,
-                               const ir::CheckerIR& ir, int checker_id,
+                               int checker_id,
                                const std::vector<std::uint8_t>& bytes,
                                TeleFrame& out);
 
-// Parses bytes produced by serialize_frame back into a frame (non-tele
-// fields zeroed). Throws std::invalid_argument on size or tag mismatch —
-// use parse_frame_checked anywhere malformed input is survivable.
-TeleFrame parse_frame(const compiler::TelemetryLayout& layout,
-                      const ir::CheckerIR& ir, int checker_id,
+// Parses bytes produced by serialize_frame back into a frame. Throws
+// std::invalid_argument on size or tag mismatch — use parse_frame_checked
+// anywhere malformed input is survivable.
+TeleFrame parse_frame(const compiler::TelemetryLayout& layout, int checker_id,
                       const std::vector<std::uint8_t>& bytes);
 
 }  // namespace hydra::p4rt

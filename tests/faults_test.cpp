@@ -58,28 +58,27 @@ TEST(CheckedParse, DetectsTruncationAndBadTagWithoutThrowing) {
       "tele bit<8> a;\ntele bit<13> b;\n{ } { } { }", "chk");
   p4rt::TeleFrame f;
   f.checker = 0;
-  for (const auto& field : c.ir.fields) {
-    f.values.emplace_back(field.width,
-                          field.space == ir::Space::kTele ? 0x5a5aULL : 0);
+  for (const auto& e : c.layout.entries) {
+    f.words.push_back(0x5a5aULL & BitVec::mask(e.width));
   }
-  const auto bytes = p4rt::serialize_frame(c.layout, c.ir, f);
+  const auto bytes = p4rt::serialize_frame(c.layout, f);
 
   p4rt::TeleFrame out;
-  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, c.ir, 0, bytes, out),
+  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, 0, bytes, out),
             p4rt::FrameError::kOk);
 
   // Mid-path truncation: any wrong byte count is a size mismatch.
   auto truncated = bytes;
   truncated.pop_back();
-  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, c.ir, 0, truncated, out),
+  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, 0, truncated, out),
             p4rt::FrameError::kSizeMismatch);
-  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, c.ir, 0, {}, out),
+  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, 0, {}, out),
             p4rt::FrameError::kSizeMismatch);
 
   // Clobbered Hydra EtherType preamble.
   auto bad_tag = bytes;
   bad_tag[0] ^= 0xff;
-  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, c.ir, 0, bad_tag, out),
+  EXPECT_EQ(p4rt::parse_frame_checked(c.layout, 0, bad_tag, out),
             p4rt::FrameError::kBadTag);
 }
 

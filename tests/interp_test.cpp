@@ -425,7 +425,7 @@ TEST(Interp, LengthIsThirtyTwoBitsWide) {
   EXPECT_EQ(h.field("tele.n").value(), 0xfffffffeu);
 }
 
-TEST(Interp, StoreFrameZeroesLocals) {
+TEST(Interp, StoreFrameCarriesOnlyTeleWords) {
   Harness h(R"(
     control dict<bit<8>,bit<8>> m;
     tele bit<8> v;
@@ -438,14 +438,40 @@ TEST(Interp, StoreFrameZeroesLocals) {
   TeleFrame frame;
   frame.checker = 0;
   h.interp.store(frame);
-  // The tele field survives; the table-lookup temporary is zeroed.
-  const auto tele_v = h.checker.ir.find_field("tele.v");
-  EXPECT_EQ(frame.values[static_cast<std::size_t>(tele_v.id)].value(), 99u);
-  for (std::size_t i = 0; i < frame.values.size(); ++i) {
-    if (h.checker.ir.fields[i].space != ir::Space::kTele) {
-      EXPECT_EQ(frame.values[i].value(), 0u);
-    }
-  }
+  // One word, the tele field's; the header and the table-lookup temporary
+  // never reach the frame.
+  EXPECT_EQ(frame.words, std::vector<std::uint64_t>{99});
+}
+
+// A pooled frame slot is re-armed for whichever checker stamps it next:
+// store sizes it to that checker's tele fields, whatever it held before,
+// and load refuses a frame of any other size.
+TEST(Interp, StoreResizesAReArmedFrame) {
+  Harness wide(R"(
+    tele bit<8> a;
+    tele bit<16> b;
+    tele bit<4>[3] xs;
+    { a = 1; b = 2; xs.push(3); } { } { }
+  )");
+  wide.run_init();
+  Harness narrow(R"(
+    tele bit<8> v;
+    { v = 42; } { } { }
+  )");
+  narrow.run_init();
+
+  TeleFrame frame;
+  frame.checker = 0;
+  wide.interp.store(frame);
+  ASSERT_EQ(frame.words.size(), wide.checker.layout.entries.size());
+  ASSERT_GT(frame.words.size(), 1u);
+  EXPECT_THROW(narrow.interp.load(frame), std::invalid_argument);
+
+  frame.checker = 1;  // re-armed in place, words not cleared
+  narrow.interp.store(frame);
+  EXPECT_EQ(frame.words, std::vector<std::uint64_t>{42});
+  narrow.interp.load(frame);
+  EXPECT_EQ(narrow.field("tele.v").value(), 42u);
 }
 
 }  // namespace

@@ -644,7 +644,7 @@ TEST(NetworkObs, ResetSemantics) {
   EXPECT_FALSE(bed.net.reports().empty());
 
   // reset_observability zeroes metrics and drops traces; registrations,
-  // sampler, and reports are untouched.
+  // the trace_next countdown, and reports are untouched.
   EXPECT_FALSE(bed.net.trace_sink().empty());
   bed.net.reset_observability();
   EXPECT_TRUE(bed.net.trace_sink().empty());

@@ -1,10 +1,14 @@
 // Rolling checker deploy/undeploy and full-state snapshot/restore tests:
 // the deployment-slot lifecycle (64-slot cap, retirement, generation-tagged
 // reuse), fail-closed stale-frame accounting through a live-traffic swap,
-// the atomic snapshot writer, and the v2 full-state snapshot's restart
-// equivalence — a restored network must behave byte-identically to the one
-// that wrote the snapshot.
+// the snapshot writer (atomic for files, in place for FIFOs), and the v2
+// full-state snapshot's restart equivalence — a restored network must
+// behave byte-identically to the one that wrote the snapshot.
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -281,6 +285,59 @@ TEST(SnapshotFile, AtomicWriterLeavesNoPartialFiles) {
   EXPECT_EQ(back, content);
   // The staging file was renamed away, not left behind.
   EXPECT_FALSE(std::ifstream(tmp).good());
+  std::remove(path.c_str());
+}
+
+// A symlinked output keeps its link: the target's content is replaced,
+// atomically, next to the target.
+TEST(SnapshotFile, WriterReplacesASymlinksTarget) {
+  const std::string target = ::testing::TempDir() + "rolling_target.txt";
+  const std::string link = ::testing::TempDir() + "rolling_link.txt";
+  std::remove(target.c_str());
+  std::remove(link.c_str());
+  std::remove((target + ".tmp").c_str());
+  std::remove((link + ".tmp").c_str());
+  {
+    std::ofstream(target) << "old\n";
+  }
+  ASSERT_EQ(::symlink(target.c_str(), link.c_str()), 0);
+
+  ASSERT_TRUE(tools::write_text_file(link, "new\n"));
+  struct stat st {};
+  ASSERT_EQ(::lstat(link.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISLNK(st.st_mode));
+  std::ifstream in(target, std::ios::binary);
+  std::string back((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_EQ(back, "new\n");
+  EXPECT_NE(::lstat((target + ".tmp").c_str(), &st), 0);
+  EXPECT_NE(::lstat((link + ".tmp").c_str(), &st), 0);
+  std::remove(link.c_str());
+  std::remove(target.c_str());
+}
+
+// A FIFO, like any existing path that is not a regular file (/dev/null,
+// say), is written in place: it stays a FIFO and its reader gets the bytes.
+// The reader opens non-blocking first, so the writer's open never waits.
+TEST(SnapshotFile, WriterWritesAFifoInPlace) {
+  const std::string path = ::testing::TempDir() + "rolling_fifo";
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+
+  const std::string content = "hydra_up 1\n";
+  EXPECT_TRUE(tools::write_text_file(path, content));
+  struct stat st {};
+  ASSERT_EQ(::lstat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+  char buf[64] = {};
+  const ssize_t n = ::read(reader, buf, sizeof buf);
+  EXPECT_EQ(std::string(buf, n > 0 ? static_cast<std::size_t>(n) : 0),
+            content);
+  EXPECT_NE(::lstat((path + ".tmp").c_str(), &st), 0);
+  ::close(reader);
   std::remove(path.c_str());
 }
 

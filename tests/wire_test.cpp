@@ -7,6 +7,7 @@
 #include "forwarding/source_route.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
+#include "p4rt/interp.hpp"
 #include "p4rt/tele_codec.hpp"
 #include "util/rng.hpp"
 
@@ -23,27 +24,31 @@ compiler::CompiledChecker compile(const std::string& src,
 TeleFrame random_frame(const compiler::CompiledChecker& c, Rng& rng) {
   TeleFrame f;
   f.checker = 0;
-  for (const auto& field : c.ir.fields) {
-    if (field.space == ir::Space::kTele) {
-      f.values.emplace_back(field.width, rng.next());
-    } else {
-      f.values.emplace_back(field.width, 0);
-    }
+  for (const auto& e : c.layout.entries) {
+    f.words.push_back(rng.next() & BitVec::mask(e.width));
   }
   return f;
 }
 
 void expect_roundtrip(const compiler::CompiledChecker& c,
                       const TeleFrame& f) {
-  const auto bytes = serialize_frame(c.layout, c.ir, f);
+  const auto bytes = serialize_frame(c.layout, f);
   ASSERT_EQ(bytes.size(), static_cast<std::size_t>(c.layout.wire_bytes));
-  const TeleFrame back = parse_frame(c.layout, c.ir, 0, bytes);
-  for (std::size_t i = 0; i < f.values.size(); ++i) {
-    if (c.ir.fields[i].space != ir::Space::kTele) continue;
-    EXPECT_EQ(back.values[i].value(), f.values[i].value())
-        << c.ir.fields[i].name;
+  const TeleFrame back = parse_frame(c.layout, 0, bytes);
+  ASSERT_EQ(back.words.size(), f.words.size());
+  for (std::size_t i = 0; i < f.words.size(); ++i) {
+    EXPECT_EQ(back.words[i], f.words[i])
+        << c.ir.field(c.layout.entries[i].field).name;
   }
 }
+
+// Header values for an init run: distinct per header index, so distinct
+// tele fields stamped from them get distinct words.
+struct FixedHeaders final : HeaderSource {
+  std::uint64_t read(int header) const override {
+    return 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(header + 1);
+  }
+};
 
 TEST(TeleCodec, ScalarRoundTrip) {
   const auto c = compile(
@@ -80,26 +85,27 @@ TEST(TeleCodec, PreambleCarriesHydraEtherType) {
   const auto c = compile("tele bit<8> a;\n{ } { } { }");
   TeleFrame f;
   f.checker = 0;
-  for (const auto& field : c.ir.fields) f.values.emplace_back(field.width, 0);
-  const auto bytes = serialize_frame(c.layout, c.ir, f);
+  f.words.assign(c.layout.entries.size(), 0);
+  const auto bytes = serialize_frame(c.layout, f);
   EXPECT_EQ((bytes[0] << 8) | bytes[1],
             compiler::TelemetryLayout::kHydraEtherType);
 }
 
 TEST(TeleCodec, ParseRejectsBadInput) {
   const auto c = compile("tele bit<8> a;\n{ } { } { }");
-  EXPECT_THROW(parse_frame(c.layout, c.ir, 0, {1, 2}),
-               std::invalid_argument);
+  EXPECT_THROW(parse_frame(c.layout, 0, {1, 2}), std::invalid_argument);
   std::vector<std::uint8_t> bad(static_cast<std::size_t>(c.layout.wire_bytes),
                                 0);
-  EXPECT_THROW(parse_frame(c.layout, c.ir, 0, bad), std::invalid_argument);
+  EXPECT_THROW(parse_frame(c.layout, 0, bad), std::invalid_argument);
 }
 
 TEST(TeleCodec, SerializeRejectsWrongFrame) {
   const auto c = compile("tele bit<8> a;\n{ } { } { }");
   TeleFrame f;
-  f.checker = 0;  // wrong size
-  EXPECT_THROW(serialize_frame(c.layout, c.ir, f), std::invalid_argument);
+  f.checker = 0;  // no words: wrong size
+  EXPECT_THROW(serialize_frame(c.layout, f), std::invalid_argument);
+  f.words.assign(c.layout.entries.size() + 1, 0);  // one word too many
+  EXPECT_THROW(serialize_frame(c.layout, f), std::invalid_argument);
 }
 
 // Every library checker's layout must round-trip random frames.
@@ -111,6 +117,27 @@ TEST_P(CodecAllCheckers, RandomFramesRoundTrip) {
   const auto c = compiler::compile_checker(spec.source, spec.name);
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 100);
   for (int i = 0; i < 20; ++i) expect_roundtrip(c, random_frame(c, rng));
+}
+
+// The frame an init run stamps holds word i at layout entry i, and
+// round-trips through the codec.
+TEST_P(CodecAllCheckers, InitStampedFrameFollowsTheLayout) {
+  const auto& spec =
+      checkers::all_checkers()[static_cast<std::size_t>(GetParam())];
+  const auto c = compiler::compile_checker(spec.source, spec.name);
+  Interp interp(c.ir);
+  CheckerState state = make_checker_state(c.ir);
+  ExecOutcome out;
+  interp.run(Block::kInit, state, FixedHeaders{}, out);
+  TeleFrame f;
+  f.checker = 0;
+  interp.store(f);
+  ASSERT_EQ(f.words.size(), c.layout.entries.size());
+  for (std::size_t i = 0; i < f.words.size(); ++i) {
+    EXPECT_EQ(f.words[i], interp.value(c.layout.entries[i].field).value())
+        << c.ir.field(c.layout.entries[i].field).name;
+  }
+  expect_roundtrip(c, f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Library, CodecAllCheckers,

@@ -11,6 +11,7 @@
 // anything; any unknown argument prints it to stderr and exits 2.
 #pragma once
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -98,33 +99,52 @@ inline bool parse_positive_double_arg(const char* prog, const char* flag,
   return true;
 }
 
-// Writes `content` to `path` atomically; false (with a diagnostic) on any
-// I/O failure. The content lands in `<path>.tmp` first, is flushed and
-// fsync'd, and only then renamed over `path` — a crash or full disk
-// mid-write can never leave a truncated file at `path` (a partial
-// snapshot would otherwise brick the next hydrad start).
+// Writes `content` to `path`; false (with a diagnostic) on any I/O
+// failure. A new or regular file is replaced atomically: the content lands
+// in `<file>.tmp` first, is flushed and fsync'd, and only then renamed over
+// the file — a crash or full disk mid-write can never leave a truncated
+// file behind (a partial snapshot would otherwise brick the next hydrad
+// start). A symlink to a regular file keeps the link and replaces its
+// target that way. Any other existing path (a FIFO, a device such as
+// /dev/null, a dangling symlink) is written in place, without the fsync a
+// FIFO would refuse.
 inline bool write_text_file(const std::string& path,
                             const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  struct stat st {};
+  const bool exists = ::lstat(path.c_str(), &st) == 0;
+  const bool link = exists && S_ISLNK(st.st_mode);
+  const bool atomic =
+      !exists || (::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode));
+  std::string dest = path;
+  if (atomic && link) {
+    char* real = ::realpath(path.c_str(), nullptr);
+    if (real == nullptr) {
+      std::fprintf(stderr, "cannot resolve %s\n", path.c_str());
+      return false;
+    }
+    dest = real;
+    std::free(real);
+  }
+  const std::string out = atomic ? dest + ".tmp" : dest;
+  std::FILE* f = std::fopen(out.c_str(), "wb");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", tmp.c_str());
+    std::fprintf(stderr, "cannot write %s\n", out.c_str());
     return false;
   }
   bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
             content.size();
   ok = ok && std::fflush(f) == 0;
-  ok = ok && ::fsync(fileno(f)) == 0;
+  ok = ok && (!atomic || ::fsync(fileno(f)) == 0);
   if (std::fclose(f) != 0) ok = false;
   if (!ok) {
-    std::fprintf(stderr, "short write to %s\n", tmp.c_str());
-    std::remove(tmp.c_str());
+    std::fprintf(stderr, "short write to %s\n", out.c_str());
+    if (atomic) std::remove(out.c_str());
     return false;
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(),
-                 path.c_str());
-    std::remove(tmp.c_str());
+  if (atomic && std::rename(out.c_str(), dest.c_str()) != 0) {
+    std::fprintf(stderr, "cannot rename %s to %s\n", out.c_str(),
+                 dest.c_str());
+    std::remove(out.c_str());
     return false;
   }
   return true;

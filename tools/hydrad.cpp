@@ -17,7 +17,7 @@
 //   $ hydrad [--listen PORT] [--interval S] [--snapshot PATH]
 //            [--sessions N] [--churn-per-s X] [--packets-per-s X]
 //            [--duration-s X] [--pace X] [--topk K] [--ring N] [--seed N]
-//            [--forensics]
+//            [--forensics] [--help]
 //
 // `--pace` is simulated seconds advanced per wall-clock second (default
 // 1). `--duration-s 0` (default) runs until SIGTERM/SIGINT, which
@@ -56,15 +56,10 @@
 #include <string>
 #include <thread>
 
-#include "aether/churn.hpp"
-#include "aether/controller.hpp"
-#include "aether/slice.hpp"
 #include "cli_parse.hpp"
-#include "forwarding/ipv4_ecmp.hpp"
-#include "forwarding/upf.hpp"
-#include "hydra/hydra.hpp"
 #include "net/network.hpp"
 #include "obs/httpd.hpp"
+#include "scenarios.hpp"
 
 using namespace hydra;
 
@@ -79,16 +74,13 @@ void on_signal(int) { g_stop = 1; }
 constexpr std::uint32_t kUeNet = 0x50000000u;
 constexpr std::uint32_t kUeMask = 0xFC000000u;
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--listen PORT] [--interval S] [--snapshot PATH]\n"
-               "          [--sessions N] [--churn-per-s X] "
-               "[--packets-per-s X]\n"
-               "          [--duration-s X] [--pace X] [--topk K] [--ring N]\n"
-               "          [--seed N] [--forensics]\n",
-               prog);
-  return 2;
-}
+constexpr const char* kArgs =
+    "[--listen PORT] [--interval S] [--snapshot PATH]\n"
+    "          [--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
+    "          [--duration-s X] [--pace X] [--topk K] [--ring N]\n"
+    "          [--seed N] [--forensics] [--help]";
+
+int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
 
 }  // namespace
 
@@ -180,21 +172,20 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(a, "--forensics") == 0) {
       forensics = true;
+    } else if (std::strcmp(a, "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
     } else {
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], a);
-      return usage(argv[0]);
+      return tools::unknown_argument(argv[0], a, kArgs);
     }
   }
 
-  // ---- scenario (identical shape to bench/million_users) -----------------
+  // ---- scenario (tools/scenarios.hpp, shared with bench/million_users) ----
   auto fabric = net::make_leaf_spine(2, 2, 2);
   std::unique_ptr<net::Network> netp;
   std::shared_ptr<fwd::UpfProgram> upf;
   const auto build_scenario = [&]() {
     netp = std::make_unique<net::Network>(fabric.topo);
-    auto routing = fwd::install_leaf_spine_routing(*netp, fabric);
-    upf = std::make_shared<fwd::UpfProgram>(routing);
-    netp->set_program(fabric.leaves[0], upf);
+    upf = tools::install_upf_leaf(*netp, fabric);
     netp->set_observability(true);
     if (forensics) netp->set_forensics(true);
     netp->set_export_interval(interval_s, static_cast<std::size_t>(ring));
@@ -260,19 +251,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  aether::AetherController ctl(net, upf, dep);
-  ctl.define_slice(aether::example_camera_slice(1));
-  aether::SessionChurnGenerator::Config gc;
-  gc.sessions = static_cast<std::uint32_t>(sessions);
-  gc.churn_per_s = churn_per_s;
-  gc.packets_per_s = packets_per_s;
-  gc.slice_id = 1;
-  gc.enb_host = fabric.hosts[0][0];
-  gc.enb_ip = net.topo().node(fabric.hosts[0][0]).ip;
-  gc.n3_ip = 0x0a0001fe;
-  gc.app_ip = net.topo().node(fabric.hosts[1][0]).ip;
-  gc.seed = seed;
-  aether::SessionChurnGenerator gen(net, ctl, gc);
+  aether::AetherController ctl = tools::camera_slice_controller(net, upf, dep);
+  aether::SessionChurnGenerator gen(
+      net, ctl,
+      tools::camera_churn(net, fabric, static_cast<std::uint32_t>(sessions),
+                          churn_per_s, packets_per_s, seed));
   gen.prefill();
 
   std::signal(SIGTERM, on_signal);

@@ -13,6 +13,7 @@
 //       # also dump the per-hop profile as Chrome trace-event JSON —
 //       # load in https://ui.perfetto.dev or chrome://tracing
 //   $ ./hydrascope --forensics --min-violations 1  # exit 1 if fewer
+//   $ ./hydrascope --help  # usage on stdout, exit 0; runs and writes nothing
 //
 // Scenarios (tools/scenarios.hpp, shared with hydrastat): aether,
 // leafspine, and --chaos SEED.
@@ -30,17 +31,15 @@ using namespace hydra;
 
 namespace {
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--scenario aether|leafspine] [--forensics]\n"
-               "          [--chaos SEED]\n"
-               "          [--ring N] [--out FILE] [--trace FILE]\n"
-               "          [--min-violations N]\n"
-               "          [--prom FILE] [--series FILE] [--interval SEC]\n"
-               "          [--watch]\n",
-               prog);
-  return 2;
-}
+constexpr const char* kArgs =
+    "[--scenario aether|leafspine] [--forensics]\n"
+    "          [--chaos SEED]\n"
+    "          [--ring N] [--out FILE] [--trace FILE]\n"
+    "          [--min-violations N]\n"
+    "          [--prom FILE] [--series FILE] [--interval SEC]\n"
+    "          [--watch] [--help]";
+
+int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
 
 }  // namespace
 
@@ -92,8 +91,10 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--forensics") == 0) {
       forensics = true;
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
     } else {
-      return usage(argv[0]);
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
   if (watch && prom_path.empty()) {
@@ -175,25 +176,15 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     std::printf("%s", doc.c_str());
   } else {
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    if (!tools::write_text_file(out_path, doc)) return 1;
     std::printf("wrote %s\n", out_path.c_str());
   }
 
   if (!trace_path.empty()) {
-    const std::string trace = net.engine_profiler().to_chrome_trace_json();
-    std::FILE* f = std::fopen(trace_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+    if (!tools::write_text_file(
+            trace_path, net.engine_profiler().to_chrome_trace_json())) {
       return 1;
     }
-    std::fwrite(trace.data(), 1, trace.size(), f);
-    std::fclose(f);
     std::printf("wrote %s (load in https://ui.perfetto.dev)\n",
                 trace_path.c_str());
   }

@@ -8,6 +8,7 @@
 //   $ ./hydrastat                          # aether scenario, JSON to stdout
 //   $ ./hydrastat --scenario leafspine
 //   $ ./hydrastat --out hydrastat.json     # narrative to stdout, JSON to file
+//   $ ./hydrastat --help                   # usage on stdout, exit 0
 //
 // Scenarios (tools/scenarios.hpp): aether, leafspine, and --chaos SEED.
 // The packets of interest are traced: the aether client's silently
@@ -27,13 +28,9 @@ using namespace hydra;
 
 namespace {
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--scenario aether|leafspine] [--chaos SEED]\n"
-               "          [--out FILE] [--prom FILE]\n",
-               prog);
-  return 2;
-}
+constexpr const char* kArgs =
+    "[--scenario aether|leafspine] [--chaos SEED]\n"
+    "          [--out FILE] [--prom FILE] [--help]";
 
 }  // namespace
 
@@ -49,14 +46,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
       chaos = true;
       if (!tools::parse_u64_arg(argv[0], "--chaos", argv[++i], &chaos_seed)) {
-        return usage(argv[0]);
+        return tools::usage(argv[0], kArgs, 2);
       }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
       prom_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      return tools::usage(argv[0], kArgs, 0);
     } else {
-      return usage(argv[0]);
+      return tools::unknown_argument(argv[0], argv[i], kArgs);
     }
   }
 

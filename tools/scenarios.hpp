@@ -14,11 +14,18 @@
 //
 // `stat` is hydrastat's variant: observability turns on right after the
 // deploy, and the packets of interest are traced for its narratives.
+//
+// The million-subscriber scenario of hydrad and bench/million_users runs on
+// the same fabric and shares the aether scenario's building blocks: the UPF
+// leaf, the camera-slice controller and the eNB/N3/app addressing of the
+// churn generator. Each caller keeps its own order of deploy, restore and
+// observability arming around them.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
+#include "aether/churn.hpp"
 #include "aether/controller.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
@@ -27,19 +34,55 @@
 
 namespace hydra::tools {
 
+// The UPF's N3 address: the outer GTP-U destination of every uplink.
+inline constexpr std::uint32_t kN3Ip = 0x0a0001fe;
+
+// Leaf-spine routing on every switch, with the UPF on leaf 0.
+inline std::shared_ptr<fwd::UpfProgram> install_upf_leaf(
+    net::Network& net, const net::LeafSpine& fabric) {
+  auto upf = std::make_shared<fwd::UpfProgram>(
+      fwd::install_leaf_spine_routing(net, fabric));
+  net.set_program(fabric.leaves[0], upf);
+  return upf;
+}
+
+// A controller for checker deployment `dep` with the camera slice
+// (slice 1) defined.
+inline aether::AetherController camera_slice_controller(
+    net::Network& net, std::shared_ptr<fwd::UpfProgram> upf, int dep) {
+  aether::AetherController ctl(net, std::move(upf), dep);
+  ctl.define_slice(aether::example_camera_slice(1));
+  return ctl;
+}
+
+// Session churn on the camera slice: GTP-U uplinks from the eNB host on
+// leaf 0 through the N3 address to the app host on leaf 1.
+inline aether::SessionChurnGenerator::Config camera_churn(
+    const net::Network& net, const net::LeafSpine& fabric,
+    std::uint32_t sessions, double churn_per_s, double packets_per_s,
+    std::uint64_t seed) {
+  aether::SessionChurnGenerator::Config gc;
+  gc.sessions = sessions;
+  gc.churn_per_s = churn_per_s;
+  gc.packets_per_s = packets_per_s;
+  gc.slice_id = 1;
+  gc.enb_host = fabric.hosts[0][0];
+  gc.enb_ip = net.topo().node(fabric.hosts[0][0]).ip;
+  gc.n3_ip = kN3Ip;
+  gc.app_ip = net.topo().node(fabric.hosts[1][0]).ip;
+  gc.seed = seed;
+  return gc;
+}
+
 inline void aether_scenario(net::Network& net, const net::LeafSpine& fabric,
                             bool stat) {
-  auto routing = fwd::install_leaf_spine_routing(net, fabric);
-  auto upf = std::make_shared<fwd::UpfProgram>(routing);
-  net.set_program(fabric.leaves[0], upf);
+  auto upf = install_upf_leaf(net, fabric);
   const int dep = net.deploy(compile_library_checker("application_filtering"));
   if (stat) net.set_observability(true);
 
-  aether::AetherController ctl(net, upf, dep);
-  ctl.define_slice(aether::example_camera_slice(1));
+  aether::AetherController ctl = camera_slice_controller(net, upf, dep);
 
   const std::uint32_t enb = net.topo().node(fabric.hosts[0][0]).ip;
-  const std::uint32_t n3 = 0x0a0001fe;
   const std::uint32_t app = net.topo().node(fabric.hosts[1][0]).ip;
   const std::uint32_t ue = 0x0a640001;
   const std::uint32_t teid = 1001;
@@ -47,7 +90,7 @@ inline void aether_scenario(net::Network& net, const net::LeafSpine& fabric,
   auto uplink = [&]() {
     p4rt::Packet inner = p4rt::make_udp(ue, app, 40000, 81, 64);
     net.send_from_host(fabric.hosts[0][0],
-                       p4rt::gtpu_encap(inner, enb, n3, teid));
+                       p4rt::gtpu_encap(inner, enb, kN3Ip, teid));
     net.events().run();
   };
 
@@ -55,13 +98,13 @@ inline void aether_scenario(net::Network& net, const net::LeafSpine& fabric,
   // client attaching afterwards installs the updated rule as a fresh,
   // higher-priority shared application entry — which the pre-update client
   // has no termination for.
-  ctl.attach_client(1, {123450001ULL, ue, teid}, enb, n3);
+  ctl.attach_client(1, {123450001ULL, ue, teid}, enb, kN3Ip);
   uplink();
   aether::Slice updated = aether::example_camera_slice(1);
   updated.rules[1].port_hi = 82;
   updated.rules[1].priority = 30;
   ctl.update_slice_rules(1, updated.rules);
-  ctl.attach_client(1, {123459999ULL, 0x0a6400f0, 2001}, enb, n3);
+  ctl.attach_client(1, {123459999ULL, 0x0a6400f0, 2001}, enb, kN3Ip);
 
   // The old client retries its previously-allowed traffic: the UPF drops
   // it silently and the checker reports it.
