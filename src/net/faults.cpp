@@ -21,30 +21,17 @@ std::uint64_t site_seed(std::uint64_t seed, std::uint64_t site) {
   return splitmix(x);
 }
 
-void json_field(std::string& out, const char* key, std::uint64_t v,
-                bool last = false) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
-  if (!last) out += ",";
-}
-
 }  // namespace
 
 std::string FaultStats::to_json() const {
   std::string out = "{";
-  json_field(out, "loss_drops", loss_drops);
-  json_field(out, "link_down_drops", link_down_drops);
-  json_field(out, "duplicates", duplicates);
-  json_field(out, "reorders", reorders);
-  json_field(out, "corruptions", corruptions);
-  json_field(out, "tele_rejects", tele_rejects);
-  json_field(out, "tele_recovered", tele_recovered);
-  json_field(out, "cold_suppressed", cold_suppressed);
-  json_field(out, "restarts", restarts);
-  json_field(out, "flaps", flaps);
-  json_field(out, "delayed_pushes", delayed_pushes, /*last=*/true);
+  for_each([&out](const char* key, std::uint64_t v) {
+    if (out.size() > 1) out += ",";
+    out += "\"";
+    out += key;
+    out += "\":";
+    out += std::to_string(v);
+  });
   out += "}";
   return out;
 }

@@ -86,6 +86,22 @@ struct FaultStats {
   std::uint64_t flaps = 0;            // link down events that took effect
   std::uint64_t delayed_pushes = 0;
 
+  // Calls f(name, value) for every counter above, in declaration order:
+  // to_json and the fault.* gauges both list the counters through it.
+  template <typename F>
+  void for_each(F&& f) const {
+    f("loss_drops", loss_drops);
+    f("link_down_drops", link_down_drops);
+    f("duplicates", duplicates);
+    f("reorders", reorders);
+    f("corruptions", corruptions);
+    f("tele_rejects", tele_rejects);
+    f("tele_recovered", tele_recovered);
+    f("cold_suppressed", cold_suppressed);
+    f("restarts", restarts);
+    f("flaps", flaps);
+    f("delayed_pushes", delayed_pushes);
+  }
   std::string to_json() const;
 };
 

@@ -24,8 +24,18 @@
 // Control-plane work aimed at one switch (restarts, delayed rule pushes,
 // rolling-swap legs) is a closure event that does its own work, landing
 // between that switch's hops in (time, seq) order.
+//
+// ---- Source layout ----------------------------------------------------------
+// network.cpp is the simulator. The observability plane (traces, the
+// forensics flight recorder, profiling, streaming export, the live plane
+// and metric wiring) is net/observe.cpp, and snapshot/restore is
+// net/snapshot.cpp; all three are Network members. The simulator reaches
+// the obs plane only through the hop seam declared below (observe_*), and
+// each deployment slot keeps one flight-recorder record per hop, which the
+// checker VM writes its provenance into.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -387,11 +397,19 @@ class Network final : public EventExecutor {
     kPhaseEnabled = 2,  // fully live: init stamps new frames
   };
 
+  // The slot counters, attached while observability is on; observe.cpp
+  // names them. The last three are fault-path counters: fail-closed
+  // telemetry decode verdicts and cold-restart verdict suppression.
+  enum SlotCounter : std::uint8_t {
+    kInitRuns, kTeleRuns, kCheckRuns, kRejects, kReports,
+    kDecodeRejects, kDecodeRecovered, kColdSuppressed, kSlotCounters
+  };
+
   // One deployment slot: its occupant's checker and per-switch state, and
   // the hop pipeline's scratch for it, all reused across packets — the
   // checker VM with its slot file (one uint64_t per IR field, expression
   // temporary and constant) and table-key buffer, the ExecOutcome, the
-  // provenance buffers and the slot's hot-path counters.
+  // hop's flight-recorder record and the slot's hot-path counters.
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
@@ -407,20 +425,12 @@ class Network final : public EventExecutor {
     // The checker lowered to slot-addressed ops; owns the slot file.
     std::unique_ptr<p4rt::Interp> interp;
     p4rt::ExecOutcome out;
-    // Hot-path counters, attached while observability is on.
-    obs::Counter init_runs;
-    obs::Counter tele_runs;
-    obs::Counter check_runs;
-    obs::Counter rejects;
-    obs::Counter reports;
-    // Fault-path counters: fail-closed telemetry decode verdicts and
-    // cold-restart verdict suppression.
-    obs::Counter decode_rejects;
-    obs::Counter decode_recovered;
-    obs::Counter cold_suppr;
-    // Provenance scratch for the forensics flight recorder: armed on the
-    // interp only while forensics is on.
-    p4rt::ExecProvenance prov;
+    std::array<obs::Counter, kSlotCounters> counters;
+    // This hop's flight-recorder record, written while forensics is on:
+    // init, tele and check accumulate their flags, verdict and report
+    // count into it, the VM adds its table hits and register touches, and
+    // record_hop_forensics copies it into the switch's ring.
+    obs::HopRecord rec;
   };
 
   // One entry per generation ever deployed (never erased): the compiled
@@ -455,7 +465,6 @@ class Network final : public EventExecutor {
     // Forensics (null unless set_forensics(true)).
     std::unique_ptr<obs::FlightRecorder> recorder;
     std::vector<obs::ViolationReport> violations;
-    std::uint64_t violations_seen = 0;  // includes ones past the report cap
     // Hop profiler (null unless set_engine_profiling(true)).
     std::unique_ptr<obs::EngineProfiler> profiler;
     // Streaming export (null unless set_export_interval armed). The
@@ -515,6 +524,28 @@ class Network final : public EventExecutor {
   // (Re)wires every hot-path obs handle to the registry (detaches
   // everything when observability is off).
   void rewire_observability();
+  // ---- the hop seam (observe.cpp) ----------------------------------------
+  // The simulator's only entry points into the obs plane; each is called
+  // only while observability is on.
+  // A packet leaves its host: starts its trace while trace_next is
+  // counting down.
+  void observe_inject(const p4rt::Packet& pkt);
+  // A hop begins: the traced packet's new TraceHop, or null.
+  obs::TraceHop* observe_hop_begin(const p4rt::Packet& pkt,
+                                   const HopContext& hctx);
+  // Every checker on the hop has run, and its reports wait in
+  // hop_reports_: fills the trace hop, assembles the violation, feeds
+  // top-K, bumps the switch's counter, and ends the trace of a dropped or
+  // rejected packet.
+  void observe_hop_end(const p4rt::Packet& pkt, const HopContext& hctx,
+                       obs::TraceHop* hop, const ForwardingProgram* prog,
+                       bool rejected, std::uint64_t rejected_deps,
+                       const char* reject_reason);
+  // A packet's fate off the hop path: delivered, fault- or queue-dropped.
+  void observe_fate(const p4rt::Packet& pkt, obs::PacketFate fate);
+  // Slot `slot` was refilled by deploy or restore: relabels its top-K row.
+  void observe_refill(std::size_t slot);
+
   // Builds one checker's trace record for the current hop. `before` holds
   // the telemetry words entering the hop (nullptr for the init run, whose
   // "before" is the zeroed fresh frame).
@@ -522,16 +553,13 @@ class Network final : public EventExecutor {
       const Deployment& d, const p4rt::TeleFrame& after,
       const std::vector<std::uint64_t>* before, const p4rt::ExecOutcome& out,
       bool init, bool tele, bool check) const;
-  // Writes one flight-recorder record for checker `di`'s execution at the
-  // current hop, with `frame`'s tele words (forensics on only).
+  // Copies slot `di`'s record into the switch's ring with the hop's fields
+  // and `frame`'s tele words (forensics on only).
   void record_hop_forensics(const Deployment& d, std::size_t di,
                             const p4rt::Packet& pkt,
                             const p4rt::TeleFrame& frame,
                             const HopContext& hctx, SimTime t,
-                            const ForwardingProgram::Decision* dec,
-                            const p4rt::ExecOutcome& out, bool ran_init,
-                            bool ran_tele, bool ran_check,
-                            const char* fault_note = nullptr);
+                            const char* fwd_reason, const char* fault_note);
   // One kSwitchWork event: one packet's pass through switch work.sw, in
   // one pass — init/forwarding/telemetry/check, then forensics, reports
   // and callbacks (once every checker on the hop has run), simulation
@@ -547,8 +575,8 @@ class Network final : public EventExecutor {
   // Joins the rings on the packet id and assembles a ViolationReport
   // (called when a hop rejected or reported; the payloads are the hop's
   // pending reports in hop_reports_).
-  void build_violation(const p4rt::Packet& pkt, int sw, SimTime t,
-                       bool rejected, const char* reject_reason);
+  void build_violation(const p4rt::Packet& pkt, int sw, bool rejected,
+                       const char* reject_reason);
 
   // Assembles the cumulative export totals (sim counters + per-property
   // registry reads + delivered-latency histogram).

@@ -134,7 +134,6 @@ class ExportScheduler {
                   std::vector<double> latency_bounds,
                   std::size_t ring_capacity);
 
-  double interval() const { return interval_; }
   // The next virtual-time boundary at which a sample is due. Engines fire
   // every due tick before running any event with t >= next_tick().
   // Computed multiplicatively (first + k * interval), not by repeated

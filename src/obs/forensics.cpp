@@ -69,6 +69,11 @@ void HopRecord::add_tele(std::int16_t field, std::uint64_t value) {
   tele[n_tele++] = {field, value};
 }
 
+void HopRecord::add_reports(std::size_t n) {
+  const std::size_t total = report_count + n;
+  report_count = static_cast<std::uint8_t>(total < 255 ? total : 255);
+}
+
 // ---- FlightRecorder -------------------------------------------------------
 
 FlightRecorder::FlightRecorder(int switches, std::size_t capacity)

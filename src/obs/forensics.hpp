@@ -99,6 +99,7 @@ struct HopRecord {
   void add_reg_touch(std::int16_t reg, bool wrote, std::uint64_t before,
                      std::uint64_t after);
   void add_tele(std::int16_t field, std::uint64_t value);
+  void add_reports(std::size_t n);  // saturates report_count at 255
 };
 
 // Counts the allocation charges the forensics subsystem performs (one per

@@ -5,10 +5,10 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -34,28 +34,46 @@ std::shared_ptr<const LiveSnapshot> SnapshotPublisher::acquire() const {
 namespace {
 
 // Serving is intentionally synchronous per connection: bodies are a few
-// hundred KB at most and clients are local scrapers, so bounded blocking
-// I/O (SO_RCVTIMEO/SO_SNDTIMEO below) keeps the server a single loop with
-// no per-connection state machine.
-constexpr int kIoTimeoutMs = 2000;
+// hundred KB at most and clients are local scrapers, so I/O bounded by one
+// deadline per connection keeps the server a single loop with no
+// per-connection state machine.
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
 
-void set_io_timeouts(int fd) {
-  timeval tv{};
-  tv.tv_sec = kIoTimeoutMs / 1000;
-  tv.tv_usec = (kIoTimeoutMs % 1000) * 1000;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+// Waits until `fd` is ready for `events`; false once `deadline` passes, on
+// a poll error, or when `wake` (ignored when -1) turns readable.
+bool wait_ready(int fd, short events, int wake, Clock::time_point deadline) {
+  pollfd fds[2] = {{fd, events, 0}, {wake, POLLIN, 0}};
+  while (true) {
+    const auto left =
+        std::chrono::duration_cast<milliseconds>(deadline - Clock::now());
+    if (left.count() <= 0) return false;
+    const int rc = ::poll(fds, 2, static_cast<int>(left.count()));
+    if (rc < 0 && errno == EINTR) continue;
+    return rc > 0 && (fds[1].revents & POLLIN) == 0;
+  }
 }
 
-bool send_all(int fd, const std::string& data) {
+// Reads up to `n` bytes once `fd` is readable: the count, 0 at EOF, or -1
+// on an error, the deadline or a wake-up.
+ssize_t recv_by(int fd, char* buf, std::size_t n, int wake,
+                Clock::time_point deadline) {
+  while (wait_ready(fd, POLLIN, wake, deadline)) {
+    const ssize_t got = ::recv(fd, buf, n, MSG_DONTWAIT);
+    if (got >= 0 || (errno != EINTR && errno != EAGAIN)) return got;
+  }
+  return -1;
+}
+
+bool send_all(int fd, const std::string& data, int wake,
+              Clock::time_point deadline) {
   std::size_t off = 0;
   while (off < data.size()) {
+    if (!wait_ready(fd, POLLOUT, wake, deadline)) return false;
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (n <= 0) return false;
     off += static_cast<std::size_t>(n);
   }
   return true;
@@ -148,7 +166,6 @@ void HttpServer::serve() {
     if (fds[0].revents & POLLIN) {
       const int conn = ::accept(listen_fd_, nullptr, nullptr);
       if (conn >= 0) {
-        set_io_timeouts(conn);
         handle_connection(conn);
         ::close(conn);
       }
@@ -157,16 +174,19 @@ void HttpServer::serve() {
 }
 
 void HttpServer::handle_connection(int fd) {
+  // One deadline for the whole connection; every wait also watches the
+  // wake pipe, so stop() ends the connection in service.
+  const auto deadline = Clock::now() + milliseconds(kIoTimeoutMs);
+  auto respond = [&](const std::string& response) {
+    send_all(fd, response, wake_fds_[0], deadline);
+  };
   // Read until the end of the request head; scrape requests are tiny and
   // bodies are ignored, so cap the head at 8 KB.
   std::string req;
   char buf[1024];
   while (req.size() < 8192 && req.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
+    const ssize_t n = recv_by(fd, buf, sizeof(buf), wake_fds_[0], deadline);
+    if (n <= 0) break;
     req.append(buf, static_cast<std::size_t>(n));
   }
   const std::size_t sp1 = req.find(' ');
@@ -184,8 +204,8 @@ void HttpServer::handle_connection(int fd) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
   if (method != "GET") {
-    send_all(fd, make_response(405, "Method Not Allowed", "text/plain",
-                               "only GET is supported\n", 0, false));
+    respond(make_response(405, "Method Not Allowed", "text/plain",
+                          "only GET is supported\n", 0, false));
     return;
   }
   if (path == "/deploy" || path == "/undeploy") {
@@ -213,24 +233,24 @@ void HttpServer::handle_connection(int fd) {
       }
     }
     if (!ok) {
-      send_all(fd, make_response(400, "Bad Request", "text/plain",
-                                 "expected /deploy?checker=<name> or "
-                                 "/undeploy?dep=<id>\n",
-                                 0, false));
+      respond(make_response(400, "Bad Request", "text/plain",
+                            "expected /deploy?checker=<name> or "
+                            "/undeploy?dep=<id>\n",
+                            0, false));
       return;
     }
     {
       std::lock_guard<std::mutex> lock(cmd_mu_);
       commands_.push_back(std::move(cmd));
     }
-    send_all(fd, make_response(202, "Accepted", "text/plain", "accepted\n",
-                               0, false));
+    respond(make_response(202, "Accepted", "text/plain", "accepted\n",
+                          0, false));
     return;
   }
   const std::shared_ptr<const LiveSnapshot> snap = publisher_.acquire();
   if (snap == nullptr) {
-    send_all(fd, make_response(503, "Service Unavailable", "text/plain",
-                               "no snapshot published yet\n", 0, false));
+    respond(make_response(503, "Service Unavailable", "text/plain",
+                          "no snapshot published yet\n", 0, false));
     return;
   }
   const std::string* body = nullptr;
@@ -253,20 +273,20 @@ void HttpServer::handle_connection(int fd) {
     body = &snap->topk_json;
   }
   if (body == nullptr) {
-    send_all(fd, make_response(404, "Not Found", "text/plain",
-                               "unknown path\n", 0, false));
+    respond(make_response(404, "Not Found", "text/plain",
+                          "unknown path\n", 0, false));
     return;
   }
-  send_all(fd,
-           make_response(200, "OK", content_type, *body, snap->tick_index,
-                         true));
+  respond(make_response(200, "OK", content_type, *body, snap->tick_index,
+                        true));
 }
 
 bool http_get(std::uint16_t port, const std::string& path, std::string* body,
               int* status) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
-  set_io_timeouts(fd);
+  const auto deadline =
+      Clock::now() + milliseconds(2 * HttpServer::kIoTimeoutMs);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -278,19 +298,18 @@ bool http_get(std::uint16_t port, const std::string& path, std::string* body,
   const std::string req = "GET " + path +
                           " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                           "Connection: close\r\n\r\n";
-  if (!send_all(fd, req)) {
+  if (!send_all(fd, req, -1, deadline)) {
     ::close(fd);
     return false;
   }
   std::string resp;
   char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
+  ssize_t n = 0;
+  while ((n = recv_by(fd, buf, sizeof(buf), -1, deadline)) > 0) {
     resp.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);
+  if (n < 0) return false;
   const std::size_t head_end = resp.find("\r\n\r\n");
   if (head_end == std::string::npos || resp.compare(0, 5, "HTTP/") != 0) {
     return false;

@@ -36,7 +36,10 @@
 // request before the first publication gets 503; unknown paths 404; other
 // methods 405. Connections are Connection: close — scrape clients open
 // per request, which keeps the server a single poll loop with no
-// connection table.
+// connection table. One deadline (kIoTimeoutMs) covers a connection's
+// whole service, reading the request head and writing the response, so a
+// client that trickles its head holds the plane for at most that long;
+// stop() ends the connection in service at once.
 #pragma once
 
 #include <atomic>
@@ -98,6 +101,10 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
+  // The time one connection may take, from accept to the last byte of
+  // the response.
+  static constexpr int kIoTimeoutMs = 2000;
+
   // A control request accepted by /deploy or /undeploy; the simulator
   // never sees it until the owning main loop drains the queue.
   struct Command {
@@ -133,8 +140,10 @@ class HttpServer {
 };
 
 // Minimal blocking HTTP GET against 127.0.0.1:`port` for tests and the
-// scrape bench: returns false on connect/protocol failure, else fills
-// `*body` (and `*status` when non-null) from the response.
+// scrape bench: returns false on connect/protocol failure or when the
+// exchange takes longer than 2 * kIoTimeoutMs (time for one connection in
+// service ahead of it), else fills `*body` (and `*status` when non-null)
+// from the response.
 bool http_get(std::uint16_t port, const std::string& path, std::string* body,
               int* status = nullptr);
 

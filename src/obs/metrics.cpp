@@ -234,35 +234,4 @@ void Registry::visit(const std::function<void(const MetricView&)>& fn) const {
   }
 }
 
-std::string Registry::to_csv() const {
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, m] : by_name_) {
-    switch (m.kind) {
-      case Kind::kCounter:
-        out += "counter," + name + ",value," +
-               std::to_string(counters_[m.slot]) + "\n";
-        break;
-      case Kind::kGauge:
-        out += "gauge," + name + ",value," + format_double(gauges_[m.slot]) +
-               "\n";
-        break;
-      case Kind::kHistogram: {
-        const HistogramData& h = histograms_[m.slot];
-        out += "histogram," + name + ",count," + std::to_string(h.count) +
-               "\n";
-        out += "histogram," + name + ",sum," + format_double(h.sum) + "\n";
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-          const std::string label =
-              i < h.bounds.size() ? "le_" + format_double(h.bounds[i])
-                                  : "le_inf";
-          out += "histogram," + name + "," + label + "," +
-                 std::to_string(h.buckets[i]) + "\n";
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 }  // namespace hydra::obs

@@ -32,7 +32,7 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 // One structured dimension of a metric (e.g. {"property", "waypoint"}).
 // Labels are export-side metadata: the registry stays keyed on the flat
-// compatibility name, so JSON/CSV snapshots are unaffected, while the
+// compatibility name, so JSON snapshots are unaffected, while the
 // Prometheus exporter groups same-family metrics into labeled samples.
 struct Label {
   std::string key;
@@ -113,7 +113,7 @@ class Registry {
   // `bounds` must be ascending; ignored if `name` is already registered.
   Histogram histogram(const std::string& name, std::vector<double> bounds);
 
-  // Labeled registration: `name` remains the snapshot key (JSON/CSV output
+  // Labeled registration: `name` remains the snapshot key (JSON output
   // is byte-for-byte what the unlabeled overload produces), while
   // `family` + `labels` describe the Prometheus identity of the same slot
   // (e.g. hydra_checker_rejects_total{property="waypoint"}). Family and
@@ -153,8 +153,6 @@ class Registry {
   // Deterministic exports: names sorted, stable float formatting.
   // JSON: {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   std::string to_json() const;
-  // CSV: kind,name,field,value — histograms expand to one row per bucket.
-  std::string to_csv() const;
 
   // Read-only walk over every metric in name order (so visitors inherit
   // the registry's deterministic iteration). `family` is empty for metrics

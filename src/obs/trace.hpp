@@ -76,14 +76,13 @@ struct PacketTrace {
   std::vector<TraceHop> hops;
 };
 
-// Stores completed and in-flight traces up to a capacity; once full, no new
+// Stores completed and in-flight traces up to kCapacity; once full, no new
 // traces start (finished ones keep their data — this is a diagnostic tool,
 // not a ring buffer, so early evidence is never overwritten).
 class TraceSink {
  public:
-  void set_capacity(std::size_t n) { capacity_ = n; }
-  std::size_t capacity() const { return capacity_; }
-  bool has_capacity() const { return traces_.size() < capacity_; }
+  static constexpr std::size_t kCapacity = 64;
+  bool has_capacity() const { return traces_.size() < kCapacity; }
 
   PacketTrace& begin(std::uint64_t packet_id, double created_at,
                      std::string flow);
@@ -103,7 +102,6 @@ class TraceSink {
   static std::string narrative(const PacketTrace& trace);
 
  private:
-  std::size_t capacity_ = 64;
   std::deque<PacketTrace> traces_;  // deque: stable refs as traces start
   std::unordered_map<std::uint64_t, std::size_t> active_;
 };

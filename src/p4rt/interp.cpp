@@ -435,7 +435,9 @@ void Interp::table_op(const TableOp& t, CheckerState& state) {
       if (prov_ != nullptr) entry_idx = table.entry_index_of(entry);
     }
   }
-  if (prov_ != nullptr) prov_->table_hits.push_back({t.table, entry_idx, hit});
+  if (prov_ != nullptr) {
+    prov_->add_table_hit(static_cast<std::int16_t>(t.table), entry_idx, hit);
+  }
   for (std::size_t d = 0; d < t.dsts.size(); ++d) {
     slots_[t.dsts[d]] = data != nullptr && d < data->size()
                             ? (*data)[d].value() & t.dst_masks[d]
@@ -449,9 +451,8 @@ void Interp::reg_write_op(const Op& op, CheckerState& state) {
   RegisterArray& ra = state.registers[op.b];
   const std::uint64_t v = slots_[op.a];
   if (prov_ != nullptr) {
-    prov_->reg_touches.push_back(
-        {static_cast<std::int32_t>(op.b), /*wrote=*/true, ra.read(0).value(),
-         v});
+    prov_->add_reg_touch(static_cast<std::int16_t>(op.b), /*wrote=*/true,
+                         ra.read(0).value(), v);
   }
   ra.write(0, BitVec(BitVec::kMaxWidth, v));
 }
@@ -525,8 +526,8 @@ void Interp::run(Block block, CheckerState& state, const HeaderSource& hdr,
         metrics_.reg_reads.inc();
         const std::uint64_t v = state.registers[op.a].read(0).value();
         if (prov_ != nullptr) {
-          prov_->reg_touches.push_back(
-              {static_cast<std::int32_t>(op.a), /*wrote=*/false, v, v});
+          prov_->add_reg_touch(static_cast<std::int16_t>(op.a),
+                               /*wrote=*/false, v, v);
         }
         s[op.dst] = v & op.mask;
         break;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "ir/ir.hpp"
+#include "obs/forensics.hpp"
 #include "p4rt/packet.hpp"
 #include "p4rt/register.hpp"
 #include "p4rt/table.hpp"
@@ -54,32 +55,6 @@ std::vector<ir::FieldId> header_fields(const ir::CheckerIR& ir);
 struct ExecOutcome {
   bool reject = false;
   std::vector<std::vector<BitVec>> reports;
-};
-
-// Provenance of one (or several consecutive) block executions: which table
-// entries matched and which registers were touched, by IR index. The
-// buffers are caller-owned scratch (cleared by the caller, capacity reused
-// across packets — the same allocation-free-in-steady-state discipline as
-// the slot file), filled only while a provenance sink is armed via
-// Interp::set_provenance. Consumed by the forensics flight recorder.
-struct ExecProvenance {
-  struct TableHit {
-    std::int32_t table = -1;  // CheckerIR table index
-    std::int32_t entry = -1;  // matched entry index; -1 = miss or default
-    bool hit = false;
-  };
-  struct RegTouch {
-    std::int32_t reg = -1;  // CheckerIR register index
-    bool wrote = false;
-    std::uint64_t before = 0;
-    std::uint64_t after = 0;
-  };
-  std::vector<TableHit> table_hits;
-  std::vector<RegTouch> reg_touches;
-  void clear() {
-    table_hits.clear();
-    reg_touches.clear();
-  }
 };
 
 // Hot-path execution counters. Detached (free) by default; one branch per
@@ -117,11 +92,12 @@ class Interp {
 
   void attach_metrics(const InterpMetrics& metrics) { metrics_ = metrics; }
 
-  // Arms (non-null) or disarms (null) provenance capture. While armed,
-  // every table lookup and register access appends to `prov`; the caller
-  // owns the buffers and their clearing. Disarmed cost: one branch per
+  // Arms (non-null) or disarms (null) provenance capture for the forensics
+  // flight recorder. While armed, every table lookup and register access
+  // is added to `rec` by IR index (matched entry, register before/after);
+  // the caller owns the record and its reset. Disarmed cost: one branch per
   // lookup/register op.
-  void set_provenance(ExecProvenance* prov) { prov_ = prov; }
+  void set_provenance(obs::HopRecord* rec) { prov_ = rec; }
 
  private:
   class Lowerer;
@@ -199,7 +175,7 @@ class Interp {
   // per-packet hot path does not allocate.
   std::vector<std::uint64_t> key_words_;
   InterpMetrics metrics_;  // detached unless observability is wired
-  ExecProvenance* prov_ = nullptr;  // armed only while forensics is on
+  obs::HopRecord* prov_ = nullptr;  // armed only while forensics is on
 };
 
 }  // namespace hydra::p4rt

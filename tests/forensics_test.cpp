@@ -219,6 +219,30 @@ TEST(Forensics, ByteIdenticalAcrossRuns) {
   EXPECT_EQ(first, run());
 }
 
+TEST(Forensics, InitReportNamesItsChecker) {
+  Bed bed;
+  bed.net.set_forensics(true);
+  bed.net.deploy(compile_shared(
+      "tele bit<8> n = 0; header bit<32> ipv4_src;"
+      " { n = 1; report((ipv4_src)); } { n += 1; } { }",
+      "init_reporter"));
+  const int h0 = bed.fabric.hosts[0][0];
+  const int h2 = bed.fabric.hosts[1][0];
+  bed.allow(h0, h2);
+  bed.send(h0, h2);  // allowed by the firewall; only the init block reports
+
+  ASSERT_EQ(bed.net.violation_reports().size(), 1u);
+  const obs::ViolationReport& v = bed.net.violation_reports().front();
+  EXPECT_EQ(v.kind, "report");
+  EXPECT_EQ(v.checkers, std::vector<std::string>{"init_reporter"});
+  ASSERT_EQ(v.report_payloads.size(), 1u);
+  const std::string json = obs::violation_json(v);
+  EXPECT_NE(json.find("{\"checker\": \"init_reporter\", \"blocks\": "
+                      "\"init+tele\", \"reject\": false, \"reports\": 1"),
+            std::string::npos)
+      << json;
+}
+
 TEST(Forensics, DisabledPathPerformsNoForensicsAllocations) {
   const std::uint64_t before = obs::forensics_allocations();
   {

@@ -2,13 +2,20 @@
 // eviction semantics, allocation audit), SLO health grading, the scrape
 // HTTP server + snapshot publisher, and obs snapshot/restore across a
 // simulated daemon restart.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <deque>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -397,6 +404,79 @@ TEST(HttpServer, ServesPublishedSnapshotOnAllRoutes) {
   EXPECT_GE(server.requests_served(), 8u);
   server.stop();
   server.stop();  // idempotent
+}
+
+namespace {
+
+// A client that opens a connection to 127.0.0.1:`port` and sends one byte
+// of a request head every 100 ms until it is stopped, never finishing it.
+class TricklingClient {
+ public:
+  explicit TricklingClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                           sizeof(addr)) == 0;
+    thread_ = std::thread([this] {
+      const std::string head = "GET /healthz HTTP/1.1\r\nHost: x\r\n";
+      for (std::size_t i = 0; !done_ && i < 1000; ++i) {
+        ::send(fd_, &head[i % head.size()], 1, MSG_NOSIGNAL);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    });
+  }
+  ~TricklingClient() {
+    done_ = true;
+    thread_.join();
+    ::close(fd_);
+  }
+  TricklingClient(const TricklingClient&) = delete;
+  TricklingClient& operator=(const TricklingClient&) = delete;
+  bool connected() const { return connected_; }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
+}  // namespace
+
+// One slow client holds the plane for at most one connection deadline,
+// and stop() ends the connection in service instead of waiting it out.
+TEST(HttpServer, TricklingClientStallsNeitherScrapesNorStop) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  obs::SnapshotPublisher pub;
+  obs::LiveSnapshot s;
+  s.health_json = "{\"status\": \"ok\"}";
+  pub.publish(s);
+  obs::HttpServer server(pub, 0);
+
+  {
+    TricklingClient slow(server.port());
+    ASSERT_TRUE(slow.connected());
+    std::this_thread::sleep_for(milliseconds(200));  // now in service
+    const auto t0 = steady_clock::now();
+    std::string body;
+    int status = 0;
+    ASSERT_TRUE(obs::http_get(server.port(), "/healthz", &body, &status));
+    EXPECT_EQ(status, 200);
+    EXPECT_EQ(body, s.health_json);
+    EXPECT_LT(steady_clock::now() - t0,
+              milliseconds(2 * obs::HttpServer::kIoTimeoutMs));
+  }
+
+  TricklingClient slow(server.port());
+  ASSERT_TRUE(slow.connected());
+  std::this_thread::sleep_for(milliseconds(200));  // now in service
+  const auto t0 = steady_clock::now();
+  server.stop();
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(1000));
 }
 
 // ---- network integration: live plane + snapshot/restore -------------------

@@ -109,9 +109,7 @@ TEST(Registry, SnapshotIsDeterministicAcrossRegistrationOrder) {
   b.counter("zeta").inc(3);
 
   EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_csv(), b.to_csv());
   EXPECT_NE(a.to_json().find("\"alpha\": 1"), std::string::npos);
-  EXPECT_NE(a.to_csv().find("counter,zeta,value,3"), std::string::npos);
 }
 
 // ---- table instrumentation ------------------------------------------------

@@ -13,36 +13,37 @@
 //   --loc                   print Indus vs generated P4 line counts
 //   -q                      suppress the P4 output (reports only)
 //
-// Exit status: 0 on success, 1 on compile errors, 2 on usage errors.
+// Exit status: 0 on success (and for --help, which prints the usage to
+// stdout), 1 on compile errors, 2 on usage errors.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "cli_parse.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/link_p4.hpp"
 #include "compiler/relocate.hpp"
 
 namespace {
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: induscc [options] checker.indus\n"
-               "  -o FILE           write generated P4 to FILE\n"
-               "  --name NAME       checker name\n"
-               "  --placement MODE  last-hop | every-hop | auto\n"
-               "  --dialect D       tna | v1model\n"
-               "  --byte-aligned    byte-align telemetry fields\n"
-               "  --baseline P      fabric-upf | simple-router\n"
-               "  --link SKELETON   link with a forwarding skeleton\n"
-               "  --role R          edge | core (with --link)\n"
-               "  --resources       print resource report\n"
-               "  --layout          print telemetry wire layout\n"
-               "  --dump-ir         print compiler IR\n"
-               "  --loc             print line counts\n"
-               "  -q                suppress P4 output\n");
-}
+constexpr const char* kArgs =
+    "[options] checker.indus\n"
+    "  -o FILE           write generated P4 to FILE\n"
+    "  --name NAME       checker name\n"
+    "  --placement MODE  last-hop | every-hop | auto\n"
+    "  --dialect D       tna | v1model\n"
+    "  --byte-aligned    byte-align telemetry fields\n"
+    "  --baseline P      fabric-upf | simple-router\n"
+    "  --link SKELETON   link with a forwarding skeleton\n"
+    "  --role R          edge | core (with --link)\n"
+    "  --resources       print resource report\n"
+    "  --layout          print telemetry wire layout\n"
+    "  --dump-ir         print compiler IR\n"
+    "  --loc             print line counts\n"
+    "  -q                suppress P4 output\n"
+    "  --help            print this usage";
 
 std::string file_stem(const std::string& path) {
   const auto slash = path.find_last_of('/');
@@ -133,23 +134,14 @@ int main(int argc, char** argv) {
     } else if (arg == "-q") {
       quiet = true;
     } else if (arg == "-h" || arg == "--help") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "induscc: unknown option '%s'\n", arg.c_str());
-      usage();
-      return 2;
-    } else if (input.empty()) {
-      input = arg;
+      return hydra::tools::usage(argv[0], kArgs, 0);
+    } else if ((!arg.empty() && arg[0] == '-') || !input.empty()) {
+      return hydra::tools::unknown_argument(argv[0], argv[i], kArgs);
     } else {
-      std::fprintf(stderr, "induscc: multiple input files\n");
-      return 2;
+      input = arg;
     }
   }
-  if (input.empty()) {
-    usage();
-    return 2;
-  }
+  if (input.empty()) return hydra::tools::usage(argv[0], kArgs, 2);
   if (name.empty()) name = file_stem(input);
 
   std::ifstream in(input);
