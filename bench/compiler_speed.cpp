@@ -2,8 +2,13 @@
 // paper's ~2500-line OCaml compiler): lexing+parsing, type checking, and
 // full compilation for every library checker.
 //
-//   $ ./compiler_speed
+//   $ ./compiler_speed [--benchmark_FLAG=VALUE ...] [--help]
+//
+// --help prints usage and exits 0 without running; `--benchmark_*` flags
+// go to google-benchmark; any other argument exits 2 with the usage.
 #include <benchmark/benchmark.h>
+
+#include "cli_parse.hpp"
 
 #include "checkers/library.hpp"
 #include "compiler/compile.hpp"
@@ -51,4 +56,13 @@ BENCHMARK(BM_FullCompile)->DenseRange(0, 11);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::benchmark_flags(argc, argv); rc >= 0) {
+    return rc;
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

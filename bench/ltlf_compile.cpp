@@ -2,8 +2,13 @@
 // compilation cost as formula depth and trace capacity grow (the unrolled
 // loops blow up combinatorially — this quantifies the §3.3 construction).
 //
-//   $ ./ltlf_compile
+//   $ ./ltlf_compile [--benchmark_FLAG=VALUE ...] [--help]
+//
+// --help prints usage and exits 0 without running; `--benchmark_*` flags
+// go to google-benchmark; any other argument exits 2 with the usage.
 #include <benchmark/benchmark.h>
+
+#include "cli_parse.hpp"
 
 #include "ltlf/random_formula.hpp"
 #include "ltlf/to_indus.hpp"
@@ -60,4 +65,13 @@ BENCHMARK(BM_CheckTrace);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  if (const int rc = hydra::tools::benchmark_flags(argc, argv); rc >= 0) {
+    return rc;
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -18,12 +18,11 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
   if (sw.groups.empty()) wire_switch(sw);
   const auto group_id = static_cast<std::uint64_t>(sw.groups.size());
   sw.groups.push_back(std::move(ports));
-  p4rt::TableEntry e;
-  e.priority = prefix_len;  // longer prefixes win
-  e.patterns.push_back(p4rt::KeyPattern::lpm(BitVec(32, prefix), prefix_len));
-  e.action = "set_group";
-  e.action_data.push_back(BitVec(32, group_id));
-  sw.routes.insert(std::move(e));
+  const p4rt::KeyPattern route = p4rt::KeyPattern::lpm(BitVec(32, prefix),
+                                                       prefix_len);
+  const BitVec group(32, group_id);
+  // The priority is the prefix length: longer prefixes win.
+  sw.routes.insert({&route, 1}, {&group, 1}, "set_group", prefix_len);
 }
 
 void Ipv4EcmpProgram::attach_metrics(obs::Registry* registry) {
@@ -89,16 +88,16 @@ Ipv4EcmpProgram::Decision Ipv4EcmpProgram::process(p4rt::Packet& pkt,
   }
   const PerSwitch& sw = switches_[id];
   const std::uint64_t dst = pkt.ipv4->dst;
-  const p4rt::TableEntry* entry =
+  const std::int32_t row =
       sw.routes.lookup(std::span<const std::uint64_t>(&dst, 1));
-  if (entry == nullptr) {
+  if (row < 0) {
     ++miss_drops_;
     d.drop = true;
     d.reason = "no_route";
     return d;
   }
   const auto& group =
-      sw.groups[static_cast<std::size_t>(entry->action_data[0].value())];
+      sw.groups[static_cast<std::size_t>(sw.routes.action_data(row)[0])];
   d.eg_port = group[flow_hash(pkt) % group.size()];
   pkt.ipv4->ttl -= 1;
   return d;

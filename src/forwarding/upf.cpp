@@ -34,8 +34,9 @@ UpfProgram::UpfProgram(std::shared_ptr<Ipv4EcmpProgram> router)
 void UpfProgram::add_uplink_session(std::uint32_t teid,
                                     std::uint32_t client_id,
                                     std::uint32_t slice_id) {
-  sessions_ul_.insert_exact({BitVec(32, teid)},
-                            {BitVec(32, client_id), BitVec(32, slice_id)});
+  const std::uint64_t key = teid;
+  const BitVec data[] = {BitVec(32, client_id), BitVec(32, slice_id)};
+  sessions_ul_.insert_exact({&key, 1}, data);
 }
 
 void UpfProgram::add_downlink_session(std::uint32_t ue_ip,
@@ -44,10 +45,11 @@ void UpfProgram::add_downlink_session(std::uint32_t ue_ip,
                                       std::uint32_t teid,
                                       std::uint32_t enb_ip,
                                       std::uint32_t n3_ip) {
-  sessions_dl_.insert_exact(
-      {BitVec(32, ue_ip)},
-      {BitVec(32, client_id), BitVec(32, slice_id), BitVec(32, teid),
-       BitVec(32, enb_ip), BitVec(32, n3_ip)});
+  const std::uint64_t key = ue_ip;
+  const BitVec data[] = {BitVec(32, client_id), BitVec(32, slice_id),
+                         BitVec(32, teid), BitVec(32, enb_ip),
+                         BitVec(32, n3_ip)};
+  sessions_dl_.insert_exact({&key, 1}, data);
 }
 
 int UpfProgram::remove_uplink_session(std::uint32_t teid) {
@@ -60,26 +62,34 @@ int UpfProgram::remove_downlink_session(std::uint32_t ue_ip) {
       {p4rt::KeyPattern::exact(BitVec(32, ue_ip))});
 }
 
+namespace {
+
+// The Applications row of one filtering rule; removal rebuilds the same.
+std::vector<p4rt::KeyPattern> application_patterns(
+    std::uint32_t slice_id, std::uint32_t app_prefix, int prefix_len,
+    std::optional<std::uint8_t> proto, std::uint16_t port_lo,
+    std::uint16_t port_hi) {
+  const std::uint64_t mask =
+      prefix_len == 0 ? 0 : (BitVec::mask(32) << (32 - prefix_len)) &
+                                BitVec::mask(32);
+  return {p4rt::KeyPattern::exact(BitVec(32, slice_id)),
+          p4rt::KeyPattern::ternary(BitVec(32, app_prefix), BitVec(32, mask)),
+          p4rt::KeyPattern::range(BitVec(16, port_lo), BitVec(16, port_hi)),
+          proto ? p4rt::KeyPattern::exact(BitVec(8, *proto))
+                : p4rt::KeyPattern::wildcard(8)};
+}
+
+}  // namespace
+
 void UpfProgram::add_application(std::uint32_t slice_id, int priority,
                                  std::uint32_t app_prefix, int prefix_len,
                                  std::optional<std::uint8_t> proto,
                                  std::uint16_t port_lo, std::uint16_t port_hi,
                                  std::uint32_t app_id) {
-  p4rt::TableEntry e;
-  e.priority = priority;
-  e.patterns.push_back(p4rt::KeyPattern::exact(BitVec(32, slice_id)));
-  const std::uint64_t mask =
-      prefix_len == 0 ? 0 : (BitVec::mask(32) << (32 - prefix_len)) &
-                                BitVec::mask(32);
-  e.patterns.push_back(
-      p4rt::KeyPattern::ternary(BitVec(32, app_prefix), BitVec(32, mask)));
-  e.patterns.push_back(
-      p4rt::KeyPattern::range(BitVec(16, port_lo), BitVec(16, port_hi)));
-  e.patterns.push_back(proto ? p4rt::KeyPattern::exact(BitVec(8, *proto))
-                             : p4rt::KeyPattern::wildcard(8));
-  e.action = "set_app_id";
-  e.action_data.push_back(BitVec(32, app_id));
-  applications_.insert(std::move(e));
+  const BitVec data(32, app_id);
+  applications_.insert(application_patterns(slice_id, app_prefix, prefix_len,
+                                            proto, port_lo, port_hi),
+                       {&data, 1}, "set_app_id", priority);
 }
 
 int UpfProgram::remove_application(std::uint32_t slice_id,
@@ -87,26 +97,15 @@ int UpfProgram::remove_application(std::uint32_t slice_id,
                                    std::optional<std::uint8_t> proto,
                                    std::uint16_t port_lo,
                                    std::uint16_t port_hi) {
-  // Mirrors add_application's pattern construction field for field.
-  const std::uint64_t mask =
-      prefix_len == 0 ? 0 : (BitVec::mask(32) << (32 - prefix_len)) &
-                                BitVec::mask(32);
-  std::vector<p4rt::KeyPattern> patterns;
-  patterns.push_back(p4rt::KeyPattern::exact(BitVec(32, slice_id)));
-  patterns.push_back(
-      p4rt::KeyPattern::ternary(BitVec(32, app_prefix), BitVec(32, mask)));
-  patterns.push_back(
-      p4rt::KeyPattern::range(BitVec(16, port_lo), BitVec(16, port_hi)));
-  patterns.push_back(proto ? p4rt::KeyPattern::exact(BitVec(8, *proto))
-                           : p4rt::KeyPattern::wildcard(8));
-  return applications_.remove_if_key_equals(patterns);
+  return applications_.remove_if_key_equals(application_patterns(
+      slice_id, app_prefix, prefix_len, proto, port_lo, port_hi));
 }
 
 void UpfProgram::add_termination(std::uint32_t client_id,
                                  std::uint32_t app_id, bool allow) {
-  terminations_.insert_exact(
-      {BitVec(32, client_id), BitVec(32, app_id)},
-      {BitVec::from_bool(allow)}, allow ? "forward" : "drop");
+  const std::uint64_t key[] = {client_id, app_id};
+  const BitVec data = BitVec::from_bool(allow);
+  terminations_.insert_exact(key, {&data, 1}, allow ? "forward" : "drop");
 }
 
 int UpfProgram::remove_termination(std::uint32_t client_id,
@@ -146,16 +145,17 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
   if (pkt.gtpu && pkt.ipv4 && pkt.l4 && pkt.l4->dport == p4rt::kGtpuPort) {
     // Uplink: match the tunnel, then decapsulate.
     const std::uint64_t teid = pkt.gtpu->teid;
-    const p4rt::TableEntry* s =
+    const std::int32_t row =
         sessions_ul_.lookup(std::span<const std::uint64_t>(&teid, 1));
-    if (s == nullptr) {
+    if (row < 0) {
       ++session_miss_drops_;
       d.drop = true;
       d.reason = "session_miss";
       return d;
     }
-    client_id = static_cast<std::uint32_t>(s->action_data[0].value());
-    slice_id = static_cast<std::uint32_t>(s->action_data[1].value());
+    const auto s = sessions_ul_.action_data(row);
+    client_id = static_cast<std::uint32_t>(s[0]);
+    slice_id = static_cast<std::uint32_t>(s[1]);
     p4rt::gtpu_decap_inplace(pkt);
     // The application is identified by the destination side.
     if (pkt.ipv4) {
@@ -166,18 +166,19 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
     is_upf_traffic = true;
   } else if (pkt.ipv4) {
     const std::uint64_t ue_ip = pkt.ipv4->dst;
-    const p4rt::TableEntry* s =
+    const std::int32_t row =
         sessions_dl_.lookup(std::span<const std::uint64_t>(&ue_ip, 1));
-    if (s != nullptr) {
+    if (row >= 0) {
       // Downlink: the application is the remote (source) side.
-      client_id = static_cast<std::uint32_t>(s->action_data[0].value());
-      slice_id = static_cast<std::uint32_t>(s->action_data[1].value());
+      const auto s = sessions_dl_.action_data(row);
+      client_id = static_cast<std::uint32_t>(s[0]);
+      slice_id = static_cast<std::uint32_t>(s[1]);
       app_ip = pkt.ipv4->src;
       app_proto = pkt.ipv4->proto;
       if (pkt.l4) app_port = pkt.l4->sport;
-      const auto teid = static_cast<std::uint32_t>(s->action_data[2].value());
-      const auto enb = static_cast<std::uint32_t>(s->action_data[3].value());
-      const auto n3 = static_cast<std::uint32_t>(s->action_data[4].value());
+      const auto teid = static_cast<std::uint32_t>(s[2]);
+      const auto enb = static_cast<std::uint32_t>(s[3]);
+      const auto n3 = static_cast<std::uint32_t>(s[4]);
       p4rt::gtpu_encap_inplace(pkt, n3, enb, teid);
       is_upf_traffic = true;
     }
@@ -185,16 +186,15 @@ UpfProgram::Decision UpfProgram::process(p4rt::Packet& pkt, int in_port,
 
   if (is_upf_traffic) {
     const std::uint64_t app_key[] = {slice_id, app_ip, app_port, app_proto};
-    const p4rt::TableEntry* app = applications_.lookup(app_key);
+    const std::int32_t app = applications_.lookup(app_key);
     // Figure 11: a miss in Applications leaves app_id 0, which never has a
     // termination — default drop.
     const std::uint32_t app_id =
-        app != nullptr
-            ? static_cast<std::uint32_t>(app->action_data[0].value())
-            : 0;
+        app >= 0 ? static_cast<std::uint32_t>(applications_.action_data(app)[0])
+                 : 0;
     const std::uint64_t term_key[] = {client_id, app_id};
-    const p4rt::TableEntry* term = terminations_.lookup(term_key);
-    if (term == nullptr || !term->action_data[0].as_bool()) {
+    const std::int32_t term = terminations_.lookup(term_key);
+    if (term < 0 || terminations_.action_data(term)[0] == 0) {
       ++termination_drops_;
       d.drop = true;
       d.reason = "no_termination";

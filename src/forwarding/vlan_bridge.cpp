@@ -9,9 +9,9 @@ void VlanBridgeProgram::add_member(int switch_id, int port,
 
 void VlanBridgeProgram::add_l2_entry(int switch_id, std::uint16_t vid,
                                      std::uint64_t mac, int port) {
-  switches_[switch_id].l2.insert_exact(
-      {BitVec(16, vid), BitVec(48, mac)},
-      {BitVec(16, static_cast<std::uint64_t>(port))});
+  const std::uint64_t key[] = {vid, mac};
+  const BitVec out(16, static_cast<std::uint64_t>(port));
+  switches_[switch_id].l2.insert_exact(key, {&out, 1});
 }
 
 VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
@@ -35,14 +35,14 @@ VlanBridgeProgram::Decision VlanBridgeProgram::process(p4rt::Packet& pkt,
     return d;
   }
   const std::uint64_t l2_key[] = {vid, pkt.eth.dst & BitVec::mask(48)};
-  const p4rt::TableEntry* e = sw.l2.lookup(l2_key);
-  if (e == nullptr) {
+  const std::int32_t row = sw.l2.lookup(l2_key);
+  if (row < 0) {
     ++l2_miss_drops_;
     d.drop = true;
     d.reason = "l2_miss";
     return d;
   }
-  const int out = static_cast<int>(e->action_data[0].value());
+  const int out = static_cast<int>(sw.l2.action_data(row)[0]);
   const auto out_mem = sw.members.find(out);
   if (out_mem == sw.members.end() || out_mem->second.count(vid) == 0U) {
     ++membership_drops_;

@@ -237,16 +237,21 @@ const compiler::CompiledChecker& Network::checker(int deployment) const {
   return *deployments_[static_cast<std::size_t>(deployment)].checker;
 }
 
-p4rt::Table& Network::checker_table(int deployment, int switch_id,
-                                    const std::string& var) {
-  Deployment& d = live_deployment(deployment, "checker_table");
+std::size_t Network::control_table(const Deployment& d,
+                                   const std::string& var) {
   const int t = d.checker->ir.find_table(var);
   if (t < 0) {
     throw std::invalid_argument("checker '" + d.checker->name +
                                 "' has no control table '" + var + "'");
   }
+  return static_cast<std::size_t>(t);
+}
+
+p4rt::Table& Network::checker_table(int deployment, int switch_id,
+                                    const std::string& var) {
+  Deployment& d = live_deployment(deployment, "checker_table");
   return d.per_switch.at(static_cast<std::size_t>(switch_id))
-      .tables[static_cast<std::size_t>(t)];
+      .tables[control_table(d, var)];
 }
 
 void Network::set_config(int deployment, int switch_id,
@@ -257,9 +262,12 @@ void Network::set_config(int deployment, int switch_id,
 
 void Network::set_config_all(int deployment, const std::string& var,
                              std::vector<BitVec> values) {
+  Deployment& d = live_deployment(deployment, "checker_table");
+  const std::size_t t = control_table(d, var);
   for (int i = 0; i < topo_.node_count(); ++i) {
     if (topo_.node(i).kind == NodeKind::kSwitch) {
-      set_config(deployment, i, var, values);
+      d.per_switch.at(static_cast<std::size_t>(i)).tables[t].set_default(
+          values);
     }
   }
 }
@@ -267,9 +275,20 @@ void Network::set_config_all(int deployment, const std::string& var,
 void Network::dict_insert_all(int deployment, const std::string& var,
                               const std::vector<BitVec>& key,
                               std::vector<BitVec> value) {
+  Deployment& d = live_deployment(deployment, "checker_table");
+  const std::size_t t = control_table(d, var);
+  // Every switch's copy shares the key spec: the key becomes words once,
+  // at the first switch, unless its widths force the pattern path.
+  std::vector<std::uint64_t> words;
+  int pinned = -1;
   for (int i = 0; i < topo_.node_count(); ++i) {
-    if (topo_.node(i).kind == NodeKind::kSwitch) {
-      checker_table(deployment, i, var).insert_exact(key, value);
+    if (topo_.node(i).kind != NodeKind::kSwitch) continue;
+    p4rt::Table& table = d.per_switch.at(static_cast<std::size_t>(i)).tables[t];
+    if (pinned < 0) pinned = table.pinned_words(key, words) ? 1 : 0;
+    if (pinned > 0) {
+      table.insert_exact(words, value);
+    } else {
+      table.insert_exact(key, value);
     }
   }
 }
@@ -342,15 +361,12 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
   }
   // Validate the variable up front — the pushes run inside the event loop
   // and must not throw.
-  const Deployment& d =
-      live_deployment(deployment, "dict_insert_all_delayed");
-  if (d.checker->ir.find_table(var) < 0) {
-    throw std::invalid_argument("checker '" + d.checker->name +
-                                "' has no control table '" + var + "'");
-  }
+  control_table(live_deployment(deployment, "dict_insert_all_delayed"),
+                var);
   // Each switch's push lands on whatever occupies the slot by then: it is
   // skipped once the slot is retired, and the table is looked up by name
-  // as it lands, never by an index taken from an earlier occupant.
+  // (and the key turned into its words) as it lands, never by an index
+  // taken from an earlier occupant.
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
     events_.schedule_at(

@@ -510,6 +510,10 @@ class Network final : public EventExecutor {
   // out-of-range id (undeploy leaves holes — a stale id must produce a
   // clear error, not UB).
   Deployment& live_deployment(int deployment, const char* what);
+  // Index of control variable `var`'s table in d's per-switch state;
+  // throws std::invalid_argument when the checker has none.
+  static std::size_t control_table(const Deployment& d,
+                                   const std::string& var);
   const Deployment& live_deployment(int deployment, const char* what) const;
   // Registers (or re-attaches) the fail-closed stale-frame counter for a
   // retired generation: flat "checker.<property>.stale_generation", family

@@ -145,8 +145,7 @@ void Network::record_hop_forensics(const Deployment& d, std::size_t di,
                                    const HopContext& hctx, SimTime t,
                                    const char* fwd_reason,
                                    const char* fault_note) {
-  obs::HopRecord& rec = obs_->recorder->append(hctx.switch_id);
-  rec = d.rec;
+  obs::HopRecord& rec = obs_->recorder->append(hctx.switch_id, d.rec);
   rec.packet_id = pkt.id;
   rec.hop = pkt.hops;
   rec.switch_id = hctx.switch_id;

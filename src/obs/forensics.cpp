@@ -90,13 +90,13 @@ std::uint64_t FlightRecorder::recorded() const {
   return total;
 }
 
-HopRecord& FlightRecorder::append(int sw) {
+HopRecord& FlightRecorder::append(int sw, const HopRecord& rec) {
   Ring& r = rings_[static_cast<std::size_t>(sw)];
   HopRecord& slot = r.slots[r.next];
   r.next = (r.next + 1) % capacity_;
   if (r.count < capacity_) ++r.count;
   ++r.total;
-  slot.reset();
+  slot = rec;
   return slot;
 }
 

@@ -124,9 +124,10 @@ class FlightRecorder {
   // Total records ever appended across all rings (sums per-ring totals).
   std::uint64_t recorded() const;
 
-  // Next slot of switch `sw`'s ring (overwriting the oldest when full),
-  // reset and ready to fill. Never allocates.
-  HopRecord& append(int sw);
+  // Stores `rec` in the next slot of switch `sw`'s ring (overwriting the
+  // oldest when full) with one copy and returns the slot, for the caller's
+  // per-hop fields. Never allocates.
+  HopRecord& append(int sw, const HopRecord& rec);
 
   // Every retained record for `packet_id`, in unspecified ring order —
   // callers sort by (hop, deployment). Pointers are valid until the next

@@ -415,33 +415,26 @@ BitVec Interp::value(ir::FieldId f) const {
 
 void Interp::table_op(const TableOp& t, CheckerState& state) {
   metrics_.table_lookups.inc();
-  Table& table = state.tables[static_cast<std::size_t>(t.table)];
-  const std::vector<BitVec>* data = nullptr;
-  bool hit = false;
-  std::int32_t entry_idx = -1;
+  const Table& table = state.tables[static_cast<std::size_t>(t.table)];
+  std::span<const std::uint64_t> data;
+  bool hit = true;
+  std::int32_t row = -1;  // config tables answer from their defaults
   if (t.config) {
-    data = &table.default_data();
-    hit = true;
+    data = table.default_words();
   } else {
     key_words_.clear();
     for (std::size_t k = 0; k < t.keys.size(); ++k) {
       key_words_.push_back(slots_[t.keys[k]] & t.key_masks[k]);
     }
-    const TableEntry* entry =
-        table.lookup(std::span<const std::uint64_t>(key_words_));
-    if (entry != nullptr) {
-      data = &entry->action_data;
-      hit = true;
-      if (prov_ != nullptr) entry_idx = table.entry_index_of(entry);
-    }
+    row = table.lookup(std::span<const std::uint64_t>(key_words_));
+    hit = row >= 0;
+    if (hit) data = table.action_data(row);
   }
   if (prov_ != nullptr) {
-    prov_->add_table_hit(static_cast<std::int16_t>(t.table), entry_idx, hit);
+    prov_->add_table_hit(static_cast<std::int16_t>(t.table), row, hit);
   }
   for (std::size_t d = 0; d < t.dsts.size(); ++d) {
-    slots_[t.dsts[d]] = data != nullptr && d < data->size()
-                            ? (*data)[d].value() & t.dst_masks[d]
-                            : 0;
+    slots_[t.dsts[d]] = d < data.size() ? data[d] & t.dst_masks[d] : 0;
   }
   if (t.hit >= 0) slots_[static_cast<std::size_t>(t.hit)] = hit ? 1 : 0;
 }

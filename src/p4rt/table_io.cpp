@@ -27,23 +27,27 @@ BitVec get_bitvec(std::istream& in) {
 void serialize_table(const Table& table, std::ostream& out) {
   out << table.size() << ' ' << table.default_data().size();
   for (const BitVec& v : table.default_data()) put_bitvec(v, out);
-  for (const TableEntry& e : table.entries()) {
-    for (char c : e.action)
+  const std::size_t nf = table.key_spec().size();
+  for (std::int32_t r = 0; r < static_cast<std::int32_t>(table.size()); ++r) {
+    const std::string& action = table.action(r);
+    for (char c : action)
       if (std::isspace(static_cast<unsigned char>(c)))
         throw std::invalid_argument("serialize_table: action name '" +
-                                    e.action + "' contains whitespace");
-    out << ' ' << e.priority << ' '
-        << (e.action.empty() ? "-" : e.action.c_str()) << ' '
-        << e.patterns.size();
-    for (const KeyPattern& p : e.patterns) {
+                                    action + "' contains whitespace");
+    out << ' ' << table.priority(r) << ' '
+        << (action.empty() ? "-" : action.c_str()) << ' ' << nf;
+    for (std::size_t f = 0; f < nf; ++f) {
+      const KeyPattern p = table.pattern(r, f);
       put_bitvec(p.value, out);
       put_bitvec(p.mask, out);
       out << ' ' << p.prefix_len;
       put_bitvec(p.lo, out);
       put_bitvec(p.hi, out);
     }
-    out << ' ' << e.action_data.size();
-    for (const BitVec& v : e.action_data) put_bitvec(v, out);
+    const std::span<const std::uint64_t> data = table.action_data(r);
+    out << ' ' << data.size();
+    for (std::size_t a = 0; a < data.size(); ++a)
+      out << ' ' << table.action_width(r, a) << ' ' << data[a];
   }
 }
 
@@ -75,7 +79,7 @@ void deserialize_table(Table& table, std::istream& in) {
     if (!(in >> nad)) throw std::runtime_error("table snapshot: bad entry");
     for (std::size_t a = 0; a < nad; ++a)
       e.action_data.push_back(get_bitvec(in));
-    table.insert(std::move(e));
+    table.insert(e);
   }
 }
 

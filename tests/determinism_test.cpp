@@ -75,14 +75,19 @@ std::string dump_state(net::Network& net) {
       for (const auto& table : ir.tables) {
         auto& t = net.checker_table(dep, sw, table.name);
         os << dep << '/' << sw << "/table " << table.name << ':';
-        for (const auto& e : t.entries()) {
-          os << " [p" << e.priority;
-          for (const auto& pat : e.patterns) {
+        for (std::int32_t r = 0; r < static_cast<std::int32_t>(t.size());
+             ++r) {
+          os << " [p" << t.priority(r);
+          for (std::size_t f = 0; f < t.key_spec().size(); ++f) {
+            const p4rt::KeyPattern pat = t.pattern(r, f);
             os << ' ' << pat.value.to_string() << '&'
                << pat.mask.to_string() << '/' << pat.prefix_len;
           }
           os << " ->";
-          for (const auto& v : e.action_data) os << ' ' << v.to_string();
+          const auto data = t.action_data(r);
+          for (std::size_t i = 0; i < data.size(); ++i) {
+            os << ' ' << BitVec(t.action_width(r, i), data[i]).to_string();
+          }
           os << ']';
         }
         os << '\n';

@@ -21,9 +21,10 @@ using namespace hydra;
 TEST(FlightRecorder, WraparoundKeepsNewest) {
   obs::FlightRecorder rec(2, 4);
   for (int i = 0; i < 10; ++i) {
-    obs::HopRecord& r = rec.append(1);
+    obs::HopRecord r;
     r.packet_id = 7;
     r.hop = i + 1;
+    rec.append(1, r);
   }
   EXPECT_EQ(rec.recorded(), 10u);
 
@@ -39,8 +40,7 @@ TEST(FlightRecorder, WraparoundKeepsNewest) {
   out.clear();
   rec.collect(8, out);
   EXPECT_TRUE(out.empty());
-  obs::HopRecord& other = rec.append(0);
-  other.packet_id = 9;
+  rec.append(0, obs::HopRecord{}).packet_id = 9;
   out.clear();
   rec.collect(9, out);
   EXPECT_EQ(out.size(), 1u);
@@ -52,14 +52,25 @@ TEST(FlightRecorder, WraparoundKeepsNewest) {
   EXPECT_EQ(rec.recorded(), 0u);
 }
 
-TEST(FlightRecorder, AppendResetsSlot) {
-  obs::FlightRecorder rec(1, 1);
-  obs::HopRecord& a = rec.append(0);
-  a.packet_id = 1;
-  a.add_table_hit(0, 3, true);
-  obs::HopRecord& b = rec.append(0);  // overwrites the only slot
-  EXPECT_EQ(b.packet_id, 0u);
-  EXPECT_EQ(b.n_table_hits, 0);
+TEST(FlightRecorder, SecondLapSlotHoldsOnlyTheNewRecord) {
+  obs::FlightRecorder rec(1, 2);
+  obs::HopRecord first;
+  first.packet_id = 1;
+  first.add_table_hit(0, 3, true);
+  first.add_tele(4, 99);
+  const obs::HopRecord* lap1 = &rec.append(0, first);
+  rec.append(0, obs::HopRecord{});  // fills the ring
+  obs::HopRecord next;
+  next.hop = 5;
+  obs::HopRecord& lap2 = rec.append(0, next);
+  ASSERT_EQ(&lap2, lap1);  // the second lap reuses the first slot
+  EXPECT_EQ(lap2.packet_id, 0u);
+  EXPECT_EQ(lap2.hop, 5);
+  EXPECT_EQ(lap2.n_table_hits, 0);
+  EXPECT_EQ(lap2.n_tele, 0);
+  std::vector<const obs::HopRecord*> out;
+  rec.collect(1, out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(HopRecord, OverflowSetsTruncationBits) {

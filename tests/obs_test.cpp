@@ -130,9 +130,9 @@ TEST(TableMetrics, CountsHitsMissesAndCacheHits) {
   const std::vector<BitVec> hit_key{BitVec(32, 5)};
   const std::vector<BitVec> miss_key{BitVec(32, 6)};
   // Instrumented and uninstrumented tables answer identically.
-  EXPECT_EQ(with.lookup(hit_key) != nullptr, without.lookup(hit_key) != nullptr);
-  EXPECT_EQ(with.lookup(miss_key), nullptr);
-  EXPECT_EQ(without.lookup(miss_key), nullptr);
+  EXPECT_EQ(with.lookup(hit_key), without.lookup(hit_key));
+  EXPECT_EQ(with.lookup(miss_key), -1);
+  EXPECT_EQ(without.lookup(miss_key), -1);
   with.lookup(miss_key);  // served by the last-hit cache
 
   EXPECT_EQ(reg.counter_value("t.hits"), 1u);

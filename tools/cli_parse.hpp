@@ -47,6 +47,21 @@ inline int no_options(int argc, char** argv) {
   return unknown_argument(argv[0], argv[1], kArgs);
 }
 
+// The argv contract of a google-benchmark bench: `--help` prints usage to
+// stdout and returns 0, a `--benchmark_*` flag is left for the library, and
+// anything else prints usage to stderr and returns 2. Returns -1 when the
+// bench should run.
+inline int benchmark_flags(int argc, char** argv) {
+  constexpr const char* kArgs = "[--benchmark_FLAG=VALUE ...] [--help]";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) return usage(argv[0], kArgs, 0);
+    if (std::strncmp(argv[i], "--benchmark_", 12) != 0) {
+      return unknown_argument(argv[0], argv[i], kArgs);
+    }
+  }
+  return -1;
+}
+
 // Base-10 integer in [lo, hi]; rejects empty input, trailing characters,
 // and out-of-range values.
 inline bool parse_long_arg(const char* prog, const char* flag,
