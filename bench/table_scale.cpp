@@ -127,17 +127,19 @@ Row bench_exact(std::size_t n, Rng& rng) {
 
 Row bench_lpm(std::size_t n, Rng& rng) {
   std::vector<p4rt::KeyPattern> routes;
+  std::vector<std::uint64_t> addrs;  // before the prefix masks them
   std::vector<int> lens;
   for (std::size_t i = 0; i < n; ++i) {
     const int len = static_cast<int>(8 + rng.below(25));  // /8 .. /32
-    routes.push_back(p4rt::KeyPattern::lpm(BitVec(32, rng.next()), len));
+    addrs.push_back(BitVec(32, rng.next()).value());
+    routes.push_back(p4rt::KeyPattern::lpm(BitVec(32, addrs.back()), len));
     lens.push_back(len);
   }
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 1024; ++i) {
     // Addresses near installed prefixes so most lookups hit.
     const auto jitter = static_cast<std::uint32_t>(rng.below(256));
-    keys.push_back((rng.pick(routes).value.value() & 0xffffff00u) | jitter);
+    keys.push_back((rng.pick(addrs) & 0xffffff00u) | jitter);
   }
   const auto build = [&](Table& t) {
     for (std::size_t i = 0; i < n; ++i) {

@@ -77,11 +77,7 @@ std::vector<p4rt::TableEntry> AetherController::build_policy_entries(
   // would otherwise be re-derived per switch.
   std::vector<p4rt::TableEntry> entries;
   for (const auto& rule : s.config.rules) {
-    const std::uint32_t mask32 =
-        rule.prefix_len == 0
-            ? 0
-            : static_cast<std::uint32_t>(BitVec::mask(32)
-                                         << (32 - rule.prefix_len));
+    const std::uint64_t mask32 = BitVec::prefix_mask(32, rule.prefix_len);
     const auto action_code =
         BitVec(8, static_cast<std::uint64_t>(rule.action));
     const bool any_port = rule.port_lo == 0 && rule.port_hi == 0xffff;

@@ -25,10 +25,8 @@ std::string FilteringRule::to_string() const {
 
 bool FilteringRule::matches(std::uint32_t ip, std::uint8_t proto_v,
                             std::uint16_t port) const {
-  const std::uint32_t mask =
-      prefix_len == 0
-          ? 0
-          : static_cast<std::uint32_t>(BitVec::mask(32) << (32 - prefix_len));
+  const auto mask =
+      static_cast<std::uint32_t>(BitVec::prefix_mask(32, prefix_len));
   if ((ip & mask) != (app_prefix & mask)) return false;
   if (proto && *proto != proto_v) return false;
   return port_lo <= port && port <= port_hi;

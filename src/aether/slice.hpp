@@ -17,7 +17,7 @@ enum class FilterAction { kDeny = 1, kAllow = 2 };
 struct FilteringRule {
   int priority = 0;
   std::uint32_t app_prefix = 0;
-  int prefix_len = 0;  // 0 = any address
+  int prefix_len = 0;  // 0 = any address; outside [0, 32] matching throws
   std::optional<std::uint8_t> proto;  // nullopt = any protocol
   std::uint16_t port_lo = 0;          // [0, 0xffff] = any port
   std::uint16_t port_hi = 0xffff;

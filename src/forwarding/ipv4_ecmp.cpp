@@ -12,14 +12,15 @@ void Ipv4EcmpProgram::add_route(int switch_id, std::uint32_t prefix,
   if (switch_id < 0) {
     throw std::invalid_argument("ECMP route on negative switch id");
   }
+  // Built first: a prefix length outside [0, 32] throws before any change.
+  const p4rt::KeyPattern route = p4rt::KeyPattern::lpm(BitVec(32, prefix),
+                                                       prefix_len);
   const auto id = static_cast<std::size_t>(switch_id);
   if (id >= switches_.size()) switches_.resize(id + 1);
   PerSwitch& sw = switches_[id];
   if (sw.groups.empty()) wire_switch(sw);
   const auto group_id = static_cast<std::uint64_t>(sw.groups.size());
   sw.groups.push_back(std::move(ports));
-  const p4rt::KeyPattern route = p4rt::KeyPattern::lpm(BitVec(32, prefix),
-                                                       prefix_len);
   const BitVec group(32, group_id);
   // The priority is the prefix length: longer prefixes win.
   sw.routes.insert({&route, 1}, {&group, 1}, "set_group", prefix_len);

@@ -21,6 +21,7 @@ namespace hydra::fwd {
 class Ipv4EcmpProgram : public net::ForwardingProgram {
  public:
   // Adds a route on `switch_id`: dst/len -> ECMP group of egress ports.
+  // Throws std::invalid_argument for a length outside [0, 32].
   void add_route(int switch_id, std::uint32_t prefix, int prefix_len,
                  std::vector<int> ports);
 

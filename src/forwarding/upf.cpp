@@ -69,11 +69,10 @@ std::vector<p4rt::KeyPattern> application_patterns(
     std::uint32_t slice_id, std::uint32_t app_prefix, int prefix_len,
     std::optional<std::uint8_t> proto, std::uint16_t port_lo,
     std::uint16_t port_hi) {
-  const std::uint64_t mask =
-      prefix_len == 0 ? 0 : (BitVec::mask(32) << (32 - prefix_len)) &
-                                BitVec::mask(32);
   return {p4rt::KeyPattern::exact(BitVec(32, slice_id)),
-          p4rt::KeyPattern::ternary(BitVec(32, app_prefix), BitVec(32, mask)),
+          p4rt::KeyPattern::ternary(
+              BitVec(32, app_prefix),
+              BitVec(32, BitVec::prefix_mask(32, prefix_len))),
           p4rt::KeyPattern::range(BitVec(16, port_lo), BitVec(16, port_hi)),
           proto ? p4rt::KeyPattern::exact(BitVec(8, *proto))
                 : p4rt::KeyPattern::wildcard(8)};

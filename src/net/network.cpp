@@ -84,7 +84,7 @@ int Network::stage_deployment(
   // daemon deploying forever.
   std::size_t slot = 0;
   while (slot < deployments_.size() &&
-         (deployments_[slot].live || deployments_[slot].pending_swaps > 0)) {
+         (deployments_[slot].live || deployments_[slot].pending_swap)) {
     ++slot;
   }
   fill_slot(slot, checker, static_cast<std::uint32_t>(generations_.size()),
@@ -122,14 +122,13 @@ void Network::fill_slot(
   d.generation = generation;
   d.live = phase != kPhaseRetired;
   d.retiring = false;
-  d.pending_swaps = 0;
-  const auto nodes = static_cast<std::size_t>(topo_.node_count());
-  d.per_switch.assign(d.live ? nodes : 0, {});
-  d.phase.assign(nodes, kPhaseRetired);
+  d.pending_swap = false;
+  d.phase = phase;
+  d.per_switch.assign(d.live ? static_cast<std::size_t>(topo_.node_count()) : 0,
+                      {});
   for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
     if (topo_.node(static_cast<int>(i)).kind != NodeKind::kSwitch) continue;
     d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
-    d.phase[i] = phase;
   }
   d.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
   if (obs_ != nullptr) observe_refill(slot);
@@ -143,41 +142,34 @@ int Network::deploy(
 int Network::deploy_rolling(
     std::shared_ptr<const compiler::CompiledChecker> checker) {
   const int slot = stage_deployment(std::move(checker), kPhaseStaged);
-  schedule_swaps(slot, kPhaseEnabled);
+  schedule_swap(slot, kPhaseEnabled);
   return slot;
 }
 
-void Network::schedule_swaps(int slot, std::uint8_t phase) {
-  Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-  for (int sw = 0; sw < topo_.node_count(); ++sw) {
-    if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
-    events_.schedule_at(events_.now(), [this, slot, sw, phase] {
-      Deployment& dep = deployments_[static_cast<std::size_t>(slot)];
-      dep.phase[static_cast<std::size_t>(sw)] = phase;
-      if (dep.pending_swaps > 0 && --dep.pending_swaps == 0 &&
-          dep.retiring) {
-        finalize_retirement(static_cast<std::size_t>(slot));
-      }
-    });
-    ++d.pending_swaps;
-  }
+void Network::schedule_swap(int slot, std::uint8_t phase) {
+  deployments_[static_cast<std::size_t>(slot)].pending_swap = true;
+  events_.schedule_at(events_.now(), [this, slot, phase] {
+    Deployment& d = deployments_[static_cast<std::size_t>(slot)];
+    d.phase = phase;
+    d.pending_swap = false;
+    if (d.retiring) finalize_retirement(static_cast<std::size_t>(slot));
+  });
 }
 
 void Network::undeploy_rolling(int deployment) {
   Deployment& d = live_deployment(deployment, "undeploy_rolling");
   if (d.retiring) return;  // sweep already in flight
-  if (d.pending_swaps > 0) {
+  if (d.pending_swap) {
     throw std::logic_error(
         "undeploy_rolling: deploy sweep still in flight for slot " +
         std::to_string(deployment));
   }
   d.retiring = true;
-  // Register the per-generation reject counter BEFORE the first switch
-  // flips: frames rejected mid-sweep (stamped with this generation, hitting
-  // an already-retired switch) must count from the very first one — a
-  // detached handle would drop them on the floor.
+  // Register the per-generation reject counter BEFORE the flip: frames of
+  // this generation rejected from the flip on must count from the very
+  // first one — a detached handle would drop them on the floor.
   register_stale_counter(d.generation);
-  schedule_swaps(deployment, kPhaseRetired);
+  schedule_swap(deployment, kPhaseRetired);
 }
 
 void Network::undeploy(int deployment) {
@@ -185,7 +177,7 @@ void Network::undeploy(int deployment) {
     throw std::logic_error("undeploy: event queue must be idle");
   }
   Deployment& d = live_deployment(deployment, "undeploy");
-  std::fill(d.phase.begin(), d.phase.end(), kPhaseRetired);
+  d.phase = kPhaseRetired;
   d.retiring = true;
   finalize_retirement(static_cast<std::size_t>(deployment));
 }
@@ -194,7 +186,7 @@ void Network::finalize_retirement(std::size_t slot) {
   Deployment& d = deployments_[slot];
   d.live = false;
   d.retiring = false;
-  d.pending_swaps = 0;
+  d.pending_swap = false;
   // The checker stays (name + IR for attribution and forensics labels);
   // the per-switch sensor state is gone for good. Frames stamped with
   // this generation now reject fail-closed wherever they surface.
@@ -205,10 +197,8 @@ void Network::finalize_retirement(std::size_t slot) {
 }
 
 bool Network::swap_in_progress() const {
-  for (const auto& d : deployments_) {
-    if (d.pending_swaps > 0) return true;
-  }
-  return false;
+  return std::any_of(deployments_.begin(), deployments_.end(),
+                     [](const Deployment& d) { return d.pending_swap; });
 }
 
 bool Network::deployment_live(int deployment) const {
@@ -272,24 +262,27 @@ void Network::set_config_all(int deployment, const std::string& var,
   }
 }
 
+std::vector<std::uint64_t> Network::control_words(
+    const Deployment& d, std::size_t t, const std::vector<BitVec>& key) const {
+  for (int i = 0; i < topo_.node_count(); ++i) {
+    if (topo_.node(i).kind == NodeKind::kSwitch) {
+      return d.per_switch[static_cast<std::size_t>(i)].tables[t].exact_words(
+          key);
+    }
+  }
+  return {};
+}
+
 void Network::dict_insert_all(int deployment, const std::string& var,
                               const std::vector<BitVec>& key,
                               std::vector<BitVec> value) {
   Deployment& d = live_deployment(deployment, "checker_table");
   const std::size_t t = control_table(d, var);
-  // Every switch's copy shares the key spec: the key becomes words once,
-  // at the first switch, unless its widths force the pattern path.
-  std::vector<std::uint64_t> words;
-  int pinned = -1;
+  const std::vector<std::uint64_t> words = control_words(d, t, key);
   for (int i = 0; i < topo_.node_count(); ++i) {
     if (topo_.node(i).kind != NodeKind::kSwitch) continue;
-    p4rt::Table& table = d.per_switch.at(static_cast<std::size_t>(i)).tables[t];
-    if (pinned < 0) pinned = table.pinned_words(key, words) ? 1 : 0;
-    if (pinned > 0) {
-      table.insert_exact(words, value);
-    } else {
-      table.insert_exact(key, value);
-    }
+    d.per_switch[static_cast<std::size_t>(i)].tables[t].insert_exact(words,
+                                                                     value);
   }
 }
 
@@ -359,26 +352,29 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
     dict_insert_all(deployment, var, key, value);
     return;
   }
-  // Validate the variable up front — the pushes run inside the event loop
-  // and must not throw.
-  control_table(live_deployment(deployment, "dict_insert_all_delayed"),
-                var);
-  // Each switch's push lands on whatever occupies the slot by then: it is
-  // skipped once the slot is retired, and the table is looked up by name
-  // (and the key turned into its words) as it lands, never by an index
-  // taken from an earlier occupant.
+  // Look the table up and convert the key up front, once for every
+  // switch: the pushes run inside the event loop and must not throw.
+  const Deployment& d =
+      live_deployment(deployment, "dict_insert_all_delayed");
+  const std::size_t t = control_table(d, var);
+  struct Push {
+    std::vector<std::uint64_t> key;
+    std::vector<BitVec> value;
+  };
+  const auto push =
+      std::make_shared<const Push>(Push{control_words(d, t, key), value});
+  // A push lands only in the occupant it was aimed at: it is skipped once
+  // that generation retired, whether or not the slot was reused since.
+  const std::uint32_t gen = d.generation;
   for (int sw = 0; sw < topo_.node_count(); ++sw) {
     if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
     events_.schedule_at(
         events_.now() + faults_->next_push_delay(),
-        [this, deployment, sw, var, key, value] {
-          Deployment& d = deployments_[static_cast<std::size_t>(deployment)];
-          if (!d.live || d.per_switch.empty()) return;  // undeployed mid-push
-          const int ti = d.checker->ir.find_table(var);
-          if (ti < 0) return;
-          d.per_switch[static_cast<std::size_t>(sw)]
-              .tables[static_cast<std::size_t>(ti)]
-              .insert_exact(key, value);
+        [this, deployment, sw, t, gen, push] {
+          Deployment& dep = deployments_[static_cast<std::size_t>(deployment)];
+          if (!dep.live || dep.generation != gen) return;
+          dep.per_switch[static_cast<std::size_t>(sw)].tables[t].insert_exact(
+              push->key, push->value);
           if (faults_ != nullptr) ++faults_->stats().delayed_pushes;
         });
   }
@@ -660,12 +656,12 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       faults_ != nullptr && t < cold_until_[static_cast<std::size_t>(sw)];
 
   // 1. Hydra init at the first hop: create and fill telemetry frames.
-  // Only switches whose swap phase is fully enabled stamp frames — the
-  // per-switch gate a rolling deploy sweeps through the control channel.
+  // Only slots whose swap phase is fully enabled stamp frames — the gate a
+  // rolling deploy flips through the control channel.
   if (hctx.first_hop) {
     for (std::size_t di = 0; di < deployments_.size(); ++di) {
       Deployment& d = deployments_[di];
-      if (d.phase[static_cast<std::size_t>(sw)] != kPhaseEnabled) continue;
+      if (d.phase != kPhaseEnabled) continue;
       d.counters[kInitRuns].inc();
       // The hop's record starts here; the tele run below adds to it.
       if (forensic) d.rec.reset();
@@ -732,15 +728,14 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
     if (forensic && !hctx.first_hop) d.rec.reset();
 
     // Stale generation, fail-closed: the frame belongs to a retired (or
-    // relinked) occupant of this slot — on this switch the swap has
-    // landed, or the slot was reused and the generation no longer
-    // matches. Executing it would read freed/foreign state; silently
-    // dropping it would lose the frame; attributing it to the slot's
-    // CURRENT occupant would mix two properties. So: counted reject,
-    // attributed per generation, never a crash. The slot's own counters
-    // (kRejects, ...) and rejected_deps deliberately do NOT move.
-    if (d.phase[static_cast<std::size_t>(sw)] == kPhaseRetired ||
-        frame->generation != d.generation) {
+    // relinked) occupant of this slot — the retiring swap has landed, or
+    // the slot was reused and the generation no longer matches. Executing
+    // it would read freed/foreign state; silently dropping it would lose
+    // the frame; attributing it to the slot's CURRENT occupant would mix
+    // two properties. So: counted reject, attributed per generation, never
+    // a crash. The slot's own counters (kRejects, ...) and rejected_deps
+    // deliberately do NOT move.
+    if (d.phase == kPhaseRetired || frame->generation != d.generation) {
       // Only the FRAME is rejected — the packet itself keeps forwarding.
       // Folding this into `rejected` would drop user traffic (and count a
       // checker verdict) for what is purely control-plane churn.

@@ -21,9 +21,9 @@
 // packet at one switch, then its effects (forensics, reports, counters,
 // the drop or the transmit). The hop's reports wait in a reused buffer
 // until every checker on it has run, so report callbacks fire only then.
-// Control-plane work aimed at one switch (restarts, delayed rule pushes,
-// rolling-swap legs) is a closure event that does its own work, landing
-// between that switch's hops in (time, seq) order.
+// Control-plane work (restarts and delayed rule pushes aimed at one
+// switch, a rolling swap's flip) is a closure event that does its own
+// work, landing between hops in (time, seq) order.
 //
 // ---- Source layout ----------------------------------------------------------
 // network.cpp is the simulator. The observability plane (traces, the
@@ -103,21 +103,20 @@ class Network final : public EventExecutor {
   // ---- rolling deploy / undeploy ----------------------------------------
   // The staged-swap path: the checker is compiled and linked off to the
   // side (slot staged with a fresh generation, init stamping OFF), then
-  // one swap closure per switch — (time, seq)-ordered like switch
-  // restarts — flips that switch to stamping the new frames. The swap is
-  // atomic per switch. Call between drains (the event queue may hold
-  // traffic, but must not be mid-drain).
+  // one swap closure at now(), (time, seq)-ordered like switch restarts,
+  // flips every switch to stamping the new frames at once. Call between
+  // drains (the event queue may hold traffic, but must not be mid-drain).
   int deploy_rolling(std::shared_ptr<const compiler::CompiledChecker> checker);
-  // Sweeps per-switch disable swaps through the control channel. Frames
-  // already in flight keep executing on switches that have not swapped
-  // yet; once a switch swaps (and after the slot fully retires), its
-  // frames are rejected fail-closed with reason "tele_stale_generation"
-  // and counted per generation — never crashed on, never misattributed.
+  // The same flip toward retired, through the control channel. Frames in
+  // flight keep executing until it lands; from then on (the slot retires
+  // in the same closure) they are rejected fail-closed with reason
+  // "tele_stale_generation" and counted per generation — never crashed
+  // on, never misattributed.
   void undeploy_rolling(int deployment);
   // Immediate undeploy; must be called while the event queue is idle (no
   // in-flight packets). The slot retires at once and becomes reusable.
   void undeploy(int deployment);
-  // True while any rolling swap sweep has per-switch flips outstanding.
+  // True while any rolling swap's flip has not landed yet.
   bool swap_in_progress() const;
   // False once `deployment` has been undeployed (the slot may since have
   // been reused for a different property). Out-of-range ids throw.
@@ -134,7 +133,9 @@ class Network final : public EventExecutor {
                   std::vector<BitVec> values);
   void set_config_all(int deployment, const std::string& var,
                       std::vector<BitVec> values);
-  // Installs the same exact-match dict entry on every switch.
+  // Installs the same exact-match dict entry on every switch. A key whose
+  // arity or widths are not the table's throws std::invalid_argument and
+  // installs nothing.
   void dict_insert_all(int deployment, const std::string& var,
                        const std::vector<BitVec>& key,
                        std::vector<BitVec> value);
@@ -160,7 +161,9 @@ class Network final : public EventExecutor {
   // Installs the same dict entry on every switch, but through the
   // control-plane channel: with faults armed, each switch's install lands
   // after the plan's push delay (+jitter), ordered against that switch's
-  // packet hops. Falls back to dict_insert_all when disarmed.
+  // packet hops. A push still pending when its generation retires is
+  // dropped, even if the slot was reused since. Validates the key up front
+  // like dict_insert_all; falls back to it when disarmed.
   void dict_insert_all_delayed(int deployment, const std::string& var,
                                const std::vector<BitVec>& key,
                                const std::vector<BitVec>& value);
@@ -388,8 +391,8 @@ class Network final : public EventExecutor {
   void drain(EventQueue& queue, SimTime limit) override;
 
  private:
-  // Per-switch swap phase of one deployment slot. Written by a swap
-  // closure (ordered against that switch's hops) and by staging/retirement
+  // Swap phase of one deployment slot, the same on every switch. Written
+  // by a swap closure (ordered against the hops) and by staging/retirement
   // between drains; read by every hop.
   enum : std::uint8_t {
     kPhaseRetired = 0,  // frames for this slot reject fail-closed here
@@ -419,9 +422,9 @@ class Network final : public EventExecutor {
     // on every (re)deploy so slot reuse never mixes properties.
     std::uint32_t generation = 0;
     bool live = false;      // false once retired; the slot is reusable
-    bool retiring = false;  // disable sweep in flight
-    int pending_swaps = 0;  // per-switch flips not yet committed
-    std::vector<std::uint8_t> phase;  // by node id; see enum above
+    bool retiring = false;      // disable flip in flight
+    bool pending_swap = false;  // a swap closure has not landed yet
+    std::uint8_t phase = kPhaseRetired;  // see the enum above
     // The checker lowered to slot-addressed ops; owns the slot file.
     std::unique_ptr<p4rt::Interp> interp;
     p4rt::ExecOutcome out;
@@ -488,20 +491,19 @@ class Network final : public EventExecutor {
   int stage_deployment(std::shared_ptr<const compiler::CompiledChecker> c,
                        std::uint8_t phase);
   // Points slot `slot` at `checker` under `generation`, appending it when
-  // `slot` is one past the last: fresh per-switch state with every switch
-  // at `phase` (none for a retired slot, kPhaseRetired), a VM bound to the
-  // checker, and the slot's top-K property label. Binds the checker's
+  // `slot` is one past the last: fresh per-switch state at `phase` (none
+  // for a retired slot, kPhaseRetired), a VM bound to the checker, and
+  // the slot's top-K property label. Binds the checker's
   // header annotations first and throws std::invalid_argument if they do
   // not bind, or std::runtime_error for a slot past kMaxDeployments,
   // before anything changes. deploy and restore both fill slots here.
   void fill_slot(std::size_t slot,
                  std::shared_ptr<const compiler::CompiledChecker> c,
                  std::uint32_t generation, std::uint8_t phase);
-  // Schedules one swap closure per switch at now() flipping `slot` to
-  // `phase` there (the sweep's last flip completes a retirement); sets
-  // pending_swaps.
-  void schedule_swaps(int slot, std::uint8_t phase);
-  // Completion of an undeploy (its sweep's last swap, or undeploy itself):
+  // Schedules the swap closure at now() that flips `slot` to `phase` on
+  // every switch (and completes a retirement); sets pending_swap.
+  void schedule_swap(int slot, std::uint8_t phase);
+  // Completion of an undeploy (its swap closure, or undeploy itself):
   // frees per-switch state, marks the generation retired, and registers its
   // stale-frame counter.
   void finalize_retirement(std::size_t slot);
@@ -514,6 +516,13 @@ class Network final : public EventExecutor {
   // throws std::invalid_argument when the checker has none.
   static std::size_t control_table(const Deployment& d,
                                    const std::string& var);
+  // `key` as the words of d's control table `t`: every switch's copy
+  // shares its name and key spec, so one conversion (which throws
+  // std::invalid_argument on an arity or width that is not the spec's)
+  // serves every switch.
+  std::vector<std::uint64_t> control_words(
+      const Deployment& d, std::size_t t,
+      const std::vector<BitVec>& key) const;
   const Deployment& live_deployment(int deployment, const char* what) const;
   // Registers (or re-attaches) the fail-closed stale-frame counter for a
   // retired generation: flat "checker.<property>.stale_generation", family

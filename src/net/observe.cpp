@@ -629,8 +629,8 @@ void Network::rewire_observability() {
     if (generations_[g].retired) register_stale_counter(g);
   }
   for (const Deployment& d : deployments_) {
-    // A retirement sweep in flight: its counter must already be live (see
-    // undeploy_rolling) and must survive a rewire mid-sweep.
+    // A retiring flip in flight: its counter must already be live (see
+    // undeploy_rolling) and must survive a rewire before the flip lands.
     if (d.retiring) register_stale_counter(d.generation);
   }
 

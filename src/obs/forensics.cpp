@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdio>
 
+#include "obs/metrics.hpp"
+
 namespace hydra::obs {
 
 namespace {
@@ -13,23 +15,10 @@ void note_allocation(std::uint64_t n = 1) {
   g_forensics_allocations.fetch_add(n, std::memory_order_relaxed);
 }
 
-std::string format_time(double t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", t);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
+
+using detail::format_time;
+using detail::json_escape;
 
 std::uint64_t forensics_allocations() {
   return g_forensics_allocations.load(std::memory_order_relaxed);

@@ -20,6 +20,22 @@ std::string format_double(double v) {
   return buf;
 }
 
+std::string format_time(double t) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", t);
+  return buf;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
+}
+
 }  // namespace detail
 
 using detail::format_double;

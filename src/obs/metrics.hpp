@@ -42,6 +42,10 @@ struct Label {
 namespace detail {
 // Shortest-roundtrip float formatting shared by every obs serializer.
 std::string format_double(double v);
+// The trace and forensics JSON writers' time ("%.9g") and string escape
+// (a backslash before '"' and '\\').
+std::string format_time(double t);
+std::string json_escape(const std::string& s);
 }  // namespace detail
 
 // Monotonic event count (table hits, packets forwarded, rejects...).

@@ -2,27 +2,12 @@
 
 #include <cstdio>
 
+#include "obs/metrics.hpp"
+
 namespace hydra::obs {
 
-namespace {
-
-std::string format_time(double t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", t);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
+using detail::format_time;
+using detail::json_escape;
 
 const char* fate_name(PacketFate fate) {
   switch (fate) {

@@ -71,7 +71,6 @@ void Packet::reuse() {
   inner_l4.reset();
   payload_bytes = 0;
   retire_frames();
-  fwd_drop = false;
 }
 
 TeleFrame& Packet::add_frame(int checker) {

@@ -147,11 +147,6 @@ struct Packet {
 
   std::vector<TeleFrame> tele;  // one frame per deployed checker
 
-  // Scratch visible to checkers via `to_be_dropped`-style header vars:
-  // set by the forwarding pipeline when it decides to drop (the packet is
-  // still carried to the checker so the checker can observe the decision).
-  bool fwd_drop = false;
-
   TeleFrame* frame(int checker);
   const TeleFrame* frame(int checker) const;
 

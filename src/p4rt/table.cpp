@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace hydra::p4rt {
 
 namespace {
-
-// Top-`len` bits of a `width`-bit field.
-std::uint64_t prefix_mask(int width, int len) {
-  if (len <= 0) return 0;
-  if (len >= width) return BitVec::mask(width);
-  return (BitVec::mask(width) << (width - len)) & BitVec::mask(width);
-}
 
 // The length whose prefix_mask is `m`, or -1 when `m` is not a prefix.
 int prefix_len_of(int width, std::uint64_t m) {
@@ -30,14 +24,27 @@ std::size_t grown(std::size_t cap, std::size_t first) {
   return cap == 0 ? first : cap < 1024 ? 4 * cap : 2 * cap;
 }
 
-bool same_bits(const BitVec& a, const BitVec& b) {
-  return a.width() == b.width() && a.value() == b.value();
-}
-
-bool same_pattern(const KeyPattern& a, const KeyPattern& b) {
-  return same_bits(a.value, b.value) && same_bits(a.mask, b.mask) &&
-         a.prefix_len == b.prefix_len && same_bits(a.lo, b.lo) &&
-         same_bits(a.hi, b.hi);
+// Where pattern `p` departs from the canonical pattern `c` of its match
+// words, as "member got is not canonical (want)"; empty when they agree.
+std::string departure(const KeyPattern& p, const KeyPattern& c) {
+  const std::pair<const char*, const BitVec KeyPattern::*> members[] = {
+      {"value", &KeyPattern::value},
+      {"mask", &KeyPattern::mask},
+      {"lo", &KeyPattern::lo},
+      {"hi", &KeyPattern::hi}};
+  for (const auto& [name, m] : members) {
+    const BitVec& a = p.*m;
+    const BitVec& b = c.*m;
+    if (a.width() != b.width() || a.value() != b.value()) {
+      return std::string(name) + " " + a.to_string() +
+             " is not canonical (" + b.to_string() + ")";
+    }
+  }
+  if (p.prefix_len != c.prefix_len) {
+    return "prefix_len " + std::to_string(p.prefix_len) +
+           " is not canonical (" + std::to_string(c.prefix_len) + ")";
+  }
+  return {};
 }
 
 std::vector<std::uint64_t> words_of(const std::vector<BitVec>& key) {
@@ -65,7 +72,7 @@ KeyPattern KeyPattern::exact(BitVec v) {
 
 KeyPattern KeyPattern::ternary(BitVec v, BitVec m) {
   KeyPattern p;
-  p.value = v;
+  p.value = BitVec(v.width(), v.value() & m.value());
   p.mask = m;
   return p;
 }
@@ -79,12 +86,10 @@ KeyPattern KeyPattern::wildcard(int width) {
 
 KeyPattern KeyPattern::lpm(BitVec v, int prefix_len) {
   KeyPattern p;
-  p.value = v;
-  p.prefix_len = prefix_len;
   const int w = v.width();
-  const std::uint64_t m =
-      prefix_len == 0 ? 0 : BitVec::mask(w) << (w - prefix_len);
-  p.mask = BitVec(w, m);
+  p.mask = BitVec(w, BitVec::prefix_mask(w, prefix_len));
+  p.value = BitVec(w, v.value() & p.mask.value());
+  p.prefix_len = prefix_len;
   return p;
 }
 
@@ -169,6 +174,16 @@ bool Table::row_matches(std::uint32_t row,
   return true;
 }
 
+void Table::refuse(std::size_t field, const std::string& why) const {
+  static constexpr const char* kKinds[] = {"exact", "ternary", "lpm",
+                                           "range"};
+  const MatchFieldSpec& f = key_spec_[field];
+  throw std::invalid_argument(
+      "table '" + name_ + "': field " + std::to_string(field) + " (" +
+      kKinds[static_cast<int>(f.kind)] + " bit<" + std::to_string(f.width) +
+      ">): " + why);
+}
+
 void Table::check_arity(std::size_t n) const {
   if (n != key_spec_.size()) {
     throw std::invalid_argument("table '" + name_ + "': entry has " +
@@ -182,7 +197,6 @@ void Table::reserve_rows(std::size_t rows) {
   rows_.resize(rows * stride_);
   widths_.resize(rows * data_cap_);
   if (!next_.empty()) next_.resize(rows, kNone);
-  if (!image_.empty()) image_.resize(rows, kNone);
   row_cap_ = rows;
 }
 
@@ -212,7 +226,6 @@ std::uint32_t Table::append_row(std::span<const BitVec> action_data,
   if (action_data.size() > data_cap_) widen_data(action_data.size());
   if (size_ == row_cap_) reserve_rows(grown(row_cap_, 4));
   const auto row = static_cast<std::uint32_t>(size_++);
-  if (!image_.empty()) image_[row] = kNone;
   std::uint64_t* r = &rows_[row * stride_];
   r[0] = static_cast<std::uint32_t>(priority) |
          static_cast<std::uint64_t>(id) << 32 |
@@ -225,40 +238,21 @@ std::uint32_t Table::append_row(std::span<const BitVec> action_data,
   return row;
 }
 
-void Table::store_image(std::uint32_t row,
-                        std::span<const KeyPattern> patterns) {
-  const std::size_t nf = key_spec_.size();
-  if (image_.empty()) image_.resize(row_cap_, kNone);
-  if (free_images_.empty()) {
-    image_[row] = static_cast<std::uint32_t>(images_.size() / nf);
-    images_.insert(images_.end(), patterns.begin(), patterns.end());
-    return;
-  }
-  image_[row] = free_images_.back();
-  free_images_.pop_back();
-  std::copy(patterns.begin(), patterns.end(),
-            images_.begin() + static_cast<std::ptrdiff_t>(image_[row] * nf));
-}
-
-void Table::free_image(std::uint32_t row) {
-  if (image_of(row) == kNone) return;
-  free_images_.push_back(image_[row]);
-  image_[row] = kNone;
-}
-
 void Table::insert(std::span<const KeyPattern> patterns,
                    std::span<const BitVec> action_data,
                    std::string_view action, int priority) {
   check_arity(patterns.size());
-  const std::uint32_t row = append_row(action_data, action, priority);
-  std::uint64_t* w = match_words(row);
-  bool canonical = true;
+  // Every pattern must be the one its words spell, so that the words alone
+  // give it back: checked before anything is appended.
+  std::uint64_t* words = query_words();
   for (std::size_t i = 0; i < patterns.size(); ++i) {
-    pattern_words(i, patterns[i], w + 2 * i);
-    canonical = canonical &&
-                same_pattern(patterns[i], canonical_pattern(i, w + 2 * i));
+    pattern_words(i, patterns[i], words + 2 * i);
+    const std::string why =
+        departure(patterns[i], canonical_pattern(i, words + 2 * i));
+    if (!why.empty()) refuse(i, why);
   }
-  if (!canonical) store_image(row, patterns);
+  const std::uint32_t row = append_row(action_data, action, priority);
+  std::copy_n(words, 2 * patterns.size(), match_words(row));
   index_row(row);
   invalidate_cache();
 }
@@ -291,52 +285,39 @@ void Table::insert_exact(std::span<const std::uint64_t> key,
   invalidate_cache();
 }
 
-bool Table::pinned_words(const std::vector<BitVec>& key,
-                         std::vector<std::uint64_t>& words) const {
-  if (key.size() != key_spec_.size()) return false;
-  words.clear();
+std::vector<std::uint64_t> Table::exact_words(
+    const std::vector<BitVec>& key) const {
+  check_arity(key.size());
+  std::vector<std::uint64_t> words;
+  words.reserve(key.size());
   for (std::size_t i = 0; i < key.size(); ++i) {
-    const MatchKind kind = key_spec_[i].kind;
-    if ((kind != MatchKind::kExact && kind != MatchKind::kTernary) ||
-        key[i].width() != key_spec_[i].width) {
-      return false;
+    if (key[i].width() != key_spec_[i].width) {
+      refuse(i, "key " + key[i].to_string() + " has the wrong width");
     }
     words.push_back(key[i].value());
   }
-  return true;
+  return words;
 }
 
 void Table::insert_exact(const std::vector<BitVec>& key,
                          const std::vector<BitVec>& action_data,
                          std::string_view action, int priority) {
-  std::vector<std::uint64_t> words;
-  if (pinned_words(key, words)) {
-    insert_exact(words, action_data, action, priority);
-    return;
-  }
-  std::vector<KeyPattern> patterns;
-  for (const BitVec& k : key) patterns.push_back(KeyPattern::exact(k));
-  insert(patterns, action_data, action, priority);
+  insert_exact(exact_words(key), action_data, action, priority);
 }
 
 KeyPattern Table::pattern(std::int32_t row, std::size_t field) const {
-  const auto r = static_cast<std::uint32_t>(row);
-  if (image_of(r) != kNone) {
-    return images_[image_[r] * key_spec_.size() + field];
-  }
-  return canonical_pattern(field, match_words(r) + 2 * field);
+  return canonical_pattern(
+      field, match_words(static_cast<std::uint32_t>(row)) + 2 * field);
 }
 
 void Table::move_row(std::uint32_t from, std::uint32_t to) {
   copy_row(keys_, 2 * key_spec_.size(), from, to);
   copy_row(rows_, stride_, from, to);
   copy_row(widths_, data_cap_, from, to);
-  if (!image_.empty()) image_[to] = image_[from];
 }
 
 void Table::remove_row(std::uint32_t row) {
   unindex_row(row);
-  free_image(row);
   const auto last = static_cast<std::uint32_t>(--size_);
   if (row == last) return invalidate_cache();
   unindex_row(last);
@@ -394,12 +375,9 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
   // Reference path: scan, erase (keeping storage order), rebuild.
   std::uint32_t kept = 0;
   for (std::uint32_t r = 0; r < size_; ++r) {
-    if (same(r)) {
-      free_image(r);
-    } else {
-      if (kept != r) move_row(r, kept);
-      ++kept;
-    }
+    if (same(r)) continue;
+    if (kept != r) move_row(r, kept);
+    ++kept;
   }
   const auto removed = static_cast<int>(size_ - kept);
   if (removed == 0) return 0;
@@ -412,8 +390,6 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
 void Table::clear() {
   size_ = 0;  // the row storage keeps its capacity
   actions_.clear();
-  images_.clear();
-  free_images_.clear();
   rebuild_index();
   invalidate_cache();
 }
@@ -472,8 +448,9 @@ void Table::add_class(std::uint32_t tag, int priority) {
     const std::uint64_t mask =
         lpm_field_ < 0       ? 0
         : tag == kPinnedTag  ? flat_masks()[f]
-                             : prefix_mask(key_spec_[f].width,
-                                           static_cast<int>(tag - kPrefixTag));
+                             : BitVec::prefix_mask(
+                                   key_spec_[f].width,
+                                   static_cast<int>(tag - kPrefixTag));
     it = classes_.insert(it, {tag, 0, priority, 0, mask});
   }
   ++it->rows;

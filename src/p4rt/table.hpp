@@ -9,10 +9,11 @@
 // Rows are flat words in storage order: each field's match words ({mask,
 // value}, exact as {~0, value}; range as {lo, hi}) in one array, and a
 // header (priority, interned action-name id, action-word count) plus the
-// action-data words in another. A row whose patterns are not what the
-// KeyPattern constructors build back from its words (value bits outside
-// the mask, off-spec widths, a stale prefix_len) keeps them in a cold side
-// array, so snapshots print every entry as it was installed.
+// action-data words in another. Every row is canonical: insert refuses a
+// pattern that is not what the KeyPattern constructors build back from its
+// words (a width other than the field's, value bits outside the mask, a
+// prefix_len its mask does not spell, or a member its match kind ignores),
+// so the words alone print every entry back as it was installed.
 //
 // Lookup runs on raw 64-bit key words. Small tables (kScanMax) scan their
 // rows; larger ones use one open-addressing index (linear probing,
@@ -71,6 +72,8 @@ struct KeyPattern {
   BitVec hi{32, 0};
 
   static KeyPattern exact(BitVec v);
+  // ternary and lpm keep only the value bits under the mask; lpm throws
+  // std::invalid_argument for a length outside [0, v.width()].
   static KeyPattern ternary(BitVec v, BitVec m);
   static KeyPattern wildcard(int width);
   static KeyPattern lpm(BitVec v, int prefix_len);
@@ -94,7 +97,10 @@ class Table {
   const std::vector<MatchFieldSpec>& key_spec() const { return key_spec_; }
 
   // ---- control plane -------------------------------------------------------
-  // Appends a row; throws std::invalid_argument on arity mismatch.
+  // Appends a row. Throws std::invalid_argument, naming the table and the
+  // field, on an arity mismatch or a pattern that is not the canonical one
+  // its match words spell (see the top of this file); nothing is appended
+  // then.
   void insert(std::span<const KeyPattern> patterns,
               std::span<const BitVec> action_data, std::string_view action,
               int priority);
@@ -107,16 +113,13 @@ class Table {
   void insert_exact(std::span<const std::uint64_t> key,
                     std::span<const BitVec> action_data,
                     std::string_view action = "hit", int priority = 0);
-  // insert() of KeyPattern::exact(key[i]) per field, through the words
-  // whenever pinned_words() allows.
+  // insert_exact of exact_words(key).
   void insert_exact(const std::vector<BitVec>& key,
                     const std::vector<BitVec>& action_data,
                     std::string_view action = "hit", int priority = 0);
-  // Fills `words` with key's values; true when insert_exact on them
-  // appends the same row as insert_exact(key): the arity matches, each
-  // width is its field's, and no field is LPM or range.
-  bool pinned_words(const std::vector<BitVec>& key,
-                    std::vector<std::uint64_t>& words) const;
+  // The words of a BitVec key; throws std::invalid_argument, naming the
+  // table and the field, on an arity or a width that is not the spec's.
+  std::vector<std::uint64_t> exact_words(const std::vector<BitVec>& key) const;
   // Removes all rows whose patterns match `patterns` on the fields the
   // table's match kinds actually consult (exact: value; ternary/lpm:
   // mask and masked value; range: bounds). Returns count.
@@ -147,7 +150,8 @@ class Table {
   int action_width(std::int32_t row, std::size_t i) const {
     return widths_[static_cast<std::size_t>(row) * data_cap_ + i];
   }
-  // Field `field`'s pattern exactly as it was installed.
+  // Field `field`'s pattern, exactly as it was installed: the canonical
+  // pattern of its match words.
   KeyPattern pattern(std::int32_t row, std::size_t field) const;
 
   // ---- data plane ----------------------------------------------------------
@@ -228,6 +232,8 @@ class Table {
                      std::uint64_t* words) const;
   KeyPattern canonical_pattern(std::size_t i, const std::uint64_t* words) const;
   bool row_matches(std::uint32_t row, std::span<const std::uint64_t> key) const;
+  // Throws the std::invalid_argument that refuses field `field`.
+  [[noreturn]] void refuse(std::size_t field, const std::string& why) const;
   // True when row `a` beats row `b` under the reference semantics (higher
   // priority, ties to the lower row index).
   bool better(std::uint32_t a, std::uint32_t b) const {
@@ -244,11 +250,6 @@ class Table {
                            std::string_view action, int priority);
   void reserve_rows(std::size_t rows);
   void widen_data(std::size_t words);
-  std::uint32_t image_of(std::uint32_t row) const {
-    return image_.empty() ? kNone : image_[row];
-  }
-  void store_image(std::uint32_t row, std::span<const KeyPattern> patterns);
-  void free_image(std::uint32_t row);
   void move_row(std::uint32_t from, std::uint32_t to);
   // Swap-with-last removal: unindexes `row`, moves the last row into its
   // place and reindexes it under its new index.
@@ -328,13 +329,8 @@ class Table {
   std::vector<std::uint64_t> rows_;  // header, action data
   std::vector<std::uint8_t> widths_;  // action-data BitVec widths
   std::vector<std::string> actions_;  // interned action names
-  // Per row, each allocated on first use: the residue chain link, and the
-  // row's cold patterns (fields-per-row patterns at images_[id * fields])
-  // or kNone.
+  // Per row, allocated on first use: the residue chain link.
   std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> image_;
-  std::vector<KeyPattern> images_;
-  std::vector<std::uint32_t> free_images_;
   std::vector<BitVec> default_data_;
   std::vector<std::uint64_t> default_words_;
   TableMetrics metrics_;  // detached unless observability is wired
@@ -354,8 +350,9 @@ class Table {
   std::uint64_t dup_pinned_ = 0;
 
   // One allocation of per-table words: the index key of a probe or index
-  // update, the last-hit cache key, a removal query (match words and index
-  // key), and each field's index-key mask (width bits on ternary/LPM).
+  // update, the last-hit cache key, an insert's or a removal's match words
+  // (and the removal's index key), and each field's index-key mask (width
+  // bits on ternary/LPM).
   mutable std::vector<std::uint64_t> scratch_;
   std::uint64_t* key_words() const { return scratch_.data(); }
   std::uint64_t* cache_key() const {

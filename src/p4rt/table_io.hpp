@@ -24,9 +24,11 @@ namespace hydra::p4rt {
 // unparseable stream.
 void serialize_table(const Table& table, std::ostream& out);
 
-// Clears `table` and replays the serialized entries. Throws
-// std::runtime_error on a malformed stream, std::invalid_argument when an
-// entry's arity does not match the table's key spec.
+// Clears `table` and replays the serialized entries through
+// Table::insert. Throws std::runtime_error on a malformed stream, and
+// std::invalid_argument when an entry's arity does not match the table's
+// key spec or a pattern is not canonical (a width other than its field's,
+// value bits outside its mask, a prefix_len its mask does not spell).
 void deserialize_table(Table& table, std::istream& in);
 
 // Sparse register image: `<npairs> {index value}...` for cells that

@@ -10,6 +10,15 @@ void BitVec::throw_bad_width(int width) {
                               std::to_string(width));
 }
 
+std::uint64_t BitVec::prefix_mask(int width, int len) {
+  if (len < 0 || len > width) {
+    throw std::invalid_argument("prefix length " + std::to_string(len) +
+                                " out of range for a " +
+                                std::to_string(width) + "-bit field");
+  }
+  return mask(width) & ~mask(width - len);
+}
+
 namespace {
 int join_width(const BitVec& a, const BitVec& b) {
   return std::max(a.width(), b.width());

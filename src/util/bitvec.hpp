@@ -33,6 +33,9 @@ class BitVec {
   static std::uint64_t mask(int width) {
     return width >= 64 ? ~0ULL : (1ULL << width) - 1;
   }
+  // The top `len` bits of a `width`-bit field: an LPM prefix's mask.
+  // Throws std::invalid_argument for a length outside [0, width].
+  static std::uint64_t prefix_mask(int width, int len);
 
   // Arithmetic (wrapping, result has the max of the operand widths).
   BitVec add(const BitVec& rhs) const;

@@ -32,6 +32,16 @@ TEST(Slice, RuleMatching) {
   EXPECT_FALSE(r.matches(0x0a000205, p4rt::kProtoUdp, 83));  // wrong port
 }
 
+TEST(Slice, PrefixLengthOutOfRangeThrows) {
+  FilteringRule r;
+  r.prefix_len = 33;
+  EXPECT_THROW(r.matches(0x0a000205, p4rt::kProtoUdp, 81),
+               std::invalid_argument);
+  r.prefix_len = -1;
+  EXPECT_THROW(r.matches(0x0a000205, p4rt::kProtoUdp, 81),
+               std::invalid_argument);
+}
+
 TEST(Slice, DecideUsesHighestPriority) {
   const Slice s = example_camera_slice(1);
   EXPECT_EQ(s.decide(0x01020304, p4rt::kProtoUdp, 81), FilterAction::kAllow);
@@ -266,6 +276,18 @@ TEST(Aether, DetachReleasesSharedEntriesByRefcount) {
   tb.send_uplink(Testbed::kUe1, 1001, 81);
   EXPECT_EQ(tb.delivered(), 2u);
   EXPECT_TRUE(tb.net.reports().empty());
+}
+
+// The Hydra policy rows refuse a rule whose prefix length no 32-bit mask
+// spells, instead of shifting out of range.
+TEST(Aether, PolicyRuleWithPrefixLengthOutOfRangeThrows) {
+  Testbed tb;
+  tb.controller.attach_client(1, {123450001, Testbed::kUe1, 1001}, tb.enb_ip,
+                              tb.n3_ip);
+  FilteringRule bad = example_camera_slice(1).rules[0];
+  bad.prefix_len = 33;
+  EXPECT_THROW(tb.controller.update_slice_rules(1, {bad}),
+               std::invalid_argument);
 }
 
 TEST(Aether, UnknownSliceThrows) {

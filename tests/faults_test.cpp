@@ -9,7 +9,8 @@
 //     loop);
 //   * switch restarts: sensor registers wiped, verdicts suppressed while
 //     the switch runs cold;
-//   * delayed controller rule pushes;
+//   * delayed controller rule pushes, and the width-checked key both
+//     install paths share;
 //   * traffic-generator hardening (PingProbe dedup, UdpFlood validation);
 //   * configurable per-link buffer capacity and per-direction tail drops.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "net/link.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
+#include "p4rt/table_io.hpp"
 #include "p4rt/tele_codec.hpp"
 
 namespace hydra {
@@ -195,6 +197,17 @@ struct Rig {
     net->dict_insert_all(dep, "allowed",
                          {BitVec(32, ip(host_b)), BitVec(32, ip(host_a))},
                          {BitVec::from_bool(true)});
+  }
+
+  // Control table `var` of every switch, in snapshot form.
+  std::string table_bytes(const std::string& var) {
+    std::ostringstream out;
+    for (int sw = 0; sw < net->topo().node_count(); ++sw) {
+      if (net->topo().node(sw).kind != net::NodeKind::kSwitch) continue;
+      p4rt::serialize_table(net->checker_table(dep, sw, var), out);
+      out << '\n';
+    }
+    return out.str();
   }
 
   void send_at(double t, int src_host, int dst_host, std::uint16_t sport) {
@@ -369,6 +382,83 @@ TEST(DelayedRulePush, FallsBackToImmediateWhenDisarmed) {
   r.net->events().run();
   EXPECT_EQ(r.net->counters().rejected, 0u);
   EXPECT_EQ(r.net->counters().delivered, 1u);
+}
+
+TEST(DelayedRulePush, LandsTheSameRowBytesAsDictInsertAll) {
+  Rig now;
+  Rig later;
+  net::FaultPlan plan;
+  plan.rule_push_delay_s = 100e-6;  // no jitter: pushes land in call order
+  later.net->arm_faults(plan, 5);
+  const std::string empty = now.table_bytes("allowed");
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    const std::vector<BitVec> key = {BitVec(32, 0x0a000001 + i),
+                                     BitVec(32, 0x0a000102)};
+    now.net->dict_insert_all(now.dep, "allowed", key,
+                             {BitVec::from_bool(true)});
+    later.net->dict_insert_all_delayed(later.dep, "allowed", key,
+                                       {BitVec::from_bool(true)});
+  }
+  later.net->events().run();
+  EXPECT_EQ(later.net->fault_stats().delayed_pushes, 12u);
+  EXPECT_NE(now.table_bytes("allowed"), empty);
+  EXPECT_EQ(later.table_bytes("allowed"), now.table_bytes("allowed"));
+}
+
+// A push still in flight when its slot retires must not land in the
+// checker that reuses the slot, even one with a table of the same name.
+TEST(DelayedRulePush, PendingPushSkipsTheSlotsNextOccupant) {
+  Rig r;
+  net::FaultPlan plan;
+  plan.rule_push_delay_s = 500e-6;
+  r.net->arm_faults(plan, 3);
+  r.net->dict_insert_all_delayed(r.dep, "allowed",
+                                 {BitVec(32, 1), BitVec(32, 2)},
+                                 {BitVec::from_bool(true)});
+  r.net->undeploy_rolling(r.dep);
+  r.net->events().run_until(100e-6);
+  ASSERT_FALSE(r.net->deployment_live(r.dep));
+  const int again =
+      r.net->deploy_rolling(compile_library_checker("stateful_firewall"));
+  ASSERT_EQ(again, r.dep);
+  r.net->events().run();
+  EXPECT_EQ(r.net->fault_stats().delayed_pushes, 0u);
+  for (int sw = 0; sw < r.net->topo().node_count(); ++sw) {
+    if (r.net->topo().node(sw).kind != net::NodeKind::kSwitch) continue;
+    EXPECT_EQ(r.net->checker_table(again, sw, "allowed").size(), 0u);
+  }
+}
+
+// One width-checked conversion serves every switch, so a bad key throws
+// before any switch's table changes, on the immediate and delayed paths.
+TEST(DictInsertAll, KeyOfAnotherWidthInstallsNothingAnywhere) {
+  Rig r;
+  const std::string before = r.table_bytes("allowed");
+  try {
+    r.net->dict_insert_all(r.dep, "allowed", {BitVec(32, 1), BitVec(16, 2)},
+                           {BitVec::from_bool(true)});
+    ADD_FAILURE() << "dict_insert_all accepted a 16-bit key field";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("table 'allowed': field 1 ("),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(r.net->dict_insert_all(r.dep, "allowed", {BitVec(32, 1)},
+                                      {BitVec::from_bool(true)}),
+               std::invalid_argument);
+  EXPECT_EQ(r.table_bytes("allowed"), before);
+
+  net::FaultPlan plan;
+  plan.rule_push_delay_s = 200e-6;
+  r.net->arm_faults(plan, 3);
+  EXPECT_THROW(
+      r.net->dict_insert_all_delayed(r.dep, "allowed",
+                                     {BitVec(16, 1), BitVec(32, 2)},
+                                     {BitVec::from_bool(true)}),
+      std::invalid_argument);
+  r.net->events().run();
+  EXPECT_EQ(r.net->fault_stats().delayed_pushes, 0u);
+  EXPECT_EQ(r.table_bytes("allowed"), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -207,6 +207,22 @@ TEST(Upf, PriorityPicksMoreSpecificApplication) {
   EXPECT_TRUE(f.upf->process(denied, 1, f.fabric.leaves[0]).drop);
 }
 
+TEST(Upf, ApplicationPrefixLengthOutOfRangeThrows) {
+  UpfFixture f;
+  EXPECT_THROW(f.upf->add_application(1, 10, 0, 33, std::nullopt, 0, 0xffff, 1),
+               std::invalid_argument);
+  EXPECT_THROW(f.upf->remove_application(1, 0, -1, std::nullopt, 0, 0xffff),
+               std::invalid_argument);
+}
+
+TEST(Ipv4Ecmp, RoutePrefixLengthOutOfRangeThrows) {
+  UpfFixture f;
+  EXPECT_THROW(f.routing->add_route(f.fabric.leaves[0], 0x0a000000, 33, {1}),
+               std::invalid_argument);
+  EXPECT_THROW(f.routing->add_route(f.fabric.leaves[0], 0x0a000000, -1, {1}),
+               std::invalid_argument);
+}
+
 TEST(Upf, DownlinkEncapsulates) {
   UpfFixture f;
   f.upf->add_downlink_session(UpfFixture::kUeIp, 1, 1, 1001,

@@ -519,7 +519,8 @@ std::string mutate_line(const std::string& snap, const std::string& kw,
 
 // One mutated snapshot per failure a restore can meet: counts that sized
 // allocations (~206 TB from a `wlat` line), a table record's bad header
-// (std::runtime_error) or impossible count (std::length_error), a
+// (std::runtime_error), impossible count (std::length_error) or a row that
+// is not canonical (a key word of another width), a
 // register cell past the array, an embedded checker source that no longer
 // compiles (indus::CompileError) or binds, registry and top-K records
 // that do not parse or fit, and files that are not v2 snapshots or end
@@ -570,6 +571,13 @@ TEST(FullSnapshot, MutatedRecordsFailAsInvalidArgument) {
        line_of(snap, "tab "), "table snapshot"},
       {"table default count", mutate_line(snap, "tab", 5, max),
        line_of(snap, "tab "), "snapshot line"},
+      {"table row that is not canonical",
+       mutate_line(snap, "tab", 4,
+                   "1 0 0 hit 2 16 5 32 4294967295 0 32 0 32 0 "
+                   "32 7 32 4294967295 0 32 0 32 0 0"),
+       line_of(snap, "tab "),
+       "table 'allowed': field 0 (ternary bit<32>): value 16w5 is not "
+       "canonical (32w5)"},
       {"register cell", mutate_line(snap, "reg", 4, "1 999999 1"),
        line_of(snap, "reg "), "snapshot line"},
       {"checker source", mutate_line(snap, "src", 2, "control dict<"), src,

@@ -1,17 +1,20 @@
 // Differential + unit tests for the match-action lookup engine: for random
 // table shapes, random entry mixes (exact / full-mask ternary / partial
-// ternary / wildcard / LPM / range / point-range, with off-width values
-// and value bits outside the mask), and inserts interleaved with removals
-// and clears, Table::lookup — on key words and on BitVecs — must return
-// exactly the same row as the reference linear scan and as a pattern-level
-// scan of the materialised entries on every key, and count hits, misses
-// and cache hits as the last-hit cache model says. Snapshot round trips
-// (table_io) must reproduce every entry byte for byte.
+// ternary / wildcard / LPM / range / point-range), and inserts interleaved
+// with removals and clears, Table::lookup — on key words and on BitVecs —
+// must return exactly the same row as the reference linear scan and as a
+// pattern-level scan of the materialised entries on every key, and count
+// hits, misses and cache hits as the last-hit cache model says. A row that
+// is not canonical (another width, value bits outside the mask, a stale
+// prefix_len, a member its match kind ignores) must be refused by insert
+// and by the snapshot reader, leaving the table as it was. Snapshot round
+// trips (table_io) must reproduce every canonical entry byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "p4rt/table.hpp"
@@ -105,6 +108,12 @@ void expect_same_entry(const TableEntry& got, const TableEntry& want) {
   }
 }
 
+std::string bytes_of(const Table& t) {
+  std::ostringstream out;
+  serialize_table(t, out);
+  return out.str();
+}
+
 // The first action word of the row `key` hits, or -1 on a miss.
 std::int64_t data0(const Table& t, const std::vector<BitVec>& key) {
   const std::int32_t row = t.lookup(key);
@@ -122,6 +131,7 @@ struct TableFuzzer {
   std::vector<std::vector<KeyPattern>> inserted_keys;  // for real removals
   std::uint64_t ops = 0;
   std::uint64_t lookups = 0;
+  std::uint64_t refused = 0;
 
   // The table's counters, and the model they must equal: a lookup() that
   // repeats the previous lookup()'s key words with no mutation in between
@@ -165,10 +175,7 @@ struct TableFuzzer {
   KeyPattern random_pattern(const MatchFieldSpec& f) {
     switch (f.kind) {
       case MatchKind::kExact:
-        // Now and then a value of another width: the row keeps it as is.
-        return KeyPattern::exact(
-            rng.chance(0.1) ? BitVec(f.width == 8 ? 16 : 8, rng.below(64))
-                            : small(f.width));
+        return KeyPattern::exact(small(f.width));
       case MatchKind::kTernary: {
         const double roll = rng.uniform();
         if (roll < 0.3) return KeyPattern::exact(small(f.width));  // full mask
@@ -190,6 +197,44 @@ struct TableFuzzer {
     return KeyPattern::wildcard(f.width);
   }
 
+  // A variant of canonical pattern `p` that insert must refuse: another
+  // width, value bits outside the mask, a prefix_len its mask does not
+  // spell, or a member the field's match kind ignores.
+  KeyPattern off_canonical(const MatchFieldSpec& f, KeyPattern p) {
+    const std::uint64_t full = BitVec::mask(f.width);
+    switch (rng.below(4)) {
+      case 0:  // another width
+        if (f.kind == MatchKind::kRange) {
+          p.hi = BitVec(f.width == 8 ? 16 : 8, p.hi.value());
+        } else {
+          p.value = BitVec(f.width == 8 ? 16 : 8, p.value.value());
+        }
+        return p;
+      case 1:  // value bits outside the mask
+        if ((f.kind == MatchKind::kTernary || f.kind == MatchKind::kLpm) &&
+            p.mask.value() != full) {
+          p.value = BitVec(f.width, p.value.value() | (~p.mask.value() & full));
+          return p;
+        }
+        break;
+      case 2:  // a stale prefix_len
+        if (f.kind == MatchKind::kLpm) {
+          p.prefix_len = (p.prefix_len + 1) % (f.width + 1);
+          return p;
+        }
+        break;
+      default:
+        break;
+    }
+    // A member the match kind ignores.
+    if (f.kind == MatchKind::kRange) {
+      p.value = BitVec(f.width, 1);
+    } else {
+      p.lo = BitVec(f.width, 1);
+    }
+    return p;
+  }
+
   std::vector<BitVec> random_key() {
     std::vector<BitVec> key;
     for (const auto& f : spec) {
@@ -209,6 +254,20 @@ struct TableFuzzer {
     for (std::uint64_t n = rng.below(3); n > 0; --n) {
       e.action_data.push_back(
           BitVec(static_cast<int>(1 + rng.below(64)), rng.next()));
+    }
+    if (rng.chance(0.1)) {
+      // One field off canonical: refused, and the table is left as it was
+      // — same size, same bytes, and (through the cache model below) not
+      // even its last-hit cache dropped.
+      const std::size_t i = rng.below(spec.size());
+      e.patterns[i] = off_canonical(spec[i], e.patterns[i]);
+      const std::size_t size = table.size();
+      const std::string before = bytes_of(table);
+      EXPECT_THROW(table.insert(e), std::invalid_argument);
+      EXPECT_EQ(table.size(), size);
+      EXPECT_EQ(bytes_of(table), before);
+      ++refused;
+      return;
     }
     inserted_keys.push_back(e.patterns);
     table.insert(e);
@@ -323,6 +382,7 @@ TEST_P(TableIndexDifferential, IndexedMatchesLinearReference) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_GE(fuzz.ops + fuzz.lookups, 2500u);
+  EXPECT_GT(fuzz.refused, 0u);
 }
 
 // Small tables scan their rows, larger ones probe the index: every seed
@@ -604,23 +664,190 @@ TEST(TableIndex, ChurnAtGrowthPointUnderForcedCollisions) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot round trip: rows keep every pattern as installed
+// Canonical rows: the KeyPattern constructors, insert's refusal, and the
+// snapshot round trip
 // ---------------------------------------------------------------------------
+
+TEST(KeyPattern, TernaryAndLpmMaskTheirValue) {
+  const KeyPattern t =
+      KeyPattern::ternary(BitVec(16, 0xabcd), BitVec(16, 0x00f0));
+  EXPECT_TRUE(same_bits(t.value, BitVec(16, 0x00c0)));
+  EXPECT_TRUE(same_bits(t.mask, BitVec(16, 0x00f0)));
+  const KeyPattern l = KeyPattern::lpm(BitVec(32, 0x0a0b0c0d), 16);
+  EXPECT_TRUE(same_bits(l.value, BitVec(32, 0x0a0b0000)));
+  EXPECT_TRUE(same_bits(l.mask, BitVec(32, 0xffff0000)));
+  EXPECT_EQ(l.prefix_len, 16);
+  EXPECT_EQ(KeyPattern::lpm(BitVec(32, 0x0a0b0c0d), 0).value.value(), 0u);
+  EXPECT_EQ(KeyPattern::lpm(BitVec(32, 0x0a0b0c0d), 32).value.value(),
+            0x0a0b0c0du);
+  EXPECT_EQ(KeyPattern::lpm(BitVec(64, ~0ULL), 64).mask.value(), ~0ULL);
+  // A length outside [0, width] is refused, not shifted out of range.
+  EXPECT_THROW(KeyPattern::lpm(BitVec(32, 1), 33), std::invalid_argument);
+  EXPECT_THROW(KeyPattern::lpm(BitVec(32, 1), -1), std::invalid_argument);
+  EXPECT_THROW(KeyPattern::lpm(BitVec(64, 1), 65), std::invalid_argument);
+}
+
+// One field of each match kind.
+const std::vector<MatchFieldSpec> kMixedSpec = {{MatchKind::kExact, 8},
+                                                {MatchKind::kTernary, 16},
+                                                {MatchKind::kLpm, 32},
+                                                {MatchKind::kRange, 16}};
+
+std::vector<KeyPattern> canonical_row() {
+  return {KeyPattern::exact(BitVec(8, 7)),
+          KeyPattern::ternary(BitVec(16, 0x1200), BitVec(16, 0xff00)),
+          KeyPattern::lpm(BitVec(32, 0x0a000000), 8),
+          KeyPattern::range(BitVec(16, 10), BitVec(16, 20))};
+}
+
+// canonical_row() with field `field` replaced by `pattern`.
+struct OffCanonical {
+  const char* what;
+  std::size_t field;
+  KeyPattern pattern;
+};
+
+// Every way a kMixedSpec pattern can fail to be canonical.
+std::vector<OffCanonical> off_canonical_cases() {
+  KeyPattern outside =
+      KeyPattern::ternary(BitVec(16, 0xab00), BitVec(16, 0xff00));
+  outside.value = BitVec(16, 0xabcd);
+  KeyPattern lpm_outside = KeyPattern::lpm(BitVec(32, 0x0a0b0000), 16);
+  lpm_outside.value = BitVec(32, 0x0a0b0c0d);
+  KeyPattern stale = KeyPattern::lpm(BitVec(32, 0xc0a80000), 16);
+  stale.prefix_len = 24;
+  KeyPattern exact_bounds = KeyPattern::exact(BitVec(8, 7));
+  exact_bounds.lo = BitVec(8, 1);
+  return {
+      {"exact value of another width", 0, KeyPattern::exact(BitVec(16, 0x1ff))},
+      {"ternary value and mask of another width", 1,
+       KeyPattern::ternary(BitVec(8, 3), BitVec(4, 3))},
+      {"ternary value bits outside the mask", 1, outside},
+      {"lpm value of another width", 2, KeyPattern::lpm(BitVec(16, 0x0a00), 8)},
+      {"lpm value bits outside the mask", 2, lpm_outside},
+      {"lpm prefix_len its mask does not spell", 2, stale},
+      {"lpm prefix mask without its prefix_len", 2,
+       KeyPattern::ternary(BitVec(32, 0x0a000000), BitVec(32, 0xff000000))},
+      {"range bound of another width", 3,
+       KeyPattern::range(BitVec(8, 1), BitVec(32, 70000))},
+      {"mask on an exact field", 0, KeyPattern::wildcard(8)},
+      {"bounds on an exact field", 0, exact_bounds},
+      {"value and mask on a range field", 3, KeyPattern::exact(BitVec(16, 80))},
+  };
+}
+
+// A one-row stream in serialize_table's format, any pattern allowed.
+std::string row_stream(const std::vector<KeyPattern>& row) {
+  std::ostringstream out;
+  const auto put = [&out](const BitVec& v) {
+    out << ' ' << v.width() << ' ' << v.value();
+  };
+  out << "1 0 0 hit " << row.size();
+  for (const KeyPattern& p : row) {
+    put(p.value);
+    put(p.mask);
+    out << ' ' << p.prefix_len;
+    put(p.lo);
+    put(p.hi);
+  }
+  out << " 0";
+  return out.str();
+}
+
+TEST(TableInsert, RefusesNonCanonicalRowsAndLeavesTheTableUnchanged) {
+  Table t("t", kMixedSpec);
+  const BitVec data(8, 1);
+  t.insert(canonical_row(), {&data, 1}, "fwd", 1);
+  t.insert(std::vector<KeyPattern>{
+               KeyPattern::exact(BitVec(8, 9)), KeyPattern::wildcard(16),
+               KeyPattern::lpm(BitVec(32, 0), 0),
+               KeyPattern::range(BitVec(16, 0), BitVec(16, 0xffff))},
+           {&data, 1}, "any9", 0);
+  // Keys the refused rows (priority 9) would match and win.
+  const std::vector<std::vector<BitVec>> keys = {
+      {BitVec(8, 7), BitVec(16, 0x12cd), BitVec(32, 0x0a0b0c0d),
+       BitVec(16, 15)},
+      {BitVec(8, 7), BitVec(16, 0xabcd), BitVec(32, 0xc0a80000),
+       BitVec(16, 80)},
+      {BitVec(8, 9), BitVec(16, 3), BitVec(32, 0x0a000000), BitVec(16, 1)}};
+  const auto lookups = [&] {
+    std::vector<std::int32_t> rows;
+    for (const auto& key : keys) rows.push_back(t.lookup(key));
+    return rows;
+  };
+  const std::string bytes = bytes_of(t);
+  const std::vector<std::int32_t> rows = lookups();
+  EXPECT_EQ(rows, (std::vector<std::int32_t>{0, -1, 1}));
+  for (const OffCanonical& c : off_canonical_cases()) {
+    SCOPED_TRACE(c.what);
+    std::vector<KeyPattern> row = canonical_row();
+    row[c.field] = c.pattern;
+    try {
+      t.insert(row, {&data, 1}, "bad", 9);
+      ADD_FAILURE() << "insert accepted a non-canonical row";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("table 't': field " + std::to_string(c.field) + " ("),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("is not canonical"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(t.size(), 2u);
+    EXPECT_EQ(bytes_of(t), bytes);
+    EXPECT_EQ(lookups(), rows);
+  }
+}
+
+TEST(TableInsert, BitVecKeysAreWidthCheckedWordsOnEveryKind) {
+  Table d("d", {{MatchKind::kTernary, 32}, {MatchKind::kTernary, 8}});
+  try {
+    d.insert_exact({BitVec(32, 1), BitVec(16, 2)}, {});
+    ADD_FAILURE() << "insert_exact accepted a key of another width";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("table 'd': field 1 ("),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(d.insert_exact({BitVec(32, 1)}, {}), std::invalid_argument);
+  EXPECT_EQ(d.size(), 0u);
+  // A key pins every kind: an LPM field to its full length, a range field
+  // to one point.
+  Table k("k", {{MatchKind::kLpm, 16}, {MatchKind::kRange, 16}});
+  k.insert_exact({BitVec(16, 0x1234), BitVec(16, 80)}, {});
+  EXPECT_EQ(k.pattern(0, 0).prefix_len, 16);
+  EXPECT_TRUE(same_bits(k.pattern(0, 1).lo, BitVec(16, 80)));
+  EXPECT_EQ(k.lookup({BitVec(16, 0x1234), BitVec(16, 80)}), 0);
+  EXPECT_EQ(k.lookup({BitVec(16, 0x1234), BitVec(16, 0)}), -1);
+}
 
 TEST(TableIo, ExactRowKeepsItsSnapshotBytes) {
   Table t("t", {{MatchKind::kExact, 8}});
   t.insert_exact({BitVec(8, 5)}, {BitVec(8, 50)});
-  std::ostringstream out;
-  serialize_table(t, out);
-  EXPECT_EQ(out.str(), "1 0 0 hit 1 8 5 8 255 0 32 0 32 0 1 8 50");
+  EXPECT_EQ(bytes_of(t), "1 0 0 hit 1 8 5 8 255 0 32 0 32 0 1 8 50");
+}
+
+TEST(TableIo, DeserializeRefusesNonCanonicalRows) {
+  // row_stream writes serialize_table's format: a canonical row reads back
+  // to the same bytes.
+  {
+    Table t("t", kMixedSpec);
+    std::istringstream in(row_stream(canonical_row()));
+    deserialize_table(t, in);
+    EXPECT_EQ(bytes_of(t), row_stream(canonical_row()));
+  }
+  for (const OffCanonical& c : off_canonical_cases()) {
+    SCOPED_TRACE(c.what);
+    std::vector<KeyPattern> row = canonical_row();
+    row[c.field] = c.pattern;
+    Table t("t", kMixedSpec);
+    std::istringstream in(row_stream(row));
+    EXPECT_THROW(deserialize_table(t, in), std::invalid_argument);
+    EXPECT_EQ(t.size(), 0u);
+  }
 }
 
 TEST(TableIo, RoundTripIsByteIdentical) {
-  const std::vector<MatchFieldSpec> spec = {{MatchKind::kExact, 8},
-                                            {MatchKind::kTernary, 16},
-                                            {MatchKind::kLpm, 32},
-                                            {MatchKind::kRange, 16}};
-  Table t("t", spec);
+  Table t("t", kMixedSpec);
   t.set_default({BitVec(3, 5), BitVec(64, ~0ULL)});
   std::vector<TableEntry> entries;
   const auto add = [&](int priority, std::vector<KeyPattern> patterns,
@@ -629,40 +856,27 @@ TEST(TableIo, RoundTripIsByteIdentical) {
                        std::move(data)});
     t.insert(entries.back());
   };
-  // Canonical rows.
-  add(1,
-      {KeyPattern::exact(BitVec(8, 7)),
-       KeyPattern::ternary(BitVec(16, 0x1200), BitVec(16, 0xff00)),
-       KeyPattern::lpm(BitVec(32, 0x0a000000), 8),
-       KeyPattern::range(BitVec(16, 10), BitVec(16, 20))},
-      "fwd", {BitVec(9, 300)});
-  // Value bits outside the mask; a point range; no action name or words.
+  add(1, canonical_row(), "fwd", {BitVec(9, 300)});
+  // Constructor values with bits outside the mask (masked on the way in);
+  // a point range; no action name or words.
   add(2,
       {KeyPattern::exact(BitVec(8, 1)),
        KeyPattern::ternary(BitVec(16, 0xabcd), BitVec(16, 0x00f0)),
        KeyPattern::lpm(BitVec(32, 0x0a0b0c0d), 16),
        KeyPattern::range(BitVec(16, 5), BitVec(16, 5))},
       "", {});
-  // Widths other than the spec's.
-  add(3,
-      {KeyPattern::exact(BitVec(16, 0x1ff)),
-       KeyPattern::ternary(BitVec(8, 3), BitVec(4, 3)),
-       KeyPattern::lpm(BitVec(16, 0x0a00), 8),
-       KeyPattern::range(BitVec(8, 1), BitVec(32, 70000))},
-      "a", {BitVec(1, 1), BitVec(64, 42)});
-  // Wildcards, a true range, and a prefix_len that disagrees with its mask.
-  KeyPattern stale = KeyPattern::lpm(BitVec(32, 0xc0a80000), 16);
-  stale.prefix_len = 24;
+  // Wildcards, a true range, action words of several widths.
   add(-4,
-      {KeyPattern::exact(BitVec(8, 0)), KeyPattern::wildcard(16), stale,
+      {KeyPattern::exact(BitVec(8, 0)), KeyPattern::wildcard(16),
+       KeyPattern::lpm(BitVec(32, 0xc0a80000), 16),
        KeyPattern::range(BitVec(16, 0), BitVec(16, 0xffff))},
-      "x", {BitVec(32, 0)});
-  // Full-length and zero-length prefixes; exact patterns on ternary and
-  // range fields.
+      "x", {BitVec(1, 1), BitVec(64, 42), BitVec(32, 0)});
+  // Full-length and zero-length prefixes; an exact pattern on a ternary
+  // field (its full mask).
   add(0,
       {KeyPattern::exact(BitVec(8, 9)), KeyPattern::exact(BitVec(16, 9)),
        KeyPattern::lpm(BitVec(32, 0x01020304), 32),
-       KeyPattern::exact(BitVec(16, 80))},
+       KeyPattern::range(BitVec(16, 80), BitVec(16, 80))},
       "hit", {});
   add(0,
       {KeyPattern::exact(BitVec(8, 9)), KeyPattern::wildcard(16),
@@ -673,14 +887,11 @@ TEST(TableIo, RoundTripIsByteIdentical) {
     expect_same_entry(entry_of(t, static_cast<std::int32_t>(r)), entries[r]);
   }
 
-  std::ostringstream first;
-  serialize_table(t, first);
-  Table back("t", spec);
-  std::istringstream in(first.str());
+  const std::string first = bytes_of(t);
+  Table back("t", kMixedSpec);
+  std::istringstream in(first);
   deserialize_table(back, in);
-  std::ostringstream second;
-  serialize_table(back, second);
-  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(bytes_of(back), first);
   ASSERT_EQ(back.size(), entries.size());
   for (std::size_t r = 0; r < entries.size(); ++r) {
     expect_same_entry(entry_of(back, static_cast<std::int32_t>(r)), entries[r]);

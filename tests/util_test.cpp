@@ -26,6 +26,20 @@ TEST(BitVec, RejectsBadWidth) {
   EXPECT_THROW(BitVec(65, 1), std::invalid_argument);
 }
 
+TEST(BitVec, PrefixMaskCoversExactlyTheValidLengths) {
+  EXPECT_EQ(BitVec::prefix_mask(32, 0), 0u);
+  EXPECT_EQ(BitVec::prefix_mask(32, 8), 0xff000000u);
+  EXPECT_EQ(BitVec::prefix_mask(32, 32), 0xffffffffu);
+  EXPECT_EQ(BitVec::prefix_mask(8, 3), 0xe0u);
+  EXPECT_EQ(BitVec::prefix_mask(64, 1), 1ULL << 63);
+  EXPECT_EQ(BitVec::prefix_mask(64, 64), ~0ULL);
+  // A length outside [0, width] would shift out of range: refused.
+  EXPECT_THROW(BitVec::prefix_mask(32, 33), std::invalid_argument);
+  EXPECT_THROW(BitVec::prefix_mask(32, -1), std::invalid_argument);
+  EXPECT_THROW(BitVec::prefix_mask(8, 9), std::invalid_argument);
+  EXPECT_THROW(BitVec::prefix_mask(64, 65), std::invalid_argument);
+}
+
 TEST(BitVec, AdditionWraps) {
   EXPECT_EQ(BitVec(8, 255).add(BitVec(8, 1)).value(), 0u);
   EXPECT_EQ(BitVec(8, 250).add(BitVec(8, 10)).value(), 4u);

@@ -321,6 +321,9 @@ int main(int argc, char** argv) {
     }
     target += slice;
     net.events().run_until(target);
+    // hydrad reads reports only through counters, top-K and violations:
+    // the stored records would grow for as long as a checker reports.
+    net.clear_reports();
     if (sim_stop > 0.0 && target >= sim_stop) break;
     // Wall-clock pacing: sleep (in interruptible hops) until this slice's
     // wall deadline; fall behind silently if the machine is too slow.
