@@ -64,7 +64,9 @@ Outcome run(compiler::CheckPlacement placement, int errant_packets) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
+  if (const auto rc = hydra::tools::Cli("[--help]").parse(argc, argv)) {
+    return *rc;
+  }
   std::printf("Ablation (§4.3): last-hop vs per-hop check placement, 100 "
               "errant valley packets\n\n");
   const Outcome last = run(compiler::CheckPlacement::kLastHop, 100);

@@ -13,7 +13,9 @@
 #include "compiler/compile.hpp"
 
 int main(int argc, char** argv) {
-  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
+  if (const auto rc = hydra::tools::Cli("[--help]").parse(argc, argv)) {
+    return *rc;
+  }
   using namespace hydra;
   std::printf("Ablation: telemetry header layout (wire bytes per packet)\n\n");
   std::printf("%-32s %14s %14s %10s\n", "checker", "packed (B)",

@@ -39,7 +39,9 @@ tele bool looped = false;
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
+  if (const auto rc = hydra::tools::Cli("[--help]").parse(argc, argv)) {
+    return *rc;
+  }
   using namespace hydra;
   std::printf("Ablation: telemetry list capacity (loops checker, "
               "visited[N])\n\n");

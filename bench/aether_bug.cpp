@@ -3,20 +3,21 @@
 // update. Every pre-update client silently loses its allowed traffic, and
 // Hydra reports each one.
 //
-//   $ ./aether_bug
-//   $ ./aether_bug --json                  # also write BENCH_aether_bug.json
-//   $ ./aether_bug --json sweep.json       # ... to a chosen path
+//   $ ./aether_bug [--json PATH] [--help]
+//
+// --json also writes the JSON document to PATH; --help prints this usage
+// and exits 0 without running; any other argument exits 2 with the usage.
 //
 // The JSON document carries the sweep table, the run's reject/report
 // totals, and — with the forensics flight recorder armed — the first
 // violation's full forensic report (obs::violation_json), so the bug's
 // diagnosis is machine-readable without re-running the tool.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "aether/controller.hpp"
+#include "cli_parse.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
@@ -114,17 +115,11 @@ Outcome run(int old_clients, bool forensics) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool json = false;
-  std::string json_path = "BENCH_aether_bug.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json [FILE]]\n", argv[0]);
-      return 2;
-    }
-  }
+  std::string json_path;
+  tools::Cli cli("[--json PATH] [--help]");
+  cli.text("--json", &json_path);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  const bool json = !json_path.empty();
 
   std::printf("Aether application-filtering bug sweep (§5.2, Figure 11)\n");
   std::printf("scenario: N clients attach -> operator updates rule "
@@ -178,13 +173,7 @@ int main(int argc, char** argv) {
                       (first_violation.empty() ? std::string("null")
                                                : first_violation) +
                       "\n}\n";
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
+    if (!tools::write_text_file(json_path, doc)) return 1;
     std::printf("wrote %s\n", json_path.c_str());
   }
   return all_detected ? 0 : 1;

@@ -19,8 +19,6 @@
 // output across machines.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
@@ -122,20 +120,9 @@ SoakResult soak_once(double loss, double flap_rate_hz, std::uint64_t seed) {
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_chaos.json";
   std::uint64_t seed = 42;
-  constexpr const char* kArgs = "[--json PATH] [--seed N] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      if (!tools::parse_u64_arg(argv[0], "--seed", argv[++i], &seed)) {
-        return tools::usage(argv[0], kArgs, 2);
-      }
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--seed N] [--help]");
+  cli.text("--json", &json_path).u64("--seed", &seed);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   const double losses[] = {0.0, 0.01, 0.05};
   const double flaps[] = {0.0, 1000.0, 4000.0};
@@ -163,18 +150,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chaos_soak\",\n  \"seed\": %llu,\n"
-               "  \"configs\": [\n",
-               static_cast<unsigned long long>(seed));
+  std::string out;
+  tools::appendf(out,
+                 "{\n  \"bench\": \"chaos_soak\",\n  \"seed\": %llu,\n"
+                 "  \"configs\": [\n",
+                 static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SoakResult& r = results[i];
-    std::fprintf(
-        f,
+    tools::appendf(
+        out,
         "    {\"loss\": %.2f, \"flap_rate_hz\": %.0f, \"injected\": %llu, "
         "\"delivered\": %llu, \"rejected\": %llu, \"fwd_dropped\": %llu, "
         "\"queue_dropped\": %llu, \"fault_dropped\": %llu, "
@@ -189,8 +173,8 @@ int main(int argc, char** argv) {
         r.fault_stats.empty() ? "{}" : r.fault_stats.c_str(),
         i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  out += "  ]\n}\n";
+  if (!tools::write_text_file(json_path, out)) return 1;
   std::printf("\nwrote %s\n", json_path.c_str());
 
   if (any_threw) {

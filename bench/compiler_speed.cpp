@@ -57,9 +57,8 @@ BENCHMARK(BM_FullCompile)->DenseRange(0, 11);
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const int rc = hydra::tools::benchmark_flags(argc, argv); rc >= 0) {
-    return rc;
-  }
+  hydra::tools::Cli cli("[--benchmark_FLAG=VALUE ...] [--help]");
+  if (const auto rc = cli.pass("--benchmark_").parse(argc, argv)) return *rc;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
   benchmark::RunSpecifiedBenchmarks();

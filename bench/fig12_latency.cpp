@@ -13,7 +13,6 @@
 // --help prints this usage and exits 0 without running; any other
 // argument exits 2 with the usage.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -164,49 +163,39 @@ void print_cdf(const char* label, const std::vector<double>& rtts_ms) {
   std::printf("\n");
 }
 
-void write_summary(std::FILE* f, const char* name, const stats::Summary& s,
-                   std::uint64_t background_pkts, const char* trailer) {
-  std::fprintf(f,
-               "    \"%s\": {\"samples\": %zu, \"mean_ms\": %.4f, "
-               "\"stddev_ms\": %.4f, \"p50_ms\": %.4f, \"p90_ms\": %.4f, "
-               "\"p99_ms\": %.4f, \"background_pkts\": %llu}%s\n",
-               name, s.count, s.mean, s.stddev, s.p50, s.p90, s.p99,
-               static_cast<unsigned long long>(background_pkts), trailer);
+void write_summary(std::string& out, const char* name,
+                   const stats::Summary& s, std::uint64_t background_pkts,
+                   const char* trailer) {
+  tools::appendf(out,
+                 "    \"%s\": {\"samples\": %zu, \"mean_ms\": %.4f, "
+                 "\"stddev_ms\": %.4f, \"p50_ms\": %.4f, \"p90_ms\": %.4f, "
+                 "\"p99_ms\": %.4f, \"background_pkts\": %llu}%s\n",
+                 name, s.count, s.mean, s.stddev, s.p50, s.p90, s.p99,
+                 static_cast<unsigned long long>(background_pkts), trailer);
 }
 
-void write_json(const std::string& path, const stats::Summary& sb,
+bool write_json(const std::string& path, const stats::Summary& sb,
                 const stats::Summary& sf, std::uint64_t base_pkts,
                 std::uint64_t full_pkts, const stats::TTest& t) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fig12_latency\",\n  \"rtt\": {\n");
-  write_summary(f, "baseline", sb, base_pkts, ",");
-  write_summary(f, "all_checkers", sf, full_pkts, "");
-  std::fprintf(f,
-               "  },\n  \"t_test\": {\"t\": %.4f, \"df\": %.2f, "
-               "\"p_value\": %.4f, \"significant\": %s}\n}\n",
-               t.t, t.df, t.p_value, t.p_value <= 0.05 ? "true" : "false");
-  std::fclose(f);
+  std::string out = "{\n  \"bench\": \"fig12_latency\",\n  \"rtt\": {\n";
+  write_summary(out, "baseline", sb, base_pkts, ",");
+  write_summary(out, "all_checkers", sf, full_pkts, "");
+  tools::appendf(out,
+                 "  },\n  \"t_test\": {\"t\": %.4f, \"df\": %.2f, "
+                 "\"p_value\": %.4f, \"significant\": %s}\n}\n",
+                 t.t, t.df, t.p_value, t.p_value <= 0.05 ? "true" : "false");
+  if (!tools::write_text_file(path, out)) return false;
   std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
-  constexpr const char* kArgs = "[--json PATH] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--help]");
+  cli.text("--json", &json_path);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   std::printf("Figure 12: performance overhead of Hydra (simulated "
               "testbed; %g s, ping every %g ms, %g Gb/s x4 background)\n\n",
               kDuration, kPingInterval * 1e3, kFlowGbps);
@@ -247,9 +236,10 @@ int main(int argc, char** argv) {
                   ? "no statistically significant latency difference "
                     "(matches the paper)"
                   : "SIGNIFICANT DIFFERENCE (paper reports none)");
-  if (!json_path.empty()) {
-    write_json(json_path, sb, sf, base.background_pkts, full.background_pkts,
-               t);
+  if (!json_path.empty() &&
+      !write_json(json_path, sb, sf, base.background_pkts,
+                  full.background_pkts, t)) {
+    return 1;
   }
   return 0;
 }

@@ -28,7 +28,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <algorithm>
 #include <chrono>
 #include <string>
@@ -167,9 +166,8 @@ RunResult run_once(const RunConfig& cfg) {
 }
 
 void append_metrics(std::string& out, const RunResult& r) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
+  tools::appendf(
+      out,
       "sessions=%" PRIu32 " churn_per_s=%.0f injected=%" PRIu64
       " delivered=%" PRIu64 " fwd_dropped=%" PRIu64 " queue_dropped=%" PRIu64
       " packets_sent=%" PRIu64 " attaches=%" PRIu64 " detaches=%" PRIu64
@@ -177,13 +175,11 @@ void append_metrics(std::string& out, const RunResult& r) {
       r.cfg.sessions, r.cfg.churn_per_s, r.injected, r.delivered,
       r.fwd_dropped, r.queue_dropped, r.packets_sent, r.attaches, r.detaches,
       r.active_sessions, r.application_entries, r.violations);
-  out += buf;
 }
 
 void append_json(std::string& out, const RunResult& r, bool last) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
+  tools::appendf(
+      out,
       "    {\"sessions\": %" PRIu32 ", \"churn_per_s\": %.0f, "
       "\"packets_per_s\": %.0f, \"duration_s\": %.3f,\n"
       "     \"injected\": %" PRIu64 ", \"delivered\": %" PRIu64
@@ -207,20 +203,11 @@ void append_json(std::string& out, const RunResult& r, bool last) {
       r.prefill_attach_p99_us, r.churn_attach_p50_us, r.churn_attach_p99_us,
       r.churn_attach_max_us, r.arena_slabs_warmup, r.arena_slabs_measured,
       last ? "" : ",");
-  out += buf;
 }
-
-constexpr const char* kArgs =
-    "[--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
-    "          [--duration-s X] [--warmup-s X] [--seed N]\n"
-    "          [--json PATH] [--metrics PATH] [--sweep] [--help]";
-
-int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* prog = argv[0];
   RunConfig base;
   base.sessions = 1000000;
   base.churn_per_s = 2000.0;
@@ -231,57 +218,20 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_million_users.json";
   std::string metrics_path;
   bool sweep = false;
-
-  for (int i = 1; i < argc; ++i) {
-    long lv = 0;
-    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      if (!tools::parse_long_arg(prog, "--sessions", argv[++i], 1,
-                                 100000000, &lv)) {
-        return usage(prog);
-      }
-      base.sessions = static_cast<std::uint32_t>(lv);
-    } else if (std::strcmp(argv[i], "--churn-per-s") == 0 && i + 1 < argc) {
-      ++i;
-      if (std::strcmp(argv[i], "0") == 0) {
-        base.churn_per_s = 0.0;
-      } else if (!tools::parse_positive_double_arg(prog, "--churn-per-s",
-                                                   argv[i],
-                                                   &base.churn_per_s)) {
-        return usage(prog);
-      }
-    } else if (std::strcmp(argv[i], "--packets-per-s") == 0 &&
-               i + 1 < argc) {
-      if (!tools::parse_positive_double_arg(prog, "--packets-per-s",
-                                            argv[++i],
-                                            &base.packets_per_s)) {
-        return usage(prog);
-      }
-    } else if (std::strcmp(argv[i], "--duration-s") == 0 && i + 1 < argc) {
-      if (!tools::parse_positive_double_arg(prog, "--duration-s", argv[++i],
-                                            &base.duration_s)) {
-        return usage(prog);
-      }
-    } else if (std::strcmp(argv[i], "--warmup-s") == 0 && i + 1 < argc) {
-      if (!tools::parse_positive_double_arg(prog, "--warmup-s", argv[++i],
-                                            &base.warmup_s)) {
-        return usage(prog);
-      }
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      if (!tools::parse_u64_arg(prog, "--seed", argv[++i], &base.seed)) {
-        return usage(prog);
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sweep") == 0) {
-      sweep = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(prog, kArgs, 0);
-    } else {
-      return tools::unknown_argument(prog, argv[i], kArgs);
-    }
-  }
+  tools::Cli cli(
+      "[--sessions N] [--churn-per-s X] [--packets-per-s X]\n"
+      "          [--duration-s X] [--warmup-s X] [--seed N]\n"
+      "          [--json PATH] [--metrics PATH] [--sweep] [--help]");
+  cli.integer("--sessions", &base.sessions, 1, 100000000)
+      .number("--churn-per-s", &base.churn_per_s, /*zero_ok=*/true)
+      .number("--packets-per-s", &base.packets_per_s)
+      .number("--duration-s", &base.duration_s)
+      .number("--warmup-s", &base.warmup_s)
+      .u64("--seed", &base.seed)
+      .text("--json", &json_path)
+      .text("--metrics", &metrics_path)
+      .flag("--sweep", &sweep);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   std::vector<RunConfig> configs;
   if (sweep) {
@@ -305,13 +255,8 @@ int main(int argc, char** argv) {
 
   std::string metrics;
   std::string json = "{\n  \"bench\": \"million_users\",\n";
-  {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "  \"seed\": %" PRIu64 ",\n  \"configs\": [\n",
-                  base.seed);
-    json += buf;
-  }
+  tools::appendf(json, "  \"seed\": %" PRIu64 ",\n  \"configs\": [\n",
+                 base.seed);
   bool hot_path_clean = true;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const RunResult r = run_once(configs[i]);

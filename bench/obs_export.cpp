@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -154,16 +153,16 @@ std::vector<RunResult> run_configs(const std::vector<Config>& configs,
   return best;
 }
 
-void write_run(std::FILE* f, const char* name, const RunResult& r,
+void write_run(std::string& out, const char* name, const RunResult& r,
                const char* trailer) {
-  std::fprintf(f,
-               "  \"%s\": {\"sent\": %llu, \"delivered\": %llu, "
-               "\"wall_s\": %.4f, \"hops_per_wall_s\": %.1f, "
-               "\"windows\": %llu}%s\n",
-               name, static_cast<unsigned long long>(r.sent),
-               static_cast<unsigned long long>(r.delivered), r.wall_s,
-               r.hops_per_wall_s, static_cast<unsigned long long>(r.windows),
-               trailer);
+  tools::appendf(out,
+                 "  \"%s\": {\"sent\": %llu, \"delivered\": %llu, "
+                 "\"wall_s\": %.4f, \"hops_per_wall_s\": %.1f, "
+                 "\"windows\": %llu}%s\n",
+                 name, static_cast<unsigned long long>(r.sent),
+                 static_cast<unsigned long long>(r.delivered), r.wall_s,
+                 r.hops_per_wall_s,
+                 static_cast<unsigned long long>(r.windows), trailer);
 }
 
 }  // namespace
@@ -171,23 +170,9 @@ void write_run(std::FILE* f, const char* name, const RunResult& r,
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_obs_export.json";
   int reps = 5;
-  constexpr const char* kArgs = "[--json PATH] [--reps N] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      long r = 0;
-      if (!tools::parse_long_arg(argv[0], "--reps", argv[++i], 1, 1000000,
-                                 &r)) {
-        return tools::usage(argv[0], kArgs, 2);
-      }
-      reps = static_cast<int>(r);
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--reps N] [--help]");
+  cli.text("--json", &json_path).integer("--reps", &reps, 1, 1000000);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   const double duration = 0.02;
   const double interval = 2e-4;  // 100 windows over the run
@@ -232,28 +217,25 @@ int main(int argc, char** argv) {
                                    : "(EXCEEDS the 5%% budget)",
               scrape_vs_export);
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"obs_export\",\n"
-               "  \"hw_threads\": %u,\n"
-               "  \"duration_s\": %g,\n  \"interval_s\": %g,\n"
-               "  \"reps\": %d,\n",
-               std::thread::hardware_concurrency(), duration, interval, reps);
-  write_run(f, "obs_off", off, ",");
-  write_run(f, "obs_on", on, ",");
-  write_run(f, "obs_export", exp, ",");
-  write_run(f, "obs_scrape", scr, ",");
-  std::fprintf(f, "  \"scrapes\": %llu,\n",
-               static_cast<unsigned long long>(scr.scrapes));
-  std::fprintf(f,
-               "  \"overhead_pct\": {\"obs_vs_off\": %.2f, "
-               "\"export_vs_obs\": %.2f, \"scrape_vs_export\": %.2f}\n}\n",
-               obs_vs_off, export_vs_obs, scrape_vs_export);
-  std::fclose(f);
+  std::string out;
+  tools::appendf(out,
+                 "{\n  \"bench\": \"obs_export\",\n"
+                 "  \"hw_threads\": %u,\n"
+                 "  \"duration_s\": %g,\n  \"interval_s\": %g,\n"
+                 "  \"reps\": %d,\n",
+                 std::thread::hardware_concurrency(), duration, interval,
+                 reps);
+  write_run(out, "obs_off", off, ",");
+  write_run(out, "obs_on", on, ",");
+  write_run(out, "obs_export", exp, ",");
+  write_run(out, "obs_scrape", scr, ",");
+  tools::appendf(out, "  \"scrapes\": %llu,\n",
+                 static_cast<unsigned long long>(scr.scrapes));
+  tools::appendf(out,
+                 "  \"overhead_pct\": {\"obs_vs_off\": %.2f, "
+                 "\"export_vs_obs\": %.2f, \"scrape_vs_export\": %.2f}\n}\n",
+                 obs_vs_off, export_vs_obs, scrape_vs_export);
+  if (!tools::write_text_file(json_path, out)) return 1;
   std::printf("\nwrote %s\n", json_path.c_str());
   return 0;
 }

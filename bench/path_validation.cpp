@@ -86,7 +86,9 @@ Verdicts sweep(int leaves, int spines, int hosts_per_leaf) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const int rc = hydra::tools::no_options(argc, argv); rc >= 0) return rc;
+  if (const auto rc = hydra::tools::Cli("[--help]").parse(argc, argv)) {
+    return *rc;
+  }
   std::printf("Path validation sweep (§5.1, Figures 7/8): every valley-free "
               "path delivered, every errant path dropped\n\n");
   sweep(2, 2, 2);   // the paper's topology

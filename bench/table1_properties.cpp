@@ -7,7 +7,6 @@
 // --help prints this usage and exits 0 without running; any other
 // argument exits 2 with the usage.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,16 +17,9 @@
 int main(int argc, char** argv) {
   using namespace hydra;
   std::string json_path;
-  constexpr const char* kArgs = "[--json PATH] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--help]");
+  cli.text("--json", &json_path);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   const auto baseline = compiler::fabric_upf_profile();
 
   std::printf("Table 1: Hydra properties (baseline: Aether %s profile)\n\n",
@@ -71,30 +63,27 @@ int main(int argc, char** argv) {
               "(min expansion %.1fx)\n", min_ratio);
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"table1_properties\",\n"
-                 "  \"baseline\": {\"name\": \"%s\", \"stages\": %d, "
-                 "\"phv_percent\": %.2f},\n  \"checkers\": [\n",
-                 baseline.name.c_str(), baseline.stages,
-                 baseline.phv_percent);
+    std::string out;
+    tools::appendf(out,
+                   "{\n  \"bench\": \"table1_properties\",\n"
+                   "  \"baseline\": {\"name\": \"%s\", \"stages\": %d, "
+                   "\"phv_percent\": %.2f},\n  \"checkers\": [\n",
+                   baseline.name.c_str(), baseline.stages,
+                   baseline.phv_percent);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"indus_loc\": %d, \"p4_loc\": "
-                   "%d, \"stages\": %d, \"phv_percent\": %.2f, \"fits\": "
-                   "%s}%s\n",
-                   r.name.c_str(), r.indus_loc, r.p4_loc, r.stages, r.phv,
-                   r.fits ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
+      tools::appendf(out,
+                     "    {\"name\": \"%s\", \"indus_loc\": %d, \"p4_loc\": "
+                     "%d, \"stages\": %d, \"phv_percent\": %.2f, \"fits\": "
+                     "%s}%s\n",
+                     r.name.c_str(), r.indus_loc, r.p4_loc, r.stages, r.phv,
+                     r.fits ? "true" : "false",
+                     i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"all_fit\": %s,\n  \"min_expansion\": %.2f\n}\n",
-                 all_fit ? "true" : "false", min_ratio);
-    std::fclose(f);
+    tools::appendf(out,
+                   "  ],\n  \"all_fit\": %s,\n  \"min_expansion\": %.2f\n}\n",
+                   all_fit ? "true" : "false", min_ratio);
+    if (!tools::write_text_file(json_path, out)) return 1;
     std::printf("\nwrote %s\n", json_path.c_str());
   }
   return all_fit ? 0 : 1;

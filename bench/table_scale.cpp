@@ -14,7 +14,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -152,51 +151,40 @@ Row bench_lpm(std::size_t n, Rng& rng) {
                  keys, 1'000'000);
 }
 
-void put_stat(std::FILE* f, const char* name, const Stat& s) {
-  std::fprintf(f,
-               "\"%s\": %.2f, \"%s_min\": %.2f, \"%s_max\": %.2f, ", name,
-               s.median, name, s.min, name, s.max);
+void put_stat(std::string& out, const char* name, const Stat& s) {
+  tools::appendf(out, "\"%s\": %.2f, \"%s_min\": %.2f, \"%s_max\": %.2f, ",
+                 name, s.median, name, s.min, name, s.max);
 }
 
-void write_json(const std::string& path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"table_scale\",\n  \"unit\": \"ns/op\",\n"
-               "  \"hw_threads\": %u,\n  \"reps\": %d,\n  \"rows\": [\n",
-               std::thread::hardware_concurrency(), kReps);
+bool write_json(const std::string& path, const std::vector<Row>& rows) {
+  std::string out;
+  tools::appendf(out,
+                 "{\n  \"bench\": \"table_scale\",\n  \"unit\": \"ns/op\",\n"
+                 "  \"hw_threads\": %u,\n  \"reps\": %d,\n  \"rows\": [\n",
+                 std::thread::hardware_concurrency(), kReps);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    std::fprintf(f, "    {\"shape\": \"%s\", \"entries\": %zu, ",
-                 r.shape.c_str(), r.entries);
-    put_stat(f, "insert_ns", r.insert_ns);
-    put_stat(f, "linear_ns", r.linear_ns);
-    put_stat(f, "lookup_ns", r.lookup_ns);
-    std::fprintf(f, "\"speedup\": %.2f}%s\n", r.speedup(),
-                 i + 1 < rows.size() ? "," : "");
+    tools::appendf(out, "    {\"shape\": \"%s\", \"entries\": %zu, ",
+                   r.shape.c_str(), r.entries);
+    put_stat(out, "insert_ns", r.insert_ns);
+    put_stat(out, "linear_ns", r.linear_ns);
+    put_stat(out, "lookup_ns", r.lookup_ns);
+    tools::appendf(out, "\"speedup\": %.2f}%s\n", r.speedup(),
+                   i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  out += "  ]\n}\n";
+  if (!tools::write_text_file(path, out)) return false;
   std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_table_scale.json";
-  constexpr const char* kArgs = "[--json PATH] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--help]");
+  cli.text("--json", &json_path);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   Rng rng(2023);
   const std::vector<std::size_t> sizes = {4,   8,    10,    16,    32,
@@ -227,7 +215,7 @@ int main(int argc, char** argv) {
     print(rows.back());
   }
 
-  write_json(json_path, rows);
+  if (!write_json(json_path, rows)) return 1;
 
   // The index must serve large tables: >= 10x over the scan at 10k
   // entries, exact and LPM alike, judged on the medians. Small rows are

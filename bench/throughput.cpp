@@ -16,7 +16,6 @@
 // (pipeline hops per wall-second) on a 16-switch fabric.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -175,62 +174,51 @@ FabricResult fabric_run(double duration) {
   return r;
 }
 
-void write_result(std::FILE* f, const char* name, const Result& r,
+void write_result(std::string& out, const char* name, const Result& r,
                   const char* trailer) {
-  std::fprintf(f,
-               "    \"%s\": {\"offered_gbps\": %.4f, \"delivered_gbps\": "
-               "%.4f, \"sent\": %llu, \"delivered\": %llu, \"pps\": %.1f}%s\n",
-               name, r.offered_gbps, r.delivered_gbps,
-               static_cast<unsigned long long>(r.sent),
-               static_cast<unsigned long long>(r.delivered), r.pps, trailer);
+  tools::appendf(
+      out,
+      "    \"%s\": {\"offered_gbps\": %.4f, \"delivered_gbps\": "
+      "%.4f, \"sent\": %llu, \"delivered\": %llu, \"pps\": %.1f}%s\n",
+      name, r.offered_gbps, r.delivered_gbps,
+      static_cast<unsigned long long>(r.sent),
+      static_cast<unsigned long long>(r.delivered), r.pps, trailer);
 }
 
-void write_json(const std::string& path, const Result& iperf_base,
+bool write_json(const std::string& path, const Result& iperf_base,
                 const Result& iperf_hydra, const Result& campus_base,
                 const Result& campus_hydra, double delta_pct,
                 const FabricResult& fabric) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"throughput\",\n"
-               "  \"hw_threads\": %u,\n"
-               "  \"iperf\": {\n",
-               std::thread::hardware_concurrency());
-  write_result(f, "baseline", iperf_base, ",");
-  write_result(f, "all_checkers", iperf_hydra, ",");
-  std::fprintf(f, "    \"delta_pct\": %.4f\n  },\n  \"campus\": {\n",
-               delta_pct);
-  write_result(f, "baseline", campus_base, ",");
-  write_result(f, "all_checkers", campus_hydra, "");
-  std::fprintf(f,
-               "  },\n  \"fabric_16sw\": {\"sent\": %llu, \"delivered\": "
-               "%llu, \"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}\n}\n",
-               static_cast<unsigned long long>(fabric.sent),
-               static_cast<unsigned long long>(fabric.delivered),
-               fabric.wall_s, fabric.hops_per_wall_s);
-  std::fclose(f);
+  std::string out;
+  tools::appendf(out,
+                 "{\n  \"bench\": \"throughput\",\n"
+                 "  \"hw_threads\": %u,\n"
+                 "  \"iperf\": {\n",
+                 std::thread::hardware_concurrency());
+  write_result(out, "baseline", iperf_base, ",");
+  write_result(out, "all_checkers", iperf_hydra, ",");
+  tools::appendf(out, "    \"delta_pct\": %.4f\n  },\n  \"campus\": {\n",
+                 delta_pct);
+  write_result(out, "baseline", campus_base, ",");
+  write_result(out, "all_checkers", campus_hydra, "");
+  tools::appendf(out,
+                 "  },\n  \"fabric_16sw\": {\"sent\": %llu, \"delivered\": "
+                 "%llu, \"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}\n}\n",
+                 static_cast<unsigned long long>(fabric.sent),
+                 static_cast<unsigned long long>(fabric.delivered),
+                 fabric.wall_s, fabric.hops_per_wall_s);
+  if (!tools::write_text_file(path, out)) return false;
   std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_throughput.json";
-  constexpr const char* kArgs = "[--json PATH] [--obs] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs") == 0) {
-      g_obs = true;
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli("[--json PATH] [--obs] [--help]");
+  cli.text("--json", &json_path).flag("--obs", &g_obs);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   std::printf("Throughput comparison (paper §6.2: 'almost identical with "
               "around 20 Gb/s')%s\n\n",
               g_obs ? " [observability ON]" : "");
@@ -274,6 +262,5 @@ int main(int argc, char** argv) {
   std::printf("  %12s %14s\n", "wall_s", "hops/wall-s");
   std::printf("  %12.3f %14.0f\n", fs.wall_s, fs.hops_per_wall_s);
 
-  write_json(json_path, b, h, cb, ch, delta, fs);
-  return 0;
+  return write_json(json_path, b, h, cb, ch, delta, fs) ? 0 : 1;
 }

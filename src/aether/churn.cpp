@@ -78,11 +78,14 @@ void SessionChurnGenerator::prefill() {
 
 void SessionChurnGenerator::start(double t0, double duration_s) {
   deadline_ = t0 + duration_s;
+  if (pending_) return;
+  pending_ = true;
   net_.events().schedule_tick_at(t0, this);
 }
 
 void SessionChurnGenerator::tick(net::SimTime now) {
-  if (now > deadline_) return;
+  pending_ = now <= deadline_;
+  if (!pending_) return;
   const double total = cfg_.churn_per_s + cfg_.packets_per_s;
   const bool churn = rng_.uniform() * total < cfg_.churn_per_s;
   if (churn) {

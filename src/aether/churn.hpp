@@ -53,6 +53,10 @@ class SessionChurnGenerator : public net::TickTarget {
   // attach_latencies() — the rule-push latency a PFCP establishment sees.
   void prefill();
 
+  // Runs the tick chain from `t0` until `t0 + duration_s`. On a chain
+  // that still has a tick pending it only moves the deadline, so the
+  // chain goes on (or stops) with its own RNG draws: start(0, 1),
+  // run_until(0.5), start(0.5, 1) runs exactly like start(0, 1.5).
   void start(double t0, double duration_s);
   void tick(net::SimTime now) override;
 
@@ -92,6 +96,7 @@ class SessionChurnGenerator : public net::TickTarget {
   Config cfg_;
   Rng rng_;
   double deadline_ = 0.0;
+  bool pending_ = false;  // a tick of this chain is in the event queue
   std::uint64_t packets_sent_ = 0;
   std::uint64_t attaches_ = 0;
   std::uint64_t detaches_ = 0;

@@ -6,6 +6,16 @@
 
 namespace hydra::aether {
 
+namespace {
+
+// Refuses a rule whose prefix the policy rows cannot spell, before the
+// caller changes any state.
+void check_rules(const std::vector<FilteringRule>& rules) {
+  for (const FilteringRule& r : rules) BitVec::prefix_mask(32, r.prefix_len);
+}
+
+}  // namespace
+
 AetherController::AetherController(net::Network& net,
                                    std::shared_ptr<fwd::UpfProgram> upf,
                                    int hydra_deployment)
@@ -14,6 +24,7 @@ AetherController::AetherController(net::Network& net,
 }
 
 void AetherController::define_slice(Slice slice) {
+  check_rules(slice.rules);
   const std::uint32_t id = slice.id;
   SliceState state;
   state.config = std::move(slice);
@@ -139,6 +150,7 @@ void AetherController::remove_hydra_policy(const SliceState& s,
 
 void AetherController::update_slice_rules(std::uint32_t slice_id,
                                           std::vector<FilteringRule> rules) {
+  check_rules(rules);
   SliceState& s = slices_.at(slice_id);
   s.config.rules = std::move(rules);
   // THE BUG: nothing else happens here for the UPF tables. Attached

@@ -4,12 +4,16 @@
 // rule-update bug at runtime.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "aether/churn.hpp"
 #include "aether/controller.hpp"
 #include "aether/slice.hpp"
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/upf.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
+#include "p4rt/table_io.hpp"
 
 namespace hydra::aether {
 namespace {
@@ -280,14 +284,88 @@ TEST(Aether, DetachReleasesSharedEntriesByRefcount) {
 
 // The Hydra policy rows refuse a rule whose prefix length no 32-bit mask
 // spells, instead of shifting out of range.
+// Every switch's filtering_actions rows, serialized, and their count.
+std::pair<std::string, std::size_t> policy_rows(Testbed& tb) {
+  std::ostringstream out;
+  std::size_t rows = 0;
+  for (int sw = 0; sw < tb.net.topo().node_count(); ++sw) {
+    if (tb.net.topo().node(sw).kind != net::NodeKind::kSwitch) continue;
+    const auto& table = tb.net.checker_table(tb.dep, sw, "filtering_actions");
+    p4rt::serialize_table(table, out);
+    rows += table.size();
+  }
+  return {out.str(), rows};
+}
+
+std::vector<std::string> rule_strings(const Slice& slice) {
+  std::vector<std::string> out;
+  for (const auto& r : slice.rules) out.push_back(r.to_string());
+  return out;
+}
+
 TEST(Aether, PolicyRuleWithPrefixLengthOutOfRangeThrows) {
   Testbed tb;
   tb.controller.attach_client(1, {123450001, Testbed::kUe1, 1001}, tb.enb_ip,
                               tb.n3_ip);
+  const auto rows = policy_rows(tb);
+  ASSERT_GT(rows.second, 0u);
   FilteringRule bad = example_camera_slice(1).rules[0];
   bad.prefix_len = 33;
   EXPECT_THROW(tb.controller.update_slice_rules(1, {bad}),
                std::invalid_argument);
+  // Refused before anything changed: the slice keeps its rules and every
+  // switch its policy rows.
+  EXPECT_EQ(rule_strings(tb.controller.slice(1)),
+            rule_strings(example_camera_slice(1)));
+  EXPECT_EQ(policy_rows(tb), rows);
+}
+
+TEST(Aether, SliceWithPrefixLengthOutOfRangeIsNotDefined) {
+  Testbed tb;
+  Slice bad = example_camera_slice(2);
+  bad.rules[1].prefix_len = -1;
+  EXPECT_THROW(tb.controller.define_slice(bad), std::invalid_argument);
+  EXPECT_THROW(tb.controller.slice(2), std::out_of_range);
+  EXPECT_THROW(tb.controller.attach_client(2, {123450001, Testbed::kUe1, 1001},
+                                           tb.enb_ip, tb.n3_ip),
+               std::out_of_range);
+  EXPECT_EQ(tb.controller.attached_count(), 0u);
+  EXPECT_EQ(policy_rows(tb).second, 0u);
+}
+
+// One churn load run two ways: one chain started for 1.5 s, or one started
+// for 1 s and started again at 0.5 s, while its next tick is pending. That
+// second start only moves the deadline, so both runs end alike; a second
+// chain would double the offered load from 0.5 s on.
+TEST(SessionChurn, StartOnAPendingChainMovesItsDeadline) {
+  const auto run = [](bool restart) {
+    Testbed tb;
+    SessionChurnGenerator::Config gc;
+    gc.sessions = 50;
+    gc.churn_per_s = 200.0;
+    gc.packets_per_s = 2000.0;
+    gc.enb_host = tb.fabric.hosts[0][0];
+    gc.enb_ip = tb.enb_ip;
+    gc.n3_ip = tb.n3_ip;
+    gc.app_ip = tb.app_ip;
+    SessionChurnGenerator gen(tb.net, tb.controller, gc);
+    gen.set_latency_sampling(false);
+    gen.prefill();
+    gen.start(0.0, restart ? 1.0 : 1.5);
+    if (restart) {
+      tb.net.events().run_until(0.5);
+      gen.start(0.5, 1.0);
+    }
+    tb.net.events().run();
+    const auto& c = tb.net.counters();
+    return std::vector<std::uint64_t>{
+        gen.packets_sent(), gen.attaches(),  gen.detaches(),
+        c.injected,         c.delivered,     c.rejected,
+        c.fwd_dropped,      c.queue_dropped, tb.net.reports().size()};
+  };
+  const std::vector<std::uint64_t> once = run(false);
+  EXPECT_GT(once[0], 2500u);
+  EXPECT_EQ(run(true), once);
 }
 
 TEST(Aether, UnknownSliceThrows) {

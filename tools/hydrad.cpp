@@ -48,9 +48,9 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -80,8 +80,6 @@ constexpr const char* kArgs =
     "          [--duration-s X] [--pace X] [--topk K] [--ring N]\n"
     "          [--seed N] [--forensics] [--help]";
 
-int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,87 +95,20 @@ int main(int argc, char** argv) {
   long ring = 128;
   std::uint64_t seed = 42;
   bool forensics = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s needs a value\n", argv[0], flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(a, "--listen") == 0) {
-      const char* v = next(a);
-      if (v == nullptr || !tools::parse_long_arg(argv[0], a, v, 0, 65535,
-                                                 &listen_port)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--interval") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_positive_double_arg(argv[0], a, v, &interval_s)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--snapshot") == 0) {
-      const char* v = next(a);
-      if (v == nullptr) return usage(argv[0]);
-      snapshot_path = v;
-    } else if (std::strcmp(a, "--sessions") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_long_arg(argv[0], a, v, 1, 100000000, &sessions)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--churn-per-s") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_positive_double_arg(argv[0], a, v, &churn_per_s)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--packets-per-s") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_positive_double_arg(argv[0], a, v, &packets_per_s)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--duration-s") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_positive_double_arg(argv[0], a, v, &duration_s)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--pace") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_positive_double_arg(argv[0], a, v, &pace)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--topk") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_long_arg(argv[0], a, v, 1, 65536, &topk_k)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--ring") == 0) {
-      const char* v = next(a);
-      if (v == nullptr ||
-          !tools::parse_long_arg(argv[0], a, v, 1, 1000000, &ring)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--seed") == 0) {
-      const char* v = next(a);
-      if (v == nullptr || !tools::parse_u64_arg(argv[0], a, v, &seed)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(a, "--forensics") == 0) {
-      forensics = true;
-    } else if (std::strcmp(a, "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else {
-      return tools::unknown_argument(argv[0], a, kArgs);
-    }
-  }
+  tools::Cli cli(kArgs);
+  cli.integer("--listen", &listen_port, 0, 65535)
+      .number("--interval", &interval_s)
+      .text("--snapshot", &snapshot_path)
+      .integer("--sessions", &sessions, 1, 100000000)
+      .number("--churn-per-s", &churn_per_s)
+      .number("--packets-per-s", &packets_per_s)
+      .number("--duration-s", &duration_s)
+      .number("--pace", &pace)
+      .integer("--topk", &topk_k, 1, 65536)
+      .integer("--ring", &ring, 1, 1000000)
+      .u64("--seed", &seed)
+      .flag("--forensics", &forensics);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
 
   // ---- scenario (tools/scenarios.hpp, shared with bench/million_users) ----
   auto fabric = net::make_leaf_spine(2, 2, 2);
@@ -256,6 +187,9 @@ int main(int argc, char** argv) {
       net, ctl,
       tools::camera_churn(net, fabric, static_cast<std::uint32_t>(sessions),
                           churn_per_s, packets_per_s, seed));
+  // hydrad never reads attach latencies; sampled, they would grow by one
+  // double per attach for as long as it runs.
+  gen.set_latency_sampling(false);
   gen.prefill();
 
   std::signal(SIGTERM, on_signal);
@@ -271,17 +205,17 @@ int main(int argc, char** argv) {
 
   // ---- serve loop --------------------------------------------------------
   // Advance simulated time in export-interval slices, pacing sim seconds
-  // against wall seconds; churn load is scheduled ahead in chunks so the
-  // event queue never starves (which would stall export ticks).
+  // against wall seconds. The churn load runs for --duration-s, or without
+  // end, as one tick chain.
   using clock = std::chrono::steady_clock;
   const double slice = interval_s;
-  const double chunk =
-      duration_s > 0.0 ? duration_s : std::max(0.5, 50.0 * interval_s);
   // A restore resumed the simulation clock; pace, schedule, and stop
   // relative to where the snapshot left off.
   const double sim_start = net.events().now();
   const double sim_stop = duration_s > 0.0 ? sim_start + duration_s : 0.0;
-  double scheduled_until = sim_start;
+  gen.start(sim_start, duration_s > 0.0
+                           ? duration_s
+                           : std::numeric_limits<double>::infinity());
   double target = sim_start;
   const auto wall_start = clock::now();
   while (!g_stop) {
@@ -313,11 +247,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "hydrad: control command failed: %s\n",
                      e.what());
       }
-    }
-    if (target + slice > scheduled_until &&
-        (sim_stop <= 0.0 || scheduled_until < sim_stop)) {
-      gen.start(scheduled_until, chunk);
-      scheduled_until += chunk;
     }
     target += slice;
     net.events().run_until(target);

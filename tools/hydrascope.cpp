@@ -19,8 +19,6 @@
 // leafspine, and --chaos SEED.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "cli_parse.hpp"
@@ -39,8 +37,6 @@ constexpr const char* kArgs =
     "          [--prom FILE] [--series FILE] [--interval SEC]\n"
     "          [--watch] [--help]";
 
-int usage(const char* prog) { return tools::usage(prog, kArgs, 2); }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,53 +49,24 @@ int main(int argc, char** argv) {
   long min_violations = 0;
   double interval_s = 0.0;  // 0 = derive a default when export is requested
   bool forensics = false;
-  bool chaos = false;
   bool watch = false;
   std::uint64_t chaos_seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      scenario = argv[++i];
-    } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos = true;
-      if (!tools::parse_u64_arg(argv[0], "--chaos", argv[++i], &chaos_seed)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
-      prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--series") == 0 && i + 1 < argc) {
-      series_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-      if (!tools::parse_positive_double_arg(argv[0], "--interval", argv[++i],
-                                            &interval_s)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      watch = true;
-    } else if (std::strcmp(argv[i], "--ring") == 0 && i + 1 < argc) {
-      if (!tools::parse_long_arg(argv[0], "--ring", argv[++i], 1, 1 << 20,
-                                 &ring)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--min-violations") == 0 && i + 1 < argc) {
-      if (!tools::parse_long_arg(argv[0], "--min-violations", argv[++i], 0,
-                                 1000000000L, &min_violations)) {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--forensics") == 0) {
-      forensics = true;
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli(kArgs);
+  cli.choice("--scenario", &scenario, {"aether", "leafspine"})
+      .u64("--chaos", &chaos_seed)
+      .text("--out", &out_path)
+      .text("--trace", &trace_path)
+      .text("--prom", &prom_path)
+      .text("--series", &series_path)
+      .number("--interval", &interval_s)
+      .flag("--watch", &watch)
+      .integer("--ring", &ring, 1, 1 << 20)
+      .integer("--min-violations", &min_violations, 0, 1000000000L)
+      .flag("--forensics", &forensics);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  const bool chaos = cli.given("--chaos");
   if (watch && prom_path.empty()) {
-    std::fprintf(stderr, "%s: --watch requires --prom FILE\n", argv[0]);
-    return usage(argv[0]);
+    return cli.refuse("--watch requires --prom FILE");
   }
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
@@ -134,11 +101,8 @@ int main(int argc, char** argv) {
     tools::chaos_scenario(net, fabric, chaos_seed, /*stat=*/false);
   } else if (scenario == "aether") {
     tools::aether_scenario(net, fabric, /*stat=*/false);
-  } else if (scenario == "leafspine") {
-    tools::leafspine_scenario(net, fabric, /*stat=*/false);
   } else {
-    std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
-    return 2;
+    tools::leafspine_scenario(net, fabric, /*stat=*/false);
   }
 
   const auto& violations = net.violation_reports();

@@ -15,10 +15,7 @@
 // dropped retry, and both leafspine flows.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
-
-#include <cstdlib>
 
 #include "cli_parse.hpp"
 #include "net/network.hpp"
@@ -38,26 +35,14 @@ int main(int argc, char** argv) {
   std::string scenario = "aether";
   std::string out_path;
   std::string prom_path;
-  bool chaos = false;
   std::uint64_t chaos_seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-      scenario = argv[++i];
-    } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos = true;
-      if (!tools::parse_u64_arg(argv[0], "--chaos", argv[++i], &chaos_seed)) {
-        return tools::usage(argv[0], kArgs, 2);
-      }
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--prom") == 0 && i + 1 < argc) {
-      prom_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--help") == 0) {
-      return tools::usage(argv[0], kArgs, 0);
-    } else {
-      return tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
+  tools::Cli cli(kArgs);
+  cli.choice("--scenario", &scenario, {"aether", "leafspine"})
+      .u64("--chaos", &chaos_seed)
+      .text("--out", &out_path)
+      .text("--prom", &prom_path);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  const bool chaos = cli.given("--chaos");
 
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
@@ -66,11 +51,8 @@ int main(int argc, char** argv) {
     tools::chaos_scenario(net, fabric, chaos_seed, /*stat=*/true);
   } else if (scenario == "aether") {
     tools::aether_scenario(net, fabric, /*stat=*/true);
-  } else if (scenario == "leafspine") {
-    tools::leafspine_scenario(net, fabric, /*stat=*/true);
   } else {
-    std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
-    return 2;
+    tools::leafspine_scenario(net, fabric, /*stat=*/true);
   }
 
   for (const auto& trace : net.trace_sink().traces()) {

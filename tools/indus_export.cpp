@@ -6,7 +6,6 @@
 //
 // Any other flag, or a second argument, exits 2.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -14,16 +13,10 @@
 #include "cli_parse.hpp"
 
 int main(int argc, char** argv) {
-  constexpr const char* kArgs = "[dir] [--help]";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      return hydra::tools::usage(argv[0], kArgs, 0);
-    }
-    if (i > 1 || argv[i][0] == '-') {
-      return hydra::tools::unknown_argument(argv[0], argv[i], kArgs);
-    }
-  }
-  const std::string dir = argc > 1 ? argv[1] : ".";
+  std::string dir = ".";
+  hydra::tools::Cli cli("[dir] [--help]");
+  cli.positional("dir", &dir);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
   int written = 0;
   for (const auto& spec : hydra::checkers::all_checkers()) {
     const std::string path = dir + "/" + spec.name + ".indus";

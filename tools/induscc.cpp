@@ -16,7 +16,6 @@
 // Exit status: 0 on success (and for --help, which prints the usage to
 // stdout), 1 on compile errors, 2 on usage errors.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,88 +59,43 @@ int main(int argc, char** argv) {
   std::string input;
   std::string output;
   std::string name;
+  std::string placement = "last-hop";
+  std::string dialect = "tna";
+  std::string baseline = "fabric-upf";
   compiler::CompileOptions opts;
   bool want_resources = false;
   bool want_layout = false;
   bool want_ir = false;
   bool want_loc = false;
   bool quiet = false;
-  bool link = false;
   std::string link_skeleton = "fabric-upf";
   std::string link_role = "edge";
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "induscc: %s expects an argument\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "-o") {
-      output = next("-o");
-    } else if (arg == "--name") {
-      name = next("--name");
-    } else if (arg == "--placement") {
-      const std::string mode = next("--placement");
-      if (mode == "last-hop") {
-        opts.placement = compiler::CheckPlacement::kLastHop;
-      } else if (mode == "every-hop") {
-        opts.placement = compiler::CheckPlacement::kEveryHop;
-      } else if (mode == "auto") {
-        opts.placement = compiler::CheckPlacement::kAuto;
-      } else {
-        std::fprintf(stderr, "induscc: unknown placement '%s'\n",
-                     mode.c_str());
-        return 2;
-      }
-    } else if (arg == "--dialect") {
-      const std::string d = next("--dialect");
-      if (d == "tna") {
-        opts.dialect = compiler::P4Dialect::kTna;
-      } else if (d == "v1model") {
-        opts.dialect = compiler::P4Dialect::kV1Model;
-      } else {
-        std::fprintf(stderr, "induscc: unknown dialect '%s'\n", d.c_str());
-        return 2;
-      }
-    } else if (arg == "--byte-aligned") {
-      opts.byte_aligned_layout = true;
-    } else if (arg == "--baseline") {
-      const std::string p = next("--baseline");
-      if (p == "fabric-upf") {
-        opts.baseline = compiler::fabric_upf_profile();
-      } else if (p == "simple-router") {
-        opts.baseline = compiler::simple_router_profile();
-      } else {
-        std::fprintf(stderr, "induscc: unknown baseline '%s'\n", p.c_str());
-        return 2;
-      }
-    } else if (arg == "--link") {
-      link = true;
-      link_skeleton = next("--link");  // fabric-upf | simple-router
-    } else if (arg == "--role") {
-      link_role = next("--role");  // edge | core
-    } else if (arg == "--resources") {
-      want_resources = true;
-    } else if (arg == "--layout") {
-      want_layout = true;
-    } else if (arg == "--dump-ir") {
-      want_ir = true;
-    } else if (arg == "--loc") {
-      want_loc = true;
-    } else if (arg == "-q") {
-      quiet = true;
-    } else if (arg == "-h" || arg == "--help") {
-      return hydra::tools::usage(argv[0], kArgs, 0);
-    } else if ((!arg.empty() && arg[0] == '-') || !input.empty()) {
-      return hydra::tools::unknown_argument(argv[0], argv[i], kArgs);
-    } else {
-      input = arg;
-    }
+  tools::Cli cli(kArgs);
+  cli.help("-h")
+      .text("-o", &output)
+      .text("--name", &name)
+      .choice("--placement", &placement, {"last-hop", "every-hop", "auto"})
+      .choice("--dialect", &dialect, {"tna", "v1model"})
+      .flag("--byte-aligned", &opts.byte_aligned_layout)
+      .choice("--baseline", &baseline, {"fabric-upf", "simple-router"})
+      .choice("--link", &link_skeleton, {"fabric-upf", "simple-router"})
+      .choice("--role", &link_role, {"edge", "core"})
+      .flag("--resources", &want_resources)
+      .flag("--layout", &want_layout)
+      .flag("--dump-ir", &want_ir)
+      .flag("--loc", &want_loc)
+      .flag("-q", &quiet)
+      .positional("checker.indus", &input, /*required=*/true);
+  if (const auto rc = cli.parse(argc, argv)) return *rc;
+  using compiler::CheckPlacement;
+  opts.placement = placement == "every-hop" ? CheckPlacement::kEveryHop
+                   : placement == "auto"    ? CheckPlacement::kAuto
+                                            : CheckPlacement::kLastHop;
+  opts.dialect = dialect == "v1model" ? compiler::P4Dialect::kV1Model
+                                      : compiler::P4Dialect::kTna;
+  if (baseline == "simple-router") {
+    opts.baseline = compiler::simple_router_profile();
   }
-  if (input.empty()) return hydra::tools::usage(argv[0], kArgs, 2);
   if (name.empty()) name = file_stem(input);
 
   std::ifstream in(input);
@@ -194,17 +148,10 @@ int main(int argc, char** argv) {
     std::fputs(c.ir.dump().c_str(), stdout);
   }
   std::string code = c.p4_code;
-  if (link) {
-    compiler::ForwardingSkeleton skel;
-    if (link_skeleton == "fabric-upf") {
-      skel = compiler::ForwardingSkeleton::fabric_upf();
-    } else if (link_skeleton == "simple-router") {
-      skel = compiler::ForwardingSkeleton::simple_router();
-    } else {
-      std::fprintf(stderr, "induscc: unknown skeleton '%s'\n",
-                   link_skeleton.c_str());
-      return 2;
-    }
+  if (cli.given("--link")) {
+    const auto skel = link_skeleton == "simple-router"
+                          ? compiler::ForwardingSkeleton::simple_router()
+                          : compiler::ForwardingSkeleton::fabric_upf();
     const auto role = link_role == "core" ? compiler::SwitchRole::kCore
                                           : compiler::SwitchRole::kEdge;
     code = link_p4(c, skel, role).p4_code;
