@@ -13,7 +13,14 @@
 // instrumentation overhead.
 //
 // The fabric section reports the simulator's own wall-clock throughput
-// (pipeline hops per wall-second) on a 16-switch fabric.
+// (pipeline hops per wall-second) on a 16-switch fabric, min/median/max over
+// 5 reps. The fixed-cost section deploys K = 0, 1, 8 and 16 copies of a
+// one-instruction checker on the same fabric and sends 200k packets between
+// random host pairs, 5 reps per K: ns per packet (min/median/max), and ns
+// per (hop, deployment) = (median at K - median at 0) / (K x hops/packet),
+// the fixed cost of a deployment on one hop beyond its one instruction.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -28,6 +35,7 @@
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
 #include "net/traffic.hpp"
+#include "util/rng.hpp"
 
 using namespace hydra;
 
@@ -53,6 +61,22 @@ void deploy_everything(net::Network& net, const net::LeafSpine& fabric) {
 }
 
 bool g_obs = false;  // --obs: run with the observability layer enabled
+
+constexpr int kReps = 5;
+
+// Min, median and max of one measure over the reps.
+struct Stat {
+  double min = 0, median = 0, max = 0;
+  static Stat of(std::array<double, kReps> v) {
+    std::sort(v.begin(), v.end());
+    return {v.front(), v[kReps / 2], v.back()};
+  }
+};
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 Result iperf_run(bool with_checkers, double duration) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
@@ -128,11 +152,12 @@ Result campus_run(bool with_checkers, double duration) {
 struct FabricResult {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
-  double wall_s = 0;
-  double hops_per_wall_s = 0;
+  Stat wall_s;
+  Stat hops_per_wall_s;
 };
 
-FabricResult fabric_run(double duration) {
+// One rep; returns the wall seconds of the run and fills sent/delivered.
+double fabric_run(double duration, FabricResult& r) {
   auto fabric = net::make_leaf_spine(8, 8, 2);  // 16 switches, 16 hosts
   net::Network net(fabric.topo);
   fwd::install_leaf_spine_routing(net, fabric);
@@ -162,16 +187,100 @@ FabricResult fabric_run(double duration) {
   }
   const auto t0 = std::chrono::steady_clock::now();
   net.events().run();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  FabricResult r;
+  const double wall_s = seconds_since(t0);
+  r.sent = 0;
   for (const auto& f : flows) r.sent += f->packets_sent();
   r.delivered = net.counters().delivered;
-  r.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  // Each delivered packet crosses leaf -> spine -> leaf (3 pipeline hops).
-  r.hops_per_wall_s =
-      r.wall_s > 0 ? 3.0 * static_cast<double>(r.delivered) / r.wall_s : 0;
+  return wall_s;
+}
+
+FabricResult fabric_reps(double duration) {
+  FabricResult r;
+  std::array<double, kReps> wall{};
+  std::array<double, kReps> rate{};
+  for (int i = 0; i < kReps; ++i) {
+    wall[i] = fabric_run(duration, r);
+    // Each delivered packet crosses leaf -> spine -> leaf (3 pipeline hops).
+    rate[i] = wall[i] > 0 ? 3.0 * static_cast<double>(r.delivered) / wall[i]
+                          : 0;
+  }
+  r.wall_s = Stat::of(wall);
+  r.hops_per_wall_s = Stat::of(rate);
   return r;
+}
+
+// ---- fixed cost per (hop, deployment) -------------------------------------
+
+constexpr std::array<int, 4> kCopies = {0, 1, 8, 16};
+constexpr int kFixedPackets = 200000;
+
+struct FixedCostRow {
+  int copies = 0;
+  double hops_per_packet = 0;
+  Stat ns_per_packet;
+};
+
+// One rep at `copies` deployments: wall ns per packet over kFixedPackets
+// sent one at a time between random host pairs (the same pairs for every
+// K); sets the switch hops per packet the hosts saw.
+double fixed_cost_run(int copies, double& hops_per_packet) {
+  auto fabric = net::make_leaf_spine(8, 8, 2);
+  net::Network net(fabric.topo);
+  fwd::install_leaf_spine_routing(net, fabric);
+  if (g_obs) net.set_observability(true);
+  const auto one = compile_shared("tele bit<8> n = 0;\n{ } { n += 1; } { }",
+                                  "one_instruction");
+  for (int k = 0; k < copies; ++k) net.deploy(one);
+  std::vector<int> hosts;
+  std::uint64_t hops = 0;
+  for (const auto& leaf : fabric.hosts) {
+    for (const int h : leaf) {
+      hosts.push_back(h);
+      net.host(h).add_sink(
+          [&hops](const p4rt::Packet& p, double) { hops += p.hops; });
+    }
+  }
+  Rng rng(2026);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kFixedPackets; ++i) {
+    const std::size_t src = rng.below(hosts.size());
+    std::size_t dst = rng.below(hosts.size() - 1);
+    if (dst >= src) ++dst;
+    const net::PacketHandle h = net.alloc_packet();
+    p4rt::make_udp_into(net.packet(h), net.topo().node(hosts[src]).ip,
+                        net.topo().node(hosts[dst]).ip,
+                        static_cast<std::uint16_t>(1024 + rng.below(60000)),
+                        9000, 64);
+    net.send_pooled(hosts[src], h);
+    net.events().run();
+  }
+  const double wall_s = seconds_since(t0);
+  hops_per_packet = static_cast<double>(hops) / kFixedPackets;
+  return wall_s * 1e9 / kFixedPackets;
+}
+
+// The reps interleave the K values, so drift on the box spreads over all
+// rows alike.
+std::vector<FixedCostRow> fixed_cost_rows() {
+  std::vector<FixedCostRow> rows(kCopies.size());
+  std::array<std::array<double, kReps>, kCopies.size()> ns{};
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t k = 0; k < kCopies.size(); ++k) {
+      rows[k].copies = kCopies[k];
+      ns[k][rep] = fixed_cost_run(kCopies[k], rows[k].hops_per_packet);
+    }
+  }
+  for (std::size_t k = 0; k < kCopies.size(); ++k) {
+    rows[k].ns_per_packet = Stat::of(ns[k]);
+  }
+  return rows;
+}
+
+// (row - K=0 row) / (K x hops per packet), on the medians.
+double ns_per_hop_deployment(const FixedCostRow& row,
+                             const FixedCostRow& bare) {
+  return (row.ns_per_packet.median - bare.ns_per_packet.median) /
+         (row.copies * row.hops_per_packet);
 }
 
 void write_result(std::string& out, const char* name, const Result& r,
@@ -185,10 +294,18 @@ void write_result(std::string& out, const char* name, const Result& r,
       static_cast<unsigned long long>(r.delivered), r.pps, trailer);
 }
 
+// "name": median, "name_min": min, "name_max": max, at `digits` decimals.
+void put_stat(std::string& out, const char* name, const Stat& s, int digits) {
+  tools::appendf(out, "\"%s\": %.*f, \"%s_min\": %.*f, \"%s_max\": %.*f",
+                 name, digits, s.median, name, digits, s.min, name, digits,
+                 s.max);
+}
+
 bool write_json(const std::string& path, const Result& iperf_base,
                 const Result& iperf_hydra, const Result& campus_base,
                 const Result& campus_hydra, double delta_pct,
-                const FabricResult& fabric) {
+                const FabricResult& fabric,
+                const std::vector<FixedCostRow>& fixed) {
   std::string out;
   tools::appendf(out,
                  "{\n  \"bench\": \"throughput\",\n"
@@ -203,10 +320,28 @@ bool write_json(const std::string& path, const Result& iperf_base,
   write_result(out, "all_checkers", campus_hydra, "");
   tools::appendf(out,
                  "  },\n  \"fabric_16sw\": {\"sent\": %llu, \"delivered\": "
-                 "%llu, \"wall_s\": %.4f, \"hops_per_wall_s\": %.1f}\n}\n",
+                 "%llu, \"reps\": %d, ",
                  static_cast<unsigned long long>(fabric.sent),
-                 static_cast<unsigned long long>(fabric.delivered),
-                 fabric.wall_s, fabric.hops_per_wall_s);
+                 static_cast<unsigned long long>(fabric.delivered), kReps);
+  put_stat(out, "wall_s", fabric.wall_s, 4);
+  out += ", ";
+  put_stat(out, "hops_per_wall_s", fabric.hops_per_wall_s, 1);
+  tools::appendf(out,
+                 "},\n  \"fixed_cost\": {\"packets\": %d, \"reps\": %d, "
+                 "\"rows\": [\n",
+                 kFixedPackets, kReps);
+  for (std::size_t k = 0; k < fixed.size(); ++k) {
+    const FixedCostRow& row = fixed[k];
+    tools::appendf(out, "    {\"copies\": %d, \"hops_per_packet\": %.4f, ",
+                   row.copies, row.hops_per_packet);
+    put_stat(out, "ns_per_packet", row.ns_per_packet, 1);
+    if (row.copies > 0) {
+      tools::appendf(out, ", \"ns_per_hop_deployment\": %.2f",
+                     ns_per_hop_deployment(row, fixed[0]));
+    }
+    out += k + 1 < fixed.size() ? "},\n" : "}\n";
+  }
+  out += "  ]}\n}\n";
   if (!tools::write_text_file(path, out)) return false;
   std::printf("\nwrote %s\n", path.c_str());
   return true;
@@ -256,11 +391,31 @@ int main(int argc, char** argv) {
 
   // 16-switch fabric under all-pairs-style load: simulator wall-clock
   // throughput.
-  const FabricResult fs = fabric_run(0.02);
-  std::printf("\n16-switch fabric wall-clock (%u hw threads):\n",
-              std::thread::hardware_concurrency());
-  std::printf("  %12s %14s\n", "wall_s", "hops/wall-s");
-  std::printf("  %12.3f %14.0f\n", fs.wall_s, fs.hops_per_wall_s);
+  const FabricResult fs = fabric_reps(0.02);
+  std::printf("\n16-switch fabric wall-clock (%u hw threads, median [min, max] "
+              "of %d reps):\n",
+              std::thread::hardware_concurrency(), kReps);
+  std::printf("  %12s %30s\n", "wall_s", "hops/wall-s");
+  std::printf("  %12.3f %10.0f [%.0f, %.0f]\n", fs.wall_s.median,
+              fs.hops_per_wall_s.median, fs.hops_per_wall_s.min,
+              fs.hops_per_wall_s.max);
 
-  return write_json(json_path, b, h, cb, ch, delta, fs) ? 0 : 1;
+  const std::vector<FixedCostRow> fixed = fixed_cost_rows();
+  std::printf("\nfixed cost per (hop, deployment): K copies of a "
+              "one-instruction checker,\nleaf_spine(8, 8, 2), %d packets, "
+              "median [min, max] of %d reps:\n",
+              kFixedPackets, kReps);
+  std::printf("  %4s %9s %28s %22s\n", "K", "hops/pkt", "ns/pkt",
+              "ns/(hop, deployment)");
+  for (const FixedCostRow& row : fixed) {
+    std::printf("  %4d %9.3f %10.1f [%.1f, %.1f]", row.copies,
+                row.hops_per_packet, row.ns_per_packet.median,
+                row.ns_per_packet.min, row.ns_per_packet.max);
+    if (row.copies > 0) {
+      std::printf(" %12.2f", ns_per_hop_deployment(row, fixed[0]));
+    }
+    std::printf("\n");
+  }
+
+  return write_json(json_path, b, h, cb, ch, delta, fs, fixed) ? 0 : 1;
 }

@@ -183,13 +183,14 @@ bool run_translation(const compiler::CompiledChecker& compiled,
                                                    : -1);
   }
 
-  interp.run(p4rt::Block::kInit, state, atoms, out);
+  std::vector<std::uint64_t> words;  // the trace's telemetry frame
+  interp.run(p4rt::Block::kInit, words, state, atoms, out);
   for (const auto& e : trace) {
     atoms.event = &e;
-    interp.run(p4rt::Block::kTele, state, atoms, out);
+    interp.run(p4rt::Block::kTele, words, state, atoms, out);
   }
   atoms.event = &trace.back();
-  interp.run(p4rt::Block::kCheck, state, atoms, out);
+  interp.run(p4rt::Block::kCheck, words, state, atoms, out);
   return !out.reject;
 }
 

@@ -94,9 +94,9 @@ LinkFaultAction FaultInjector::on_transmit(int link, int dir,
     // depend on whether this particular packet carried telemetry.
     const std::uint64_t entropy = rng.next();
     if (has_tele) {
+      // Counted by the network, and only where a frame is damaged.
       action.corrupt = true;
       action.corrupt_entropy = entropy;
-      ++stats_.corruptions;
     }
   }
   if (plan_.duplicate > 0.0 && rng.chance(plan_.duplicate)) {

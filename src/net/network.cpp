@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "p4rt/tele_codec.hpp"
@@ -124,6 +125,8 @@ void Network::fill_slot(
   d.retiring = false;
   d.pending_swap = false;
   d.phase = phase;
+  d.check_every_hop =
+      d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
   d.per_switch.assign(d.live ? static_cast<std::size_t>(topo_.node_count()) : 0,
                       {});
   for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
@@ -131,6 +134,7 @@ void Network::fill_slot(
     d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
   }
   d.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
+  link_stages();
   if (obs_ != nullptr) observe_refill(slot);
 }
 
@@ -194,6 +198,7 @@ void Network::finalize_retirement(std::size_t slot) {
   d.per_switch.shrink_to_fit();
   generations_[d.generation].retired = true;
   register_stale_counter(d.generation);
+  link_stages();
 }
 
 bool Network::swap_in_progress() const {
@@ -381,14 +386,15 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
 }
 
 void Network::corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy) {
-  if (pkt.tele.empty()) return;
-  p4rt::TeleFrame& frame =
-      pkt.tele[static_cast<std::size_t>(entropy % pkt.tele.size())];
-  if (frame.checker < 0 ||
-      frame.checker >= static_cast<int>(deployments_.size()) ||
-      frame.damaged) {
-    return;
-  }
+  // The (entropy % live)-th live frame: the retired slots a pooled packet
+  // keeps are not on the wire.
+  const auto live = static_cast<std::uint64_t>(std::count_if(
+      pkt.tele.begin(), pkt.tele.end(), std::mem_fn(&p4rt::TeleFrame::live)));
+  if (live == 0) return;
+  auto it = pkt.tele.begin();
+  for (std::uint64_t k = entropy % live; !it->live() || k-- > 0;) ++it;
+  p4rt::TeleFrame& frame = *it;
+  if (frame.damaged) return;
   // Reserialize against the GENERATION the frame was stamped with — the
   // slot may since have been relinked to a different layout.
   if (frame.generation >= generations_.size() ||
@@ -433,6 +439,7 @@ void Network::corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy) {
   }
   frame.wire = std::move(bytes);
   frame.damaged = true;
+  ++faults_->stats().corruptions;
 }
 
 p4rt::RegisterArray& Network::checker_register(int deployment, int switch_id,
@@ -457,38 +464,28 @@ void Network::emit_report(ReportRecord record) {
   for (const auto& cb : report_callbacks_) cb(stored);
 }
 
-int Network::pipeline_stages() const {
-  int stages = baseline_.stages;
+void Network::link_stages() {
+  stages_ = baseline_.stages;
   for (const auto& d : deployments_) {
     if (!d.live) continue;
-    stages = std::max(stages, d.checker->resources.checker_stages);
+    stages_ = std::max(stages_, d.checker->resources.checker_stages);
   }
-  return stages;
-}
-
-double Network::switch_latency() const {
-  return base_proc_s_ + per_stage_s_ * pipeline_stages();
-}
-
-int Network::packet_wire_bytes(const p4rt::Packet& pkt) const {
-  int bytes = pkt.base_wire_bytes();
-  for (const auto& f : pkt.tele) {
-    if (f.checker < 0) continue;
-    // Size by the generation the frame was stamped with: a straggler of a
-    // relinked slot still occupies the OLD layout's bytes on the wire.
-    if (f.generation < generations_.size() &&
-        generations_[f.generation].checker != nullptr) {
-      bytes += generations_[f.generation].checker->layout.wire_bytes;
-    }
-  }
-  return bytes;
 }
 
 void Network::send_from_host(int host_id, p4rt::Packet pkt) {
   const PacketHandle h = packet_pool_.alloc();
-  // Copy-assign into the pooled slot: the slot's vectors keep their
-  // capacity, and slab addresses are stable across the alloc above.
-  packet(h) = std::move(pkt);
+  // Move-assign into the pooled slot: it takes `pkt`'s buffers and frees
+  // its own. Slab addresses are stable across the alloc above.
+  p4rt::Packet& p = packet(h) = std::move(pkt);
+  // Live frames built off the network are sized here, once, by the
+  // generation that stamped them.
+  p.tele_bytes = 0;
+  for (const auto& f : p.tele) {
+    if (f.live() && f.generation < generations_.size() &&
+        generations_[f.generation].checker != nullptr) {
+      p.tele_bytes += generations_[f.generation].checker->layout.wire_bytes;
+    }
+  }
   send_pooled(host_id, h);
 }
 
@@ -538,7 +535,7 @@ void Network::transmit(PortRef from, PacketHandle ph) {
       dup = pkt;
       dup.id = next_packet_id_++;
       const auto dup_arrival =
-          link.transmit(dir, events_.now(), packet_wire_bytes(dup));
+          link.transmit(dir, events_.now(), dup.wire_bytes());
       if (dup_arrival) {
         schedule_arrival(dest, *dup_arrival, dh);
       } else {
@@ -549,8 +546,7 @@ void Network::transmit(PortRef from, PacketHandle ph) {
     extra_delay = action.extra_delay_s;
   }
 
-  const auto arrival =
-      link.transmit(dir, events_.now(), packet_wire_bytes(pkt));
+  const auto arrival = link.transmit(dir, events_.now(), pkt.wire_bytes());
   if (!arrival) {
     ++counters_.queue_dropped;
     if (obs_ != nullptr) observe_fate(pkt, obs::PacketFate::kQueueDropped);
@@ -633,7 +629,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   hctx.switch_tag = switch_tag(sw);
   hctx.in_port = work.in_port;
   hctx.first_hop = topo_.host_facing({sw, work.in_port});
-  hctx.wire_bytes = packet_wire_bytes(pkt);
+  hctx.wire_bytes = pkt.wire_bytes();
 
   // The obs plane's inputs: the traced packet's hop record (null unless
   // this packet is sampled), and each slot's flight-recorder record while
@@ -668,14 +664,14 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       p4rt::ExecOutcome& out = d.out;
       out.reject = false;
       out.reports.clear();
-      d.interp->run(p4rt::Block::kInit,
-                    d.per_switch[static_cast<std::size_t>(sw)],
-                    HopHeaders(d.headers, pkt, hctx), out);
       // Re-arm a retired tele slot in place (deployment order matches the
       // old push_back order; all slots retire together at the last hop).
-      p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di));
+      p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di),
+                                             d.checker->layout.wire_bytes);
       frame.generation = d.generation;
-      d.interp->store(frame);
+      d.interp->run(p4rt::Block::kInit, frame.words,
+                    d.per_switch[static_cast<std::size_t>(sw)],
+                    HopHeaders(d.headers, pkt, hctx), out);
       if (cold_sw) frame.cold = true;
       if (hop != nullptr) {
         hop->checkers.push_back(
@@ -707,10 +703,10 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   hctx.last_hop =
       decision.drop ||
       (decision.eg_port >= 0 && topo_.host_facing({sw, decision.eg_port}));
-  hctx.wire_bytes = packet_wire_bytes(pkt);
+  hctx.wire_bytes = pkt.wire_bytes();
 
   // 3./4. Telemetry at every hop; checker at the last hop (or every hop,
-  // for checkers compiled with per-hop placement).
+  // for checkers compiled with per-hop placement), fused into one VM run.
   bool rejected = false;
   // Bit d set for each deployment whose checker (or fail-closed telemetry
   // decode) rejected this hop; feeds per-property top-K attribution.
@@ -786,20 +782,14 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
     d.counters[kTeleRuns].inc();
     std::vector<std::uint64_t> trace_before;  // traced packets only
     if (hop != nullptr) trace_before = frame->words;
-    d.interp->load(*frame);
     p4rt::ExecOutcome& out = d.out;
     out.reject = false;
     out.reports.clear();
-    auto& state = d.per_switch[static_cast<std::size_t>(sw)];
-    const HopHeaders hdr(d.headers, pkt, hctx);
-    d.interp->run(p4rt::Block::kTele, state, hdr, out);
-    const bool run_check =
-        hctx.last_hop ||
-        d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
-    if (run_check) {
-      d.counters[kCheckRuns].inc();
-      d.interp->run(p4rt::Block::kCheck, state, hdr, out);
-    }
+    const bool run_check = hctx.last_hop || d.check_every_hop;
+    if (run_check) d.counters[kCheckRuns].inc();
+    d.interp->run(run_check ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
+                  frame->words, d.per_switch[static_cast<std::size_t>(sw)],
+                  HopHeaders(d.headers, pkt, hctx), out);
     // Cold suppression: a verdict derived from freshly-wiped sensor state
     // is noise, not a violation — drop it, count it, annotate it.
     const char* fault_note = nullptr;
@@ -810,7 +800,6 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       d.counters[kColdSuppressed].inc();
       fault_note = "cold_suppressed";
     }
-    d.interp->store(*frame);
     if (hop != nullptr) {
       hop->checkers.push_back(
           trace_checker_record(d, *frame, &trace_before, out,

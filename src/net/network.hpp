@@ -7,8 +7,8 @@
 //   2. the forwarding program computes the egress port (and may rewrite
 //      the packet — GTP encap/decap, source-route pop);
 //   3. every hop (egress): run the telemetry block;
-//   4. last hop (host-facing egress, or a forwarding drop, which ends the
-//      packet's journey): run the checker block, honour reject, emit
+//   4. last hop (a host-facing egress, or a forwarding drop, which ends
+//      the journey): the checker block, in 3's VM run; honour reject, emit
 //      reports, and strip telemetry before the packet reaches the host.
 //
 // ---- Event loop -------------------------------------------------------------
@@ -233,9 +233,12 @@ class Network final : public EventExecutor {
   }
   void set_baseline_profile(compiler::BaselineProfile profile) {
     baseline_ = std::move(profile);
+    link_stages();
   }
-  double switch_latency() const;
-  int pipeline_stages() const;  // baseline linked with all deployments
+  double switch_latency() const {
+    return base_proc_s_ + per_stage_s_ * stages_;
+  }
+  int pipeline_stages() const { return stages_; }  // baseline + live slots
 
   // When enabled, every telemetry frame is round-tripped through the
   // byte-exact wire codec at every hop (serialize -> parse -> compare),
@@ -425,6 +428,7 @@ class Network final : public EventExecutor {
     bool retiring = false;      // disable flip in flight
     bool pending_swap = false;  // a swap closure has not landed yet
     std::uint8_t phase = kPhaseRetired;  // see the enum above
+    bool check_every_hop = false;  // the checker's placement is kEveryHop
     // The checker lowered to slot-addressed ops; owns the slot file.
     std::unique_ptr<p4rt::Interp> interp;
     p4rt::ExecOutcome out;
@@ -507,6 +511,9 @@ class Network final : public EventExecutor {
   // frees per-switch state, marks the generation retired, and registers its
   // stale-frame counter.
   void finalize_retirement(std::size_t slot);
+  // Recomputes stages_ from the baseline and the live slots; called where
+  // either changes (fill_slot, finalize_retirement, set_baseline_profile).
+  void link_stages();
   // Bounds- and liveness-checks a deployment id from the control-plane
   // API; throws std::invalid_argument naming `what` for a stale or
   // out-of-range id (undeploy leaves holes — a stale id must produce a
@@ -581,9 +588,10 @@ class Network final : public EventExecutor {
   // Fires every export tick with next_tick() <= t. The event loop calls
   // this before running any event at time t.
   void export_tick_until(SimTime t);
-  // Damages one telemetry frame's wire bytes (in transmit): serializes the
-  // frame through the real codec, then applies the plan's corruption mode
-  // driven by `entropy`; the next hop must re-parse before trusting it.
+  // Damages one live telemetry frame's wire bytes (in transmit) and counts
+  // the corruption: serializes the frame through the real codec, then
+  // applies the plan's corruption mode driven by `entropy`; the next hop
+  // must re-parse before trusting it.
   void corrupt_frame(p4rt::Packet& pkt, std::uint64_t entropy);
   // Joins the rings on the packet id and assembles a ViolationReport
   // (called when a hop rejected or reported; the payloads are the hop's
@@ -607,7 +615,6 @@ class Network final : public EventExecutor {
   // Schedules the event for a packet that reaches `dest` at time `at`: the
   // switch's hop at at + switch_latency(), or the host's delivery at at.
   void schedule_arrival(PortRef dest, SimTime at, PacketHandle pkt);
-  int packet_wire_bytes(const p4rt::Packet& pkt) const;
   std::uint32_t switch_tag(int sw) const {
     return static_cast<std::uint32_t>(sw + 1);
   }
@@ -627,6 +634,7 @@ class Network final : public EventExecutor {
   std::vector<ReportCallback> report_callbacks_;
   Counters counters_;
   compiler::BaselineProfile baseline_ = compiler::simple_router_profile();
+  int stages_ = baseline_.stages;  // pipeline_stages(), see link_stages
   double base_proc_s_ = 8e-7;
   double per_stage_s_ = 5e-8;
   std::uint64_t next_packet_id_ = 1;

@@ -123,7 +123,7 @@ class Interp::Lowerer {
   }
 
   std::uint32_t slot(ir::FieldId f) const {
-    return static_cast<std::uint32_t>(f.id);
+    return vm_.field_slot_[static_cast<std::size_t>(f.id)];
   }
   int width(ir::FieldId f) const { return ir_.field(f).width; }
 
@@ -371,42 +371,24 @@ class Interp::Lowerer {
 };
 
 Interp::Interp(const ir::CheckerIR& ir) : ir_(ir) {
+  // Tele fields first, so the tele slots line up with a frame's words.
+  for (const auto& f : ir.fields) tele_ += f.space == ir::Space::kTele;
+  std::uint32_t tele = 0;
+  auto other = static_cast<std::uint32_t>(tele_);
+  for (const auto& f : ir.fields) {
+    field_slot_.push_back(f.space == ir::Space::kTele ? tele++ : other++);
+  }
   Lowerer lower(*this);
   entry_[static_cast<std::size_t>(Block::kInit)] = lower.block(ir.init_block);
   entry_[static_cast<std::size_t>(Block::kTele)] = lower.block(ir.tele_block);
   entry_[static_cast<std::size_t>(Block::kCheck)] =
       lower.block(ir.check_block);
   lower.finish();
-  for (std::size_t i = 0; i < ir.fields.size(); ++i) {
-    if (ir.fields[i].space == ir::Space::kTele) {
-      tele_.push_back({static_cast<std::uint32_t>(i), ir.fields[i].width});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Frames and field access
-// ---------------------------------------------------------------------------
-
-void Interp::load(const TeleFrame& frame) {
-  if (frame.words.size() != tele_.size()) {
-    throw std::invalid_argument("telemetry frame size mismatch for '" +
-                                ir_.name + "'");
-  }
-  for (std::size_t i = 0; i < tele_.size(); ++i) {
-    slots_[tele_[i].slot] = frame.words[i] & BitVec::mask(tele_[i].width);
-  }
-}
-
-void Interp::store(TeleFrame& frame) const {
-  frame.words.resize(tele_.size());
-  for (std::size_t i = 0; i < tele_.size(); ++i) {
-    frame.words[i] = slots_[tele_[i].slot];
-  }
 }
 
 BitVec Interp::value(ir::FieldId f) const {
-  return BitVec(ir_.field(f).width, slots_[static_cast<std::size_t>(f.id)]);
+  return BitVec(ir_.field(f).width,
+                slots_[field_slot_[static_cast<std::size_t>(f.id)]]);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,15 +442,23 @@ void Interp::report_op(const Op& op, ExecOutcome& out) const {
   out.reports.push_back(std::move(payload));
 }
 
-void Interp::run(Block block, CheckerState& state, const HeaderSource& hdr,
+void Interp::run(Block block, std::vector<std::uint64_t>& words,
+                 CheckerState& state, const HeaderSource& hdr,
                  ExecOutcome& out) {
-  std::uint64_t* s = slots_.data();
   if (block == Block::kInit) {
-    for (const SlotRef& t : tele_) s[t.slot] = 0;
+    words.assign(tele_, 0);
+  } else if (words.size() != tele_) {
+    throw std::invalid_argument("telemetry frame size mismatch for '" +
+                                ir_.name + "'");
   }
+  // Plain loops: a frame is a few words, too few for a memmove call.
+  std::uint64_t* s = slots_.data();
+  for (std::size_t i = 0; i < tele_; ++i) s[i] = words[i];
+  bool then_check = block == Block::kTeleCheck;
   const Op* code = code_.data();
   std::uint64_t executed = 0;
-  for (std::uint32_t pc = entry_[static_cast<std::size_t>(block)];;) {
+  for (std::uint32_t pc = entry_[static_cast<std::size_t>(
+           then_check ? Block::kTele : block)];;) {
     const Op& op = code[pc++];
     executed += op.instrs;
     switch (op.code) {
@@ -541,7 +531,13 @@ void Interp::run(Block block, CheckerState& state, const HeaderSource& hdr,
       case Code::kReport: report_op(op, out); break;
       case Code::kNop: break;
       case Code::kHalt:
+        if (then_check) {
+          then_check = false;
+          pc = entry_[static_cast<std::size_t>(Block::kCheck)];
+          break;
+        }
         metrics_.instructions.inc(executed);
+        for (std::size_t i = 0; i < tele_; ++i) words[i] = s[i];
         return;
     }
   }

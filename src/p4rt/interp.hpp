@@ -5,8 +5,9 @@
 //
 // The constructor lowers the init, tele and check blocks once into a flat
 // array of ops over a uint64_t slot file:
-//   * slot i is IR field i; after the fields come one slot per expression
-//     temporary and one per distinct constant;
+//   * the tele fields take the first slots, in FieldId order (a frame's
+//     word order), then the other IR fields; after the fields come one slot
+//     per expression temporary and one per distinct constant;
 //   * every slot holds its value truncated to a width fixed at lowering
 //     time, so an op carries only its result's width mask. Widths follow
 //     BitVec's rules: arithmetic, bitwise ops and abs-diff take the wider
@@ -66,7 +67,9 @@ struct InterpMetrics {
   obs::Counter reg_writes;
 };
 
-enum class Block { kInit, kTele, kCheck };
+// kTeleCheck is one run of the tele block that continues, at its halt,
+// into the check block.
+enum class Block { kInit, kTele, kCheck, kTeleCheck };
 
 class Interp {
  public:
@@ -74,18 +77,14 @@ class Interp {
 
   const ir::CheckerIR& ir() const { return ir_; }
 
-  // Runs one block over the slot file; reject and reports accumulate into
-  // `out`. kInit starts a fresh telemetry header: every tele slot is zeroed
-  // before the block runs. Other slots keep their values between runs.
-  void run(Block block, CheckerState& state, const HeaderSource& hdr,
-           ExecOutcome& out);
-
-  // A frame holds one word per tele field, in FieldId order (the layout's
-  // entry order): load copies the words into the tele slots and throws
-  // std::invalid_argument on a word count other than this checker's;
-  // store copies the tele slots out, sizing the frame to that count.
-  void load(const TeleFrame& frame);
-  void store(TeleFrame& frame) const;
+  // Runs one block on a frame's `words`, one per tele field in FieldId
+  // order (the layout's entry order) within the field's width, copied into
+  // the tele slots before the run and back out after it. kInit sizes the
+  // words to this checker's tele fields and zeroes them; any other block
+  // throws std::invalid_argument naming the checker on another word count.
+  // Reject and reports accumulate into `out`; other slots keep their values.
+  void run(Block block, std::vector<std::uint64_t>& words,
+           CheckerState& state, const HeaderSource& hdr, ExecOutcome& out);
 
   // Current value of field `f` at the field's width.
   BitVec value(ir::FieldId f) const;
@@ -153,7 +152,7 @@ class Interp {
     std::vector<std::uint32_t> elems;  // element slots, capacity many
   };
 
-  // A slot read out at `width` bits (report payloads, tele words).
+  // A slot read out at `width` bits (report payloads).
   struct SlotRef {
     std::uint32_t slot = 0;
     int width = 1;
@@ -169,7 +168,8 @@ class Interp {
   std::vector<TableOp> tables_;
   std::vector<PushOp> pushes_;
   std::vector<SlotRef> report_args_;
-  std::vector<SlotRef> tele_;
+  std::vector<std::uint32_t> field_slot_;  // by FieldId
+  std::size_t tele_ = 0;  // tele fields, in the first slots
   std::vector<std::uint64_t> slots_;
   // Key words of the current table lookup, reused across lookups so the
   // per-packet hot path does not allocate.

@@ -41,20 +41,6 @@ FlowId flow_of(const Packet& pkt) {
   return f;
 }
 
-TeleFrame* Packet::frame(int checker) {
-  for (auto& f : tele) {
-    if (f.checker == checker) return &f;
-  }
-  return nullptr;
-}
-
-const TeleFrame* Packet::frame(int checker) const {
-  for (const auto& f : tele) {
-    if (f.checker == checker) return &f;
-  }
-  return nullptr;
-}
-
 void Packet::reuse() {
   id = 0;
   created_at = 0.0;
@@ -73,29 +59,19 @@ void Packet::reuse() {
   retire_frames();
 }
 
-TeleFrame& Packet::add_frame(int checker) {
-  for (auto& f : tele) {
-    if (!f.live()) {
-      f.checker = checker;
-      return f;
-    }
-  }
-  tele.emplace_back();
-  tele.back().checker = checker;
-  return tele.back();
+TeleFrame& Packet::add_frame(int checker, int wire_bytes) {
+  tele_bytes += wire_bytes;
+  while (first_free < tele.size() && tele[first_free].live()) ++first_free;
+  if (first_free == tele.size()) tele.emplace_back();
+  TeleFrame& f = tele[first_free++];
+  f.checker = checker;
+  return f;
 }
 
 void Packet::retire_frames() {
-  for (auto& f : tele) {
-    if (f.live()) f.retire();
-  }
-}
-
-bool Packet::has_live_tele() const {
-  for (const auto& f : tele) {
-    if (f.live()) return true;
-  }
-  return false;
+  for (auto& f : tele) f.retire();
+  tele_bytes = 0;
+  first_free = 0;
 }
 
 int Packet::base_wire_bytes() const {

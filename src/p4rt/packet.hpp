@@ -8,9 +8,12 @@
 // source-routing port stack (§5.1), and per-checker Hydra telemetry frames.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hydra::p4rt {
@@ -146,9 +149,25 @@ struct Packet {
   int payload_bytes = 0;
 
   std::vector<TeleFrame> tele;  // one frame per deployed checker
+  // Wire bytes of the live frames: add_frame adds each frame's layout
+  // bytes and retire_frames zeroes it, so sizing a packet walks no frames.
+  int tele_bytes = 0;
+  // Every tele slot below this index is live; add_frame's scan starts here.
+  std::uint32_t first_free = 0;
 
-  TeleFrame* frame(int checker);
-  const TeleFrame* frame(int checker) const;
+  // Deployment `checker`'s live frame, or null. Deployments stamp in
+  // order, so tele[checker] is tried before the scan.
+  const TeleFrame* frame(int checker) const {
+    const auto at = static_cast<std::size_t>(checker);
+    if (at < tele.size() && tele[at].checker == checker) return &tele[at];
+    for (const auto& f : tele) {
+      if (f.checker == checker) return &f;
+    }
+    return nullptr;
+  }
+  TeleFrame* frame(int checker) {
+    return const_cast<TeleFrame*>(std::as_const(*this).frame(checker));
+  }
 
   // ---- pooling support (util::Arena<Packet>) -----------------------------
   // Pooled packets are default-constructed once and recycled; these reset a
@@ -159,17 +178,20 @@ struct Packet {
   void reuse();
   // First retired tele slot re-armed for `checker` (appends only when no
   // retired slot exists — steady state after the first circulation never
-  // appends). Returns the live frame.
-  TeleFrame& add_frame(int checker);
+  // appends), carrying `wire_bytes` on the wire. Returns the live frame.
+  TeleFrame& add_frame(int checker, int wire_bytes);
   // Retires every live frame (the last-hop telemetry strip).
   void retire_frames();
   // Any live telemetry aboard? Replaces `!tele.empty()` checks now that
   // retired slots linger in `tele`.
-  bool has_live_tele() const;
+  bool has_live_tele() const {
+    return std::any_of(tele.begin(), tele.end(),
+                       std::mem_fn(&TeleFrame::live));
+  }
 
-  // Wire size of the header structs + payload, telemetry excluded (the
-  // network adds each live frame's layout bytes).
+  // Wire size of the header structs + payload, telemetry excluded.
   int base_wire_bytes() const;
+  int wire_bytes() const { return base_wire_bytes() + tele_bytes; }
 };
 
 FlowId flow_of(const Packet& pkt);

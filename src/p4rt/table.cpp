@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -45,6 +46,13 @@ std::string departure(const KeyPattern& p, const KeyPattern& c) {
            " is not canonical (" + std::to_string(c.prefix_len) + ")";
   }
   return {};
+}
+
+// Key words compared in a loop: keys are a few words, and std::equal
+// without a predicate calls memcmp.
+bool same_words(const std::uint64_t* a, const std::uint64_t* b,
+                std::size_t n) {
+  return std::equal(a, a + n, b, std::equal_to<>());
 }
 
 std::vector<std::uint64_t> words_of(const std::vector<BitVec>& key) {
@@ -581,7 +589,7 @@ std::size_t Table::find_slot(std::uint32_t tag, const std::uint64_t* key,
   for (std::size_t s = h >> slot_shift_;; s = (s + 1) & slot_mask_) {
     const std::uint64_t* p = &slots_[s * (nf + 1)];
     const auto t = static_cast<std::uint32_t>(p[0] >> 32);
-    if (t == 0 || (t == tag && std::equal(key, key + nf, p + 1))) return s;
+    if (t == 0 || (t == tag && same_words(key, p + 1, nf))) return s;
   }
 }
 
@@ -738,7 +746,7 @@ void Table::check_key(std::size_t n) const {
 std::int32_t Table::lookup(std::span<const std::uint64_t> key) const {
   check_key(key.size());
   std::uint64_t* cached = cache_key();
-  if (cache_valid_ && std::equal(key.begin(), key.end(), cached)) {
+  if (cache_valid_ && same_words(key.data(), cached, key.size())) {
     metrics_.cache_hits.inc();
     (cache_row_ < 0 ? metrics_.misses : metrics_.hits).inc();
     return cache_row_;
@@ -748,7 +756,7 @@ std::int32_t Table::lookup(std::span<const std::uint64_t> key) const {
   const std::int32_t best = size_ > kScanMax + classes_.size() ? probe(key)
                             : has_range_ ? scan<true>(key)
                                          : scan<false>(key);
-  std::copy(key.begin(), key.end(), cached);
+  for (std::size_t i = 0; i < key.size(); ++i) cached[i] = key[i];
   cache_row_ = best;
   cache_valid_ = true;
   (best < 0 ? metrics_.misses : metrics_.hits).inc();

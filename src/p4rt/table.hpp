@@ -144,7 +144,7 @@ class Table {
     return actions_[static_cast<std::uint16_t>(header(row) >> 32)];
   }
   std::span<const std::uint64_t> action_data(std::int32_t row) const {
-    return {&rows_[static_cast<std::size_t>(row) * stride_ + 1],
+    return {rows_.data() + static_cast<std::size_t>(row) * stride_ + 1,
             static_cast<std::size_t>(header(row) >> 48)};
   }
   int action_width(std::int32_t row, std::size_t i) const {

@@ -5,7 +5,9 @@
 //   * the reject verdict,
 //   * every report payload (order and values),
 //   * the final telemetry state (scalars, array slots, fill counts).
-// Any divergence is a compiler bug.
+// Every trace runs twice on the compiled side: with tele and check as
+// separate runs at the last hop, and fused into one kTeleCheck run, as the
+// network runs them. Any divergence is a compiler bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,8 +134,10 @@ struct Differential {
     rstate.configs["carr"] = carr_vals;
   }
 
-  // Runs both interpreters over `hops` and compares everything.
-  void check(const ControlPlane& cp, const std::vector<HopHeaders>& hops) {
+  // Runs both interpreters over `hops` and compares everything; `fused`
+  // runs the last hop's tele and check blocks as one VM run.
+  void check(const ControlPlane& cp, const std::vector<HopHeaders>& hops,
+             bool fused) {
     // --- compiled side ---
     p4rt::Interp interp(compiled.ir);
     p4rt::CheckerState istate = p4rt::make_checker_state(compiled.ir);
@@ -153,15 +157,18 @@ struct Differential {
       return source.hop->get(ann, w);
     };
 
-    interp.run(p4rt::Block::kInit, istate, source, iout);
+    std::vector<std::uint64_t> words;  // the packet's telemetry frame
+    interp.run(p4rt::Block::kInit, words, istate, source, iout);
     ref.run_init(rstate, resolver, rout);
-    for (const auto& h : hops) {
-      source.hop = &h;
-      interp.run(p4rt::Block::kTele, istate, source, iout);
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      source.hop = &hops[i];
+      const bool last = i + 1 == hops.size();
+      interp.run(fused && last ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
+                 words, istate, source, iout);
       ref.run_tele(rstate, resolver, rout);
     }
     source.hop = &hops.back();
-    interp.run(p4rt::Block::kCheck, istate, source, iout);
+    if (!fused) interp.run(p4rt::Block::kCheck, words, istate, source, iout);
     ref.run_check(rstate, resolver, rout);
 
     // Verdict + reports.
@@ -238,8 +245,11 @@ TEST_P(CompilerDifferential, ReferenceAndCompiledAgree) {
     for (int i = 0; i < hops; ++i) {
       trace.push_back(random_hop(rng, i == 0, i == hops - 1));
     }
-    diff.check(cp, trace);
-    if (::testing::Test::HasFatalFailure()) return;
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE(fused ? "fused last hop" : "separate tele and check");
+      diff.check(cp, trace, fused);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

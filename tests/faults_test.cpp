@@ -248,6 +248,43 @@ TEST(FailClosed, CorruptedTagIsCountedRejectNotThrow) {
             std::string::npos);
 }
 
+// A pooled packet keeps the tele slot of an undeployed checker, retired.
+// Corruption draws among the live frames only and counts only real
+// damage, so every corrupted transmit damages the one live frame and the
+// next switch rejects it.
+TEST(FailClosed, CorruptionHitsOnlyLiveFramesAndCountsOnlyDamage) {
+  auto fabric = net::make_leaf_spine(2, 2, 2);
+  net::Network net(fabric.topo);
+  fwd::install_leaf_spine_routing(net, fabric);
+  const std::string src = "tele bit<8> n = 0;\n{ } { n += 1; } { }";
+  const int first = net.deploy(compile_shared(src, "first"));
+  net.deploy(compile_shared(src, "second"));
+  const int from = fabric.hosts[0][0];
+  const int to = fabric.hosts[1][0];
+  auto send = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      const net::PacketHandle h = net.alloc_packet();
+      p4rt::make_udp_into(net.packet(h), net.topo().node(from).ip,
+                          net.topo().node(to).ip,
+                          static_cast<std::uint16_t>(1000 + i), 80, 64);
+      net.send_pooled(from, h);
+      net.events().run();
+    }
+  };
+  send(20);
+  net.undeploy(first);
+  net::FaultPlan plan;
+  plan.corrupt = 1.0;
+  plan.corrupt_mode = net::CorruptMode::kBadTag;
+  net.arm_faults(plan, 5);
+  send(200);
+  const net::FaultStats& fs = net.fault_stats();
+  EXPECT_EQ(fs.corruptions, 200u);
+  EXPECT_EQ(fs.tele_rejects, 200u);
+  EXPECT_EQ(net.counters().rejected, 200u);
+  EXPECT_EQ(net.counters().delivered, 20u);
+}
+
 TEST(FailClosed, MidPathTruncationIsCountedRejectNotThrow) {
   Rig r;
   r.net->set_forensics(true, 256);

@@ -10,6 +10,7 @@
 #include "p4rt/packet.hpp"
 #include "p4rt/register.hpp"
 #include "p4rt/table.hpp"
+#include "util/rng.hpp"
 
 namespace hydra::p4rt {
 namespace {
@@ -207,6 +208,7 @@ struct Harness : HeaderSource {
   Interp interp;
   CheckerState state;
   ExecOutcome out;
+  std::vector<std::uint64_t> words;  // the telemetry frame's words
   std::map<std::string, BitVec> headers;
   std::vector<std::string> annotations;  // by header index
 
@@ -225,9 +227,10 @@ struct Harness : HeaderSource {
     return it == headers.end() ? 0 : it->second.value();
   }
 
-  void run_init() { interp.run(Block::kInit, state, *this, out); }
-  void run_tele() { interp.run(Block::kTele, state, *this, out); }
-  void run_check() { interp.run(Block::kCheck, state, *this, out); }
+  void run(Block block) { interp.run(block, words, state, *this, out); }
+  void run_init() { run(Block::kInit); }
+  void run_tele() { run(Block::kTele); }
+  void run_check() { run(Block::kCheck); }
   BitVec field(const std::string& name) const {
     const auto f = checker.ir.find_field(name);
     EXPECT_TRUE(f.valid()) << name;
@@ -401,6 +404,7 @@ TEST(Interp, InstructionCounterCountsIrInstructionsRun) {
       if (true) { pass; }
     } { }
   )");
+  h.run_init();  // stamps the frame, before the counter is attached
   obs::Registry reg;
   InterpMetrics m;
   m.instructions = reg.counter("instructions");
@@ -438,17 +442,14 @@ TEST(Interp, StoreFrameCarriesOnlyTeleWords) {
   h.state.tables[0].insert_exact({BitVec(8, 1)}, {BitVec(8, 99)});
   h.headers.emplace("p", BitVec(8, 1));
   h.run_init();
-  TeleFrame frame;
-  frame.checker = 0;
-  h.interp.store(frame);
   // One word, the tele field's; the header and the table-lookup temporary
   // never reach the frame.
-  EXPECT_EQ(frame.words, std::vector<std::uint64_t>{99});
+  EXPECT_EQ(h.words, std::vector<std::uint64_t>{99});
 }
 
-// A pooled frame slot is re-armed for whichever checker stamps it next:
-// store sizes it to that checker's tele fields, whatever it held before,
-// and load refuses a frame of any other size.
+// A pooled frame slot is re-armed for whichever checker stamps it next: an
+// init run sizes its words to that checker's tele fields, whatever they
+// held before, and every other run refuses words of any other count.
 TEST(Interp, StoreResizesAReArmedFrame) {
   Harness wide(R"(
     tele bit<8> a;
@@ -461,21 +462,97 @@ TEST(Interp, StoreResizesAReArmedFrame) {
     tele bit<8> v;
     { v = 42; } { } { }
   )");
-  narrow.run_init();
+  narrow.words = wide.words;  // the frame the wide checker stamped
+  ASSERT_EQ(narrow.words.size(), wide.checker.layout.entries.size());
+  ASSERT_GT(narrow.words.size(), 1u);
+  for (const Block block : {Block::kTele, Block::kCheck, Block::kTeleCheck}) {
+    try {
+      narrow.run(block);
+      ADD_FAILURE() << "a frame of another word count ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "telemetry frame size mismatch for 'test'");
+    }
+  }
 
-  TeleFrame frame;
-  frame.checker = 0;
-  wide.interp.store(frame);
-  ASSERT_EQ(frame.words.size(), wide.checker.layout.entries.size());
-  ASSERT_GT(frame.words.size(), 1u);
-  EXPECT_THROW(narrow.interp.load(frame), std::invalid_argument);
-
-  frame.checker = 1;  // re-armed in place, words not cleared
-  narrow.interp.store(frame);
-  EXPECT_EQ(frame.words, std::vector<std::uint64_t>{42});
-  narrow.interp.load(frame);
-  EXPECT_EQ(narrow.field("tele.v").value(), 42u);
+  narrow.run_init();  // re-armed in place, words not cleared
+  EXPECT_EQ(narrow.words, std::vector<std::uint64_t>{42});
+  narrow.words[0] = 7;
+  narrow.run_tele();
+  EXPECT_EQ(narrow.field("tele.v").value(), 7u);
 }
+
+// One kTeleCheck run is the tele run followed by the check run: the same
+// words, verdict, reports and instruction count, for every library checker
+// over packets of random headers and path lengths.
+class FusedAllCheckers : public ::testing::TestWithParam<int> {};
+
+TEST_P(FusedAllCheckers, FusedRunEqualsTeleThenCheck) {
+  const auto& spec =
+      checkers::all_checkers()[static_cast<std::size_t>(GetParam())];
+  const auto c = compiler::compile_checker(spec.source, spec.name);
+  struct RandomHeaders final : HeaderSource {
+    std::vector<std::uint64_t> values;  // by header index
+    std::uint64_t read(int header) const override {
+      return values[static_cast<std::size_t>(header)];
+    }
+  } hdr;
+  struct Side {
+    explicit Side(const ir::CheckerIR& ir)
+        : vm(ir), state(make_checker_state(ir)) {
+      InterpMetrics m;
+      m.instructions = reg.counter("instructions");
+      vm.attach_metrics(m);
+    }
+    void run(Block block, const HeaderSource& h) {
+      vm.run(block, words, state, h, out);
+    }
+    obs::Registry reg;
+    Interp vm;
+    CheckerState state;
+    ExecOutcome out;
+    std::vector<std::uint64_t> words;
+  };
+  Side split(c.ir);
+  Side fused(c.ir);
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 1);
+  const std::size_t headers = header_fields(c.ir).size();
+  for (int packet = 0; packet < 50; ++packet) {
+    const int hops = 1 + static_cast<int>(rng.below(4));
+    for (int hop = 0; hop < hops; ++hop) {
+      hdr.values.clear();
+      for (std::size_t i = 0; i < headers; ++i) {
+        hdr.values.push_back(rng.below(4) == 0 ? rng.next() : rng.below(4));
+      }
+      if (hop == 0) {
+        split.run(Block::kInit, hdr);
+        fused.run(Block::kInit, hdr);
+      }
+      if (hop + 1 < hops) {
+        split.run(Block::kTele, hdr);
+        fused.run(Block::kTele, hdr);
+      } else {
+        split.run(Block::kTele, hdr);
+        split.run(Block::kCheck, hdr);
+        fused.run(Block::kTeleCheck, hdr);
+      }
+    }
+    ASSERT_EQ(split.words, fused.words) << "packet " << packet;
+    ASSERT_EQ(split.out.reject, fused.out.reject) << "packet " << packet;
+    ASSERT_EQ(split.out.reports, fused.out.reports) << "packet " << packet;
+    ASSERT_EQ(split.reg.counter_value("instructions"),
+              fused.reg.counter_value("instructions"))
+        << "packet " << packet;
+  }
+  EXPECT_GT(fused.reg.counter_value("instructions"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Library, FusedAllCheckers,
+                         ::testing::Range(0, static_cast<int>(
+                             checkers::all_checkers().size())),
+                         [](const auto& info) {
+                           return checkers::all_checkers()
+                               [static_cast<std::size_t>(info.param)].name;
+                         });
 
 }  // namespace
 }  // namespace hydra::p4rt

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <optional>
 
 #include "forwarding/ipv4_ecmp.hpp"
+#include "forwarding/source_route.hpp"
 #include "hydra/hydra.hpp"
 #include "net/event.hpp"
 #include "net/link.hpp"
@@ -413,6 +415,135 @@ TEST(Network, SwitchLatencyGrowsWithStages) {
   auto checker = compile_library_checker("valley_free");
   f.net.deploy(checker);
   EXPECT_GE(f.net.switch_latency(), base);
+}
+
+// switch_latency() is base + per-stage x max(baseline, live checkers'
+// stages) after every change to either, whether the slot was filled by a
+// deploy or a restore, or emptied by an undeploy.
+TEST(Network, SwitchLatencyFollowsTheLinkedStages) {
+  Fixture f;
+  f.net.set_observability(true);  // for the snapshot below
+  f.net.set_latency_model(1e-6, 50e-9);
+  compiler::BaselineProfile baseline{"one_stage", 1, 0.0};
+  std::map<int, int> live;  // deployment -> its checker's stages
+  auto expect = [&](Network& net, const char* after) {
+    int stages = baseline.stages;
+    for (const auto& [dep, s] : live) stages = std::max(stages, s);
+    EXPECT_EQ(net.pipeline_stages(), stages) << after;
+    EXPECT_EQ(net.switch_latency(), 1e-6 + 50e-9 * stages) << after;
+  };
+  auto deploy = [&](const char* name, bool rolling) {
+    auto c = compile_library_checker(name);
+    const int dep = rolling ? f.net.deploy_rolling(c) : f.net.deploy(c);
+    live[dep] = c->resources.checker_stages;
+    return dep;
+  };
+  f.net.set_baseline_profile(baseline);
+  expect(f.net, "set_baseline_profile");
+  deploy("multi_tenancy", false);
+  expect(f.net, "deploy");
+  const int loops = deploy("loops", true);
+  expect(f.net, "deploy_rolling");
+  f.net.events().run();
+  expect(f.net, "the landed deploy_rolling");
+  f.net.undeploy_rolling(loops);
+  f.net.events().run();
+  live.erase(loops);
+  expect(f.net, "a landed undeploy_rolling");
+  const int dc = deploy("dc_uplink_load_balance", false);
+  expect(f.net, "deploy");
+  f.net.undeploy(dc);
+  live.erase(dc);
+  expect(f.net, "undeploy");
+  baseline = {"three_stages", 3, 0.0};
+  f.net.set_baseline_profile(baseline);
+  expect(f.net, "set_baseline_profile");
+
+  const std::string snap = f.net.full_snapshot();
+  Network restored(f.fabric.topo);
+  fwd::install_leaf_spine_routing(restored, f.fabric);
+  restored.set_observability(true);
+  restored.set_latency_model(1e-6, 50e-9);
+  baseline = {"one_stage", 1, 0.0};
+  restored.set_baseline_profile(baseline);
+  restored.obs_restore(snap);
+  expect(restored, "a restore");
+}
+
+// Checks each packet's cached wire size against a walk over its live
+// frames' layouts, before and after the wrapped program, then rewrites
+// the headers once more: GTP-encapsulates a plain packet and decapsulates
+// a tunnelled one.
+class WireProbe : public ForwardingProgram {
+ public:
+  WireProbe(Network& net, std::shared_ptr<ForwardingProgram> inner)
+      : net_(net), inner_(std::move(inner)) {}
+  Decision process(p4rt::Packet& pkt, int in_port, int switch_id) override {
+    check(pkt);  // stamped here at a first hop; else as transmitted
+    const Decision d = inner_->process(pkt, in_port, switch_id);
+    check(pkt);  // the inner program popped the source route
+    if (pkt.gtpu) {
+      p4rt::gtpu_decap_inplace(pkt);
+    } else {
+      p4rt::gtpu_encap_inplace(pkt, pkt.ipv4->src, pkt.ipv4->dst, 7);
+    }
+    check(pkt);
+    return d;
+  }
+  std::string name() const override { return "wire-probe"; }
+  void check(const p4rt::Packet& pkt) {
+    int tele = 0;
+    for (const auto& f : pkt.tele) {
+      if (f.live()) tele += net_.checker(f.checker).layout.wire_bytes;
+    }
+    ++checks;
+    if (pkt.wire_bytes() != pkt.base_wire_bytes() + tele) ++mismatches;
+  }
+  int checks = 0;
+  int mismatches = 0;
+
+ private:
+  Network& net_;
+  std::shared_ptr<ForwardingProgram> inner_;
+};
+
+TEST(Network, CachedWireSizeEqualsAWalkOverTheLiveFrames) {
+  const LeafSpine fabric = make_leaf_spine(2, 2, 2);
+  Network net(fabric.topo);
+  auto probe = std::make_shared<WireProbe>(
+      net, std::make_shared<fwd::SourceRouteProgram>());
+  for (int sw : fabric.leaves) net.set_program(sw, probe);
+  for (int sw : fabric.spines) net.set_program(sw, probe);
+  net.deploy(compile_shared("tele bit<8> n = 0;\n{ } { n += 1; } { }", "a"));
+  net.deploy(compile_shared(
+      "tele bit<16> x = 0;\ntele bit<32> y = 0;\n{ x = 1; } { y += 1; } { }",
+      "b"));
+  FaultPlan plan;
+  plan.duplicate = 1.0;  // every transmit sends a copy
+  net.arm_faults(plan, 3);
+  int retired = 0;
+  const int src = fabric.hosts[0][0];
+  const int dst = fabric.hosts[1][1];
+  net.host(dst).add_sink([&](const p4rt::Packet& p, double) {
+    // Stripped at the last hop: no live frame, no telemetry bytes.
+    if (!p.has_live_tele() && p.tele_bytes == 0 &&
+        p.wire_bytes() == p.base_wire_bytes()) {
+      ++retired;
+    }
+  });
+  for (int i = 0; i < 3; ++i) {
+    p4rt::Packet pkt =
+        p4rt::make_udp(net.topo().node(src).ip, net.topo().node(dst).ip,
+                       static_cast<std::uint16_t>(1000 + i), 2000, 100);
+    fwd::set_source_route(pkt, fwd::leaf_spine_route(fabric, src, dst, i % 2));
+    net.send_from_host(src, std::move(pkt));
+  }
+  net.events().run();
+  EXPECT_GT(net.fault_stats().duplicates, 0u);
+  EXPECT_GT(net.counters().delivered, 3u);  // the copies arrived too
+  EXPECT_EQ(static_cast<std::uint64_t>(retired), net.counters().delivered);
+  EXPECT_GT(probe->checks, 0);
+  EXPECT_EQ(probe->mismatches, 0);
 }
 
 // Records each hop's event time, then forwards through the fabric routing.

@@ -128,10 +128,9 @@ TEST_P(CodecAllCheckers, InitStampedFrameFollowsTheLayout) {
   Interp interp(c.ir);
   CheckerState state = make_checker_state(c.ir);
   ExecOutcome out;
-  interp.run(Block::kInit, state, FixedHeaders{}, out);
   TeleFrame f;
   f.checker = 0;
-  interp.store(f);
+  interp.run(Block::kInit, f.words, state, FixedHeaders{}, out);
   ASSERT_EQ(f.words.size(), c.layout.entries.size());
   for (std::size_t i = 0; i < f.words.size(); ++i) {
     EXPECT_EQ(f.words[i], interp.value(c.layout.entries[i].field).value())
