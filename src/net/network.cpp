@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <stdexcept>
 
@@ -133,7 +134,7 @@ void Network::fill_slot(
     if (topo_.node(static_cast<int>(i)).kind != NodeKind::kSwitch) continue;
     d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
   }
-  d.interp = std::make_unique<p4rt::Interp>(d.checker->ir);
+  d.lowered = std::make_unique<p4rt::Interp>(d.checker->ir);
   link_stages();
   if (obs_ != nullptr) observe_refill(slot);
 }
@@ -466,10 +467,19 @@ void Network::emit_report(ReportRecord record) {
 
 void Network::link_stages() {
   stages_ = baseline_.stages;
-  for (const auto& d : deployments_) {
+  std::vector<const p4rt::Interp*> parts(deployments_.size(), nullptr);
+  std::uint64_t every_hop = 0;
+  linked_headers_.clear();
+  for (std::size_t di = 0; di < deployments_.size(); ++di) {
+    const Deployment& d = deployments_[di];
     if (!d.live) continue;
     stages_ = std::max(stages_, d.checker->resources.checker_stages);
+    parts[di] = d.lowered.get();
+    if (d.check_every_hop) every_hop |= 1ULL << di;
+    linked_headers_.insert(linked_headers_.end(), d.headers.begin(),
+                           d.headers.end());
   }
+  vm_ = p4rt::Interp(parts, every_hop);
 }
 
 void Network::send_from_host(int host_id, p4rt::Packet pkt) {
@@ -497,10 +507,10 @@ void Network::send_pooled(int host_id, PacketHandle h) {
   if (pkt.eth.src == 0) pkt.eth.src = host_obj.mac();
   ++counters_.injected;
   if (obs_ != nullptr) observe_inject(pkt);
-  transmit({host_id, 0}, h);
+  transmit({host_id, 0}, h, pkt.wire_bytes());
 }
 
-void Network::transmit(PortRef from, PacketHandle ph) {
+void Network::transmit(PortRef from, PacketHandle ph, int wire_bytes) {
   const int li = topo_.link_index(from);
   if (li < 0) {
     free_packet(ph);  // unconnected port: packet vanishes
@@ -534,8 +544,7 @@ void Network::transmit(PortRef from, PacketHandle ph) {
       p4rt::Packet& dup = packet(dh);
       dup = pkt;
       dup.id = next_packet_id_++;
-      const auto dup_arrival =
-          link.transmit(dir, events_.now(), dup.wire_bytes());
+      const auto dup_arrival = link.transmit(dir, events_.now(), wire_bytes);
       if (dup_arrival) {
         schedule_arrival(dest, *dup_arrival, dh);
       } else {
@@ -546,7 +555,7 @@ void Network::transmit(PortRef from, PacketHandle ph) {
     extra_delay = action.extra_delay_s;
   }
 
-  const auto arrival = link.transmit(dir, events_.now(), pkt.wire_bytes());
+  const auto arrival = link.transmit(dir, events_.now(), wire_bytes);
   if (!arrival) {
     ++counters_.queue_dropped;
     if (obs_ != nullptr) observe_fate(pkt, obs::PacketFate::kQueueDropped);
@@ -620,6 +629,7 @@ void Network::drain(EventQueue& q, SimTime limit) {
 
 void Network::process_hop(SimTime t, const SwitchWork& work) {
   const int sw = work.sw;
+  const auto swi = static_cast<std::size_t>(sw);
   hop_reports_.clear();
 
   p4rt::Packet& pkt = packet(work.pkt);
@@ -629,7 +639,8 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   hctx.switch_tag = switch_tag(sw);
   hctx.in_port = work.in_port;
   hctx.first_hop = topo_.host_facing({sw, work.in_port});
-  hctx.wire_bytes = pkt.wire_bytes();
+  // The linked program's header reads, through hctx as the hop fills it.
+  const HopHeaders hdr(linked_headers_, pkt, hctx);
 
   // The obs plane's inputs: the traced packet's hop record (null unless
   // this packet is sampled), and each slot's flight-recorder record while
@@ -637,10 +648,10 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   obs::TraceHop* hop = obs_ != nullptr ? observe_hop_begin(pkt, hctx) : nullptr;
   const bool forensic = forensics_enabled();
 
-  auto collect_reports = [&](std::size_t di, const Deployment& d,
-                             p4rt::ExecOutcome& out) {
+  const auto collect_reports = [&](std::size_t di, p4rt::ExecOutcome& out) {
     for (auto& r : out.reports) {
-      hop_reports_.push_back({static_cast<int>(di), d.checker->name, sw, t,
+      hop_reports_.push_back({static_cast<int>(di),
+                              deployments_[di].checker->name, sw, t,
                               std::move(r), p4rt::flow_of(pkt), pkt.hops});
     }
   };
@@ -648,48 +659,54 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   // Cold sensors: a fault-injected restart wiped this switch's registers
   // recently, so checker verdicts computed here cannot be trusted. One
   // branch when faults are disarmed.
-  const bool cold_sw =
-      faults_ != nullptr && t < cold_until_[static_cast<std::size_t>(sw)];
+  const bool cold_sw = faults_ != nullptr && t < cold_until_[swi];
 
-  // 1. Hydra init at the first hop: create and fill telemetry frames.
-  // Only slots whose swap phase is fully enabled stamp frames — the gate a
-  // rolling deploy flips through the control channel.
-  if (hctx.first_hop) {
+  // 1. Hydra init at the first hop, in one run: create and fill telemetry
+  // frames. Only slots whose swap phase is fully enabled stamp frames —
+  // the gate a rolling deploy flips through the control channel.
+  if (hctx.first_hop && !deployments_.empty()) {
+    hctx.wire_bytes = pkt.wire_bytes();  // before any frame is stamped
+    std::uint64_t mask = 0;
     for (std::size_t di = 0; di < deployments_.size(); ++di) {
       Deployment& d = deployments_[di];
       if (d.phase != kPhaseEnabled) continue;
-      d.counters[kInitRuns].inc();
-      // The hop's record starts here; the tele run below adds to it.
-      if (forensic) d.rec.reset();
-      p4rt::ExecOutcome& out = d.out;
-      out.reject = false;
-      out.reports.clear();
-      // Re-arm a retired tele slot in place (deployment order matches the
-      // old push_back order; all slots retire together at the last hop).
+      // Re-arm a retired tele slot in place (slot order matches the old
+      // push_back order; all slots retire together at the last hop).
       p4rt::TeleFrame& frame = pkt.add_frame(static_cast<int>(di),
                                              d.checker->layout.wire_bytes);
       frame.generation = d.generation;
-      d.interp->run(p4rt::Block::kInit, frame.words,
-                    d.per_switch[static_cast<std::size_t>(sw)],
-                    HopHeaders(d.headers, pkt, hctx), out);
       if (cold_sw) frame.cold = true;
+      vm_.bind(di, d.per_switch[swi], frame.words, /*fresh=*/true);
+      // The hop's record starts here; the tele run below adds to it.
+      if (forensic) d.rec.reset();
+      mask |= 1ULL << di;
+    }
+    if (mask != 0) vm_.run(p4rt::Block::kInit, mask, hdr);
+    // Without observability, only the segments that reported have
+    // anything left to do.
+    const std::uint64_t visit =
+        obs_ != nullptr ? mask : (mask != 0 ? vm_.flagged() : 0);
+    for (std::uint64_t m = visit; m != 0; m &= m - 1) {
+      const auto di = static_cast<std::size_t>(std::countr_zero(m));
+      Deployment& d = deployments_[di];
+      p4rt::ExecOutcome& out = vm_.outcome(di);
       if (hop != nullptr) {
-        hop->checkers.push_back(
-            trace_checker_record(d, frame, /*before=*/nullptr, out,
-                                 /*init=*/true, /*tele=*/false,
-                                 /*check=*/false));
+        hop->checkers.push_back(trace_checker_record(
+            d, {}, pkt.frame(static_cast<int>(di))->words, out,
+            /*init=*/true, /*tele=*/false, /*check=*/false));
       }
       if (forensic) {
         d.rec.ran_init = true;
         d.rec.add_reports(out.reports.size());
       }
+      d.counters[kInitRuns].inc();
       d.counters[kReports].inc(out.reports.size());
-      collect_reports(di, d, out);
+      collect_reports(di, out);
     }
   }
 
   // 2. Forwarding.
-  ForwardingProgram* prog = programs_[static_cast<std::size_t>(sw)].get();
+  ForwardingProgram* prog = programs_[swi].get();
   ForwardingProgram::Decision decision;
   if (prog != nullptr) {
     decision = prog->process(pkt, work.in_port, sw);
@@ -703,10 +720,15 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   hctx.last_hop =
       decision.drop ||
       (decision.eg_port >= 0 && topo_.host_facing({sw, decision.eg_port}));
+  // The packet's size from here on, once per hop: the tele and check
+  // blocks read it, and the transmit below sends it.
   hctx.wire_bytes = pkt.wire_bytes();
 
   // 3./4. Telemetry at every hop; checker at the last hop (or every hop,
-  // for checkers compiled with per-hop placement), fused into one VM run.
+  // for checkers compiled with per-hop placement): one pass over the
+  // packet's frames picks the segments to run and binds their words, one
+  // VM run executes them all, and a second pass takes, in slot order, the
+  // outcomes that need it.
   bool rejected = false;
   // Bit d set for each deployment whose checker (or fail-closed telemetry
   // decode) rejected this hop; feeds per-property top-K attribution.
@@ -716,10 +738,12 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   // Static string ("tele_bad_tag", ...) naming why a damaged or stale
   // telemetry frame was rejected fail-closed this hop.
   const char* reject_reason = nullptr;
+  std::uint64_t mask = 0;   // the segments that run
+  std::uint64_t noted = 0;  // frames that did not run but record forensics
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
-    Deployment& d = deployments_[di];
     p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
     if (frame == nullptr) continue;  // entered before deployment; skip
+    Deployment& d = deployments_[di];
     // At the first hop the record already holds the init run.
     if (forensic && !hctx.first_hop) d.rec.reset();
 
@@ -743,9 +767,8 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
         // Retired-but-not-reused: the layout still matches the frame, so
         // a forensics note is meaningful. After reuse the layouts differ —
         // recording would mix old and new properties, so skip.
-        d.rec.reject = true;
-        record_hop_forensics(d, di, pkt, *frame, hctx, t, decision.reason,
-                             reject_reason);
+        d.note = reject_reason;
+        noted |= 1ULL << di;
       }
       continue;
     }
@@ -766,9 +789,8 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
         rejected = true;
         rejected_deps |= 1ULL << di;
         if (forensic) {
-          d.rec.reject = true;
-          record_hop_forensics(d, di, pkt, *frame, hctx, t, decision.reason,
-                               reason);
+          d.note = reason;
+          noted |= 1ULL << di;
         }
         continue;
       }
@@ -778,22 +800,41 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       d.counters[kDecodeRecovered].inc();
     }
     if (cold_sw) frame->cold = true;
-
-    d.counters[kTeleRuns].inc();
-    std::vector<std::uint64_t> trace_before;  // traced packets only
-    if (hop != nullptr) trace_before = frame->words;
-    p4rt::ExecOutcome& out = d.out;
-    out.reject = false;
-    out.reports.clear();
+    if (hop != nullptr) {
+      trace_before_.resize(deployments_.size());
+      trace_before_[di] = frame->words;
+    }
+    vm_.bind(di, d.per_switch[swi], frame->words);
+    mask |= 1ULL << di;
+  }
+  std::uint64_t flagged = 0;
+  if (mask != 0) {
+    vm_.run(hctx.last_hop ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
+            mask, hdr);
+    flagged = vm_.flagged();
+  }
+  // Without observability, only the segments that rejected or reported
+  // have anything left to do.
+  const std::uint64_t visit =
+      obs_ != nullptr || wire_validation_ ? mask | noted : flagged;
+  for (std::uint64_t m = visit; m != 0; m &= m - 1) {
+    const auto di = static_cast<std::size_t>(std::countr_zero(m));
+    Deployment& d = deployments_[di];
+    p4rt::TeleFrame& frame = *pkt.frame(static_cast<int>(di));
+    if ((mask >> di & 1) == 0) {
+      d.rec.reject = true;
+      record_hop_forensics(d, di, pkt, frame, hctx, t, decision.reason,
+                           d.note);
+      continue;
+    }
+    p4rt::ExecOutcome& out = vm_.outcome(di);
     const bool run_check = hctx.last_hop || d.check_every_hop;
+    d.counters[kTeleRuns].inc();
     if (run_check) d.counters[kCheckRuns].inc();
-    d.interp->run(run_check ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
-                  frame->words, d.per_switch[static_cast<std::size_t>(sw)],
-                  HopHeaders(d.headers, pkt, hctx), out);
     // Cold suppression: a verdict derived from freshly-wiped sensor state
     // is noise, not a violation — drop it, count it, annotate it.
     const char* fault_note = nullptr;
-    if (frame->cold && (out.reject || !out.reports.empty())) {
+    if (frame.cold && (out.reject || !out.reports.empty())) {
       out.reject = false;
       out.reports.clear();
       if (faults_ != nullptr) ++faults_->stats().cold_suppressed;
@@ -802,15 +843,15 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
     }
     if (hop != nullptr) {
       hop->checkers.push_back(
-          trace_checker_record(d, *frame, &trace_before, out,
+          trace_checker_record(d, trace_before_[di], frame.words, out,
                                /*init=*/false, /*tele=*/true, run_check));
     }
     if (wire_validation_) {
       const compiler::TelemetryLayout& layout = d.checker->layout;
       const p4rt::TeleFrame back = p4rt::parse_frame(
-          layout, frame->checker, p4rt::serialize_frame(layout, *frame));
-      for (std::size_t i = 0; i < frame->words.size(); ++i) {
-        if (back.words[i] != frame->words[i]) {
+          layout, frame.checker, p4rt::serialize_frame(layout, frame));
+      for (std::size_t i = 0; i < frame.words.size(); ++i) {
+        if (back.words[i] != frame.words[i]) {
           throw std::logic_error(
               "telemetry wire round-trip mismatch in checker '" +
               d.checker->name + "' field '" +
@@ -821,6 +862,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
     if (out.reject) {
       d.counters[kRejects].inc();
       rejected_deps |= 1ULL << di;
+      rejected = true;
     }
     d.counters[kReports].inc(out.reports.size());
     if (forensic) {
@@ -828,16 +870,19 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       d.rec.ran_check = run_check;
       d.rec.reject = out.reject;
       d.rec.add_reports(out.reports.size());
-      record_hop_forensics(d, di, pkt, *frame, hctx, t, decision.reason,
+      record_hop_forensics(d, di, pkt, frame, hctx, t, decision.reason,
                            fault_note);
     }
-    collect_reports(di, d, out);
-    rejected = rejected || out.reject;
+    collect_reports(di, out);
   }
 
   // Strip telemetry before the packet exits the network (retire, not
   // erase: the slots' capacity belongs to the pooled packet).
-  if (hctx.last_hop) pkt.retire_frames();
+  int wire_bytes = hctx.wire_bytes;
+  if (hctx.last_hop) {
+    wire_bytes -= pkt.tele_bytes;
+    pkt.retire_frames();
+  }
 
   // Every checker on the hop has run: the obs plane reads the hop's
   // verdict and pending reports first, then the reports and their
@@ -858,7 +903,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
     free_packet(work.pkt);
     return;
   }
-  transmit({sw, decision.eg_port}, work.pkt);
+  transmit({sw, decision.eg_port}, work.pkt, wire_bytes);
 }
 
 }  // namespace hydra::net

@@ -1,15 +1,21 @@
 // The simulated network: topology + links + switches (forwarding programs
 // and deployed Hydra checkers) + hosts + the event queue.
 //
-// The per-hop pipeline mirrors the paper's linking rules (§4.2):
-//   1. first hop (host-facing ingress on an edge switch): run each
-//      checker's init block and inject its telemetry frame;
+// The per-hop pipeline mirrors the paper's linking rules (§4.2). As the
+// compiler links every checker into the switch's one pipeline, the live
+// slots' checkers are linked into one program, a segment per slot, and
+// each numbered step below is one VM run of it over a mask of segments:
+//   1. first hop (host-facing ingress on an edge switch): every enabled
+//      slot's init block, before forwarding; each stamps its frame;
 //   2. the forwarding program computes the egress port (and may rewrite
 //      the packet — GTP encap/decap, source-route pop);
-//   3. every hop (egress): run the telemetry block;
+//   3. every hop (egress): the telemetry block of every slot whose frame is
+//      aboard and of its current generation (frames of retired or reused
+//      slots reject fail-closed, undecodable ones too, and run nothing);
 //   4. last hop (a host-facing egress, or a forwarding drop, which ends
-//      the journey): the checker block, in 3's VM run; honour reject, emit
-//      reports, and strip telemetry before the packet reaches the host.
+//      the journey): the checker block, in 3's run (every hop for a check
+//      placed there); honour reject, emit reports, and strip telemetry
+//      before the packet reaches the host.
 //
 // ---- Event loop -------------------------------------------------------------
 // The network installs itself as its event queue's executor: run_until()
@@ -38,6 +44,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -411,11 +418,12 @@ class Network final : public EventExecutor {
     kDecodeRejects, kDecodeRecovered, kColdSuppressed, kSlotCounters
   };
 
-  // One deployment slot: its occupant's checker and per-switch state, and
-  // the hop pipeline's scratch for it, all reused across packets — the
-  // checker VM with its slot file (one uint64_t per IR field, expression
-  // temporary and constant) and table-key buffer, the ExecOutcome, the
-  // hop's flight-recorder record and the slot's hot-path counters.
+  // One deployment slot: its occupant's checker, lowered once, and
+  // per-switch state, and the hop pipeline's scratch for it, all reused
+  // across packets — the slot's hot-path counters, the hop's fail-closed
+  // note and its flight-recorder record (last: the hop's passes read the
+  // fields before it). The checker runs as its segment of the linked
+  // program vm_.
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
@@ -429,10 +437,13 @@ class Network final : public EventExecutor {
     bool pending_swap = false;  // a swap closure has not landed yet
     std::uint8_t phase = kPhaseRetired;  // see the enum above
     bool check_every_hop = false;  // the checker's placement is kEveryHop
-    // The checker lowered to slot-addressed ops; owns the slot file.
-    std::unique_ptr<p4rt::Interp> interp;
-    p4rt::ExecOutcome out;
+    // The checker lowered to slot-addressed ops, never run itself; it
+    // carries the slot's VM metrics and provenance record into vm_.
+    std::unique_ptr<p4rt::Interp> lowered;
     std::array<obs::Counter, kSlotCounters> counters;
+    // Why this hop's frame for the slot did not run, for its forensics
+    // record (forensics on only).
+    const char* note = nullptr;
     // This hop's flight-recorder record, written while forensics is on:
     // init, tele and check accumulate their flags, verdict and report
     // count into it, the VM adds its table hits and register touches, and
@@ -511,8 +522,10 @@ class Network final : public EventExecutor {
   // frees per-switch state, marks the generation retired, and registers its
   // stale-frame counter.
   void finalize_retirement(std::size_t slot);
-  // Recomputes stages_ from the baseline and the live slots; called where
-  // either changes (fill_slot, finalize_retirement, set_baseline_profile).
+  // Links the live slots' lowered checkers into vm_, in slot order, with
+  // their bound headers in linked_headers_, and recomputes stages_ from the
+  // baseline and the live slots; called where either changes (fill_slot,
+  // finalize_retirement, set_baseline_profile).
   void link_stages();
   // Bounds- and liveness-checks a deployment id from the control-plane
   // API; throws std::invalid_argument naming `what` for a stale or
@@ -566,12 +579,12 @@ class Network final : public EventExecutor {
   // Slot `slot` was refilled by deploy or restore: relabels its top-K row.
   void observe_refill(std::size_t slot);
 
-  // Builds one checker's trace record for the current hop. `before` holds
-  // the telemetry words entering the hop (nullptr for the init run, whose
-  // "before" is the zeroed fresh frame).
+  // Builds one checker's trace record for the current hop from the
+  // telemetry words entering and leaving it (`before` is empty for the
+  // init run, whose "before" is the zeroed fresh frame).
   obs::CheckerHopRecord trace_checker_record(
-      const Deployment& d, const p4rt::TeleFrame& after,
-      const std::vector<std::uint64_t>* before, const p4rt::ExecOutcome& out,
+      const Deployment& d, std::span<const std::uint64_t> before,
+      std::span<const std::uint64_t> after, const p4rt::ExecOutcome& out,
       bool init, bool tele, bool check) const;
   // Copies slot `di`'s record into the switch's ring with the hop's fields
   // and `frame`'s tele words (forensics on only).
@@ -611,7 +624,8 @@ class Network final : public EventExecutor {
   // Delivers a packet that arrived at host `node` (a kPacketSend event).
   void host_receive(int node, PacketHandle pkt);
   void emit_report(ReportRecord record);
-  void transmit(PortRef from, PacketHandle pkt);
+  // Puts `pkt`, `wire_bytes` long, onto the link at port `from`.
+  void transmit(PortRef from, PacketHandle pkt, int wire_bytes);
   // Schedules the event for a packet that reaches `dest` at time `at`: the
   // switch's hop at at + switch_latency(), or the host's delivery at at.
   void schedule_arrival(PortRef dest, SimTime at, PacketHandle pkt);
@@ -625,6 +639,10 @@ class Network final : public EventExecutor {
   std::vector<Host> hosts_;    // indexed by node id (empty for switches)
   std::vector<std::shared_ptr<ForwardingProgram>> programs_;  // by node id
   std::vector<Deployment> deployments_;
+  // The live slots' checkers linked into one program (segment i is slot
+  // i), and their bound headers in the program's header order.
+  p4rt::Interp vm_;
+  std::vector<BoundHeader> linked_headers_;
   std::vector<GenerationInfo> generations_;  // by generation id, append-only
   // Every property name ever deployed (sorted, unique). export_cumulative
   // iterates this instead of the live slots so a retired property's
@@ -649,6 +667,8 @@ class Network final : public EventExecutor {
   // The current hop's reports, held until every checker on it has run;
   // reused by every hop.
   std::vector<ReportRecord> hop_reports_;
+  // A traced hop's frame words before its tele run, by slot.
+  std::vector<std::vector<std::uint64_t>> trace_before_;
 };
 
 }  // namespace hydra::net

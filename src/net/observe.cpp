@@ -53,7 +53,7 @@ obs::TraceHop* Network::observe_hop_begin(const p4rt::Packet& pkt,
   hop->time = events_.now();
   hop->in_port = hctx.in_port;
   hop->first_hop = hctx.first_hop;
-  hop->wire_bytes = hctx.wire_bytes;
+  hop->wire_bytes = pkt.wire_bytes();  // before init stamps any frame
   return hop;
 }
 
@@ -118,8 +118,8 @@ void Network::observe_refill(std::size_t slot) {
 // ---- traces and forensics -------------------------------------------------
 
 obs::CheckerHopRecord Network::trace_checker_record(
-    const Deployment& d, const p4rt::TeleFrame& after,
-    const std::vector<std::uint64_t>* before, const p4rt::ExecOutcome& out,
+    const Deployment& d, std::span<const std::uint64_t> before,
+    std::span<const std::uint64_t> after, const p4rt::ExecOutcome& out,
     bool init, bool tele, bool check) const {
   obs::CheckerHopRecord rec;
   rec.checker = d.checker->name;
@@ -132,8 +132,8 @@ obs::CheckerHopRecord Network::trace_checker_record(
   for (std::size_t i = 0; i < entries.size(); ++i) {
     obs::TraceFieldValue fv;
     fv.name = d.checker->ir.field(entries[i].field).name;
-    fv.before = before != nullptr ? (*before)[i] : 0;
-    fv.after = after.words[i];
+    fv.before = before.empty() ? 0 : before[i];
+    fv.after = after[i];
     rec.tele.push_back(std::move(fv));
   }
   return rec;
@@ -524,10 +524,13 @@ void Network::register_stale_counter(std::uint32_t gen) {
 void Network::rewire_observability() {
   if (obs_ == nullptr) {
     // Detach every handle; none may outlive the registry it points into.
-    for (auto& d : deployments_) {
+    for (std::size_t di = 0; di < deployments_.size(); ++di) {
+      Deployment& d = deployments_[di];
       d.counters.fill({});
-      d.interp->attach_metrics({});
-      d.interp->set_provenance(nullptr);
+      d.lowered->attach_metrics({});
+      d.lowered->set_provenance(nullptr);
+      vm_.attach_metrics({}, di);
+      vm_.set_provenance(nullptr, di);
       for (auto& state : d.per_switch) {
         for (auto& table : state.tables) table.attach_metrics({});
       }
@@ -559,7 +562,8 @@ void Network::rewire_observability() {
   // (the JSON snapshot key, unchanged byte-for-byte) with a structured
   // Prometheus identity layered on top: one family per counter kind,
   // attributed by a property="<checker>" label.
-  for (Deployment& d : deployments_) {
+  for (std::size_t di = 0; di < deployments_.size(); ++di) {
+    Deployment& d = deployments_[di];
     const std::string& cn = d.checker->name;
     const std::vector<obs::Label> by_prop{{"property", cn}};
     for (std::size_t k = 0; k < kSlotCounters; ++k) {
@@ -578,10 +582,14 @@ void Network::rewire_observability() {
                                "hydra_interp_reg_reads_total", by_prop);
     im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
                                 "hydra_interp_reg_writes_total", by_prop);
-    d.interp->attach_metrics(im);
     // Provenance capture feeds the flight recorder; disarmed (one branch
-    // per lookup/register op) unless forensics is on.
-    d.interp->set_provenance(obs_->recorder != nullptr ? &d.rec : nullptr);
+    // per lookup/register op) unless forensics is on. The lowered checker
+    // keeps both for the next link, and its segment takes them now.
+    obs::HopRecord* rec = obs_->recorder != nullptr ? &d.rec : nullptr;
+    d.lowered->attach_metrics(im);
+    d.lowered->set_provenance(rec);
+    vm_.attach_metrics(im, di);
+    vm_.set_provenance(rec, di);
   }
 
   // Checker tables: one aggregate counter set per (checker, table) name,

@@ -1,6 +1,7 @@
 #include "p4rt/interp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <stdexcept>
 
@@ -48,20 +49,52 @@ std::vector<ir::FieldId> header_fields(const ir::CheckerIR& ir) {
 
 class Interp::Lowerer {
  public:
-  explicit Lowerer(Interp& vm)
+  Lowerer(Interp& vm, const ir::CheckerIR& ir)
       : vm_(vm),
-        ir_(vm.ir_),
+        ir_(ir),
         slots_(static_cast<std::uint32_t>(ir_.fields.size())) {
-    int header = 0;
     for (const auto& f : ir_.fields) {
-      header_index_.push_back(f.space == ir::Space::kHeader ? header++ : -1);
+      header_index_.push_back(f.space == ir::Space::kHeader
+                                  ? static_cast<int>(vm_.headers_++)
+                                  : -1);
     }
   }
 
-  // Lowers one block, terminated by kHalt; returns its first op.
-  std::uint32_t block(const std::vector<ir::InstrPtr>& body) {
+  // Lowers `bodies` as one block, terminated by kHalt; returns its first
+  // op. A `fresh` block starts a frame, so it first zeroes the tele list
+  // elements; the IR's init block assigns every other tele field at its
+  // top (compiler/lower.cpp's telemetry initializers).
+  std::uint32_t block(
+      std::initializer_list<const std::vector<ir::InstrPtr>*> bodies,
+      bool fresh = false) {
     const auto entry = static_cast<std::uint32_t>(vm_.code_.size());
-    for (const auto& in : body) instr(*in);
+    if (fresh) {
+      const std::uint32_t zero = constant(0);
+      for (const ir::TeleList& l : ir_.lists) {
+        for (ir::FieldId f : l.slots) emit(Code::kMov, slot(f), zero);
+      }
+    }
+    // A header field the block reads more than once is read once, into
+    // its own slot, up front; one read where it is used costs no more.
+    std::vector<ir::FieldId> used;
+    for (const auto* body : bodies) {
+      for (const auto& in : *body) collect_fields(*in, used);
+    }
+    std::sort(used.begin(), used.end(),
+              [](ir::FieldId a, ir::FieldId b) { return a.id < b.id; });
+    preloaded_.assign(ir_.fields.size(), false);
+    for (std::size_t i = 1; i < used.size(); ++i) {
+      const ir::FieldId f = used[i];
+      const auto id = static_cast<std::size_t>(f.id);
+      const int h = header_index_[id];
+      if (h < 0 || used[i - 1] != f || preloaded_[id]) continue;
+      preloaded_[id] = true;
+      emit(Code::kHdr, slot(f), static_cast<std::uint32_t>(h), 0,
+           mask(width(f)));
+    }
+    for (const auto* body : bodies) {
+      for (const auto& in : *body) instr(*in);
+    }
     emit(Code::kHalt);
     return entry;
   }
@@ -126,6 +159,19 @@ class Interp::Lowerer {
     return vm_.field_slot_[static_cast<std::size_t>(f.id)];
   }
   int width(ir::FieldId f) const { return ir_.field(f).width; }
+
+  // Every field `in` reads, nested instructions included.
+  static void collect_fields(const ir::Instr& in,
+                             std::vector<ir::FieldId>& out) {
+    for (const ir::RValue* rv :
+         {in.value.get(), in.push_value.get(), in.cond.get()}) {
+      if (rv != nullptr) rv->collect_fields(out);
+    }
+    for (const auto& k : in.keys) k->collect_fields(out);
+    for (const auto& p : in.report_payload) p->collect_fields(out);
+    for (const auto& c : in.then_body) collect_fields(*c, out);
+    for (const auto& c : in.else_body) collect_fields(*c, out);
+  }
 
   static bool is_logic(const ir::RValue& rv) {
     return rv.kind == ir::RKind::kBinary &&
@@ -197,7 +243,9 @@ class Interp::Lowerer {
       case ir::RKind::kField: {
         const Operand f{slot(rv.field), width(rv.field)};
         const int h = header_index_[static_cast<std::size_t>(rv.field.id)];
-        if (h < 0) return leaf(f, dst, dst_width);
+        if (h < 0 || preloaded_[static_cast<std::size_t>(rv.field.id)]) {
+          return leaf(f, dst, dst_width);
+        }
         // A header read lands in the header field's own slot, or straight
         // in the destination.
         const Operand header{static_cast<std::uint32_t>(h), 0};
@@ -276,7 +324,41 @@ class Interp::Lowerer {
       }
       return;
     }
+    if (rv.kind == ir::RKind::kBinary &&
+        compare_jump(rv.binop) != Code::kNop) {
+      // One compare-and-jump op, on the negated comparison for `when`
+      // false.
+      const Operand a = value(*rv.args[0]);
+      const Operand b = value(*rv.args[1]);
+      const Code code = compare_jump(when ? rv.binop : negated(rv.binop));
+      to.jumps.push_back(emit(code, 0, a.slot, b.slot));
+      return;
+    }
     jump(when ? Code::kJnz : Code::kJz, value(rv).slot, to);
+  }
+
+  // The jump taken when comparison `op` holds; kNop for other operators.
+  static Code compare_jump(BinOp op) {
+    switch (op) {
+      case BinOp::kEq: return Code::kJeq;
+      case BinOp::kNe: return Code::kJne;
+      case BinOp::kLt: return Code::kJlt;
+      case BinOp::kLe: return Code::kJle;
+      case BinOp::kGt: return Code::kJgt;
+      case BinOp::kGe: return Code::kJge;
+      default: return Code::kNop;
+    }
+  }
+
+  static BinOp negated(BinOp op) {
+    switch (op) {
+      case BinOp::kEq: return BinOp::kNe;
+      case BinOp::kNe: return BinOp::kEq;
+      case BinOp::kLt: return BinOp::kGe;
+      case BinOp::kLe: return BinOp::kGt;
+      case BinOp::kGt: return BinOp::kLe;
+      default: return BinOp::kLt;  // kGe
+    }
   }
 
   void instr(const ir::Instr& in) {
@@ -366,28 +448,144 @@ class Interp::Lowerer {
   const ir::CheckerIR& ir_;
   std::uint32_t slots_;            // slot file size so far
   std::vector<int> header_index_;  // by field; -1 unless kHeader
+  std::vector<bool> preloaded_;    // by field: read at the block's top
   std::map<std::uint64_t, std::uint32_t> consts_;  // value -> slot
   std::uint8_t pending_ = 0;  // IR instructions awaiting their first op
 };
 
-Interp::Interp(const ir::CheckerIR& ir) : ir_(ir) {
+Interp::Interp(const ir::CheckerIR& ir) {
+  Segment& seg = segments_.emplace_back();
+  seg.ir = &ir;
   // Tele fields first, so the tele slots line up with a frame's words.
-  for (const auto& f : ir.fields) tele_ += f.space == ir::Space::kTele;
+  for (const auto& f : ir.fields) seg.tele += f.space == ir::Space::kTele;
   std::uint32_t tele = 0;
-  auto other = static_cast<std::uint32_t>(tele_);
+  std::uint32_t other = seg.tele;
   for (const auto& f : ir.fields) {
     field_slot_.push_back(f.space == ir::Space::kTele ? tele++ : other++);
   }
-  Lowerer lower(*this);
-  entry_[static_cast<std::size_t>(Block::kInit)] = lower.block(ir.init_block);
-  entry_[static_cast<std::size_t>(Block::kTele)] = lower.block(ir.tele_block);
-  entry_[static_cast<std::size_t>(Block::kCheck)] =
-      lower.block(ir.check_block);
+  code_.push_back({.code = Code::kHalt});  // op 0 halts, see run
+  Lowerer lower(*this, ir);
+  auto& entry = seg.entry;
+  entry[static_cast<std::size_t>(Block::kInit)] =
+      lower.block({&ir.init_block}, /*fresh=*/true);
+  entry[static_cast<std::size_t>(Block::kTele)] = lower.block({&ir.tele_block});
+  entry[static_cast<std::size_t>(Block::kCheck)] =
+      lower.block({&ir.check_block});
+  entry[static_cast<std::size_t>(Block::kTeleCheck)] =
+      lower.block({&ir.tele_block, &ir.check_block});
   lower.finish();
 }
 
+Interp::Interp(std::span<const Interp* const> parts, std::uint64_t every_hop)
+    : segments_(parts.size()) {
+  // Op 0 halts (see run), and every block of an empty segment starts there.
+  code_.push_back({.code = Code::kHalt});
+  // Where each part's slots, table ops, push ops and report arguments
+  // start in the program.
+  struct Base {
+    std::uint32_t slot = 0;
+    std::uint32_t table = 0;
+    std::uint32_t push = 0;
+    std::uint32_t report = 0;
+    std::uint32_t header = 0;
+  };
+  std::vector<Base> bases(parts.size());
+  const auto at = [](const auto& v) {
+    return static_cast<std::uint32_t>(v.size());
+  };
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i] == nullptr) continue;
+    const Interp& p = *parts[i];
+    const Base b{at(slots_), at(tables_), at(pushes_), at(report_args_),
+                 headers_};
+    bases[i] = b;
+    // The part's constants come along in its slots.
+    slots_.insert(slots_.end(), p.slots_.begin(), p.slots_.end());
+    for (TableOp t : p.tables_) {
+      for (auto& k : t.keys) k += b.slot;
+      for (auto& d : t.dsts) d += b.slot;
+      if (t.hit >= 0) t.hit += b.slot;
+      tables_.push_back(std::move(t));
+    }
+    for (PushOp q : p.pushes_) {
+      q.count += b.slot;
+      for (auto& e : q.elems) e += b.slot;
+      pushes_.push_back(std::move(q));
+    }
+    for (SlotRef r : p.report_args_) {
+      r.slot += b.slot;
+      report_args_.push_back(r);
+    }
+    headers_ += p.headers_;
+    const Segment& from = p.segments_.front();
+    Segment& seg = segments_[i];
+    seg.tele_base = b.slot;
+    seg.tele = from.tele;
+    seg.ir = from.ir;
+    seg.metrics = from.metrics;
+    seg.prov = from.prov;
+  }
+  // Block by block, so the ops one hop phase runs sit together. An op's
+  // operands are slots unless its code says otherwise; the operands an op
+  // does not use are 0 or one of its slots, so moving them is harmless.
+  for (std::size_t blk = 0; blk < kBlocks; ++blk) {
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (parts[i] == nullptr) continue;
+      const Interp& p = *parts[i];
+      const Base& b = bases[i];
+      const bool fused = blk == static_cast<std::size_t>(Block::kTele) &&
+                         ((every_hop >> i) & 1) != 0;
+      std::uint32_t pc = p.segments_.front().entry[
+          fused ? static_cast<std::size_t>(Block::kTeleCheck) : blk];
+      const std::uint32_t begin = pc;
+      const std::uint32_t to = at(code_);
+      segments_[i].entry[blk] = to;
+      for (;;) {
+        Op op = p.code_[pc++];
+        switch (op.code) {
+          case Code::kJmp: op.dst = op.dst - begin + to; break;
+          case Code::kJz:
+          case Code::kJnz:
+            op.dst = op.dst - begin + to;
+            op.a += b.slot;
+            break;
+          case Code::kJeq: case Code::kJne: case Code::kJlt:
+          case Code::kJle: case Code::kJgt: case Code::kJge:
+            op.dst = op.dst - begin + to;
+            op.a += b.slot;
+            op.b += b.slot;
+            break;
+          case Code::kHdr:
+            op.dst += b.slot;
+            op.a += b.header;
+            break;
+          case Code::kTable: op.a += b.table; break;
+          case Code::kRegRead: op.dst += b.slot; break;
+          case Code::kRegWrite: op.a += b.slot; break;
+          case Code::kPush:
+            op.a += b.slot;
+            op.b += b.push;
+            break;
+          case Code::kReport: op.a += b.report; break;
+          case Code::kReject:
+          case Code::kNop:
+          case Code::kHalt:
+            break;
+          default:
+            op.dst += b.slot;
+            op.a += b.slot;
+            op.b += b.slot;
+            break;
+        }
+        code_.push_back(op);
+        if (op.code == Code::kHalt) break;
+      }
+    }
+  }
+}
+
 BitVec Interp::value(ir::FieldId f) const {
-  return BitVec(ir_.field(f).width,
+  return BitVec(segments_.front().ir->field(f).width,
                 slots_[field_slot_[static_cast<std::size_t>(f.id)]]);
 }
 
@@ -395,9 +593,14 @@ BitVec Interp::value(ir::FieldId f) const {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Interp::table_op(const TableOp& t, CheckerState& state) {
-  metrics_.table_lookups.inc();
-  const Table& table = state.tables[static_cast<std::size_t>(t.table)];
+void Interp::size_mismatch(const Segment& seg) {
+  throw std::invalid_argument("telemetry frame size mismatch for '" +
+                              seg.ir->name + "'");
+}
+
+void Interp::table_op(const TableOp& t, Segment& seg) {
+  seg.metrics.table_lookups.inc();
+  const Table& table = seg.state->tables[static_cast<std::size_t>(t.table)];
   std::span<const std::uint64_t> data;
   bool hit = true;
   std::int32_t row = -1;  // config tables answer from their defaults
@@ -412,8 +615,8 @@ void Interp::table_op(const TableOp& t, CheckerState& state) {
     hit = row >= 0;
     if (hit) data = table.action_data(row);
   }
-  if (prov_ != nullptr) {
-    prov_->add_table_hit(static_cast<std::int16_t>(t.table), row, hit);
+  if (seg.prov != nullptr) {
+    seg.prov->add_table_hit(static_cast<std::int16_t>(t.table), row, hit);
   }
   for (std::size_t d = 0; d < t.dsts.size(); ++d) {
     slots_[t.dsts[d]] = d < data.size() ? data[d] & t.dst_masks[d] : 0;
@@ -421,13 +624,13 @@ void Interp::table_op(const TableOp& t, CheckerState& state) {
   if (t.hit >= 0) slots_[static_cast<std::size_t>(t.hit)] = hit ? 1 : 0;
 }
 
-void Interp::reg_write_op(const Op& op, CheckerState& state) {
-  metrics_.reg_writes.inc();
-  RegisterArray& ra = state.registers[op.b];
+void Interp::reg_write_op(const Op& op, Segment& seg) {
+  seg.metrics.reg_writes.inc();
+  RegisterArray& ra = seg.state->registers[op.b];
   const std::uint64_t v = slots_[op.a];
-  if (prov_ != nullptr) {
-    prov_->add_reg_touch(static_cast<std::int16_t>(op.b), /*wrote=*/true,
-                         ra.read(0).value(), v);
+  if (seg.prov != nullptr) {
+    seg.prov->add_reg_touch(static_cast<std::int16_t>(op.b), /*wrote=*/true,
+                            ra.read(0).value(), v);
   }
   ra.write(0, BitVec(BitVec::kMaxWidth, v));
 }
@@ -445,20 +648,24 @@ void Interp::report_op(const Op& op, ExecOutcome& out) const {
 void Interp::run(Block block, std::vector<std::uint64_t>& words,
                  CheckerState& state, const HeaderSource& hdr,
                  ExecOutcome& out) {
-  if (block == Block::kInit) {
-    words.assign(tele_, 0);
-  } else if (words.size() != tele_) {
-    throw std::invalid_argument("telemetry frame size mismatch for '" +
-                                ir_.name + "'");
-  }
-  // Plain loops: a frame is a few words, too few for a memmove call.
+  bind(0, state, words, block == Block::kInit);
+  run(block, 1, hdr);
+  ExecOutcome& ran = segments_.front().out;
+  out.reject = out.reject || ran.reject;
+  for (auto& r : ran.reports) out.reports.push_back(std::move(r));
+}
+
+void Interp::run(Block block, std::uint64_t mask, const HeaderSource& hdr) {
+  flagged_ = 0;
+  if (mask == 0) return;
+  const auto b = static_cast<std::size_t>(block);
+  const bool copy_in = block != Block::kInit;
   std::uint64_t* s = slots_.data();
-  for (std::size_t i = 0; i < tele_; ++i) s[i] = words[i];
-  bool then_check = block == Block::kTeleCheck;
   const Op* code = code_.data();
+  Segment* seg = nullptr;
   std::uint64_t executed = 0;
-  for (std::uint32_t pc = entry_[static_cast<std::size_t>(
-           then_check ? Block::kTele : block)];;) {
+  // Op 0 halts, so the loop starts by entering the first segment.
+  for (std::uint32_t pc = 0;;) {
     const Op& op = code[pc++];
     executed += op.instrs;
     switch (op.code) {
@@ -504,18 +711,24 @@ void Interp::run(Block block, std::vector<std::uint64_t>& words,
       case Code::kJmp: pc = op.dst; break;
       case Code::kJz: if (s[op.a] == 0) pc = op.dst; break;
       case Code::kJnz: if (s[op.a] != 0) pc = op.dst; break;
-      case Code::kTable: table_op(tables_[op.a], state); break;
+      case Code::kJeq: if (s[op.a] == s[op.b]) pc = op.dst; break;
+      case Code::kJne: if (s[op.a] != s[op.b]) pc = op.dst; break;
+      case Code::kJlt: if (s[op.a] < s[op.b]) pc = op.dst; break;
+      case Code::kJle: if (s[op.a] <= s[op.b]) pc = op.dst; break;
+      case Code::kJgt: if (s[op.a] > s[op.b]) pc = op.dst; break;
+      case Code::kJge: if (s[op.a] >= s[op.b]) pc = op.dst; break;
+      case Code::kTable: table_op(tables_[op.a], *seg); break;
       case Code::kRegRead: {
-        metrics_.reg_reads.inc();
-        const std::uint64_t v = state.registers[op.a].read(0).value();
-        if (prov_ != nullptr) {
-          prov_->add_reg_touch(static_cast<std::int16_t>(op.a),
-                               /*wrote=*/false, v, v);
+        seg->metrics.reg_reads.inc();
+        const std::uint64_t v = seg->state->registers[op.a].read(0).value();
+        if (seg->prov != nullptr) {
+          seg->prov->add_reg_touch(static_cast<std::int16_t>(op.a),
+                                   /*wrote=*/false, v, v);
         }
         s[op.dst] = v & op.mask;
         break;
       }
-      case Code::kRegWrite: reg_write_op(op, state); break;
+      case Code::kRegWrite: reg_write_op(op, *seg); break;
       case Code::kPush: {
         // Saturating push: a full stack drops further telemetry, matching
         // the generated P4's bounded header stack.
@@ -527,18 +740,37 @@ void Interp::run(Block block, std::vector<std::uint64_t>& words,
         }
         break;
       }
-      case Code::kReject: out.reject = true; break;
-      case Code::kReport: report_op(op, out); break;
+      case Code::kReject:
+        seg->out.reject = true;
+        flagged_ |= mask & (0 - mask);
+        break;
+      case Code::kReport:
+        report_op(op, seg->out);
+        flagged_ |= mask & (0 - mask);
+        break;
       case Code::kNop: break;
-      case Code::kHalt:
-        if (then_check) {
-          then_check = false;
-          pc = entry_[static_cast<std::size_t>(Block::kCheck)];
-          break;
+      case Code::kHalt: {
+        if (seg != nullptr) {
+          // The segment's block is done: its words go back to its frame.
+          const std::uint64_t* t = s + seg->tele_base;
+          for (std::uint32_t i = 0; i < seg->tele; ++i) seg->frame[i] = t[i];
+          seg->metrics.instructions.inc(executed);
+          mask &= mask - 1;
+          if (mask == 0) return;
         }
-        metrics_.instructions.inc(executed);
-        for (std::size_t i = 0; i < tele_; ++i) words[i] = s[i];
-        return;
+        // The next segment in the mask: an empty outcome, its frame's words
+        // in its tele slots, and its block's first op.
+        seg = &segments_[static_cast<std::size_t>(std::countr_zero(mask))];
+        seg->out.reject = false;
+        seg->out.reports.clear();
+        if (copy_in) {
+          std::uint64_t* t = s + seg->tele_base;
+          for (std::uint32_t i = 0; i < seg->tele; ++i) t[i] = seg->frame[i];
+        }
+        executed = 0;
+        pc = seg->entry[b];
+        break;
+      }
     }
   }
 }

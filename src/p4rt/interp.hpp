@@ -1,10 +1,10 @@
-// Checker VM — executes a compiled checker's blocks on a simulated switch.
+// Checker VM — executes compiled checkers' blocks on a simulated switch.
 // This plays the role of the Tofino pipeline running the generated P4: the
 // same CheckerIR that the P4 emitter renders is executed here against
 // per-switch table/register state.
 //
-// The constructor lowers the init, tele and check blocks once into a flat
-// array of ops over a uint64_t slot file:
+// Lowering (the CheckerIR constructor) turns one checker's blocks, once,
+// into a flat array of ops over a uint64_t slot file:
 //   * the tele fields take the first slots, in FieldId order (a frame's
 //     word order), then the other IR fields; after the fields come one slot
 //     per expression temporary and one per distinct constant;
@@ -13,13 +13,28 @@
 //     BitVec's rules: arithmetic, bitwise ops and abs-diff take the wider
 //     operand; shifts, `~` and unary `-` keep the left operand's width;
 //     comparisons, `!`, `&&` and `||` give 1 bit;
-//   * `if`, `&&` and `||` become forward jumps (the IR is loop-free);
+//   * `if`, `&&` and `||` become forward jumps (the IR is loop-free), and
+//     a branch on a comparison is one compare-and-jump op;
 //   * a header field read is an op that asks a HeaderSource for the
-//     field's header index, which the caller binds once per deployment.
+//     field's header index; a field a block reads more than once is read
+//     once, at the block's top (a hop's headers stay put while it runs);
+//   * kInit first zeroes the tele list elements (a fresh frame), and
+//     kTeleCheck is the tele block lowered once more with the check block
+//     after it.
+//
+// Linking (the parts constructor) joins lowered checkers into one program
+// over one slot file, as Hydra's compiler links every checker into the
+// switch's one pipeline. Segment i is part i's ops, block by block, with
+// its slot, table, push, report-argument and header indices moved past
+// those of the parts before it; nothing is lowered again. A run executes
+// one block of every segment in a mask, in segment order, each against the
+// CheckerState bound to it and into its own outcome, metrics and
+// provenance record. A lowered checker is the one-segment program.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -67,36 +82,75 @@ struct InterpMetrics {
   obs::Counter reg_writes;
 };
 
-// kTeleCheck is one run of the tele block that continues, at its halt,
-// into the check block.
+// kTeleCheck is the tele block followed by the check block, in one run.
 enum class Block { kInit, kTele, kCheck, kTeleCheck };
 
 class Interp {
  public:
+  Interp() = default;  // the empty program: no segments
   explicit Interp(const ir::CheckerIR& ir);
+  // Links `parts`, lowered checkers in segment order (null leaves its
+  // segment empty), into one program; bit i of `every_hop` links part i's
+  // kTeleCheck as its kTele, for a check placed at every hop. Each part's
+  // metrics and provenance record come along; the parts may go afterwards.
+  Interp(std::span<const Interp* const> parts, std::uint64_t every_hop);
 
-  const ir::CheckerIR& ir() const { return ir_; }
-
-  // Runs one block on a frame's `words`, one per tele field in FieldId
-  // order (the layout's entry order) within the field's width, copied into
-  // the tele slots before the run and back out after it. kInit sizes the
-  // words to this checker's tele fields and zeroes them; any other block
-  // throws std::invalid_argument naming the checker on another word count.
-  // Reject and reports accumulate into `out`; other slots keep their values.
+  // Runs one block of a lowered checker on a frame's `words`, one per tele
+  // field in FieldId order (the layout's entry order) within the field's
+  // width. kInit sizes the words to this checker's tele fields and zeroes
+  // them; any other block throws std::invalid_argument naming the checker
+  // on another word count. Reject and reports accumulate into `out`; other
+  // slots keep their values.
   void run(Block block, std::vector<std::uint64_t>& words,
            CheckerState& state, const HeaderSource& hdr, ExecOutcome& out);
 
-  // Current value of field `f` at the field's width.
+  // Runs `block` of every segment whose bit is set in `mask`, in segment
+  // order, against what is bound to it. Each one's outcome() starts empty,
+  // its bound frame words are copied into its tele slots first (but for
+  // kInit, which starts a frame) and back out at its end. `hdr` answers the
+  // program's header indices: part i's come after those of the parts
+  // before it.
+  void run(Block block, std::uint64_t mask, const HeaderSource& hdr);
+
+  // Binds segment `seg`'s next runs to the per-switch `state` and to a
+  // frame's `words`. Sizes a `fresh` frame's words to the segment's tele
+  // fields (zeroed, in a plain loop: a frame is a few words, too few for a
+  // memset call); for any other frame, throws std::invalid_argument naming
+  // the checker unless there is one word per tele field.
+  void bind(std::size_t seg, CheckerState& state,
+            std::vector<std::uint64_t>& words, bool fresh = false) {
+    Segment& g = segments_[seg];
+    if (words.size() != g.tele) {
+      if (!fresh) size_mismatch(g);
+      words.clear();
+      for (std::uint32_t i = 0; i < g.tele; ++i) words.push_back(0);
+    }
+    g.state = &state;
+    g.frame = words.data();
+  }
+  // The segments of the last run that rejected or reported.
+  std::uint64_t flagged() const { return flagged_; }
+  // Segment `seg`'s verdict and reports from its last run.
+  ExecOutcome& outcome(std::size_t seg) { return segments_[seg].out; }
+
+  // Current value of a lowered checker's field `f`, at the field's width.
   BitVec value(ir::FieldId f) const;
 
-  void attach_metrics(const InterpMetrics& metrics) { metrics_ = metrics; }
+  // Segment `seg`'s metrics; a lowered checker's (segment 0) are carried
+  // into its segment when it is linked.
+  void attach_metrics(const InterpMetrics& metrics, std::size_t seg = 0) {
+    segments_[seg].metrics = metrics;
+  }
 
-  // Arms (non-null) or disarms (null) provenance capture for the forensics
-  // flight recorder. While armed, every table lookup and register access
-  // is added to `rec` by IR index (matched entry, register before/after);
-  // the caller owns the record and its reset. Disarmed cost: one branch per
+  // Arms (non-null) or disarms (null) segment `seg`'s provenance capture
+  // for the forensics flight recorder, carried along like the metrics.
+  // While armed, every table lookup and register access is added to `rec`
+  // by IR index (matched entry, register before/after); the caller owns
+  // the record and its reset. Disarmed cost: one branch per
   // lookup/register op.
-  void set_provenance(obs::HopRecord* rec) { prov_ = rec; }
+  void set_provenance(obs::HopRecord* rec, std::size_t seg = 0) {
+    segments_[seg].prov = rec;
+  }
 
  private:
   class Lowerer;
@@ -113,6 +167,7 @@ class Interp {
     kJmp,     // goto dst
     kJz,      // if (a == 0) goto dst
     kJnz,     // if (a != 0) goto dst
+    kJeq, kJne, kJlt, kJle, kJgt, kJge,  // if (a OP b) goto dst
     kTable,   // tables_[a]
     kRegRead,   // dst = registers[a]
     kRegWrite,  // registers[b] = a
@@ -120,19 +175,19 @@ class Interp {
     kReject,
     kReport,  // report(report_args_[a .. a+b))
     kNop,
-    kHalt,
+    kHalt,    // end of a segment's block
   };
 
   // Operands are slot indices; `mask` is the result's width mask.
   struct Op {
+    std::uint64_t mask = 0;
+    std::uint32_t dst = 0;
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
     Code code = Code::kNop;
     // IR instructions that start at this op (0 or 1); summed per block
     // run into InterpMetrics::instructions.
     std::uint8_t instrs = 0;
-    std::uint32_t dst = 0;
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-    std::uint64_t mask = 0;
   };
 
   struct TableOp {
@@ -158,24 +213,38 @@ class Interp {
     int width = 1;
   };
 
-  void table_op(const TableOp& t, CheckerState& state);
-  void reg_write_op(const Op& op, CheckerState& state);
-  void report_op(const Op& op, ExecOutcome& out) const;
+  static constexpr std::size_t kBlocks = 4;  // Block values
 
-  const ir::CheckerIR& ir_;
+  // One checker's place in the program and its current run.
+  struct Segment {
+    std::array<std::uint32_t, kBlocks> entry{};  // first op of each Block
+    std::uint32_t tele_base = 0;  // its tele slots start here
+    std::uint32_t tele = 0;       // its tele fields
+    const ir::CheckerIR* ir = nullptr;
+    CheckerState* state = nullptr;
+    std::uint64_t* frame = nullptr;  // bound frame words
+    ExecOutcome out;
+    InterpMetrics metrics;  // detached unless observability is wired
+    obs::HopRecord* prov = nullptr;  // armed only while forensics is on
+  };
+
+  void table_op(const TableOp& t, Segment& seg);
+  void reg_write_op(const Op& op, Segment& seg);
+  void report_op(const Op& op, ExecOutcome& out) const;
+  [[noreturn]] static void size_mismatch(const Segment& seg);
+
   std::vector<Op> code_;
-  std::array<std::uint32_t, 3> entry_{};  // first op of each Block
   std::vector<TableOp> tables_;
   std::vector<PushOp> pushes_;
   std::vector<SlotRef> report_args_;
-  std::vector<std::uint32_t> field_slot_;  // by FieldId
-  std::size_t tele_ = 0;  // tele fields, in the first slots
+  std::vector<Segment> segments_;
+  std::vector<std::uint32_t> field_slot_;  // a lowered checker's, by FieldId
+  std::uint32_t headers_ = 0;              // header indices in use
+  std::uint64_t flagged_ = 0;              // see flagged()
   std::vector<std::uint64_t> slots_;
   // Key words of the current table lookup, reused across lookups so the
   // per-packet hot path does not allocate.
   std::vector<std::uint64_t> key_words_;
-  InterpMetrics metrics_;  // detached unless observability is wired
-  obs::HopRecord* prov_ = nullptr;  // armed only while forensics is on
 };
 
 }  // namespace hydra::p4rt

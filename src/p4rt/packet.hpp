@@ -96,15 +96,15 @@ struct TeleFrame {
   // part of the reserved header word next to `cold`).
   std::uint32_t generation = 0;
 
-  // A frame with checker < 0 is RETIRED: its slot (and the capacity of
-  // `words`/`wire`) stays in the packet for reuse, but it is not live on
-  // the wire — frame lookups, wire sizing, and corruption all skip it.
+  // A frame with checker < 0 is RETIRED: its slot (and `words`, and the
+  // capacity of `wire`) stays in the packet for reuse, but it is not live
+  // on the wire — frame lookups, wire sizing, and corruption all skip it.
   // Pooled packets retire frames instead of erasing them so the per-hop
-  // telemetry path stays allocation-free (see Packet::retire_frames).
+  // telemetry path stays allocation-free (see Packet::retire_frames), and
+  // a slot re-armed by the same checker needs no resizing.
   bool live() const { return checker >= 0; }
   void retire() {
     checker = -1;
-    words.clear();  // keeps capacity
     wire.clear();
     damaged = false;
     cold = false;

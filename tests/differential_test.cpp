@@ -7,17 +7,22 @@
 //   * the final telemetry state (scalars, array slots, fill counts).
 // Every trace runs twice on the compiled side: with tele and check as
 // separate runs at the last hop, and fused into one kTeleCheck run, as the
-// network runs them. Any divergence is a compiler bug.
+// network runs them. A second suite links several generated checkers into
+// one program, as the network does, and checks every segment against its
+// own checker's runs. Any divergence is a compiler bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <memory>
 
 #include "compiler/compile.hpp"
 #include "indus/eval_ref.hpp"
 #include "indus/parser.hpp"
 #include "indus/pretty.hpp"
 #include "indus_gen.hpp"
+#include "obs/metrics.hpp"
 #include "p4rt/interp.hpp"
 #include "util/rng.hpp"
 
@@ -171,7 +176,16 @@ struct Differential {
     if (!fused) interp.run(p4rt::Block::kCheck, words, istate, source, iout);
     ref.run_check(rstate, resolver, rout);
 
-    // Verdict + reports.
+    expect_same(iout, [&](ir::FieldId f) { return interp.value(f).value(); },
+                istate, rstate, rout);
+  }
+
+  // Compares the compiled side's verdict, reports, telemetry (`tele` reads
+  // a tele field's value) and sensors with the reference's.
+  void expect_same(const p4rt::ExecOutcome& iout,
+                   const std::function<std::uint64_t(ir::FieldId)>& tele,
+                   const p4rt::CheckerState& istate, const RefState& rstate,
+                   const RefOutcome& rout) const {
     ASSERT_EQ(iout.reject, rout.reject) << context();
     ASSERT_EQ(iout.reports.size(), rout.reports.size()) << context();
     for (std::size_t r = 0; r < iout.reports.size(); ++r) {
@@ -186,21 +200,20 @@ struct Differential {
     auto field_val = [&](const std::string& name) {
       const auto f = compiled.ir.find_field(name);
       EXPECT_TRUE(f.valid()) << name;
-      return interp.value(f);
+      return tele(f);
     };
     for (const auto& [name, v] : rstate.scalars) {
       if (v.size() == 1) {
-        EXPECT_EQ(field_val("tele." + name).value(), v[0].value())
+        EXPECT_EQ(field_val("tele." + name), v[0].value())
             << name << context();
       }
     }
     for (const auto& [name, arr] : rstate.arrays) {
-      EXPECT_EQ(field_val("tele." + name + ".cnt").value(),
+      EXPECT_EQ(field_val("tele." + name + ".cnt"),
                 static_cast<std::uint64_t>(arr.count))
           << name << context();
       for (std::size_t i = 0; i < arr.slots.size(); ++i) {
-        EXPECT_EQ(field_val("tele." + name + "[" + std::to_string(i) + "]")
-                      .value(),
+        EXPECT_EQ(field_val("tele." + name + "[" + std::to_string(i) + "]"),
                   arr.slots[i].value())
             << name << "[" << i << "]" << context();
       }
@@ -254,6 +267,159 @@ TEST_P(CompilerDifferential, ReferenceAndCompiledAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompilerDifferential,
+                         ::testing::Range<std::uint64_t>(1, 2001));
+
+// One checker of a linked program, with everything its own runs need: its
+// segment's frame and state, the reference, and the checker run alone.
+struct LinkedPart {
+  Differential diff;
+  p4rt::Interp lowered{diff.compiled.ir};
+  p4rt::Interp alone{diff.compiled.ir};
+  HopSource source{diff.compiled.ir};
+  bool every_hop = false;
+  p4rt::CheckerState state = p4rt::make_checker_state(diff.compiled.ir);
+  p4rt::CheckerState alone_state = state;
+  std::vector<std::uint64_t> words, alone_words;
+  p4rt::ExecOutcome out, alone_out;
+  RefEvaluator ref{diff.program, diff.symbols};
+  RefState rstate;
+  RefOutcome rout;
+
+  LinkedPart(const std::string& src, Rng& rng) : diff(src) {
+    ref.init_packet_state(rstate);
+    ref.init_switch_state(rstate);
+    const ControlPlane cp = ControlPlane::random(rng);
+    diff.install(cp, state, rstate);
+    RefState unused;
+    diff.install(cp, alone_state, unused);
+  }
+
+  // Its tele field `f`'s word in the frame.
+  std::uint64_t word(ir::FieldId f) const {
+    std::size_t i = 0;
+    for (int id = 0; id < f.id; ++id) {
+      i += diff.compiled.ir.fields[static_cast<std::size_t>(id)].space ==
+           ir::Space::kTele;
+    }
+    return words[i];
+  }
+};
+
+// The linked program against each checker's own runs. Each seed links 2-4
+// generated checkers — the same declarations at other widths, so an index
+// moved into the wrong segment reads another checker's value — some with
+// their check at every hop, and runs them over one hop trace with one
+// segment left out at one random hop. Each segment's verdict, reports,
+// final words and sensors must match its checker's eval_ref run over the
+// hops it ran, and its words and instruction count the checker run alone.
+class LinkedDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
+  Rng rng(GetParam());
+  const auto n = static_cast<std::size_t>(2 + rng.below(3));
+  std::vector<std::unique_ptr<LinkedPart>> parts;
+  std::vector<const p4rt::Interp*> lowered;
+  std::uint64_t every_hop = 0;
+  obs::Registry reg;
+  for (std::size_t i = 0; i < n; ++i) {
+    testgen::ProgramGen gen(rng);
+    parts.push_back(std::make_unique<LinkedPart>(gen.generate(), rng));
+    LinkedPart& part = *parts.back();
+    part.every_hop = rng.chance(0.3);
+    if (part.every_hop) every_hop |= 1ULL << i;
+    p4rt::InterpMetrics m;
+    m.instructions = reg.counter("linked." + std::to_string(i));
+    part.lowered.attach_metrics(m);
+    m.instructions = reg.counter("alone." + std::to_string(i));
+    part.alone.attach_metrics(m);
+    lowered.push_back(&part.lowered);
+  }
+  p4rt::Interp linked(lowered, every_hop);
+  // The program's header index g is part `owner[g].first`'s header
+  // `owner[g].second`, which that part's source answers with its own values.
+  struct LinkedSource final : p4rt::HeaderSource {
+    std::vector<std::pair<const HopSource*, int>> owner;
+    std::uint64_t read(int header) const override {
+      const auto& [part, local] = owner[static_cast<std::size_t>(header)];
+      return part->read(local);
+    }
+  } source;
+  for (const auto& part : parts) {
+    for (std::size_t h = 0; h < part->source.annotations.size(); ++h) {
+      source.owner.emplace_back(&part->source, static_cast<int>(h));
+    }
+  }
+
+  // Every part sees headers of its own at each hop.
+  const int hops = 1 + static_cast<int>(rng.below(5));
+  std::vector<std::vector<HopHeaders>> trace(n);
+  for (int h = 0; h < hops; ++h) {
+    for (auto& t : trace) t.push_back(random_hop(rng, h == 0, h == hops - 1));
+  }
+  const auto left_out = static_cast<std::size_t>(rng.below(n));
+  const int left_at =
+      static_cast<int>(rng.below(static_cast<std::uint64_t>(hops)));
+  SCOPED_TRACE("segment " + std::to_string(left_out) + " left out at hop " +
+               std::to_string(left_at));
+
+  const auto run = [&](p4rt::Block block, std::uint64_t mask, int hop,
+                       bool last) {
+    for (std::size_t i = 0; i < n; ++i) {
+      parts[i]->source.hop = &trace[i][static_cast<std::size_t>(hop)];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask >> i & 1) != 0) {
+        LinkedPart& p = *parts[i];
+        linked.bind(i, p.state, p.words, block == p4rt::Block::kInit);
+      }
+    }
+    linked.run(block, mask, source);
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((mask >> i & 1) == 0) continue;
+      LinkedPart& p = *parts[i];
+      const p4rt::ExecOutcome& o = linked.outcome(i);
+      p.out.reject = p.out.reject || o.reject;
+      p.out.reports.insert(p.out.reports.end(), o.reports.begin(),
+                           o.reports.end());
+      const HopHeaders& headers = *p.source.hop;
+      auto resolver = [&headers](const std::string& ann, int w) {
+        return headers.get(ann, w);
+      };
+      if (block == p4rt::Block::kInit) {
+        p.alone.run(block, p.alone_words, p.alone_state, p.source,
+                    p.alone_out);
+        p.ref.run_init(p.rstate, resolver, p.rout);
+        continue;
+      }
+      const bool check = last || p.every_hop;
+      p.alone.run(check ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
+                  p.alone_words, p.alone_state, p.source, p.alone_out);
+      p.ref.run_tele(p.rstate, resolver, p.rout);
+      if (check) p.ref.run_check(p.rstate, resolver, p.rout);
+    }
+  };
+  const std::uint64_t all = (1ULL << n) - 1;
+  run(p4rt::Block::kInit, all, 0, false);
+  for (int h = 0; h < hops; ++h) {
+    const bool last = h + 1 == hops;
+    run(last ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
+        h == left_at ? all & ~(1ULL << left_out) : all, h, last);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE("segment " + std::to_string(i));
+    const LinkedPart& p = *parts[i];
+    p.diff.expect_same(p.out, [&p](ir::FieldId f) { return p.word(f); },
+                       p.state, p.rstate, p.rout);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_EQ(p.words, p.alone_words) << p.diff.context();
+    EXPECT_EQ(reg.counter_value("linked." + std::to_string(i)),
+              reg.counter_value("alone." + std::to_string(i)))
+        << p.diff.context();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkedDifferential,
                          ::testing::Range<std::uint64_t>(1, 2001));
 
 // The generator's output must always parse, typecheck, and round-trip

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "forwarding/ipv4_ecmp.hpp"
 #include "forwarding/source_route.hpp"
@@ -681,6 +682,168 @@ TEST(HydraPipeline, TelemetryBytesExtendWireSize) {
   // 4 visited entries of 32b + 3b counter + preamble.
   EXPECT_EQ(checker->layout.wire_bytes, (4 * 32 + 3 + 7) / 8 + 2);
   (void)no_dep_bytes;
+}
+
+// ---------------------------------------------------------------------------
+// The linked checker program
+// ---------------------------------------------------------------------------
+
+// Cross-leaf traffic and the numbers it leaves: per-property checker and VM
+// counters, host and controller outcomes, and the pipeline depth.
+struct SlotSetBed {
+  LeafSpine fabric = make_leaf_spine(2, 2, 2);
+  Network net{fabric.topo};
+
+  SlotSetBed() {
+    fwd::install_leaf_spine_routing(net, fabric);
+    net.set_observability(true);
+    net.set_export_interval(1e-4);
+  }
+
+  std::uint32_t ip(int host) const { return net.topo().node(host).ip; }
+
+  // `n` packets each way between a leaf-0 and a leaf-1 host, sent now.
+  void send(int n) {
+    const int a = fabric.hosts[0][0];
+    const int b = fabric.hosts[1][1];
+    for (int i = 0; i < n; ++i) {
+      const auto port = static_cast<std::uint16_t>(7000 + i);
+      net.send_from_host(a, p4rt::make_udp(ip(a), ip(b), port, 80, 96));
+      net.send_from_host(b, p4rt::make_udp(ip(b), ip(a), port, 80, 96));
+    }
+  }
+
+  std::string tally() {
+    const obs::Registry& reg = net.metrics();
+    std::string s;
+    for (const char* p : {"loops", "stateful_firewall", "dscp_unchanged",
+                          "valley_free"}) {
+      const std::string c = std::string("checker.") + p + ".";
+      s += std::string(p) + " init=" +
+           std::to_string(reg.counter_value(c + "init_runs")) +
+           " tele=" + std::to_string(reg.counter_value(c + "tele_runs")) +
+           " check=" + std::to_string(reg.counter_value(c + "check_runs")) +
+           " rej=" + std::to_string(reg.counter_value(c + "rejects")) +
+           " rep=" + std::to_string(reg.counter_value(c + "reports")) +
+           " stale=" +
+           std::to_string(reg.counter_value(c + "stale_generation")) +
+           " instr=" +
+           std::to_string(reg.counter_value(std::string("p4rt.interp.") + p +
+                                            ".instructions")) +
+           "; ";
+    }
+    s += "delivered=" + std::to_string(net.counters().delivered) +
+         " rejected=" + std::to_string(net.counters().rejected) +
+         " reports=" + std::to_string(net.reports().size()) +
+         " stages=" + std::to_string(net.pipeline_stages());
+    if (!net.reports().empty()) {
+      const ReportRecord& r = net.reports().back();
+      s += " last=" + std::to_string(r.deployment) + ":" + r.checker + "@" +
+           std::to_string(r.switch_id) + ":" +
+           std::to_string(r.values.empty() ? 0 : r.values[0].value());
+    }
+    return s;
+  }
+};
+
+// The live slots' checkers run as one linked program, relinked wherever
+// the slot set changes. Each step's counters and reports are the ones the
+// per-deployment VMs produced before the program was linked.
+TEST(Network, LinkedProgramFollowsTheSlotSet) {
+  SlotSetBed bed;
+  Network& net = bed.net;
+  const int loops = net.deploy(compile_library_checker("loops"));
+  const int fw = net.deploy(compile_library_checker("stateful_firewall"));
+  // Leaf 0 may open flows to leaf 1, not the other way: the reverse
+  // traffic rejects, and the allowed direction reports its missing reverse
+  // entry at its last hop.
+  net.dict_insert_all(fw, "allowed",
+                      {BitVec(32, bed.ip(bed.fabric.hosts[0][0])),
+                       BitVec(32, bed.ip(bed.fabric.hosts[1][1]))},
+                      {BitVec::from_bool(true)});
+  bed.send(3);
+  net.events().run();
+  EXPECT_EQ(bed.tally(),
+            "loops init=6 tele=18 check=6 rej=0 rep=0 stale=0 instr=54; "
+            "stateful_firewall init=6 tele=18 check=6 rej=3 rep=3 stale=0 instr=69; "
+            "dscp_unchanged init=0 tele=0 check=0 rej=0 rep=0 stale=0 instr=0; "
+            "valley_free init=0 tele=0 check=0 rej=0 rep=0 stale=0 instr=0; "
+            "delivered=3 rejected=3 reports=3 stages=6 last=1:stateful_firewall@1:167772676");
+
+  // A rolling deploy: the clock stops on the first pending hop, so the
+  // swap lands right after it and that hop sees the new slot staged — it
+  // stamps no frame for it, and its packet is never checked by it.
+  bed.send(2);
+  net.events().advance_now(net.events().next_time());
+  const int dscp = net.deploy_rolling(compile_library_checker("dscp_unchanged"));
+  EXPECT_TRUE(net.swap_in_progress());
+  net.events().run();
+  EXPECT_FALSE(net.swap_in_progress());
+  EXPECT_EQ(bed.tally(),
+            "loops init=10 tele=30 check=10 rej=0 rep=0 stale=0 instr=90; "
+            "stateful_firewall init=10 tele=30 check=10 rej=5 rep=5 stale=0 instr=115; "
+            "dscp_unchanged init=2 tele=6 check=2 rej=0 rep=0 stale=0 instr=16; "
+            "valley_free init=0 tele=0 check=0 rej=0 rep=0 stale=0 instr=0; "
+            "delivered=5 rejected=5 reports=5 stages=6 last=1:stateful_firewall@1:167772676");
+
+  // A rolling undeploy that lands with the firewall's frames in flight:
+  // they reject fail-closed as stale at their next hop, and their packets
+  // still reach the hosts.
+  bed.send(4);
+  net.events().run_until(net.events().next_time() + 1.5e-6);
+  net.undeploy_rolling(fw);
+  net.events().run();
+  EXPECT_FALSE(net.deployment_live(fw));
+  EXPECT_EQ(bed.tally(),
+            "loops init=18 tele=54 check=18 rej=0 rep=0 stale=0 instr=162; "
+            "stateful_firewall init=18 tele=38 check=10 rej=5 rep=5 stale=16 instr=159; "
+            "dscp_unchanged init=10 tele=30 check=10 rej=0 rep=0 stale=0 instr=80; "
+            "valley_free init=0 tele=0 check=0 rej=0 rep=0 stale=0 instr=0; "
+            "delivered=13 rejected=5 reports=5 stages=6 last=1:stateful_firewall@1:167772676");
+
+  // The retired slot is reused by a checker of another layout.
+  const int vf = net.deploy(compile_library_checker("valley_free"));
+  EXPECT_EQ(vf, fw);
+  for (const int spine : bed.fabric.spines) {
+    net.set_config(vf, spine, "is_spine_switch", {BitVec::from_bool(true)});
+  }
+  bed.send(2);
+  net.events().run();
+  EXPECT_EQ(bed.tally(),
+            "loops init=22 tele=66 check=22 rej=0 rep=0 stale=0 instr=198; "
+            "stateful_firewall init=18 tele=38 check=10 rej=5 rep=5 stale=16 instr=159; "
+            "dscp_unchanged init=14 tele=42 check=14 rej=0 rep=0 stale=0 instr=112; "
+            "valley_free init=4 tele=12 check=4 rej=0 rep=0 stale=0 instr=52; "
+            "delivered=17 rejected=5 reports=5 stages=6 last=1:stateful_firewall@1:167772676");
+
+  net.undeploy(loops);
+  bed.send(2);
+  net.events().run();
+  EXPECT_EQ(bed.tally(),
+            "loops init=22 tele=66 check=22 rej=0 rep=0 stale=0 instr=198; "
+            "stateful_firewall init=18 tele=38 check=10 rej=5 rep=5 stale=16 instr=159; "
+            "dscp_unchanged init=18 tele=54 check=18 rej=0 rep=0 stale=0 instr=144; "
+            "valley_free init=8 tele=24 check=8 rej=0 rep=0 stale=0 instr=104; "
+            "delivered=21 rejected=5 reports=5 stages=4 last=1:stateful_firewall@1:167772676");
+
+  // A restored network links the same program and counts on from there
+  // (reports are not part of a snapshot).
+  net.clear_reports();
+  SlotSetBed restored;
+  restored.net.obs_restore(net.full_snapshot());
+  EXPECT_EQ(restored.tally(), bed.tally());
+  for (SlotSetBed* b : {&bed, &restored}) {
+    b->send(2);
+    b->net.events().run();
+  }
+  EXPECT_EQ(bed.tally(),
+            "loops init=22 tele=66 check=22 rej=0 rep=0 stale=0 instr=198; "
+            "stateful_firewall init=18 tele=38 check=10 rej=5 rep=5 stale=16 instr=159; "
+            "dscp_unchanged init=22 tele=66 check=22 rej=0 rep=0 stale=0 instr=176; "
+            "valley_free init=12 tele=36 check=12 rej=0 rep=0 stale=0 instr=156; "
+            "delivered=25 rejected=5 reports=0 stages=4");
+  EXPECT_EQ(restored.tally(), bed.tally());
+  EXPECT_TRUE(net.deployment_live(dscp));
 }
 
 TEST(HydraPipeline, UdpFloodLoadsLinks) {
