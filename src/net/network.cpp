@@ -56,7 +56,7 @@ Network::Deployment& Network::live_deployment(int deployment,
                                 " out of range");
   }
   Deployment& d = deployments_[static_cast<std::size_t>(deployment)];
-  if (!d.live) {
+  if (!d.live()) {
     throw std::invalid_argument(
         std::string(what) + ": deployment id " + std::to_string(deployment) +
         " is retired (checker '" + d.checker->name + "' was undeployed)");
@@ -83,12 +83,9 @@ int Network::stage_deployment(
   if (!checker) throw std::invalid_argument("deploy: null checker");
   // Prefer reusing a retired slot; the deployment-id space is bounded by
   // the 64-bit rejected_deps mask, and reuse is what keeps a long-running
-  // daemon deploying forever.
+  // daemon deploying forever. A slot with a swap pending is live.
   std::size_t slot = 0;
-  while (slot < deployments_.size() &&
-         (deployments_[slot].live || deployments_[slot].pending_swap)) {
-    ++slot;
-  }
+  while (slot < deployments_.size() && deployments_[slot].live()) ++slot;
   fill_slot(slot, checker, static_cast<std::uint32_t>(generations_.size()),
             phase);
   generations_.push_back({checker, checker->name, false, {}});
@@ -122,19 +119,17 @@ void Network::fill_slot(
   d.checker = std::move(checker);
   d.headers = std::move(headers);
   d.generation = generation;
-  d.live = phase != kPhaseRetired;
-  d.retiring = false;
-  d.pending_swap = false;
   d.phase = phase;
+  d.swap_to = kNoSwap;
   d.check_every_hop =
       d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
-  d.per_switch.assign(d.live ? static_cast<std::size_t>(topo_.node_count()) : 0,
-                      {});
+  d.per_switch.assign(
+      d.live() ? static_cast<std::size_t>(topo_.node_count()) : 0, {});
   for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
     if (topo_.node(static_cast<int>(i)).kind != NodeKind::kSwitch) continue;
     d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
   }
-  d.lowered = std::make_unique<p4rt::Interp>(d.checker->ir);
+  d.vm = std::make_unique<p4rt::Interp>(d.checker->ir, d.check_every_hop);
   link_stages();
   if (obs_ != nullptr) observe_refill(slot);
 }
@@ -152,24 +147,25 @@ int Network::deploy_rolling(
 }
 
 void Network::schedule_swap(int slot, std::uint8_t phase) {
-  deployments_[static_cast<std::size_t>(slot)].pending_swap = true;
+  deployments_[static_cast<std::size_t>(slot)].swap_to = phase;
   events_.schedule_at(events_.now(), [this, slot, phase] {
     Deployment& d = deployments_[static_cast<std::size_t>(slot)];
     d.phase = phase;
-    d.pending_swap = false;
-    if (d.retiring) finalize_retirement(static_cast<std::size_t>(slot));
+    d.swap_to = kNoSwap;
+    if (phase == kPhaseRetired) {
+      finalize_retirement(static_cast<std::size_t>(slot));
+    }
   });
 }
 
 void Network::undeploy_rolling(int deployment) {
   Deployment& d = live_deployment(deployment, "undeploy_rolling");
-  if (d.retiring) return;  // sweep already in flight
-  if (d.pending_swap) {
+  if (d.swap_to == kPhaseRetired) return;  // sweep already in flight
+  if (d.swap_to != kNoSwap) {
     throw std::logic_error(
         "undeploy_rolling: deploy sweep still in flight for slot " +
         std::to_string(deployment));
   }
-  d.retiring = true;
   // Register the per-generation reject counter BEFORE the flip: frames of
   // this generation rejected from the flip on must count from the very
   // first one — a detached handle would drop them on the floor.
@@ -183,15 +179,12 @@ void Network::undeploy(int deployment) {
   }
   Deployment& d = live_deployment(deployment, "undeploy");
   d.phase = kPhaseRetired;
-  d.retiring = true;
   finalize_retirement(static_cast<std::size_t>(deployment));
 }
 
 void Network::finalize_retirement(std::size_t slot) {
   Deployment& d = deployments_[slot];
-  d.live = false;
-  d.retiring = false;
-  d.pending_swap = false;
+  d.swap_to = kNoSwap;
   // The checker stays (name + IR for attribution and forensics labels);
   // the per-switch sensor state is gone for good. Frames stamped with
   // this generation now reject fail-closed wherever they surface.
@@ -204,7 +197,7 @@ void Network::finalize_retirement(std::size_t slot) {
 
 bool Network::swap_in_progress() const {
   return std::any_of(deployments_.begin(), deployments_.end(),
-                     [](const Deployment& d) { return d.pending_swap; });
+                     [](const Deployment& d) { return d.swap_to != kNoSwap; });
 }
 
 bool Network::deployment_live(int deployment) const {
@@ -212,7 +205,7 @@ bool Network::deployment_live(int deployment) const {
       deployment >= static_cast<int>(deployments_.size())) {
     throw std::invalid_argument("deployment_live: id out of range");
   }
-  return deployments_[static_cast<std::size_t>(deployment)].live;
+  return deployments_[static_cast<std::size_t>(deployment)].live();
 }
 
 std::uint32_t Network::deployment_generation(int deployment) const {
@@ -378,7 +371,7 @@ void Network::dict_insert_all_delayed(int deployment, const std::string& var,
         events_.now() + faults_->next_push_delay(),
         [this, deployment, sw, t, gen, push] {
           Deployment& dep = deployments_[static_cast<std::size_t>(deployment)];
-          if (!dep.live || dep.generation != gen) return;
+          if (!dep.live() || dep.generation != gen) return;
           dep.per_switch[static_cast<std::size_t>(sw)].tables[t].insert_exact(
               push->key, push->value);
           if (faults_ != nullptr) ++faults_->stats().delayed_pushes;
@@ -467,19 +460,17 @@ void Network::emit_report(ReportRecord record) {
 
 void Network::link_stages() {
   stages_ = baseline_.stages;
-  std::vector<const p4rt::Interp*> parts(deployments_.size(), nullptr);
-  std::uint64_t every_hop = 0;
+  parts_.assign(deployments_.size(), nullptr);
   linked_headers_.clear();
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
-    const Deployment& d = deployments_[di];
-    if (!d.live) continue;
+    Deployment& d = deployments_[di];
+    if (!d.live()) continue;
     stages_ = std::max(stages_, d.checker->resources.checker_stages);
-    parts[di] = d.lowered.get();
-    if (d.check_every_hop) every_hop |= 1ULL << di;
+    parts_[di] = d.vm.get();
+    d.vm->set_header_base(static_cast<std::uint32_t>(linked_headers_.size()));
     linked_headers_.insert(linked_headers_.end(), d.headers.begin(),
                            d.headers.end());
   }
-  vm_ = p4rt::Interp(parts, every_hop);
 }
 
 void Network::send_from_host(int host_id, p4rt::Packet pkt) {
@@ -639,7 +630,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   hctx.switch_tag = switch_tag(sw);
   hctx.in_port = work.in_port;
   hctx.first_hop = topo_.host_facing({sw, work.in_port});
-  // The linked program's header reads, through hctx as the hop fills it.
+  // Every slot's header reads, through hctx as the hop fills it.
   const HopHeaders hdr(linked_headers_, pkt, hctx);
 
   // The obs plane's inputs: the traced packet's hop record (null unless
@@ -676,20 +667,21 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
                                              d.checker->layout.wire_bytes);
       frame.generation = d.generation;
       if (cold_sw) frame.cold = true;
-      vm_.bind(di, d.per_switch[swi], frame.words, /*fresh=*/true);
+      d.vm->bind(d.per_switch[swi], frame.words, /*fresh=*/true);
       // The hop's record starts here; the tele run below adds to it.
       if (forensic) d.rec.reset();
       mask |= 1ULL << di;
     }
-    if (mask != 0) vm_.run(p4rt::Block::kInit, mask, hdr);
-    // Without observability, only the segments that reported have
-    // anything left to do.
-    const std::uint64_t visit =
-        obs_ != nullptr ? mask : (mask != 0 ? vm_.flagged() : 0);
+    const std::uint64_t flagged =
+        mask != 0 ? p4rt::Interp::run(p4rt::Block::kInit, parts_, mask, hdr)
+                  : 0;
+    // Without observability, only the slots that reported have anything
+    // left to do.
+    const std::uint64_t visit = obs_ != nullptr ? mask : flagged;
     for (std::uint64_t m = visit; m != 0; m &= m - 1) {
       const auto di = static_cast<std::size_t>(std::countr_zero(m));
       Deployment& d = deployments_[di];
-      p4rt::ExecOutcome& out = vm_.outcome(di);
+      p4rt::ExecOutcome& out = d.vm->outcome();
       if (hop != nullptr) {
         hop->checkers.push_back(trace_checker_record(
             d, {}, pkt.frame(static_cast<int>(di))->words, out,
@@ -726,8 +718,8 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
 
   // 3./4. Telemetry at every hop; checker at the last hop (or every hop,
   // for checkers compiled with per-hop placement): one pass over the
-  // packet's frames picks the segments to run and binds their words, one
-  // VM run executes them all, and a second pass takes, in slot order, the
+  // packet's frames picks the slots to run and binds their words, one VM
+  // run executes them all, and a second pass takes, in slot order, the
   // outcomes that need it.
   bool rejected = false;
   // Bit d set for each deployment whose checker (or fail-closed telemetry
@@ -738,7 +730,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
   // Static string ("tele_bad_tag", ...) naming why a damaged or stale
   // telemetry frame was rejected fail-closed this hop.
   const char* reject_reason = nullptr;
-  std::uint64_t mask = 0;   // the segments that run
+  std::uint64_t mask = 0;   // the slots that run
   std::uint64_t noted = 0;  // frames that did not run but record forensics
   for (std::size_t di = 0; di < deployments_.size(); ++di) {
     p4rt::TeleFrame* frame = pkt.frame(static_cast<int>(di));
@@ -804,17 +796,17 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       trace_before_.resize(deployments_.size());
       trace_before_[di] = frame->words;
     }
-    vm_.bind(di, d.per_switch[swi], frame->words);
+    d.vm->bind(d.per_switch[swi], frame->words);
     mask |= 1ULL << di;
   }
-  std::uint64_t flagged = 0;
-  if (mask != 0) {
-    vm_.run(hctx.last_hop ? p4rt::Block::kTeleCheck : p4rt::Block::kTele,
-            mask, hdr);
-    flagged = vm_.flagged();
-  }
-  // Without observability, only the segments that rejected or reported
-  // have anything left to do.
+  const std::uint64_t flagged =
+      mask != 0
+          ? p4rt::Interp::run(hctx.last_hop ? p4rt::Block::kTeleCheck
+                                            : p4rt::Block::kTele,
+                              parts_, mask, hdr)
+          : 0;
+  // Without observability, only the slots that rejected or reported have
+  // anything left to do.
   const std::uint64_t visit =
       obs_ != nullptr || wire_validation_ ? mask | noted : flagged;
   for (std::uint64_t m = visit; m != 0; m &= m - 1) {
@@ -827,7 +819,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
                            d.note);
       continue;
     }
-    p4rt::ExecOutcome& out = vm_.outcome(di);
+    p4rt::ExecOutcome& out = d.vm->outcome();
     const bool run_check = hctx.last_hop || d.check_every_hop;
     d.counters[kTeleRuns].inc();
     if (run_check) d.counters[kCheckRuns].inc();

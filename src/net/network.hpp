@@ -2,9 +2,9 @@
 // and deployed Hydra checkers) + hosts + the event queue.
 //
 // The per-hop pipeline mirrors the paper's linking rules (§4.2). As the
-// compiler links every checker into the switch's one pipeline, the live
-// slots' checkers are linked into one program, a segment per slot, and
-// each numbered step below is one VM run of it over a mask of segments:
+// compiler links every checker into the switch's one pipeline, each
+// numbered step below is one VM run over a mask of slots, entering each
+// masked slot's own lowered checker in slot order:
 //   1. first hop (host-facing ingress on an edge switch): every enabled
 //      slot's init block, before forwarding; each stamps its frame;
 //   2. the forwarding program computes the egress port (and may rewrite
@@ -408,6 +408,7 @@ class Network final : public EventExecutor {
     kPhaseRetired = 0,  // frames for this slot reject fail-closed here
     kPhaseStaged = 1,   // tele/check run for matching generations; no init
     kPhaseEnabled = 2,  // fully live: init stamps new frames
+    kNoSwap = 3,        // Deployment::swap_to: no swap closure pending
   };
 
   // The slot counters, attached while observability is on; observe.cpp
@@ -422,8 +423,7 @@ class Network final : public EventExecutor {
   // per-switch state, and the hop pipeline's scratch for it, all reused
   // across packets — the slot's hot-path counters, the hop's fail-closed
   // note and its flight-recorder record (last: the hop's passes read the
-  // fields before it). The checker runs as its segment of the linked
-  // program vm_.
+  // fields before it).
   struct Deployment {
     std::shared_ptr<const compiler::CompiledChecker> checker;
     std::vector<p4rt::CheckerState> per_switch;  // indexed by node id
@@ -432,14 +432,15 @@ class Network final : public EventExecutor {
     // Generation tag stamped into this occupant's telemetry frames; bumps
     // on every (re)deploy so slot reuse never mixes properties.
     std::uint32_t generation = 0;
-    bool live = false;      // false once retired; the slot is reusable
-    bool retiring = false;      // disable flip in flight
-    bool pending_swap = false;  // a swap closure has not landed yet
     std::uint8_t phase = kPhaseRetired;  // see the enum above
+    // The phase a swap closure that has not landed yet flips the slot to
+    // (kPhaseRetired: an undeploy in flight), or kNoSwap.
+    std::uint8_t swap_to = kNoSwap;
     bool check_every_hop = false;  // the checker's placement is kEveryHop
-    // The checker lowered to slot-addressed ops, never run itself; it
-    // carries the slot's VM metrics and provenance record into vm_.
-    std::unique_ptr<p4rt::Interp> lowered;
+    // The checker lowered to slot-addressed ops: the slot's part of every
+    // hop's run, with its own slot file, bound frame, outcome, VM metrics
+    // and provenance record.
+    std::unique_ptr<p4rt::Interp> vm;
     std::array<obs::Counter, kSlotCounters> counters;
     // Why this hop's frame for the slot did not run, for its forensics
     // record (forensics on only).
@@ -449,6 +450,9 @@ class Network final : public EventExecutor {
     // count into it, the VM adds its table hits and register touches, and
     // record_hop_forensics copies it into the switch's ring.
     obs::HopRecord rec;
+
+    // False once retired; a retired slot is reusable.
+    bool live() const { return phase != kPhaseRetired; }
   };
 
   // One entry per generation ever deployed (never erased): the compiled
@@ -507,8 +511,8 @@ class Network final : public EventExecutor {
                        std::uint8_t phase);
   // Points slot `slot` at `checker` under `generation`, appending it when
   // `slot` is one past the last: fresh per-switch state at `phase` (none
-  // for a retired slot, kPhaseRetired), a VM bound to the checker, and
-  // the slot's top-K property label. Binds the checker's
+  // for a retired slot, kPhaseRetired), the checker lowered into the
+  // slot's VM, and the slot's top-K property label. Binds the checker's
   // header annotations first and throws std::invalid_argument if they do
   // not bind, or std::runtime_error for a slot past kMaxDeployments,
   // before anything changes. deploy and restore both fill slots here.
@@ -516,16 +520,16 @@ class Network final : public EventExecutor {
                  std::shared_ptr<const compiler::CompiledChecker> c,
                  std::uint32_t generation, std::uint8_t phase);
   // Schedules the swap closure at now() that flips `slot` to `phase` on
-  // every switch (and completes a retirement); sets pending_swap.
+  // every switch (and completes a retirement); sets swap_to.
   void schedule_swap(int slot, std::uint8_t phase);
   // Completion of an undeploy (its swap closure, or undeploy itself):
   // frees per-switch state, marks the generation retired, and registers its
   // stale-frame counter.
   void finalize_retirement(std::size_t slot);
-  // Links the live slots' lowered checkers into vm_, in slot order, with
-  // their bound headers in linked_headers_, and recomputes stages_ from the
-  // baseline and the live slots; called where either changes (fill_slot,
-  // finalize_retirement, set_baseline_profile).
+  // Points parts_ at the live slots' VMs, places their bound headers in
+  // linked_headers_ (each VM reads from its base there), and recomputes
+  // stages_ from the baseline and the live slots; called where either
+  // changes (fill_slot, finalize_retirement, set_baseline_profile).
   void link_stages();
   // Bounds- and liveness-checks a deployment id from the control-plane
   // API; throws std::invalid_argument naming `what` for a stale or
@@ -639,9 +643,9 @@ class Network final : public EventExecutor {
   std::vector<Host> hosts_;    // indexed by node id (empty for switches)
   std::vector<std::shared_ptr<ForwardingProgram>> programs_;  // by node id
   std::vector<Deployment> deployments_;
-  // The live slots' checkers linked into one program (segment i is slot
-  // i), and their bound headers in the program's header order.
-  p4rt::Interp vm_;
+  // By slot, the live slots' VMs (null for a retired slot), which a hop's
+  // runs enter by slot bit, and their bound headers one after another.
+  std::vector<p4rt::Interp*> parts_;
   std::vector<BoundHeader> linked_headers_;
   std::vector<GenerationInfo> generations_;  // by generation id, append-only
   // Every property name ever deployed (sorted, unique). export_cumulative

@@ -524,13 +524,10 @@ void Network::register_stale_counter(std::uint32_t gen) {
 void Network::rewire_observability() {
   if (obs_ == nullptr) {
     // Detach every handle; none may outlive the registry it points into.
-    for (std::size_t di = 0; di < deployments_.size(); ++di) {
-      Deployment& d = deployments_[di];
+    for (Deployment& d : deployments_) {
       d.counters.fill({});
-      d.lowered->attach_metrics({});
-      d.lowered->set_provenance(nullptr);
-      vm_.attach_metrics({}, di);
-      vm_.set_provenance(nullptr, di);
+      d.vm->attach_metrics({});
+      d.vm->set_provenance(nullptr);
       for (auto& state : d.per_switch) {
         for (auto& table : state.tables) table.attach_metrics({});
       }
@@ -562,8 +559,7 @@ void Network::rewire_observability() {
   // (the JSON snapshot key, unchanged byte-for-byte) with a structured
   // Prometheus identity layered on top: one family per counter kind,
   // attributed by a property="<checker>" label.
-  for (std::size_t di = 0; di < deployments_.size(); ++di) {
-    Deployment& d = deployments_[di];
+  for (Deployment& d : deployments_) {
     const std::string& cn = d.checker->name;
     const std::vector<obs::Label> by_prop{{"property", cn}};
     for (std::size_t k = 0; k < kSlotCounters; ++k) {
@@ -583,13 +579,9 @@ void Network::rewire_observability() {
     im.reg_writes = reg.counter("p4rt.interp." + cn + ".reg_writes",
                                 "hydra_interp_reg_writes_total", by_prop);
     // Provenance capture feeds the flight recorder; disarmed (one branch
-    // per lookup/register op) unless forensics is on. The lowered checker
-    // keeps both for the next link, and its segment takes them now.
-    obs::HopRecord* rec = obs_->recorder != nullptr ? &d.rec : nullptr;
-    d.lowered->attach_metrics(im);
-    d.lowered->set_provenance(rec);
-    vm_.attach_metrics(im, di);
-    vm_.set_provenance(rec, di);
+    // per lookup/register op) unless forensics is on.
+    d.vm->attach_metrics(im);
+    d.vm->set_provenance(obs_->recorder != nullptr ? &d.rec : nullptr);
   }
 
   // Checker tables: one aggregate counter set per (checker, table) name,
@@ -639,7 +631,7 @@ void Network::rewire_observability() {
   for (const Deployment& d : deployments_) {
     // A retiring flip in flight: its counter must already be live (see
     // undeploy_rolling) and must survive a rewire before the flip lands.
-    if (d.retiring) register_stale_counter(d.generation);
+    if (d.swap_to == kPhaseRetired) register_stale_counter(d.generation);
   }
 
   if (obs_->profiler != nullptr) obs_->profiler->attach(reg);

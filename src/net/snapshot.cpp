@@ -141,7 +141,7 @@ std::string Network::full_snapshot() {
     Deployment& d = deployments_[si];
     const compiler::CompileOptions& o = d.checker->options;
     out += "dep " + std::to_string(si) + " " + std::to_string(d.generation) +
-           " " + (d.live ? "1" : "0") + " " +
+           " " + (d.live() ? "1" : "0") + " " +
            std::to_string(static_cast<int>(o.placement)) + " " +
            (o.byte_aligned_layout ? "1" : "0") + " " +
            std::to_string(static_cast<int>(o.dialect)) + " " +
@@ -150,7 +150,7 @@ std::string Network::full_snapshot() {
            " " + d.checker->name + "\n";
     out += "src " + std::to_string(si) + " " +
            escape_source(d.checker->source) + "\n";
-    if (!d.live) continue;
+    if (!d.live()) continue;
     for (int sw = 0; sw < topo_.node_count(); ++sw) {
       if (topo_.node(sw).kind != NodeKind::kSwitch) continue;
       p4rt::CheckerState& state = d.per_switch[static_cast<std::size_t>(sw)];
@@ -384,7 +384,7 @@ void Network::obs_restore(const std::string& text) {
             bad_snapshot(line);
           }
           Deployment& d = deployments_[static_cast<std::size_t>(slot)];
-          if (!d.live) bad_snapshot(line);
+          if (!d.live()) bad_snapshot(line);
           p4rt::CheckerState& state =
               d.per_switch[static_cast<std::size_t>(sw)];
           if (kw == "tab") {

@@ -53,10 +53,9 @@ class Interp::Lowerer {
       : vm_(vm),
         ir_(ir),
         slots_(static_cast<std::uint32_t>(ir_.fields.size())) {
+    int headers = 0;
     for (const auto& f : ir_.fields) {
-      header_index_.push_back(f.space == ir::Space::kHeader
-                                  ? static_cast<int>(vm_.headers_++)
-                                  : -1);
+      header_index_.push_back(f.space == ir::Space::kHeader ? headers++ : -1);
     }
   }
 
@@ -453,139 +452,28 @@ class Interp::Lowerer {
   std::uint8_t pending_ = 0;  // IR instructions awaiting their first op
 };
 
-Interp::Interp(const ir::CheckerIR& ir) {
-  Segment& seg = segments_.emplace_back();
-  seg.ir = &ir;
+Interp::Interp(const ir::CheckerIR& ir, bool every_hop) : ir_(&ir) {
   // Tele fields first, so the tele slots line up with a frame's words.
-  for (const auto& f : ir.fields) seg.tele += f.space == ir::Space::kTele;
+  for (const auto& f : ir.fields) tele_ += f.space == ir::Space::kTele;
   std::uint32_t tele = 0;
-  std::uint32_t other = seg.tele;
+  std::uint32_t other = tele_;
   for (const auto& f : ir.fields) {
     field_slot_.push_back(f.space == ir::Space::kTele ? tele++ : other++);
   }
-  code_.push_back({.code = Code::kHalt});  // op 0 halts, see run
   Lowerer lower(*this, ir);
-  auto& entry = seg.entry;
-  entry[static_cast<std::size_t>(Block::kInit)] =
-      lower.block({&ir.init_block}, /*fresh=*/true);
-  entry[static_cast<std::size_t>(Block::kTele)] = lower.block({&ir.tele_block});
-  entry[static_cast<std::size_t>(Block::kCheck)] =
-      lower.block({&ir.check_block});
-  entry[static_cast<std::size_t>(Block::kTeleCheck)] =
-      lower.block({&ir.tele_block, &ir.check_block});
+  const auto at = [this](Block b) -> std::uint32_t& {
+    return entry_[static_cast<std::size_t>(b)];
+  };
+  at(Block::kInit) = lower.block({&ir.init_block}, /*fresh=*/true);
+  at(Block::kTele) = lower.block({&ir.tele_block});
+  at(Block::kCheck) = lower.block({&ir.check_block});
+  at(Block::kTeleCheck) = lower.block({&ir.tele_block, &ir.check_block});
+  if (every_hop) at(Block::kTele) = at(Block::kTeleCheck);
   lower.finish();
 }
 
-Interp::Interp(std::span<const Interp* const> parts, std::uint64_t every_hop)
-    : segments_(parts.size()) {
-  // Op 0 halts (see run), and every block of an empty segment starts there.
-  code_.push_back({.code = Code::kHalt});
-  // Where each part's slots, table ops, push ops and report arguments
-  // start in the program.
-  struct Base {
-    std::uint32_t slot = 0;
-    std::uint32_t table = 0;
-    std::uint32_t push = 0;
-    std::uint32_t report = 0;
-    std::uint32_t header = 0;
-  };
-  std::vector<Base> bases(parts.size());
-  const auto at = [](const auto& v) {
-    return static_cast<std::uint32_t>(v.size());
-  };
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i] == nullptr) continue;
-    const Interp& p = *parts[i];
-    const Base b{at(slots_), at(tables_), at(pushes_), at(report_args_),
-                 headers_};
-    bases[i] = b;
-    // The part's constants come along in its slots.
-    slots_.insert(slots_.end(), p.slots_.begin(), p.slots_.end());
-    for (TableOp t : p.tables_) {
-      for (auto& k : t.keys) k += b.slot;
-      for (auto& d : t.dsts) d += b.slot;
-      if (t.hit >= 0) t.hit += b.slot;
-      tables_.push_back(std::move(t));
-    }
-    for (PushOp q : p.pushes_) {
-      q.count += b.slot;
-      for (auto& e : q.elems) e += b.slot;
-      pushes_.push_back(std::move(q));
-    }
-    for (SlotRef r : p.report_args_) {
-      r.slot += b.slot;
-      report_args_.push_back(r);
-    }
-    headers_ += p.headers_;
-    const Segment& from = p.segments_.front();
-    Segment& seg = segments_[i];
-    seg.tele_base = b.slot;
-    seg.tele = from.tele;
-    seg.ir = from.ir;
-    seg.metrics = from.metrics;
-    seg.prov = from.prov;
-  }
-  // Block by block, so the ops one hop phase runs sit together. An op's
-  // operands are slots unless its code says otherwise; the operands an op
-  // does not use are 0 or one of its slots, so moving them is harmless.
-  for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (parts[i] == nullptr) continue;
-      const Interp& p = *parts[i];
-      const Base& b = bases[i];
-      const bool fused = blk == static_cast<std::size_t>(Block::kTele) &&
-                         ((every_hop >> i) & 1) != 0;
-      std::uint32_t pc = p.segments_.front().entry[
-          fused ? static_cast<std::size_t>(Block::kTeleCheck) : blk];
-      const std::uint32_t begin = pc;
-      const std::uint32_t to = at(code_);
-      segments_[i].entry[blk] = to;
-      for (;;) {
-        Op op = p.code_[pc++];
-        switch (op.code) {
-          case Code::kJmp: op.dst = op.dst - begin + to; break;
-          case Code::kJz:
-          case Code::kJnz:
-            op.dst = op.dst - begin + to;
-            op.a += b.slot;
-            break;
-          case Code::kJeq: case Code::kJne: case Code::kJlt:
-          case Code::kJle: case Code::kJgt: case Code::kJge:
-            op.dst = op.dst - begin + to;
-            op.a += b.slot;
-            op.b += b.slot;
-            break;
-          case Code::kHdr:
-            op.dst += b.slot;
-            op.a += b.header;
-            break;
-          case Code::kTable: op.a += b.table; break;
-          case Code::kRegRead: op.dst += b.slot; break;
-          case Code::kRegWrite: op.a += b.slot; break;
-          case Code::kPush:
-            op.a += b.slot;
-            op.b += b.push;
-            break;
-          case Code::kReport: op.a += b.report; break;
-          case Code::kReject:
-          case Code::kNop:
-          case Code::kHalt:
-            break;
-          default:
-            op.dst += b.slot;
-            op.a += b.slot;
-            op.b += b.slot;
-            break;
-        }
-        code_.push_back(op);
-        if (op.code == Code::kHalt) break;
-      }
-    }
-  }
-}
-
 BitVec Interp::value(ir::FieldId f) const {
-  return BitVec(segments_.front().ir->field(f).width,
+  return BitVec(ir_->field(f).width,
                 slots_[field_slot_[static_cast<std::size_t>(f.id)]]);
 }
 
@@ -593,14 +481,14 @@ BitVec Interp::value(ir::FieldId f) const {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Interp::size_mismatch(const Segment& seg) {
+void Interp::size_mismatch() const {
   throw std::invalid_argument("telemetry frame size mismatch for '" +
-                              seg.ir->name + "'");
+                              ir_->name + "'");
 }
 
-void Interp::table_op(const TableOp& t, Segment& seg) {
-  seg.metrics.table_lookups.inc();
-  const Table& table = seg.state->tables[static_cast<std::size_t>(t.table)];
+void Interp::table_op(const TableOp& t) {
+  metrics_.table_lookups.inc();
+  const Table& table = state_->tables[static_cast<std::size_t>(t.table)];
   std::span<const std::uint64_t> data;
   bool hit = true;
   std::int32_t row = -1;  // config tables answer from their defaults
@@ -615,8 +503,8 @@ void Interp::table_op(const TableOp& t, Segment& seg) {
     hit = row >= 0;
     if (hit) data = table.action_data(row);
   }
-  if (seg.prov != nullptr) {
-    seg.prov->add_table_hit(static_cast<std::int16_t>(t.table), row, hit);
+  if (prov_ != nullptr) {
+    prov_->add_table_hit(static_cast<std::int16_t>(t.table), row, hit);
   }
   for (std::size_t d = 0; d < t.dsts.size(); ++d) {
     slots_[t.dsts[d]] = d < data.size() ? data[d] & t.dst_masks[d] : 0;
@@ -624,54 +512,56 @@ void Interp::table_op(const TableOp& t, Segment& seg) {
   if (t.hit >= 0) slots_[static_cast<std::size_t>(t.hit)] = hit ? 1 : 0;
 }
 
-void Interp::reg_write_op(const Op& op, Segment& seg) {
-  seg.metrics.reg_writes.inc();
-  RegisterArray& ra = seg.state->registers[op.b];
+void Interp::reg_write_op(const Op& op) {
+  metrics_.reg_writes.inc();
+  RegisterArray& ra = state_->registers[op.b];
   const std::uint64_t v = slots_[op.a];
-  if (seg.prov != nullptr) {
-    seg.prov->add_reg_touch(static_cast<std::int16_t>(op.b), /*wrote=*/true,
-                            ra.read(0).value(), v);
+  if (prov_ != nullptr) {
+    prov_->add_reg_touch(static_cast<std::int16_t>(op.b), /*wrote=*/true,
+                         ra.read(0).value(), v);
   }
   ra.write(0, BitVec(BitVec::kMaxWidth, v));
 }
 
-void Interp::report_op(const Op& op, ExecOutcome& out) const {
+void Interp::report_op(const Op& op) {
   std::vector<BitVec> payload;
   payload.reserve(op.b);
   for (std::uint32_t i = 0; i < op.b; ++i) {
     const SlotRef& arg = report_args_[op.a + i];
     payload.emplace_back(arg.width, slots_[arg.slot]);
   }
-  out.reports.push_back(std::move(payload));
+  out_.reports.push_back(std::move(payload));
 }
 
 void Interp::run(Block block, std::vector<std::uint64_t>& words,
                  CheckerState& state, const HeaderSource& hdr,
                  ExecOutcome& out) {
-  bind(0, state, words, block == Block::kInit);
-  run(block, 1, hdr);
-  ExecOutcome& ran = segments_.front().out;
-  out.reject = out.reject || ran.reject;
-  for (auto& r : ran.reports) out.reports.push_back(std::move(r));
+  bind(state, words, block == Block::kInit);
+  Interp* self = this;
+  run(block, std::span<Interp* const>(&self, 1), 1, hdr);
+  out.reject = out.reject || out_.reject;
+  for (auto& r : out_.reports) out.reports.push_back(std::move(r));
 }
 
-void Interp::run(Block block, std::uint64_t mask, const HeaderSource& hdr) {
-  flagged_ = 0;
-  if (mask == 0) return;
+std::uint64_t Interp::run(Block block, std::span<Interp* const> parts,
+                          std::uint64_t mask, const HeaderSource& hdr) {
+  static constexpr Op kEnter{.code = Code::kHalt};
   const auto b = static_cast<std::size_t>(block);
   const bool copy_in = block != Block::kInit;
-  std::uint64_t* s = slots_.data();
-  const Op* code = code_.data();
-  Segment* seg = nullptr;
+  std::uint64_t flagged = 0;
+  Interp* p = nullptr;  // the part running
+  std::uint64_t* s = nullptr;
+  const Op* code = &kEnter;
+  std::uint32_t header_base = 0;
   std::uint64_t executed = 0;
-  // Op 0 halts, so the loop starts by entering the first segment.
+  // The first op halts, so the loop starts by entering the first part.
   for (std::uint32_t pc = 0;;) {
     const Op& op = code[pc++];
     executed += op.instrs;
     switch (op.code) {
       case Code::kMov: s[op.dst] = s[op.a] & op.mask; break;
       case Code::kHdr:
-        s[op.dst] = hdr.read(static_cast<int>(op.a)) & op.mask;
+        s[op.dst] = hdr.read(static_cast<int>(header_base + op.a)) & op.mask;
         break;
       case Code::kAdd: s[op.dst] = (s[op.a] + s[op.b]) & op.mask; break;
       case Code::kSub: s[op.dst] = (s[op.a] - s[op.b]) & op.mask; break;
@@ -717,58 +607,60 @@ void Interp::run(Block block, std::uint64_t mask, const HeaderSource& hdr) {
       case Code::kJle: if (s[op.a] <= s[op.b]) pc = op.dst; break;
       case Code::kJgt: if (s[op.a] > s[op.b]) pc = op.dst; break;
       case Code::kJge: if (s[op.a] >= s[op.b]) pc = op.dst; break;
-      case Code::kTable: table_op(tables_[op.a], *seg); break;
+      case Code::kTable: p->table_op(p->tables_[op.a]); break;
       case Code::kRegRead: {
-        seg->metrics.reg_reads.inc();
-        const std::uint64_t v = seg->state->registers[op.a].read(0).value();
-        if (seg->prov != nullptr) {
-          seg->prov->add_reg_touch(static_cast<std::int16_t>(op.a),
-                                   /*wrote=*/false, v, v);
+        p->metrics_.reg_reads.inc();
+        const std::uint64_t v = p->state_->registers[op.a].read(0).value();
+        if (p->prov_ != nullptr) {
+          p->prov_->add_reg_touch(static_cast<std::int16_t>(op.a),
+                                  /*wrote=*/false, v, v);
         }
         s[op.dst] = v & op.mask;
         break;
       }
-      case Code::kRegWrite: reg_write_op(op, *seg); break;
+      case Code::kRegWrite: p->reg_write_op(op); break;
       case Code::kPush: {
         // Saturating push: a full stack drops further telemetry, matching
         // the generated P4's bounded header stack.
-        const PushOp& p = pushes_[op.b];
-        const std::uint64_t cnt = s[p.count];
-        if (cnt < p.elems.size()) {
-          s[p.elems[cnt]] = s[op.a] & p.elem_mask;
-          s[p.count] = (cnt + 1) & p.count_mask;
+        const PushOp& q = p->pushes_[op.b];
+        const std::uint64_t cnt = s[q.count];
+        if (cnt < q.elems.size()) {
+          s[q.elems[cnt]] = s[op.a] & q.elem_mask;
+          s[q.count] = (cnt + 1) & q.count_mask;
         }
         break;
       }
       case Code::kReject:
-        seg->out.reject = true;
-        flagged_ |= mask & (0 - mask);
+        p->out_.reject = true;
+        flagged |= mask & (0 - mask);
         break;
       case Code::kReport:
-        report_op(op, seg->out);
-        flagged_ |= mask & (0 - mask);
+        p->report_op(op);
+        flagged |= mask & (0 - mask);
         break;
       case Code::kNop: break;
       case Code::kHalt: {
-        if (seg != nullptr) {
-          // The segment's block is done: its words go back to its frame.
-          const std::uint64_t* t = s + seg->tele_base;
-          for (std::uint32_t i = 0; i < seg->tele; ++i) seg->frame[i] = t[i];
-          seg->metrics.instructions.inc(executed);
+        if (p != nullptr) {
+          // The part's block is done: its words go back to its frame.
+          for (std::uint32_t i = 0; i < p->tele_; ++i) p->frame_[i] = s[i];
+          p->metrics_.instructions.inc(executed);
           mask &= mask - 1;
-          if (mask == 0) return;
         }
-        // The next segment in the mask: an empty outcome, its frame's words
-        // in its tele slots, and its block's first op.
-        seg = &segments_[static_cast<std::size_t>(std::countr_zero(mask))];
-        seg->out.reject = false;
-        seg->out.reports.clear();
+        if (mask == 0) return flagged;
+        // The next part in the mask: its ops and slot file, an empty
+        // outcome, its frame's words in its tele slots, and its block's
+        // first op.
+        p = parts[static_cast<std::size_t>(std::countr_zero(mask))];
+        s = p->slots_.data();
+        code = p->code_.data();
+        header_base = p->header_base_;
+        p->out_.reject = false;
+        p->out_.reports.clear();
         if (copy_in) {
-          std::uint64_t* t = s + seg->tele_base;
-          for (std::uint32_t i = 0; i < seg->tele; ++i) t[i] = seg->frame[i];
+          for (std::uint32_t i = 0; i < p->tele_; ++i) s[i] = p->frame_[i];
         }
         executed = 0;
-        pc = seg->entry[b];
+        pc = p->entry_[b];
         break;
       }
     }

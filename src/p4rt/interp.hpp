@@ -22,14 +22,13 @@
 //     kTeleCheck is the tele block lowered once more with the check block
 //     after it.
 //
-// Linking (the parts constructor) joins lowered checkers into one program
-// over one slot file, as Hydra's compiler links every checker into the
-// switch's one pipeline. Segment i is part i's ops, block by block, with
-// its slot, table, push, report-argument and header indices moved past
-// those of the parts before it; nothing is lowered again. A run executes
-// one block of every segment in a mask, in segment order, each against the
-// CheckerState bound to it and into its own outcome, metrics and
-// provenance record. A lowered checker is the one-segment program.
+// One run executes one block of several lowered checkers (parts), as
+// Hydra's compiler links every checker into the switch's one pipeline: the
+// parts in a mask run in order, and at each halt the loop enters the next
+// part's own ops and slot file, against the CheckerState and frame bound to
+// it and into its own outcome, metrics and provenance record. Nothing is
+// copied or lowered again when the set of parts changes; a checker run
+// alone is the one-part case.
 #pragma once
 
 #include <array>
@@ -87,15 +86,11 @@ enum class Block { kInit, kTele, kCheck, kTeleCheck };
 
 class Interp {
  public:
-  Interp() = default;  // the empty program: no segments
-  explicit Interp(const ir::CheckerIR& ir);
-  // Links `parts`, lowered checkers in segment order (null leaves its
-  // segment empty), into one program; bit i of `every_hop` links part i's
-  // kTeleCheck as its kTele, for a check placed at every hop. Each part's
-  // metrics and provenance record come along; the parts may go afterwards.
-  Interp(std::span<const Interp* const> parts, std::uint64_t every_hop);
+  // Lowers `ir`'s blocks. With `every_hop`, for a check placed at every
+  // hop, kTele runs the kTeleCheck block.
+  explicit Interp(const ir::CheckerIR& ir, bool every_hop = false);
 
-  // Runs one block of a lowered checker on a frame's `words`, one per tele
+  // Runs one block of this checker on a frame's `words`, one per tele
   // field in FieldId order (the layout's entry order) within the field's
   // width. kInit sizes the words to this checker's tele fields and zeroes
   // them; any other block throws std::invalid_argument naming the checker
@@ -104,60 +99,53 @@ class Interp {
   void run(Block block, std::vector<std::uint64_t>& words,
            CheckerState& state, const HeaderSource& hdr, ExecOutcome& out);
 
-  // Runs `block` of every segment whose bit is set in `mask`, in segment
-  // order, against what is bound to it. Each one's outcome() starts empty,
-  // its bound frame words are copied into its tele slots first (but for
-  // kInit, which starts a frame) and back out at its end. `hdr` answers the
-  // program's header indices: part i's come after those of the parts
-  // before it.
-  void run(Block block, std::uint64_t mask, const HeaderSource& hdr);
+  // Runs `block` of every part whose bit is set in `mask`, in bit order,
+  // against what is bound to it. Each one's outcome() starts empty, its
+  // bound frame words are copied into its tele slots first (but for
+  // kInit, which starts a frame) and back out at its end. Returns the
+  // parts that rejected or reported.
+  static std::uint64_t run(Block block, std::span<Interp* const> parts,
+                           std::uint64_t mask, const HeaderSource& hdr);
 
-  // Binds segment `seg`'s next runs to the per-switch `state` and to a
-  // frame's `words`. Sizes a `fresh` frame's words to the segment's tele
-  // fields (zeroed, in a plain loop: a frame is a few words, too few for a
-  // memset call); for any other frame, throws std::invalid_argument naming
-  // the checker unless there is one word per tele field.
-  void bind(std::size_t seg, CheckerState& state,
-            std::vector<std::uint64_t>& words, bool fresh = false) {
-    Segment& g = segments_[seg];
-    if (words.size() != g.tele) {
-      if (!fresh) size_mismatch(g);
+  // Binds the next runs to the per-switch `state` and to a frame's
+  // `words`. Sizes a `fresh` frame's words to this checker's tele fields
+  // (zeroed, in a plain loop: a frame is a few words, too few for a memset
+  // call); for any other frame, throws std::invalid_argument naming the
+  // checker unless there is one word per tele field.
+  void bind(CheckerState& state, std::vector<std::uint64_t>& words,
+            bool fresh = false) {
+    if (words.size() != tele_) {
+      if (!fresh) size_mismatch();
       words.clear();
-      for (std::uint32_t i = 0; i < g.tele; ++i) words.push_back(0);
+      for (std::uint32_t i = 0; i < tele_; ++i) words.push_back(0);
     }
-    g.state = &state;
-    g.frame = words.data();
+    state_ = &state;
+    frame_ = words.data();
   }
-  // The segments of the last run that rejected or reported.
-  std::uint64_t flagged() const { return flagged_; }
-  // Segment `seg`'s verdict and reports from its last run.
-  ExecOutcome& outcome(std::size_t seg) { return segments_[seg].out; }
+  // The verdict and reports of the last run.
+  ExecOutcome& outcome() { return out_; }
+  // This checker's header index i reads the HeaderSource's base + i, for
+  // a source shared with the parts before it (0 by default).
+  void set_header_base(std::uint32_t base) { header_base_ = base; }
 
-  // Current value of a lowered checker's field `f`, at the field's width.
+  // Current value of field `f`, at the field's width.
   BitVec value(ir::FieldId f) const;
 
-  // Segment `seg`'s metrics; a lowered checker's (segment 0) are carried
-  // into its segment when it is linked.
-  void attach_metrics(const InterpMetrics& metrics, std::size_t seg = 0) {
-    segments_[seg].metrics = metrics;
-  }
+  void attach_metrics(const InterpMetrics& metrics) { metrics_ = metrics; }
 
-  // Arms (non-null) or disarms (null) segment `seg`'s provenance capture
-  // for the forensics flight recorder, carried along like the metrics.
-  // While armed, every table lookup and register access is added to `rec`
-  // by IR index (matched entry, register before/after); the caller owns
-  // the record and its reset. Disarmed cost: one branch per
-  // lookup/register op.
-  void set_provenance(obs::HopRecord* rec, std::size_t seg = 0) {
-    segments_[seg].prov = rec;
-  }
+  // Arms (non-null) or disarms (null) provenance capture for the forensics
+  // flight recorder. While armed, every table lookup and register access
+  // is added to `rec` by IR index (matched entry, register before/after);
+  // the caller owns the record and its reset. Disarmed cost: one branch
+  // per lookup/register op.
+  void set_provenance(obs::HopRecord* rec) { prov_ = rec; }
 
  private:
   class Lowerer;
 
   enum class Code : std::uint8_t {
     kMov,     // dst = a
-    kHdr,     // dst = header a
+    kHdr,     // dst = header (header_base_ + a)
     kAdd, kSub, kMul, kDiv, kMod,
     kBitAnd, kBitOr, kBitXor, kShl, kShr, kAbsDiff,
     kEq, kNe, kLt, kLe, kGt, kGe,
@@ -175,7 +163,7 @@ class Interp {
     kReject,
     kReport,  // report(report_args_[a .. a+b))
     kNop,
-    kHalt,    // end of a segment's block
+    kHalt,    // end of a block
   };
 
   // Operands are slot indices; `mask` is the result's width mask.
@@ -215,33 +203,26 @@ class Interp {
 
   static constexpr std::size_t kBlocks = 4;  // Block values
 
-  // One checker's place in the program and its current run.
-  struct Segment {
-    std::array<std::uint32_t, kBlocks> entry{};  // first op of each Block
-    std::uint32_t tele_base = 0;  // its tele slots start here
-    std::uint32_t tele = 0;       // its tele fields
-    const ir::CheckerIR* ir = nullptr;
-    CheckerState* state = nullptr;
-    std::uint64_t* frame = nullptr;  // bound frame words
-    ExecOutcome out;
-    InterpMetrics metrics;  // detached unless observability is wired
-    obs::HopRecord* prov = nullptr;  // armed only while forensics is on
-  };
+  void table_op(const TableOp& t);
+  void reg_write_op(const Op& op);
+  void report_op(const Op& op);
+  [[noreturn]] void size_mismatch() const;
 
-  void table_op(const TableOp& t, Segment& seg);
-  void reg_write_op(const Op& op, Segment& seg);
-  void report_op(const Op& op, ExecOutcome& out) const;
-  [[noreturn]] static void size_mismatch(const Segment& seg);
-
+  const ir::CheckerIR* ir_;
   std::vector<Op> code_;
   std::vector<TableOp> tables_;
   std::vector<PushOp> pushes_;
   std::vector<SlotRef> report_args_;
-  std::vector<Segment> segments_;
-  std::vector<std::uint32_t> field_slot_;  // a lowered checker's, by FieldId
-  std::uint32_t headers_ = 0;              // header indices in use
-  std::uint64_t flagged_ = 0;              // see flagged()
+  std::vector<std::uint32_t> field_slot_;  // by FieldId
   std::vector<std::uint64_t> slots_;
+  std::array<std::uint32_t, kBlocks> entry_{};  // first op of each Block
+  std::uint32_t tele_ = 0;  // tele fields, in slots 0 .. tele_ - 1
+  std::uint32_t header_base_ = 0;
+  CheckerState* state_ = nullptr;
+  std::uint64_t* frame_ = nullptr;  // bound frame words
+  ExecOutcome out_;
+  InterpMetrics metrics_;  // detached unless observability is wired
+  obs::HopRecord* prov_ = nullptr;  // armed only while forensics is on
   // Key words of the current table lookup, reused across lookups so the
   // per-packet hot path does not allocate.
   std::vector<std::uint64_t> key_words_;

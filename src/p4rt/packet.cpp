@@ -147,7 +147,6 @@ void gtpu_decap_inplace(Packet& p) {
 void make_udp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
                    std::uint16_t sport, std::uint16_t dport,
                    int payload_bytes) {
-  p.reuse();
   p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoUdp, 64, 0};
   p.l4 = L4H{sport, dport};
   p.payload_bytes = payload_bytes;
@@ -156,7 +155,6 @@ void make_udp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
 void make_tcp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
                    std::uint16_t sport, std::uint16_t dport,
                    int payload_bytes) {
-  p.reuse();
   p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoTcp, 64, 0};
   p.l4 = L4H{sport, dport};
   p.payload_bytes = payload_bytes;
@@ -165,7 +163,6 @@ void make_tcp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
 void make_icmp_echo_into(Packet& p, std::uint32_t src_ip,
                          std::uint32_t dst_ip, std::uint16_t ident,
                          std::uint16_t seq) {
-  p.reuse();
   p.ipv4 = Ipv4H{src_ip, dst_ip, kProtoIcmp, 64, 0};
   p.icmp = IcmpH{8, ident, seq};
   p.payload_bytes = 56;  // standard ping payload
@@ -176,7 +173,6 @@ void make_gtpu_udp_into(Packet& p, std::uint32_t outer_src,
                         std::uint32_t inner_src, std::uint32_t inner_dst,
                         std::uint16_t sport, std::uint16_t dport,
                         int payload_bytes) {
-  p.reuse();
   p.inner_ipv4 = Ipv4H{inner_src, inner_dst, kProtoUdp, 64, 0};
   p.inner_l4 = L4H{sport, dport};
   p.ipv4 = Ipv4H{outer_src, outer_dst, kProtoUdp, 64, 0};

@@ -214,8 +214,9 @@ void gtpu_encap_inplace(Packet& p, std::uint32_t outer_src,
                         std::uint32_t outer_dst, std::uint32_t teid);
 void gtpu_decap_inplace(Packet& p);
 
-// In-place builders for pooled slots: Packet::reuse() + the header setup,
-// no temporary Packet.
+// In-place builders: the header setup on a packet in its default state (a
+// fresh Packet, or a pooled slot from Network::alloc_packet, which resets
+// it), with no temporary Packet. They set only the headers they build.
 void make_udp_into(Packet& p, std::uint32_t src_ip, std::uint32_t dst_ip,
                    std::uint16_t sport, std::uint16_t dport,
                    int payload_bytes);

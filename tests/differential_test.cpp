@@ -7,15 +7,16 @@
 //   * the final telemetry state (scalars, array slots, fill counts).
 // Every trace runs twice on the compiled side: with tele and check as
 // separate runs at the last hop, and fused into one kTeleCheck run, as the
-// network runs them. A second suite links several generated checkers into
-// one program, as the network does, and checks every segment against its
-// own checker's runs. Any divergence is a compiler bug.
+// network runs them. A second suite runs several generated checkers in one
+// run, as the network does, and checks every part against its own
+// checker's runs. Any divergence is a compiler bug.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "compiler/compile.hpp"
 #include "indus/eval_ref.hpp"
@@ -269,11 +270,11 @@ TEST_P(CompilerDifferential, ReferenceAndCompiledAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CompilerDifferential,
                          ::testing::Range<std::uint64_t>(1, 2001));
 
-// One checker of a linked program, with everything its own runs need: its
-// segment's frame and state, the reference, and the checker run alone.
+// One part of a linked run, with everything its own runs need: its frame
+// and state, the reference, and the checker run alone.
 struct LinkedPart {
   Differential diff;
-  p4rt::Interp lowered{diff.compiled.ir};
+  std::optional<p4rt::Interp> vm;  // lowered once its placement is drawn
   p4rt::Interp alone{diff.compiled.ir};
   HopSource source{diff.compiled.ir};
   bool every_hop = false;
@@ -305,37 +306,36 @@ struct LinkedPart {
   }
 };
 
-// The linked program against each checker's own runs. Each seed links 2-4
-// generated checkers — the same declarations at other widths, so an index
-// moved into the wrong segment reads another checker's value — some with
-// their check at every hop, and runs them over one hop trace with one
-// segment left out at one random hop. Each segment's verdict, reports,
-// final words and sensors must match its checker's eval_ref run over the
-// hops it ran, and its words and instruction count the checker run alone.
+// Linked runs against each checker's own runs. Each seed runs 2-4 generated
+// checkers together — the same declarations at other widths, so a header
+// read at another part's base or a word copied into the wrong part reads
+// another checker's value — some with their check at every hop, over one
+// hop trace with one part left out at one random hop. Each part's verdict,
+// reports, final words and sensors must match its checker's eval_ref run
+// over the hops it ran, its words and instruction count the checker run
+// alone, and the run's flagged mask the parts that rejected or reported.
 class LinkedDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
   Rng rng(GetParam());
   const auto n = static_cast<std::size_t>(2 + rng.below(3));
   std::vector<std::unique_ptr<LinkedPart>> parts;
-  std::vector<const p4rt::Interp*> lowered;
-  std::uint64_t every_hop = 0;
+  std::vector<p4rt::Interp*> vms;
   obs::Registry reg;
   for (std::size_t i = 0; i < n; ++i) {
     testgen::ProgramGen gen(rng);
     parts.push_back(std::make_unique<LinkedPart>(gen.generate(), rng));
     LinkedPart& part = *parts.back();
     part.every_hop = rng.chance(0.3);
-    if (part.every_hop) every_hop |= 1ULL << i;
+    part.vm.emplace(part.diff.compiled.ir, part.every_hop);
     p4rt::InterpMetrics m;
     m.instructions = reg.counter("linked." + std::to_string(i));
-    part.lowered.attach_metrics(m);
+    part.vm->attach_metrics(m);
     m.instructions = reg.counter("alone." + std::to_string(i));
     part.alone.attach_metrics(m);
-    lowered.push_back(&part.lowered);
+    vms.push_back(&*part.vm);
   }
-  p4rt::Interp linked(lowered, every_hop);
-  // The program's header index g is part `owner[g].first`'s header
+  // The shared header index g is part `owner[g].first`'s header
   // `owner[g].second`, which that part's source answers with its own values.
   struct LinkedSource final : p4rt::HeaderSource {
     std::vector<std::pair<const HopSource*, int>> owner;
@@ -345,6 +345,7 @@ TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
     }
   } source;
   for (const auto& part : parts) {
+    part->vm->set_header_base(static_cast<std::uint32_t>(source.owner.size()));
     for (std::size_t h = 0; h < part->source.annotations.size(); ++h) {
       source.owner.emplace_back(&part->source, static_cast<int>(h));
     }
@@ -359,7 +360,7 @@ TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
   const auto left_out = static_cast<std::size_t>(rng.below(n));
   const int left_at =
       static_cast<int>(rng.below(static_cast<std::uint64_t>(hops)));
-  SCOPED_TRACE("segment " + std::to_string(left_out) + " left out at hop " +
+  SCOPED_TRACE("part " + std::to_string(left_out) + " left out at hop " +
                std::to_string(left_at));
 
   const auto run = [&](p4rt::Block block, std::uint64_t mask, int hop,
@@ -370,14 +371,16 @@ TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
     for (std::size_t i = 0; i < n; ++i) {
       if ((mask >> i & 1) != 0) {
         LinkedPart& p = *parts[i];
-        linked.bind(i, p.state, p.words, block == p4rt::Block::kInit);
+        p.vm->bind(p.state, p.words, block == p4rt::Block::kInit);
       }
     }
-    linked.run(block, mask, source);
+    const std::uint64_t flagged = p4rt::Interp::run(block, vms, mask, source);
     for (std::size_t i = 0; i < n; ++i) {
       if ((mask >> i & 1) == 0) continue;
       LinkedPart& p = *parts[i];
-      const p4rt::ExecOutcome& o = linked.outcome(i);
+      const p4rt::ExecOutcome& o = p.vm->outcome();
+      EXPECT_EQ((flagged >> i & 1) != 0, o.reject || !o.reports.empty())
+          << "part " << i << p.diff.context();
       p.out.reject = p.out.reject || o.reject;
       p.out.reports.insert(p.out.reports.end(), o.reports.begin(),
                            o.reports.end());
@@ -407,7 +410,7 @@ TEST_P(LinkedDifferential, EverySegmentMatchesItsOwnRuns) {
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    SCOPED_TRACE("segment " + std::to_string(i));
+    SCOPED_TRACE("part " + std::to_string(i));
     const LinkedPart& p = *parts[i];
     p.diff.expect_same(p.out, [&p](ir::FieldId f) { return p.word(f); },
                        p.state, p.rstate, p.rout);

@@ -181,6 +181,55 @@ TEST(Forensics, ViolationReportEndToEnd) {
   EXPECT_TRUE(bed.net.violation_reports().empty());
 }
 
+// Each slot keeps its provenance capture through the deploys and undeploys
+// that follow arming: with forensics armed first, the firewall's verdict
+// hop shows its `allowed` miss beside a second checker deployed after it,
+// and again once that checker is undeployed.
+TEST(Forensics, ProvenanceSurvivesLaterDeployAndUndeploy) {
+  const net::LeafSpine fabric = net::make_leaf_spine(2, 2, 2);
+  net::Network net(fabric.topo);
+  const auto routing = fwd::install_leaf_spine_routing(net, fabric);
+  net.set_forensics(true);
+  net.deploy(compile_library_checker("stateful_firewall"));
+  const int counter = net.deploy(compile_shared(
+      "tele bit<8> n = 0; { n = 1; } { n += 1; } { }", "hop_counter"));
+
+  const int intruder = fabric.hosts[0][1];
+  const int h2 = fabric.hosts[1][0];
+  const auto ip = [&net](int host) { return net.topo().node(host).ip; };
+  // Sends one unsolicited packet and checks the firewall's record at the
+  // verdict hop of the violation it raises.
+  const auto expect_allowed_miss = [&](std::uint16_t sport) {
+    net.clear_violation_reports();
+    net.send_from_host(intruder,
+                       p4rt::make_udp(ip(intruder), ip(h2), sport, 80, 64));
+    net.events().run();
+    ASSERT_EQ(net.violation_reports().size(), 1u);
+    const obs::ViolationReport& v = net.violation_reports().front();
+    EXPECT_EQ(v.kind, "reject");
+    EXPECT_EQ(v.checkers, std::vector<std::string>{"stateful_firewall"});
+    const auto& checkers = v.hops.back().checkers;
+    const auto fw = std::find_if(
+        checkers.begin(), checkers.end(),
+        [](const auto& c) { return c.checker == "stateful_firewall"; });
+    ASSERT_NE(fw, checkers.end());
+    EXPECT_TRUE(fw->reject);
+    EXPECT_TRUE(std::any_of(
+        fw->table_hits.begin(), fw->table_hits.end(),
+        [](const obs::ViolationHopChecker::TableHit& th) {
+          return th.table == "allowed" && !th.hit;
+        }));
+  };
+
+  {
+    SCOPED_TRACE("beside a checker deployed after it");
+    expect_allowed_miss(40000);
+  }
+  net.undeploy(counter);
+  SCOPED_TRACE("after that checker's undeploy");
+  expect_allowed_miss(40001);
+}
+
 TEST(Forensics, RingEvictionMarksReportTruncated) {
   Bed bed;
   const int h2 = bed.fabric.hosts[1][0];

@@ -547,6 +547,72 @@ TEST(Network, CachedWireSizeEqualsAWalkOverTheLiveFrames) {
   EXPECT_EQ(probe->mismatches, 0);
 }
 
+// Every packet field a header read, a frame lookup or the wire size sees.
+void expect_same_packet(const p4rt::Packet& a, const p4rt::Packet& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.created_at, b.created_at);
+  EXPECT_EQ(a.hops, b.hops);
+  EXPECT_EQ(a.eth.dst, b.eth.dst);
+  EXPECT_EQ(a.eth.src, b.eth.src);
+  EXPECT_EQ(a.eth.ethertype, b.eth.ethertype);
+  EXPECT_EQ(a.vlan.has_value(), b.vlan.has_value());
+  EXPECT_EQ(a.sr_stack, b.sr_stack);
+  EXPECT_EQ(a.has_sr, b.has_sr);
+  EXPECT_EQ(a.icmp.has_value(), b.icmp.has_value());
+  EXPECT_EQ(a.gtpu.has_value(), b.gtpu.has_value());
+  EXPECT_EQ(a.inner_ipv4.has_value(), b.inner_ipv4.has_value());
+  EXPECT_EQ(a.inner_l4.has_value(), b.inner_l4.has_value());
+  ASSERT_EQ(a.ipv4.has_value(), b.ipv4.has_value());
+  if (a.ipv4) {
+    EXPECT_EQ(a.ipv4->src, b.ipv4->src);
+    EXPECT_EQ(a.ipv4->dst, b.ipv4->dst);
+    EXPECT_EQ(a.ipv4->proto, b.ipv4->proto);
+    EXPECT_EQ(a.ipv4->ttl, b.ipv4->ttl);
+    EXPECT_EQ(a.ipv4->dscp, b.ipv4->dscp);
+  }
+  ASSERT_EQ(a.l4.has_value(), b.l4.has_value());
+  if (a.l4) {
+    EXPECT_EQ(a.l4->sport, b.l4->sport);
+    EXPECT_EQ(a.l4->dport, b.l4->dport);
+  }
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.has_live_tele(), b.has_live_tele());
+  EXPECT_EQ(a.tele_bytes, b.tele_bytes);
+  EXPECT_EQ(a.first_free, b.first_free);
+  EXPECT_EQ(a.wire_bytes(), b.wire_bytes());
+}
+
+// The in-place builders build on the reset slot alloc_packet hands out: a
+// slot that carried a live frame, a VLAN tag, a source route and GTP-U
+// headers comes back in the default state, so building on it equals
+// building a fresh packet.
+TEST(Network, PooledSlotComesBackReset) {
+  const LeafSpine fabric = make_leaf_spine(2, 2, 2);
+  Network net(fabric.topo);
+  const PacketHandle h = net.alloc_packet();
+  p4rt::Packet& used = net.packet(h);
+  p4rt::make_gtpu_udp_into(used, 1, 2, 7, 3, 4, 5, 6, 100);
+  used.id = 9;
+  used.hops = 3;
+  used.eth.src = 0xabc;
+  used.vlan = p4rt::VlanH{12};
+  used.sr_stack = {1, 2};
+  used.has_sr = true;
+  used.icmp = p4rt::IcmpH{};
+  used.add_frame(0, 10).words = {1, 2};
+  ASSERT_TRUE(used.has_live_tele());
+  net.free_packet(h);
+
+  const PacketHandle again = net.alloc_packet();
+  ASSERT_EQ(again, h);  // the freelist hands the same slot back
+  p4rt::Packet& p = net.packet(again);
+  expect_same_packet(p, p4rt::Packet{});
+  p4rt::make_udp_into(p, 0x0a000001, 0x0a000002, 1000, 2000, 100);
+  expect_same_packet(p,
+                     p4rt::make_udp(0x0a000001, 0x0a000002, 1000, 2000, 100));
+  net.free_packet(again);
+}
+
 // Records each hop's event time, then forwards through the fabric routing.
 class HopClock : public ForwardingProgram {
  public:
