@@ -124,12 +124,10 @@ void AetherController::install_hydra_policy(const SliceState& s,
   if (hydra_deployment_ < 0) return;
   const std::vector<p4rt::TableEntry> entries =
       build_policy_entries(s, client);
-  for (int sw = 0; sw < net_.topo().node_count(); ++sw) {
-    if (net_.topo().node(sw).kind != net::NodeKind::kSwitch) continue;
-    auto& table =
-        net_.checker_table(hydra_deployment_, sw, "filtering_actions");
-    for (const auto& e : entries) table.insert(e);
-  }
+  net_.write_checker_tables(hydra_deployment_, "filtering_actions",
+                            [&entries](p4rt::Table& table) {
+                              for (const auto& e : entries) table.insert(e);
+                            });
 }
 
 void AetherController::remove_hydra_policy(const SliceState& s,
@@ -140,12 +138,12 @@ void AetherController::remove_hydra_policy(const SliceState& s,
   // the current config yields exactly the installed patterns.
   const std::vector<p4rt::TableEntry> entries =
       build_policy_entries(s, client);
-  for (int sw = 0; sw < net_.topo().node_count(); ++sw) {
-    if (net_.topo().node(sw).kind != net::NodeKind::kSwitch) continue;
-    auto& table =
-        net_.checker_table(hydra_deployment_, sw, "filtering_actions");
-    for (const auto& e : entries) table.remove_if_key_equals(e.patterns);
-  }
+  net_.write_checker_tables(hydra_deployment_, "filtering_actions",
+                            [&entries](p4rt::Table& table) {
+                              for (const auto& e : entries) {
+                                table.remove_if_key_equals(e.patterns);
+                              }
+                            });
 }
 
 void AetherController::update_slice_rules(std::uint32_t slice_id,
@@ -160,10 +158,8 @@ void AetherController::update_slice_rules(std::uint32_t slice_id,
   // The Hydra policy table, by contrast, is the operator's intent, so it
   // is refreshed for every attached client of the slice.
   if (hydra_deployment_ >= 0) {
-    for (int sw = 0; sw < net_.topo().node_count(); ++sw) {
-      if (net_.topo().node(sw).kind != net::NodeKind::kSwitch) continue;
-      net_.checker_table(hydra_deployment_, sw, "filtering_actions").clear();
-    }
+    net_.write_checker_tables(hydra_deployment_, "filtering_actions",
+                              [](p4rt::Table& table) { table.clear(); });
     for (const auto& [id, state] : slices_) {
       for (const auto& c : state.attached) {
         install_hydra_policy(state, c);

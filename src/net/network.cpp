@@ -125,9 +125,15 @@ void Network::fill_slot(
       d.checker->options.placement == compiler::CheckPlacement::kEveryHop;
   d.per_switch.assign(
       d.live() ? static_cast<std::size_t>(topo_.node_count()) : 0, {});
-  for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
-    if (topo_.node(static_cast<int>(i)).kind != NodeKind::kSwitch) continue;
-    d.per_switch[i] = p4rt::make_checker_state(d.checker->ir);
+  if (!d.per_switch.empty()) {
+    // One state, copied: every switch's tables share one entry store
+    // until that switch's copy is written on its own.
+    const p4rt::CheckerState fresh = p4rt::make_checker_state(d.checker->ir);
+    for (std::size_t i = 0; i < d.per_switch.size(); ++i) {
+      if (topo_.node(static_cast<int>(i)).kind == NodeKind::kSwitch) {
+        d.per_switch[i] = fresh;
+      }
+    }
   }
   d.vm = std::make_unique<p4rt::Interp>(d.checker->ir, d.check_every_hop);
   link_stages();
@@ -249,16 +255,27 @@ void Network::set_config(int deployment, int switch_id,
   checker_table(deployment, switch_id, var).set_default(std::move(values));
 }
 
-void Network::set_config_all(int deployment, const std::string& var,
-                             std::vector<BitVec> values) {
-  Deployment& d = live_deployment(deployment, "checker_table");
+void Network::write_checker_tables(
+    int deployment, const std::string& var,
+    const std::function<void(p4rt::Table&)>& write, const char* caller) {
+  Deployment& d = live_deployment(deployment, caller);
   const std::size_t t = control_table(d, var);
+  std::vector<p4rt::Table*> copies;
+  copies.reserve(d.per_switch.size());
   for (int i = 0; i < topo_.node_count(); ++i) {
     if (topo_.node(i).kind == NodeKind::kSwitch) {
-      d.per_switch.at(static_cast<std::size_t>(i)).tables[t].set_default(
-          values);
+      copies.push_back(&d.per_switch[static_cast<std::size_t>(i)].tables[t]);
     }
   }
+  p4rt::Table::write_all(copies, write);
+}
+
+void Network::set_config_all(int deployment, const std::string& var,
+                             std::vector<BitVec> values) {
+  write_checker_tables(
+      deployment, var,
+      [&values](p4rt::Table& table) { table.set_default(values); },
+      "set_config_all");
 }
 
 std::vector<std::uint64_t> Network::control_words(
@@ -275,14 +292,10 @@ std::vector<std::uint64_t> Network::control_words(
 void Network::dict_insert_all(int deployment, const std::string& var,
                               const std::vector<BitVec>& key,
                               std::vector<BitVec> value) {
-  Deployment& d = live_deployment(deployment, "checker_table");
-  const std::size_t t = control_table(d, var);
-  const std::vector<std::uint64_t> words = control_words(d, t, key);
-  for (int i = 0; i < topo_.node_count(); ++i) {
-    if (topo_.node(i).kind != NodeKind::kSwitch) continue;
-    d.per_switch[static_cast<std::size_t>(i)].tables[t].insert_exact(words,
-                                                                     value);
-  }
+  write_checker_tables(
+      deployment, var,
+      [&](p4rt::Table& table) { table.insert_exact(key, value); },
+      "dict_insert_all");
 }
 
 // ---- fault injection ------------------------------------------------------

@@ -132,9 +132,18 @@ class Network final : public EventExecutor {
   // whole network; never reused).
   std::uint32_t deployment_generation(int deployment) const;
 
-  // Table for a control dict/set variable on one switch.
+  // Table for a control dict/set variable on one switch. A write through
+  // it changes that switch's copy alone.
   p4rt::Table& checker_table(int deployment, int switch_id,
                              const std::string& var);
+  // Applies `write` to the table of control variable `var` on every
+  // switch, through p4rt::Table::write_all: once per entry store the
+  // switches' copies share (a deploy leaves them all on one). A stale or
+  // out-of-range id, or an unknown variable, throws std::invalid_argument
+  // naming `caller` before anything is written.
+  void write_checker_tables(int deployment, const std::string& var,
+                            const std::function<void(p4rt::Table&)>& write,
+                            const char* caller = "write_checker_tables");
   // Config value(s) for a non-dict control variable on one switch.
   void set_config(int deployment, int switch_id, const std::string& var,
                   std::vector<BitVec> values);

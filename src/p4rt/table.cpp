@@ -200,47 +200,89 @@ void Table::check_arity(std::size_t n) const {
   }
 }
 
+Table::Store& Table::own() {
+  if (store_.use_count() > 1) store_ = std::make_shared<Store>(*store_);
+  return *store_;
+}
+
+void Table::write_all(std::span<Table* const> copies,
+                      const std::function<void(Table&)>& write) {
+  for (auto it = copies.begin(); it != copies.end(); ++it) {
+    Table& first = **it;
+    if (std::any_of(copies.begin(), it, [&](const Table* t) {
+          return t->store_ == first.store_;
+        })) {
+      continue;  // written with an earlier table on its store
+    }
+    // The later tables on first's store sit out the write, detached, so
+    // that it copies the store only for a holder outside `copies`.
+    const std::span<Table* const> later(it + 1, copies.end());
+    for (Table* t : later) {
+      if (t != &first && t->store_ == first.store_) t->store_.reset();
+    }
+    const std::uint64_t edits = first.store_->edits;
+    const auto rejoin = [&] {
+      for (Table* t : later) {
+        if (t->store_ != nullptr) continue;
+        t->store_ = first.store_;
+        if (first.store_->edits != edits) t->invalidate_cache();
+      }
+    };
+    try {
+      write(first);
+    } catch (...) {
+      rejoin();
+      throw;
+    }
+    rejoin();
+  }
+}
+
 void Table::reserve_rows(std::size_t rows) {
-  keys_.resize(rows * 2 * key_spec_.size());
-  rows_.resize(rows * stride_);
-  widths_.resize(rows * data_cap_);
-  if (!next_.empty()) next_.resize(rows, kNone);
-  row_cap_ = rows;
+  Store& s = *store_;
+  s.keys.resize(rows * 2 * key_spec_.size());
+  s.rows.resize(rows * s.stride);
+  s.widths.resize(rows * s.data_cap);
+  if (!s.next.empty()) s.next.resize(rows, kNone);
+  s.row_cap = rows;
 }
 
 void Table::widen_data(std::size_t words) {
-  std::vector<std::uint64_t> rows(row_cap_ * (1 + words), 0);
-  std::vector<std::uint8_t> widths(row_cap_ * words, 0);
-  for (std::size_t r = 0; r < size_; ++r) {
-    std::copy_n(&rows_[r * stride_], stride_, &rows[r * (1 + words)]);
-    std::copy_n(widths_.begin() + static_cast<std::ptrdiff_t>(r * data_cap_),
-                data_cap_, &widths[r * words]);
+  Store& s = *store_;
+  std::vector<std::uint64_t> rows(s.row_cap * (1 + words), 0);
+  std::vector<std::uint8_t> widths(s.row_cap * words, 0);
+  for (std::size_t r = 0; r < s.size; ++r) {
+    std::copy_n(&s.rows[r * s.stride], s.stride, &rows[r * (1 + words)]);
+    std::copy_n(s.widths.begin() + static_cast<std::ptrdiff_t>(r * s.data_cap),
+                s.data_cap, &widths[r * words]);
   }
-  rows_ = std::move(rows);
-  widths_ = std::move(widths);
-  stride_ = 1 + words;
-  data_cap_ = words;
+  s.rows = std::move(rows);
+  s.widths = std::move(widths);
+  s.stride = 1 + words;
+  s.data_cap = words;
 }
 
 std::uint32_t Table::append_row(std::span<const BitVec> action_data,
                                 std::string_view action, int priority) {
+  Store& s = own();
   const std::size_t id = static_cast<std::size_t>(
-      std::find(actions_.begin(), actions_.end(), action) - actions_.begin());
+      std::find(s.actions.begin(), s.actions.end(), action) -
+      s.actions.begin());
   if (id > 0xffff || action_data.size() > 0xffff) {
     throw std::invalid_argument("table '" + name_ +
                                 "': too many action names or words");
   }
-  if (id == actions_.size()) actions_.emplace_back(action);
-  if (action_data.size() > data_cap_) widen_data(action_data.size());
-  if (size_ == row_cap_) reserve_rows(grown(row_cap_, 4));
-  const auto row = static_cast<std::uint32_t>(size_++);
-  std::uint64_t* r = &rows_[row * stride_];
+  if (id == s.actions.size()) s.actions.emplace_back(action);
+  if (action_data.size() > s.data_cap) widen_data(action_data.size());
+  if (s.size == s.row_cap) reserve_rows(grown(s.row_cap, 4));
+  const auto row = static_cast<std::uint32_t>(s.size++);
+  std::uint64_t* r = &s.rows[row * s.stride];
   r[0] = static_cast<std::uint32_t>(priority) |
          static_cast<std::uint64_t>(id) << 32 |
          static_cast<std::uint64_t>(action_data.size()) << 48;
   for (std::size_t i = 0; i < action_data.size(); ++i) {
     r[1 + i] = action_data[i].value();
-    widths_[row * data_cap_ + i] =
+    s.widths[row * s.data_cap + i] =
         static_cast<std::uint8_t>(action_data[i].width());
   }
   return row;
@@ -262,7 +304,7 @@ void Table::insert(std::span<const KeyPattern> patterns,
   const std::uint32_t row = append_row(action_data, action, priority);
   std::copy_n(words, 2 * patterns.size(), match_words(row));
   index_row(row);
-  invalidate_cache();
+  changed();
 }
 
 void Table::insert_exact(std::span<const std::uint64_t> key,
@@ -290,7 +332,7 @@ void Table::insert_exact(std::span<const std::uint64_t> key,
     }
   }
   index_class_row(kPinnedTag, row);
-  invalidate_cache();
+  changed();
 }
 
 std::vector<std::uint64_t> Table::exact_words(
@@ -319,24 +361,26 @@ KeyPattern Table::pattern(std::int32_t row, std::size_t field) const {
 }
 
 void Table::move_row(std::uint32_t from, std::uint32_t to) {
-  copy_row(keys_, 2 * key_spec_.size(), from, to);
-  copy_row(rows_, stride_, from, to);
-  copy_row(widths_, data_cap_, from, to);
+  Store& s = *store_;
+  copy_row(s.keys, 2 * key_spec_.size(), from, to);
+  copy_row(s.rows, s.stride, from, to);
+  copy_row(s.widths, s.data_cap, from, to);
 }
 
 void Table::remove_row(std::uint32_t row) {
   unindex_row(row);
-  const auto last = static_cast<std::uint32_t>(--size_);
-  if (row == last) return invalidate_cache();
+  const auto last = static_cast<std::uint32_t>(--store_->size);
+  if (row == last) return changed();
   unindex_row(last);
   move_row(last, row);
   index_row(row);
-  invalidate_cache();
+  changed();
 }
 
 int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
   const std::size_t nf = key_spec_.size();
   if (patterns.size() != nf) return 0;
+  Store& s = own();
   // Two patterns match the same keys exactly when their match words agree.
   std::uint64_t* words = query_words();
   std::uint64_t* flat = words + 2 * nf;
@@ -346,7 +390,7 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
   const auto same = [&](std::uint32_t r) {
     return std::equal(words, words + 2 * nf, match_words(r));
   };
-  if (dup_pinned_ == 0 && nf > 0) {
+  if (s.dup_pinned == 0 && nf > 0) {
     // Fully-pinned query: it can only match a fully-pinned row (an
     // unpinned row field has a different mask / real range / partial
     // prefix), and with no duplicate pinned keys that row — if any — is
@@ -369,7 +413,7 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
       for (bool again = true; again;) {
         again = false;
         for (std::uint32_t r = find_row(kBucketTag, flat); r != kNone;
-             r = next_[r]) {
+             r = s.next[r]) {
           if (!same(r)) continue;
           remove_row(r);
           ++removed;
@@ -382,30 +426,32 @@ int Table::remove_if_key_equals(const std::vector<KeyPattern>& patterns) {
   }
   // Reference path: scan, erase (keeping storage order), rebuild.
   std::uint32_t kept = 0;
-  for (std::uint32_t r = 0; r < size_; ++r) {
+  for (std::uint32_t r = 0; r < s.size; ++r) {
     if (same(r)) continue;
     if (kept != r) move_row(r, kept);
     ++kept;
   }
-  const auto removed = static_cast<int>(size_ - kept);
+  const auto removed = static_cast<int>(s.size - kept);
   if (removed == 0) return 0;
-  size_ = kept;
+  s.size = kept;
   rebuild_index();
-  invalidate_cache();
+  changed();
   return removed;
 }
 
 void Table::clear() {
-  size_ = 0;  // the row storage keeps its capacity
-  actions_.clear();
+  Store& s = own();
+  s.size = 0;  // the row storage keeps its capacity
+  s.actions.clear();
   rebuild_index();
-  invalidate_cache();
+  changed();
 }
 
 void Table::set_default(std::vector<BitVec> action_data) {
-  default_data_ = std::move(action_data);
-  default_words_.clear();
-  for (const BitVec& v : default_data_) default_words_.push_back(v.value());
+  Store& s = own();
+  s.default_data = std::move(action_data);
+  s.default_words.clear();
+  for (const BitVec& v : s.default_data) s.default_words.push_back(v.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -449,9 +495,10 @@ std::uint32_t Table::place(const std::uint64_t* words,
 }
 
 void Table::add_class(std::uint32_t tag, int priority) {
-  auto it = std::find_if(classes_.begin(), classes_.end(),
+  std::vector<ProbeClass>& classes = store_->classes;
+  auto it = std::find_if(classes.begin(), classes.end(),
                          [tag](const ProbeClass& c) { return c.tag == tag; });
-  if (it == classes_.end()) {
+  if (it == classes.end()) {
     const auto f = static_cast<std::size_t>(lpm_field_);
     const std::uint64_t mask =
         lpm_field_ < 0       ? 0
@@ -459,44 +506,47 @@ void Table::add_class(std::uint32_t tag, int priority) {
                              : BitVec::prefix_mask(
                                    key_spec_[f].width,
                                    static_cast<int>(tag - kPrefixTag));
-    it = classes_.insert(it, {tag, 0, priority, 0, mask});
+    it = classes.insert(it, {tag, 0, priority, 0, mask});
   }
   ++it->rows;
   it->filter |= filter_bit(hash(tag, key_words(), key_spec_.size()));
   it->max_priority = std::max(it->max_priority, priority);
   // Keep the probe order: highest max_priority first.
-  for (; it != classes_.begin() && (it - 1)->max_priority < it->max_priority;
+  for (; it != classes.begin() && (it - 1)->max_priority < it->max_priority;
        --it) {
     std::iter_swap(it - 1, it);
   }
 }
 
 void Table::drop_class(std::uint32_t tag) {
+  std::vector<ProbeClass>& classes = store_->classes;
   const auto it =
-      std::find_if(classes_.begin(), classes_.end(),
+      std::find_if(classes.begin(), classes.end(),
                    [tag](const ProbeClass& c) { return c.tag == tag; });
-  if (it != classes_.end() && --it->rows == 0) classes_.erase(it);
+  if (it != classes.end() && --it->rows == 0) classes.erase(it);
 }
 
 std::uint32_t Table::chain_insert(std::uint32_t head, std::uint32_t row) {
   // Chains stay sorted by (priority desc, index asc) so the scan can stop
   // as soon as the best hit dominates the remainder.
+  std::vector<std::uint32_t>& next = store_->next;
   if (head == kNone || better(row, head)) {
-    next_[row] = head;
+    next[row] = head;
     return row;
   }
   std::uint32_t at = head;
-  while (next_[at] != kNone && !better(row, next_[at])) at = next_[at];
-  next_[row] = next_[at];
-  next_[at] = row;
+  while (next[at] != kNone && !better(row, next[at])) at = next[at];
+  next[row] = next[at];
+  next[at] = row;
   return head;
 }
 
 std::uint32_t Table::chain_remove(std::uint32_t head, std::uint32_t row) {
-  if (head == row) return next_[row];
+  std::vector<std::uint32_t>& next = store_->next;
+  if (head == row) return next[row];
   std::uint32_t at = head;
-  while (at != kNone && next_[at] != row) at = next_[at];
-  if (at != kNone) next_[at] = next_[row];
+  while (at != kNone && next[at] != row) at = next[at];
+  if (at != kNone) next[at] = next[row];
   return head;
 }
 
@@ -504,7 +554,7 @@ void Table::index_class_row(std::uint32_t tag, std::uint32_t row) {
   add_class(tag, priority(static_cast<std::int32_t>(row)));
   std::size_t s = 0;
   if (!claim_slot(tag, key_words(), row, s)) {
-    ++dup_pinned_;
+    ++store_->dup_pinned;
     if (better(row, static_cast<std::uint32_t>(meta(s)))) {
       meta(s) = (meta(s) & ~0xffffffffULL) | row;
     }
@@ -512,21 +562,22 @@ void Table::index_class_row(std::uint32_t tag, std::uint32_t row) {
 }
 
 void Table::index_row(std::uint32_t row) {
+  Store& st = *store_;
   std::uint64_t* flat = key_words();
   const std::uint32_t tag = place(match_words(row), flat);
   if (tag != kResidue) return index_class_row(tag, row);
-  if (next_.empty()) next_.resize(row_cap_, kNone);
+  if (st.next.empty()) st.next.resize(st.row_cap, kNone);
   std::uint64_t bits0 = 0;
   if (!pins_field(0, match_words(row), bits0)) {
-    any_head_ = chain_insert(any_head_, row);
+    st.any_head = chain_insert(st.any_head, row);
     return;
   }
   std::fill_n(flat, key_spec_.size(), 0);
   flat[0] = bits0;
   std::size_t s = 0;
   if (claim_slot(kBucketTag, flat, row, s)) {
-    next_[row] = kNone;
-    ++buckets_;
+    st.next[row] = kNone;
+    ++st.buckets;
   } else {
     const auto head = chain_insert(static_cast<std::uint32_t>(meta(s)), row);
     meta(s) = (meta(s) & ~0xffffffffULL) | head;
@@ -534,6 +585,7 @@ void Table::index_row(std::uint32_t row) {
 }
 
 void Table::unindex_row(std::uint32_t row) {
+  Store& st = *store_;
   std::uint64_t* flat = key_words();
   const std::uint32_t tag = place(match_words(row), flat);
   if (tag != kResidue) {
@@ -544,7 +596,7 @@ void Table::unindex_row(std::uint32_t row) {
   }
   std::uint64_t bits0 = 0;
   if (!pins_field(0, match_words(row), bits0)) {
-    any_head_ = chain_remove(any_head_, row);
+    st.any_head = chain_remove(st.any_head, row);
     return;
   }
   std::fill_n(flat, key_spec_.size(), 0);
@@ -556,18 +608,19 @@ void Table::unindex_row(std::uint32_t row) {
     meta(s) = (meta(s) & ~0xffffffffULL) | head;
   } else {
     erase_slot(s);
-    --buckets_;
+    --st.buckets;
   }
 }
 
 void Table::rebuild_index() {
-  std::fill(slots_.begin(), slots_.end(), 0);
-  slots_used_ = 0;
-  classes_.clear();
-  buckets_ = 0;
-  any_head_ = kNone;
-  dup_pinned_ = 0;
-  for (std::uint32_t r = 0; r < size_; ++r) index_row(r);
+  Store& s = *store_;
+  std::fill(s.slots.begin(), s.slots.end(), 0);
+  s.slots_used = 0;
+  s.classes.clear();
+  s.buckets = 0;
+  s.any_head = kNone;
+  s.dup_pinned = 0;
+  for (std::uint32_t r = 0; r < s.size; ++r) index_row(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -586,8 +639,9 @@ std::uint64_t Table::hash(std::uint32_t tag, const std::uint64_t* key,
 std::size_t Table::find_slot(std::uint32_t tag, const std::uint64_t* key,
                              std::uint64_t h) const {
   const std::size_t nf = key_spec_.size();
-  for (std::size_t s = h >> slot_shift_;; s = (s + 1) & slot_mask_) {
-    const std::uint64_t* p = &slots_[s * (nf + 1)];
+  const Store& st = *store_;
+  for (std::size_t s = h >> st.slot_shift;; s = (s + 1) & st.slot_mask) {
+    const std::uint64_t* p = &st.slots[s * (nf + 1)];
     const auto t = static_cast<std::uint32_t>(p[0] >> 32);
     if (t == 0 || (t == tag && same_words(key, p + 1, nf))) return s;
   }
@@ -595,7 +649,7 @@ std::size_t Table::find_slot(std::uint32_t tag, const std::uint64_t* key,
 
 std::uint32_t Table::find_row(std::uint32_t tag, const std::uint64_t* key,
                               std::uint64_t h) const {
-  if (slots_used_ == 0) return kNone;
+  if (store_->slots_used == 0) return kNone;
   const std::uint64_t m = meta(find_slot(tag, key, h));
   return m >> 32 == 0 ? kNone : static_cast<std::uint32_t>(m);
 }
@@ -603,49 +657,52 @@ std::uint32_t Table::find_row(std::uint32_t tag, const std::uint64_t* key,
 bool Table::claim_slot(std::uint32_t tag, const std::uint64_t* key,
                        std::uint32_t row, std::size_t& s) {
   // Grow at 3/4 load: linear probing stays short, no tombstones to skip.
-  if (slots_.empty() || (slots_used_ + 1) * 4 > (slot_mask_ + 1) * 3) {
+  Store& st = *store_;
+  if (st.slots.empty() || (st.slots_used + 1) * 4 > (st.slot_mask + 1) * 3) {
     grow_slots();
   }
   s = find_slot(tag, key);
   if (meta(s) >> 32 != 0) return false;
   meta(s) = static_cast<std::uint64_t>(tag) << 32 | row;
   std::copy_n(key, key_spec_.size(), &meta(s) + 1);
-  ++slots_used_;
+  ++st.slots_used;
   return true;
 }
 
 void Table::erase_slot(std::size_t s) {
+  Store& st = *store_;
   const std::size_t sw = key_spec_.size() + 1;
   std::size_t hole = s;
   // Backward-shift deletion: pull displaced slots back over the hole so
   // linear probing stays correct without tombstones.
-  for (std::size_t j = (s + 1) & slot_mask_; meta(j) >> 32 != 0;
-       j = (j + 1) & slot_mask_) {
-    const std::uint64_t* p = &slots_[j * sw];
+  for (std::size_t j = (s + 1) & st.slot_mask; meta(j) >> 32 != 0;
+       j = (j + 1) & st.slot_mask) {
+    const std::uint64_t* p = &st.slots[j * sw];
     const std::size_t h = home(static_cast<std::uint32_t>(p[0] >> 32), p + 1);
     if (j > hole ? (h <= hole || h > j) : (h <= hole && h > j)) {
-      std::copy_n(p, sw, &slots_[hole * sw]);
+      std::copy_n(p, sw, &st.slots[hole * sw]);
       hole = j;
     }
   }
-  std::fill_n(&slots_[hole * sw], sw, 0);
-  --slots_used_;
+  std::fill_n(&st.slots[hole * sw], sw, 0);
+  --st.slots_used;
 }
 
 void Table::grow_slots() {
+  Store& st = *store_;
   const std::size_t sw = key_spec_.size() + 1;
-  const std::size_t cap = grown(slots_.empty() ? 0 : slot_mask_ + 1, 8);
+  const std::size_t cap = grown(st.slots.empty() ? 0 : st.slot_mask + 1, 8);
   std::vector<std::uint64_t> old(cap * sw, 0);
-  old.swap(slots_);
-  slot_mask_ = cap - 1;
-  slot_shift_ = 64 - std::countr_zero(cap);
+  old.swap(st.slots);
+  st.slot_mask = cap - 1;
+  st.slot_shift = 64 - std::countr_zero(cap);
   for (std::size_t i = 0; i < old.size(); i += sw) {
     const auto tag = static_cast<std::uint32_t>(old[i] >> 32);
     if (tag == 0) continue;
     // Keys are distinct: the first empty slot from home is theirs.
     std::size_t s = home(tag, &old[i + 1]);
-    while (meta(s) >> 32 != 0) s = (s + 1) & slot_mask_;
-    std::copy_n(&old[i], sw, &slots_[s * sw]);
+    while (meta(s) >> 32 != 0) s = (s + 1) & st.slot_mask;
+    std::copy_n(&old[i], sw, &st.slots[s * sw]);
   }
 }
 
@@ -658,7 +715,8 @@ std::int32_t Table::scan(std::span<const std::uint64_t> key) const {
   // The reference semantics: the first row of the highest matching
   // priority wins.
   const std::size_t nf = key.size();
-  const std::uint64_t* w = keys_.data();
+  const std::size_t size = store_->size;
+  const std::uint64_t* w = store_->keys.data();
   std::int32_t best = -1;
   int best_priority = 0;
   const auto take = [&](std::uint32_t r) {
@@ -669,12 +727,12 @@ std::int32_t Table::scan(std::span<const std::uint64_t> key) const {
     }
   };
   if (!kRanges && nf == 1) {  // route and single-key dict tables
-    for (std::uint32_t r = 0; r < size_; ++r) {
+    for (std::uint32_t r = 0; r < size; ++r) {
       if ((key[0] & w[2 * r]) == w[2 * r + 1]) take(r);
     }
     return best;
   }
-  for (std::uint32_t r = 0; r < size_; ++r, w += 2 * nf) {
+  for (std::uint32_t r = 0; r < size; ++r, w += 2 * nf) {
     std::size_t i = 0;
     while (i < nf && (kRanges && key_spec_[i].kind == MatchKind::kRange
                           ? w[2 * i] <= key[i] && key[i] <= w[2 * i + 1]
@@ -687,6 +745,7 @@ std::int32_t Table::scan(std::span<const std::uint64_t> key) const {
 }
 
 std::int32_t Table::probe(std::span<const std::uint64_t> key) const {
+  const Store& st = *store_;
   const std::size_t nf = key.size();
   std::uint64_t* flat = key_words();
   const std::uint64_t* masks = flat_masks();
@@ -695,7 +754,7 @@ std::int32_t Table::probe(std::span<const std::uint64_t> key) const {
   // rewrite the LPM field (which may be field 0).
   const std::uint64_t bits0 = nf > 0 ? flat[0] : 0;
   std::int32_t best = -1;
-  for (const ProbeClass& c : classes_) {
+  for (const ProbeClass& c : st.classes) {
     if (best >= 0 && priority(best) > c.max_priority) break;
     if (lpm_field_ >= 0) {
       const auto f = static_cast<std::size_t>(lpm_field_);
@@ -709,18 +768,18 @@ std::int32_t Table::probe(std::span<const std::uint64_t> key) const {
       best = static_cast<std::int32_t>(r);
     }
   }
-  if (buckets_ == 0 && any_head_ == kNone) return best;
+  if (st.buckets == 0 && st.any_head == kNone) return best;
   // Residue: merge the field-0 chain for this key with the unbucketed
   // chain, in better() order, stopping once the best hit so far dominates
   // both heads. A field-0-pinned row can only match a key whose flattened
   // field-0 bits equal its own, so one chain covers every bucketed row.
   std::uint32_t b = kNone;
-  if (buckets_ > 0) {
+  if (st.buckets > 0) {
     std::fill_n(flat, nf, 0);
     flat[0] = bits0;
     b = find_row(kBucketTag, flat);
   }
-  std::uint32_t a = any_head_;
+  std::uint32_t a = st.any_head;
   while (b != kNone || a != kNone) {
     const bool take_b = b != kNone && (a == kNone || better(b, a));
     const std::uint32_t r = take_b ? b : a;
@@ -730,7 +789,7 @@ std::int32_t Table::probe(std::span<const std::uint64_t> key) const {
     if (row_matches(r, key)) {
       return static_cast<std::int32_t>(r);  // dominates the rest
     }
-    (take_b ? b : a) = next_[r];
+    (take_b ? b : a) = st.next[r];
   }
   return best;
 }
@@ -753,9 +812,10 @@ std::int32_t Table::lookup(std::span<const std::uint64_t> key) const {
   }
   // A probe costs about a row's scan per installed class (the filters
   // skip most), plus a fixed part worth kScanMax rows.
-  const std::int32_t best = size_ > kScanMax + classes_.size() ? probe(key)
-                            : has_range_ ? scan<true>(key)
-                                         : scan<false>(key);
+  const std::int32_t best =
+      size() > kScanMax + store_->classes.size() ? probe(key)
+      : has_range_                               ? scan<true>(key)
+                                                 : scan<false>(key);
   for (std::size_t i = 0; i < key.size(); ++i) cached[i] = key[i];
   cache_row_ = best;
   cache_valid_ = true;

@@ -31,10 +31,19 @@
 // A per-table last-hit cache short-circuits the flow-skewed traffic the
 // benches generate. Every path returns the reference scan's winner:
 // highest priority, ties broken by storage order.
+//
+// A Table is a per-instance front (name, key spec, last-hit cache, scratch
+// words, metrics handles) over a copy-on-write entry store holding
+// everything the control plane writes: rows, index, defaults. A copy
+// shares its original's store until either is written; every mutator
+// first makes the store its own, so copies keep value semantics. write_all
+// writes a set of copies once per store they share.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -134,21 +143,33 @@ class Table {
   // lookup_linear_reference(), which both key ties on storage order.
   int remove_if_key_equals(const std::vector<KeyPattern>& patterns);
   void clear();
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return store_->size; }
+
+  // Applies `write` to each table in `copies` (each listed once), with the
+  // result of calling it on every one in turn, but calls it once per entry
+  // store the tables share: the first table of each store is written while
+  // the others are detached (so the write copies the store only if a table
+  // outside `copies` holds it too), then the others take the result, also
+  // when `write` throws, and drop their last-hit caches if it changed rows.
+  // `write` must change the table only through its public mutators.
+  static void write_all(std::span<Table* const> copies,
+                        const std::function<void(Table&)>& write);
 
   // ---- rows, by index in [0, size()) ---------------------------------------
   int priority(std::int32_t row) const {
     return static_cast<std::int32_t>(static_cast<std::uint32_t>(header(row)));
   }
   const std::string& action(std::int32_t row) const {
-    return actions_[static_cast<std::uint16_t>(header(row) >> 32)];
+    return store_->actions[static_cast<std::uint16_t>(header(row) >> 32)];
   }
   std::span<const std::uint64_t> action_data(std::int32_t row) const {
-    return {rows_.data() + static_cast<std::size_t>(row) * stride_ + 1,
+    const Store& s = *store_;
+    return {s.rows.data() + static_cast<std::size_t>(row) * s.stride + 1,
             static_cast<std::size_t>(header(row) >> 48)};
   }
   int action_width(std::int32_t row, std::size_t i) const {
-    return widths_[static_cast<std::size_t>(row) * data_cap_ + i];
+    return store_->widths[static_cast<std::size_t>(row) * store_->data_cap +
+                          i];
   }
   // Field `field`'s pattern, exactly as it was installed: the canonical
   // pattern of its match words.
@@ -174,9 +195,11 @@ class Table {
 
   // For keyless "config" tables: the default action data.
   void set_default(std::vector<BitVec> action_data);
-  const std::vector<BitVec>& default_data() const { return default_data_; }
+  const std::vector<BitVec>& default_data() const {
+    return store_->default_data;
+  }
   std::span<const std::uint64_t> default_words() const {
-    return default_words_;
+    return store_->default_words;
   }
 
   // Observability: counts every lookup() outcome through the attached
@@ -217,14 +240,59 @@ class Table {
     return 1ULL << (hash >> 58);
   }
 
+  // ---- the entry store ---------------------------------------------------
+  // Everything the control plane writes, shared by copies of a table until
+  // one of them is written.
+  struct Store {
+    // ---- rows ---------------------------------------------------------
+    std::size_t size = 0;
+    std::size_t row_cap = 0;   // rows the storage below holds
+    std::size_t data_cap = 0;  // action-data words per row
+    std::size_t stride = 1;    // 1 + data_cap
+    std::vector<std::uint64_t> keys;  // 2 * fields match words per row
+    std::vector<std::uint64_t> rows;  // header, action data
+    std::vector<std::uint8_t> widths;  // action-data BitVec widths
+    std::vector<std::string> actions;  // interned action names
+    // Per row, allocated on first use: the residue chain link.
+    std::vector<std::uint32_t> next;
+    std::vector<BitVec> default_data;
+    std::vector<std::uint64_t> default_words;
+
+    // ---- index (maintained by insert and removal at every size) ------
+    // Slot s is slots[s * (fields + 1) ...]: row | tag << 32, then the key.
+    std::vector<std::uint64_t> slots;
+    std::size_t slot_mask = 0;  // capacity - 1; no slots until needed
+    std::size_t slots_used = 0;
+    int slot_shift = 64;  // 64 - log2(capacity)
+    std::vector<ProbeClass> classes;
+    std::size_t buckets = 0;         // residue chains headed from slots
+    std::uint32_t any_head = kNone;  // residue rows whose field 0 is free
+    // Times a pinned insert collided with an already-indexed pinned row
+    // (duplicate key). Sticky until rebuild_index()/clear(): while
+    // nonzero, the index under-describes the duplicates, so removal falls
+    // back to the reference scan + rebuild.
+    std::uint64_t dup_pinned = 0;
+    // Row writes so far (each one drops the writer's last-hit cache):
+    // write_all drops the other copies' caches when this moves.
+    std::uint64_t edits = 0;
+  };
+  // The store, copied first if another table shares it.
+  Store& own();
+  // After a row write: drops this copy's last-hit cache and counts the
+  // write in the store.
+  void changed() {
+    invalidate_cache();
+    ++store_->edits;
+  }
+
   std::uint64_t header(std::int32_t row) const {
-    return rows_[static_cast<std::size_t>(row) * stride_];
+    return store_->rows[static_cast<std::size_t>(row) * store_->stride];
   }
   std::uint64_t* match_words(std::uint32_t row) {
-    return keys_.data() + row * 2 * key_spec_.size();
+    return store_->keys.data() + row * 2 * key_spec_.size();
   }
   const std::uint64_t* match_words(std::uint32_t row) const {
-    return keys_.data() + row * 2 * key_spec_.size();
+    return store_->keys.data() + row * 2 * key_spec_.size();
   }
   // Field i's match words of a pattern, and the pattern the KeyPattern
   // constructors build back from such words.
@@ -276,19 +344,18 @@ class Table {
   std::uint32_t chain_remove(std::uint32_t head, std::uint32_t row);
 
   // ---- the open-addressing index -----------------------------------------
-  // Slot s is slots_[s * (fields + 1) ...]: row | tag << 32, then the key.
   static std::uint64_t hash(std::uint32_t tag, const std::uint64_t* key,
                             std::size_t n);
   // Fibonacci hashing: the slot is the hash's top bits.
   std::size_t home(std::uint32_t tag, const std::uint64_t* key) const {
     return static_cast<std::size_t>(hash(tag, key, key_spec_.size()) >>
-                                    slot_shift_);
+                                    store_->slot_shift);
   }
   std::uint64_t& meta(std::size_t s) {
-    return slots_[s * (key_spec_.size() + 1)];
+    return store_->slots[s * (key_spec_.size() + 1)];
   }
   std::uint64_t meta(std::size_t s) const {
-    return slots_[s * (key_spec_.size() + 1)];
+    return store_->slots[s * (key_spec_.size() + 1)];
   }
   // The slot holding (tag, key), whose hash is `h`, or the empty slot that
   // ends its probe.
@@ -319,35 +386,8 @@ class Table {
   std::vector<MatchFieldSpec> key_spec_;
   int lpm_field_ = -1;  // position of the table's single LPM field, or -1
   bool has_range_ = false;
-
-  // ---- rows -------------------------------------------------------------
-  std::size_t size_ = 0;
-  std::size_t row_cap_ = 0;   // rows the storage below holds
-  std::size_t data_cap_ = 0;  // action-data words per row
-  std::size_t stride_ = 1;    // 1 + data_cap_
-  std::vector<std::uint64_t> keys_;  // 2 * fields match words per row
-  std::vector<std::uint64_t> rows_;  // header, action data
-  std::vector<std::uint8_t> widths_;  // action-data BitVec widths
-  std::vector<std::string> actions_;  // interned action names
-  // Per row, allocated on first use: the residue chain link.
-  std::vector<std::uint32_t> next_;
-  std::vector<BitVec> default_data_;
-  std::vector<std::uint64_t> default_words_;
   TableMetrics metrics_;  // detached unless observability is wired
-
-  // ---- index (maintained by insert and removal at every size) ----------
-  std::vector<std::uint64_t> slots_;
-  std::size_t slot_mask_ = 0;  // capacity - 1; no slots until needed
-  std::size_t slots_used_ = 0;
-  int slot_shift_ = 64;  // 64 - log2(capacity)
-  std::vector<ProbeClass> classes_;
-  std::size_t buckets_ = 0;         // residue chains headed from slots
-  std::uint32_t any_head_ = kNone;  // residue rows whose field 0 is free
-  // Times a pinned insert collided with an already-indexed pinned row
-  // (duplicate key). Sticky until rebuild_index()/clear(): while nonzero,
-  // the index under-describes the duplicates, so removal falls back to the
-  // reference scan + rebuild.
-  std::uint64_t dup_pinned_ = 0;
+  std::shared_ptr<Store> store_ = std::make_shared<Store>();
 
   // One allocation of per-table words: the index key of a probe or index
   // update, the last-hit cache key, an insert's or a removal's match words

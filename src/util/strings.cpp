@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <sstream>
 #include <stdexcept>
@@ -41,8 +42,11 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 
 int count_loc(std::string_view source) {
   int loc = 0;
-  for (const auto& line : split(source, '\n')) {
-    if (!trim(line).empty()) ++loc;
+  for (std::size_t i = 0; i < source.size();) {
+    const std::size_t end = std::min(source.find('\n', i), source.size());
+    while (i < end && std::isspace(static_cast<unsigned char>(source[i]))) ++i;
+    if (i < end) ++loc;
+    i = end + 1;
   }
   return loc;
 }

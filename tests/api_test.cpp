@@ -2,6 +2,9 @@
 // plumbing and its error paths, configuration helpers, and the IR dump.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "forwarding/ipv4_ecmp.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
@@ -103,6 +106,37 @@ TEST(Api, MultipleDeploymentsIndexIndependently) {
   // Config for one deployment must not leak into the other.
   configure_valley_free(f.net, a, f.fabric);
   EXPECT_EQ(f.net.checker(b).ir.find_table("is_spine_switch"), -1);
+}
+
+TEST(Api, AllSwitchWritesNameTheirCaller) {
+  Fixture f;
+  const int dep = f.net.deploy(compile_library_checker("stateful_firewall"));
+  const auto error = [](const std::function<void()>& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto insert = [&](int id) {
+    return error([&] {
+      f.net.dict_insert_all(id, "allowed", {BitVec(32, 1), BitVec(32, 2)},
+                            {BitVec::from_bool(true)});
+    });
+  };
+  const auto config = [&](int id) {
+    return error([&] { f.net.set_config_all(id, "allowed", {}); });
+  };
+  EXPECT_EQ(insert(dep + 1), "dict_insert_all: deployment id 1 out of range");
+  EXPECT_EQ(config(dep + 1), "set_config_all: deployment id 1 out of range");
+  f.net.undeploy(dep);
+  EXPECT_EQ(insert(dep),
+            "dict_insert_all: deployment id 0 is retired (checker "
+            "'stateful_firewall' was undeployed)");
+  EXPECT_EQ(config(dep),
+            "set_config_all: deployment id 0 is retired (checker "
+            "'stateful_firewall' was undeployed)");
 }
 
 TEST(Api, ClearReportsResets) {

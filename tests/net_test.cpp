@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "forwarding/ipv4_ecmp.hpp"
@@ -17,6 +18,13 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "net/traffic.hpp"
+
+namespace hydra::p4rt {
+// The entry store behind a table copy, to tell shared copies apart.
+struct TablePeer {
+  static const void* store(const Table& t) { return t.store_.get(); }
+};
+}  // namespace hydra::p4rt
 
 namespace hydra::net {
 namespace {
@@ -910,6 +918,89 @@ TEST(Network, LinkedProgramFollowsTheSlotSet) {
             "delivered=25 rejected=5 reports=0 stages=4");
   EXPECT_EQ(restored.tally(), bed.tally());
   EXPECT_TRUE(net.deployment_live(dscp));
+}
+
+// A deploy gives every switch a copy of each checker table on one entry
+// store; an all-switch write keeps them on it, a write to one switch's
+// copy moves that copy alone off it, and a restore gives each switch its
+// own.
+TEST(Network, SwitchCopiesOfACheckerTableShareOneStore) {
+  const LeafSpine fabric = make_leaf_spine(8, 8, 2);
+  Network net(fabric.topo);
+  fwd::install_leaf_spine_routing(net, fabric);
+  net.set_observability(true);  // for the snapshot below
+  const int dep = net.deploy(compile_library_checker("stateful_firewall"));
+  std::vector<int> switches = fabric.leaves;
+  switches.insert(switches.end(), fabric.spines.begin(), fabric.spines.end());
+  ASSERT_EQ(switches.size(), 16u);
+  const auto key = [](std::uint32_t dst, std::uint32_t src) {
+    return std::vector<BitVec>{BitVec(32, dst), BitVec(32, src)};
+  };
+  const std::vector<BitVec> yes{BitVec::from_bool(true)};
+  const auto stores = [&](Network& n) {
+    std::set<const void*> out;
+    for (const int sw : switches) {
+      out.insert(p4rt::TablePeer::store(n.checker_table(dep, sw, "allowed")));
+    }
+    return out;
+  };
+  // Row count per switch, with `k` installed on every one of them.
+  const auto rows_holding = [&](Network& n, const std::vector<BitVec>& k) {
+    std::map<int, std::size_t> rows;
+    for (const int sw : switches) {
+      const p4rt::Table& t = n.checker_table(dep, sw, "allowed");
+      EXPECT_GE(t.lookup(k), 0) << "switch " << sw;
+      rows[sw] = t.size();
+    }
+    return rows;
+  };
+  const auto plus = [&](const std::map<int, std::size_t>& rows, int sw,
+                        std::size_t n) {
+    std::map<int, std::size_t> out = rows;
+    for (auto& [s, r] : out) r += (sw < 0 || s == sw) ? n : 0;
+    return out;
+  };
+
+  for (std::uint32_t i = 1; i <= 3; ++i) {
+    net.dict_insert_all(dep, "allowed", key(i, 100 + i), yes);
+  }
+  EXPECT_EQ(stores(net).size(), 1u);
+  const std::map<int, std::size_t> three = rows_holding(net, key(2, 102));
+  EXPECT_EQ(three, plus(three, -1, 0));
+  EXPECT_EQ(three.at(switches[0]), 3u);
+
+  // A write through one switch's table changes that copy alone.
+  const int lone = switches[5];
+  const void* shared =
+      p4rt::TablePeer::store(net.checker_table(dep, switches[0], "allowed"));
+  net.checker_table(dep, lone, "allowed").insert_exact(key(7, 7), yes);
+  EXPECT_EQ(stores(net).size(), 2u);
+  EXPECT_EQ(stores(net).count(shared), 1u);
+  for (const int sw : switches) {
+    EXPECT_EQ(net.checker_table(dep, sw, "allowed").lookup(key(7, 7)) >= 0,
+              sw == lone)
+        << "switch " << sw;
+  }
+  EXPECT_EQ(rows_holding(net, key(1, 101)), plus(three, lone, 1));
+
+  // A later all-switch write still lands on all 16 copies, once per store.
+  net.dict_insert_all(dep, "allowed", key(9, 9), yes);
+  EXPECT_EQ(stores(net).size(), 2u);
+  EXPECT_EQ(stores(net).count(shared), 1u);
+  EXPECT_EQ(rows_holding(net, key(9, 9)), plus(plus(three, lone, 1), -1, 1));
+
+  // A restored network re-snapshots byte for byte; its copies own their
+  // stores, and an all-switch write still reaches every one of them.
+  const std::string snap = net.full_snapshot();
+  Network restored(fabric.topo);
+  fwd::install_leaf_spine_routing(restored, fabric);
+  restored.set_observability(true);
+  restored.obs_restore(snap);
+  EXPECT_EQ(restored.full_snapshot(), snap);
+  EXPECT_EQ(stores(restored).size(), 16u);
+  restored.dict_insert_all(dep, "allowed", key(11, 11), yes);
+  EXPECT_EQ(rows_holding(restored, key(11, 11)),
+            plus(plus(plus(three, lone, 1), -1, 1), -1, 1));
 }
 
 TEST(HydraPipeline, UdpFloodLoadsLinks) {

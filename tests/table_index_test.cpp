@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -29,10 +31,13 @@ struct TablePeer {
     return Table::hash(Table::kPinnedTag, &key, 1);
   }
   static std::size_t capacity(const Table& t) {
-    return t.slots_.empty() ? 0 : t.slot_mask_ + 1;
+    return t.store_->slots.empty() ? 0 : t.store_->slot_mask + 1;
   }
-  static std::size_t used(const Table& t) { return t.slots_used_; }
-  static std::size_t classes(const Table& t) { return t.classes_.size(); }
+  static std::size_t used(const Table& t) { return t.store_->slots_used; }
+  static std::size_t classes(const Table& t) {
+    return t.store_->classes.size();
+  }
+  static const void* store(const Table& t) { return t.store_.get(); }
 };
 
 namespace {
@@ -402,6 +407,277 @@ TEST_P(TableIndexDifferential, ScanAndIndexAgreeAcrossGrowth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableIndexDifferential,
+                         ::testing::Range<std::uint64_t>(1, 31));
+
+// ---------------------------------------------------------------------------
+// Copies on one entry store vs. tables built apart
+// ---------------------------------------------------------------------------
+
+// Copies of one table, written through Table::write_all and one at a time,
+// against twins that were never copies and take every write one by one:
+// each copy must read, count and serialize as its twin does, and the
+// original the copies were taken from must never change.
+struct StoreFuzzer {
+  static constexpr std::size_t kCopies = 4;
+  TableFuzzer gen;  // the spec and the random patterns and keys
+  std::vector<TableEntry> seed_rows;
+  Table original;
+  std::string original_bytes;
+  std::vector<Table> copies;
+  std::vector<Table> twins;
+  obs::Registry registry;
+  std::vector<BitVec> last_key;  // looked up again after the next write
+  std::uint64_t refused = 0;
+  std::uint64_t shared_writes = 0;  // write_all calls on a shared store
+
+  explicit StoreFuzzer(std::uint64_t seed) : gen(seed) {
+    original = Table("fuzz", gen.spec);
+    for (int i = 0; i < 6; ++i) {
+      seed_rows.push_back(entry());
+      original.insert(seed_rows.back());
+    }
+    original_bytes = bytes_of(original);
+    last_key = gen.random_key();
+    reset();
+  }
+
+  // Every copy back on the original's store, and every twin rebuilt apart
+  // with the same rows; the counters carry on.
+  void reset() {
+    const auto attach = [&](Table& t, const std::string& name) {
+      t.attach_metrics({registry.counter(name + ".hits"),
+                        registry.counter(name + ".misses"),
+                        registry.counter(name + ".cache_hits")});
+    };
+    copies.assign(kCopies, original);
+    twins.clear();
+    for (std::size_t i = 0; i < kCopies; ++i) {
+      twins.emplace_back("fuzz", gen.spec);
+      for (const TableEntry& e : seed_rows) twins[i].insert(e);
+      attach(copies[i], "copy" + std::to_string(i));
+      attach(twins[i], "twin" + std::to_string(i));
+    }
+  }
+
+  TableEntry entry() {
+    TableEntry e;
+    e.priority = static_cast<int>(gen.rng.below(4));
+    for (const auto& f : gen.spec) e.patterns.push_back(gen.random_pattern(f));
+    for (std::uint64_t n = gen.rng.below(3); n > 0; --n) {
+      e.action_data.push_back(
+          BitVec(static_cast<int>(1 + gen.rng.below(64)), gen.rng.next()));
+    }
+    return e;
+  }
+
+  // A query that pins field `i` to `v`, as the O(1) and chain removals
+  // read it.
+  static KeyPattern pinned(const MatchFieldSpec& f, std::uint64_t v) {
+    const BitVec b(f.width, v);
+    switch (f.kind) {
+      case MatchKind::kLpm:
+        return KeyPattern::lpm(b, f.width);
+      case MatchKind::kRange:
+        return KeyPattern::range(b, b);
+      default:
+        return KeyPattern::exact(b);
+    }
+  }
+
+  // A removal query on one of remove_if_key_equals' three paths: every
+  // field pinned (one index probe), field 0 pinned (its residue chain), or
+  // any pattern (the reference scan); usually a row's own key.
+  std::vector<KeyPattern> victim(const Table& t) {
+    std::vector<KeyPattern> q;
+    for (const auto& f : gen.spec) q.push_back(gen.random_pattern(f));
+    if (t.size() > 0 && gen.rng.chance(0.7)) {
+      const auto row = static_cast<std::int32_t>(gen.rng.below(t.size()));
+      for (std::size_t i = 0; i < q.size(); ++i) q[i] = t.pattern(row, i);
+    }
+    switch (gen.rng.below(3)) {
+      case 0:
+        for (std::size_t i = 0; i < q.size(); ++i) {
+          q[i] = pinned(gen.spec[i], gen.rng.below(64));
+        }
+        break;
+      case 1:
+        q[0] = pinned(gen.spec[0], gen.rng.below(64));
+        break;
+      default:
+        break;
+    }
+    return q;
+  }
+
+  // One write, as a function of the table it is applied to, drawn at
+  // random; throws for a refused insert.
+  std::function<void(Table&)> random_write(const Table& shape) {
+    const double roll = gen.rng.uniform();
+    if (roll < 0.45) {
+      TableEntry e = entry();
+      if (gen.rng.chance(0.15)) {
+        const std::size_t i = gen.rng.below(gen.spec.size());
+        e.patterns[i] = gen.off_canonical(gen.spec[i], e.patterns[i]);
+      }
+      return [e](Table& t) { t.insert(e); };
+    }
+    if (roll < 0.65) {
+      std::vector<std::uint64_t> key;
+      for (const auto& f : gen.spec) key.push_back(gen.small(f.width).value());
+      const std::vector<BitVec> data{BitVec(8, gen.rng.below(256))};
+      return [key, data](Table& t) {
+        t.insert_exact(std::span<const std::uint64_t>(key), data);
+      };
+    }
+    if (roll < 0.90) {
+      return [q = victim(shape)](Table& t) { t.remove_if_key_equals(q); };
+    }
+    if (roll < 0.95) {
+      return [d = std::vector<BitVec>{BitVec(16, gen.rng.below(1000))}](
+                 Table& t) { t.set_default(d); };
+    }
+    return [](Table& t) { t.clear(); };
+  }
+
+  static std::vector<const void*> stores(const std::vector<Table>& ts) {
+    std::vector<const void*> out;
+    for (const Table& t : ts) out.push_back(TablePeer::store(t));
+    return out;
+  }
+
+  // Every copy's rows (and defaults) against its twin's, and the original.
+  void check_rows(const std::string& after) {
+    for (std::size_t i = 0; i < kCopies; ++i) {
+      ASSERT_EQ(bytes_of(copies[i]), bytes_of(twins[i]))
+          << "copy " << i << " after " << after;
+    }
+    ASSERT_EQ(bytes_of(original), original_bytes) << "after " << after;
+  }
+
+  // The same keys on every copy and twin: each against the reference, and
+  // the hit, miss and cache-hit counters copy against twin. The first key
+  // is the last one before the write, and the last one repeats: both find
+  // a last-hit cache, which the write must have dropped if it changed rows.
+  void check_lookups() {
+    std::vector<std::vector<BitVec>> keys{last_key};
+    for (int k = 0; k < 3; ++k) keys.push_back(gen.random_key());
+    keys.push_back(keys.back());
+    last_key = keys.back();
+    for (const auto& key : keys) {
+      for (std::size_t i = 0; i < kCopies; ++i) {
+        const std::int32_t got = copies[i].lookup(key);
+        ASSERT_EQ(got, copies[i].lookup_linear_reference(key)) << "copy " << i;
+        ASSERT_EQ(got, twins[i].lookup(key)) << "copy " << i;
+      }
+    }
+    for (std::size_t i = 0; i < kCopies; ++i) {
+      for (const char* c : {".hits", ".misses", ".cache_hits"}) {
+        const std::string n = std::to_string(i) + c;
+        ASSERT_EQ(registry.counter("copy" + n).value(),
+                  registry.counter("twin" + n).value())
+            << "counter copy" << n;
+      }
+    }
+  }
+
+  void step() {
+    if (gen.rng.chance(0.7)) {
+      // One write through write_all, to every copy or to some of them.
+      std::vector<Table*> targets;
+      std::vector<std::size_t> which;
+      for (std::size_t i = 0; i < kCopies; ++i) {
+        if (gen.rng.chance(0.75)) {
+          targets.push_back(&copies[i]);
+          which.push_back(i);
+        }
+      }
+      if (targets.empty()) return;
+      const auto write = random_write(*targets.front());
+      const std::vector<const void*> before = stores(copies);
+      if (std::set<const void*>(before.begin(), before.end()).size() <
+          kCopies) {
+        ++shared_writes;
+      }
+      bool threw = false;
+      try {
+        Table::write_all(targets, write);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      for (const std::size_t i : which) {
+        EXPECT_EQ([&] {
+          try {
+            write(twins[i]);
+          } catch (const std::invalid_argument&) {
+            return true;
+          }
+          return false;
+        }(), threw) << "twin " << i;
+      }
+      if (threw) {
+        // Refused: every copy's rows as they were, on the same stores.
+        ++refused;
+        EXPECT_EQ(stores(copies), before);
+      }
+      // Targets that shared a store still share one; the others kept theirs.
+      const std::vector<const void*> after = stores(copies);
+      for (std::size_t i = 0; i < kCopies; ++i) {
+        const bool target =
+            std::find(which.begin(), which.end(), i) != which.end();
+        if (!target) {
+          EXPECT_EQ(after[i], before[i]) << "copy " << i;
+        }
+        for (const std::size_t j : which) {
+          if (target && before[i] == before[j]) {
+            EXPECT_EQ(after[i], after[j]) << "copies " << i << ", " << j;
+          }
+        }
+      }
+      check_rows("write_all");
+    } else {
+      // One write to one copy: that copy alone leaves a shared store.
+      const std::size_t i = gen.rng.below(kCopies);
+      const auto write = random_write(copies[i]);
+      const void* was = TablePeer::store(copies[i]);
+      bool threw = false;
+      try {
+        write(copies[i]);
+      } catch (const std::invalid_argument&) {
+        threw = true;
+      }
+      try {
+        write(twins[i]);
+        EXPECT_FALSE(threw);
+      } catch (const std::invalid_argument&) {
+        EXPECT_TRUE(threw);
+      }
+      for (std::size_t j = 0; j < kCopies; ++j) {
+        if (j != i && TablePeer::store(copies[j]) == was) {
+          EXPECT_TRUE(threw || TablePeer::store(copies[i]) != was);
+        }
+      }
+      check_rows("a single-copy write");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    check_lookups();
+  }
+};
+
+class SharedStoreDifferential
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SharedStoreDifferential, CopiesMatchTablesBuiltApart) {
+  StoreFuzzer fuzz(GetParam());
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0 && i % 50 == 0) fuzz.reset();
+    fuzz.step();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(fuzz.refused, 0u);
+  EXPECT_GT(fuzz.shared_writes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedStoreDifferential,
                          ::testing::Range<std::uint64_t>(1, 31));
 
 // ---------------------------------------------------------------------------

@@ -281,6 +281,18 @@ TEST(Strings, CountLocIgnoresBlankLines) {
   EXPECT_EQ(str::count_loc(""), 0);
 }
 
+TEST(Strings, CountLocLineEnds) {
+  // CRLF line ends: the '\r' is whitespace, so a bare CRLF line is blank.
+  EXPECT_EQ(str::count_loc("a\r\n\r\n b\r\n"), 2);
+  // Lines of spaces, tabs, '\r', '\v' and '\f' alone are blank.
+  EXPECT_EQ(str::count_loc(" \t\n\r\v\f\n\n"), 0);
+  EXPECT_EQ(str::count_loc("\n"), 0);
+  // A last line with no newline counts; leading whitespace does not hide it.
+  EXPECT_EQ(str::count_loc("a\nb"), 2);
+  EXPECT_EQ(str::count_loc("\t  x"), 1);
+  EXPECT_EQ(str::count_loc("a\n   "), 1);
+}
+
 TEST(Strings, Ipv4RoundTrip) {
   const std::uint32_t addr = str::ipv4_from_string("10.0.2.15");
   EXPECT_EQ(addr, 0x0a00020fu);
