@@ -16,7 +16,7 @@ std::string FilteringRule::to_string() const {
   std::string port_s = "any";
   if (!(port_lo == 0 && port_hi == 0xffff)) {
     port_s = std::to_string(port_lo);
-    if (port_hi != port_lo) port_s += "-" + std::to_string(port_hi);
+    if (port_hi != port_lo) port_s.append("-").append(std::to_string(port_hi));
   }
   return std::to_string(priority) + ":" + str::ipv4_to_string(app_prefix) +
          "/" + std::to_string(prefix_len) + ":" + proto_s + ":" + port_s +

@@ -53,7 +53,7 @@ std::string expr_src(const Expr& e, int parent_prec) {
     case ExprKind::kIndex:
       return expr_src(*e.args[0], 100) + "[" + expr_src(*e.args[1], 0) + "]";
     case ExprKind::kTuple:
-      return "(" + args_src(e.args) + ")";
+      return std::string("(") + args_src(e.args) + ")";
     case ExprKind::kCall:
       return e.name + "(" + args_src(e.args) + ")";
     case ExprKind::kIn: {

@@ -205,8 +205,8 @@ std::string rv_str(const CheckerIR& ir, const RValue& r) {
       return std::string(indus::unop_name(r.unop)) + "(" +
              rv_str(ir, *r.args[0]) + ")";
     case RKind::kBinary:
-      return "(" + rv_str(ir, *r.args[0]) + " " + indus::binop_name(r.binop) +
-             " " + rv_str(ir, *r.args[1]) + ")";
+      return std::string("(") + rv_str(ir, *r.args[0]) + " " +
+             indus::binop_name(r.binop) + " " + rv_str(ir, *r.args[1]) + ")";
     case RKind::kAbsDiff:
       return "absdiff(" + rv_str(ir, *r.args[0]) + ", " +
              rv_str(ir, *r.args[1]) + ")";

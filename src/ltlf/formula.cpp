@@ -52,21 +52,24 @@ int Formula::depth() const {
 std::string Formula::to_string() const {
   switch (op) {
     case Op::kAtom:
-      return "a" + std::to_string(atom);
+      return std::string("a") + std::to_string(atom);
     case Op::kNot:
-      return "!" + kids[0]->to_string();
+      return std::string("!") + kids[0]->to_string();
     case Op::kAnd:
-      return "(" + kids[0]->to_string() + " & " + kids[1]->to_string() + ")";
+      return std::string("(") + kids[0]->to_string() + " & " +
+             kids[1]->to_string() + ")";
     case Op::kOr:
-      return "(" + kids[0]->to_string() + " | " + kids[1]->to_string() + ")";
+      return std::string("(") + kids[0]->to_string() + " | " +
+             kids[1]->to_string() + ")";
     case Op::kNext:
-      return "X" + kids[0]->to_string();
+      return std::string("X") + kids[0]->to_string();
     case Op::kUntil:
-      return "(" + kids[0]->to_string() + " U " + kids[1]->to_string() + ")";
+      return std::string("(") + kids[0]->to_string() + " U " +
+             kids[1]->to_string() + ")";
     case Op::kEventually:
-      return "F" + kids[0]->to_string();
+      return std::string("F") + kids[0]->to_string();
     case Op::kGlobally:
-      return "G" + kids[0]->to_string();
+      return std::string("G") + kids[0]->to_string();
   }
   return "?";
 }

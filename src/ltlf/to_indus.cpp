@@ -99,10 +99,12 @@ class Generator {
 
  private:
   std::string fresh_bool() {
-    temps_.push_back("r" + std::to_string(next_temp_++));
+    temps_.push_back(std::string("r").append(std::to_string(next_temp_++)));
     return temps_.back();
   }
-  std::string fresh_loop() { return "j" + std::to_string(next_loop_++); }
+  std::string fresh_loop() {
+    return std::string("j").append(std::to_string(next_loop_++));
+  }
 
   int capacity_;
   int next_temp_ = 0;

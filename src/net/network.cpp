@@ -242,17 +242,31 @@ std::size_t Network::control_table(const Deployment& d,
   return static_cast<std::size_t>(t);
 }
 
+p4rt::CheckerState& Network::switch_state(Deployment& d, int switch_id,
+                                          const char* what) {
+  if (switch_id < 0 || switch_id >= topo_.node_count() ||
+      topo_.node(switch_id).kind != NodeKind::kSwitch) {
+    throw std::invalid_argument(std::string(what) + ": node " +
+                                std::to_string(switch_id) +
+                                " is not a switch");
+  }
+  return d.per_switch[static_cast<std::size_t>(switch_id)];
+}
+
 p4rt::Table& Network::checker_table(int deployment, int switch_id,
                                     const std::string& var) {
   Deployment& d = live_deployment(deployment, "checker_table");
-  return d.per_switch.at(static_cast<std::size_t>(switch_id))
+  return switch_state(d, switch_id, "checker_table")
       .tables[control_table(d, var)];
 }
 
 void Network::set_config(int deployment, int switch_id,
                          const std::string& var,
                          std::vector<BitVec> values) {
-  checker_table(deployment, switch_id, var).set_default(std::move(values));
+  Deployment& d = live_deployment(deployment, "set_config");
+  switch_state(d, switch_id, "set_config")
+      .tables[control_table(d, var)]
+      .set_default(std::move(values));
 }
 
 void Network::write_checker_tables(
@@ -457,7 +471,7 @@ p4rt::RegisterArray& Network::checker_register(int deployment, int switch_id,
     throw std::invalid_argument("checker '" + d.checker->name +
                                 "' has no sensor '" + var + "'");
   }
-  return d.per_switch.at(static_cast<std::size_t>(switch_id))
+  return switch_state(d, switch_id, "checker_register")
       .registers[static_cast<std::size_t>(r)];
 }
 
@@ -595,10 +609,7 @@ void Network::host_receive(int node, PacketHandle ph) {
 // ---- event loop + per-hop pipeline ----------------------------------------
 
 void Network::drain(EventQueue& q, SimTime limit) {
-  // Null unless profiling / streaming export is armed; one branch per
-  // event otherwise.
-  obs::EngineProfiler* prof =
-      engine_profiling_enabled() ? &engine_profiler() : nullptr;
+  // Null unless streaming export is armed; one branch per event otherwise.
   obs::ExportScheduler* sched = export_scheduler_ptr();
   while (q.has_ready(limit)) {
     const EventQueue::Item item = q.pop_next();
@@ -619,13 +630,7 @@ void Network::drain(EventQueue& q, SimTime limit) {
         host_receive(item.work.sw, item.work.pkt);
         break;
       case EventKind::kSwitchWork:
-        if (prof != nullptr) {
-          const double t0 = prof->now_us();
-          process_hop(item.t, item.work);
-          prof->hop(t0, prof->now_us());
-        } else {
-          process_hop(item.t, item.work);
-        }
+        process_hop(item.t, item.work);
         break;
     }
   }
@@ -820,8 +825,7 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
           : 0;
   // Without observability, only the slots that rejected or reported have
   // anything left to do.
-  const std::uint64_t visit =
-      obs_ != nullptr || wire_validation_ ? mask | noted : flagged;
+  const std::uint64_t visit = obs_ != nullptr ? mask | noted : flagged;
   for (std::uint64_t m = visit; m != 0; m &= m - 1) {
     const auto di = static_cast<std::size_t>(std::countr_zero(m));
     Deployment& d = deployments_[di];
@@ -850,19 +854,6 @@ void Network::process_hop(SimTime t, const SwitchWork& work) {
       hop->checkers.push_back(
           trace_checker_record(d, trace_before_[di], frame.words, out,
                                /*init=*/false, /*tele=*/true, run_check));
-    }
-    if (wire_validation_) {
-      const compiler::TelemetryLayout& layout = d.checker->layout;
-      const p4rt::TeleFrame back = p4rt::parse_frame(
-          layout, frame.checker, p4rt::serialize_frame(layout, frame));
-      for (std::size_t i = 0; i < frame.words.size(); ++i) {
-        if (back.words[i] != frame.words[i]) {
-          throw std::logic_error(
-              "telemetry wire round-trip mismatch in checker '" +
-              d.checker->name + "' field '" +
-              d.checker->ir.field(layout.entries[i].field).name + "'");
-        }
-      }
     }
     if (out.reject) {
       d.counters[kRejects].inc();

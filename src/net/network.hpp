@@ -33,7 +33,7 @@
 //
 // ---- Source layout ----------------------------------------------------------
 // network.cpp is the simulator. The observability plane (traces, the
-// forensics flight recorder, profiling, streaming export, the live plane
+// forensics flight recorder, streaming export, the live plane
 // and metric wiring) is net/observe.cpp, and snapshot/restore is
 // net/snapshot.cpp; all three are Network members. The simulator reaches
 // the obs plane only through the hop seam declared below (observe_*), and
@@ -61,7 +61,6 @@
 #include "obs/httpd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/topk.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "p4rt/interp.hpp"
 #include "util/arena.hpp"
@@ -133,7 +132,9 @@ class Network final : public EventExecutor {
   std::uint32_t deployment_generation(int deployment) const;
 
   // Table for a control dict/set variable on one switch. A write through
-  // it changes that switch's copy alone.
+  // it changes that switch's copy alone. This, set_config and
+  // checker_register throw std::invalid_argument naming the call for a
+  // node that is not a switch.
   p4rt::Table& checker_table(int deployment, int switch_id,
                              const std::string& var);
   // Applies `write` to the table of control variable `var` on every
@@ -190,9 +191,8 @@ class Network final : public EventExecutor {
   //   * clear_report_subscribers() — drops the callbacks only.
   //   * reset_observability()      — zeroes every metric value, drops
   //     recorded packet traces, empties the forensics rings and stored
-  //     ViolationReports, and drops profiler spans; registrations, the
-  //     trace_next countdown, and switch state survive. No-op while
-  //     observability is off.
+  //     ViolationReports; registrations, the trace_next countdown, and
+  //     switch state survive. No-op while observability is off.
   const std::vector<ReportRecord>& reports() const { return reports_; }
   void clear_reports() { reports_.clear(); }
   void clear_report_subscribers() { report_callbacks_.clear(); }
@@ -256,13 +256,6 @@ class Network final : public EventExecutor {
   }
   int pipeline_stages() const { return stages_; }  // baseline + live slots
 
-  // When enabled, every telemetry frame is round-tripped through the
-  // byte-exact wire codec at every hop (serialize -> parse -> compare),
-  // proving that the compiled layout carries the checker state losslessly.
-  // Throws std::logic_error on any mismatch. Costs ~2x on telemetry
-  // processing; intended for tests and validation runs.
-  void set_wire_validation(bool enabled) { wire_validation_ = enabled; }
-
   // ---- observability ----------------------------------------------------
   // Off by default, and off means free: instrumented components hold
   // detached obs handles, so the only per-packet cost is a handful of
@@ -309,18 +302,6 @@ class Network final : public EventExecutor {
   void clear_violation_reports();
   // Reports kept per run; later violations still record, but only count.
   static constexpr std::size_t kMaxViolationReports = 1024;
-
-  // ---- hop profiling ----------------------------------------------------
-  // Arms the hop profiler (obs/profiler.hpp): the event loop records one
-  // wall-clock span per switch hop, exported as Chrome trace-event JSON via
-  // engine_profiler().to_chrome_trace_json() and as the
-  // "engine.phase.compute_us" histogram in metrics(). Implies
-  // observability. Off means free: one null check per hop.
-  void set_engine_profiling(bool enabled);
-  bool engine_profiling_enabled() const {
-    return obs_ != nullptr && obs_->profiler != nullptr;
-  }
-  obs::EngineProfiler& engine_profiler();  // throws std::logic_error if off
 
   // ---- streaming export (Prometheus + windowed series) ------------------
   // Arms the export scheduler: every `interval_s` of VIRTUAL time the
@@ -496,8 +477,6 @@ class Network final : public EventExecutor {
     // Forensics (null unless set_forensics(true)).
     std::unique_ptr<obs::FlightRecorder> recorder;
     std::vector<obs::ViolationReport> violations;
-    // Hop profiler (null unless set_engine_profiling(true)).
-    std::unique_ptr<obs::EngineProfiler> profiler;
     // Streaming export (null unless set_export_interval armed). The
     // delivered-latency histogram is registered only alongside it, so
     // snapshots of export-free runs stay byte-identical to earlier
@@ -545,6 +524,10 @@ class Network final : public EventExecutor {
   // out-of-range id (undeploy leaves holes — a stale id must produce a
   // clear error, not UB).
   Deployment& live_deployment(int deployment, const char* what);
+  // d's state on switch `switch_id`; throws std::invalid_argument naming
+  // `what` for any other node (a host's entry holds no state).
+  p4rt::CheckerState& switch_state(Deployment& d, int switch_id,
+                                   const char* what);
   // Index of control variable `var`'s table in d's per-switch state;
   // throws std::invalid_argument when the checker has none.
   static std::size_t control_table(const Deployment& d,
@@ -669,7 +652,6 @@ class Network final : public EventExecutor {
   double base_proc_s_ = 8e-7;
   double per_stage_s_ = 5e-8;
   std::uint64_t next_packet_id_ = 1;
-  bool wire_validation_ = false;
   // Fault injection (null while disarmed). cold_until_[sw] is the sim time
   // until which switch sw's sensors are "cold" after a restart.
   std::unique_ptr<FaultInjector> faults_;

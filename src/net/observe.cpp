@@ -291,28 +291,6 @@ void Network::clear_violation_reports() {
   if (obs_ != nullptr) obs_->violations.clear();
 }
 
-// ---- hop profiling ----------------------------------------------------------
-
-void Network::set_engine_profiling(bool enabled) {
-  if (!enabled) {
-    if (obs_ == nullptr || obs_->profiler == nullptr) return;
-    obs_->profiler.reset();
-    return;
-  }
-  set_observability(true);
-  if (obs_->profiler != nullptr) return;
-  obs_->profiler = std::make_unique<obs::EngineProfiler>();
-  rewire_observability();
-}
-
-obs::EngineProfiler& Network::engine_profiler() {
-  if (obs_ == nullptr || obs_->profiler == nullptr) {
-    throw std::logic_error(
-        "engine profiling is off; call set_engine_profiling(true) first");
-  }
-  return *obs_->profiler;
-}
-
 // ---- streaming export -----------------------------------------------------
 
 // Delivered-latency bucket grid: switch traversal is ~1us plus link
@@ -633,8 +611,6 @@ void Network::rewire_observability() {
     // undeploy_rolling) and must survive a rewire before the flip lands.
     if (d.swap_to == kPhaseRetired) register_stale_counter(d.generation);
   }
-
-  if (obs_->profiler != nullptr) obs_->profiler->attach(reg);
 }
 
 void Network::set_observability(bool enabled) {
@@ -754,7 +730,6 @@ void Network::reset_observability() {
   obs_->traces.clear();
   if (obs_->recorder != nullptr) obs_->recorder->clear();
   obs_->violations.clear();
-  if (obs_->profiler != nullptr) obs_->profiler->clear();
   if (obs_->exporter != nullptr) {
     // The metrics just went back to zero; re-anchor the delta baseline so
     // the next window does not see a negative (wrapped) delta.

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "p4rt/table_io.hpp"
 
@@ -278,6 +280,10 @@ void Network::obs_restore(const std::string& text) {
     compiler::CompileOptions options;
     std::string name;
   } pending;
+  // Each table built from a tab record, by (slot, table, row text): a
+  // later switch whose record has the same text takes a copy, which
+  // shares its entry store, as the switches of the snapshotted run did.
+  std::map<std::tuple<int, std::size_t, std::string>, p4rt::Table> built;
   // Fires at the first body keyword: the deployment set is complete, so
   // the obs wiring (stale counters included) can be rebuilt before any
   // counter/sketch values land.
@@ -389,7 +395,17 @@ void Network::obs_restore(const std::string& text) {
               d.per_switch[static_cast<std::size_t>(sw)];
           if (kw == "tab") {
             if (idx >= state.tables.size()) bad_snapshot(line);
-            p4rt::deserialize_table(state.tables[idx], ls);
+            std::string rows;
+            std::getline(ls, rows);
+            auto key = std::make_tuple(slot, idx, std::move(rows));
+            const auto same = built.find(key);
+            if (same != built.end()) {
+              state.tables[idx] = same->second;
+            } else {
+              std::istringstream rs(std::get<2>(key));
+              p4rt::deserialize_table(state.tables[idx], rs);
+              built.emplace(std::move(key), state.tables[idx]);
+            }
           } else {
             if (idx >= state.registers.size()) bad_snapshot(line);
             p4rt::deserialize_registers(state.registers[idx], ls);

@@ -136,8 +136,8 @@ FatTree make_fat_tree(int k, double host_link_gbps, double fabric_link_gbps,
         const std::uint32_t ip =
             ft.edge_prefix(p, e) | static_cast<std::uint32_t>(h + 2);
         const int host = ft.topo.add_host(
-            "h" + std::to_string(p + 1) + "_" + std::to_string(e + 1) + "_" +
-                std::to_string(h + 1),
+            std::string("h").append(std::to_string(p + 1)) + "_" +
+                std::to_string(e + 1) + "_" + std::to_string(h + 1),
             ip);
         ft.hosts[static_cast<std::size_t>(p)][static_cast<std::size_t>(e)]
             .push_back(host);
@@ -190,8 +190,8 @@ LeafSpine make_leaf_spine(int num_leaves, int num_spines, int hosts_per_leaf,
           (10u << 24) | (0u << 16) |
           (static_cast<std::uint32_t>(i + 1) << 8) |
           static_cast<std::uint32_t>(host_counter);
-      const int host =
-          ls.topo.add_host("h" + std::to_string(host_counter), ip);
+      const int host = ls.topo.add_host(
+          std::string("h").append(std::to_string(host_counter)), ip);
       ls.hosts[static_cast<std::size_t>(i)].push_back(host);
       ls.topo.add_link({host, 0}, {ls.leaves[static_cast<std::size_t>(i)],
                                    ls.leaf_host_port(h)},

@@ -146,7 +146,7 @@ void append_checker_json(std::string& out, const ViolationHopChecker& c) {
   out += "], \"tele\": {";
   for (std::size_t i = 0; i < c.tele.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(c.tele[i].name) +
+    out += std::string("\"") + json_escape(c.tele[i].name) +
            "\": " + std::to_string(c.tele[i].value);
   }
   out += "}";
@@ -167,7 +167,7 @@ void append_report_json(std::string& out, const ViolationReport& v) {
   out += ",\n   \"checkers\": [";
   for (std::size_t i = 0; i < v.checkers.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "\"" + json_escape(v.checkers[i]) + "\"";
+    out += std::string("\"") + json_escape(v.checkers[i]) + "\"";
   }
   out += "], \"switch\": \"" + json_escape(v.switch_name) +
          "\", \"switch_id\": " + std::to_string(v.switch_id) +

@@ -151,7 +151,9 @@ std::string Registry::snapshot_text() const {
         const HistogramData& h = histograms_[m.slot];
         out += "hist " + name + " " + std::to_string(h.count) + " " +
                format_double(h.sum) + " " + std::to_string(h.buckets.size());
-        for (std::uint64_t b : h.buckets) out += " " + std::to_string(b);
+        for (std::uint64_t b : h.buckets) {
+          out.append(" ").append(std::to_string(b));
+        }
         out += "\n";
         break;
       }

@@ -102,7 +102,7 @@ std::string TraceSink::to_json() const {
         out += "], \"tele\": {";
         for (std::size_t fi = 0; fi < c.tele.size(); ++fi) {
           if (fi > 0) out += ", ";
-          out += "\"" + json_escape(c.tele[fi].name) + "\": [" +
+          out += std::string("\"") + json_escape(c.tele[fi].name) + "\": [" +
                  std::to_string(c.tele[fi].before) + ", " +
                  std::to_string(c.tele[fi].after) + "]";
         }

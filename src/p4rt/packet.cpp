@@ -8,11 +8,11 @@ std::string FlowId::to_string() const {
   if (!parsed) return "<no-ipv4>";
   std::string s = str::ipv4_to_string(src_ip);
   if (src_port != 0 || dst_port != 0) {
-    s += ":" + std::to_string(src_port);
+    s.append(":").append(std::to_string(src_port));
   }
   s += " -> " + str::ipv4_to_string(dst_ip);
   if (src_port != 0 || dst_port != 0) {
-    s += ":" + std::to_string(dst_port);
+    s.append(":").append(std::to_string(dst_port));
   }
   switch (proto) {
     case kProtoTcp: s += " tcp"; break;

@@ -91,19 +91,4 @@ FrameError parse_frame_checked(const compiler::TelemetryLayout& layout,
   return FrameError::kOk;
 }
 
-TeleFrame parse_frame(const compiler::TelemetryLayout& layout, int checker_id,
-                      const std::vector<std::uint8_t>& bytes) {
-  TeleFrame frame;
-  const FrameError err = parse_frame_checked(layout, checker_id, bytes, frame);
-  if (err == FrameError::kSizeMismatch) {
-    throw std::invalid_argument("telemetry frame size mismatch: got " +
-                                std::to_string(bytes.size()) + ", want " +
-                                std::to_string(layout.wire_bytes));
-  }
-  if (err != FrameError::kOk) {
-    throw std::invalid_argument("bad Hydra telemetry tag");
-  }
-  return frame;
-}
-
 }  // namespace hydra::p4rt

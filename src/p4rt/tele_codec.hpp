@@ -2,9 +2,8 @@
 // telemetry frame as one word per tele field; this codec implements the
 // actual parser/deparser the compiler generates — packing every tele field
 // at its layout offset into wire bytes (plus the 2-byte Hydra EtherType
-// tag) and parsing it back. Used by the wire-validation tests, by
-// Network::set_wire_validation (which round-trips every frame through the
-// codec at every hop to prove the layout is lossless), and by the
+// tag) and parsing it back. Used by the wire tests, which round-trip the
+// frames real runs write to prove the layout is lossless, and by the
 // fault-injection subsystem, which damages real wire bytes and re-parses
 // them at the next hop.
 //
@@ -12,8 +11,6 @@
 // error: a flaky link can truncate or corrupt any frame. The checked entry
 // point (parse_frame_checked) therefore NEVER throws — it returns a
 // FrameError that callers turn into a counted, fail-closed checker reject.
-// The throwing parse_frame wrapper remains for validation paths where a
-// malformed frame really is a bug (wire round-trip proofs).
 #pragma once
 
 #include <cstdint>
@@ -52,11 +49,5 @@ FrameError parse_frame_checked(const compiler::TelemetryLayout& layout,
                                int checker_id,
                                const std::vector<std::uint8_t>& bytes,
                                TeleFrame& out);
-
-// Parses bytes produced by serialize_frame back into a frame. Throws
-// std::invalid_argument on size or tag mismatch — use parse_frame_checked
-// anywhere malformed input is survivable.
-TeleFrame parse_frame(const compiler::TelemetryLayout& layout, int checker_id,
-                      const std::vector<std::uint8_t>& bytes);
 
 }  // namespace hydra::p4rt

@@ -19,6 +19,16 @@ struct Fixture {
       fwd::install_leaf_spine_routing(net, fabric);
 };
 
+// The message of the std::invalid_argument `call` throws, or "no error".
+std::string error_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what());
+  }
+  return std::string("no error");
+}
+
 TEST(Api, CompileSharedProducesDeployableChecker) {
   auto c = compile_shared("{ } { } { }", "noop");
   EXPECT_EQ(c->name, "noop");
@@ -111,22 +121,14 @@ TEST(Api, MultipleDeploymentsIndexIndependently) {
 TEST(Api, AllSwitchWritesNameTheirCaller) {
   Fixture f;
   const int dep = f.net.deploy(compile_library_checker("stateful_firewall"));
-  const auto error = [](const std::function<void()>& call) {
-    try {
-      call();
-    } catch (const std::invalid_argument& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
   const auto insert = [&](int id) {
-    return error([&] {
+    return error_of([&] {
       f.net.dict_insert_all(id, "allowed", {BitVec(32, 1), BitVec(32, 2)},
                             {BitVec::from_bool(true)});
     });
   };
   const auto config = [&](int id) {
-    return error([&] { f.net.set_config_all(id, "allowed", {}); });
+    return error_of([&] { f.net.set_config_all(id, "allowed", {}); });
   };
   EXPECT_EQ(insert(dep + 1), "dict_insert_all: deployment id 1 out of range");
   EXPECT_EQ(config(dep + 1), "set_config_all: deployment id 1 out of range");
@@ -137,6 +139,35 @@ TEST(Api, AllSwitchWritesNameTheirCaller) {
   EXPECT_EQ(config(dep),
             "set_config_all: deployment id 0 is retired (checker "
             "'stateful_firewall' was undeployed)");
+}
+
+// A host's per-switch entry holds no checker state: each one-switch call
+// refuses it by name instead of indexing an empty table or register list.
+TEST(Api, OneSwitchCallsRefuseAHost) {
+  Fixture f;
+  const int fw = f.net.deploy(compile_library_checker("stateful_firewall"));
+  const int vf = f.net.deploy(compile_library_checker("valley_free"));
+  const int lb =
+      f.net.deploy(compile_library_checker("dc_uplink_load_balance"));
+  const int host = f.fabric.hosts[0][0];
+  const std::string refusal =
+      ": node " + std::to_string(host) + " is not a switch";
+  EXPECT_EQ(error_of([&] { f.net.checker_table(fw, host, "allowed"); }),
+            "checker_table" + refusal);
+  EXPECT_EQ(error_of([&] {
+              f.net.set_config(vf, host, "is_spine_switch",
+                               {BitVec::from_bool(true)});
+            }),
+            "set_config" + refusal);
+  EXPECT_EQ(error_of([&] { f.net.checker_register(lb, host, "left_load"); }),
+            "checker_register" + refusal);
+  EXPECT_EQ(error_of([&] { f.net.checker_table(fw, -1, "allowed"); }),
+            "checker_table: node -1 is not a switch");
+  const int sw = f.fabric.leaves[0];
+  EXPECT_NO_THROW(f.net.checker_table(fw, sw, "allowed"));
+  EXPECT_NO_THROW(
+      f.net.set_config(vf, sw, "is_spine_switch", {BitVec::from_bool(false)}));
+  EXPECT_NO_THROW(f.net.checker_register(lb, sw, "left_load"));
 }
 
 TEST(Api, ClearReportsResets) {

@@ -7,6 +7,7 @@
 #include "forwarding/source_route.hpp"
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
+#include "wire_roundtrip.hpp"
 
 namespace hydra {
 namespace {
@@ -140,9 +141,10 @@ TEST(FatTree, CrossPodFlowsSpreadOverCores) {
 
 TEST(FatTree, UpDownCheckerPassesEcmpTraffic) {
   FtFixture f;
-  const int dep = f.net.deploy(compile_library_checker("up_down_routing"));
+  const auto up_down = compile_library_checker("up_down_routing");
+  const int dep = f.net.deploy(up_down);
   configure_up_down(f.net, dep, f.ft);
-  f.net.set_wire_validation(true);
+  f.net.trace_next(32);
   for (int i = 0; i < 16; ++i) {
     f.send(f.ft.hosts[0][0][0], f.ft.hosts[3][1][1],
            static_cast<std::uint16_t>(4000 + i));
@@ -152,6 +154,7 @@ TEST(FatTree, UpDownCheckerPassesEcmpTraffic) {
   f.net.events().run();
   EXPECT_EQ(f.net.counters().delivered, 32u);
   EXPECT_EQ(f.net.counters().rejected, 0u);
+  testwire::expect_traced_frames_roundtrip(f.net, 32, {up_down});
 }
 
 TEST(FatTree, UpDownCheckerRejectsAggValley) {

@@ -1,7 +1,6 @@
 // Forensics subsystem tests: flight-recorder ring semantics, end-to-end
-// ViolationReport assembly, forensics JSON byte-identical across runs, the
-// zero-allocation disabled path, and the hop profiler's Chrome trace-event
-// export.
+// ViolationReport assembly, forensics JSON byte-identical across runs, and
+// the zero-allocation disabled path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include "hydra/hydra.hpp"
 #include "net/network.hpp"
 #include "obs/forensics.hpp"
-#include "obs/profiler.hpp"
 
 using namespace hydra;
 
@@ -330,79 +328,4 @@ TEST(Forensics, DisabledPathPerformsNoForensicsAllocations) {
     bed.send(bed.fabric.hosts[0][1], bed.fabric.hosts[1][0], 40001);
     EXPECT_EQ(obs::forensics_allocations(), armed + 2);
   }
-}
-
-// ---- hop profiler -----------------------------------------------------------
-
-namespace {
-
-// Minimal structural JSON check: quotes balance, braces/brackets nest and
-// close, and the document is a single object.
-bool json_well_formed(const std::string& s) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return !in_string && stack.empty();
-}
-
-}  // namespace
-
-TEST(EngineProfiler, RecordsOneSpanPerHop) {
-  Bed bed;
-  bed.net.set_engine_profiling(true);
-  const int h0 = bed.fabric.hosts[0][0];
-  const int h2 = bed.fabric.hosts[1][0];
-  bed.allow(h0, h2);
-  bed.send(h0, h2);
-
-  obs::EngineProfiler& prof = bed.net.engine_profiler();
-  EXPECT_EQ(prof.span_count(), 3u);  // leaf -> spine -> leaf
-  EXPECT_EQ(prof.dropped_spans(), 0u);
-  const std::string trace = prof.to_chrome_trace_json();
-  EXPECT_TRUE(json_well_formed(trace));
-  EXPECT_NE(trace.find("\"ph\": \"M\""), std::string::npos);  // track name
-  EXPECT_NE(trace.find("\"name\": \"hop\""), std::string::npos);
-  // The hop histogram counts the same hops.
-  EXPECT_NE(bed.net.metrics_json().find("engine.phase.compute_us"),
-            std::string::npos);
-  std::uint64_t hops = 0;
-  bed.net.metrics().visit([&hops](const obs::Registry::MetricView& m) {
-    if (m.name == "engine.phase.compute_us") hops = m.hist->count;
-  });
-  EXPECT_EQ(hops, 3u);
-
-  prof.clear();
-  EXPECT_EQ(prof.span_count(), 0u);
-  EXPECT_TRUE(json_well_formed(prof.to_chrome_trace_json()));
-}
-
-TEST(EngineProfiler, OffMeansOff) {
-  Bed bed;
-  EXPECT_FALSE(bed.net.engine_profiling_enabled());
-  EXPECT_THROW(bed.net.engine_profiler(), std::logic_error);
-  bed.net.set_observability(true);  // observability alone does not arm it
-  EXPECT_FALSE(bed.net.engine_profiling_enabled());
 }

@@ -989,18 +989,40 @@ TEST(Network, SwitchCopiesOfACheckerTableShareOneStore) {
   EXPECT_EQ(stores(net).count(shared), 1u);
   EXPECT_EQ(rows_holding(net, key(9, 9)), plus(plus(three, lone, 1), -1, 1));
 
-  // A restored network re-snapshots byte for byte; its copies own their
-  // stores, and an all-switch write still reaches every one of them.
+  // A restored network re-snapshots byte for byte, and its copies share
+  // stores as the snapshotted run's did: the lone switch's and the other
+  // 15's.
   const std::string snap = net.full_snapshot();
   Network restored(fabric.topo);
   fwd::install_leaf_spine_routing(restored, fabric);
   restored.set_observability(true);
   restored.obs_restore(snap);
   EXPECT_EQ(restored.full_snapshot(), snap);
-  EXPECT_EQ(stores(restored).size(), 16u);
+  EXPECT_EQ(stores(restored).size(), 2u);
+  const void* restored_shared = p4rt::TablePeer::store(
+      restored.checker_table(dep, switches[0], "allowed"));
+  EXPECT_NE(p4rt::TablePeer::store(
+                restored.checker_table(dep, lone, "allowed")),
+            restored_shared);
+  const std::map<int, std::size_t> before = plus(plus(three, lone, 1), -1, 1);
+  EXPECT_EQ(rows_holding(restored, key(9, 9)), before);
+
+  // A one-switch write after the restore un-shares that switch alone.
+  const int other = switches[9];
+  restored.checker_table(dep, other, "allowed").insert_exact(key(12, 12), yes);
+  EXPECT_EQ(stores(restored).size(), 3u);
+  EXPECT_EQ(stores(restored).count(restored_shared), 1u);
+  for (const int sw : switches) {
+    EXPECT_EQ(
+        restored.checker_table(dep, sw, "allowed").lookup(key(12, 12)) >= 0,
+        sw == other)
+        << "switch " << sw;
+  }
+
+  // An all-switch write still reaches every one of them.
   restored.dict_insert_all(dep, "allowed", key(11, 11), yes);
   EXPECT_EQ(rows_holding(restored, key(11, 11)),
-            plus(plus(plus(three, lone, 1), -1, 1), -1, 1));
+            plus(plus(before, other, 1), -1, 1));
 }
 
 TEST(HydraPipeline, UdpFloodLoadsLinks) {

@@ -1,5 +1,5 @@
-// Tests for the byte-exact telemetry wire codec and the network's
-// wire-validation mode (serialize -> parse round trip at every hop).
+// Tests for the byte-exact telemetry wire codec, on random frames and on
+// every frame traced real runs write (serialize -> parse round trip).
 #include <gtest/gtest.h>
 
 #include "checkers/library.hpp"
@@ -10,6 +10,7 @@
 #include "p4rt/interp.hpp"
 #include "p4rt/tele_codec.hpp"
 #include "util/rng.hpp"
+#include "wire_roundtrip.hpp"
 
 namespace hydra::p4rt {
 namespace {
@@ -34,7 +35,8 @@ void expect_roundtrip(const compiler::CompiledChecker& c,
                       const TeleFrame& f) {
   const auto bytes = serialize_frame(c.layout, f);
   ASSERT_EQ(bytes.size(), static_cast<std::size_t>(c.layout.wire_bytes));
-  const TeleFrame back = parse_frame(c.layout, 0, bytes);
+  TeleFrame back;
+  ASSERT_EQ(parse_frame_checked(c.layout, 0, bytes, back), FrameError::kOk);
   ASSERT_EQ(back.words.size(), f.words.size());
   for (std::size_t i = 0; i < f.words.size(); ++i) {
     EXPECT_EQ(back.words[i], f.words[i])
@@ -91,14 +93,6 @@ TEST(TeleCodec, PreambleCarriesHydraEtherType) {
             compiler::TelemetryLayout::kHydraEtherType);
 }
 
-TEST(TeleCodec, ParseRejectsBadInput) {
-  const auto c = compile("tele bit<8> a;\n{ } { } { }");
-  EXPECT_THROW(parse_frame(c.layout, 0, {1, 2}), std::invalid_argument);
-  std::vector<std::uint8_t> bad(static_cast<std::size_t>(c.layout.wire_bytes),
-                                0);
-  EXPECT_THROW(parse_frame(c.layout, 0, bad), std::invalid_argument);
-}
-
 TEST(TeleCodec, SerializeRejectsWrongFrame) {
   const auto c = compile("tele bit<8> a;\n{ } { } { }");
   TeleFrame f;
@@ -147,17 +141,20 @@ INSTANTIATE_TEST_SUITE_P(Library, CodecAllCheckers,
                                [static_cast<std::size_t>(info.param)].name;
                          });
 
-// End to end: the network's wire-validation mode round-trips frames at
-// every hop and must stay silent for real traffic through real checkers.
+// End to end: every frame real traffic through real checkers writes, at
+// every hop, round-trips through the codec.
 TEST(WireValidation, EndToEndWithCheckersDeployed) {
   auto fabric = net::make_leaf_spine(2, 2, 2);
   net::Network net(fabric.topo);
   fwd::install_leaf_spine_routing(net, fabric);
-  net.set_wire_validation(true);
-  net.deploy(compile_library_checker("loops"));
-  const int vf = net.deploy(compile_library_checker("valley_free"));
+  const auto loops = compile_library_checker("loops");
+  const auto valley_free = compile_library_checker("valley_free");
+  const auto filtering = compile_library_checker("application_filtering");
+  net.deploy(loops);
+  const int vf = net.deploy(valley_free);
   configure_valley_free(net, vf, fabric);
-  net.deploy(compile_library_checker("application_filtering"));
+  net.deploy(filtering);
+  net.trace_next(20);
   for (int i = 0; i < 20; ++i) {
     net.send_from_host(
         fabric.hosts[0][0],
@@ -165,8 +162,10 @@ TEST(WireValidation, EndToEndWithCheckersDeployed) {
                        net.topo().node(fabric.hosts[1][0]).ip,
                        static_cast<std::uint16_t>(1000 + i), 2000, 100));
   }
-  EXPECT_NO_THROW(net.events().run());
+  net.events().run();
   EXPECT_EQ(net.counters().delivered, 20u);
+  testwire::expect_traced_frames_roundtrip(net, 20,
+                                           {loops, valley_free, filtering});
 }
 
 TEST(WireValidation, SourceRoutedTrafficWithPathValidation) {
@@ -175,16 +174,18 @@ TEST(WireValidation, SourceRoutedTrafficWithPathValidation) {
   auto prog = std::make_shared<fwd::SourceRouteProgram>();
   for (int sw : fabric.leaves) net.set_program(sw, prog);
   for (int sw : fabric.spines) net.set_program(sw, prog);
-  net.set_wire_validation(true);
-  const int pv = net.deploy(
-      compile_library_checker("source_routing_path_validation"));
+  const auto path_validation =
+      compile_library_checker("source_routing_path_validation");
+  const int pv = net.deploy(path_validation);
   configure_path_validation(net, pv, fabric);
+  net.trace_next(1);
   p4rt::Packet p = p4rt::make_udp(1, 2, 3, 4, 64);
   fwd::set_source_route(p, fwd::leaf_spine_route(fabric, fabric.hosts[0][0],
                                                  fabric.hosts[1][0], 0));
   net.send_from_host(fabric.hosts[0][0], std::move(p));
-  EXPECT_NO_THROW(net.events().run());
+  net.events().run();
   EXPECT_EQ(net.counters().delivered, 1u);
+  testwire::expect_traced_frames_roundtrip(net, 1, {path_validation});
 }
 
 }  // namespace

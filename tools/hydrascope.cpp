@@ -1,4 +1,4 @@
-// hydrascope — violation forensics and hop-profile dump tool.
+// hydrascope — violation forensics dump tool.
 //
 // Replays a canonical scenario with the forensics flight recorder armed
 // and, for every checker reject/report, prints a §5.2-style narrative of
@@ -9,9 +9,6 @@
 //   $ ./hydrascope --forensics                     # aether, narrative+JSON
 //   $ ./hydrascope --forensics --out forensics.json
 //       # deterministic forensics JSON (cmp-able; see tests/golden)
-//   $ ./hydrascope --forensics --trace hop_trace.json
-//       # also dump the per-hop profile as Chrome trace-event JSON —
-//       # load in https://ui.perfetto.dev or chrome://tracing
 //   $ ./hydrascope --forensics --min-violations 1  # exit 1 if fewer
 //   $ ./hydrascope --help  # usage on stdout, exit 0; runs and writes nothing
 //
@@ -32,7 +29,7 @@ namespace {
 constexpr const char* kArgs =
     "[--scenario aether|leafspine] [--forensics]\n"
     "          [--chaos SEED]\n"
-    "          [--ring N] [--out FILE] [--trace FILE]\n"
+    "          [--ring N] [--out FILE]\n"
     "          [--min-violations N]\n"
     "          [--prom FILE] [--series FILE] [--interval SEC]\n"
     "          [--watch] [--help]";
@@ -42,7 +39,6 @@ constexpr const char* kArgs =
 int main(int argc, char** argv) {
   std::string scenario = "aether";
   std::string out_path;
-  std::string trace_path;
   std::string prom_path;
   std::string series_path;
   long ring = 512;
@@ -55,7 +51,6 @@ int main(int argc, char** argv) {
   cli.choice("--scenario", &scenario, {"aether", "leafspine"})
       .u64("--chaos", &chaos_seed)
       .text("--out", &out_path)
-      .text("--trace", &trace_path)
       .text("--prom", &prom_path)
       .text("--series", &series_path)
       .number("--interval", &interval_s)
@@ -76,9 +71,6 @@ int main(int argc, char** argv) {
   if (forensics || chaos) {
     net.set_forensics(true, static_cast<std::size_t>(ring));
   }
-  // The hop profile is wall-clock (not deterministic), so it is only armed
-  // when the caller asks for the trace file.
-  if (!trace_path.empty()) net.set_engine_profiling(true);
   // Streaming export: armed before any traffic so the window series spans
   // the whole run. Ticks fire on the virtual-time axis, so both the
   // exposition and the series are deterministic.
@@ -142,15 +134,6 @@ int main(int argc, char** argv) {
   } else {
     if (!tools::write_text_file(out_path, doc)) return 1;
     std::printf("wrote %s\n", out_path.c_str());
-  }
-
-  if (!trace_path.empty()) {
-    if (!tools::write_text_file(
-            trace_path, net.engine_profiler().to_chrome_trace_json())) {
-      return 1;
-    }
-    std::printf("wrote %s (load in https://ui.perfetto.dev)\n",
-                trace_path.c_str());
   }
 
   // Final scrape + window series. Written after the run regardless of
